@@ -1,10 +1,19 @@
 """Chain structure of a finite system at a fixed resolution.
 
 At resolution delta, an admissible chain step goes from u to any v whose
-distance from the image of u is at most delta (closed inequality, exact
-rational comparison).  Chains are exactly the directed paths of the
-resulting digraph, so chain recurrence, chain components and chain order
-become cycle and reachability questions on that digraph.
+distance from the image of u is at most delta (closed inequality).  Chains
+are exactly the directed paths of the resulting digraph, so chain
+recurrence, chain components and chain order become cycle and reachability
+questions on that digraph.
+
+Edges are decided exactly by integer comparison.  Every step value
+d(f(u), v) is itself a pairwise distance, hence one of the system's
+ascending distinct distance levels (``FiniteSystem.ranks``).  For a rational
+delta >= 0, let K be the index of the largest level <= delta; because the
+levels strictly ascend, d(f(u), v) <= delta iff rank(f(u), v) <= K.  One
+bisection per resolution then decides every edge, on or off the critical
+ladder, with no floats and no sampling.  The critical resolutions are the
+levels at the distinct step ranks.
 
 Chain recurrence here is the fixed-resolution notion: a node lies on a
 directed cycle.  The all-resolution notion is recovered by intersecting over
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import SpecError
+from .errors import InvariantViolation, SpecError
 from .sft import strongly_connected_components
 from .systems import FiniteSystem
 
@@ -66,10 +75,10 @@ def build_chain_digraph(sys: FiniteSystem, delta) -> ChainDigraph:
     delta = Fraction(delta)
     if delta < 0:
         raise SpecError("delta must be nonnegative")
-    succ = {
-        u: tuple(v for v in sorted(sys.points) if sys.distance(sys.apply(u), v) <= delta)
-        for u in sys.points
-    }
+    ranks = sys.ranks
+    cut = ranks.cut(delta)
+    succ = {u: tuple(v for v, r in zip(ranks.names, ranks.rank[sys.apply(u)]) if r <= cut)
+            for u in sys.points}
     return _finalize(sys, delta, succ)
 
 
@@ -125,8 +134,9 @@ def reaches(dg: ChainDigraph, x: str, y: str) -> bool:
 def critical_deltas(sys: FiniteSystem) -> list[Fraction]:
     """Ascending distinct values of d(f(u), v); the digraph is constant
     between consecutive values."""
-    vals = {sys.distance(sys.apply(u), v) for u in sys.points for v in sys.points}
-    return sorted(vals)
+    ranks = sys.ranks
+    steps = {r for img in set(sys.map.values()) for r in ranks.rank[img]}
+    return [ranks.levels[r] for r in sorted(steps)]
 
 
 def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:
@@ -180,7 +190,7 @@ def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:
             if not pending_succ[j]:
                 heapq.heappush(ready, (dg.sccs[j][0], j))
     if emitted != n_comp:
-        raise AssertionError("condensation order did not cover every SCC")
+        raise InvariantViolation("condensation order did not cover every SCC")
     return value
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .cyclic import CyclicDecomposition, ProximalPartition
-from .errors import BudgetExceeded, NotIrreducible, SpecError
+from .errors import BudgetExceeded, InvariantViolation, NotIrreducible, SpecError
 from .families import FamilyVerdict, TimeSetWindow, WindowParams, window_family_member
 from .sft import (SftGraph, SftPoint, find_connecting_path, find_exact_path, graph_period,
                   is_irreducible, sft_entropy, validate_point, vertex_classes)
@@ -240,7 +240,7 @@ def _points_from_cycle(g: SftGraph, cycle, n: int, t: int,
     prof_min = [min(_pair_profile_sft(a, b, period)[i]
                     for a, b in combinations(pts, 2)) for i in range(period)]
     if min(prof_min) < floor:  # pragma: no cover - construction invariant
-        raise AssertionError("distal cycle lost its separation floor")
+        raise InvariantViolation("distal cycle lost its separation floor")
     return tuple(sorted(pts, key=lambda p: (p.head, p.cycle)))
 
 

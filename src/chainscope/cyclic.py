@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .chains import ChainDigraph, build_chain_digraph, chain_components
-from .errors import CapExceeded, EmptyLadder, ModelInconsistency, NotAComponent, NotInComponent
+from .errors import (CapExceeded, EmptyLadder, InvariantViolation, ModelInconsistency,
+                     NotAComponent, NotInComponent)
 from .systems import FiniteSystem
 
 
@@ -75,14 +76,17 @@ def component_period(dg: ChainDigraph, C) -> int:
     |lvl(u) + 1 - lvl(v)| to the gcd.
     """
     comp = _require_component(dg, C)
-    lvl = _bfs_levels(dg, comp)
+    return _period(dg, comp, _bfs_levels(dg, comp))
+
+
+def _period(dg: ChainDigraph, comp: frozenset[str], lvl: Mapping[str, int]) -> int:
     m = 0
     for u in comp:
         for w in dg.succ[u]:
             if w in comp:
                 m = math.gcd(m, abs(lvl[u] + 1 - lvl[w]))
     if m == 0:
-        raise AssertionError("a chain component always contains a cycle")
+        raise InvariantViolation("a chain component always contains a cycle")
     return m
 
 
@@ -97,15 +101,19 @@ def transient_index(dg: ChainDigraph, C, cap: int | None = None) -> int:
     (|C|-1)^2 + 2.
     """
     comp = _require_component(dg, C)
+    lvl = _bfs_levels(dg, comp)
+    return _transient_index(dg, comp, lvl, _period(dg, comp, lvl), cap)
+
+
+def _transient_index(dg: ChainDigraph, comp: frozenset[str], lvl: Mapping[str, int],
+                     m: int, cap: int | None) -> int:
     if cap is None:
         cap = (len(comp) - 1) ** 2 + 2
     if cap < 1:
         raise CapExceeded(cap, 0.0)
-    m = component_period(dg, C)
     nodes = sorted(comp)
     idx = {u: i for i, u in enumerate(nodes)}
     k = len(nodes)
-    lvl = _bfs_levels(dg, comp)
     cls = [lvl[u] % m for u in nodes]
     # rows as bitmasks
     adj = [0] * k
@@ -142,7 +150,7 @@ def transient_index(dg: ChainDigraph, C, cap: int | None = None) -> int:
         if all((power[i] & want[i]) == want[i] for i in range(k)):
             nxt = matmul(power, step)
             if not all((nxt[i] & want[i]) == want[i] for i in range(k)):
-                raise AssertionError("saturation must persist one step after it holds")
+                raise InvariantViolation("saturation must persist one step after it holds")
             return n
         power = matmul(power, step)
     raise CapExceeded(cap, best_cover)
@@ -158,16 +166,19 @@ def cyclic_classes(dg: ChainDigraph, C, *, compute_transient: bool = True,
     an adversarial metric can genuinely produce such pairs.
     """
     comp = _require_component(dg, C)
-    m = component_period(dg, C)
     lvl = _bfs_levels(dg, comp)
+    m = _period(dg, comp, lvl)
     class_of = {u: lvl[u] % m for u in comp}
-    if len({class_of[u] for u in comp}) != m:
-        raise AssertionError("every cyclic class of a component is nonempty")
+    if len(set(class_of.values())) != m:
+        raise InvariantViolation("every cyclic class of a component is nonempty")
+    ranks = dg.system.ranks
+    cut = ranks.cut(dg.delta)
     violations = []
     nodes = sorted(comp)
     for i, u in enumerate(nodes):
+        row = ranks.rank[u]
         for v in nodes[i + 1:]:
-            if dg.system.distance(u, v) <= dg.delta and class_of[u] != class_of[v]:
+            if row[ranks.index[v]] <= cut and class_of[u] != class_of[v]:
                 if p2 == "raise":
                     raise ModelInconsistency("class merge law", (u, v))
                 violations.append((u, v))
@@ -175,7 +186,7 @@ def cyclic_classes(dg: ChainDigraph, C, *, compute_transient: bool = True,
     failed = False
     if compute_transient:
         try:
-            n_index = transient_index(dg, comp, cap)
+            n_index = _transient_index(dg, comp, lvl, m, cap)
         except CapExceeded:
             failed = True
     return CyclicDecomposition(dg.system, comp, dg.delta, m, class_of,

@@ -111,6 +111,10 @@ class InternalError(ChainscopeError):
     """A should-be-impossible condition was observed."""
 
 
+class InvariantViolation(InternalError):
+    """A computed structure broke an invariant its construction guarantees."""
+
+
 class ModelInconsistency(InternalError):
     """A structural law expected of the model fails; carries a witness."""
 

@@ -56,6 +56,8 @@ class AnalysisConfig:
             raise SpecError("n_max must be at least 2")
         if self.horizon < 64:
             raise SpecError("horizon must be at least 64")
+        if self.top_k < 1:
+            raise SpecError("top_k must be at least 1")
 
     def window_params(self) -> WindowParams:
         return WindowParams(theta=Fraction(self.theta), run_req=self.run_req,
@@ -92,7 +94,7 @@ def _ladder_for(sys: FiniteSystem, config: AnalysisConfig) -> list[Fraction]:
             raise SpecError("explicit ladder policy needs ladder values")
         return sorted({Fraction(v) for v in config.ladder})
     if config.ladder_policy == "top-k":
-        return sorted(crit)[-config.top_k:] if config.top_k < len(crit) else crit
+        return crit[-config.top_k:]
     if config.ladder_policy == "all-critical":
         return crit
     raise SpecError(f"unknown ladder policy {config.ladder_policy!r}")
@@ -226,30 +228,31 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
         report["system"] = {"kind": "finite", "spec": dump_system(model),
                             "points": len(model.points)}
         ladder = _ladder_for(model, config)
+        delta = Fraction(config.delta) if config.delta is not None else ladder[0]
         report["ladder"] = [_frac(d) for d in ladder]
         report["chain_analyses"] = []
         report["cyclic"] = []
+        # one digraph per ladder step; only its chain components outlive it
+        components_at: dict[Fraction, set[frozenset[str]]] = {}
+        dg = None
         for d in ladder:
-            dg = build_chain_digraph(model, d)
-            report["chain_analyses"].append(chain_section(dg))
-            report["cyclic"].extend(cyclic_section(dg))
-        delta = Fraction(config.delta) if config.delta is not None else ladder[0]
-        dg = build_chain_digraph(model, delta)
+            step = build_chain_digraph(model, d)
+            report["chain_analyses"].append(chain_section(step))
+            report["cyclic"].extend(cyclic_section(step))
+            components_at[d] = set(chain_components(step))
+            if d == delta:
+                dg = step
+        if dg is None:
+            dg = build_chain_digraph(model, delta)
         report["basins"] = [basin_section(assign_basins(model, dg))]
-        down = sorted(ladder, reverse=True)
+        down = ladder[::-1]
         report["proximal"] = []
         for comp in chain_components(dg):
             # refine from the coarsest resolution at which this set is a
             # component down the ladder
-            usable = [dd for dd in down if dd >= delta]
-            coarse = None
-            for dd in usable:
-                if frozenset(comp) in set(chain_components(build_chain_digraph(model, dd))):
-                    coarse = dd
-                    break
-            sub = [dd for dd in down if coarse is not None and dd <= coarse]
-            if not sub:
-                sub = [delta]
+            coarse = next((dd for dd in down if dd >= delta and comp in components_at[dd]),
+                          None)
+            sub = [dd for dd in down if coarse is not None and dd <= coarse] or [delta]
             pp = proximal_partition(model, comp, sub, p2="record")
             report["proximal"].append({
                 "component": sorted(comp),

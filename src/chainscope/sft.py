@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidPoint, NoConvergence, SpecError
+from .errors import InvalidPoint, InvariantViolation, NoConvergence, SpecError
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def first_difference(x: SftPoint, y: SftPoint) -> int | None:
     for i in range(bound):
         if x.symbol(i) != y.symbol(i):
             return i
-    raise AssertionError("distinct canonical points must differ within the bound")
+    raise InvariantViolation("distinct canonical points must differ within the bound")
 
 
 def sft_distance(g: SftGraph, x: SftPoint, y: SftPoint) -> Fraction:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chains import critical_deltas
+from .chains import build_chain_digraph, critical_deltas
 from .errors import (AdmissibilityBug, BudgetExceeded, ClassMismatch, NotIrreducible,
                      PrecisionViolation, SpecError, StepViolation)
 from .sft import (SftGraph, SftPoint, first_difference, graph_period, is_irreducible,
@@ -317,9 +317,7 @@ def estimate_slimit_modulus(sys: FiniteSystem, epsilon, length_cap: int,
 
     def orbits_ok(delta: Fraction) -> bool:
         nonlocal spent
-        succ = {u: tuple(v for v in sorted(sys.points)
-                         if sys.distance(sys.apply(u), v) <= delta)
-                for u in sys.points}
+        succ = build_chain_digraph(sys, delta).succ
         for k in range(2, length_cap + 1):
             free = k // 2  # steps with a free (<= delta) error
             stack = [[u] for u in sorted(sys.points)]

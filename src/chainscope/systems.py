@@ -2,8 +2,9 @@
 
 A :class:`FiniteSystem` is an exact desk-scale model of a dynamical system: a
 finite point set with a rational metric and a total self-map.  All metric
-axioms are checked at construction, and all comparisons downstream are exact
-rational comparisons (never float thresholds).
+axioms are checked at construction.  Downstream, a distance is compared with
+a resolution through :class:`DistanceRanks`, the exact integer ranks of the
+metric's values (never float thresholds).
 
 Grid front-ends discretize a one-dimensional map by cell-center
 representatives.  This is a heuristic model by design: exact claims are
@@ -13,8 +14,10 @@ the grids approximate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import MetricViolation, PartialMap, SpecError
@@ -43,6 +46,27 @@ def as_fraction(value) -> Fraction:
 
 
 @dataclass(frozen=True)
+class DistanceRanks:
+    """Exact integer stand-in for a finite metric.
+
+    ``levels`` holds the distinct pairwise distances in ascending order;
+    ``rank[u][j]`` is the index in ``levels`` of d(u, names[j]), with
+    ``names`` the sorted point names and ``index`` their positions.  Since
+    the levels are strictly ascending, for every rational delta
+    d(u, v) <= delta holds iff the rank of (u, v) is at most ``cut(delta)``.
+    """
+
+    levels: tuple[Fraction, ...]
+    names: tuple[str, ...]
+    index: Mapping[str, int]
+    rank: Mapping[str, tuple[int, ...]]
+
+    def cut(self, delta: Fraction) -> int:
+        """Index of the largest level <= delta (-1 when delta < 0)."""
+        return bisect_right(self.levels, delta) - 1
+
+
+@dataclass(frozen=True)
 class FiniteSystem:
     """Finite metric space with a total self-map.
 
@@ -60,6 +84,15 @@ class FiniteSystem:
 
     def apply(self, u: str) -> str:
         return self.map[u]
+
+    @cached_property
+    def ranks(self) -> DistanceRanks:
+        """Distance ranks, sorted once on first use rather than at load."""
+        levels = tuple(sorted(set(self.metric.values())))
+        level_of = {d: r for r, d in enumerate(levels)}
+        names = tuple(sorted(self.points))
+        rank = {u: tuple(level_of[self.metric[(u, v)]] for v in names) for u in self.points}
+        return DistanceRanks(levels, names, {v: j for j, v in enumerate(names)}, rank)
 
     def orbit(self, x: str, steps: int) -> list[str]:
         out = [x]

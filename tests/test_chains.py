@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from chainscope import (build_chain_digraph, chain_components, chain_recurrent_set,
-                        complete_lyapunov, critical_deltas, digraph_from_edges,
-                        finite_system, reaches)
+                        complete_lyapunov, critical_deltas, cyclic_classes,
+                        digraph_from_edges, finite_system, reaches)
 
 from conftest import random_system
 from oracles import closure_components
@@ -35,6 +35,61 @@ def test_map_edge_always_present(sysns):
         dg = build_chain_digraph(sysns, delta)
         for u in sysns.points:
             assert sysns.apply(u) in dg.succ[u]
+
+
+def tie_heavy_systems(rng):
+    """Metrics with many equal distances: the discrete metric, and the L1
+    metric of a 3 x 4 integer grid; random maps."""
+    pts = [f"d{i}" for i in range(7)]
+    yield finite_system(pts, {u: rng.choice(pts) for u in pts},
+                        {(u, v): 1 for i, u in enumerate(pts) for v in pts[i + 1:]})
+    cells = [(x, y) for x in range(3) for y in range(4)]
+    names = [f"g{x}{y}" for x, y in cells]
+    metric = {(names[i], names[j]): abs(a[0] - b[0]) + abs(a[1] - b[1])
+              for i, a in enumerate(cells) for j, b in enumerate(cells) if i < j}
+    yield finite_system(names, {u: rng.choice(names) for u in names}, metric)
+
+
+def probe_deltas(sys):
+    """Every critical value, the midpoints between consecutive ones, a value
+    above the maximum, and the pairwise distances that are no step value."""
+    crit = critical_deltas(sys)
+    mids = [(a + b) / 2 for a, b in zip(crit, crit[1:])]
+    off_ladder = sorted(set(sys.metric.values()) - set(crit))
+    return crit + mids + [crit[-1] + 1] + off_ladder
+
+
+def test_rank_kernel_matches_rational_predicate():
+    rng = random.Random(11)
+    systems = []
+    for _ in range(10):
+        sys = random_system(rng, max_points=9, min_points=5)
+        # a map onto two points leaves most distances off the ladder
+        narrow = {u: rng.choice(sys.points[:2]) for u in sys.points}
+        systems += [sys, finite_system(sys.points, narrow, sys.metric)]
+    for _ in range(3):
+        systems.extend(tie_heavy_systems(rng))
+    for sys in systems:
+        names = sorted(sys.points)
+        steps = {sys.distance(sys.apply(u), v) for u in names for v in names}
+        assert critical_deltas(sys) == sorted(steps)
+        # one cycle through every point: singleton classes, so every pair
+        # within delta breaks the merge law
+        ring = list(zip(names, names[1:] + names[:1]))
+        for delta in probe_deltas(sys):
+            dg = build_chain_digraph(sys, delta)
+            for u in sys.points:
+                want = tuple(v for v in names if sys.distance(sys.apply(u), v) <= delta)
+                assert dg.succ[u] == want, (u, delta)
+            graphs = [(dg, comp) for comp in chain_components(dg)]
+            graphs.append((digraph_from_edges(sys, delta, ring), frozenset(names)))
+            for graph, comp in graphs:
+                dec = cyclic_classes(graph, comp, compute_transient=False, p2="record")
+                nodes = sorted(comp)
+                merge_pairs = tuple((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]
+                                    if sys.distance(u, v) <= delta
+                                    and dec.class_of[u] != dec.class_of[v])
+                assert dec.p2_violations == merge_pairs, (comp, delta)
 
 
 def test_edge_monotone_in_delta():

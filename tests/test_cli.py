@@ -1,10 +1,15 @@
+import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from chainscope import cyclic, report
+from chainscope.chains import ChainDigraph, complete_lyapunov
 from chainscope.cli import main
 from chainscope.corpus import corpus_names, load_corpus
+from chainscope.errors import InternalError
 from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, report_to_json
 from chainscope.specio import load_system, save_system
 from chainscope import build_chain_digraph
@@ -78,6 +83,30 @@ def test_analyze_rejects_bad_spec(tmp_path, capsys):
     code, _, err = run_cli(["analyze", str(bad)], capsys)
     assert code == 2
     assert "triangle" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_analyze_rejects_top_k_below_one(k, tmp_path, capsys):
+    out_path = tmp_path / "r.json"
+    code, _, err = run_cli(["analyze", "corpus:tent8", "--ladder-policy", "top-k",
+                            "--top-k", k, "--out", str(out_path)], capsys)
+    assert code == 2
+    assert "top_k" in err
+    assert not out_path.exists()
+
+
+def test_internal_invariant_failure_exits_4(monkeypatch, capsys):
+    # two SCCs that are each other's condensation successor: no condensation
+    # order exists, which a digraph built from a metric never produces
+    broken = ChainDigraph(load_corpus("sys3"), Fraction(0),
+                          {"a": ("b",), "b": ("c",), "c": ("a", "b")},
+                          (("a",), ("b", "c")), {"a": 0, "b": 1, "c": 1}, ((1,), (0,)))
+    with pytest.raises(InternalError):
+        complete_lyapunov(broken)
+    monkeypatch.setattr(report, "build_chain_digraph", lambda model, delta: broken)
+    code, _, err = run_cli(["analyze", "corpus:sys3"], capsys)
+    assert code == 4
+    assert "internal invariant failure" in err
 
 
 def test_chains_emit_dot(tmp_path, capsys):
@@ -179,3 +208,55 @@ def test_corpus_export_cli(tmp_path, capsys):
     assert code == 0
     spec = json.loads(out.read_text())
     assert spec["kind"] == "finite" and spec["schema"] == "chainscope-v1"
+
+
+# sha256 of `analyze` reports: the report bytes are part of the contract, so
+# a change of any digest must be deliberate
+REPORT_DIGESTS = [
+    ({"spec": "corpus:sys3"},
+     "7a8b92183a388346e068f2f28ad28a424650fd6963d3ba42b238b41a3c4f9d23"),
+    ({"spec": "corpus:sysns"},
+     "3580353a7dda756b91a6477b5566085db91150ae03c62403a578e2faec1e5cec"),
+    ({"spec": "corpus:sys2id"},
+     "6df61ab6414aad2a20e026e3d8fa093d5d374857c5663e76ebdba4bf925c8270"),
+    ({"spec": "corpus:rotation4"},
+     "3efe63196400f63556dbec9779ecee5efdb1b2a202b643fe2ddb2a019bde1fc4"),
+    ({"spec": "corpus:tent8"},
+     "a3621b1eedd7023c23bd4dcc2f6b3bd3cfc2e0aa5da512ac2e52093de20967f0"),
+    ({"spec": "corpus:sysns", "ladder_policy": "explicit", "ladder": ("1/3", "1", "2"),
+      "delta": "3/4"},
+     "a72663ffc45d51064a20d856b3b6eadc7668d5454e6de238f380b7ecccab89b1"),
+    ({"spec": "corpus:tent8", "ladder_policy": "top-k", "top_k": 3, "delta": "1/16"},
+     "d1c62304a2e71b8e3af6c043226b57fd3c3b86aed1ca87b83aceb5555468d51e"),
+]
+
+
+@pytest.mark.parametrize("config, digest", REPORT_DIGESTS)
+def test_report_bytes_match_recorded_digest(config, digest):
+    text = report_to_json(cmd_analyze(AnalysisConfig(**config)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("config", [
+    {"spec": "corpus:tent8"},
+    {"spec": "corpus:tent8", "delta": "1/16"},
+    {"spec": "corpus:rotation4", "ladder_policy": "top-k", "top_k": 2},
+])
+def test_analyze_builds_each_ladder_digraph_once(config, monkeypatch):
+    builds = {"report": 0, "cyclic": 0}
+    for module in (report, cyclic):
+        name = module.__name__.rsplit(".", 1)[1]
+
+        def build(sys, delta, _name=name, _original=module.build_chain_digraph):
+            builds[_name] += 1
+            return _original(sys, delta)
+
+        monkeypatch.setattr(module, "build_chain_digraph", build)
+    doc = cmd_analyze(AnalysisConfig(**config))
+    ladder = [Fraction(d) for d in doc["ladder"]]
+    delta = Fraction(config.get("delta", ladder[0]))
+    # the sweep, plus the classification digraph only when it is off the ladder
+    assert builds["report"] == len(ladder) + (delta not in ladder)
+    # proximal_partition builds one digraph per resolution it visits
+    visited = sum(len(p["ladder"]) + (p["split_at"] is not None) for p in doc["proximal"])
+    assert builds["cyclic"] == visited
