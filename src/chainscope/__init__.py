@@ -8,9 +8,9 @@ from .chains import (ChainAnalysis, ChainDigraph, build_chain_digraph, chain_ana
                      chain_components, chain_recurrent_set, complete_lyapunov,
                      critical_deltas, digraph_from_edges, reaches)
 from .chaos import (ClassifyParams, ComponentChaosReport, Condition3Verdict, TupleStats,
-                    check_condition3, classify_component, classify_finite_component, classify_sft,
+                    check_condition3, classify_finite_component, classify_sft,
                     compute_delta_n, construct_witness, find_distal_tuple,
-                    perturbed_witness_trials, sft_delta_n, tuple_stats)
+                    perturbed_witness_trials, profile_extremes, sft_delta_n, tuple_stats)
 from .corpus import corpus_names, load_corpus
 from .cyclic import (CyclicDecomposition, ProximalPartition, chain_proximal_at,
                      component_period, cyclic_classes, proximal_partition,

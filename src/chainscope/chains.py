@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InvariantViolation, SpecError
-from .sft import strongly_connected_components
+from .graph import strongly_connected_components
 from .systems import FiniteSystem
 
 
@@ -53,15 +53,10 @@ class ChainDigraph:
 
 def _finalize(system: FiniteSystem, delta: Fraction,
               succ: dict[str, tuple[str, ...]]) -> ChainDigraph:
-    names = sorted(succ)
-    name_id = {u: i for i, u in enumerate(names)}
-    adj = {name_id[u]: tuple(name_id[v] for v in succ[u]) for u in names}
-    raw = strongly_connected_components(adj)
-    comps = sorted((tuple(sorted(names[i] for i in comp)) for comp in raw),
-                   key=lambda c: c[0])
+    comps = sorted(strongly_connected_components(succ), key=lambda c: c[0])
     scc_of = {u: i for i, comp in enumerate(comps) for u in comp}
     cond: list[set[int]] = [set() for _ in comps]
-    for u in names:
+    for u in succ:
         for v in succ[u]:
             cu, cv = scc_of[u], scc_of[v]
             if cu != cv:

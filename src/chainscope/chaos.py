@@ -90,6 +90,13 @@ class TupleStats:
     t_sets: dict[Fraction, TimeSetWindow]
 
 
+def profile_extremes(model, points, horizon: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Per-time min and max pairwise distance of an orbit tuple over [0, horizon)."""
+    profiles = [pair_profile(model, a, b, horizon) for a, b in combinations(points, 2)]
+    return ([min(p[i] for p in profiles) for i in range(horizon)],
+            [max(p[i] for p in profiles) for i in range(horizon)])
+
+
 def tuple_stats(model, points, r_list, eps_list, horizon: int) -> TupleStats:
     """Windows S(r) (min pairwise distance > r, strict) and T(eps)
     (max pairwise distance < eps, strict) over [0, horizon)."""
@@ -98,10 +105,7 @@ def tuple_stats(model, points, r_list, eps_list, horizon: int) -> TupleStats:
         raise SpecError("tuples need at least two coordinates")
     if horizon < 1:
         raise SpecError("horizon must be positive")
-    profiles = [pair_profile(model, a, b, horizon)
-                for a, b in combinations(pts, 2)]
-    mins = [min(p[i] for p in profiles) for i in range(horizon)]
-    maxs = [max(p[i] for p in profiles) for i in range(horizon)]
+    mins, maxs = profile_extremes(model, pts, horizon)
     s_sets = {Fraction(r): TimeSetWindow(horizon, tuple(int(m > Fraction(r)) for m in mins))
               for r in r_list}
     t_sets = {Fraction(e): TimeSetWindow(horizon, tuple(int(m < Fraction(e)) for m in maxs))
@@ -173,9 +177,13 @@ def _sft_distal_search(g: SftGraph, n: int, t: int, class_id: int | None,
     Any n points with all synchronized pairwise distances >= 2^(-t) walk this
     product graph forever, and an infinite walk in a finite graph yields a
     cycle; conversely a cycle spells out purely periodic witness points.  So
-    a cycle exists iff a distal tuple exists, and absence is exact.  The
-    cycle's classes rotate through all cyclic classes, so a witness can be
-    reported in any requested class.
+    a cycle exists iff a distal tuple exists, and absence is exact.
+
+    ``class_id`` only picks where the found cycle is entered: every step of
+    a product cycle advances the common class by one and the cycle closes,
+    so its length is a multiple of the period and it meets every class.  A
+    distal tuple in one class therefore rotates into one in every class,
+    and the search itself never depends on ``class_id``.
     """
     words = _admissible_words(g, t + 1)
     if len(words) ** n > budget:
@@ -224,10 +232,11 @@ def _points_from_cycle(g: SftGraph, cycle, n: int, t: int,
                        class_id: int | None) -> tuple[SftPoint, ...]:
     classes = vertex_classes(g)
     if class_id is not None:
-        # a product cycle advances the class by one per step and closes, so
-        # its length is a multiple of the period and every class occurs
-        shift = next(k for k, state in enumerate(cycle)
-                     if classes[state[0][0]] == class_id)
+        # every class occurs on a product cycle (see _sft_distal_search)
+        shift = next((k for k, state in enumerate(cycle)
+                      if classes[state[0][0]] == class_id), None)
+        if shift is None:
+            raise InvariantViolation(f"distal cycle misses cyclic class {class_id}")
         cycle = cycle[shift:] + cycle[:shift]
     pts = []
     for j in range(n):
@@ -235,11 +244,8 @@ def _points_from_cycle(g: SftGraph, cycle, n: int, t: int,
         pts.append(SftPoint((), stream))
     for p in pts:
         validate_point(g, p)
-    period = len(cycle)
-    floor = Fraction(1, 2**t)
-    prof_min = [min(_pair_profile_sft(a, b, period)[i]
-                    for a, b in combinations(pts, 2)) for i in range(period)]
-    if min(prof_min) < floor:  # pragma: no cover - construction invariant
+    mins, _ = profile_extremes(g, pts, len(cycle))
+    if min(mins) < Fraction(1, 2**t):  # pragma: no cover - construction invariant
         raise InvariantViolation("distal cycle lost its separation floor")
     return tuple(sorted(pts, key=lambda p: (p.head, p.cycle)))
 
@@ -507,15 +513,11 @@ def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
     """Re-run the witness construction from random perturbed prefixes and
     count how many constructions still pass their own windowed test."""
     rng = random.Random(seed)
-    period = graph_period(g)
     classes = vertex_classes(g)
+    starts = [v for v in range(g.vertex_count) if classes[v] == 0]  # all when aperiodic
     successes = 0
     for _ in range(trials):
         length = rng.randint(1, 8)
-        if period > 1:
-            starts = [v for v in range(g.vertex_count) if classes[v] == 0]
-        else:
-            starts = list(range(g.vertex_count))
         prefixes = []
         for _ in range(n):
             word = [rng.choice(starts)]
@@ -559,7 +561,6 @@ class ComponentChaosReport:
 
 @dataclass(frozen=True)
 class ClassifyParams:
-    n_max: int = 3
     horizon: int = 512
     eps_depth: int = 6
     with_witness: bool = False
@@ -581,6 +582,8 @@ def _tier_of(distal_found: bool, delta_n_value: Fraction, card_ok: bool) -> str:
 def classify_finite_component(decomp: CyclicDecomposition, n_max: int,
                               params: ClassifyParams = ClassifyParams()) -> ComponentChaosReport:
     """Classify one chain component of a finite system at its resolution."""
+    if n_max < 2:
+        raise SpecError("n_max must be at least 2")
     sys = decomp.system
     flags: list[str] = []
     reports: list[TierReport] = []
@@ -627,7 +630,7 @@ def classify_finite_component(decomp: CyclicDecomposition, n_max: int,
     singleton = all(len(c) == 1 for c in classes)
     if singleton and any(r.tier != "NONE" for r in reports):
         flags.append("all-singleton classes must sit at level NONE")
-    level = reports[0].tier if reports else "NONE"
+    level = reports[0].tier
     comp_id = ",".join(sorted(decomp.component))
     return ComponentChaosReport(comp_id, tuple(range(2, n_max + 1)),
                                 tuple(reports), level, singleton, None, tuple(flags))
@@ -637,33 +640,27 @@ def classify_sft(g: SftGraph, n_max: int,
                  params: ClassifyParams = ClassifyParams()) -> ComponentChaosReport:
     """Classify the whole vertex shift of an irreducible graph.
 
-    The cyclic classes are the vertex classes of the graph; a distal search
-    per class is exact, so the one-class-implies-every-class upgrade is
-    audited rather than assumed.
+    The cyclic classes are the vertex classes of the graph.  One exact
+    distal search per (n, t) settles every class at once: a witness found
+    in one class rotates into every class (see ``_sft_distal_search``), so
+    ``upgrade_audit_ok`` holds whenever a witness is found.
     """
+    if n_max < 2:
+        raise SpecError("n_max must be at least 2")
     if not is_irreducible(g):
         raise NotIrreducible("classification needs an irreducible graph")
-    period = graph_period(g)
-    class_ids = list(range(period)) if period > 1 else [None]
+    class_id = 0 if graph_period(g) > 1 else None
     flags: list[str] = []
     reports: list[TierReport] = []
     for n in range(2, n_max + 1):
         witness = None
         delta_n = None
-        upgrade_ok = None
         budget_hit = False
         try:
             for t in range(params.t_cap + 1):
-                per_class = [_sft_distal_search(g, n, t, cid, budget=params.budget)
-                             for cid in class_ids]
-                found_any = any(w is not None for w in per_class)
-                if found_any:
-                    upgrade_ok = all(w is not None for w in per_class)
-                    witness = next(w for w in per_class if w is not None)
+                witness = _sft_distal_search(g, n, t, class_id, budget=params.budget)
+                if witness is not None:
                     delta_n = Fraction(1, 2 ** (t + 1))
-                    if not upgrade_ok:
-                        flags.append(
-                            f"n={n}: distal witness in one class but not in every class")
                     break
         except BudgetExceeded:
             budget_hit = True
@@ -683,33 +680,11 @@ def classify_sft(g: SftGraph, n_max: int,
                     flags.append(f"n={n}: structural tier DC1 but windowed test failed")
             else:
                 flags.append(f"n={n}: horizon too small for witness corroboration")
+        upgrade_ok = True if witness is not None else None
         reports.append(TierReport(n, tier, witness, delta_n, upgrade_ok,
                                   delta_val, card_ok, cond3, agrees, budget_hit))
     singleton = all(len(g.successors(v)) == 1 for v in range(g.vertex_count))
-    level = reports[0].tier if reports else "NONE"
+    level = reports[0].tier
     return ComponentChaosReport("shift", tuple(range(2, n_max + 1)), tuple(reports),
                                 level, singleton, sft_entropy(g, 1e-9), tuple(flags))
 
-
-def classify_component(model, C=None, n_max: int = 3,
-                       params: ClassifyParams = ClassifyParams(), *,
-                       delta=None) -> ComponentChaosReport:
-    """Classify one chain component of a finite system, or a whole vertex
-    shift, on the chaos hierarchy.
-
-    For finite systems, C is the component's node set and ``delta`` the
-    analysis resolution (default: the true-orbit digraph at resolution 0).
-    For vertex shifts, the irreducible graph is the component.
-    """
-    if isinstance(model, SftGraph):
-        return classify_sft(model, n_max, params)
-    if not isinstance(model, FiniteSystem):
-        raise SpecError(f"unsupported model {type(model).__name__}")
-    if C is None:
-        raise SpecError("finite classification needs a component node set")
-    from .chains import build_chain_digraph
-    from .cyclic import cyclic_classes
-
-    dg = build_chain_digraph(model, Fraction(delta) if delta is not None else Fraction(0))
-    dec = cyclic_classes(dg, frozenset(C), p2="record")
-    return classify_finite_component(dec, n_max, params)

@@ -15,25 +15,39 @@ import sys
 from fractions import Fraction
 
 from .basins import assign_basins
-from .chains import build_chain_digraph, critical_deltas
-from .chaos import ClassifyParams, classify_finite_component, classify_sft
+from .chains import build_chain_digraph, chain_components, critical_deltas
+from .chaos import (ClassifyParams, classify_finite_component, classify_sft,
+                    construct_witness, profile_extremes)
 from .cyclic import cyclic_classes
 from .errors import BudgetExceeded, ChainscopeError, InternalError, ValidationError
 from .families import (EventuallyPeriodicSet, WindowParams, inclusion_audit,
                        rle_to_window, rotation_time_set)
 from .report import (AnalysisConfig, basin_section, chain_section, chaos_section,
                      cmd_analyze, condensation_dot, cyclic_section, polyline_svg,
-                     report_to_json, resolve_model, write_csv, write_text)
+                     report_to_json, resolve_model, verdict_dict, write_csv, write_text)
 from .sft import SftGraph
 from .shadowing import (default_schedule, find_shadowing_point, sft_shadow,
                         validate_limit_pseudo_orbit, validate_pseudo_orbit)
-from .specio import load_pseudo_orbit
-from .systems import FiniteSystem
+from .specio import load_pseudo_orbit, read_input
+from .systems import FiniteSystem, as_fraction
+
+
+def _number(parse, text: str, what: str):
+    """``parse(text)``, with a malformed value reported as a validation error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValidationError(f"bad {what}: {text!r}") from exc
 
 
 def _default_budget() -> int:
     env = os.environ.get("CHAINSCOPE_BUDGET")
-    return int(env) if env else 10**6
+    return _number(int, env, "CHAINSCOPE_BUDGET") if env else 10**6
+
+
+def _resolution(model: FiniteSystem, delta: str | None) -> Fraction:
+    """The --delta value, or the smallest critical resolution by default."""
+    return as_fraction(delta) if delta is not None else critical_deltas(model)[0]
 
 
 def _print_json(obj, out: str | None) -> None:
@@ -71,8 +85,8 @@ def _cmd_analyze(args) -> int:
     if args.emit_dot:
         model = resolve_model(args.spec)
         if isinstance(model, FiniteSystem):
-            delta = Fraction(args.delta) if args.delta else critical_deltas(model)[0]
-            write_text(args.emit_dot, condensation_dot(build_chain_digraph(model, delta)))
+            dg = build_chain_digraph(model, _resolution(model, args.delta))
+            write_text(args.emit_dot, condensation_dot(dg))
             print(f"wrote {args.emit_dot}")
     return 0
 
@@ -81,8 +95,7 @@ def _cmd_chains(args) -> int:
     model = resolve_model(args.spec)
     if not isinstance(model, FiniteSystem):
         raise ValidationError("chain analysis applies to finite systems")
-    delta = Fraction(args.delta) if args.delta is not None else critical_deltas(model)[0]
-    dg = build_chain_digraph(model, delta)
+    dg = build_chain_digraph(model, _resolution(model, args.delta))
     ba = assign_basins(model, dg)
     out = {"chain": chain_section(dg), "cyclic": cyclic_section(dg),
            "basins": basin_section(ba)}
@@ -100,7 +113,7 @@ def _cmd_chains(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = resolve_model(args.spec)
-    params = ClassifyParams(n_max=args.n_max, horizon=args.horizon,
+    params = ClassifyParams(horizon=args.horizon,
                             eps_depth=args.eps_depth,
                             with_witness=not args.no_witness,
                             budget=_default_budget() if args.budget is None
@@ -112,10 +125,7 @@ def _cmd_classify(args) -> int:
         if args.emit_csv or args.emit_svg:
             _emit_witness_traces(model, args)
     else:
-        delta = Fraction(args.delta) if args.delta is not None else critical_deltas(model)[0]
-        dg = build_chain_digraph(model, delta)
-        from .chains import chain_components
-
+        dg = build_chain_digraph(model, _resolution(model, args.delta))
         for comp in chain_components(dg):
             dec = cyclic_classes(dg, comp, p2="record")
             section, _ = chaos_section(classify_finite_component(dec, args.n_max, params))
@@ -127,15 +137,8 @@ def _cmd_classify(args) -> int:
 def _emit_witness_traces(model, args) -> None:
     """Per-time min/max pairwise distances of a constructed witness tuple,
     the raw data behind its separation and proximity windows."""
-    from itertools import combinations
-
-    from .chaos import construct_witness, pair_profile
-
     built = construct_witness(model, 2, "DC1", args.horizon)
-    profiles = [pair_profile(model, a, b, args.horizon)
-                for a, b in combinations(built.points, 2)]
-    mins = [min(p[i] for p in profiles) for i in range(args.horizon)]
-    maxs = [max(p[i] for p in profiles) for i in range(args.horizon)]
+    mins, maxs = profile_extremes(model, built.points, args.horizon)
     if args.emit_csv:
         rows = [[i, str(mins[i]), str(maxs[i])] for i in range(args.horizon)]
         write_csv(args.emit_csv, ["i", "min_pairwise", "max_pairwise"], rows)
@@ -163,29 +166,23 @@ def _cmd_furstenberg(args) -> int:
     params = WindowParams(m_max=args.m_max, run_req=args.run_req)
     if args.eventually_periodic:
         kv = _parse_kv(args.eventually_periodic, {"pre", "pat"})
-        pre = tuple(int(b) for b in kv.get("pre", ""))
-        pat = tuple(int(b) for b in kv.get("pat", ""))
+        pre = tuple(_number(int, b, "pre bit") for b in kv.get("pre", ""))
+        pat = tuple(_number(int, b, "pat bit") for b in kv.get("pat", ""))
         subject = EventuallyPeriodicSet(pre, pat)
     elif args.rotation:
         kv = _parse_kv(args.rotation, {"alpha", "H"})
         alpha_text = kv.get("alpha", "golden")
-        alpha = (math.sqrt(5) - 1) / 2 if alpha_text == "golden" else float(alpha_text)
-        subject = rotation_time_set(alpha, int(kv.get("H", 10000)))
+        golden = (math.sqrt(5) - 1) / 2
+        alpha = golden if alpha_text == "golden" else _number(float, alpha_text, "alpha")
+        subject = rotation_time_set(alpha, _number(int, kv.get("H", "10000"), "H"))
     elif args.set_file:
-        text = open(args.set_file, encoding="utf-8").read().strip()
-        subject = rle_to_window(text)
+        subject = rle_to_window(read_input(args.set_file).strip())
     else:
         raise ValidationError(
             "choose one of --eventually-periodic, --rotation, --set-file")
-    from .report import _jsonable
-
     audit = inclusion_audit(subject, params)
     out = {
-        "verdicts": [
-            {"family": v.family, "member": v.member, "mode": v.mode,
-             "certificate": _jsonable(v.certificate)}
-            for v in audit.verdicts
-        ],
+        "verdicts": [verdict_dict(v) for v in audit.verdicts],
         "monotone": audit.monotone,
         "warnings": list(audit.warnings),
     }
@@ -196,13 +193,13 @@ def _cmd_furstenberg(args) -> int:
 def _cmd_shadow(args) -> int:
     model = resolve_model(args.spec)
     states = load_pseudo_orbit(args.orbit, model)
-    delta = Fraction(args.delta) if args.delta is not None else Fraction(1, 2**args.depth)
+    delta = as_fraction(args.delta) if args.delta is not None else Fraction(1, 2**args.depth)
     po = validate_pseudo_orbit(model, states, delta)
     limit = validate_limit_pseudo_orbit(po, delta, default_schedule(delta))
     if isinstance(model, SftGraph):
         result = sft_shadow(model, po, args.depth)
     else:
-        epsilon = Fraction(args.epsilon) if args.epsilon is not None else delta
+        epsilon = as_fraction(args.epsilon) if args.epsilon is not None else delta
         result = find_shadowing_point(model, po, epsilon)
     out = {
         "states": len(po.states),

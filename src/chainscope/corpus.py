@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import SpecError
 from .sft import SftGraph, full_shift
 from .systems import FiniteSystem, GridMapSpec, discretize, finite_system
 
@@ -65,7 +66,6 @@ def corpus_names() -> list[str]:
 
 
 def load_corpus(name: str):
-    try:
-        return CORPUS[name]()
-    except KeyError:
-        raise KeyError(f"unknown corpus system {name!r}; known: {corpus_names()}")
+    if name not in CORPUS:
+        raise SpecError(f"unknown corpus system {name!r}; known: {corpus_names()}")
+    return CORPUS[name]()

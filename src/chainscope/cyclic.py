@@ -16,7 +16,6 @@ this agree with the positive-length convention for recurrent nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -24,6 +23,7 @@ from typing import Mapping, Sequence
 from .chains import ChainDigraph, build_chain_digraph, chain_components
 from .errors import (CapExceeded, EmptyLadder, InvariantViolation, ModelInconsistency,
                      NotAComponent, NotInComponent)
+from .graph import bfs_levels, period
 from .systems import FiniteSystem
 
 
@@ -54,40 +54,18 @@ def _require_component(dg: ChainDigraph, C) -> frozenset[str]:
     return comp
 
 
-def _bfs_levels(dg: ChainDigraph, comp: frozenset[str]) -> dict[str, int]:
-    root = min(comp)
-    lvl = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in dg.succ[u]:
-                if w in comp and w not in lvl:
-                    lvl[w] = lvl[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return lvl
+def _levels(dg: ChainDigraph, comp: frozenset[str]) -> tuple[dict[str, int], int]:
+    """BFS levels from the smallest node, and the period of the component."""
+    lvl = bfs_levels(dg.succ, min(comp), comp)
+    m = period(dg.succ, lvl)
+    if m == 0:
+        raise InvariantViolation("a chain component always contains a cycle")
+    return lvl, m
 
 
 def component_period(dg: ChainDigraph, C) -> int:
-    """gcd of the lengths of all directed cycles inside the component.
-
-    BFS levels from the smallest node; each internal edge u -> v contributes
-    |lvl(u) + 1 - lvl(v)| to the gcd.
-    """
-    comp = _require_component(dg, C)
-    return _period(dg, comp, _bfs_levels(dg, comp))
-
-
-def _period(dg: ChainDigraph, comp: frozenset[str], lvl: Mapping[str, int]) -> int:
-    m = 0
-    for u in comp:
-        for w in dg.succ[u]:
-            if w in comp:
-                m = math.gcd(m, abs(lvl[u] + 1 - lvl[w]))
-    if m == 0:
-        raise InvariantViolation("a chain component always contains a cycle")
-    return m
+    """gcd of the lengths of all directed cycles inside the component."""
+    return _levels(dg, _require_component(dg, C))[1]
 
 
 def transient_index(dg: ChainDigraph, C, cap: int | None = None) -> int:
@@ -101,8 +79,7 @@ def transient_index(dg: ChainDigraph, C, cap: int | None = None) -> int:
     (|C|-1)^2 + 2.
     """
     comp = _require_component(dg, C)
-    lvl = _bfs_levels(dg, comp)
-    return _transient_index(dg, comp, lvl, _period(dg, comp, lvl), cap)
+    return _transient_index(dg, comp, *_levels(dg, comp), cap)
 
 
 def _transient_index(dg: ChainDigraph, comp: frozenset[str], lvl: Mapping[str, int],
@@ -166,8 +143,7 @@ def cyclic_classes(dg: ChainDigraph, C, *, compute_transient: bool = True,
     an adversarial metric can genuinely produce such pairs.
     """
     comp = _require_component(dg, C)
-    lvl = _bfs_levels(dg, comp)
-    m = _period(dg, comp, lvl)
+    lvl, m = _levels(dg, comp)
     class_of = {u: lvl[u] % m for u in comp}
     if len(set(class_of.values())) != m:
         raise InvariantViolation("every cyclic class of a component is nonempty")

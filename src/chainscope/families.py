@@ -249,6 +249,8 @@ def rotation_time_set(alpha: float, horizon: int) -> TimeSetWindow:
     """
     if horizon < 1:
         raise SpecError("horizon must be positive")
+    if not math.isfinite(alpha):
+        raise SpecError(f"alpha must be finite, got {alpha}")
     a = float(alpha) % 1.0
     for q in range(1, 1001):
         if abs(a * q - round(a * q)) < 1e-12:

@@ -1,0 +1,97 @@
+"""Graph kernel shared by both model kinds: strong components, BFS levels and
+the period of a strongly connected digraph.
+
+Vertices are any sortable hashable labels and ``succ[u]`` lists the
+successors of u.  Finite systems use it on chain step digraphs, vertex
+shifts on symbol graphs.
+
+Period and cyclic classes follow Denardo (Periods of connected networks and
+powers of nonnegative matrices, Math. Oper. Res. 1977): take BFS levels
+from any root of a strongly connected digraph; the gcd over all edges
+u -> v of |lvl(u) + 1 - lvl(v)| is the gcd of the cycle lengths, and
+lvl(v) mod that period is the cyclic class of v.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Collection, Hashable, Mapping, Sequence
+
+
+def strongly_connected_components(succ: Mapping[Hashable, Sequence]) -> list[tuple]:
+    """Iterative Tarjan over the keys of ``succ``; components are emitted
+    sinks-first, each as a sorted tuple."""
+    index: dict = {}
+    low: dict = {}
+    onstack: set = set()
+    stack: list = []
+    sccs: list[tuple] = []
+    counter = 0
+    for root in sorted(succ):
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack.remove(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(tuple(sorted(comp)))
+    return sccs
+
+
+def bfs_levels(succ: Mapping[Hashable, Sequence], root,
+               inside: Collection | None = None) -> dict:
+    """Edge distance from ``root`` of every vertex it reaches, walking only
+    through vertices of ``inside`` when that is given."""
+    lvl = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in succ[u]:
+                if w not in lvl and (inside is None or w in inside):
+                    lvl[w] = lvl[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return lvl
+
+
+def period(succ: Mapping[Hashable, Sequence], lvl: Mapping) -> int:
+    """gcd of |lvl(u) + 1 - lvl(v)| over the edges u -> v whose endpoints
+    both have a level.  On one strong component this is the gcd of its cycle
+    lengths, and 0 for a single vertex without a loop."""
+    m = 0
+    for u, lu in lvl.items():
+        for w in succ[u]:
+            lw = lvl.get(w)
+            if lw is not None:
+                m = math.gcd(m, abs(lu + 1 - lw))
+    return m

@@ -15,15 +15,15 @@ from pathlib import Path
 
 from . import __version__
 from .basins import BasinAssignment, assign_basins, verify_partition_laws
-from .chains import (ChainDigraph, build_chain_digraph, chain_analysis, chain_components,
-                     critical_deltas)
+from .chains import (ChainDigraph, _is_recurrent_scc, build_chain_digraph, chain_analysis,
+                     chain_components, critical_deltas)
 from .chaos import ClassifyParams, classify_finite_component, classify_sft
 from .cyclic import cyclic_classes, proximal_partition
 from .errors import SpecError
 from .families import WindowParams
 from .sft import SftGraph, graph_period, is_irreducible, vertex_classes
 from .specio import dump_system, load_system
-from .systems import FiniteSystem
+from .systems import FiniteSystem, as_fraction
 
 REPORT_SCHEMA_VERSION = "chainscope-report-v1"
 
@@ -64,7 +64,7 @@ class AnalysisConfig:
                             m_max=self.m_max)
 
     def classify_params(self) -> ClassifyParams:
-        return ClassifyParams(n_max=self.n_max, horizon=self.horizon,
+        return ClassifyParams(horizon=self.horizon,
                               eps_depth=self.eps_depth, with_witness=self.with_witness,
                               budget=self.budget, window=self.window_params())
 
@@ -92,7 +92,7 @@ def _ladder_for(sys: FiniteSystem, config: AnalysisConfig) -> list[Fraction]:
     if config.ladder_policy == "explicit":
         if not config.ladder:
             raise SpecError("explicit ladder policy needs ladder values")
-        return sorted({Fraction(v) for v in config.ladder})
+        return sorted({as_fraction(v) for v in config.ladder})
     if config.ladder_policy == "top-k":
         return crit[-config.top_k:]
     if config.ladder_policy == "all-critical":
@@ -151,7 +151,8 @@ def basin_section(ba: BasinAssignment) -> dict:
     }
 
 
-def _verdict_dict(v) -> dict:
+def verdict_dict(v) -> dict:
+    """JSON form of one family verdict."""
     return {"family": v.family, "member": v.member, "mode": v.mode,
             "certificate": _jsonable(v.certificate)}
 
@@ -186,12 +187,12 @@ def chaos_section(report) -> dict:
                 "level": tr.condition3.level,
                 "delta_n": _frac(tr.condition3.delta_n),
                 "ok": tr.condition3.ok,
-                "separation": _verdict_dict(tr.condition3.s_verdict),
-                "proximity": [[_frac(e), _verdict_dict(v)]
+                "separation": verdict_dict(tr.condition3.s_verdict),
+                "proximity": [[_frac(e), verdict_dict(v)]
                               for e, v in tr.condition3.t_verdicts],
             }
-            appendix.append(_verdict_dict(tr.condition3.s_verdict))
-            appendix.extend(_verdict_dict(v) for _, v in tr.condition3.t_verdicts)
+            appendix.append(verdict_dict(tr.condition3.s_verdict))
+            appendix.extend(verdict_dict(v) for _, v in tr.condition3.t_verdicts)
         per_n.append(entry)
     return {
         "component": report.component_id,
@@ -228,7 +229,7 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
         report["system"] = {"kind": "finite", "spec": dump_system(model),
                             "points": len(model.points)}
         ladder = _ladder_for(model, config)
-        delta = Fraction(config.delta) if config.delta is not None else ladder[0]
+        delta = as_fraction(config.delta) if config.delta is not None else ladder[0]
         report["ladder"] = [_frac(d) for d in ladder]
         report["chain_analyses"] = []
         report["cyclic"] = []
@@ -282,8 +283,7 @@ def condensation_dot(dg: ChainDigraph) -> str:
     lines = ["digraph condensation {"]
     for i, comp in enumerate(dg.sccs):
         label = ",".join(comp)
-        recurrent = len(comp) > 1 or comp[0] in dg.succ[comp[0]]
-        shape = "box" if recurrent else "ellipse"
+        shape = "box" if _is_recurrent_scc(dg, comp) else "ellipse"
         lines.append(f'  n{i} [label="{label}" shape={shape}];')
     for i, succs in enumerate(dg.cond_succ):
         for j in succs:

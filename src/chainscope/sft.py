@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvalidPoint, InvariantViolation, NoConvergence, SpecError
+from .graph import bfs_levels, period, strongly_connected_components
 
 
 @dataclass(frozen=True)
@@ -173,58 +174,13 @@ def sft_distance(g: SftGraph, x: SftPoint, y: SftPoint) -> Fraction:
 
 # -- graph structure -----------------------------------------------------------
 
-def strongly_connected_components(adj: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Iterative Tarjan; components are emitted sinks-first."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[tuple[int, ...]] = []
-    counter = 0
-    for root in sorted(adj):
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(tuple(sorted(comp)))
-    return sccs
+def _succ(g: SftGraph) -> dict[int, tuple[int, ...]]:
+    return {v: g.successors(v) for v in range(g.vertex_count)}
 
 
 @lru_cache(maxsize=None)
 def _graph_sccs(g: SftGraph) -> tuple[tuple[int, ...], ...]:
-    adj = {v: g.successors(v) for v in range(g.vertex_count)}
-    return tuple(strongly_connected_components(adj))
+    return tuple(strongly_connected_components(_succ(g)))
 
 
 def is_irreducible(g: SftGraph) -> bool:
@@ -233,45 +189,20 @@ def is_irreducible(g: SftGraph) -> bool:
 
 @lru_cache(maxsize=None)
 def graph_period(g: SftGraph) -> int:
-    """gcd of the cycle lengths of an irreducible graph.
-
-    BFS levels from vertex 0; every edge contributes |lvl(u)+1-lvl(v)| to the
-    gcd accumulator.
-    """
+    """gcd of the cycle lengths of an irreducible graph (BFS levels from
+    vertex 0, see ``graph.period``)."""
     if not is_irreducible(g):
         raise SpecError("graph period is defined for irreducible graphs")
-    lvl = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.successors(u):
-                if w not in lvl:
-                    lvl[w] = lvl[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    m = 0
-    for u in range(g.vertex_count):
-        for w in g.successors(u):
-            m = math.gcd(m, abs(lvl[u] + 1 - lvl[w]))
-    return m
+    succ = _succ(g)
+    return period(succ, bfs_levels(succ, 0))
 
 
 @lru_cache(maxsize=None)
 def vertex_classes(g: SftGraph) -> tuple[int, ...]:
     """Cyclic class (BFS level mod period) of each vertex."""
-    period = graph_period(g)
-    lvl = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.successors(u):
-                if w not in lvl:
-                    lvl[w] = lvl[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return tuple(lvl[v] % period for v in range(g.vertex_count))
+    m = graph_period(g)
+    lvl = bfs_levels(_succ(g), 0)
+    return tuple(lvl[v] % m for v in range(g.vertex_count))
 
 
 def path_length_cap(g: SftGraph) -> int:
@@ -301,21 +232,16 @@ def find_exact_path(g: SftGraph, a: int, b: int, length: int) -> list[int] | Non
     return path
 
 
-def find_connecting_path(g: SftGraph, a: int, b: int, *, min_length: int = 0,
-                         residue: int | None = None) -> list[int]:
-    """Shortest path a -> b with length >= min_length, optionally constrained
-    to a residue class of the graph period; lexicographic tie-break.
+def find_connecting_path(g: SftGraph, a: int, b: int, *, min_length: int = 0) -> list[int]:
+    """Shortest path a -> b with length >= min_length; lexicographic tie-break.
 
-    Raises SpecError when no such path exists within the structural cap (only
-    possible when the class constraint is unsatisfiable).
+    Raises SpecError when b is not reachable from a within the structural cap.
     """
-    period = graph_period(g)
     cap = path_length_cap(g) + min_length
     reach = {a}
     length = 0
     while length <= cap:
-        ok_len = length >= min_length and (residue is None or length % period == residue % period)
-        if ok_len and b in reach:
+        if length >= min_length and b in reach:
             return find_exact_path(g, a, b, length)
         reach = {w for v in reach for w in g.successors(v)}
         length += 1

@@ -21,8 +21,9 @@ from typing import Sequence
 from .chains import build_chain_digraph, critical_deltas
 from .errors import (AdmissibilityBug, BudgetExceeded, ClassMismatch, NotIrreducible,
                      PrecisionViolation, SpecError, StepViolation)
-from .sft import (SftGraph, SftPoint, first_difference, graph_period, is_irreducible,
-                  sft_distance, sft_shift, shift_by, validate_point, vertex_classes)
+from .sft import (SftGraph, SftPoint, find_exact_path, first_difference, graph_period,
+                  is_irreducible, path_length_cap, sft_distance, sft_shift, shift_by,
+                  validate_point, vertex_classes)
 from .systems import FiniteSystem
 
 
@@ -84,6 +85,14 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
     return PseudoOrbit(states, tuple(errors))
 
 
+def _suffix_max(values: Sequence[Fraction]) -> list[Fraction]:
+    """out[i] = max(values[i:]) for i < len(values), and out[len(values)] = 0."""
+    out = [Fraction(0)] * (len(values) + 1)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = max(values[i], out[i + 1])
+    return out
+
+
 @dataclass(frozen=True)
 class LimitVerdict:
     ok: bool
@@ -104,9 +113,7 @@ def validate_limit_pseudo_orbit(po: PseudoOrbit, delta,
     if not sched or sched[-1] <= 0 or any(a <= b for a, b in zip(sched, sched[1:])):
         raise SpecError("schedule must be strictly decreasing and end positive")
     nerr = len(po.errors)
-    suffix_max: list[Fraction] = [Fraction(0)] * (nerr + 1)
-    for i in range(nerr - 1, -1, -1):
-        suffix_max[i] = max(po.errors[i], suffix_max[i + 1])
+    suffix_max = _suffix_max(po.errors)
     if any(e > delta for e in po.errors):
         return LimitVerdict(False, 0, ())
     bounds = []
@@ -149,10 +156,7 @@ def find_shadowing_point(sys: FiniteSystem, po: PseudoOrbit, epsilon) -> ShadowR
             track.append(d)
             u = sys.apply(u)
         else:
-            suffix = [Fraction(0)] * (horizon + 1)
-            for i in range(horizon - 1, -1, -1):
-                suffix[i] = max(track[i], suffix[i + 1])
-            return ShadowResult(z, max(track), tuple(suffix[:horizon]))
+            return ShadowResult(z, max(track), tuple(_suffix_max(track)[:-1]))
     return ShadowResult(None, None, ())
 
 
@@ -192,10 +196,7 @@ def sft_shadow(g: SftGraph, po: PseudoOrbit, n: int) -> ShadowResult:
                 f"tracking bound 2^-(n+1) fails at step {i}: {d}")
         track.append(d)
         zi = shift_by(zi, 1)
-    suffix = [Fraction(0)] * (len(track) + 1)
-    for i in range(len(track) - 1, -1, -1):
-        suffix[i] = max(track[i], suffix[i + 1])
-    return ShadowResult(z, max(track), tuple(suffix[:len(track)]))
+    return ShadowResult(z, max(track), tuple(_suffix_max(track)[:-1]))
 
 
 def _epsilon_exponent(epsilon) -> int:
@@ -235,7 +236,7 @@ def slimit_splice(g: SftGraph, x: SftPoint, y: SftPoint, epsilon) -> SftPoint:
     # connector has length K - n + 1, keeping x's tail at its own coordinates
     reach = {start: None}
     layers = [dict(reach)]
-    cap = n + graph_period(g) * ((g.vertex_count - 1) ** 2 + 2) + g.vertex_count + 2
+    cap = n + path_length_cap(g)
     K = None
     for length in range(1, cap - n + 2):
         nxt: dict[int, int] = {}
@@ -264,8 +265,6 @@ def slimit_splice(g: SftGraph, x: SftPoint, y: SftPoint, epsilon) -> SftPoint:
 
 
 def _lex_path(g: SftGraph, a: int, b: int, length: int) -> list[int]:
-    from .sft import find_exact_path
-
     path = find_exact_path(g, a, b, length)
     if path is None:  # pragma: no cover - existence established by caller
         raise AdmissibilityBug("exact-length path vanished during reconstruction")

@@ -18,9 +18,17 @@ from .systems import FiniteSystem, GridMapSpec, as_fraction, compile_finite, dis
 SCHEMA_VERSION = "chainscope-v1"
 
 
+def read_input(path) -> str:
+    """Text of an input file; an unreadable one is a spec error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"{path}: cannot read: {exc}") from exc
+
+
 def load_system(path):
     """Load a finite system, symbol graph, or grid spec from JSON."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_input(path)
     try:
         desc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -100,7 +108,7 @@ def load_pseudo_orbit(path, model):
     """One state per line: node ids for finite systems, 'head|cycle' vertex
     words for symbol graphs.  Blank lines and '#' comments are skipped."""
     states = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_input(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -359,3 +359,28 @@ def test_witness_recovered_from_recurring_blocks(full2, goldenmean):
         assert all(a != b for i, a in enumerate(key) for b in key[i + 1:])
         # and an exact search confirms a genuine distal tuple at that floor
         assert find_distal_tuple(g, None, n, built.delta_n) is not None
+
+
+def test_classify_sft_searches_once_per_n_and_t(monkeypatch):
+    from chainscope import chaos
+
+    g = SftGraph((
+        (0, 0, 1, 1),
+        (0, 0, 1, 1),
+        (1, 1, 0, 0),
+        (1, 1, 0, 0),
+    ))
+    calls = []
+    original = chaos._sft_distal_search
+
+    def counting(g, n, t, class_id, budget=10**6):
+        calls.append((n, t))
+        return original(g, n, t, class_id, budget=budget)
+
+    monkeypatch.setattr(chaos, "_sft_distal_search", counting)
+    rep = classify_sft(g, 3, ClassifyParams(with_witness=False))
+    # a witness at separation 2^-t is reported with distal_delta 2^-(t+1)
+    tried = [(tr.n, t) for tr in rep.per_n
+             for t in range(tr.distal_delta.denominator.bit_length() - 1)]
+    assert all(tr.tier == "DC1" and tr.upgrade_audit_ok for tr in rep.per_n)
+    assert calls == tried

@@ -260,3 +260,57 @@ def test_analyze_builds_each_ladder_digraph_once(config, monkeypatch):
     # proximal_partition builds one digraph per resolution it visits
     visited = sum(len(p["ladder"]) + (p["split_at"] is not None) for p in doc["proximal"])
     assert builds["cyclic"] == visited
+
+
+# irreducible period-2 symbol graph with branching: vertices 0, 1 form one
+# cyclic class and 2, 3 the other
+PERIOD_TWO_SPEC = {"schema": "chainscope-v1", "kind": "sft",
+                   "adjacency": [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]}
+
+
+def test_period_two_shift_report_bytes_match_recorded_digest(tmp_path, monkeypatch):
+    # the digest of the report built from one distal search per cyclic class
+    monkeypatch.chdir(tmp_path)
+    Path("p2.json").write_text(json.dumps(PERIOD_TWO_SPEC))
+    text = report_to_json(cmd_analyze(AnalysisConfig(spec="p2.json")))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "37851f3f285b793a86d98e6ba578157f5ff3803129e6a698522d5207e451d991")
+
+
+@pytest.mark.parametrize("argv, budget_env", [
+    (["analyze", "corpus:nosuch"], None),
+    (["analyze", "missing.json"], None),
+    (["shadow", "corpus:full2", "--orbit", "missing.txt"], None),
+    (["furstenberg", "--set-file", "missing.txt"], None),
+    (["analyze", "corpus:sys3"], "abc"),
+    (["furstenberg", "--rotation", "alpha=xyz"], None),
+    (["furstenberg", "--rotation", "alpha=nan"], None),
+    (["furstenberg", "--rotation", "H=abc"], None),
+    (["furstenberg", "--eventually-periodic", "pat=1x"], None),
+    (["analyze", "corpus:sys3", "--delta", "abc"], None),
+    (["analyze", "corpus:sys3", "--delta", "1/0"], None),
+    (["chains", "corpus:sys3", "--delta", "abc"], None),
+    (["classify-chaos", "corpus:sys3", "--delta", "abc"], None),
+    (["analyze", "corpus:sys3", "--ladder-policy", "explicit", "--ladder", "1,x"], None),
+    (["shadow", "corpus:sys3", "--orbit", "orbit.txt", "--delta", "abc"], None),
+    (["shadow", "corpus:sys3", "--orbit", "orbit.txt", "--epsilon", "abc"], None),
+])
+def test_malformed_input_exits_2(argv, budget_env, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("orbit.txt").write_text("a\nb\nc\n")
+    if budget_env is None:
+        monkeypatch.delenv("CHAINSCOPE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("CHAINSCOPE_BUDGET", budget_env)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize("spec", ["corpus:full2", "corpus:sys3"])
+def test_classify_rejects_n_max_below_two(spec, capsys):
+    code, out, err = run_cli(["classify-chaos", spec, "--n-max", "1"], capsys)
+    assert code == 2
+    assert "n_max" in err
+    assert out == ""
