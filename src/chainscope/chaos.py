@@ -115,19 +115,36 @@ def tuple_stats(model, points, r_list, eps_list, horizon: int) -> TupleStats:
 
 # -- distal tuple search -----------------------------------------------------------
 
+def _spread(table, index, combo) -> int:
+    """Least ``table`` entry over the pairs of ``combo``."""
+    return min(table[a][index[b]] for a, b in combinations(combo, 2))
+
+
+def _widest(table, index, members, n: int) -> tuple[int, tuple | None]:
+    """The first n-subset of ``members``, in ``combinations`` order, whose
+    spread is largest, with that spread; (0, None) without an n-subset."""
+    best = max(combinations(members, n), key=lambda c: _spread(table, index, c),
+               default=None)
+    return (0, None) if best is None else (_spread(table, index, best), best)
+
+
+def _charge(spent: int, members, n: int, budget: int, what: str) -> int:
+    """Count the n-subsets of ``members`` into ``spent``; past ``budget``,
+    raise BudgetExceeded as a one-by-one count would at subset budget + 1."""
+    spent += math.comb(len(members), n)
+    if spent > budget:
+        raise BudgetExceeded(f"{what} enumeration budget", spent=budget + 1)
+    return spent
+
+
 def _orbit_min_separation(sys: FiniteSystem, pts: tuple[str, ...]) -> Fraction:
-    """Exact inf over all times of the min pairwise distance of a joint orbit."""
-    state = pts
-    seen = set()
-    best = None
-    while state not in seen:
-        seen.add(state)
-        cur = min(sys.distance(a, b) for a, b in combinations(state, 2))
-        best = cur if best is None else min(best, cur)
-        if best == 0:
-            return Fraction(0)
-        state = tuple(sys.apply(u) for u in state)
-    return best
+    """Exact inf over all times of the min pairwise distance of a joint orbit.
+
+    The joint orbit passes through every time of every pair's orbit, and a
+    min over times of a min over pairs is a min over pairs of the per-pair
+    floors (``FiniteSystem.orbit_floor``).
+    """
+    return sys.ranks.levels[_spread(sys.orbit_floor, sys.ranks.index, pts)]
 
 
 def find_distal_tuple(model, D, n: int, delta_n, budget: int = 10**6):
@@ -144,12 +161,13 @@ def find_distal_tuple(model, D, n: int, delta_n, budget: int = 10**6):
         raise SpecError("distal tuples need n >= 2")
     delta_n = Fraction(delta_n)
     if isinstance(model, FiniteSystem):
-        spent = 0
-        for combo in combinations(sorted(D), n):
-            spent += 1
+        # d > delta_n iff the rank of d exceeds the cut of delta_n
+        cut = model.ranks.cut(delta_n)
+        floor, index = model.orbit_floor, model.ranks.index
+        for spent, combo in enumerate(combinations(sorted(D), n), 1):
             if spent > budget:
                 raise BudgetExceeded("distal tuple enumeration budget", spent=spent)
-            if _orbit_min_separation(model, combo) > delta_n:
+            if _spread(floor, index, combo) > cut:
                 return combo
         return None
     if not isinstance(model, SftGraph):
@@ -160,6 +178,16 @@ def find_distal_tuple(model, D, n: int, delta_n, budget: int = 10**6):
     while Fraction(1, 2 ** (t + 1)) > delta_n:
         t += 1
     return _sft_distal_search(model, n, t, class_id=D, budget=budget)
+
+
+def _first_distal(g: SftGraph, n: int, class_id: int | None, t_cap: int, budget: int):
+    """(tuple, t) for the least t <= t_cap at which ``_sft_distal_search``
+    finds a distal n-tuple, or None when no such t exists."""
+    for t in range(t_cap + 1):
+        found = _sft_distal_search(g, n, t, class_id, budget=budget)
+        if found is not None:
+            return found, t
+    return None
 
 
 def _admissible_words(g: SftGraph, length: int) -> list[tuple[int, ...]]:
@@ -271,20 +299,16 @@ def compute_delta_n(decomp, n: int, budget: int = 10**6) -> Fraction:
         classes = decomp.classes
     else:
         raise SpecError(f"unsupported decomposition {type(decomp).__name__}")
-    worst: Fraction | None = None
+    ranks = sys.ranks
+    worst: int | None = None
     spent = 0
     for cls in classes:
         if len(cls) < n:
             return Fraction(0)
-        best = Fraction(0)
-        for combo in combinations(sorted(cls), n):
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded("dispersion enumeration budget", spent=spent)
-            cur = min(sys.distance(a, b) for a, b in combinations(combo, 2))
-            best = max(best, cur)
+        spent = _charge(spent, cls, n, budget, "dispersion")
+        best, _ = _widest(ranks.rank, ranks.index, cls, n)
         worst = best if worst is None else min(worst, best)
-    return worst if worst is not None else Fraction(0)
+    return ranks.levels[worst] if worst is not None else Fraction(0)
 
 
 def sft_delta_n(g: SftGraph, n: int) -> tuple[Fraction, bool]:
@@ -319,8 +343,24 @@ def sft_delta_n(g: SftGraph, n: int) -> tuple[Fraction, bool]:
 
 # -- windowed corroboration ----------------------------------------------------------
 
+MIN_HORIZON = 64
+
+
 def dyadic_ladder(depth: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, 2**k) for k in range(1, depth + 1))
+
+
+def _check_eps_depth(eps_depth: int) -> None:
+    # an empty dyadic ladder would make every proximity test pass vacuously
+    if eps_depth < 1:
+        raise SpecError("eps_depth must be at least 1")
+
+
+def check_window_settings(horizon: int, eps_depth: int) -> None:
+    """Reject the observation settings no windowed test can run with."""
+    if horizon < MIN_HORIZON:
+        raise SpecError(f"horizon must be at least {MIN_HORIZON}")
+    _check_eps_depth(eps_depth)
 
 
 @dataclass(frozen=True)
@@ -339,6 +379,7 @@ def check_condition3(model, points, delta_n, level: str, horizon: int,
     for every eps on the dyadic ladder."""
     if level not in LEVEL_S_FAMILY:
         raise SpecError(f"unknown level {level!r}")
+    _check_eps_depth(eps_depth)
     delta_n = Fraction(delta_n)
     ladder = dyadic_ladder(eps_depth)
     stats = tuple_stats(model, points, [delta_n], ladder, horizon)
@@ -436,7 +477,9 @@ class WitnessConstruction:
 def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
                       class_id: int | None = None,
                       prefixes: tuple[tuple[int, ...], ...] | None = None,
-                      t_cap: int = 8, budget: int = 10**6) -> WitnessConstruction:
+                      t_cap: int = 8, budget: int = 10**6,
+                      distal: tuple[tuple[SftPoint, ...], int] | None = None
+                      ) -> WitnessConstruction:
     """Build n eventually periodic points whose separation window matches the
     requested level over [0, horizon) and whose tails merge exactly.
 
@@ -445,6 +488,9 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
     short equal-length connectors, optional common blocks, and a final merge
     onto one shared tail.  Admissibility is enforced by connector search;
     every point is validated before returning.
+
+    ``distal`` is the (tuple, t) that ``_first_distal`` returns for these
+    arguments; a caller that has it already passes it to skip the search.
     """
     if n < 2:
         raise SpecError("witness tuples need n >= 2")
@@ -456,14 +502,12 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
     classes = vertex_classes(g)
     if class_id is None:
         class_id = 0 if period > 1 else None
-    distal = None
-    for t in range(t_cap + 1):
-        distal = _sft_distal_search(g, n, t, class_id, budget=budget)
-        if distal is not None:
-            delta_n = Fraction(1, 2 ** (t + 1))
-            break
     if distal is None:
-        raise BudgetExceeded(f"no distal {n}-tuple found up to window {t_cap + 1}")
+        distal = _first_distal(g, n, class_id, t_cap, budget)
+        if distal is None:
+            raise BudgetExceeded(f"no distal {n}-tuple found up to window {t_cap + 1}")
+    distal, t = distal
+    delta_n = Fraction(1, 2 ** (t + 1))
     if prefixes is not None:
         if len(prefixes) != n or len({len(p) for p in prefixes}) != 1:
             raise SpecError("prefixes must give one equal-length word per coordinate")
@@ -511,10 +555,13 @@ def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
                              trials: int, seed: int,
                              eps_depth: int = 6) -> tuple[int, int]:
     """Re-run the witness construction from random perturbed prefixes and
-    count how many constructions still pass their own windowed test."""
+    count how many constructions still pass their own windowed test.  The
+    distal tuple does not depend on the prefixes: it is searched once."""
     rng = random.Random(seed)
     classes = vertex_classes(g)
     starts = [v for v in range(g.vertex_count) if classes[v] == 0]  # all when aperiodic
+    # the search construct_witness runs with its default class, t_cap and budget
+    distal = _first_distal(g, n, 0 if graph_period(g) > 1 else None, t_cap=8, budget=10**6)
     successes = 0
     for _ in range(trials):
         length = rng.randint(1, 8)
@@ -524,7 +571,8 @@ def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
             while len(word) < length:
                 word.append(rng.choice(g.successors(word[-1])))
             prefixes.append(tuple(word))
-        built = construct_witness(g, n, level, horizon, prefixes=tuple(prefixes))
+        built = construct_witness(g, n, level, horizon, prefixes=tuple(prefixes),
+                                  distal=distal)
         verdict = check_condition3(g, built.points, built.delta_n, level,
                                    horizon, eps_depth=eps_depth)
         if verdict.ok:
@@ -568,11 +616,14 @@ class ClassifyParams:
     budget: int = 10**6
     window: WindowParams = field(default_factory=WindowParams)
 
+    def __post_init__(self):
+        check_window_settings(self.horizon, self.eps_depth)
+
 
 def _tier_of(distal_found: bool, delta_n_value: Fraction, card_ok: bool) -> str:
     if distal_found:
         return "DC1"
-    if delta_n_value > 0:
+    if delta_n_value:  # dispersions are never negative
         return "IAPSTAR"
     if card_ok:
         return "LIYORKE"
@@ -585,30 +636,22 @@ def classify_finite_component(decomp: CyclicDecomposition, n_max: int,
     if n_max < 2:
         raise SpecError("n_max must be at least 2")
     sys = decomp.system
+    floor, index = sys.orbit_floor, sys.ranks.index
     flags: list[str] = []
     reports: list[TierReport] = []
     classes = decomp.classes()
     for n in range(2, n_max + 1):
         budget_hit = False
-        per_class_sep: list[Fraction] = []
+        per_class_sep: list[int] = []  # ranks of the best orbit separations
         witness = None
-        witness_sep = Fraction(0)
         spent = 0
         try:
             for cls in classes:
-                best = Fraction(0)
-                best_combo = None
-                for combo in combinations(cls, n):
-                    spent += 1
-                    if spent > params.budget:
-                        raise BudgetExceeded("distal tuple enumeration budget",
-                                             spent=spent)
-                    sep = _orbit_min_separation(sys, combo)
-                    if sep > best:
-                        best, best_combo = sep, combo
+                spent = _charge(spent, cls, n, params.budget, "distal tuple")
+                best, best_combo = _widest(floor, index, cls, n)
                 per_class_sep.append(best)
                 if best > 0 and witness is None:
-                    witness, witness_sep = best_combo, best
+                    witness = best_combo
         except BudgetExceeded:
             budget_hit = True
         found = witness is not None
@@ -625,7 +668,7 @@ def classify_finite_component(decomp: CyclicDecomposition, n_max: int,
         card_ok = any(len(c) >= n for c in classes)
         tier = _tier_of(found, delta_val, card_ok)
         reports.append(TierReport(
-            n, tier, witness, witness_sep / 2 if found else None,
+            n, tier, witness, _orbit_min_separation(sys, witness) / 2 if found else None,
             upgrade_ok, delta_val, card_ok, budget_exceeded=budget_hit))
     singleton = all(len(c) == 1 for c in classes)
     if singleton and any(r.tier != "NONE" for r in reports):
@@ -653,25 +696,22 @@ def classify_sft(g: SftGraph, n_max: int,
     flags: list[str] = []
     reports: list[TierReport] = []
     for n in range(2, n_max + 1):
-        witness = None
-        delta_n = None
+        found = witness = delta_n = None
         budget_hit = False
         try:
-            for t in range(params.t_cap + 1):
-                witness = _sft_distal_search(g, n, t, class_id, budget=params.budget)
-                if witness is not None:
-                    delta_n = Fraction(1, 2 ** (t + 1))
-                    break
+            found = _first_distal(g, n, class_id, params.t_cap, params.budget)
         except BudgetExceeded:
             budget_hit = True
+        if found is not None:
+            witness, t = found
+            delta_n = Fraction(1, 2 ** (t + 1))
         delta_val, card_ok = sft_delta_n(g, n)
         tier = _tier_of(witness is not None, delta_val, card_ok)
         cond3 = None
         agrees = None
         if params.with_witness and tier == "DC1":
             if params.horizon >= 160:
-                built = construct_witness(g, n, "DC1", params.horizon,
-                                          t_cap=params.t_cap, budget=params.budget)
+                built = construct_witness(g, n, "DC1", params.horizon, distal=found)
                 cond3 = check_condition3(g, built.points, built.delta_n, "DC1",
                                          params.horizon, eps_depth=params.eps_depth,
                                          params=params.window)

@@ -24,7 +24,8 @@ from .families import (EventuallyPeriodicSet, WindowParams, inclusion_audit,
                        rle_to_window, rotation_time_set)
 from .report import (AnalysisConfig, basin_section, chain_section, chaos_section,
                      cmd_analyze, condensation_dot, cyclic_section, polyline_svg,
-                     report_to_json, resolve_model, verdict_dict, write_csv, write_text)
+                     reject_shift_delta, report_to_json, resolve_model, verdict_dict,
+                     write_csv, write_text)
 from .sft import SftGraph
 from .shadowing import (default_schedule, find_shadowing_point, sft_shadow,
                         validate_limit_pseudo_orbit, validate_pseudo_orbit)
@@ -120,6 +121,7 @@ def _cmd_classify(args) -> int:
                             else args.budget)
     sections = []
     if isinstance(model, SftGraph):
+        reject_shift_delta(args.delta)
         section, _ = chaos_section(classify_sft(model, args.n_max, params))
         sections.append(section)
         if args.emit_csv or args.emit_svg:

@@ -17,7 +17,8 @@ from . import __version__
 from .basins import BasinAssignment, assign_basins, verify_partition_laws
 from .chains import (ChainDigraph, _is_recurrent_scc, build_chain_digraph, chain_analysis,
                      chain_components, critical_deltas)
-from .chaos import ClassifyParams, classify_finite_component, classify_sft
+from .chaos import (ClassifyParams, check_window_settings, classify_finite_component,
+                    classify_sft)
 from .cyclic import cyclic_classes, proximal_partition
 from .errors import SpecError
 from .families import WindowParams
@@ -54,8 +55,7 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.n_max < 2:
             raise SpecError("n_max must be at least 2")
-        if self.horizon < 64:
-            raise SpecError("horizon must be at least 64")
+        check_window_settings(self.horizon, self.eps_depth)
         if self.top_k < 1:
             raise SpecError("top_k must be at least 1")
 
@@ -85,6 +85,14 @@ def resolve_model(spec: str):
 
         return load_corpus(spec.split(":", 1)[1])
     return load_system(spec)
+
+
+def reject_shift_delta(delta: str | None) -> None:
+    """A vertex shift is classified without a resolution, so a given delta is
+    an error rather than a value to ignore; a malformed one is named as such."""
+    if delta is not None:
+        as_fraction(delta)
+        raise SpecError(f"delta {delta} given, but a vertex shift takes no resolution")
 
 
 def _ladder_for(sys: FiniteSystem, config: AnalysisConfig) -> list[Fraction]:
@@ -215,6 +223,7 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
     }
     appendix: list = []
     if isinstance(model, SftGraph):
+        reject_shift_delta(config.delta)
         report["system"] = {"kind": "sft", "spec": dump_system(model),
                             "vertices": model.vertex_count,
                             "irreducible": is_irreducible(model)}

@@ -18,6 +18,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add
 from typing import Mapping
 
 from .errors import MetricViolation, PartialMap, SpecError
@@ -25,6 +27,9 @@ from .errors import MetricViolation, PartialMap, SpecError
 # Full triple sweeps are quadratic/cubic; beyond this size loading refuses
 # rather than silently skipping axiom checks.
 MAX_EXHAUSTIVE_POINTS = 512
+# Validation scales the table to ints by the lcm of its denominators; an lcm
+# so large that the scaled table would pass this many bits is refused too.
+MAX_SCALED_TABLE_BITS = 2**28
 
 Rational = Fraction
 
@@ -94,6 +99,45 @@ class FiniteSystem:
         rank = {u: tuple(level_of[self.metric[(u, v)]] for v in names) for u in self.points}
         return DistanceRanks(levels, names, {v: j for j, v in enumerate(names)}, rank)
 
+    @cached_property
+    def orbit_floor(self) -> Mapping[str, tuple[int, ...]]:
+        """``orbit_floor[u][j]``: the least rank of d(f^t u, f^t v) over t >= 0,
+        for v = ``ranks.names[j]``.
+
+        The pairs under (u, v) -> (f u, f v) form a functional graph, in which
+        every walk ends on a cycle.  One walk per unvisited pair, stopped at
+        the first visited pair, visits each pair once: on a newly closed cycle
+        every pair has the cycle's least rank, and back along the walk each
+        pair takes the lesser of its own rank and its successor's floor.
+        """
+        ranks = self.ranks
+        names, rank = ranks.names, ranks.rank
+        n = len(names)
+        img = [ranks.index[self.map[u]] for u in names]
+        rows = [rank[u] for u in names]
+        floor = [-1] * (n * n)  # -1 unvisited, -2 on the current walk
+        for start in range(n * n):
+            path = []
+            p = start
+            while floor[p] == -1:
+                floor[p] = -2
+                path.append(p)
+                i, j = divmod(p, n)
+                p = img[i] * n + img[j]
+            if floor[p] == -2:
+                k = path.index(p)
+                cycle = path[k:]
+                del path[k:]
+                low = min(rows[q // n][q % n] for q in cycle)
+                for q in cycle:
+                    floor[q] = low
+            else:
+                low = floor[p]
+            for q in reversed(path):
+                low = min(low, rows[q // n][q % n])
+                floor[q] = low
+        return {u: tuple(floor[i * n:(i + 1) * n]) for i, u in enumerate(names)}
+
     def orbit(self, x: str, steps: int) -> list[str]:
         out = [x]
         for _ in range(steps):
@@ -102,27 +146,55 @@ class FiniteSystem:
 
 
 def _validate_metric(points, metric) -> None:
-    if len(points) > MAX_EXHAUSTIVE_POINTS:
+    """Check every metric axiom in exact integer arithmetic.
+
+    The table is scaled by the lcm of its denominators: ``rows[i][k]`` is
+    d(points[i], points[k]) times that scale, an exact int.  Once symmetry
+    holds, d(w, v) is ``rows[j][k]`` for v = points[j], so the triangle
+    inequality at (u, v) over every w is one comparison with the least
+    entry of ``rows[i] + rows[j]``.  The violating ordered pairs form a
+    symmetric set without diagonal pairs, so the first one in point order
+    has u before v: scanning those pairs, and a failing pair for its first
+    w, names the witness of the plain triple loop over (u, v, w).
+    """
+    n = len(points)
+    if n > MAX_EXHAUSTIVE_POINTS:
         raise SpecError(
-            f"system has {len(points)} points; exhaustive metric validation "
+            f"system has {n} points; exhaustive metric validation "
             f"is capped at {MAX_EXHAUSTIVE_POINTS}"
         )
+    denominators = {d.denominator for d in metric.values()}
+    scale = 1
+    for q in denominators:
+        scale = lcm(scale, q)
+        if scale.bit_length() * n * n > MAX_SCALED_TABLE_BITS:
+            raise SpecError(
+                f"metric denominators have an lcm of over {scale.bit_length()} bits; "
+                f"the scaled {n}-point table would exceed {MAX_SCALED_TABLE_BITS} bits"
+            )
+    factor = {q: scale // q for q in denominators}
+    rows = []
     for u in points:
-        if metric[(u, u)] != 0:
+        row = [metric[(u, v)] for v in points]
+        rows.append([d.numerator * factor[d.denominator] for d in row])
+    for i, u in enumerate(points):
+        if rows[i][i] != 0:
             raise MetricViolation("definiteness", (u, u))
     for i, u in enumerate(points):
-        for v in points[i + 1:]:
-            duv = metric[(u, v)]
+        for j in range(i + 1, n):
+            duv = rows[i][j]
             if duv <= 0:
-                raise MetricViolation("definiteness", (u, v))
-            if duv != metric[(v, u)]:
-                raise MetricViolation("symmetry", (u, v))
-    for u in points:
-        for v in points:
-            duv = metric[(u, v)]
-            for w in points:
-                if duv > metric[(u, w)] + metric[(w, v)]:
-                    raise MetricViolation("triangle", (u, v, w))
+                raise MetricViolation("definiteness", (u, points[j]))
+            if duv != rows[j][i]:
+                raise MetricViolation("symmetry", (u, points[j]))
+    for i, u in enumerate(points):
+        ru = rows[i]
+        for j in range(i + 1, n):
+            rv = rows[j]
+            duv = ru[j]
+            if duv > min(map(add, ru, rv)):
+                k = next(k for k in range(n) if duv > ru[k] + rv[k])
+                raise MetricViolation("triangle", (u, points[j], points[k]))
 
 
 def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:
@@ -132,11 +204,12 @@ def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:
     zero diagonal is filled in.
     """
     pts = tuple(str(p) for p in points)
-    if len(set(pts)) != len(pts):
+    known = set(pts)
+    if len(known) != len(pts):
         raise SpecError("duplicate point identifiers")
     table: dict[tuple[str, str], Fraction] = {}
     for (u, v), d in metric.items():
-        if u not in pts or v not in pts:
+        if u not in known or v not in known:
             raise SpecError(f"metric entry for unknown pair ({u!r}, {v!r})")
         d = as_fraction(d)
         for key in ((u, v), (v, u)):
@@ -154,7 +227,7 @@ def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:
         if u not in mapping:
             raise PartialMap(u)
         img = str(mapping[u])
-        if img not in pts:
+        if img not in known:
             raise PartialMap(u)
         fmap[u] = img
     _validate_metric(pts, table)

@@ -148,3 +148,31 @@ def orbit_min_separation(sys, pts):
         best = cur if best is None else min(best, cur)
         state = tuple(sys.apply(u) for u in state)
     return best
+
+
+def metric_violation(points, metric):
+    """First failed metric axiom as (axiom, witness), or None: the plain
+    Fraction sweep over the diagonal, the pairs u before v, then every
+    ordered triple (u, v, w) in point order."""
+    for u in points:
+        if metric[(u, u)] != 0:
+            return "definiteness", (u, u)
+    for i, u in enumerate(points):
+        for v in points[i + 1:]:
+            if metric[(u, v)] <= 0:
+                return "definiteness", (u, v)
+            if metric[(u, v)] != metric[(v, u)]:
+                return "symmetry", (u, v)
+    for u in points:
+        for v in points:
+            for w in points:
+                if metric[(u, v)] > metric[(u, w)] + metric[(w, v)]:
+                    return "triangle", (u, v, w)
+    return None
+
+
+def best_spread(sys, members, n):
+    """max over n-subsets of ``members`` of their least pairwise distance
+    (0 when there is no n-subset)."""
+    return max((min(sys.distance(a, b) for a, b in combinations(c, 2))
+                for c in combinations(sorted(members), n)), default=0)

@@ -1,20 +1,24 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainscope import (ClassifyParams, SftPoint, build_chain_digraph, chain_components,
                         check_condition3, classify_finite_component, classify_sft,
+                        critical_deltas,
                         compute_delta_n, construct_witness, cyclic_classes,
                         find_distal_tuple, finite_system, perturbed_witness_trials,
                         sft_delta_n, tuple_stats)
-from chainscope.chaos import pair_profile
-from chainscope.errors import SpecError
+from chainscope.chaos import _orbit_min_separation, pair_profile
+from chainscope.errors import BudgetExceeded, SpecError
 from chainscope.sft import SftGraph, sft_distance, shift_by
 
-from conftest import random_point
-from oracles import orbit_min_separation
+from conftest import random_point, random_system
+from oracles import best_spread, orbit_min_separation
 
 
 def test_pair_profile_matches_direct_shifting(full2, goldenmean):
@@ -384,3 +388,145 @@ def test_classify_sft_searches_once_per_n_and_t(monkeypatch):
              for t in range(tr.distal_delta.denominator.bit_length() - 1)]
     assert all(tr.tier == "DC1" and tr.upgrade_audit_ok for tr in rep.per_n)
     assert calls == tried
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_integer_enumeration_matches_fraction_oracles(seed):
+    rng = random.Random(seed)
+    sys = random_system(rng, max_points=9)
+    pts = sorted(sys.points)
+    for n in range(2, min(4, len(pts)) + 1):
+        for combo in combinations(pts, n):
+            assert _orbit_min_separation(sys, combo) == orbit_min_separation(sys, combo)
+    crit = critical_deltas(sys)
+    for delta in (crit[0], rng.choice(crit), crit[-1]):
+        dg = build_chain_digraph(sys, delta)
+        for comp in chain_components(dg):
+            dec = cyclic_classes(dg, comp)
+            classes = dec.classes()
+            rep = classify_finite_component(dec, 3)
+            for tr in rep.per_n:
+                n = tr.n
+                spreads = [best_spread(sys, c, n) if len(c) >= n else 0 for c in classes]
+                assert compute_delta_n(dec, n) == tr.delta_n_value == min(spreads)
+                # the witness: the first class with a positive orbit floor,
+                # and its first n-subset of largest floor
+                floors = [max((orbit_min_separation(sys, c) for c in combinations(cls, n)),
+                              default=0) for cls in classes]
+                first = next((i for i, f in enumerate(floors) if f > 0), None)
+                if first is None:
+                    assert tr.distal_witness is None and tr.distal_delta is None
+                    continue
+                cls = classes[first]
+                assert tr.distal_witness == next(
+                    c for c in combinations(cls, n)
+                    if orbit_min_separation(sys, c) == floors[first])
+                assert tr.distal_delta == floors[first] / 2
+                assert tr.upgrade_audit_ok == all(f > 0 for f in floors)
+            threshold = rng.choice(crit)
+            for n in (2, 3):
+                expected = next((c for c in combinations(sorted(comp), n)
+                                 if orbit_min_separation(sys, c) > threshold), None)
+                assert find_distal_tuple(sys, comp, n, threshold) == expected
+
+
+def test_enumeration_budget_counts_every_subset():
+    # one class of four points: six pairs fit a budget of 6, not one of 3,
+    # and the error names the subset past the budget, as a count one by one
+    # would
+    pts = ["a", "b", "c", "d"]
+    sys = finite_system(pts, {"a": "b", "b": "c", "c": "d", "d": "a"},
+                        {(u, v): 1 for i, u in enumerate(pts) for v in pts[i + 1:]})
+    dg = build_chain_digraph(sys, 1)
+    dec = cyclic_classes(dg, chain_components(dg)[0])
+    assert compute_delta_n(dec, 2, budget=6) == 1
+    with pytest.raises(BudgetExceeded) as exc:
+        compute_delta_n(dec, 2, budget=3)
+    assert exc.value.spent == 4
+    rep = classify_finite_component(dec, 2, ClassifyParams(budget=5))
+    assert rep.per_n[0].budget_exceeded
+
+
+def _count_searches(monkeypatch):
+    from chainscope import chaos
+
+    calls = []
+    original = chaos._sft_distal_search
+
+    def counting(g, n, t, class_id, budget=10**6):
+        calls.append((n, t))
+        return original(g, n, t, class_id, budget=budget)
+
+    monkeypatch.setattr(chaos, "_sft_distal_search", counting)
+    return calls
+
+
+def test_witness_construction_reuses_the_classification_search(full2, monkeypatch):
+    calls = _count_searches(monkeypatch)
+    rep = classify_sft(full2, 3, ClassifyParams(horizon=1024, with_witness=True))
+    tried = [(tr.n, t) for tr in rep.per_n
+             for t in range(tr.distal_delta.denominator.bit_length() - 1)]
+    assert all(tr.tier == "DC1" and tr.condition3_agrees for tr in rep.per_n)
+    assert calls == tried
+
+
+def test_perturbed_trials_search_once(full2, monkeypatch):
+    calls = _count_searches(monkeypatch)
+    ok, total = perturbed_witness_trials(full2, 3, "DC1", 1024, 4, seed=5)
+    assert total == 4 and ok >= 3
+    # a distal triple of the full 2-shift needs windows of length 2
+    assert calls == [(3, 0), (3, 1)]
+
+
+def test_check_condition3_rejects_an_empty_dyadic_ladder(full2):
+    x = SftPoint((), (0,))
+    y = SftPoint((), (1,))
+    with pytest.raises(SpecError, match="eps_depth"):
+        check_condition3(full2, (x, y), Fraction(1, 2), "DC1", 512, eps_depth=0)
+
+
+@pytest.mark.parametrize("kwargs", [{"horizon": 63}, {"horizon": -5}, {"eps_depth": 0},
+                                    {"eps_depth": -1}])
+def test_classify_params_reject_unusable_windows(kwargs):
+    with pytest.raises(SpecError):
+        ClassifyParams(**kwargs)
+
+
+def _line_system(n):
+    rng = random.Random(n)
+    xs = rng.sample(range(1, 997), n)
+    names = [f"q{i:02d}" for i in range(n)]
+    return {"points": names,
+            "map": {names[i]: names[(i * i + 3) % n] for i in range(n)},
+            "metric": [[names[i], names[j], f"{abs(xs[i] - xs[j])}/997"]
+                       for i in range(n) for j in range(i + 1, n)]}
+
+
+def test_finite_path_does_no_fraction_arithmetic(monkeypatch):
+    from chainscope import compile_finite
+
+    desc = _line_system(30)
+    counts = {"add": 0, "compare": 0}
+    add, richcmp = Fraction.__add__, Fraction._richcmp
+
+    def counting_add(a, b):
+        counts["add"] += 1
+        return add(a, b)
+
+    def counting_richcmp(a, b, op):
+        counts["compare"] += 1
+        return richcmp(a, b, op)
+
+    monkeypatch.setattr(Fraction, "__add__", counting_add)
+    monkeypatch.setattr(Fraction, "_richcmp", counting_richcmp)
+    sys = compile_finite(desc)
+    assert counts["add"] == 0
+    dg = build_chain_digraph(sys, 1)
+    (comp,) = chain_components(dg)
+    dec = cyclic_classes(dg, comp)
+    sys.orbit_floor  # the rank sort before it compares Fractions, once per system
+    counts["compare"] = 0
+    rep = classify_finite_component(dec, 3)
+    assert counts["compare"] == 0
+    assert [tr.tier for tr in rep.per_n] == ["DC1", "DC1"]

@@ -314,3 +314,41 @@ def test_classify_rejects_n_max_below_two(spec, capsys):
     assert code == 2
     assert "n_max" in err
     assert out == ""
+
+
+def test_line_system_report_bytes_match_recorded_digest(tmp_path, monkeypatch):
+    # 40 points at distinct multiples of 1/997 with the map i -> i^2 + 3
+    # (mod 40); at delta 1 every point lies in one period-1 component, so
+    # the chaos section enumerates every pair and triple of the 40 points
+    import random
+
+    n = 40
+    rng = random.Random(40)
+    xs = rng.sample(range(1, 997), n)
+    names = [f"q{i:02d}" for i in range(n)]
+    spec = {"schema": "chainscope-v1", "kind": "finite", "points": names,
+            "map": {names[i]: names[(i * i + 3) % n] for i in range(n)},
+            "metric": [[names[i], names[j], str(Fraction(abs(xs[i] - xs[j]), 997))]
+                       for i in range(n) for j in range(i + 1, n)]}
+    monkeypatch.chdir(tmp_path)
+    Path("line40.json").write_text(json.dumps(spec))
+    text = report_to_json(cmd_analyze(AnalysisConfig(
+        spec="line40.json", ladder_policy="top-k", top_k=3, delta="1")))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "47975afab19f852343db94fddf5b1ec843a59cc842cca29ab1181b312b9f62f0")
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify-chaos"])
+@pytest.mark.parametrize("spec, extra, message", [
+    ("corpus:full2", ["--eps-depth", "0"], "eps_depth"),
+    ("corpus:sys3", ["--eps-depth", "-1"], "eps_depth"),
+    ("corpus:full2", ["--horizon", "-5"], "horizon"),
+    ("corpus:sys3", ["--horizon", "63"], "horizon"),
+    ("corpus:full2", ["--delta", "abc"], "bad rational"),
+    ("corpus:full2", ["--delta", "1/2"], "vertex shift"),
+])
+def test_unusable_settings_exit_2(command, spec, extra, message, capsys):
+    code, out, err = run_cli([command, spec, *extra], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == ""

@@ -1,9 +1,14 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chainscope import GridMapSpec, compile_finite, discretize
 from chainscope.errors import MetricViolation, PartialMap, SpecError
-from chainscope.systems import finite_system
+from chainscope.systems import MAX_SCALED_TABLE_BITS, _validate_metric, finite_system
+
+from oracles import metric_violation
 
 
 def test_compile_sys3_description():
@@ -120,3 +125,67 @@ def test_metric_axioms_swept_for_all_loaded_systems(rotation4, sys3, sysns):
                 assert sys.distance(u, v) == sys.distance(v, u)
                 for w in pts:
                     assert sys.distance(u, w) <= sys.distance(u, v) + sys.distance(v, w)
+
+
+@st.composite
+def distance_tables(draw):
+    """Full distance table on 1..7 points with mixed denominators: a
+    shortest-path repaired metric, or one with a single entry broken (a
+    nonzero diagonal, a zero or negative distance, a one-sided change that
+    breaks symmetry, or a symmetric change that may break the triangle)."""
+    k = draw(st.integers(1, 7))
+    pts = [f"p{i}" for i in range(k)]
+    values = st.builds(Fraction, st.integers(1, 40), st.sampled_from((1, 2, 3, 5, 7, 12)))
+    d = {(u, u): Fraction(0) for u in pts}
+    for i, u in enumerate(pts):
+        for v in pts[i + 1:]:
+            d[(u, v)] = d[(v, u)] = draw(values)
+    if draw(st.booleans()):
+        for m in pts:
+            for u in pts:
+                for v in pts:
+                    d[(u, v)] = min(d[(u, v)], d[(u, m)] + d[(m, v)])
+    u, v = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+    kind = draw(st.sampled_from(("none", "diagonal", "zero", "one-sided", "both")))
+    if kind == "diagonal":
+        d[(u, u)] = draw(values)
+    elif u != v and kind == "zero":
+        d[(u, v)] = d[(v, u)] = draw(st.sampled_from((Fraction(0), Fraction(-1, 3))))
+    elif u != v and kind == "one-sided":
+        d[(u, v)] = draw(values)
+    elif u != v and kind == "both":
+        d[(u, v)] = d[(v, u)] = draw(values)
+    return tuple(pts), d
+
+
+@settings(max_examples=400, deadline=None)
+@given(distance_tables())
+def test_validate_metric_matches_fraction_sweep(table):
+    points, metric = table
+    expected = metric_violation(points, metric)
+    if expected is None:
+        _validate_metric(points, metric)
+    else:
+        with pytest.raises(MetricViolation) as exc:
+            _validate_metric(points, metric)
+        assert (exc.value.axiom, exc.value.witness) == expected
+
+
+def _metric_with_denominators(qs):
+    # four points at distances in (1, 2], so every axiom holds
+    pts = [f"p{i}" for i in range(4)]
+    pairs = [(u, v) for u in pts for v in pts if u < v]
+    metric = {pair: 1 + Fraction(1, qs[i % len(qs)]) for i, pair in enumerate(pairs)}
+    return finite_system(pts, {u: u for u in pts}, metric)
+
+
+def test_validate_metric_refuses_an_oversized_scale():
+    # q, q + 2 and q + 4 are odd, so pairwise coprime: their lcm is their
+    # product, and 16 scaled entries of about 3 * 2**23 bits pass the cap
+    assert 16 * 3 * 2**23 > MAX_SCALED_TABLE_BITS
+    q = 2 ** 2**23 + 1
+    with pytest.raises(SpecError, match="lcm"):
+        _metric_with_denominators((q, q + 2, q + 4))
+    q = 2**64 + 1
+    sys = _metric_with_denominators((q, q + 2, q + 4))
+    assert sys.distance("p0", "p1") == 1 + Fraction(1, q)
