@@ -106,10 +106,10 @@ def tuple_stats(model, points, r_list, eps_list, horizon: int) -> TupleStats:
     if horizon < 1:
         raise SpecError("horizon must be positive")
     mins, maxs = profile_extremes(model, pts, horizon)
-    s_sets = {Fraction(r): TimeSetWindow(horizon, tuple(int(m > Fraction(r)) for m in mins))
-              for r in r_list}
-    t_sets = {Fraction(e): TimeSetWindow(horizon, tuple(int(m < Fraction(e)) for m in maxs))
-              for e in eps_list}
+    s_sets = {r: TimeSetWindow(horizon, tuple(int(m > r) for m in mins))
+              for r in map(Fraction, r_list)}
+    t_sets = {e: TimeSetWindow(horizon, tuple(int(m < e) for m in maxs))
+              for e in map(Fraction, eps_list)}
     return TupleStats(len(pts), horizon, s_sets, t_sets)
 
 
@@ -212,6 +212,11 @@ def _sft_distal_search(g: SftGraph, n: int, t: int, class_id: int | None,
     so its length is a multiple of the period and it meets every class.  A
     distal tuple in one class therefore rotates into one in every class,
     and the search itself never depends on ``class_id``.
+
+    States are tested for validity on first touch, never enumerated up
+    front: roots and successors come in ``product`` order and invalid ones
+    are skipped, so the DFS meets the same first cycle as a search over the
+    prebuilt list of valid states.
     """
     words = _admissible_words(g, t + 1)
     if len(words) ** n > budget:
@@ -220,33 +225,33 @@ def _sft_distal_search(g: SftGraph, n: int, t: int, class_id: int | None,
     classes = vertex_classes(g)
     word_succ = {w: tuple(sorted(w[1:] + (a,) for a in g.successors(w[-1])))
                  for w in words}
+    # states enter on first touch: -1 invalid, 0 white, 1 gray, 2 black
+    color: dict[tuple, int] = {}
 
-    def valid(state) -> bool:
-        if any(a == b for a, b in combinations(state, 2)):
-            return False
-        return len({classes[w[0]] for w in state}) == 1
+    def color_of(state) -> int:
+        c = color.get(state)
+        if c is None:
+            c = color[state] = 0 if _valid_state(state, n, classes) else -1
+        return c
 
-    states = [s for s in product(words, repeat=n) if valid(s)]
-    color = {s: 0 for s in states}  # 0 white, 1 gray, 2 black
-    for root in states:
-        if color[root]:
+    for root in product(words, repeat=n):
+        if color_of(root):
             continue
-        stack = [(root, iter(tuple(s for s in product(*(word_succ[w] for w in root))
-                                   if s in color)))]
+        stack = [(root, product(*(word_succ[w] for w in root)))]
         color[root] = 1
         path = [root]
         while stack:
             state, it = stack[-1]
             advanced = False
             for nxt in it:
-                if color[nxt] == 1:
+                c = color_of(nxt)
+                if c == 1:
                     cycle = path[path.index(nxt):]
                     return _points_from_cycle(g, cycle, n, t, class_id)
-                if color[nxt] == 0:
+                if c == 0:
                     color[nxt] = 1
                     path.append(nxt)
-                    stack.append((nxt, iter(tuple(
-                        s for s in product(*(word_succ[w] for w in nxt)) if s in color))))
+                    stack.append((nxt, product(*(word_succ[w] for w in nxt))))
                     advanced = True
                     break
             if not advanced:
@@ -254,6 +259,11 @@ def _sft_distal_search(g: SftGraph, n: int, t: int, class_id: int | None,
                 path.pop()
                 stack.pop()
     return None
+
+
+def _valid_state(state, n: int, classes) -> bool:
+    """A product state holds n pairwise distinct windows starting in one class."""
+    return len(set(state)) == n and len({classes[w[0]] for w in state}) == 1
 
 
 def _points_from_cycle(g: SftGraph, cycle, n: int, t: int,

@@ -195,6 +195,8 @@ def _cmd_furstenberg(args) -> int:
 def _cmd_shadow(args) -> int:
     model = resolve_model(args.spec)
     states = load_pseudo_orbit(args.orbit, model)
+    if args.depth < 1:
+        raise ValidationError("agreement depth must be at least 1")
     delta = as_fraction(args.delta) if args.delta is not None else Fraction(1, 2**args.depth)
     po = validate_pseudo_orbit(model, states, delta)
     limit = validate_limit_pseudo_orbit(po, delta, default_schedule(delta))

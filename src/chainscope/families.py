@@ -146,6 +146,14 @@ class WindowParams:
     m_max: int | None = None
     tail_start: int | None = None
 
+    def __post_init__(self):
+        # a bound of 0 asks for empty runs or no progressions at all, and
+        # THICK or IAPSTAR would then pass vacuously
+        for name in ("run_req", "m_max"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise SpecError(f"{name} must be at least 1")
+
     def resolve(self, horizon: int, family: str) -> tuple[Fraction, int, int, int]:
         run_req = self.run_req if self.run_req is not None else max(1, math.isqrt(horizon))
         m_max = self.m_max if self.m_max is not None else max(1, min(20, math.isqrt(horizon // 4)))

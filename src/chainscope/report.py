@@ -58,6 +58,7 @@ class AnalysisConfig:
         check_window_settings(self.horizon, self.eps_depth)
         if self.top_k < 1:
             raise SpecError("top_k must be at least 1")
+        self.window_params()  # rejects run_req or m_max below 1
 
     def window_params(self) -> WindowParams:
         return WindowParams(theta=Fraction(self.theta), run_req=self.run_req,

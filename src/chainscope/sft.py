@@ -211,6 +211,13 @@ def path_length_cap(g: SftGraph) -> int:
     return graph_period(g) * ((n - 1) * (n - 1) + 2) + n + 2
 
 
+@lru_cache(maxsize=None)
+def _preds(g: SftGraph) -> tuple[tuple[int, ...], ...]:
+    """Predecessors of each vertex, in ascending order."""
+    return tuple(tuple(u for u in range(g.vertex_count) if g.is_edge(u, v))
+                 for v in range(g.vertex_count))
+
+
 def find_exact_path(g: SftGraph, a: int, b: int, length: int) -> list[int] | None:
     """Lexicographically smallest path from a to b with exactly ``length`` edges."""
     if length == 0:
@@ -218,7 +225,7 @@ def find_exact_path(g: SftGraph, a: int, b: int, length: int) -> list[int] | Non
     # backward layers: blayer[j] = vertices that reach b in exactly j edges
     blayer = [set() for _ in range(length + 1)]
     blayer[0].add(b)
-    preds = [tuple(u for u in range(g.vertex_count) if g.is_edge(u, v)) for v in range(g.vertex_count)]
+    preds = _preds(g)
     for j in range(1, length + 1):
         for v in blayer[j - 1]:
             blayer[j].update(preds[v])
@@ -250,21 +257,36 @@ def find_connecting_path(g: SftGraph, a: int, b: int, *, min_length: int = 0) ->
 
 # -- entropy --------------------------------------------------------------------
 
-def _block_radius_bracket(g: SftGraph, nodes: list[int], tol: float,
+def _block_rows(g: SftGraph, nodes: list[int]) -> list[list[tuple[int, int]]]:
+    """Sparse rows of (block + identity): per node, the (column, weight) pairs
+    of its nonzero entries in ascending column order, columns indexing
+    ``nodes``."""
+    col = {v: j for j, v in enumerate(nodes)}
+    rows = []
+    for i, u in enumerate(nodes):
+        row = {col[v]: 1 for v in g.successors(u) if v in col}
+        row[i] = row.get(i, 0) + 1
+        rows.append(sorted(row.items()))
+    return rows
+
+
+def _block_radius_bracket(rows: list[list[tuple[int, int]]], tol: float,
                           max_iter: int) -> tuple[float, float]:
-    """Bracket the spectral radius of one strongly connected block.
+    """Bracket the spectral radius of one strongly connected block, given as
+    the sparse rows of (block + identity) (``_block_rows``).
 
     Power iteration runs on (block + identity): the shift makes the matrix
     primitive, and for every positive vector the min/max component ratios of
-    one multiplication enclose the shifted radius.
+    one multiplication enclose the shifted radius.  Each row sum adds only
+    the nonzero terms, in column order: the zero terms a dense sum would add
+    leave its non-negative partial sums unchanged, so the floats are those of
+    the dense product.
     """
-    size = len(nodes)
-    rows = [[(1 if g.is_edge(u, v) else 0) + (1 if u == v else 0) for v in nodes]
-            for u in nodes]
+    size = len(rows)
     vec = [1.0] * size
     lo, hi = 0.0, float("inf")
     for _ in range(max_iter):
-        nxt = [sum(rows[i][j] * vec[j] for j in range(size)) for i in range(size)]
+        nxt = [sum([w * vec[j] for j, w in row]) for row in rows]
         ratios = [nxt[i] / vec[i] for i in range(size)]
         lo = max(lo, min(ratios))
         hi = min(hi, max(ratios))
@@ -286,11 +308,11 @@ def sft_entropy(g: SftGraph, tol: float = 1e-9, max_iter: int = 500_000) -> floa
         raise SpecError("tol must be positive")
     lo_all, hi_all = 1.0, 1.0  # every valid graph contains a cycle
     for comp in _graph_sccs(g):
-        nodes = list(comp)
-        internal = sum(1 for u in nodes for v in nodes if g.is_edge(u, v))
-        if internal <= len(nodes):
+        rows = _block_rows(g, list(comp))
+        internal = sum(w for row in rows for _, w in row) - len(rows)
+        if internal <= len(rows):
             continue  # transient singleton or a single cycle (radius 0 or 1)
-        lo, hi = _block_radius_bracket(g, nodes, tol, max_iter)
+        lo, hi = _block_radius_bracket(rows, tol, max_iter)
         lo_all = max(lo_all, lo)
         hi_all = max(hi_all, hi)
     # width of [max lo_b, max hi_b] never exceeds the widest block bracket

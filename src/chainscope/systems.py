@@ -92,11 +92,17 @@ class FiniteSystem:
 
     @cached_property
     def ranks(self) -> DistanceRanks:
-        """Distance ranks, sorted once on first use rather than at load."""
-        levels = tuple(sorted(set(self.metric.values())))
-        level_of = {d: r for r, d in enumerate(levels)}
+        """Distance ranks, sorted once on first use rather than at load.
+
+        The levels are sorted and keyed as the lcm-scaled ints of
+        ``_scaled_rows``; scaling by a positive constant keeps their order.
+        """
         names = tuple(sorted(self.points))
-        rank = {u: tuple(level_of[self.metric[(u, v)]] for v in names) for u in self.points}
+        scale, rows = _scaled_rows(names, self.metric)
+        scaled = sorted({x for row in rows for x in row})
+        level_of = {x: r for r, x in enumerate(scaled)}
+        levels = tuple(Fraction(x, scale) for x in scaled)
+        rank = {u: tuple(map(level_of.__getitem__, row)) for u, row in zip(names, rows)}
         return DistanceRanks(levels, names, {v: j for j, v in enumerate(names)}, rank)
 
     @cached_property
@@ -145,24 +151,14 @@ class FiniteSystem:
         return out
 
 
-def _validate_metric(points, metric) -> None:
-    """Check every metric axiom in exact integer arithmetic.
+def _scaled_rows(points, metric) -> tuple[int, list[list[int]]]:
+    """(scale, rows) with ``scale`` the lcm of the table's denominators and
+    ``rows[i][k]`` the int d(points[i], points[k]) * scale.
 
-    The table is scaled by the lcm of its denominators: ``rows[i][k]`` is
-    d(points[i], points[k]) times that scale, an exact int.  Once symmetry
-    holds, d(w, v) is ``rows[j][k]`` for v = points[j], so the triangle
-    inequality at (u, v) over every w is one comparison with the least
-    entry of ``rows[i] + rows[j]``.  The violating ordered pairs form a
-    symmetric set without diagonal pairs, so the first one in point order
-    has u before v: scanning those pairs, and a failing pair for its first
-    w, names the witness of the plain triple loop over (u, v, w).
+    A scale so large that the table would pass ``MAX_SCALED_TABLE_BITS``
+    bits is refused with SpecError.
     """
     n = len(points)
-    if n > MAX_EXHAUSTIVE_POINTS:
-        raise SpecError(
-            f"system has {n} points; exhaustive metric validation "
-            f"is capped at {MAX_EXHAUSTIVE_POINTS}"
-        )
     denominators = {d.denominator for d in metric.values()}
     scale = 1
     for q in denominators:
@@ -177,6 +173,28 @@ def _validate_metric(points, metric) -> None:
     for u in points:
         row = [metric[(u, v)] for v in points]
         rows.append([d.numerator * factor[d.denominator] for d in row])
+    return scale, rows
+
+
+def _validate_metric(points, metric) -> None:
+    """Check every metric axiom in exact integer arithmetic.
+
+    The table is scaled by the lcm of its denominators (``_scaled_rows``):
+    ``rows[i][k]`` is d(points[i], points[k]) times that scale, an exact
+    int.  Once symmetry holds, d(w, v) is ``rows[j][k]`` for v = points[j],
+    so the triangle inequality at (u, v) over every w is one comparison with
+    the least entry of ``rows[i] + rows[j]``.  The violating ordered pairs
+    form a symmetric set without diagonal pairs, so the first one in point
+    order has u before v: scanning those pairs, and a failing pair for its
+    first w, names the witness of the plain triple loop over (u, v, w).
+    """
+    n = len(points)
+    if n > MAX_EXHAUSTIVE_POINTS:
+        raise SpecError(
+            f"system has {n} points; exhaustive metric validation "
+            f"is capped at {MAX_EXHAUSTIVE_POINTS}"
+        )
+    _, rows = _scaled_rows(points, metric)
     for i, u in enumerate(points):
         if rows[i][i] != 0:
             raise MetricViolation("definiteness", (u, u))

@@ -113,3 +113,21 @@ def random_pseudo_orbit(g: SftGraph, rng: random.Random, depth: int,
             walk.append(rng.choice(g.successors(walk[-1])))
         states.append(_close_walk(g, walk))
     return states
+
+
+def ring_with_chords(n: int, chords, mult: int = 7) -> tuple[tuple[int, ...], ...]:
+    """Adjacency of the ring i -> i + 1 (mod n) plus the chords i -> i + s
+    for (i, s) in ``chords``, with vertex v relabelled mult * v (mod n).
+
+    Odd skips on an even ring keep every cycle length even (period 2); even
+    skips on an odd ring give an aperiodic graph."""
+    edges = {(i, (i + 1) % n) for i in range(n)} | {(i, (i + s) % n) for i, s in chords}
+    adj = [[0] * n for _ in range(n)]
+    for a, b in edges:
+        adj[a * mult % n][b * mult % n] = 1
+    return tuple(map(tuple, adj))
+
+
+# fixed chord layouts: a 60-vertex period-2 ring and a 41-vertex aperiodic one
+RING60_CHORDS = ((3, 7), (11, 13), (19, 5), (27, 21), (34, 9), (45, 17), (52, 25))
+RING41_CHORDS = ((2, 6), (9, 14), (17, 4), (26, 10), (33, 18))

@@ -8,7 +8,7 @@ algorithms are checked against a second route.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 
 def closure_components(nodes, succ):
@@ -176,3 +176,76 @@ def best_spread(sys, members, n):
     (0 when there is no n-subset)."""
     return max((min(sys.distance(a, b) for a, b in combinations(c, 2))
                 for c in combinations(sorted(members), n)), default=0)
+
+
+def eager_distal_cycle(adjacency, classes, n, t):
+    """First cycle of the window product graph of a vertex shift, or None.
+
+    The search before the lazy one: every valid state (n pairwise distinct
+    admissible (t+1)-windows whose first symbols share a class in
+    ``classes``) is listed up front in ``product`` order, and a DFS from
+    each unvisited root in that order, with successors in ``product``
+    order, stops at the first gray state it meets.
+    """
+    size = len(adjacency)
+    succ = [tuple(b for b in range(size) if adjacency[a][b]) for a in range(size)]
+    words = [(v,) for v in range(size)]
+    for _ in range(t):
+        words = [w + (a,) for w in words for a in succ[w[-1]]]
+    words.sort()
+    word_succ = {w: tuple(sorted(w[1:] + (a,) for a in succ[w[-1]])) for w in words}
+
+    def valid(state):
+        if any(a == b for a, b in combinations(state, 2)):
+            return False
+        return len({classes[w[0]] for w in state}) == 1
+
+    def successors(state):
+        return iter(tuple(s for s in product(*(word_succ[w] for w in state))
+                          if s in color))
+
+    states = [s for s in product(words, repeat=n) if valid(s)]
+    color = {s: 0 for s in states}  # 0 white, 1 gray, 2 black
+    for root in states:
+        if color[root]:
+            continue
+        stack = [(root, successors(root))]
+        color[root] = 1
+        path = [root]
+        while stack:
+            state, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color[nxt] == 1:
+                    return path[path.index(nxt):]
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    stack.append((nxt, successors(nxt)))
+                    advanced = True
+                    break
+            if not advanced:
+                color[state] = 2
+                path.pop()
+                stack.pop()
+    return None
+
+
+def dense_radius_bracket(adjacency, nodes, tol, max_iter):
+    """Power-iteration bracket of the spectral radius of the block of
+    ``adjacency`` on ``nodes``, with the dense mat-vec of (block + identity);
+    None when it does not close in ``max_iter`` steps."""
+    size = len(nodes)
+    rows = [[adjacency[u][v] + (1 if u == v else 0) for v in nodes] for u in nodes]
+    vec = [1.0] * size
+    lo, hi = 0.0, float("inf")
+    for _ in range(max_iter):
+        nxt = [sum(rows[i][j] * vec[j] for j in range(size)) for i in range(size)]
+        ratios = [nxt[i] / vec[i] for i in range(size)]
+        lo = max(lo, min(ratios))
+        hi = min(hi, max(ratios))
+        if lo > 1.0 and math.log(hi - 1.0) - math.log(lo - 1.0) <= tol:
+            return lo - 1.0, hi - 1.0
+        top = max(nxt)
+        vec = [x / top for x in nxt]
+    return None

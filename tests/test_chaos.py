@@ -17,8 +17,9 @@ from chainscope.chaos import _orbit_min_separation, pair_profile
 from chainscope.errors import BudgetExceeded, SpecError
 from chainscope.sft import SftGraph, sft_distance, shift_by
 
-from conftest import random_point, random_system
-from oracles import best_spread, orbit_min_separation
+from conftest import RING60_CHORDS, random_point, random_system, ring_with_chords
+from oracles import best_spread, eager_distal_cycle, orbit_min_separation
+from test_graph import irreducible_graphs
 
 
 def test_pair_profile_matches_direct_shifting(full2, goldenmean):
@@ -530,3 +531,38 @@ def test_finite_path_does_no_fraction_arithmetic(monkeypatch):
     rep = classify_finite_component(dec, 3)
     assert counts["compare"] == 0
     assert [tr.tier for tr in rep.per_n] == ["DC1", "DC1"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(irreducible_graphs(), st.sampled_from([2, 3]), st.sampled_from([0, 1]))
+def test_lazy_distal_search_matches_eager_oracle(g, n, t):
+    from chainscope import chaos
+    from chainscope.sft import graph_period, vertex_classes
+
+    class_id = 0 if graph_period(g) > 1 else None
+    cycle = eager_distal_cycle(g.adjacency, vertex_classes(g), n, t)
+    expected = None if cycle is None else chaos._points_from_cycle(g, cycle, n, t, class_id)
+    assert chaos._sft_distal_search(g, n, t, class_id) == expected
+
+
+def test_lazy_distal_search_touches_few_product_states(monkeypatch):
+    from chainscope import chaos
+    from chainscope.sft import graph_period
+
+    g = SftGraph(ring_with_chords(60, RING60_CHORDS))
+    assert graph_period(g) == 2
+    touched = []
+    original = chaos._valid_state
+
+    def counting(state, n, classes):
+        touched.append(state)
+        return original(state, n, classes)
+
+    monkeypatch.setattr(chaos, "_valid_state", counting)
+    for n, t in ((3, 0), (3, 1)):
+        touched.clear()
+        assert chaos._sft_distal_search(g, n, t, 0) is not None
+        states = len(chaos._admissible_words(g, t + 1)) ** n
+        # each state is tested once, and only the few the DFS reaches
+        assert len(touched) == len(set(touched))
+        assert len(touched) * 100 < states

@@ -14,6 +14,8 @@ from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, rep
 from chainscope.specio import load_system, save_system
 from chainscope import build_chain_digraph
 
+from conftest import RING41_CHORDS, RING60_CHORDS, ring_with_chords
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -349,6 +351,50 @@ def test_line_system_report_bytes_match_recorded_digest(tmp_path, monkeypatch):
 ])
 def test_unusable_settings_exit_2(command, spec, extra, message, capsys):
     code, out, err = run_cli([command, spec, *extra], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("name, n, chords, digest", [
+    ("ring60", 60, RING60_CHORDS,
+     "641cb356c05ab6d08beeabe74f35104a6b5401e5aa7203a92892f4711b633df0"),
+    ("aring41", 41, RING41_CHORDS,
+     "97a9a455203ab29ccdd9dd87a813ad2d47d76a87358bd946252ce24da883a7d4"),
+])
+def test_ring_with_chords_report_bytes_match_recorded_digest(name, n, chords, digest,
+                                                             tmp_path, monkeypatch):
+    # a period-2 and an aperiodic ring: entropy, distal search and witness
+    monkeypatch.chdir(tmp_path)
+    spec = {"schema": "chainscope-v1", "kind": "sft",
+            "adjacency": [list(row) for row in ring_with_chords(n, chords)]}
+    Path(f"{name}.json").write_text(json.dumps(spec))
+    text = report_to_json(cmd_analyze(AnalysisConfig(spec=f"{name}.json")))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_shadow_rejects_a_negative_depth(tmp_path, capsys):
+    orbit = tmp_path / "orbit.txt"
+    orbit.write_text("|0 1\n1|0 1\n|0 1\n")
+    code, out, err = run_cli(["shadow", "corpus:full2", "--orbit", str(orbit),
+                              "--depth", "-1"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "depth" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["furstenberg", "--set-file", "w.rle", "--m-max", "0"], "m_max"),
+    (["furstenberg", "--set-file", "w.rle", "--run-req", "0"], "run_req"),
+    (["furstenberg", "--set-file", "w.rle", "--run-req", "-3"], "run_req"),
+    (["analyze", "corpus:full2", "--m-max", "0"], "m_max"),
+    (["analyze", "corpus:sys3", "--m-max", "-1"], "m_max"),
+])
+def test_window_bounds_below_one_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    # two members in 400 steps: neither THICK nor IAPSTAR may pass vacuously
+    monkeypatch.chdir(tmp_path)
+    Path("w.rle").write_text("1x2 0x398\n")
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("error: ") and message in err
     assert out == ""

@@ -3,12 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainscope import SftGraph, SftPoint, full_shift, sft_distance, sft_entropy, sft_shift
 from chainscope.errors import InvalidPoint, SpecError
 from chainscope.sft import canonical_form, graph_period, parse_point, validate_point
 
 from conftest import random_point
+from oracles import dense_radius_bracket
+from test_graph import irreducible_graphs
 
 
 def test_graph_validation():
@@ -129,3 +133,27 @@ def test_graph_period():
         (1, 0, 0, 0),
     ))
     assert graph_period(four_cycle) == 4
+
+
+@st.composite
+def blocks(draw):
+    """An irreducible graph, self-loops added on a drawn vertex subset (none
+    or some), and its vertices in a drawn order."""
+    g = draw(irreducible_graphs())
+    n = g.vertex_count
+    loops = draw(st.sets(st.integers(0, n - 1)))
+    adj = tuple(tuple(1 if u == v and u in loops else bit for v, bit in enumerate(row))
+                for u, row in enumerate(g.adjacency))
+    return SftGraph(adj), list(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks())
+def test_sparse_radius_bracket_equals_dense_reference(block):
+    from chainscope import sft
+
+    g, nodes = block
+    expected = dense_radius_bracket(g.adjacency, nodes, 1e-9, 5000)
+    assert expected is not None
+    # the same floats, not merely close ones
+    assert sft._block_radius_bracket(sft._block_rows(g, nodes), 1e-9, 5000) == expected

@@ -189,3 +189,36 @@ def test_validate_metric_refuses_an_oversized_scale():
     q = 2**64 + 1
     sys = _metric_with_denominators((q, q + 2, q + 4))
     assert sys.distance("p0", "p1") == 1 + Fraction(1, q)
+
+
+def test_ranks_sort_and_key_scaled_ints(monkeypatch):
+    # 24 points at distinct multiples of 1/997 on a line: the distance ranks
+    # compare and hash no Fraction, yet keep the Fraction levels
+    import random
+
+    rng = random.Random(24)
+    xs = rng.sample(range(1, 997), 24)
+    names = [f"q{i:02d}" for i in range(24)]
+    sys = finite_system(names, {u: names[0] for u in names},
+                        {(names[i], names[j]): Fraction(abs(xs[i] - xs[j]), 997)
+                         for i in range(24) for j in range(i + 1, 24)})
+    counts = {"compare": 0, "hash": 0}
+    richcmp, fhash = Fraction._richcmp, Fraction.__hash__
+
+    def counting_richcmp(a, b, op):
+        counts["compare"] += 1
+        return richcmp(a, b, op)
+
+    def counting_hash(a):
+        counts["hash"] += 1
+        return fhash(a)
+
+    monkeypatch.setattr(Fraction, "_richcmp", counting_richcmp)
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    ranks = sys.ranks
+    assert counts == {"compare": 0, "hash": 0}
+    monkeypatch.undo()
+    assert ranks.levels == tuple(sorted(set(sys.metric.values())))
+    for u in names:
+        assert [ranks.levels[r] for r in ranks.rank[u]] == [sys.distance(u, v)
+                                                           for v in ranks.names]
