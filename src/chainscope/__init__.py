@@ -12,9 +12,9 @@ from .chaos import (ClassifyParams, ComponentChaosReport, Condition3Verdict, Tup
                     compute_delta_n, construct_witness, find_distal_tuple,
                     perturbed_witness_trials, profile_extremes, sft_delta_n, tuple_stats)
 from .corpus import corpus_names, load_corpus
-from .cyclic import (CyclicDecomposition, ProximalPartition, chain_proximal_at,
-                     component_period, cyclic_classes, proximal_partition,
-                     transient_index)
+from .cyclic import (CyclicDecomposition, CyclicSweep, ProximalPartition,
+                     chain_proximal_at, component_period, cyclic_classes,
+                     proximal_partition, transient_index)
 from .families import (EventuallyPeriodicSet, FamilyVerdict, TimeSetWindow, WindowParams,
                        family_member, inclusion_audit, rotation_time_set, upper_density,
                        window_family_member)

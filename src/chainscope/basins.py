@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .chains import ChainDigraph, chain_components
 from .cyclic import CyclicDecomposition, cyclic_classes
-from .errors import ModelInconsistency, OmegaNotInComponent
+from .errors import InvariantViolation, ModelInconsistency, OmegaNotInComponent
 from .systems import FiniteSystem
 
 
@@ -53,16 +53,22 @@ class BasinAssignment:
     settle_time: Mapping[str, int]
 
 
-def assign_basins(sys: FiniteSystem, dg: ChainDigraph) -> BasinAssignment:
+def assign_basins(sys: FiniteSystem, dg: ChainDigraph,
+                  decompositions: Sequence[CyclicDecomposition] | None = None) -> BasinAssignment:
     """Assign every node to its component basin and class basin.
 
     The class phase of x is (class(orbit[T]) - T) mod m, with T the settle
     time; consistency of the value at T and T+1 is asserted and any
-    discrepancy reported as a model inconsistency.
+    discrepancy reported as a model inconsistency.  ``decompositions``, one
+    per chain component of dg in order, saves decomposing them again.
     """
     comps = chain_components(dg)
-    decomps = tuple(cyclic_classes(dg, c, compute_transient=False, p2="record")
-                    for c in comps)
+    if decompositions is None:
+        decompositions = [cyclic_classes(dg, c, compute_transient=False, p2="record")
+                          for c in comps]
+    decomps = tuple(decompositions)
+    if tuple(dec.component for dec in decomps) != comps:
+        raise InvariantViolation("one decomposition per chain component, in order")
     comp_index = {c: i for i, c in enumerate(comps)}
     component_of: dict[str, int] = {}
     class_of_basin: dict[str, tuple[int, int]] = {}

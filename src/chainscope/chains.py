@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping
 
 from .errors import InvariantViolation, SpecError
@@ -56,11 +57,10 @@ def _finalize(system: FiniteSystem, delta: Fraction,
     comps = sorted(strongly_connected_components(succ), key=lambda c: c[0])
     scc_of = {u: i for i, comp in enumerate(comps) for u in comp}
     cond: list[set[int]] = [set() for _ in comps]
-    for u in succ:
-        for v in succ[u]:
-            cu, cv = scc_of[u], scc_of[v]
-            if cu != cv:
-                cond[cu].add(cv)
+    for u, succs in succ.items():
+        cond[scc_of[u]].update(map(scc_of.__getitem__, succs))
+    for i, s in enumerate(cond):
+        s.discard(i)
     return ChainDigraph(system, delta, succ, tuple(comps), scc_of,
                         tuple(tuple(sorted(s)) for s in cond))
 
@@ -72,7 +72,8 @@ def build_chain_digraph(sys: FiniteSystem, delta) -> ChainDigraph:
         raise SpecError("delta must be nonnegative")
     ranks = sys.ranks
     cut = ranks.cut(delta)
-    succ = {u: tuple(v for v, r in zip(ranks.names, ranks.rank[sys.apply(u)]) if r <= cut)
+    # compress keeps the names whose rank r has cut >= r, in point order
+    succ = {u: tuple(compress(ranks.names, map(cut.__ge__, ranks.rank[sys.apply(u)])))
             for u in sys.points}
     return _finalize(sys, delta, succ)
 

@@ -628,6 +628,8 @@ class ClassifyParams:
 
     def __post_init__(self):
         check_window_settings(self.horizon, self.eps_depth)
+        if self.budget < 0:
+            raise SpecError("budget must be nonnegative")
 
 
 def _tier_of(distal_found: bool, delta_n_value: Fraction, card_ok: bool) -> str:

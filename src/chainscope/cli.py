@@ -18,7 +18,7 @@ from .basins import assign_basins
 from .chains import build_chain_digraph, chain_components, critical_deltas
 from .chaos import (ClassifyParams, classify_finite_component, classify_sft,
                     construct_witness, profile_extremes)
-from .cyclic import cyclic_classes
+from .cyclic import CyclicSweep, cyclic_classes
 from .errors import BudgetExceeded, ChainscopeError, InternalError, ValidationError
 from .families import (EventuallyPeriodicSet, WindowParams, inclusion_audit,
                        rle_to_window, rotation_time_set)
@@ -97,8 +97,9 @@ def _cmd_chains(args) -> int:
     if not isinstance(model, FiniteSystem):
         raise ValidationError("chain analysis applies to finite systems")
     dg = build_chain_digraph(model, _resolution(model, args.delta))
-    ba = assign_basins(model, dg)
-    out = {"chain": chain_section(dg), "cyclic": cyclic_section(dg),
+    sweep = CyclicSweep([dg])
+    ba = assign_basins(model, dg, sweep.decompositions(dg.delta))
+    out = {"chain": chain_section(dg), "cyclic": cyclic_section(sweep, dg.delta),
            "basins": basin_section(ba)}
     _print_json(out, args.out)
     if args.emit_dot:

@@ -12,13 +12,20 @@ a same-class pair realizes a common length by the saturation law below,
 while synchronized steps preserve the class difference forever.  The pair
 (x, x) is proximal by the length-zero convention; loops of length m make
 this agree with the positive-length convention for recurrent nodes.
+
+Along an ascending ladder of resolutions edges are only added, so a
+``CyclicSweep`` decomposes each component once per *segment*: a run of
+consecutive steps at which it keeps its vertex set and period.  Within a
+segment the classes are constant and the transient index never increases
+(argument in the class docstring).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, KeysView, Mapping, Sequence
 
 from .chains import ChainDigraph, build_chain_digraph, chain_components
 from .errors import (CapExceeded, EmptyLadder, InvariantViolation, ModelInconsistency,
@@ -63,6 +70,52 @@ def _levels(dg: ChainDigraph, comp: frozenset[str]) -> tuple[dict[str, int], int
     return lvl, m
 
 
+def _labels(dg: ChainDigraph, comp: frozenset[str]) -> tuple[dict[str, int], int]:
+    """Class label (BFS level mod period) of every node, and the period."""
+    lvl, m = _levels(dg, comp)
+    class_of = {u: lvl[u] % m for u in comp}
+    if len(set(class_of.values())) != m:
+        raise InvariantViolation("every cyclic class of a component is nonempty")
+    return class_of, m
+
+
+def _bits(dg: ChainDigraph, nodes: Sequence[str]) -> dict[str, int]:
+    """Bit j for nodes[j] and 0 for every other point."""
+    bit = dict.fromkeys(dg.succ, 0)
+    bit.update((u, 1 << j) for j, u in enumerate(nodes))
+    return bit
+
+
+def _rows(dg: ChainDigraph, nodes: Sequence[str],
+          bit: Mapping[str, int] | None = None) -> tuple[int, ...]:
+    """Internal adjacency of ``nodes`` as bitmask rows (bit j: edge to
+    nodes[j]).  A successor list names each successor once, so the sum of
+    their bits is their union."""
+    get = (_bits(dg, nodes) if bit is None else bit).__getitem__
+    return tuple(sum(map(get, dg.succ[u])) for u in nodes)
+
+
+def _members(cls: Sequence[int], m: int) -> list[int]:
+    """Bitmask of the nodes of each class, given class ``cls[i]`` of node i."""
+    out = [0] * m
+    for i, c in enumerate(cls):
+        out[c] |= 1 << i
+    return out
+
+
+def _cross_pairs(sys: FiniteSystem, nodes: Sequence[str],
+                 class_of: Mapping[str, int]) -> list[tuple[int, str, str]]:
+    """(rank of d(u, v), u, v) for every pair u < v in different classes, in
+    node order; the merge law at a resolution forbids those within its cut."""
+    ranks = sys.ranks
+    out = []
+    for i, u in enumerate(nodes):
+        row = ranks.rank[u]
+        out.extend((row[ranks.index[v]], u, v) for v in nodes[i + 1:]
+                   if class_of[u] != class_of[v])
+    return out
+
+
 def component_period(dg: ChainDigraph, C) -> int:
     """gcd of the lengths of all directed cycles inside the component."""
     return _levels(dg, _require_component(dg, C))[1]
@@ -79,27 +132,22 @@ def transient_index(dg: ChainDigraph, C, cap: int | None = None) -> int:
     (|C|-1)^2 + 2.
     """
     comp = _require_component(dg, C)
-    return _transient_index(dg, comp, *_levels(dg, comp), cap)
+    nodes = sorted(comp)
+    class_of, m = _labels(dg, comp)
+    return _transient_index(_rows(dg, nodes), [class_of[u] for u in nodes], m, cap)
 
 
-def _transient_index(dg: ChainDigraph, comp: frozenset[str], lvl: Mapping[str, int],
-                     m: int, cap: int | None) -> int:
+def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int,
+                     cap: int | None) -> int:
+    """Transient index of the component with adjacency ``rows``, class
+    ``cls[i]`` for node i and period m."""
+    k = len(rows)
     if cap is None:
-        cap = (len(comp) - 1) ** 2 + 2
+        cap = (k - 1) ** 2 + 2
     if cap < 1:
         raise CapExceeded(cap, 0.0)
-    nodes = sorted(comp)
-    idx = {u: i for i, u in enumerate(nodes)}
-    k = len(nodes)
-    cls = [lvl[u] % m for u in nodes]
-    # rows as bitmasks
-    adj = [0] * k
-    for u in comp:
-        for w in dg.succ[u]:
-            if w in comp:
-                adj[idx[u]] |= 1 << idx[w]
 
-    def matmul(a: list[int], b: list[int]) -> list[int]:
+    def matmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         out = [0] * k
         for i in range(k):
             row, bits = 0, a[i]
@@ -110,23 +158,21 @@ def _transient_index(dg: ChainDigraph, comp: frozenset[str], lvl: Mapping[str, i
             out[i] = row
         return out
 
-    step = adj
+    step = rows
     for _ in range(m - 1):
-        step = matmul(step, adj)
-    want = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if cls[i] == cls[j]:
-                want[i] |= 1 << j
+        step = matmul(step, rows)
+    members = _members(cls, m)
+    want = [members[c] for c in cls]
+    total = sum(w.bit_count() for w in want)
     power = step
     best_cover = 0.0
     for n in range(1, cap + 1):
-        covered = sum((power[i] & want[i]).bit_count() for i in range(k))
-        total = sum(w.bit_count() for w in want)
+        # power[i] & want[i] is a subset of want[i], so equal counts mean saturation
+        covered = sum((p & w).bit_count() for p, w in zip(power, want))
         best_cover = max(best_cover, covered / total)
-        if all((power[i] & want[i]) == want[i] for i in range(k)):
+        if covered == total:
             nxt = matmul(power, step)
-            if not all((nxt[i] & want[i]) == want[i] for i in range(k)):
+            if any(x & w != w for x, w in zip(nxt, want)):
                 raise InvariantViolation("saturation must persist one step after it holds")
             return n
         power = matmul(power, step)
@@ -143,30 +189,171 @@ def cyclic_classes(dg: ChainDigraph, C, *, compute_transient: bool = True,
     an adversarial metric can genuinely produce such pairs.
     """
     comp = _require_component(dg, C)
-    lvl, m = _levels(dg, comp)
-    class_of = {u: lvl[u] % m for u in comp}
-    if len(set(class_of.values())) != m:
-        raise InvariantViolation("every cyclic class of a component is nonempty")
-    ranks = dg.system.ranks
-    cut = ranks.cut(dg.delta)
-    violations = []
+    class_of, m = _labels(dg, comp)
     nodes = sorted(comp)
-    for i, u in enumerate(nodes):
-        row = ranks.rank[u]
-        for v in nodes[i + 1:]:
-            if row[ranks.index[v]] <= cut and class_of[u] != class_of[v]:
-                if p2 == "raise":
-                    raise ModelInconsistency("class merge law", (u, v))
-                violations.append((u, v))
+    cut = dg.system.ranks.cut(dg.delta)
+    violations = tuple((u, v) for r, u, v in _cross_pairs(dg.system, nodes, class_of)
+                       if r <= cut)
+    if violations and p2 == "raise":
+        raise ModelInconsistency("class merge law", violations[0])
     n_index = None
     failed = False
     if compute_transient:
         try:
-            n_index = _transient_index(dg, comp, lvl, m, cap)
+            n_index = _transient_index(_rows(dg, nodes), [class_of[u] for u in nodes],
+                                       m, cap)
         except CapExceeded:
             failed = True
     return CyclicDecomposition(dg.system, comp, dg.delta, m, class_of,
-                               n_index, failed, tuple(violations))
+                               n_index, failed, violations)
+
+
+def _pack(rows: Sequence[int]) -> int:
+    """k bitmask rows of k bits as one int: bit i*k + j is bit j of row i."""
+    k = len(rows)
+    return sum(r << (k * i) for i, r in enumerate(rows))
+
+
+def _unpack(packed: int, k: int) -> list[int]:
+    mask = (1 << k) - 1
+    return [(packed >> (k * i)) & mask for i in range(k)]
+
+
+class _Segment:
+    """One component over a run of sweep steps with a fixed vertex set and
+    period: its labels, merge-law pairs and the packed internal adjacency of
+    each step (one int per step, which keeps the sweep's memory small)."""
+
+    def __init__(self, dg: ChainDigraph, comp: frozenset[str], first: int):
+        self.system = dg.system
+        self.nodes = sorted(comp)
+        self.bit = _bits(dg, self.nodes)
+        self.class_of, self.period = _labels(dg, comp)
+        self.cls = [self.class_of[u] for u in self.nodes]
+        members = _members(self.cls, self.period)
+        everyone = (1 << len(self.nodes)) - 1
+        # an edge from node i that leaves the next class breaks the period
+        self.off_class = _pack([everyone ^ members[(c + 1) % self.period] for c in self.cls])
+        self.cross = _cross_pairs(dg.system, self.nodes, self.class_of)
+        self.least_cross = min((r for r, _, _ in self.cross), default=math.inf)
+        self.first = first
+        self.adjacency = [_pack(_rows(dg, self.nodes, self.bit))]
+        self._transient: list | None = None
+
+    def extend(self, dg: ChainDigraph) -> bool:
+        """Take the next step if the component keeps its period there."""
+        adj = _pack(_rows(dg, self.nodes, self.bit))
+        if self.adjacency[-1] & ~adj:
+            raise InvariantViolation("a sweep must only add edges from step to step")
+        if adj & self.off_class:
+            return False
+        self.adjacency.append(adj)
+        return True
+
+    def violations(self, cut: int) -> tuple[tuple[str, str], ...]:
+        if cut < self.least_cross:
+            return ()
+        return tuple((u, v) for r, u, v in self.cross if r <= cut)
+
+    def transient(self, i: int) -> int | float:
+        """Transient index at the i-th step of the segment, inf past the cap.
+
+        Divide and conquer: the index never increases along the segment, so
+        equal values at both ends of a run fill the whole run.
+        """
+        if self._transient is None:
+            vals: list = [None] * len(self.adjacency)
+
+            def at(j: int) -> int | float:
+                if vals[j] is None:
+                    rows = _unpack(self.adjacency[j], len(self.nodes))
+                    try:
+                        vals[j] = _transient_index(rows, self.cls, self.period, None)
+                    except CapExceeded:
+                        vals[j] = math.inf
+                return vals[j]
+
+            runs = [(0, len(self.adjacency) - 1)]
+            while runs:
+                lo, hi = runs.pop()
+                if at(lo) == at(hi):
+                    vals[lo:hi + 1] = [vals[lo]] * (hi - lo + 1)
+                elif hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    runs += [(lo, mid), (mid, hi)]
+            self._transient = vals
+        return self._transient[i]
+
+
+class CyclicSweep:
+    """Cyclic decompositions of every chain component along an ascending
+    sequence of step digraphs of one system.
+
+    Going up, edges are only added.  While a component keeps its vertex set
+    and period m, its labels stay put: every old edge is still an edge and
+    still advances the class by one, and a strongly connected digraph of
+    period m has exactly one such labelling with min(C) in class 0.  So the
+    BFS, the period and the O(|C|^2) merge-law scan run once per segment.
+    A step continues the segment when each of its edges inside C advances
+    the class by one: then m divides every cycle length, and the old cycles
+    keep the period a divisor of m.  More edges give more paths of every
+    length, so the transient index never increases within a segment, and
+    its cap depends only on |C|: a CapExceeded acts as +inf.  The merge law
+    keeps the segment's least cross-class rank; a step whose cut lies below
+    it has no violation.
+
+    Feed the steps in ascending order with ``add``; read them after the last
+    step.  A one-step sweep is the decomposition of a single digraph.
+    """
+
+    def __init__(self, digraphs: Iterable[ChainDigraph] = ()):
+        self._steps: dict[Fraction, tuple[int, int, dict[frozenset[str], _Segment]]] = {}
+        self._open: dict[frozenset[str], _Segment] = {}
+        self._last: Fraction | None = None
+        self._read = False
+        for dg in digraphs:
+            self.add(dg)
+
+    def add(self, dg: ChainDigraph) -> None:
+        if self._read:
+            raise InvariantViolation("a sweep takes no step after it has been read")
+        if self._last is not None and dg.delta <= self._last:
+            raise InvariantViolation("sweep resolutions must ascend")
+        i = len(self._steps)
+        here: dict[frozenset[str], _Segment] = {}
+        for comp in chain_components(dg):
+            seg = self._open.get(comp)
+            if seg is None or not seg.extend(dg):
+                seg = _Segment(dg, comp, i)
+            here[comp] = seg
+        self._open = here
+        self._last = dg.delta
+        self._steps[dg.delta] = (i, dg.system.ranks.cut(dg.delta), here)
+
+    def components(self, delta: Fraction) -> KeysView[frozenset[str]]:
+        """Chain components at a swept resolution, in ``chain_components`` order."""
+        return self._steps[delta][2].keys()
+
+    def decomposition(self, delta: Fraction, comp: frozenset[str]) -> CyclicDecomposition | None:
+        """What ``cyclic_classes(dg, comp, p2="record")`` returns at a swept
+        resolution; None when comp is not a chain component there."""
+        self._read = True
+        i, cut, here = self._steps[delta]
+        seg = here.get(comp)
+        if seg is None:
+            return None
+        n = seg.transient(i - seg.first)
+        failed = n == math.inf
+        return CyclicDecomposition(seg.system, comp, delta, seg.period, seg.class_of,
+                                   None if failed else n, failed, seg.violations(cut))
+
+    def decompositions(self, delta: Fraction) -> tuple[CyclicDecomposition, ...]:
+        return tuple(self.decomposition(delta, comp) for comp in self.components(delta))
+
+    def proximal(self, C, ladder: Sequence) -> ProximalPartition:
+        """``proximal_partition`` of C over swept resolutions, with p2="record"."""
+        comp = frozenset(C)
+        return _refine(comp, _descending(ladder), lambda d: self.decomposition(d, comp))
 
 
 def chain_proximal_at(dg: ChainDigraph, C, x: str, y: str) -> bool:
@@ -211,32 +398,49 @@ class ProximalPartition:
     split_at: Fraction | None = None
 
 
-def proximal_partition(sys: FiniteSystem, C, ladder: Sequence, *,
-                       p2: str = "raise") -> ProximalPartition:
-    """Common refinement of the per-resolution class partitions of C."""
+def _descending(ladder: Sequence) -> list[Fraction]:
     deltas = [Fraction(d) for d in ladder]
     if not deltas:
         raise EmptyLadder("ladder must contain at least one resolution")
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise EmptyLadder("ladder must be strictly descending")
-    comp = frozenset(C)
+    return deltas
+
+
+def _refine(comp: frozenset[str], deltas: Sequence[Fraction],
+            decompose: Callable[[Fraction], CyclicDecomposition | None]) -> ProximalPartition:
+    """Walk down the ladder while comp stays a chain component; ``decompose``
+    gives its decomposition at a resolution, or None where it is none."""
     used: list[Fraction] = []
     decomps: list[CyclicDecomposition] = []
     split_at = None
     for i, d in enumerate(deltas):
-        dg = build_chain_digraph(sys, d)
-        comps_here = set(chain_components(dg))
-        if comp not in comps_here:
+        dec = decompose(d)
+        if dec is None:
             if i == 0:
                 raise NotAComponent(
                     f"{sorted(comp)} is not a chain component at the coarsest delta")
             split_at = d
             break
         used.append(d)
-        decomps.append(cyclic_classes(dg, comp, compute_transient=False, p2=p2))
+        decomps.append(dec)
     signature = {u: tuple(dec.class_of[u] for dec in decomps) for u in comp}
     buckets: dict[tuple, list[str]] = {}
     for u in sorted(comp):
         buckets.setdefault(signature[u], []).append(u)
     classes = tuple(tuple(b) for _, b in sorted(buckets.items()))
     return ProximalPartition(comp, tuple(used), classes, tuple(decomps), split_at)
+
+
+def proximal_partition(sys: FiniteSystem, C, ladder: Sequence, *,
+                       p2: str = "raise") -> ProximalPartition:
+    """Common refinement of the per-resolution class partitions of C."""
+    comp = frozenset(C)
+
+    def decompose(d: Fraction) -> CyclicDecomposition | None:
+        dg = build_chain_digraph(sys, d)
+        if comp not in set(chain_components(dg)):
+            return None
+        return cyclic_classes(dg, comp, compute_transient=False, p2=p2)
+
+    return _refine(comp, _descending(ladder), decompose)

@@ -47,14 +47,15 @@ def strongly_connected_components(succ: Mapping[Hashable, Sequence]) -> list[tup
                     work.append((w, iter(succ[w])))
                     advanced = True
                     break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
+                if w in onstack and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
             if work:
                 pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
+                if low[v] < low[pv]:
+                    low[pv] = low[v]
             if low[v] == index[v]:
                 comp = []
                 while True:

@@ -16,10 +16,9 @@ from pathlib import Path
 from . import __version__
 from .basins import BasinAssignment, assign_basins, verify_partition_laws
 from .chains import (ChainDigraph, _is_recurrent_scc, build_chain_digraph, chain_analysis,
-                     chain_components, critical_deltas)
-from .chaos import (ClassifyParams, check_window_settings, classify_finite_component,
-                    classify_sft)
-from .cyclic import cyclic_classes, proximal_partition
+                     critical_deltas)
+from .chaos import ClassifyParams, classify_finite_component, classify_sft
+from .cyclic import CyclicSweep
 from .errors import SpecError
 from .families import WindowParams
 from .sft import SftGraph, graph_period, is_irreducible, vertex_classes
@@ -55,10 +54,10 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.n_max < 2:
             raise SpecError("n_max must be at least 2")
-        check_window_settings(self.horizon, self.eps_depth)
         if self.top_k < 1:
             raise SpecError("top_k must be at least 1")
-        self.window_params()  # rejects run_req or m_max below 1
+        # rejects the window (run_req, m_max), horizon, eps_depth and budget
+        self.classify_params()
 
     def window_params(self) -> WindowParams:
         return WindowParams(theta=Fraction(self.theta), run_req=self.run_req,
@@ -124,20 +123,18 @@ def chain_section(dg: ChainDigraph) -> dict:
     }
 
 
-def cyclic_section(dg: ChainDigraph) -> list[dict]:
-    out = []
-    for comp in chain_components(dg):
-        dec = cyclic_classes(dg, comp, p2="record")
-        out.append({
-            "delta": _frac(dg.delta),
-            "component": sorted(comp),
-            "period": dec.period,
-            "classes": [list(c) for c in dec.classes()],
-            "transient_index": dec.transient_index,
-            "saturation_failed": dec.saturation_failed,
-            "class_merge_violations": [list(p) for p in dec.p2_violations],
-        })
-    return out
+def cyclic_section(sweep: CyclicSweep, delta: Fraction) -> list[dict]:
+    """Cyclic rows of every chain component at one swept resolution; for a
+    single digraph dg, pass ``CyclicSweep([dg])`` and ``dg.delta``."""
+    return [{
+        "delta": _frac(delta),
+        "component": sorted(dec.component),
+        "period": dec.period,
+        "classes": [list(c) for c in dec.classes()],
+        "transient_index": dec.transient_index,
+        "saturation_failed": dec.saturation_failed,
+        "class_merge_violations": [list(p) for p in dec.p2_violations],
+    } for dec in sweep.decompositions(delta)]
 
 
 def basin_section(ba: BasinAssignment) -> dict:
@@ -242,29 +239,31 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
         delta = as_fraction(config.delta) if config.delta is not None else ladder[0]
         report["ladder"] = [_frac(d) for d in ladder]
         report["chain_analyses"] = []
-        report["cyclic"] = []
-        # one digraph per ladder step; only its chain components outlive it
-        components_at: dict[Fraction, set[frozenset[str]]] = {}
+        # one digraph per ladder step, plus the classification resolution when
+        # it is off the ladder; the sweep keeps what the later sections read
+        on_ladder = set(ladder)
+        sweep = CyclicSweep()
         dg = None
-        for d in ladder:
+        for d in sorted(on_ladder | {delta}):
             step = build_chain_digraph(model, d)
-            report["chain_analyses"].append(chain_section(step))
-            report["cyclic"].extend(cyclic_section(step))
-            components_at[d] = set(chain_components(step))
+            if d in on_ladder:
+                report["chain_analyses"].append(chain_section(step))
+            sweep.add(step)
             if d == delta:
                 dg = step
-        if dg is None:
-            dg = build_chain_digraph(model, delta)
-        report["basins"] = [basin_section(assign_basins(model, dg))]
+        report["cyclic"] = [row for d in ladder for row in cyclic_section(sweep, d)]
+        decomps = sweep.decompositions(delta)
+        report["basins"] = [basin_section(assign_basins(model, dg, decomps))]
         down = ladder[::-1]
         report["proximal"] = []
-        for comp in chain_components(dg):
+        for dec in decomps:
+            comp = dec.component
             # refine from the coarsest resolution at which this set is a
             # component down the ladder
-            coarse = next((dd for dd in down if dd >= delta and comp in components_at[dd]),
+            coarse = next((dd for dd in down if dd >= delta and comp in sweep.components(dd)),
                           None)
             sub = [dd for dd in down if coarse is not None and dd <= coarse] or [delta]
-            pp = proximal_partition(model, comp, sub, p2="record")
+            pp = sweep.proximal(comp, sub)
             report["proximal"].append({
                 "component": sorted(comp),
                 "ladder": [_frac(x) for x in pp.ladder],
@@ -272,8 +271,7 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
                 "split_at": _frac(pp.split_at) if pp.split_at is not None else None,
             })
         report["chaos"] = []
-        for comp in chain_components(dg):
-            dec = cyclic_classes(dg, comp, p2="record")
+        for dec in decomps:
             chaos, extra = chaos_section(
                 classify_finite_component(dec, config.n_max, config.classify_params()))
             report["chaos"].append(chaos)

@@ -22,7 +22,7 @@ from .chains import build_chain_digraph, critical_deltas
 from .errors import (AdmissibilityBug, BudgetExceeded, ClassMismatch, NotIrreducible,
                      PrecisionViolation, SpecError, StepViolation)
 from .sft import (SftGraph, SftPoint, find_exact_path, first_difference, graph_period,
-                  is_irreducible, path_length_cap, sft_distance, sft_shift, shift_by,
+                  is_irreducible, path_length_cap, sft_distance, shift_by,
                   validate_point, vertex_classes)
 from .systems import FiniteSystem
 
@@ -31,22 +31,26 @@ class _FiniteDynamics:
     def __init__(self, sys: FiniteSystem):
         self.sys = sys
 
-    def apply(self, x):
-        return self.sys.apply(x)
+    def check(self, x) -> None:
+        pass
 
-    def distance(self, x, y):
-        return self.sys.distance(x, y)
+    def step_error(self, x, y) -> Fraction:
+        return self.sys.distance(self.sys.apply(x), y)
 
 
 class _ShiftDynamics:
     def __init__(self, g: SftGraph):
         self.g = g
 
-    def apply(self, x):
-        return sft_shift(self.g, x)
+    def check(self, x) -> None:
+        validate_point(self.g, x)
 
-    def distance(self, x, y):
-        return sft_distance(self.g, x, y)
+    def step_error(self, x, y) -> Fraction:
+        """d(shift x, y) for a checked x: the shift of an admissible point is
+        admissible, so only y needs checking."""
+        validate_point(self.g, y)
+        k = first_difference(shift_by(x, 1), y)
+        return Fraction(0) if k is None else Fraction(1, 2**k)
 
 
 def dynamics(model):
@@ -76,9 +80,10 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
     if len(states) < 2:
         raise SpecError("a pseudo-orbit needs at least two states")
     dyn = dynamics(model)
+    dyn.check(states[0])
     errors = []
     for i in range(len(states) - 1):
-        e = dyn.distance(dyn.apply(states[i]), states[i + 1])
+        e = dyn.step_error(states[i], states[i + 1])
         if e > delta:
             raise StepViolation(i, e)
         errors.append(e)

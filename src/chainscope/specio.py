@@ -1,4 +1,4 @@
-"""Load and save system specs (versioned JSON) and pseudo-orbit text files.
+"""Load and save system specs (versioned JSON); load pseudo-orbit text files.
 
 Spec schema "chainscope-v1": an object with "kind" in {"finite", "sft",
 "grid"}.  Rational values are written as "p/q" strings so round-trips are
@@ -124,8 +124,3 @@ def load_pseudo_orbit(path, model):
     if len(states) < 2:
         raise SpecError(f"{path}: a pseudo-orbit needs at least two states")
     return states
-
-
-def save_pseudo_orbit(states, path) -> None:
-    lines = [str(s) for s in states]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -131,3 +131,23 @@ def ring_with_chords(n: int, chords, mult: int = 7) -> tuple[tuple[int, ...], ..
 # fixed chord layouts: a 60-vertex period-2 ring and a 41-vertex aperiodic one
 RING60_CHORDS = ((3, 7), (11, 13), (19, 5), (27, 21), (34, 9), (45, 17), (52, 25))
 RING41_CHORDS = ((2, 6), (9, 14), (17, 4), (26, 10), (33, 18))
+
+
+def line_system(n: int, seed: int, cycles=(3, 5)):
+    """Seeded line system: n points at distinct coordinates k / 10**6 with
+    metric |x - y|.  The first points form the given cycles and every other
+    point maps to a random point of the first half."""
+    rng = random.Random(seed)
+    xs = rng.sample(range(10**6), n)
+    pts = [f"x{i}" for i in range(n)]
+    mapping = {}
+    start = 0
+    for length in cycles:
+        for i in range(length):
+            mapping[pts[start + i]] = pts[start + (i + 1) % length]
+        start += length
+    for u in pts[start:]:
+        mapping[u] = pts[rng.randrange(n // 2)]
+    metric = {(pts[i], pts[j]): Fraction(abs(xs[i] - xs[j]), 10**6)
+              for i in range(n) for j in range(i + 1, n)}
+    return finite_system(pts, mapping, metric)

@@ -249,3 +249,27 @@ def dense_radius_bracket(adjacency, nodes, tol, max_iter):
         top = max(nxt)
         vec = [x / top for x in nxt]
     return None
+
+
+def proximal_loop(sys, comp, ladder):
+    """The per-resolution proximal refinement that the ladder sweep replaces:
+    build the digraph and label the classes afresh at each resolution of a
+    descending ladder, stopping where comp is no longer a chain component.
+    It labels with the library's ``cyclic_classes``, so it checks what the
+    sweep shares across resolutions, not the labelling itself.  Returns
+    (resolutions used, classes, split_at)."""
+    from chainscope import build_chain_digraph, chain_components, cyclic_classes
+
+    comp = frozenset(comp)
+    used, labels, split_at = [], [], None
+    for d in ladder:
+        dg = build_chain_digraph(sys, d)
+        if comp not in set(chain_components(dg)):
+            split_at = d
+            break
+        used.append(d)
+        labels.append(cyclic_classes(dg, comp, compute_transient=False, p2="record").class_of)
+    buckets = {}
+    for u in sorted(comp):
+        buckets.setdefault(tuple(lab[u] for lab in labels), []).append(u)
+    return tuple(used), tuple(tuple(b) for _, b in sorted(buckets.items())), split_at

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chainscope import cyclic, report
+from chainscope import basins, cyclic, report
 from chainscope.chains import ChainDigraph, complete_lyapunov
 from chainscope.cli import main
 from chainscope.corpus import corpus_names, load_corpus
@@ -14,7 +14,7 @@ from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, rep
 from chainscope.specio import load_system, save_system
 from chainscope import build_chain_digraph
 
-from conftest import RING41_CHORDS, RING60_CHORDS, ring_with_chords
+from conftest import RING41_CHORDS, RING60_CHORDS, line_system, ring_with_chords
 
 
 def run_cli(args, capsys):
@@ -259,9 +259,8 @@ def test_analyze_builds_each_ladder_digraph_once(config, monkeypatch):
     delta = Fraction(config.get("delta", ladder[0]))
     # the sweep, plus the classification digraph only when it is off the ladder
     assert builds["report"] == len(ladder) + (delta not in ladder)
-    # proximal_partition builds one digraph per resolution it visits
-    visited = sum(len(p["ladder"]) + (p["split_at"] is not None) for p in doc["proximal"])
-    assert builds["cyclic"] == visited
+    # the proximal section reads the sweep and builds no digraph of its own
+    assert builds["cyclic"] == 0
 
 
 # irreducible period-2 symbol graph with branching: vertices 0, 1 form one
@@ -398,3 +397,64 @@ def test_window_bounds_below_one_exit_2(argv, message, tmp_path, monkeypatch, ca
     assert code == 2
     assert err.startswith("error: ") and message in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, budget_env", [
+    (["analyze", "corpus:sys3", "--budget", "-1"], None),
+    (["analyze", "corpus:full2", "--budget", "-5"], None),
+    (["classify-chaos", "corpus:sys3", "--budget", "-1"], None),
+    (["classify-chaos", "corpus:full2"], "-3"),
+    (["analyze", "corpus:sys3"], "-2"),
+])
+def test_negative_budget_exits_2(argv, budget_env, monkeypatch, capsys):
+    # a negative budget used to flag budget_exceeded on every tier and exit 0
+    if budget_env is None:
+        monkeypatch.delenv("CHAINSCOPE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("CHAINSCOPE_BUDGET", budget_env)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "budget" in err
+    assert out == ""
+
+
+def test_zero_budget_is_legal(capsys):
+    # a budget of 0 runs and flags each enumeration it skips
+    code, out, _ = run_cli(["analyze", "corpus:sys3", "--budget", "0", "--delta", "1"], capsys)
+    assert code == 0
+    per_n = json.loads(out)["chaos"][0]["per_n"]
+    assert all(entry["budget_exceeded"] for entry in per_n)
+
+
+def test_line_system_ladder_report_bytes_match_recorded_digest(tmp_path, monkeypatch):
+    # all-critical analyze of a seeded 24-point line system (211 ladder
+    # values, components of period 1, 3 and 5)
+    monkeypatch.chdir(tmp_path)
+    save_system(line_system(24, 24), "line24.json")
+    text = report_to_json(cmd_analyze(AnalysisConfig(spec="line24.json")))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "9df0ba57b0f0fc8bd2c9278416c32c1a9fc56c510cb41d3b90f2c42118c47a8a")
+
+
+def test_analyze_evaluates_fewer_transient_indices_than_steps(tmp_path, monkeypatch):
+    # the sweep evaluates the transient index at the ends of each segment and
+    # where they differ, not once per (step, component)
+    calls = []
+    original = cyclic._transient_index
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("analyze reads every decomposition from its sweep")
+
+    monkeypatch.setattr(cyclic, "_transient_index", counting)
+    for module in (basins, cyclic):
+        monkeypatch.setattr(module, "cyclic_classes", forbidden)
+    monkeypatch.chdir(tmp_path)
+    save_system(line_system(24, 24), "line24.json")
+    doc = cmd_analyze(AnalysisConfig(spec="line24.json"))
+    pairs = len(doc["cyclic"])
+    assert pairs == sum(len(step["components"]) for step in doc["chain_analyses"])
+    assert 0 < len(calls) < pairs // 2

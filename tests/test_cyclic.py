@@ -1,18 +1,21 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainscope import (build_chain_digraph, chain_components, chain_proximal_at,
-                        component_period, critical_deltas, cyclic_classes,
-                        digraph_from_edges, finite_system, proximal_partition,
-                        transient_index)
-from chainscope.errors import (CapExceeded, EmptyLadder, ModelInconsistency,
-                               NotAComponent, NotInComponent)
+from chainscope import (CyclicSweep, assign_basins, build_chain_digraph, chain_components,
+                        chain_proximal_at, component_period, critical_deltas, cyclic,
+                        cyclic_classes, digraph_from_edges, finite_system,
+                        proximal_partition, transient_index)
+from chainscope.errors import (CapExceeded, EmptyLadder, InvariantViolation,
+                               ModelInconsistency, NotAComponent, NotInComponent)
 
-from conftest import random_digraph, random_system
-from oracles import brute_proximal, cycle_gcd, path_length_sets
+from conftest import line_system, random_digraph, random_system
+from oracles import brute_proximal, cycle_gcd, path_length_sets, proximal_loop
 
 
 def test_period_sys3(sys3):
@@ -285,3 +288,140 @@ def test_proximal_partition_validation(sys3):
         proximal_partition(sys3, {"a", "b", "c"}, [Fraction(1, 2), Fraction(1)])
     with pytest.raises(NotAComponent):
         proximal_partition(sys3, {"a", "b"}, [Fraction(1, 2)])
+
+
+def _sweep_system(kind, rng):
+    """Random systems for the sweep tests; all but the first two have many
+    ties, and "two_cycle" often breaks the class merge law."""
+    if kind == "random":
+        return random_system(rng, max_points=8, min_points=3)
+    if kind == "line":
+        return line_system(rng.randint(5, 10), rng.randrange(10**6), cycles=(2, 3))
+    if kind == "two_level":
+        pts = [f"t{i}" for i in range(rng.randint(3, 8))]
+        metric = {(u, v): rng.choice((1, 2)) for i, u in enumerate(pts) for v in pts[i + 1:]}
+        return finite_system(pts, {u: rng.choice(pts) for u in pts}, metric)
+    if kind == "two_cycle":
+        # integer points on a line; the two ends swap and every other point
+        # maps to an end, so classes of close inner points can differ
+        n = rng.randint(4, 8)
+        xs = sorted(rng.sample(range(40), n))
+        pts = [f"e{i}" for i in range(n)]
+        mapping = {u: rng.choice((pts[0], pts[-1])) for u in pts[1:-1]}
+        mapping.update({pts[0]: pts[-1], pts[-1]: pts[0]})
+        metric = {(pts[i], pts[j]): xs[j] - xs[i] for i in range(n) for j in range(i + 1, n)}
+        return finite_system(pts, mapping, metric)
+    cells = [(x, y) for x in range(3) for y in range(rng.randint(1, 3))]
+    names = [f"g{x}{y}" for x, y in cells]
+    metric = {(names[i], names[j]): abs(a[0] - b[0]) + abs(a[1] - b[1])
+              for i, a in enumerate(cells) for j, b in enumerate(cells) if i < j}
+    return finite_system(names, {u: rng.choice(names) for u in names}, metric)
+
+
+def _sweep_deltas(sys):
+    """Critical values, the midpoints between them and one value above."""
+    crit = critical_deltas(sys)
+    return sorted(set(crit) | {(a + b) / 2 for a, b in zip(crit, crit[1:])} | {crit[-1] + 1})
+
+
+def _fields(dec):
+    return (dec.component, dec.delta, dec.period, dict(dec.class_of), dec.classes(),
+            dec.transient_index, dec.saturation_failed, dec.p2_violations)
+
+
+def _check_sweep(sys, starts):
+    """Compare one sweep over the system with the per-step decompositions, and
+    its proximal partitions from the resolutions in ``starts`` with the
+    per-step loop; returns the number of merge-law violations seen."""
+    deltas = _sweep_deltas(sys)
+    with mock.patch.object(cyclic, "_labels", wraps=cyclic._labels) as labels:
+        sweep = CyclicSweep(build_chain_digraph(sys, d) for d in deltas)
+    seen = 0
+    segments = 0
+    before: dict = {}
+    for d in deltas:
+        dg = build_chain_digraph(sys, d)
+        comps = chain_components(dg)
+        assert tuple(sweep.components(d)) == comps
+        decs = sweep.decompositions(d)
+        here = {}
+        for comp, dec in zip(comps, decs, strict=True):
+            ref = cyclic_classes(dg, comp, p2="record")
+            assert _fields(dec) == _fields(ref)
+            seen += len(dec.p2_violations)
+            # a segment starts where the vertex set or the period is new
+            segments += before.get(comp) != ref.period
+            here[comp] = ref.period
+            if starts(deltas, d):
+                down = [x for x in reversed(deltas) if x <= d]
+                pp = sweep.proximal(comp, down)
+                assert (pp.ladder, pp.classes, pp.split_at) == proximal_loop(sys, comp, down)
+                pp = proximal_partition(sys, comp, down, p2="record")
+                assert (pp.ladder, pp.classes, pp.split_at) == proximal_loop(sys, comp, down)
+        shared = assign_basins(sys, dg, decs)
+        assert shared.class_of_basin == assign_basins(sys, dg).class_of_basin
+        before = here
+    # one BFS labelling per segment
+    assert labels.call_count == segments
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "line", "two_level", "two_cycle", "grid"]))
+def test_sweep_matches_per_step_decomposition(seed, kind):
+    rng = random.Random(seed)
+    sys = _sweep_system(kind, rng)
+    pick = rng.randrange(10**6)
+    _check_sweep(sys, lambda deltas, d: d in (deltas[0], deltas[len(deltas) // 2],
+                                              deltas[pick % len(deltas)]))
+
+
+def test_sweep_records_merge_violations_like_each_step():
+    # positions 0, 1, 2, 3 with a <-> b at the ends, c -> b and e -> a: at
+    # delta 1, c and e lie in different classes of {a, b, c, e} though 1 apart
+    sys = finite_system(["a", "c", "e", "b"], {"a": "b", "b": "a", "c": "b", "e": "a"},
+                        {("a", "c"): 1, ("a", "e"): 2, ("a", "b"): 3, ("c", "e"): 1,
+                         ("c", "b"): 2, ("e", "b"): 1})
+    sweep = CyclicSweep(build_chain_digraph(sys, d) for d in critical_deltas(sys))
+    (dec,) = sweep.decompositions(Fraction(1))
+    assert dec.period == 2 and dec.p2_violations == (("c", "e"),)
+    rng = random.Random(13)
+    seen = sum(_check_sweep(_sweep_system("two_cycle", rng), lambda deltas, d: True)
+               for _ in range(60))
+    assert seen > 0
+
+
+def test_sweep_treats_cap_exceeded_as_infinite(monkeypatch):
+    # a cap of 2 makes some steps of a segment fail and others pass
+    original = cyclic._transient_index
+    monkeypatch.setattr(cyclic, "_transient_index",
+                        lambda rows, cls, m, cap: original(rows, cls, m, 2))
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(20):
+        sys = _sweep_system(rng.choice(["random", "line"]), rng)
+        deltas = _sweep_deltas(sys)
+        sweep = CyclicSweep(build_chain_digraph(sys, d) for d in deltas)
+        for d in deltas:
+            dg = build_chain_digraph(sys, d)
+            for comp, dec in zip(chain_components(dg), sweep.decompositions(d), strict=True):
+                ref = cyclic_classes(dg, comp, p2="record")
+                assert (dec.transient_index, dec.saturation_failed) == (
+                    ref.transient_index, ref.saturation_failed)
+                outcomes.add(dec.saturation_failed)
+    assert outcomes == {True, False}
+
+
+def test_sweep_rejects_misuse(sys3):
+    steps = [build_chain_digraph(sys3, d) for d in (Fraction(1, 2), Fraction(1))]
+    with pytest.raises(InvariantViolation):
+        CyclicSweep(steps[::-1])
+    sweep = CyclicSweep(steps[:1])
+    sweep.decompositions(Fraction(1, 2))
+    with pytest.raises(InvariantViolation):
+        sweep.add(steps[1])
+    # the 3-cycle a -> b -> c at a finer resolution than the complete digraph
+    fewer = digraph_from_edges(sys3, 2, [("a", "b"), ("b", "c"), ("c", "a")])
+    with pytest.raises(InvariantViolation):
+        CyclicSweep([steps[1], fewer])

@@ -6,7 +6,9 @@ import pytest
 from chainscope import (PseudoOrbit, SftPoint, estimate_slimit_modulus,
                         find_shadowing_point, sft_distance, sft_shift, slimit_splice,
                         sft_shadow, validate_limit_pseudo_orbit, validate_pseudo_orbit)
-from chainscope.errors import ClassMismatch, NotIrreducible, PrecisionViolation, SpecError, StepViolation
+from chainscope import sft, shadowing
+from chainscope.errors import (ClassMismatch, InvalidPoint, NotIrreducible, PrecisionViolation,
+                               SpecError, StepViolation)
 from chainscope.sft import SftGraph, shift_by
 from chainscope.shadowing import default_schedule
 
@@ -29,6 +31,38 @@ def test_validate_sft_steps(full2):
     y = SftPoint((0, 0, 0), (1,))  # agrees with shift(x) on 3 symbols
     po = validate_pseudo_orbit(full2, [x, y], Fraction(1, 8))
     assert po.errors[0] == Fraction(1, 8)
+
+
+def test_validate_sft_checks_each_state_once(full2, monkeypatch):
+    calls = []
+    original = sft.validate_point
+
+    def counting(g, p):
+        calls.append(p)
+        return original(g, p)
+
+    # the shift and the distance helpers look the name up in sft, the
+    # pseudo-orbit check in shadowing
+    monkeypatch.setattr(sft, "validate_point", counting)
+    monkeypatch.setattr(shadowing, "validate_point", counting)
+    states = random_pseudo_orbit(full2, random.Random(5), 3, 40)
+    po = validate_pseudo_orbit(full2, states, Fraction(1, 8))
+    assert len(po.states) == 40
+    assert calls == list(states)
+
+
+def test_validate_sft_step_violation_before_later_invalid_state(goldenmean):
+    ok = SftPoint((), (0,))
+    jump = SftPoint((1,), (0,))  # differs from shift(ok) at index 0
+    bad = SftPoint((), (1,))  # 1 -> 1 is forbidden on the golden mean graph
+    with pytest.raises(StepViolation) as exc:
+        validate_pseudo_orbit(goldenmean, [ok, jump, bad], Fraction(1, 4))
+    assert exc.value.index == 0 and exc.value.error == 1
+    # an invalid state is still named before the step that reaches it is measured
+    with pytest.raises(InvalidPoint):
+        validate_pseudo_orbit(goldenmean, [ok, ok, bad, jump], Fraction(1, 4))
+    with pytest.raises(InvalidPoint):
+        validate_pseudo_orbit(goldenmean, [bad, ok], 1)
 
 
 def test_limit_validation_checkpoints(full2):
