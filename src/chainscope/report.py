@@ -4,6 +4,11 @@ A report is a single JSON document; every numeric verdict carries its mode
 (exact or windowed) and the parameters it was computed with.  Reports are
 byte-deterministic for a fixed config and seed: keys are sorted, rationals
 are serialized as "p/q" strings, and no timestamps are embedded.
+
+Along the ladder a report writes only what changes: a chain analysis where
+the chain components change and a cyclic row where a component's row does.
+Every step can be recovered from the spec the report embeds (README
+"Reports").
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .basins import BasinAssignment, assign_basins, verify_partition_laws
@@ -25,7 +31,7 @@ from .sft import SftGraph, graph_period, is_irreducible, vertex_classes
 from .specio import dump_system, load_system
 from .systems import FiniteSystem, as_fraction
 
-REPORT_SCHEMA_VERSION = "chainscope-report-v1"
+REPORT_SCHEMA_VERSION = "chainscope-report-v2"
 
 
 def _frac(x) -> str:
@@ -137,6 +143,31 @@ def cyclic_section(sweep: CyclicSweep, delta: Fraction) -> list[dict]:
     } for dec in sweep.decompositions(delta)]
 
 
+def _changed(last, here) -> bool:
+    """The rule of report v2: a ladder step's entry is written when the
+    previous step has none to compare with (``last`` is None) or a different
+    one.  Whatever is not written equals the latest entry written below."""
+    return last != here
+
+
+def _changed_cyclic_rows(sweep: CyclicSweep, ladder: Sequence[Fraction]) -> list[dict]:
+    """The cyclic rows of the ascending ladder that a component has new at a
+    step, or that differ from its row at the previous step in any field but
+    ``delta``."""
+    rows: list[dict] = []
+    last: dict[tuple[str, ...], dict] = {}
+    for d in ladder:
+        here = {}
+        for row in cyclic_section(sweep, d):
+            body = dict(row, delta=None)
+            key = tuple(row["component"])
+            if _changed(last.get(key), body):
+                rows.append(row)
+            here[key] = body
+        last = here
+    return rows
+
+
 def basin_section(ba: BasinAssignment) -> dict:
     laws = verify_partition_laws(ba)
     return {
@@ -211,8 +242,9 @@ def chaos_section(report) -> dict:
 
 
 def cmd_analyze(config: AnalysisConfig) -> dict:
-    """Full pipeline: load, ladder, chain analysis per resolution, cyclic and
-    basin tables, chaos classification, one JSON report."""
+    """Full pipeline: load, ladder, chain analyses and cyclic rows where the
+    ladder changes (``_changed``), basin table, chaos classification, one
+    JSON report."""
     model = resolve_model(config.spec)
     report: dict = {
         "schema": REPORT_SCHEMA_VERSION,
@@ -244,14 +276,17 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
         on_ladder = set(ladder)
         sweep = CyclicSweep()
         dg = None
+        comps = None
         for d in sorted(on_ladder | {delta}):
             step = build_chain_digraph(model, d)
-            if d in on_ladder:
-                report["chain_analyses"].append(chain_section(step))
             sweep.add(step)
+            if d in on_ladder:
+                last, comps = comps, sweep.components(d)
+                if _changed(last, comps):
+                    report["chain_analyses"].append(chain_section(step))
             if d == delta:
                 dg = step
-        report["cyclic"] = [row for d in ladder for row in cyclic_section(sweep, d)]
+        report["cyclic"] = _changed_cyclic_rows(sweep, ladder)
         decomps = sweep.decompositions(delta)
         report["basins"] = [basin_section(assign_basins(model, dg, decomps))]
         down = ladder[::-1]

@@ -52,15 +52,18 @@ def system_from_desc(desc: dict, origin: str = "<desc>"):
             raise SpecError(f"{origin}: bad adjacency: {exc}") from exc
         return SftGraph(adjacency)
     if kind == "grid":
-        spec = GridMapSpec(
-            family=desc.get("family", ""),
-            cell_count=int(desc.get("cells", 0)),
-            geometry=desc.get("geometry", "interval"),
-            slope=as_fraction(desc["slope"]) if "slope" in desc else None,
-            alpha=_parse_alpha(desc.get("alpha")) if "alpha" in desc else None,
-            breakpoints=tuple((as_fraction(x), as_fraction(y))
-                              for x, y in desc.get("breakpoints", [])) or None,
-        )
+        try:
+            spec = GridMapSpec(
+                family=desc.get("family", ""),
+                cell_count=int(desc.get("cells", 0)),
+                geometry=desc.get("geometry", "interval"),
+                slope=as_fraction(desc["slope"]) if "slope" in desc else None,
+                alpha=_parse_alpha(desc.get("alpha")) if "alpha" in desc else None,
+                breakpoints=tuple((as_fraction(x), as_fraction(y))
+                                  for x, y in desc.get("breakpoints", [])) or None,
+            )
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"{origin}: bad grid parameter: {exc}") from exc
         return discretize(spec)
     raise SpecError(f"{origin}: unknown kind {kind!r}")
 

@@ -46,7 +46,10 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"bad rational literal {value!r}") from exc
     if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**12)
+        try:
+            return Fraction(value).limit_denominator(10**12)
+        except (OverflowError, ValueError) as exc:
+            raise SpecError(f"{value!r} is not a finite rational") from exc
     raise SpecError(f"cannot interpret {value!r} as a rational")
 
 
@@ -222,6 +225,8 @@ def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:
     zero diagonal is filled in.
     """
     pts = tuple(str(p) for p in points)
+    if not pts:
+        raise SpecError("a finite system needs at least one point")
     known = set(pts)
     if len(known) != len(pts):
         raise SpecError("duplicate point identifiers")
@@ -248,8 +253,12 @@ def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:
         if img not in known:
             raise PartialMap(u)
         fmap[u] = img
+    try:
+        labels = dict(labels or {})
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"labels must map points to names: {exc}") from exc
     _validate_metric(pts, table)
-    return FiniteSystem(pts, table, fmap, dict(labels or {}))
+    return FiniteSystem(pts, table, fmap, labels)
 
 
 def compile_finite(desc: Mapping) -> FiniteSystem:
@@ -262,14 +271,17 @@ def compile_finite(desc: Mapping) -> FiniteSystem:
     try:
         points = [str(p) for p in desc["points"]]
         raw_map = dict(desc["map"])
-    except (KeyError, TypeError) as exc:
-        raise SpecError(f"finite system spec missing field: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"finite system spec: missing or bad points or map: {exc}") from exc
     metric: dict[tuple[str, str], Fraction] = {}
-    for entry in desc.get("metric", []):
-        if len(entry) != 3:
-            raise SpecError(f"bad metric entry {entry!r}")
-        u, v, d = entry
-        metric[(str(u), str(v))] = as_fraction(d)
+    try:
+        for entry in desc.get("metric", []):
+            if len(entry) != 3:
+                raise SpecError(f"bad metric entry {entry!r}")
+            u, v, d = entry
+            metric[(str(u), str(v))] = as_fraction(d)
+    except TypeError as exc:
+        raise SpecError(f"bad metric: {exc}") from exc
     default = desc.get("metric_default")
     if default is not None:
         dd = as_fraction(default)

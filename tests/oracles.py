@@ -8,6 +8,7 @@ algorithms are checked against a second route.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 
@@ -273,3 +274,51 @@ def proximal_loop(sys, comp, ladder):
     for u in sorted(comp):
         buckets.setdefault(tuple(lab[u] for lab in labels), []).append(u)
     return tuple(used), tuple(tuple(b) for _, b in sorted(buckets.items())), split_at
+
+
+def report_v1(config):
+    """The ``chainscope-report-v1`` form of an ``analyze`` report: the v2
+    report with the per-step ``chain_analyses`` and ``cyclic`` lists put back
+    for every ladder step, each from its own digraph built afresh from
+    ``system.spec`` (as ``chains --delta`` writes them)."""
+    from chainscope import CyclicSweep, build_chain_digraph
+    from chainscope.report import chain_section, cmd_analyze, cyclic_section
+    from chainscope.specio import system_from_desc
+
+    doc = cmd_analyze(config)
+    doc["schema"] = "chainscope-report-v1"
+    if "ladder" in doc:
+        model = system_from_desc(doc["system"]["spec"])
+        steps = [build_chain_digraph(model, Fraction(d)) for d in doc["ladder"]]
+        doc["chain_analyses"] = [chain_section(dg) for dg in steps]
+        doc["cyclic"] = [row for dg in steps
+                         for row in cyclic_section(CyclicSweep([dg]), dg.delta)]
+    return doc
+
+
+def recover_step(doc, i):
+    """Ladder step i of a v2 report by its recovery rule: the edges
+    d(f(u), v) <= delta from ``system.spec`` by Fraction comparison, the
+    components and recurrent set of the latest chain entry at or below the
+    step, and each component's latest cyclic row at or below it.  Returns
+    the chain entry without its Lyapunov values and condensation, and the
+    cyclic rows of the step."""
+    text = doc["ladder"][i]
+    delta = Fraction(text)
+    spec = doc["system"]["spec"]
+    dist = {}
+    for u, v, d in spec["metric"]:
+        dist[(u, v)] = dist[(v, u)] = Fraction(d)
+    points = sorted(spec["points"])
+    image = spec["map"]
+    edges = {u: [v for v in points if v == image[u] or dist[(image[u], v)] <= delta]
+             for u in points}
+    entry = [e for e in doc["chain_analyses"] if Fraction(e["delta"]) <= delta][-1]
+    rows = []
+    for comp in entry["components"]:
+        row = [r for r in doc["cyclic"]
+               if r["component"] == comp and Fraction(r["delta"]) <= delta][-1]
+        rows.append(dict(row, delta=text))
+    chain = {"delta": text, "edges": edges, "recurrent": entry["recurrent"],
+             "components": entry["components"]}
+    return chain, rows

@@ -15,6 +15,7 @@ from chainscope.specio import load_system, save_system
 from chainscope import build_chain_digraph
 
 from conftest import RING41_CHORDS, RING60_CHORDS, line_system, ring_with_chords
+from oracles import report_v1
 
 
 def run_cli(args, capsys):
@@ -54,7 +55,7 @@ def test_analyze_writes_report(tmp_path, capsys):
     code, out, _ = run_cli(["analyze", "corpus:sysns", "--out", str(out_path)], capsys)
     assert code == 0
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "chainscope-report-v1"
+    assert report["schema"] == "chainscope-report-v2"
     assert report["system"]["kind"] == "finite"
     # two trivial components plus the basin of s swallowing t
     basin = report["basins"][0]
@@ -212,8 +213,14 @@ def test_corpus_export_cli(tmp_path, capsys):
     assert spec["kind"] == "finite" and spec["schema"] == "chainscope-v1"
 
 
-# sha256 of `analyze` reports: the report bytes are part of the contract, so
-# a change of any digest must be deliberate
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of `analyze` reports in their v1 form (``oracles.report_v1``): the
+# report bytes are part of the contract, so a change of any digest must be
+# deliberate.  These were recorded from the v1 reports themselves, before
+# v2 wrote the ladder sparsely.
 REPORT_DIGESTS = [
     ({"spec": "corpus:sys3"},
      "7a8b92183a388346e068f2f28ad28a424650fd6963d3ba42b238b41a3c4f9d23"),
@@ -235,8 +242,25 @@ REPORT_DIGESTS = [
 
 @pytest.mark.parametrize("config, digest", REPORT_DIGESTS)
 def test_report_bytes_match_recorded_digest(config, digest):
-    text = report_to_json(cmd_analyze(AnalysisConfig(**config)))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert sha256(report_to_json(report_v1(AnalysisConfig(**config)))) == digest
+
+
+# the v2 reports of the same configs, in REPORT_DIGESTS order
+REPORT_V2_DIGESTS = [
+    "3353b345a36e9ff973274ca653533b18499d84135c819e3f204862e2177db6b4",
+    "e663e4662dd0a7b352766d1b31482fa2e087c15fcf6c2cda050185de2148eecd",
+    "12f8bf1ee48a9b287ed777f2539a51b574d60c1062bfd9e6cbf168c642c78b89",
+    "507ab64b411c4aefd93e90b0d2a7a3e24a99b972e8db858cc3ab946efbc000d3",
+    "fbabf9e8b1a21814591a7af9e7a1cad56a745fe04bb6e70b34cfcf3e6f34f07c",
+    "6e7dee62302d283bacf7df483fd4ac05764e6130543b63760287d4c355e1024b",
+    "7c1b1c5b42b85b19f4f3f0e8df7e83fe8cbf960f572156328c7bf82a424208f1",
+]
+
+
+@pytest.mark.parametrize("i", range(len(REPORT_DIGESTS)))
+def test_v2_report_bytes_match_recorded_digest(i):
+    config = AnalysisConfig(**REPORT_DIGESTS[i][0])
+    assert sha256(report_to_json(cmd_analyze(config))) == REPORT_V2_DIGESTS[i]
 
 
 @pytest.mark.parametrize("config", [
@@ -273,9 +297,11 @@ def test_period_two_shift_report_bytes_match_recorded_digest(tmp_path, monkeypat
     # the digest of the report built from one distal search per cyclic class
     monkeypatch.chdir(tmp_path)
     Path("p2.json").write_text(json.dumps(PERIOD_TWO_SPEC))
-    text = report_to_json(cmd_analyze(AnalysisConfig(spec="p2.json")))
-    assert (hashlib.sha256(text.encode()).hexdigest()
+    config = AnalysisConfig(spec="p2.json")
+    assert (sha256(report_to_json(report_v1(config)))
             == "37851f3f285b793a86d98e6ba578157f5ff3803129e6a698522d5207e451d991")
+    assert (sha256(report_to_json(cmd_analyze(config)))
+            == "a92580c6239d08b3971b65c64c2e04c5fb627d4dc3e385edf0bc99a1502df754")
 
 
 @pytest.mark.parametrize("argv, budget_env", [
@@ -333,10 +359,11 @@ def test_line_system_report_bytes_match_recorded_digest(tmp_path, monkeypatch):
                        for i in range(n) for j in range(i + 1, n)]}
     monkeypatch.chdir(tmp_path)
     Path("line40.json").write_text(json.dumps(spec))
-    text = report_to_json(cmd_analyze(AnalysisConfig(
-        spec="line40.json", ladder_policy="top-k", top_k=3, delta="1")))
-    assert (hashlib.sha256(text.encode()).hexdigest()
+    config = AnalysisConfig(spec="line40.json", ladder_policy="top-k", top_k=3, delta="1")
+    assert (sha256(report_to_json(report_v1(config)))
             == "47975afab19f852343db94fddf5b1ec843a59cc842cca29ab1181b312b9f62f0")
+    assert (sha256(report_to_json(cmd_analyze(config)))
+            == "deaf40f0499ba83d29df69bf40a93badf4977f135e833ace8517e7d48988bf77")
 
 
 @pytest.mark.parametrize("command", ["analyze", "classify-chaos"])
@@ -355,6 +382,12 @@ def test_unusable_settings_exit_2(command, spec, extra, message, capsys):
     assert out == ""
 
 
+RING_V2_DIGESTS = {
+    "ring60": "dcdab5a8a2bd4be9a333ccde33c6128bf17f640a93b138eb45f7a7acf66dfc30",
+    "aring41": "82ba904a565de0d746a4ea5ba9cd0a1fd168ea718159f96035ebbb4ba15fdab9",
+}
+
+
 @pytest.mark.parametrize("name, n, chords, digest", [
     ("ring60", 60, RING60_CHORDS,
      "641cb356c05ab6d08beeabe74f35104a6b5401e5aa7203a92892f4711b633df0"),
@@ -368,8 +401,9 @@ def test_ring_with_chords_report_bytes_match_recorded_digest(name, n, chords, di
     spec = {"schema": "chainscope-v1", "kind": "sft",
             "adjacency": [list(row) for row in ring_with_chords(n, chords)]}
     Path(f"{name}.json").write_text(json.dumps(spec))
-    text = report_to_json(cmd_analyze(AnalysisConfig(spec=f"{name}.json")))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    config = AnalysisConfig(spec=f"{name}.json")
+    assert sha256(report_to_json(report_v1(config))) == digest
+    assert sha256(report_to_json(cmd_analyze(config))) == RING_V2_DIGESTS[name]
 
 
 def test_shadow_rejects_a_negative_depth(tmp_path, capsys):
@@ -431,9 +465,11 @@ def test_line_system_ladder_report_bytes_match_recorded_digest(tmp_path, monkeyp
     # values, components of period 1, 3 and 5)
     monkeypatch.chdir(tmp_path)
     save_system(line_system(24, 24), "line24.json")
-    text = report_to_json(cmd_analyze(AnalysisConfig(spec="line24.json")))
-    assert (hashlib.sha256(text.encode()).hexdigest()
+    config = AnalysisConfig(spec="line24.json")
+    assert (sha256(report_to_json(report_v1(config)))
             == "9df0ba57b0f0fc8bd2c9278416c32c1a9fc56c510cb41d3b90f2c42118c47a8a")
+    assert (sha256(report_to_json(cmd_analyze(config)))
+            == "1267c5fc7d32799f49ee2d676b5886c90f1dcd244bd971312ed169bcd0c47a63")
 
 
 def test_analyze_evaluates_fewer_transient_indices_than_steps(tmp_path, monkeypatch):
@@ -454,7 +490,41 @@ def test_analyze_evaluates_fewer_transient_indices_than_steps(tmp_path, monkeypa
         monkeypatch.setattr(module, "cyclic_classes", forbidden)
     monkeypatch.chdir(tmp_path)
     save_system(line_system(24, 24), "line24.json")
-    doc = cmd_analyze(AnalysisConfig(spec="line24.json"))
-    pairs = len(doc["cyclic"])
-    assert pairs == sum(len(step["components"]) for step in doc["chain_analyses"])
-    assert 0 < len(calls) < pairs // 2
+    config = AnalysisConfig(spec="line24.json")
+    cmd_analyze(config)
+    evaluated = len(calls)
+    # every (step, component) pair, counted in the report's v1 form
+    full = report_v1(config)
+    pairs = len(full["cyclic"])
+    assert pairs == sum(len(step["components"]) for step in full["chain_analyses"])
+    assert 0 < evaluated < pairs // 2
+
+
+FINITE_SPEC = {"schema": "chainscope-v1", "kind": "finite", "points": ["a", "b"],
+               "map": {"a": "b", "b": "a"}, "metric": [["a", "b", "1"]]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"schema": "chainscope-v1", "kind": "grid", "family": "tent", "cells": "abc",
+     "slope": "2"},
+    {"schema": "chainscope-v1", "kind": "grid", "family": "rotation", "cells": 8,
+     "alpha": "x"},
+    {"schema": "chainscope-v1", "kind": "grid", "family": "piecewise-linear", "cells": 8,
+     "breakpoints": [[1]]},
+    dict(FINITE_SPEC, map=["a", "b"]),
+    dict(FINITE_SPEC, metric=[5]),
+    dict(FINITE_SPEC, metric=[["a", "b", float("inf")]]),
+    dict(FINITE_SPEC, labels=[1]),
+    dict(FINITE_SPEC, points=[], map={}, metric=[]),
+], ids=["grid-cells", "grid-alpha", "grid-breakpoints", "finite-map-list",
+        "finite-metric-int", "finite-metric-1e400", "finite-labels-list",
+        "finite-no-points"])
+def test_malformed_spec_exits_2(spec, tmp_path, monkeypatch, capsys):
+    # each of these exited 1 with a traceback before the loader caught it
+    monkeypatch.chdir(tmp_path)
+    # json writes inf as Infinity; 1e400 is what a spec file would hold
+    Path("bad.json").write_text(json.dumps(spec).replace("Infinity", "1e400"))
+    code, out, err = run_cli(["analyze", "bad.json", "--out", "r.json"], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not Path("r.json").exists()
