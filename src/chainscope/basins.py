@@ -112,7 +112,7 @@ class PartitionReport:
     violations: tuple[str, ...]
 
 
-def verify_partition_laws(ba: BasinAssignment, phase_horizon: int = 0) -> PartitionReport:
+def verify_partition_laws(ba: BasinAssignment) -> PartitionReport:
     """Check the basin partition laws directly.
 
     (a) component basins partition the nodes; (b) class basins partition each
@@ -136,7 +136,7 @@ def verify_partition_laws(ba: BasinAssignment, phase_horizon: int = 0) -> Partit
         comp = ba.components[ci]
         dec = ba.decompositions[ci]
         T = ba.settle_time[x]
-        horizon = phase_horizon or (T + len(comp) + dec.period + 2)
+        horizon = T + len(comp) + dec.period + 2
         u = x
         for _ in range(T):
             u = sys.apply(u)

@@ -34,6 +34,7 @@ from .systems import FiniteSystem
 
 LEVELS = ("DC1", "IAPSTAR", "LIYORKE", "NONE")
 LEVEL_S_FAMILY = {"DC1": "THICK", "IAPSTAR": "IAPSTAR", "LIYORKE": "INFINITE"}
+T_CAP = 8  # a vertex shift's distal search tries separations 2^(-t), t <= T_CAP
 
 
 # -- exact orbit distance profiles ------------------------------------------------
@@ -180,10 +181,10 @@ def find_distal_tuple(model, D, n: int, delta_n, budget: int = 10**6):
     return _sft_distal_search(model, n, t, class_id=D, budget=budget)
 
 
-def _first_distal(g: SftGraph, n: int, class_id: int | None, t_cap: int, budget: int):
-    """(tuple, t) for the least t <= t_cap at which ``_sft_distal_search``
+def _first_distal(g: SftGraph, n: int, class_id: int | None, budget: int):
+    """(tuple, t) for the least t <= T_CAP at which ``_sft_distal_search``
     finds a distal n-tuple, or None when no such t exists."""
-    for t in range(t_cap + 1):
+    for t in range(T_CAP + 1):
         found = _sft_distal_search(g, n, t, class_id, budget=budget)
         if found is not None:
             return found, t
@@ -430,7 +431,7 @@ def _common_connector(g: SftGraph, currents: list[int], targets: list[int]) -> l
         raise SpecError("connector targets sit at incompatible phases")
     shortest = []
     for c, t in zip(currents, targets):
-        p = find_connecting_path(g, c, t, min_length=1)
+        p = find_connecting_path(g, c, t)
         shortest.append(len(p) - 1)
     length = max(shortest)
     cap = length + graph_period(g) * ((g.vertex_count - 1) ** 2 + 2) + 2
@@ -487,7 +488,6 @@ class WitnessConstruction:
 def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
                       class_id: int | None = None,
                       prefixes: tuple[tuple[int, ...], ...] | None = None,
-                      t_cap: int = 8, budget: int = 10**6,
                       distal: tuple[tuple[SftPoint, ...], int] | None = None
                       ) -> WitnessConstruction:
     """Build n eventually periodic points whose separation window matches the
@@ -513,9 +513,9 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
     if class_id is None:
         class_id = 0 if period > 1 else None
     if distal is None:
-        distal = _first_distal(g, n, class_id, t_cap, budget)
+        distal = _first_distal(g, n, class_id, 10**6)
         if distal is None:
-            raise BudgetExceeded(f"no distal {n}-tuple found up to window {t_cap + 1}")
+            raise BudgetExceeded(f"no distal {n}-tuple found up to window {T_CAP + 1}")
     distal, t = distal
     delta_n = Fraction(1, 2 ** (t + 1))
     if prefixes is not None:
@@ -562,16 +562,15 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
 
 
 def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
-                             trials: int, seed: int,
-                             eps_depth: int = 6) -> tuple[int, int]:
+                             trials: int, seed: int) -> tuple[int, int]:
     """Re-run the witness construction from random perturbed prefixes and
     count how many constructions still pass their own windowed test.  The
     distal tuple does not depend on the prefixes: it is searched once."""
     rng = random.Random(seed)
     classes = vertex_classes(g)
     starts = [v for v in range(g.vertex_count) if classes[v] == 0]  # all when aperiodic
-    # the search construct_witness runs with its default class, t_cap and budget
-    distal = _first_distal(g, n, 0 if graph_period(g) > 1 else None, t_cap=8, budget=10**6)
+    # the search construct_witness runs for its default class
+    distal = _first_distal(g, n, 0 if graph_period(g) > 1 else None, 10**6)
     successes = 0
     for _ in range(trials):
         length = rng.randint(1, 8)
@@ -583,9 +582,7 @@ def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
             prefixes.append(tuple(word))
         built = construct_witness(g, n, level, horizon, prefixes=tuple(prefixes),
                                   distal=distal)
-        verdict = check_condition3(g, built.points, built.delta_n, level,
-                                   horizon, eps_depth=eps_depth)
-        if verdict.ok:
+        if check_condition3(g, built.points, built.delta_n, level, horizon).ok:
             successes += 1
     return successes, trials
 
@@ -622,7 +619,6 @@ class ClassifyParams:
     horizon: int = 512
     eps_depth: int = 6
     with_witness: bool = False
-    t_cap: int = 8
     budget: int = 10**6
     window: WindowParams = field(default_factory=WindowParams)
 
@@ -711,7 +707,7 @@ def classify_sft(g: SftGraph, n_max: int,
         found = witness = delta_n = None
         budget_hit = False
         try:
-            found = _first_distal(g, n, class_id, params.t_cap, params.budget)
+            found = _first_distal(g, n, class_id, params.budget)
         except BudgetExceeded:
             budget_hit = True
         if found is not None:

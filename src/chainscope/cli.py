@@ -15,10 +15,10 @@ import sys
 from fractions import Fraction
 
 from .basins import assign_basins
-from .chains import build_chain_digraph, chain_components, critical_deltas
+from .chains import ChainDigraph, build_chain_digraph, critical_deltas
 from .chaos import (ClassifyParams, classify_finite_component, classify_sft,
                     construct_witness, profile_extremes)
-from .cyclic import CyclicSweep, cyclic_classes
+from .cyclic import CyclicSweep
 from .errors import BudgetExceeded, ChainscopeError, InternalError, ValidationError
 from .families import (EventuallyPeriodicSet, WindowParams, inclusion_audit,
                        rle_to_window, rotation_time_set)
@@ -41,14 +41,20 @@ def _number(parse, text: str, what: str):
         raise ValidationError(f"bad {what}: {text!r}") from exc
 
 
-def _default_budget() -> int:
+def _budget(given: int | None) -> int:
+    """--budget when given, else CHAINSCOPE_BUDGET, else 10**6."""
+    if given is not None:
+        return given
     env = os.environ.get("CHAINSCOPE_BUDGET")
     return _number(int, env, "CHAINSCOPE_BUDGET") if env else 10**6
 
 
-def _resolution(model: FiniteSystem, delta: str | None) -> Fraction:
-    """The --delta value, or the smallest critical resolution by default."""
-    return as_fraction(delta) if delta is not None else critical_deltas(model)[0]
+def _one_step(model: FiniteSystem, delta: str | None) -> tuple[ChainDigraph, CyclicSweep]:
+    """The chain digraph at --delta (default: the least critical value) and
+    its one-step sweep, whose decompositions ``analyze`` reads there too."""
+    d = as_fraction(delta) if delta is not None else critical_deltas(model)[0]
+    dg = build_chain_digraph(model, d)
+    return dg, CyclicSweep([dg])
 
 
 def _print_json(obj, out: str | None) -> None:
@@ -60,10 +66,14 @@ def _print_json(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(parser) -> None:
+def _add_classification(parser) -> None:
+    """The settings of analyze and classify-chaos, with one set of defaults."""
+    parser.add_argument("--delta", default=None)
+    parser.add_argument("--n-max", type=int, default=3)
+    parser.add_argument("--horizon", type=int, default=512)
+    parser.add_argument("--eps-depth", type=int, default=6)
+    parser.add_argument("--no-witness", action="store_true")
     parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None)
 
 
 def _cmd_analyze(args) -> int:
@@ -77,18 +87,20 @@ def _cmd_analyze(args) -> int:
         horizon=args.horizon,
         eps_depth=args.eps_depth,
         m_max=args.m_max,
-        budget=_default_budget() if args.budget is None else args.budget,
+        budget=_budget(args.budget),
         seed=args.seed,
         with_witness=not args.no_witness,
     )
+    # a sidecar of something this model kind lacks is refused, not skipped
+    model = resolve_model(args.spec) if args.emit_dot else None
+    if isinstance(model, SftGraph):
+        raise ValidationError("--emit-dot applies only to finite systems")
     report = cmd_analyze(config)
     _print_json(report, args.out)
-    if args.emit_dot:
-        model = resolve_model(args.spec)
-        if isinstance(model, FiniteSystem):
-            dg = build_chain_digraph(model, _resolution(model, args.delta))
-            write_text(args.emit_dot, condensation_dot(dg))
-            print(f"wrote {args.emit_dot}")
+    if model is not None:  # drawn at the resolution the report classifies at
+        dg = build_chain_digraph(model, as_fraction(report["basins"][0]["delta"]))
+        write_text(args.emit_dot, condensation_dot(dg))
+        print(f"wrote {args.emit_dot}")
     return 0
 
 
@@ -96,8 +108,7 @@ def _cmd_chains(args) -> int:
     model = resolve_model(args.spec)
     if not isinstance(model, FiniteSystem):
         raise ValidationError("chain analysis applies to finite systems")
-    dg = build_chain_digraph(model, _resolution(model, args.delta))
-    sweep = CyclicSweep([dg])
+    dg, sweep = _one_step(model, args.delta)
     ba = assign_basins(model, dg, sweep.decompositions(dg.delta))
     out = {"chain": chain_section(dg), "cyclic": cyclic_section(sweep, dg.delta),
            "basins": basin_section(ba)}
@@ -115,11 +126,8 @@ def _cmd_chains(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = resolve_model(args.spec)
-    params = ClassifyParams(horizon=args.horizon,
-                            eps_depth=args.eps_depth,
-                            with_witness=not args.no_witness,
-                            budget=_default_budget() if args.budget is None
-                            else args.budget)
+    params = ClassifyParams(horizon=args.horizon, eps_depth=args.eps_depth,
+                            with_witness=not args.no_witness, budget=_budget(args.budget))
     sections = []
     if isinstance(model, SftGraph):
         reject_shift_delta(args.delta)
@@ -128,9 +136,10 @@ def _cmd_classify(args) -> int:
         if args.emit_csv or args.emit_svg:
             _emit_witness_traces(model, args)
     else:
-        dg = build_chain_digraph(model, _resolution(model, args.delta))
-        for comp in chain_components(dg):
-            dec = cyclic_classes(dg, comp, p2="record")
+        if args.emit_csv or args.emit_svg:
+            raise ValidationError("--emit-csv and --emit-svg apply only to vertex shifts")
+        dg, sweep = _one_step(model, args.delta)
+        for dec in sweep.decompositions(dg.delta):
             section, _ = chaos_section(classify_finite_component(dec, args.n_max, params))
             sections.append(section)
     _print_json({"chaos": sections}, args.out)
@@ -202,6 +211,9 @@ def _cmd_shadow(args) -> int:
     po = validate_pseudo_orbit(model, states, delta)
     limit = validate_limit_pseudo_orbit(po, delta, default_schedule(delta))
     if isinstance(model, SftGraph):
+        if args.epsilon is not None:
+            raise ValidationError("--epsilon applies only to finite systems; "
+                                  "a vertex shift is shadowed to --depth")
         result = sft_shadow(model, po, args.depth)
     else:
         epsilon = as_fraction(args.epsilon) if args.epsilon is not None else delta
@@ -253,14 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all-critical", "explicit", "top-k"])
     p.add_argument("--ladder", default=None, help="comma list of resolutions")
     p.add_argument("--top-k", type=int, default=6)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--horizon", type=int, default=512)
-    p.add_argument("--eps-depth", type=int, default=6)
+    _add_classification(p)
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--no-witness", action="store_true")
-    p.add_argument("--emit-dot", default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="recorded in provenance")
+    p.add_argument("--emit-dot", default=None, help="condensation (finite systems)")
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("chains", help="chain analysis at one resolution")
@@ -268,30 +277,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default=None)
     p.add_argument("--emit-dot", default=None)
     p.add_argument("--emit-csv", default=None, help="basin rows (node, component, class)")
-    _add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_chains)
 
     p = sub.add_parser("classify-chaos", help="hierarchy classification only")
     p.add_argument("spec")
-    p.add_argument("--delta", default=None)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--horizon", type=int, default=512)
-    p.add_argument("--eps-depth", type=int, default=6)
-    p.add_argument("--no-witness", action="store_true")
-    p.add_argument("--emit-csv", default=None, help="witness min/max distance trace")
-    p.add_argument("--emit-svg", default=None)
-    _add_common(p)
+    _add_classification(p)
+    p.add_argument("--emit-csv", default=None, help="witness distance trace (vertex shifts)")
+    p.add_argument("--emit-svg", default=None, help="witness trace plot (vertex shifts)")
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("furstenberg", help="time-set family verdicts")
-    p.add_argument("--eventually-periodic", nargs="+", default=None,
-                   metavar="KEY=VAL", help="pre=BITS pat=BITS")
-    p.add_argument("--rotation", nargs="+", default=None,
-                   metavar="KEY=VAL", help="alpha=golden|FLOAT H=N")
-    p.add_argument("--set-file", default=None, help="run-length encoded window")
+    subject = p.add_mutually_exclusive_group()
+    subject.add_argument("--eventually-periodic", nargs="+", default=None,
+                         metavar="KEY=VAL", help="pre=BITS pat=BITS")
+    subject.add_argument("--rotation", nargs="+", default=None,
+                         metavar="KEY=VAL", help="alpha=golden|FLOAT H=N")
+    subject.add_argument("--set-file", default=None, help="run-length encoded window")
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--run-req", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_furstenberg)
 
     p = sub.add_parser("shadow", help="validate and shadow a pseudo-orbit")
@@ -302,12 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=3, help="agreement depth n")
     p.add_argument("--emit-csv", default=None)
     p.add_argument("--emit-svg", default=None)
-    _add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_shadow)
 
     p = sub.add_parser("corpus", help="list or export built-in systems")
     p.add_argument("--export", default=None)
-    _add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_corpus)
     return ap
 

@@ -138,13 +138,13 @@ class WindowParams:
 
     ``run_req`` defaults to floor(sqrt(H)) and ``m_max`` to the largest value
     the horizon supports (at most 20); explicitly requested values that the
-    horizon cannot support raise HorizonTooSmall.
+    horizon cannot support raise HorizonTooSmall.  The IAPSTAR and INFINITE
+    testers read the tail from H // 2 on.
     """
 
     theta: Fraction = Fraction(1, 100)
     run_req: int | None = None
     m_max: int | None = None
-    tail_start: int | None = None
 
     def __post_init__(self):
         # a bound of 0 asks for empty runs or no progressions at all, and
@@ -157,14 +157,11 @@ class WindowParams:
     def resolve(self, horizon: int, family: str) -> tuple[Fraction, int, int, int]:
         run_req = self.run_req if self.run_req is not None else max(1, math.isqrt(horizon))
         m_max = self.m_max if self.m_max is not None else max(1, min(20, math.isqrt(horizon // 4)))
-        tail_start = self.tail_start if self.tail_start is not None else horizon // 2
         if family == "THICK" and horizon < 4 * run_req:
             raise HorizonTooSmall(f"H={horizon} < 4*run_req={4 * run_req}")
         if family == "IAPSTAR" and horizon < 4 * m_max * m_max:
             raise HorizonTooSmall(f"H={horizon} < 4*m_max^2={4 * m_max * m_max}")
-        if not 0 <= tail_start < horizon:
-            raise HorizonTooSmall(f"tail_start={tail_start} outside window")
-        return self.theta, run_req, m_max, tail_start
+        return self.theta, run_req, m_max, horizon // 2
 
 
 def window_family_member(A: TimeSetWindow, family: str,

@@ -14,7 +14,7 @@ Every step can be recovered from the spec the report embeds (README
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -51,8 +51,6 @@ class AnalysisConfig:
     horizon: int = 512
     eps_depth: int = 6
     m_max: int | None = None
-    run_req: int | None = None
-    theta: str = "1/100"
     budget: int = 10**6
     seed: int = 0
     with_witness: bool = True
@@ -62,12 +60,11 @@ class AnalysisConfig:
             raise SpecError("n_max must be at least 2")
         if self.top_k < 1:
             raise SpecError("top_k must be at least 1")
-        # rejects the window (run_req, m_max), horizon, eps_depth and budget
+        # rejects the window's m_max, horizon, eps_depth and budget
         self.classify_params()
 
     def window_params(self) -> WindowParams:
-        return WindowParams(theta=Fraction(self.theta), run_req=self.run_req,
-                            m_max=self.m_max)
+        return WindowParams(m_max=self.m_max)
 
     def classify_params(self) -> ClassifyParams:
         return ClassifyParams(horizon=self.horizon,
@@ -75,13 +72,10 @@ class AnalysisConfig:
                               budget=self.budget, window=self.window_params())
 
     def echo(self) -> dict:
-        return {
-            "spec": self.spec, "ladder_policy": self.ladder_policy,
-            "ladder": list(self.ladder), "top_k": self.top_k, "delta": self.delta,
-            "n_max": self.n_max, "horizon": self.horizon, "eps_depth": self.eps_depth,
-            "m_max": self.m_max, "run_req": self.run_req, "theta": self.theta,
-            "budget": self.budget, "seed": self.seed, "with_witness": self.with_witness,
-        }
+        """Every field, plus the window constants the report was computed with."""
+        window = self.window_params()
+        return dict(asdict(self), ladder=list(self.ladder), run_req=window.run_req,
+                    theta=str(window.theta))
 
 
 def resolve_model(spec: str):
@@ -345,11 +339,11 @@ def write_csv(path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def polyline_svg(series: list[float], *, width: int = 640, height: int = 240,
-                 title: str = "") -> str:
-    """Minimal SVG polyline plot of one numeric series."""
+def polyline_svg(series: list[float], *, title: str = "") -> str:
+    """Minimal 640x240 SVG polyline plot of one numeric series."""
     if not series:
         raise SpecError("cannot plot an empty series")
+    width, height = 640, 240
     lo = min(series)
     hi = max(series)
     span = (hi - lo) or 1.0

@@ -19,6 +19,8 @@ from functools import lru_cache
 from .errors import InvalidPoint, InvariantViolation, NoConvergence, SpecError
 from .graph import bfs_levels, period, strongly_connected_components
 
+ENTROPY_MAX_ITER = 500_000  # power iterations per strongly connected block
+
 
 @dataclass(frozen=True)
 class SftGraph:
@@ -239,20 +241,17 @@ def find_exact_path(g: SftGraph, a: int, b: int, length: int) -> list[int] | Non
     return path
 
 
-def find_connecting_path(g: SftGraph, a: int, b: int, *, min_length: int = 0) -> list[int]:
-    """Shortest path a -> b with length >= min_length; lexicographic tie-break.
+def find_connecting_path(g: SftGraph, a: int, b: int) -> list[int]:
+    """Shortest path a -> b of positive length; lexicographic tie-break.
 
     Raises SpecError when b is not reachable from a within the structural cap.
     """
-    cap = path_length_cap(g) + min_length
-    reach = {a}
-    length = 0
-    while length <= cap:
-        if length >= min_length and b in reach:
+    reach = set(g.successors(a))
+    for length in range(1, path_length_cap(g) + 2):
+        if b in reach:
             return find_exact_path(g, a, b, length)
         reach = {w for v in reach for w in g.successors(v)}
-        length += 1
-    raise SpecError(f"no admissible connecting path {a}->{b} under the given constraints")
+    raise SpecError(f"no admissible connecting path {a}->{b} within the structural cap")
 
 
 # -- entropy --------------------------------------------------------------------
@@ -297,7 +296,7 @@ def _block_radius_bracket(rows: list[list[tuple[int, int]]], tol: float,
     raise NoConvergence(f"entropy bracket did not close in {max_iter} iterations")
 
 
-def sft_entropy(g: SftGraph, tol: float = 1e-9, max_iter: int = 500_000) -> float:
+def sft_entropy(g: SftGraph, tol: float = 1e-9) -> float:
     """Topological entropy of the vertex shift: ln of the adjacency spectral
     radius, with absolute error at most tol.
 
@@ -312,7 +311,7 @@ def sft_entropy(g: SftGraph, tol: float = 1e-9, max_iter: int = 500_000) -> floa
         internal = sum(w for row in rows for _, w in row) - len(rows)
         if internal <= len(rows):
             continue  # transient singleton or a single cycle (radius 0 or 1)
-        lo, hi = _block_radius_bracket(rows, tol, max_iter)
+        lo, hi = _block_radius_bracket(rows, tol, ENTROPY_MAX_ITER)
         lo_all = max(lo_all, lo)
         hi_all = max(hi_all, hi)
     # width of [max lo_b, max hi_b] never exceeds the widest block bracket

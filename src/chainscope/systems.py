@@ -318,6 +318,8 @@ class GridMapSpec:
             raise SpecError(f"unknown map family {self.family!r}")
         if self.cell_count < 2:
             raise SpecError("cell_count must be at least 2")
+        if self.cell_count > MAX_EXHAUSTIVE_POINTS:  # before discretize's n^2 metric
+            raise SpecError(f"cell_count is capped at {MAX_EXHAUSTIVE_POINTS}")
         if self.geometry not in ("interval", "circle"):
             raise SpecError(f"unknown geometry {self.geometry!r}")
         if self.family == "tent":

@@ -511,12 +511,15 @@ FINITE_SPEC = {"schema": "chainscope-v1", "kind": "finite", "points": ["a", "b"]
      "alpha": "x"},
     {"schema": "chainscope-v1", "kind": "grid", "family": "piecewise-linear", "cells": 8,
      "breakpoints": [[1]]},
+    {"schema": "chainscope-v1", "kind": "grid", "family": "tent", "cells": 10**7,
+     "slope": "2"},
     dict(FINITE_SPEC, map=["a", "b"]),
     dict(FINITE_SPEC, metric=[5]),
     dict(FINITE_SPEC, metric=[["a", "b", float("inf")]]),
     dict(FINITE_SPEC, labels=[1]),
     dict(FINITE_SPEC, points=[], map={}, metric=[]),
-], ids=["grid-cells", "grid-alpha", "grid-breakpoints", "finite-map-list",
+], ids=["grid-cells", "grid-alpha", "grid-breakpoints", "grid-cells-above-cap",
+        "finite-map-list",
         "finite-metric-int", "finite-metric-1e400", "finite-labels-list",
         "finite-no-points"])
 def test_malformed_spec_exits_2(spec, tmp_path, monkeypatch, capsys):

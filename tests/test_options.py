@@ -1,0 +1,178 @@
+"""The CLI's option surface: every declared flag is read by its command, a
+flag that cannot apply to the model kind is refused rather than ignored, and
+classify-chaos classifies along the same path as analyze."""
+
+import argparse
+import inspect
+import json
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from chainscope import GridMapSpec, build_chain_digraph, critical_deltas
+from chainscope import cli
+from chainscope.cli import build_parser, main
+from chainscope.corpus import corpus_names, load_corpus
+from chainscope.errors import SpecError
+from chainscope.report import condensation_dot, report_to_json
+from chainscope.specio import save_system
+from chainscope.systems import MAX_EXHAUSTIVE_POINTS, FiniteSystem
+
+from conftest import line_system
+
+
+def run_cli(args, capsys):
+    code = main(args)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return dict(action.choices)
+
+
+# functions a handler hands ``args`` to, whose reads count as the handler's
+HANDLER_HELPERS = {"classify-chaos": (cli._emit_witness_traces,)}
+
+
+def test_every_declared_option_is_read_by_its_handler():
+    declared = 0
+    for name, sub in _subcommands().items():
+        handler = sub.get_default("func")
+        source = "".join(inspect.getsource(f)
+                         for f in (handler, *HANDLER_HELPERS.get(name, ())))
+        dests = [a.dest for a in sub._actions if a.dest != "help"]
+        unread = [d for d in dests if not re.search(rf"\bargs\.{d}\b", source)]
+        assert not unread, f"{name} declares options its handler never reads: {unread}"
+        declared += len(dests)
+    assert declared == 45
+
+
+@pytest.mark.parametrize("argv", [
+    ["chains", "corpus:sys3", "--budget", "5"],
+    ["chains", "corpus:sys3", "--seed", "9"],
+    ["classify-chaos", "corpus:sys3", "--seed", "9"],
+    ["furstenberg", "--eventually-periodic", "pre=", "pat=10", "--budget", "5"],
+    ["furstenberg", "--eventually-periodic", "pre=", "pat=10", "--seed", "9"],
+    ["shadow", "corpus:full2", "--orbit", "orbit.txt", "--budget", "5"],
+    ["shadow", "corpus:full2", "--orbit", "orbit.txt", "--seed", "9"],
+    ["corpus", "--budget", "5"],
+    ["corpus", "--seed", "9"],
+])
+def test_a_flag_the_command_does_not_read_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # each of these used to exit 0 and ignore the flag
+    monkeypatch.chdir(tmp_path)
+    Path("orbit.txt").write_text("|0 1\n1|0 1\n|0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_furstenberg_takes_one_time_set(capsys):
+    # the second subject used to be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["furstenberg", "--eventually-periodic", "pre=", "pat=1",
+              "--rotation", "alpha=golden"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_shadow_epsilon_on_a_vertex_shift_exits_2(tmp_path, monkeypatch, capsys):
+    # a vertex shift is shadowed to --depth; --epsilon used to be ignored
+    monkeypatch.chdir(tmp_path)
+    Path("orbit.txt").write_text("|0 1\n1|0 1\n|0 1\n")
+    code, out, err = run_cli(["shadow", "corpus:full2", "--orbit", "orbit.txt",
+                              "--epsilon", "1/4", "--out", "s.json"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "finite systems" in err
+    assert out == ""
+    assert not Path("s.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--emit-csv", "t.csv"], ["--emit-svg", "t.svg"],
+                                   ["--emit-csv", "t.csv", "--emit-svg", "t.svg"]])
+def test_classify_witness_traces_on_a_finite_system_exit_2(flags, tmp_path, monkeypatch,
+                                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["classify-chaos", "corpus:sys3", *flags, "--out", "r.json"],
+                             capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "vertex shifts" in err
+    assert out == ""
+    assert list(Path().iterdir()) == []
+
+
+def test_analyze_emit_dot_on_a_vertex_shift_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["analyze", "corpus:full2", "--emit-dot", "c.dot",
+                              "--out", "r.json"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "finite systems" in err
+    assert out == ""
+    assert list(Path().iterdir()) == []
+
+
+@pytest.mark.parametrize("extra", [
+    ["--ladder-policy", "top-k", "--top-k", "2"],
+    ["--ladder-policy", "explicit", "--ladder", "3/4,1/2"],
+    ["--delta", "3/8"],
+])
+def test_analyze_emit_dot_draws_the_classification_resolution(extra, tmp_path, capsys):
+    dot = tmp_path / "c.dot"
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(["analyze", "corpus:tent8", *extra, "--emit-dot", str(dot),
+                          "--out", str(out)], capsys)
+    assert code == 0
+    report = json.loads(out.read_text())
+    model = load_corpus("tent8")
+    delta = Fraction(report["basins"][0]["delta"])
+    assert delta != critical_deltas(model)[0]
+    assert dot.read_text() == condensation_dot(build_chain_digraph(model, delta))
+
+
+def _chaos_list(argv, capsys) -> str:
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    return report_to_json(json.loads(out)["chaos"])
+
+
+def _finite_cases():
+    for name in corpus_names():
+        model = load_corpus(name)
+        if isinstance(model, FiniteSystem):
+            # every critical resolution and one off the ladder
+            for d in [*critical_deltas(model), Fraction(1, 3)]:
+                yield f"corpus:{name}", str(d)
+
+
+@pytest.mark.parametrize("spec, delta", list(_finite_cases()))
+def test_classify_chaos_matches_analyze_on_the_corpus(spec, delta, capsys):
+    # classify-chaos and analyze classify from the same decompositions
+    assert (_chaos_list(["classify-chaos", spec, "--delta", delta], capsys)
+            == _chaos_list(["analyze", spec, "--delta", delta], capsys))
+
+
+@pytest.mark.parametrize("n, seed", [(12, 5), (16, 6), (20, 7)])
+def test_classify_chaos_matches_analyze_on_line_systems(n, seed, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    model = line_system(n, seed)
+    save_system(model, "line.json")
+    crit = critical_deltas(model)
+    for d in (crit[0], crit[len(crit) // 2], crit[-1]):
+        assert (_chaos_list(["classify-chaos", "line.json", "--delta", str(d)], capsys)
+                == _chaos_list(["analyze", "line.json", "--ladder-policy", "top-k",
+                                "--delta", str(d)], capsys))
+
+
+def test_grid_cell_count_is_capped():
+    GridMapSpec("tent", MAX_EXHAUSTIVE_POINTS, slope=Fraction(2))
+    with pytest.raises(SpecError, match="cell_count"):
+        GridMapSpec("tent", MAX_EXHAUSTIVE_POINTS + 1, slope=Fraction(2))
+    with pytest.raises(SpecError, match="cell_count"):
+        GridMapSpec("tent", 10**7, slope=Fraction(2))
