@@ -18,6 +18,21 @@ levels at the distinct step ranks.
 Chain recurrence here is the fixed-resolution notion: a node lies on a
 directed cycle.  The all-resolution notion is recovered by intersecting over
 the critical resolution ladder; see the basin and proximal modules.
+
+Along an ascending ladder, ``ladder_digraphs`` builds each step from the
+previous one.  Going up from cut K to cut K' only adds edges: the pairs
+(f(u), v) whose rank lies in (K, K'].  Only the rows of the preimages of
+images that gained a pair change.  The SCC partition changes iff an added
+edge u -> v joins two old SCCs and v reaches u in the new digraph.  If one
+does, u and v now share an SCC.  If none does, no added edge between two
+old SCCs lies on a cycle, as the cycle would lead from v back to u.  So
+each edge of a cycle is old or added inside one old SCC; either way it
+joins nodes that were mutually reachable before, and the whole cycle lies
+in one old SCC.  The test runs once all of a step's edges are in, as two
+added edges can close a cycle together.  When the partition stays, the
+condensation gains exactly the added cross edges.  A new self-loop changes
+whether a singleton SCC is recurrent, which ``chain_components`` reads from
+``succ``, but not the partition.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InvariantViolation, SpecError
 from .graph import strongly_connected_components
@@ -39,6 +54,8 @@ class ChainDigraph:
 
     ``sccs`` is ordered deterministically (by smallest member node);
     ``cond_succ[i]`` lists condensation successors of the i-th SCC.
+    ``cut`` is ``system.ranks.cut(delta)``, the rank bound of the edges;
+    it is computed from delta when not given.
     """
 
     system: FiniteSystem
@@ -47,12 +64,17 @@ class ChainDigraph:
     sccs: tuple[tuple[str, ...], ...]
     scc_of: Mapping[str, int]
     cond_succ: tuple[tuple[int, ...], ...]
+    cut: int | None = None
+
+    def __post_init__(self):
+        if self.cut is None:
+            object.__setattr__(self, "cut", self.system.ranks.cut(self.delta))
 
     def is_edge(self, u: str, v: str) -> bool:
         return v in set(self.succ[u])
 
 
-def _finalize(system: FiniteSystem, delta: Fraction,
+def _finalize(system: FiniteSystem, delta: Fraction, cut: int,
               succ: dict[str, tuple[str, ...]]) -> ChainDigraph:
     comps = sorted(strongly_connected_components(succ), key=lambda c: c[0])
     scc_of = {u: i for i, comp in enumerate(comps) for u in comp}
@@ -62,20 +84,103 @@ def _finalize(system: FiniteSystem, delta: Fraction,
     for i, s in enumerate(cond):
         s.discard(i)
     return ChainDigraph(system, delta, succ, tuple(comps), scc_of,
-                        tuple(tuple(sorted(s)) for s in cond))
+                        tuple(tuple(sorted(s)) for s in cond), cut)
+
+
+def _resolution(sys: FiniteSystem, delta) -> tuple[Fraction, int]:
+    """(delta as a Fraction, its cut), refusing a negative delta."""
+    delta = Fraction(delta)
+    if delta < 0:
+        raise SpecError("delta must be nonnegative")
+    return delta, sys.ranks.cut(delta)
+
+
+def _row(sys: FiniteSystem, image: str, cut: int) -> tuple[str, ...]:
+    """Successors of every preimage of ``image``: the names v with
+    rank(image, v) <= cut, in point order."""
+    ranks = sys.ranks
+    # compress keeps the names whose rank r has cut >= r, in point order
+    return tuple(compress(ranks.names, map(cut.__ge__, ranks.rank[image])))
 
 
 def build_chain_digraph(sys: FiniteSystem, delta) -> ChainDigraph:
     """Digraph with an edge u -> v iff d(f(u), v) <= delta."""
-    delta = Fraction(delta)
-    if delta < 0:
-        raise SpecError("delta must be nonnegative")
+    delta, cut = _resolution(sys, delta)
+    succ = {u: _row(sys, sys.apply(u), cut) for u in sys.points}
+    return _finalize(sys, delta, cut, succ)
+
+
+def _reach(masks: list[int], start: int) -> int:
+    """Bitmask of the points reachable from point ``start`` (itself
+    included), given each point's successor mask."""
+    seen = 0
+    frontier = 1 << start
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+    return seen
+
+
+def ladder_digraphs(sys: FiniteSystem, deltas: Iterable) -> Iterator[ChainDigraph]:
+    """``build_chain_digraph(sys, delta)`` for each of the ascending
+    ``deltas``, each built from the previous step and the pairs it adds
+    (argument in the module docstring).  One Tarjan runs at the first step
+    and at each step whose SCC partition changes."""
     ranks = sys.ranks
-    cut = ranks.cut(delta)
-    # compress keeps the names whose rank r has cut >= r, in point order
-    succ = {u: tuple(compress(ranks.names, map(cut.__ge__, ranks.rank[sys.apply(u)])))
-            for u in sys.points}
-    return _finalize(sys, delta, succ)
+    names, index = ranks.names, ranks.index
+    preimages: dict[str, list[str]] = {}
+    for u in sys.points:
+        preimages.setdefault(sys.apply(u), []).append(u)
+    # every (image, v) pair by rank, sorted once per walk
+    pairs = sorted((r, image, v) for image in preimages
+                   for v, r in zip(names, ranks.rank[image]))
+    masks = [0] * len(names)  # successor mask of each point, bit index[v] for v
+    taken = 0
+    dg: ChainDigraph | None = None
+    for delta in deltas:
+        delta, cut = _resolution(sys, delta)
+        if dg is not None and cut < dg.cut:
+            raise InvariantViolation("ladder resolutions must ascend")
+        added: list[tuple[str, str]] = []
+        grown: set[str] = set()
+        while taken < len(pairs) and pairs[taken][0] <= cut:
+            _, image, v = pairs[taken]
+            taken += 1
+            grown.add(image)
+            for u in preimages[image]:
+                masks[index[u]] |= 1 << index[v]
+                added.append((u, v))
+        if dg is None:
+            dg = build_chain_digraph(sys, delta)
+            yield dg
+            continue
+        succ = dict(dg.succ)
+        for image in grown:
+            row = _row(sys, image, cut)
+            for u in preimages[image]:
+                succ[u] = row
+        scc_of = dg.scc_of
+        cross = [(u, v) for u, v in added if scc_of[u] != scc_of[v]]
+        # the tails of the added cross edges into each head v
+        tails: dict[str, int] = {}
+        for u, v in cross:
+            tails[v] = tails.get(v, 0) | 1 << index[u]
+        if any(_reach(masks, index[v]) & us for v, us in tails.items()):
+            dg = _finalize(sys, delta, cut, succ)
+        else:
+            cond = list(dg.cond_succ)
+            grew: dict[int, set[int]] = {}
+            for u, v in cross:
+                grew.setdefault(scc_of[u], set(cond[scc_of[u]])).add(scc_of[v])
+            for i, s in grew.items():
+                cond[i] = tuple(sorted(s))
+            dg = ChainDigraph(sys, delta, succ, dg.sccs, scc_of, tuple(cond), cut)
+        yield dg
 
 
 def digraph_from_edges(sys: FiniteSystem, delta, edges: Iterable[tuple[str, str]]) -> ChainDigraph:
@@ -84,7 +189,8 @@ def digraph_from_edges(sys: FiniteSystem, delta, edges: Iterable[tuple[str, str]
     succ: dict[str, set[str]] = {u: set() for u in sys.points}
     for u, v in edges:
         succ[u].add(v)
-    return _finalize(sys, delta, {u: tuple(sorted(s)) for u, s in succ.items()})
+    return _finalize(sys, delta, sys.ranks.cut(delta),
+                     {u: tuple(sorted(s)) for u, s in succ.items()})
 
 
 def _is_recurrent_scc(dg: ChainDigraph, comp: tuple[str, ...]) -> bool:

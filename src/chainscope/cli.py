@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .basins import assign_basins
 from .chains import ChainDigraph, build_chain_digraph, critical_deltas
-from .chaos import (ClassifyParams, classify_finite_component, classify_sft,
-                    construct_witness, profile_extremes)
+from .chaos import (ClassifyParams, ComponentChaosReport, classify_finite_component,
+                    classify_sft, construct_witness, profile_extremes)
 from .cyclic import CyclicSweep
 from .errors import BudgetExceeded, ChainscopeError, InternalError, ValidationError
 from .families import (EventuallyPeriodicSet, WindowParams, inclusion_audit,
@@ -131,10 +131,11 @@ def _cmd_classify(args) -> int:
     sections = []
     if isinstance(model, SftGraph):
         reject_shift_delta(args.delta)
-        section, _ = chaos_section(classify_sft(model, args.n_max, params))
+        classified = classify_sft(model, args.n_max, params)
+        section, _ = chaos_section(classified)
         sections.append(section)
         if args.emit_csv or args.emit_svg:
-            _emit_witness_traces(model, args)
+            _emit_witness_traces(model, classified, args)
     else:
         if args.emit_csv or args.emit_svg:
             raise ValidationError("--emit-csv and --emit-svg apply only to vertex shifts")
@@ -146,10 +147,21 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _emit_witness_traces(model, args) -> None:
-    """Per-time min/max pairwise distances of a constructed witness tuple,
-    the raw data behind its separation and proximity windows."""
-    built = construct_witness(model, 2, "DC1", args.horizon)
+def _emit_witness_traces(model: SftGraph, classified: ComponentChaosReport, args) -> None:
+    """Per-time min/max pairwise distances of the DC1 witness pair built
+    from the classification's distal 2-tuple, the raw data behind its
+    separation and proximity windows.  A shift with no distal pair has no
+    such witness, which is refused before any file is written."""
+    pairs = classified.per_n[0]
+    if pairs.budget_exceeded:
+        raise BudgetExceeded("the distal 2-tuple search behind the witness trace "
+                             "ran out of budget")
+    if pairs.distal_witness is None:
+        raise ValidationError(f"--emit-csv and --emit-svg trace a DC1 witness pair, but this "
+                              f"shift has no distal 2-tuple (level {classified.level})")
+    # the tier's delta_n is 2^-(t + 1) for the window t its tuple was found at
+    t = pairs.distal_delta.denominator.bit_length() - 2
+    built = construct_witness(model, 2, "DC1", args.horizon, distal=(pairs.distal_witness, t))
     mins, maxs = profile_extremes(model, built.points, args.horizon)
     if args.emit_csv:
         rows = [[i, str(mins[i]), str(maxs[i])] for i in range(args.horizon)]
@@ -204,17 +216,21 @@ def _cmd_furstenberg(args) -> int:
 
 def _cmd_shadow(args) -> int:
     model = resolve_model(args.spec)
+    if args.depth is not None and args.delta is not None and not isinstance(model, SftGraph):
+        raise ValidationError("--depth only sets the default --delta on a finite system; "
+                              "give one of them")
+    depth = 3 if args.depth is None else args.depth
     states = load_pseudo_orbit(args.orbit, model)
-    if args.depth < 1:
+    if depth < 1:
         raise ValidationError("agreement depth must be at least 1")
-    delta = as_fraction(args.delta) if args.delta is not None else Fraction(1, 2**args.depth)
+    delta = as_fraction(args.delta) if args.delta is not None else Fraction(1, 2**depth)
     po = validate_pseudo_orbit(model, states, delta)
     limit = validate_limit_pseudo_orbit(po, delta, default_schedule(delta))
     if isinstance(model, SftGraph):
         if args.epsilon is not None:
             raise ValidationError("--epsilon applies only to finite systems; "
                                   "a vertex shift is shadowed to --depth")
-        result = sft_shadow(model, po, args.depth)
+        result = sft_shadow(model, po, depth)
     else:
         epsilon = as_fraction(args.epsilon) if args.epsilon is not None else delta
         result = find_shadowing_point(model, po, epsilon)
@@ -305,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit", required=True)
     p.add_argument("--delta", default=None)
     p.add_argument("--epsilon", default=None)
-    p.add_argument("--depth", type=int, default=3, help="agreement depth n")
+    p.add_argument("--depth", type=int, default=None,
+                   help="agreement depth n (default 3); on a finite system it only "
+                        "sets the default delta 2^-n")
     p.add_argument("--emit-csv", default=None)
     p.add_argument("--emit-svg", default=None)
     p.add_argument("--out", default=None)

@@ -191,9 +191,8 @@ def cyclic_classes(dg: ChainDigraph, C, *, compute_transient: bool = True,
     comp = _require_component(dg, C)
     class_of, m = _labels(dg, comp)
     nodes = sorted(comp)
-    cut = dg.system.ranks.cut(dg.delta)
     violations = tuple((u, v) for r, u, v in _cross_pairs(dg.system, nodes, class_of)
-                       if r <= cut)
+                       if r <= dg.cut)
     if violations and p2 == "raise":
         raise ModelInconsistency("class merge law", violations[0])
     n_index = None
@@ -285,6 +284,12 @@ class _Segment:
         return self._transient[i]
 
 
+def _key(delta: Fraction) -> tuple[int, int]:
+    """Dict key of a resolution: hashing a Fraction computes a modular
+    inverse on every call, hashing its two ints does not."""
+    return delta.numerator, delta.denominator
+
+
 class CyclicSweep:
     """Cyclic decompositions of every chain component along an ascending
     sequence of step digraphs of one system.
@@ -307,7 +312,7 @@ class CyclicSweep:
     """
 
     def __init__(self, digraphs: Iterable[ChainDigraph] = ()):
-        self._steps: dict[Fraction, tuple[int, int, dict[frozenset[str], _Segment]]] = {}
+        self._steps: dict[tuple[int, int], tuple[int, int, dict[frozenset[str], _Segment]]] = {}
         self._open: dict[frozenset[str], _Segment] = {}
         self._last: Fraction | None = None
         self._read = False
@@ -328,17 +333,17 @@ class CyclicSweep:
             here[comp] = seg
         self._open = here
         self._last = dg.delta
-        self._steps[dg.delta] = (i, dg.system.ranks.cut(dg.delta), here)
+        self._steps[_key(dg.delta)] = (i, dg.cut, here)
 
     def components(self, delta: Fraction) -> KeysView[frozenset[str]]:
         """Chain components at a swept resolution, in ``chain_components`` order."""
-        return self._steps[delta][2].keys()
+        return self._steps[_key(delta)][2].keys()
 
     def decomposition(self, delta: Fraction, comp: frozenset[str]) -> CyclicDecomposition | None:
         """What ``cyclic_classes(dg, comp, p2="record")`` returns at a swept
         resolution; None when comp is not a chain component there."""
         self._read = True
-        i, cut, here = self._steps[delta]
+        i, cut, here = self._steps[_key(delta)]
         seg = here.get(comp)
         if seg is None:
             return None

@@ -14,6 +14,7 @@ Every step can be recovered from the spec the report embeds (README
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -21,8 +22,8 @@ from typing import Sequence
 
 from . import __version__
 from .basins import BasinAssignment, assign_basins, verify_partition_laws
-from .chains import (ChainDigraph, _is_recurrent_scc, build_chain_digraph, chain_analysis,
-                     critical_deltas)
+from .chains import (ChainDigraph, _is_recurrent_scc, chain_analysis, critical_deltas,
+                     ladder_digraphs)
 from .chaos import ClassifyParams, classify_finite_component, classify_sft
 from .cyclic import CyclicSweep
 from .errors import SpecError
@@ -265,33 +266,33 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
         delta = as_fraction(config.delta) if config.delta is not None else ladder[0]
         report["ladder"] = [_frac(d) for d in ladder]
         report["chain_analyses"] = []
-        # one digraph per ladder step, plus the classification resolution when
-        # it is off the ladder; the sweep keeps what the later sections read
-        on_ladder = set(ladder)
+        # one walk over the ladder and the classification resolution, which
+        # is walk step ``at``: inserted there when it is off the ladder, so
+        # ladder[at:] lies above it; the sweep keeps what later sections read
+        at = bisect_left(ladder, delta)
+        on = ladder[at:at + 1] == [delta]
+        walk = ladder if on else [*ladder[:at], delta, *ladder[at:]]
         sweep = CyclicSweep()
-        dg = None
         comps = None
-        for d in sorted(on_ladder | {delta}):
-            step = build_chain_digraph(model, d)
+        for j, step in enumerate(ladder_digraphs(model, walk)):
             sweep.add(step)
-            if d in on_ladder:
-                last, comps = comps, sweep.components(d)
+            if on or j != at:
+                last, comps = comps, sweep.components(step.delta)
                 if _changed(last, comps):
                     report["chain_analyses"].append(chain_section(step))
-            if d == delta:
+            if j == at:
                 dg = step
         report["cyclic"] = _changed_cyclic_rows(sweep, ladder)
         decomps = sweep.decompositions(delta)
         report["basins"] = [basin_section(assign_basins(model, dg, decomps))]
-        down = ladder[::-1]
         report["proximal"] = []
         for dec in decomps:
             comp = dec.component
-            # refine from the coarsest resolution at which this set is a
-            # component down the ladder
-            coarse = next((dd for dd in down if dd >= delta and comp in sweep.components(dd)),
-                          None)
-            sub = [dd for dd in down if coarse is not None and dd <= coarse] or [delta]
+            # refine from the coarsest resolution at or above delta at which
+            # this set is a component, down the ladder
+            top = next((i for i in range(len(ladder) - 1, at - 1, -1)
+                        if comp in sweep.components(ladder[i])), None)
+            sub = ladder[top::-1] if top is not None else [delta]
             pp = sweep.proximal(comp, sub)
             report["proximal"].append({
                 "component": sorted(comp),

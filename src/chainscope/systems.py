@@ -62,16 +62,25 @@ class DistanceRanks:
     ``names`` the sorted point names and ``index`` their positions.  Since
     the levels are strictly ascending, for every rational delta
     d(u, v) <= delta holds iff the rank of (u, v) is at most ``cut(delta)``.
+    ``scaled`` holds the levels times ``scale``, the lcm of their
+    denominators, as ints.
     """
 
     levels: tuple[Fraction, ...]
     names: tuple[str, ...]
     index: Mapping[str, int]
     rank: Mapping[str, tuple[int, ...]]
+    scale: int
+    scaled: tuple[int, ...]
 
     def cut(self, delta: Fraction) -> int:
-        """Index of the largest level <= delta (-1 when delta < 0)."""
-        return bisect_right(self.levels, delta) - 1
+        """Index of the largest level <= delta (-1 when delta < 0).
+
+        An int level s / scale is at most p / q iff s <= p * scale / q, and
+        so iff s <= floor(p * scale / q): one int bisection, no Fraction
+        comparison.
+        """
+        return bisect_right(self.scaled, delta.numerator * self.scale // delta.denominator) - 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,8 @@ class FiniteSystem:
         level_of = {x: r for r, x in enumerate(scaled)}
         levels = tuple(Fraction(x, scale) for x in scaled)
         rank = {u: tuple(map(level_of.__getitem__, row)) for u, row in zip(names, rows)}
-        return DistanceRanks(levels, names, {v: j for j, v in enumerate(names)}, rank)
+        return DistanceRanks(levels, names, {v: j for j, v in enumerate(names)}, rank,
+                             scale, tuple(scaled))
 
     @cached_property
     def orbit_floor(self) -> Mapping[str, tuple[int, ...]]:

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chainscope import (assign_basins, build_chain_digraph, chain_components,
                         critical_deltas, cyclic_classes, finite_system, omega_limit,
                         verify_partition_laws)
 
 from conftest import random_system
+from oracles import brute_proximal, closure_components
 
 
 def test_omega_limit_examples(sysns, sys3, sys2id):
@@ -119,3 +123,35 @@ def test_map_invariance_can_fail_at_fixed_resolution():
     # a is recurrent in {x, a} but its true orbit falls into {z}
     assert ba.components[ba.component_of["a"]] == frozenset({"z"})
     assert verify_partition_laws(ba).ok
+
+
+def _iterate(sys, x, steps):
+    for _ in range(steps):
+        x = sys.apply(x)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_basins_match_the_closure_and_proximal_oracles(seed):
+    rng = random.Random(seed)
+    sys = random_system(rng, max_points=8)
+    points = sorted(sys.points)
+    for delta in critical_deltas(sys):
+        dg = build_chain_digraph(sys, delta)
+        ba = assign_basins(sys, dg)
+        closure, _ = closure_components(sys.points, dg.succ)
+        for x in points:
+            # the component basin: the closure component holding omega(x)
+            (home,) = [c for c in closure if omega_limit(sys, x) <= c]
+            assert ba.components[ba.component_of[x]] == home
+        for i, x in enumerate(points):
+            for y in points[i:]:
+                # past both settle times the two orbits lie in their components,
+                # where sharing a class basin is chain proximality
+                T = max(ba.settle_time[x], ba.settle_time[y])
+                comp = ba.components[ba.component_of[x]]
+                shared = (ba.component_of[x] == ba.component_of[y]
+                          and brute_proximal(sys.points, dg.succ, comp,
+                                             _iterate(sys, x, T), _iterate(sys, y, T)))
+                assert (ba.class_of_basin[x] == ba.class_of_basin[y]) == shared

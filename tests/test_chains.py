@@ -2,13 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainscope import (build_chain_digraph, chain_components, chain_recurrent_set,
+from chainscope import (build_chain_digraph, chain_components, chain_recurrent_set, chains,
                         complete_lyapunov, critical_deltas, cyclic_classes,
-                        digraph_from_edges, finite_system, reaches)
+                        digraph_from_edges, finite_system, graph, reaches)
+from chainscope.chains import ladder_digraphs
+from chainscope.report import AnalysisConfig, cmd_analyze
+from chainscope.specio import save_system
 
-from conftest import random_system
+from conftest import line_system, random_system
 from oracles import closure_components
+from test_cyclic import _sweep_deltas, _sweep_system
 
 
 def edges_of(dg):
@@ -241,3 +247,54 @@ def test_negative_delta_rejected(sys3):
 
     with pytest.raises(SpecError):
         build_chain_digraph(sys3, Fraction(-1, 2))
+
+
+def _digraph_fields(dg):
+    return (dg.delta, dg.cut, dict(dg.succ), dg.sccs, dict(dg.scc_of), dg.cond_succ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "line", "two_level", "two_cycle", "grid"]))
+def test_ladder_walk_matches_each_build(seed, kind):
+    rng = random.Random(seed)
+    sys = _sweep_system(kind, rng)
+    deltas = _sweep_deltas(sys)
+    crit = critical_deltas(sys)
+    top_k = crit[-rng.randint(1, len(crit)):]
+    # deltas[0] is the first critical value, so this ladder starts above it
+    above = deltas[rng.randrange(1, len(deltas)):]
+    for ladder in (deltas, top_k, above):
+        # every step is compared after the walk ends, so a step that changes
+        # once a later one is built fails too
+        walk = list(ladder_digraphs(sys, ladder))
+        assert len(walk) == len(ladder)
+        for dg, d in zip(walk, ladder):
+            assert _digraph_fields(dg) == _digraph_fields(build_chain_digraph(sys, d))
+
+
+def test_ladder_walk_runs_tarjan_only_where_the_sccs_change(tmp_path, monkeypatch):
+    sys = line_system(24, 24)
+    save_system(sys, tmp_path / "line.json")
+    ladder = critical_deltas(sys)
+    partitions = [build_chain_digraph(sys, d).sccs for d in ladder]
+    changes = sum(a != b for a, b in zip(partitions, partitions[1:]))
+    calls = []
+
+    def counting(succ):
+        calls.append(None)
+        return graph.strongly_connected_components(succ)
+
+    monkeypatch.setattr(chains, "strongly_connected_components", counting)
+    cmd_analyze(AnalysisConfig(spec=str(tmp_path / "line.json")))
+    assert len(calls) == 1 + changes
+    assert len(calls) < len(ladder)
+
+
+def test_ladder_walk_refuses_a_descending_or_negative_resolution(sys3):
+    from chainscope.errors import InvariantViolation, SpecError
+
+    with pytest.raises(InvariantViolation):
+        list(ladder_digraphs(sys3, [Fraction(1), Fraction(1, 2)]))
+    with pytest.raises(SpecError):
+        list(ladder_digraphs(sys3, [Fraction(-1, 2), Fraction(1)]))

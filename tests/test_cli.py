@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chainscope import basins, cyclic, report
+from chainscope import basins, chains, cyclic, report
 from chainscope.chains import ChainDigraph, complete_lyapunov
 from chainscope.cli import main
 from chainscope.corpus import corpus_names, load_corpus
@@ -106,7 +106,7 @@ def test_internal_invariant_failure_exits_4(monkeypatch, capsys):
                           (("a",), ("b", "c")), {"a": 0, "b": 1, "c": 1}, ((1,), (0,)))
     with pytest.raises(InternalError):
         complete_lyapunov(broken)
-    monkeypatch.setattr(report, "build_chain_digraph", lambda model, delta: broken)
+    monkeypatch.setattr(report, "ladder_digraphs", lambda model, deltas: iter([broken]))
     code, _, err = run_cli(["analyze", "corpus:sys3"], capsys)
     assert code == 4
     assert "internal invariant failure" in err
@@ -269,8 +269,8 @@ def test_v2_report_bytes_match_recorded_digest(i):
     {"spec": "corpus:rotation4", "ladder_policy": "top-k", "top_k": 2},
 ])
 def test_analyze_builds_each_ladder_digraph_once(config, monkeypatch):
-    builds = {"report": 0, "cyclic": 0}
-    for module in (report, cyclic):
+    builds = {"chains": 0, "cyclic": 0}
+    for module in (chains, cyclic):
         name = module.__name__.rsplit(".", 1)[1]
 
         def build(sys, delta, _name=name, _original=module.build_chain_digraph):
@@ -278,11 +278,9 @@ def test_analyze_builds_each_ladder_digraph_once(config, monkeypatch):
             return _original(sys, delta)
 
         monkeypatch.setattr(module, "build_chain_digraph", build)
-    doc = cmd_analyze(AnalysisConfig(**config))
-    ladder = [Fraction(d) for d in doc["ladder"]]
-    delta = Fraction(config.get("delta", ladder[0]))
-    # the sweep, plus the classification digraph only when it is off the ladder
-    assert builds["report"] == len(ladder) + (delta not in ladder)
+    cmd_analyze(AnalysisConfig(**config))
+    # the walk builds its first step; each later step grows from the one before
+    assert builds["chains"] == 1
     # the proximal section reads the sweep and builds no digraph of its own
     assert builds["cyclic"] == 0
 

@@ -425,3 +425,24 @@ def test_sweep_rejects_misuse(sys3):
     fewer = digraph_from_edges(sys3, 2, [("a", "b"), ("b", "c"), ("c", "a")])
     with pytest.raises(InvariantViolation):
         CyclicSweep([steps[1], fewer])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_proximal_partition_matches_the_proximal_oracle(seed):
+    # two points share a class iff they are chain proximal at every
+    # resolution the partition refines over
+    rng = random.Random(seed)
+    sys = random_system(rng, max_points=8)
+    crit = critical_deltas(sys)
+    for top in {crit[0], crit[len(crit) // 2], crit[-1], rng.choice(crit)}:
+        down = [d for d in reversed(crit) if d <= top]
+        for comp in chain_components(build_chain_digraph(sys, top)):
+            pp = proximal_partition(sys, comp, down, p2="record")
+            class_of = {u: i for i, cls in enumerate(pp.classes) for u in cls}
+            succs = [build_chain_digraph(sys, d).succ for d in pp.ladder]
+            nodes = sorted(comp)
+            for i, x in enumerate(nodes):
+                for y in nodes[i:]:
+                    assert (class_of[x] == class_of[y]) == all(
+                        brute_proximal(sys.points, succ, comp, x, y) for succ in succs)

@@ -3,6 +3,7 @@ flag that cannot apply to the model kind is refused rather than ignored, and
 classify-chaos classifies along the same path as analyze."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from chainscope import GridMapSpec, build_chain_digraph, critical_deltas
-from chainscope import cli
+from chainscope import chaos, cli
 from chainscope.cli import build_parser, main
 from chainscope.corpus import corpus_names, load_corpus
 from chainscope.errors import SpecError
@@ -176,3 +177,120 @@ def test_grid_cell_count_is_capped():
         GridMapSpec("tent", MAX_EXHAUSTIVE_POINTS + 1, slope=Fraction(2))
     with pytest.raises(SpecError, match="cell_count"):
         GridMapSpec("tent", 10**7, slope=Fraction(2))
+
+
+THREE_CYCLE_SPEC = {"schema": "chainscope-v1", "kind": "sft",
+                    "adjacency": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("flags", [["--emit-csv", "t.csv"], ["--emit-svg", "t.svg"]])
+def test_witness_traces_of_a_shift_without_a_distal_pair_exit_2(flags, tmp_path,
+                                                                monkeypatch, capsys):
+    # a 3-cycle has one vertex per cyclic class, so no distal pair: the trace
+    # used to exit 3 as if a budget had run out
+    monkeypatch.chdir(tmp_path)
+    Path("c3.json").write_text(json.dumps(THREE_CYCLE_SPEC))
+    code, out, err = run_cli(["classify-chaos", "c3.json", *flags, "--out", "r.json"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "level NONE" in err
+    assert out == ""
+    assert sorted(p.name for p in Path().iterdir()) == ["c3.json"]
+
+
+def test_witness_traces_whose_pair_search_runs_out_of_budget_exit_3(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["classify-chaos", "corpus:full2", "--budget", "3",
+                              "--emit-csv", "t.csv", "--out", "r.json"], capsys)
+    assert code == 3
+    assert err.startswith("budget exceeded: ")
+    assert out == ""
+    assert list(Path().iterdir()) == []
+
+
+@pytest.mark.parametrize("horizon, csv_digest, svg_digest", [
+    ("512", "ef46c58ead21fd53862dde90822e0bf8de19f2ef7c52da9b550acd5b69d93a04",
+     "719b2389c3af8b1461880b29300f1455af004f78ebecc8102fe3bc8bf1c6fe10"),
+    ("200", "a81f360779f593429ec2ee46de4c2c58c7ffc86d3e9259e01de3738089bce8b3",
+     "65e725d60c9cdad4c793867dab7705b4612cc4d56c0c054b82e4a44293c0f52b"),
+])
+def test_witness_traces_of_full2_keep_their_bytes(horizon, csv_digest, svg_digest, tmp_path,
+                                                  monkeypatch, capsys):
+    # recorded when the trace still ran its own distal search; it now reuses
+    # the classification's pair
+    monkeypatch.chdir(tmp_path)
+    searches = []
+    original = chaos._first_distal
+
+    def counting(*args):
+        searches.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(chaos, "_first_distal", counting)
+    code, _, _ = run_cli(["classify-chaos", "corpus:full2", "--horizon", horizon,
+                          "--n-max", "2", "--emit-csv", "t.csv", "--emit-svg", "t.svg",
+                          "--out", "r.json"], capsys)
+    assert code == 0
+    assert (_digest("t.csv"), _digest("t.svg")) == (csv_digest, svg_digest)
+    assert len(searches) == 1  # the classification's n = 2 search, and no other
+
+
+ORBIT_TENT8 = "c0\nc0\nc1\nc2\nc5\nc3\nc6\nc1\n"  # step 4 has error 1/4
+
+
+def test_shadow_depth_with_delta_on_a_finite_system_exits_2(tmp_path, monkeypatch, capsys):
+    # --depth only sets the default delta there, so the pair used to write
+    # the bytes of --delta alone whatever the depth
+    monkeypatch.chdir(tmp_path)
+    Path("o.txt").write_text(ORBIT_TENT8)
+    code, out, err = run_cli(["shadow", "corpus:tent8", "--orbit", "o.txt", "--delta", "1/4",
+                              "--depth", "7", "--out", "s.json"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "--depth" in err
+    assert out == ""
+    assert sorted(p.name for p in Path().iterdir()) == ["o.txt"]
+
+
+@pytest.mark.parametrize("spec, orbit, flags, digest", [
+    ("corpus:tent8", ORBIT_TENT8, ["--delta", "1/4"],
+     "f2f6cdb774457636b469e557efde76472a3b6416d32331a3f3b609e880252891"),
+    ("corpus:tent8", ORBIT_TENT8, ["--depth", "2"],
+     "f2f6cdb774457636b469e557efde76472a3b6416d32331a3f3b609e880252891"),
+    ("corpus:full2", "|0 1\n1|0 1\n|0 1\n", [],
+     "535e7112868fdf90b9c04b36ec6a763a20670ee3436cd8638eb1e9e867cd09cc"),
+    ("corpus:full2", "|0 1\n1|0 1\n|0 1\n", ["--depth", "3"],
+     "535e7112868fdf90b9c04b36ec6a763a20670ee3436cd8638eb1e9e867cd09cc"),
+])
+def test_shadow_without_the_pair_keeps_its_bytes(spec, orbit, flags, digest, tmp_path,
+                                                 monkeypatch, capsys):
+    # digests recorded when --depth defaulted to 3 in the parser
+    monkeypatch.chdir(tmp_path)
+    Path("o.txt").write_text(orbit)
+    code, _, _ = run_cli(["shadow", spec, "--orbit", "o.txt", *flags, "--out", "s.json"],
+                         capsys)
+    assert code == 0
+    assert _digest("s.json") == digest
+
+
+def _readme_cli_flags() -> dict[str, set[str]]:
+    """Flags of each command in the README "CLI" table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    table = {}
+    for row in rows:
+        command_cell, flags_cell = row.strip("|").split("|", 1)
+        command = re.search(r"`([a-z-]+)", command_cell).group(1)
+        table[command] = set(re.findall(r"--[a-z][a-z-]*", flags_cell))
+    return table
+
+
+def test_readme_cli_table_lists_each_declared_flag():
+    declared = {name: {opt for a in sub._actions for opt in a.option_strings
+                       if opt.startswith("--") and opt != "--help"}
+                for name, sub in _subcommands().items()}
+    assert _readme_cli_flags() == declared

@@ -8,6 +8,7 @@ from chainscope import GridMapSpec, compile_finite, discretize
 from chainscope.errors import MetricViolation, PartialMap, SpecError
 from chainscope.systems import MAX_SCALED_TABLE_BITS, _validate_metric, finite_system
 
+from conftest import random_system
 from oracles import metric_violation
 
 
@@ -222,3 +223,30 @@ def test_ranks_sort_and_key_scaled_ints(monkeypatch):
     for u in names:
         assert [ranks.levels[r] for r in ranks.rank[u]] == [sys.distance(u, v)
                                                            for v in ranks.names]
+
+
+def test_cut_bisects_scaled_ints_like_the_fraction_levels(monkeypatch):
+    # the cut of any rational, on a level, between two, below 0 or above the
+    # top, equals the bisection over the Fraction levels, and compares no
+    # Fraction
+    import random
+    from bisect import bisect_right
+
+    rng = random.Random(5)
+    for sys in [random_system(rng, max_points=9) for _ in range(20)]:
+        ranks = sys.ranks
+        levels = ranks.levels
+        probes = [*levels, *((a + b) / 2 for a, b in zip(levels, levels[1:])),
+                  levels[-1] + Fraction(1, 7), Fraction(-1, 3), Fraction(0), 2]
+        counts = {"compare": 0}
+        richcmp = Fraction._richcmp
+
+        def counting_richcmp(a, b, op):
+            counts["compare"] += 1
+            return richcmp(a, b, op)
+
+        monkeypatch.setattr(Fraction, "_richcmp", counting_richcmp)
+        cuts = [ranks.cut(d) for d in probes]
+        monkeypatch.undo()
+        assert counts["compare"] == 0
+        assert cuts == [bisect_right(levels, d) - 1 for d in probes]
