@@ -17,17 +17,18 @@ Along an ascending ladder of resolutions edges are only added, so a
 ``CyclicSweep`` decomposes each component once per *segment*: a run of
 consecutive steps at which it keeps its vertex set and period.  Within a
 segment the classes are constant and the transient index never increases
-(argument in the class docstring).
+(argument in the class docstring).  Every decomposition is read from a
+segment: ``cyclic_classes`` is the one-step read of a fresh one, and
+``proximal_partition`` walks its ladder into a sweep.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, KeysView, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, Sequence
 
-from .chains import ChainDigraph, build_chain_digraph, chain_components
+from .chains import ChainDigraph, chain_components, ladder_digraphs
 from .errors import (CapExceeded, EmptyLadder, InvariantViolation, ModelInconsistency,
                      NotAComponent, NotInComponent)
 from .graph import bfs_levels, period
@@ -86,13 +87,11 @@ def _bits(dg: ChainDigraph, nodes: Sequence[str]) -> dict[str, int]:
     return bit
 
 
-def _rows(dg: ChainDigraph, nodes: Sequence[str],
-          bit: Mapping[str, int] | None = None) -> tuple[int, ...]:
-    """Internal adjacency of ``nodes`` as bitmask rows (bit j: edge to
-    nodes[j]).  A successor list names each successor once, so the sum of
-    their bits is their union."""
-    get = (_bits(dg, nodes) if bit is None else bit).__getitem__
-    return tuple(sum(map(get, dg.succ[u])) for u in nodes)
+def _rows(dg: ChainDigraph, nodes: Sequence[str], bit: Mapping[str, int]) -> tuple[int, ...]:
+    """Internal adjacency of ``nodes`` as bitmask rows, given ``_bits``
+    (bit j: edge to nodes[j]).  A successor list names each successor once,
+    so the sum of their bits is their union."""
+    return tuple(sum(map(bit.__getitem__, dg.succ[u])) for u in nodes)
 
 
 def _members(cls: Sequence[int], m: int) -> list[int]:
@@ -128,13 +127,13 @@ def transient_index(dg: ChainDigraph, C, cap: int | None = None) -> int:
     Works on boolean powers of the m-th power of the internal adjacency.
     Once every same-class pair is reachable the property persists (each node
     keeps an incoming length-m path), so saturation is checked at N and
-    re-verified one step later.  Default cap is the primitivity bound
-    (|C|-1)^2 + 2.
+    re-verified one step later.  The default cap (|C|-1)^2 + 2 is never
+    reached: the m-th power restricted to a class of s nodes is primitive,
+    and Wielandt's bound puts its exponent at most (s-1)^2 + 1.
     """
-    comp = _require_component(dg, C)
-    nodes = sorted(comp)
-    class_of, m = _labels(dg, comp)
-    return _transient_index(_rows(dg, nodes), [class_of[u] for u in nodes], m, cap)
+    seg = _Segment(dg, _require_component(dg, C), 0)
+    rows = _unpack(seg.adjacency[0], len(seg.nodes))
+    return _transient_index(rows, seg.cls, seg.period, cap)
 
 
 def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int,
@@ -144,8 +143,6 @@ def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int,
     k = len(rows)
     if cap is None:
         cap = (k - 1) ** 2 + 2
-    if cap < 1:
-        raise CapExceeded(cap, 0.0)
 
     def matmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         out = [0] * k
@@ -180,31 +177,20 @@ def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int,
 
 
 def cyclic_classes(dg: ChainDigraph, C, *, compute_transient: bool = True,
-                   cap: int | None = None, p2: str = "raise") -> CyclicDecomposition:
-    """Cyclic class labels of a component (BFS level mod period).
+                   p2: str = "raise") -> CyclicDecomposition:
+    """Cyclic class labels of a component (BFS level mod period): the
+    one-step read of a fresh sweep segment.
 
     Validates the merge law: nodes of one component within delta of each
     other must share a class.  ``p2="raise"`` raises ModelInconsistency on a
     violating pair, ``p2="record"`` stores the pairs instead; coincidences in
     an adversarial metric can genuinely produce such pairs.
     """
-    comp = _require_component(dg, C)
-    class_of, m = _labels(dg, comp)
-    nodes = sorted(comp)
-    violations = tuple((u, v) for r, u, v in _cross_pairs(dg.system, nodes, class_of)
-                       if r <= dg.cut)
-    if violations and p2 == "raise":
-        raise ModelInconsistency("class merge law", violations[0])
-    n_index = None
-    failed = False
-    if compute_transient:
-        try:
-            n_index = _transient_index(_rows(dg, nodes), [class_of[u] for u in nodes],
-                                       m, cap)
-        except CapExceeded:
-            failed = True
-    return CyclicDecomposition(dg.system, comp, dg.delta, m, class_of,
-                               n_index, failed, violations)
+    dec = _Segment(dg, _require_component(dg, C), 0).decomposition(
+        0, dg.cut, dg.delta, compute_transient)
+    if dec.p2_violations and p2 == "raise":
+        raise ModelInconsistency("class merge law", dec.p2_violations[0])
+    return dec
 
 
 def _pack(rows: Sequence[int]) -> int:
@@ -225,6 +211,7 @@ class _Segment:
 
     def __init__(self, dg: ChainDigraph, comp: frozenset[str], first: int):
         self.system = dg.system
+        self.component = comp
         self.nodes = sorted(comp)
         self.bit = _bits(dg, self.nodes)
         self.class_of, self.period = _labels(dg, comp)
@@ -234,7 +221,9 @@ class _Segment:
         # an edge from node i that leaves the next class breaks the period
         self.off_class = _pack([everyone ^ members[(c + 1) % self.period] for c in self.cls])
         self.cross = _cross_pairs(dg.system, self.nodes, self.class_of)
-        self.least_cross = min((r for r, _, _ in self.cross), default=math.inf)
+        # with no cross pair, the number of levels lies above every cut
+        self.least_cross = min((r for r, _, _ in self.cross),
+                               default=len(dg.system.ranks.levels))
         self.first = first
         self.adjacency = [_pack(_rows(dg, self.nodes, self.bit))]
         self._transient: list | None = None
@@ -254,8 +243,8 @@ class _Segment:
             return ()
         return tuple((u, v) for r, u, v in self.cross if r <= cut)
 
-    def transient(self, i: int) -> int | float:
-        """Transient index at the i-th step of the segment, inf past the cap.
+    def transient(self, i: int) -> int:
+        """Transient index at the i-th step of the segment.
 
         Divide and conquer: the index never increases along the segment, so
         equal values at both ends of a run fill the whole run.
@@ -263,13 +252,10 @@ class _Segment:
         if self._transient is None:
             vals: list = [None] * len(self.adjacency)
 
-            def at(j: int) -> int | float:
+            def at(j: int) -> int:
                 if vals[j] is None:
                     rows = _unpack(self.adjacency[j], len(self.nodes))
-                    try:
-                        vals[j] = _transient_index(rows, self.cls, self.period, None)
-                    except CapExceeded:
-                        vals[j] = math.inf
+                    vals[j] = _transient_index(rows, self.cls, self.period, None)
                 return vals[j]
 
             runs = [(0, len(self.adjacency) - 1)]
@@ -282,6 +268,15 @@ class _Segment:
                     runs += [(lo, mid), (mid, hi)]
             self._transient = vals
         return self._transient[i]
+
+    def decomposition(self, i: int, cut: int, delta: Fraction,
+                      transient: bool = True) -> CyclicDecomposition:
+        """The decomposition at the sweep's step i, of cut ``cut`` and
+        resolution ``delta``; the transient index is None unless asked for."""
+        return CyclicDecomposition(self.system, self.component, delta, self.period,
+                                   self.class_of,
+                                   self.transient(i - self.first) if transient else None,
+                                   p2_violations=self.violations(cut))
 
 
 def _key(delta: Fraction) -> tuple[int, int]:
@@ -302,10 +297,10 @@ class CyclicSweep:
     A step continues the segment when each of its edges inside C advances
     the class by one: then m divides every cycle length, and the old cycles
     keep the period a divisor of m.  More edges give more paths of every
-    length, so the transient index never increases within a segment, and
-    its cap depends only on |C|: a CapExceeded acts as +inf.  The merge law
-    keeps the segment's least cross-class rank; a step whose cut lies below
-    it has no violation.
+    length, so the transient index never increases within a segment; it
+    always stays below its cap (``transient_index``).  The merge law keeps
+    the segment's least cross-class rank; a step whose cut lies below it
+    has no violation.
 
     Feed the steps in ascending order with ``add``; read them after the last
     step.  A one-step sweep is the decomposition of a single digraph.
@@ -345,20 +340,33 @@ class CyclicSweep:
         self._read = True
         i, cut, here = self._steps[_key(delta)]
         seg = here.get(comp)
-        if seg is None:
-            return None
-        n = seg.transient(i - seg.first)
-        failed = n == math.inf
-        return CyclicDecomposition(seg.system, comp, delta, seg.period, seg.class_of,
-                                   None if failed else n, failed, seg.violations(cut))
+        return None if seg is None else seg.decomposition(i, cut, delta)
 
     def decompositions(self, delta: Fraction) -> tuple[CyclicDecomposition, ...]:
         return tuple(self.decomposition(delta, comp) for comp in self.components(delta))
 
     def proximal(self, C, ladder: Sequence) -> ProximalPartition:
-        """``proximal_partition`` of C over swept resolutions, with p2="record"."""
+        """Meet of the class partitions of C down the strictly descending
+        swept ``ladder``, while C stays a chain component; merge-law pairs
+        are recorded, as ``proximal_partition`` does with p2="record"."""
         comp = frozenset(C)
-        return _refine(comp, _descending(ladder), lambda d: self.decomposition(d, comp))
+        decomps: list[CyclicDecomposition] = []
+        split_at = None
+        for d in _descending(ladder):
+            dec = self.decomposition(d, comp)
+            if dec is None:
+                if not decomps:
+                    raise NotAComponent(
+                        f"{sorted(comp)} is not a chain component at the coarsest delta")
+                split_at = d
+                break
+            decomps.append(dec)
+        buckets: dict[tuple, list[str]] = {}
+        for u in sorted(comp):
+            buckets.setdefault(tuple(dec.class_of[u] for dec in decomps), []).append(u)
+        classes = tuple(tuple(b) for _, b in sorted(buckets.items()))
+        return ProximalPartition(comp, tuple(dec.delta for dec in decomps), classes,
+                                 tuple(decomps), split_at)
 
 
 def chain_proximal_at(dg: ChainDigraph, C, x: str, y: str) -> bool:
@@ -412,40 +420,15 @@ def _descending(ladder: Sequence) -> list[Fraction]:
     return deltas
 
 
-def _refine(comp: frozenset[str], deltas: Sequence[Fraction],
-            decompose: Callable[[Fraction], CyclicDecomposition | None]) -> ProximalPartition:
-    """Walk down the ladder while comp stays a chain component; ``decompose``
-    gives its decomposition at a resolution, or None where it is none."""
-    used: list[Fraction] = []
-    decomps: list[CyclicDecomposition] = []
-    split_at = None
-    for i, d in enumerate(deltas):
-        dec = decompose(d)
-        if dec is None:
-            if i == 0:
-                raise NotAComponent(
-                    f"{sorted(comp)} is not a chain component at the coarsest delta")
-            split_at = d
-            break
-        used.append(d)
-        decomps.append(dec)
-    signature = {u: tuple(dec.class_of[u] for dec in decomps) for u in comp}
-    buckets: dict[tuple, list[str]] = {}
-    for u in sorted(comp):
-        buckets.setdefault(signature[u], []).append(u)
-    classes = tuple(tuple(b) for _, b in sorted(buckets.items()))
-    return ProximalPartition(comp, tuple(used), classes, tuple(decomps), split_at)
-
-
 def proximal_partition(sys: FiniteSystem, C, ladder: Sequence, *,
                        p2: str = "raise") -> ProximalPartition:
-    """Common refinement of the per-resolution class partitions of C."""
-    comp = frozenset(C)
-
-    def decompose(d: Fraction) -> CyclicDecomposition | None:
-        dg = build_chain_digraph(sys, d)
-        if comp not in set(chain_components(dg)):
-            return None
-        return cyclic_classes(dg, comp, compute_transient=False, p2=p2)
-
-    return _refine(comp, _descending(ladder), decompose)
+    """Common refinement of the per-resolution class partitions of C: one
+    walk up the ladder into a sweep, read down by ``CyclicSweep.proximal``.
+    ``p2="raise"`` raises ModelInconsistency on the first merge-law pair in
+    descending order."""
+    deltas = _descending(ladder)
+    pp = CyclicSweep(ladder_digraphs(sys, reversed(deltas))).proximal(C, deltas)
+    pairs = [dec.p2_violations[0] for dec in pp.per_delta if dec.p2_violations]
+    if pairs and p2 == "raise":
+        raise ModelInconsistency("class merge law", pairs[0])
+    return pp

@@ -27,40 +27,6 @@ from .sft import (SftGraph, SftPoint, find_exact_path, first_difference, graph_p
 from .systems import FiniteSystem
 
 
-class _FiniteDynamics:
-    def __init__(self, sys: FiniteSystem):
-        self.sys = sys
-
-    def check(self, x) -> None:
-        pass
-
-    def step_error(self, x, y) -> Fraction:
-        return self.sys.distance(self.sys.apply(x), y)
-
-
-class _ShiftDynamics:
-    def __init__(self, g: SftGraph):
-        self.g = g
-
-    def check(self, x) -> None:
-        validate_point(self.g, x)
-
-    def step_error(self, x, y) -> Fraction:
-        """d(shift x, y) for a checked x: the shift of an admissible point is
-        admissible, so only y needs checking."""
-        validate_point(self.g, y)
-        k = first_difference(shift_by(x, 1), y)
-        return Fraction(0) if k is None else Fraction(1, 2**k)
-
-
-def dynamics(model):
-    if isinstance(model, FiniteSystem):
-        return _FiniteDynamics(model)
-    if isinstance(model, SftGraph):
-        return _ShiftDynamics(model)
-    raise SpecError(f"unsupported model {type(model).__name__}")
-
-
 @dataclass(frozen=True)
 class PseudoOrbit:
     """A finite state sequence with its per-step errors e_i = d(f(x_i), x_{i+1})."""
@@ -74,16 +40,30 @@ class PseudoOrbit:
 
 
 def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
-    """Accept xs as a delta-pseudo-orbit; reject at the first oversized step."""
+    """Accept xs as a delta-pseudo-orbit; reject at the first oversized step.
+
+    On a vertex shift each state is validated once, before the step into it
+    is measured: the shift of an admissible point is admissible.
+    """
     delta = Fraction(delta)
+    if delta < 0:
+        raise SpecError("delta must be nonnegative")
     states = tuple(xs)
     if len(states) < 2:
         raise SpecError("a pseudo-orbit needs at least two states")
-    dyn = dynamics(model)
-    dyn.check(states[0])
+    shift = isinstance(model, SftGraph)
+    if shift:
+        validate_point(model, states[0])
+    elif not isinstance(model, FiniteSystem):
+        raise SpecError(f"unsupported model {type(model).__name__}")
     errors = []
-    for i in range(len(states) - 1):
-        e = dyn.step_error(states[i], states[i + 1])
+    for i, (x, y) in enumerate(zip(states, states[1:])):
+        if shift:
+            validate_point(model, y)
+            k = first_difference(shift_by(x, 1), y)
+            e = Fraction(0) if k is None else Fraction(1, 2**k)
+        else:
+            e = model.distance(model.apply(x), y)
         if e > delta:
             raise StepViolation(i, e)
         errors.append(e)
@@ -150,6 +130,8 @@ def find_shadowing_point(sys: FiniteSystem, po: PseudoOrbit, epsilon) -> ShadowR
     Returns the smallest witness by node id, or an absent result; exact.
     """
     epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise SpecError("epsilon must be nonnegative")
     horizon = len(po.states)
     for z in sorted(sys.points):
         u = z

@@ -270,14 +270,14 @@ def test_v2_report_bytes_match_recorded_digest(i):
 ])
 def test_analyze_builds_each_ladder_digraph_once(config, monkeypatch):
     builds = {"chains": 0, "cyclic": 0}
-    for module in (chains, cyclic):
+    for module, attr in ((chains, "build_chain_digraph"), (cyclic, "ladder_digraphs")):
         name = module.__name__.rsplit(".", 1)[1]
 
-        def build(sys, delta, _name=name, _original=module.build_chain_digraph):
+        def build(sys, delta, _name=name, _original=getattr(module, attr)):
             builds[_name] += 1
             return _original(sys, delta)
 
-        monkeypatch.setattr(module, "build_chain_digraph", build)
+        monkeypatch.setattr(module, attr, build)
     cmd_analyze(AnalysisConfig(**config))
     # the walk builds its first step; each later step grows from the one before
     assert builds["chains"] == 1
@@ -402,6 +402,22 @@ def test_ring_with_chords_report_bytes_match_recorded_digest(name, n, chords, di
     config = AnalysisConfig(spec=f"{name}.json")
     assert sha256(report_to_json(report_v1(config))) == digest
     assert sha256(report_to_json(cmd_analyze(config))) == RING_V2_DIGESTS[name]
+
+
+@pytest.mark.parametrize("spec, orbit, extra, message", [
+    ("corpus:sys3", "a\nb\nc\n", ["--epsilon", "-1"], "epsilon must be nonnegative"),
+    ("corpus:sys3", "a\nb\nc\n", ["--delta", "-1"], "delta must be nonnegative"),
+    ("corpus:full2", "|0 1\n1|0 1\n|0 1\n", ["--delta", "-1"], "delta must be nonnegative"),
+])
+def test_shadow_rejects_a_negative_bound(spec, orbit, extra, message, tmp_path, capsys):
+    # a negative epsilon used to exit 0 with no shadow point, and a negative
+    # delta to exit 2 naming a step of error 0
+    path = tmp_path / "orbit.txt"
+    path.write_text(orbit)
+    code, out, err = run_cli(["shadow", spec, "--orbit", str(path), *extra], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == ""
 
 
 def test_shadow_rejects_a_negative_depth(tmp_path, capsys):

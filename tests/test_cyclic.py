@@ -12,7 +12,7 @@ from chainscope import (CyclicSweep, assign_basins, build_chain_digraph, chain_c
                         cyclic_classes, digraph_from_edges, finite_system,
                         proximal_partition, transient_index)
 from chainscope.errors import (CapExceeded, EmptyLadder, InvariantViolation,
-                               ModelInconsistency, NotAComponent, NotInComponent)
+                               ModelInconsistency, NotAComponent, NotInComponent, SpecError)
 
 from conftest import line_system, random_digraph, random_system
 from oracles import brute_proximal, cycle_gcd, path_length_sets, proximal_loop
@@ -150,6 +150,23 @@ def test_transient_index_cap_exceeded(sys3):
         transient_index(dg, comp, cap=0)
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_wielandt_digraph_saturates_at_the_bound_below_the_cap(k):
+    # the k-cycle 0 -> 1 -> ... -> k-1 -> 0 with the chord k-1 -> 1 is
+    # Wielandt's primitive digraph of largest exponent, (k-1)^2 + 1, one
+    # short of the default cap (k-1)^2 + 2
+    pts = [f"w{i}" for i in range(k)]
+    sys = finite_system(pts, {u: u for u in pts},
+                        {(u, v): 1 for i, u in enumerate(pts) for v in pts[i + 1:]})
+    edges = [(pts[i], pts[(i + 1) % k]) for i in range(k)] + [(pts[-1], pts[1])]
+    dg = digraph_from_edges(sys, Fraction(1, 2), edges)
+    (comp,) = chain_components(dg)
+    assert transient_index(dg, comp) == (k - 1) ** 2 + 1
+    dec = cyclic_classes(dg, comp)
+    assert dec.transient_index == (k - 1) ** 2 + 1
+    assert dec.saturation_failed is False
+
+
 def test_saturation_persists_to_cap_on_corpus(sys3, sysns, rotation4):
     # every same-class pair realizes every multiple-length up to the default
     # cap once the transient index is reached
@@ -265,6 +282,15 @@ def test_proximal_partition_split_marker(sysns):
     assert pp.ladder == (Fraction(1),)
 
 
+def test_proximal_partition_refuses_a_negative_resolution_up_front(sysns):
+    # the component {n, s, t} splits below delta 1, so a loop down the
+    # ladder stopped before -1; the walk up the ladder starts there
+    with pytest.raises(SpecError, match="nonnegative"):
+        proximal_partition(sysns, {"n", "s", "t"}, [Fraction(1), Fraction(1, 2), Fraction(-1)])
+    with pytest.raises(SpecError, match="nonnegative"):
+        proximal_partition(sysns, {"n", "s", "t"}, [Fraction(1), Fraction(-1), Fraction(-2)])
+
+
 def test_proximal_partition_refinement_monotone():
     rng = random.Random(10)
     for _ in range(15):
@@ -358,6 +384,17 @@ def _check_sweep(sys, starts):
                 assert (pp.ladder, pp.classes, pp.split_at) == proximal_loop(sys, comp, down)
                 pp = proximal_partition(sys, comp, down, p2="record")
                 assert (pp.ladder, pp.classes, pp.split_at) == proximal_loop(sys, comp, down)
+                # p2="raise" names the first merge-law pair of the per-step
+                # decompositions, going down the ladder
+                pairs = [cyclic_classes(build_chain_digraph(sys, x), comp,
+                                        p2="record").p2_violations for x in pp.ladder]
+                first = next((v[0] for v in pairs if v), None)
+                if first is None:
+                    assert proximal_partition(sys, comp, down) == pp
+                else:
+                    with pytest.raises(ModelInconsistency) as exc:
+                        proximal_partition(sys, comp, down)
+                    assert exc.value.witness == first
         shared = assign_basins(sys, dg, decs)
         assert shared.class_of_basin == assign_basins(sys, dg).class_of_basin
         before = here
@@ -390,27 +427,6 @@ def test_sweep_records_merge_violations_like_each_step():
     seen = sum(_check_sweep(_sweep_system("two_cycle", rng), lambda deltas, d: True)
                for _ in range(60))
     assert seen > 0
-
-
-def test_sweep_treats_cap_exceeded_as_infinite(monkeypatch):
-    # a cap of 2 makes some steps of a segment fail and others pass
-    original = cyclic._transient_index
-    monkeypatch.setattr(cyclic, "_transient_index",
-                        lambda rows, cls, m, cap: original(rows, cls, m, 2))
-    rng = random.Random(12)
-    outcomes = set()
-    for _ in range(20):
-        sys = _sweep_system(rng.choice(["random", "line"]), rng)
-        deltas = _sweep_deltas(sys)
-        sweep = CyclicSweep(build_chain_digraph(sys, d) for d in deltas)
-        for d in deltas:
-            dg = build_chain_digraph(sys, d)
-            for comp, dec in zip(chain_components(dg), sweep.decompositions(d), strict=True):
-                ref = cyclic_classes(dg, comp, p2="record")
-                assert (dec.transient_index, dec.saturation_failed) == (
-                    ref.transient_index, ref.saturation_failed)
-                outcomes.add(dec.saturation_failed)
-    assert outcomes == {True, False}
 
 
 def test_sweep_rejects_misuse(sys3):
