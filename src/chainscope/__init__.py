@@ -3,14 +3,14 @@ finite and symbolic dynamical systems."""
 
 __version__ = "0.1.0"
 
-from .basins import BasinAssignment, assign_basins, omega_limit, verify_partition_laws
+from .basins import BasinAssignment, assign_basins, verify_partition_laws
 from .chains import (ChainAnalysis, ChainDigraph, build_chain_digraph, chain_analysis,
                      chain_components, chain_recurrent_set, complete_lyapunov,
                      critical_deltas, digraph_from_edges, reaches)
 from .chaos import (ClassifyParams, ComponentChaosReport, Condition3Verdict, TupleStats,
                     check_condition3, classify_finite_component, classify_sft,
-                    compute_delta_n, construct_witness, find_distal_tuple,
-                    perturbed_witness_trials, profile_extremes, sft_delta_n, tuple_stats)
+                    compute_delta_n, construct_witness, perturbed_witness_trials,
+                    profile_extremes, sft_delta_n, tuple_stats)
 from .corpus import corpus_names, load_corpus
 from .cyclic import (CyclicDecomposition, CyclicSweep, ProximalPartition,
                      chain_proximal_at, component_period, cyclic_classes,

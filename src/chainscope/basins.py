@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .chains import ChainDigraph, chain_components
 from .cyclic import CyclicDecomposition, cyclic_classes
-from .errors import InvariantViolation, ModelInconsistency, OmegaNotInComponent
+from .errors import InvariantViolation, OmegaNotInComponent
 from .systems import FiniteSystem
 
 
@@ -31,12 +31,6 @@ def _orbit_prefix(sys: FiniteSystem, x: str) -> tuple[list[str], int]:
         orbit.append(u)
         u = sys.apply(u)
     return orbit, seen[u]
-
-
-def omega_limit(sys: FiniteSystem, x: str) -> frozenset[str]:
-    """The cycle the forward orbit of x eventually enters."""
-    orbit, start = _orbit_prefix(sys, x)
-    return frozenset(orbit[start:])
 
 
 @dataclass(frozen=True)
@@ -58,9 +52,10 @@ def assign_basins(sys: FiniteSystem, dg: ChainDigraph,
     """Assign every node to its component basin and class basin.
 
     The class phase of x is (class(orbit[T]) - T) mod m, with T the settle
-    time; consistency of the value at T and T+1 is asserted and any
-    discrepancy reported as a model inconsistency.  ``decompositions``, one
-    per chain component of dg in order, saves decomposing them again.
+    time.  Past T every step orbit[t] -> f(orbit[t]) is an edge inside the
+    component, and every such edge advances the class by one mod m, so the
+    value is the same at every t >= T.  ``decompositions``, one per chain
+    component of dg in order, saves decomposing them again.
     """
     comps = chain_components(dg)
     if decompositions is None:
@@ -94,14 +89,7 @@ def assign_basins(sys: FiniteSystem, dg: ChainDigraph,
             T -= 1
         settle[x] = T
         dec = decomps[ci]
-        m = dec.period
-        phase = (dec.class_of[orbit[T]] - T) % m
-        nxt = orbit[T + 1] if T + 1 < len(orbit) else sys.apply(orbit[-1])
-        if nxt in target:
-            phase2 = (dec.class_of[nxt] - (T + 1)) % m
-            if phase2 != phase:
-                raise ModelInconsistency("class phase law", (x, orbit[T], nxt))
-        class_of_basin[x] = (ci, phase)
+        class_of_basin[x] = (ci, (dec.class_of[orbit[T]] - T) % dec.period)
     return BasinAssignment(dg, dg.delta, comps, decomps, component_of,
                            class_of_basin, omega, settle)
 

@@ -70,9 +70,6 @@ class ChainDigraph:
         if self.cut is None:
             object.__setattr__(self, "cut", self.system.ranks.cut(self.delta))
 
-    def is_edge(self, u: str, v: str) -> bool:
-        return v in set(self.succ[u])
-
 
 def _finalize(system: FiniteSystem, delta: Fraction, cut: int,
               succ: dict[str, tuple[str, ...]]) -> ChainDigraph:

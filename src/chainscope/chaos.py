@@ -148,39 +148,6 @@ def _orbit_min_separation(sys: FiniteSystem, pts: tuple[str, ...]) -> Fraction:
     return sys.ranks.levels[_spread(sys.orbit_floor, sys.ranks.index, pts)]
 
 
-def find_distal_tuple(model, D, n: int, delta_n, budget: int = 10**6):
-    """Search for an n-tuple whose orbit stays pairwise separated beyond
-    delta_n at every time.
-
-    Finite systems: exhaustive over n-subsets of D (returns None only after
-    complete enumeration, i.e. exact absence).  Vertex shifts: exact cycle
-    search in the window product graph; D names a cyclic vertex class (or
-    None for aperiodic graphs).  Raises BudgetExceeded when the enumeration
-    cap is hit before a definite answer.
-    """
-    if n < 2:
-        raise SpecError("distal tuples need n >= 2")
-    delta_n = Fraction(delta_n)
-    if isinstance(model, FiniteSystem):
-        # d > delta_n iff the rank of d exceeds the cut of delta_n
-        cut = model.ranks.cut(delta_n)
-        floor, index = model.orbit_floor, model.ranks.index
-        for spent, combo in enumerate(combinations(sorted(D), n), 1):
-            if spent > budget:
-                raise BudgetExceeded("distal tuple enumeration budget", spent=spent)
-            if _spread(floor, index, combo) > cut:
-                return combo
-        return None
-    if not isinstance(model, SftGraph):
-        raise SpecError(f"unsupported model {type(model).__name__}")
-    if delta_n >= 1:
-        return None  # distances never exceed 1
-    t = 0
-    while Fraction(1, 2 ** (t + 1)) > delta_n:
-        t += 1
-    return _sft_distal_search(model, n, t, class_id=D, budget=budget)
-
-
 def _first_distal(g: SftGraph, n: int, class_id: int | None, budget: int):
     """(tuple, t) for the least t <= T_CAP at which ``_sft_distal_search``
     finds a distal n-tuple, or None when no such t exists."""

@@ -77,11 +77,16 @@ def _add_classification(parser) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    # a ladder setting of another policy is refused, not ignored
+    if args.ladder is not None and args.ladder_policy != "explicit":
+        raise ValidationError("--ladder applies only to --ladder-policy explicit")
+    if args.top_k is not None and args.ladder_policy != "top-k":
+        raise ValidationError("--top-k applies only to --ladder-policy top-k")
     config = AnalysisConfig(
         spec=args.spec,
         ladder_policy=args.ladder_policy,
         ladder=tuple(args.ladder.split(",")) if args.ladder else (),
-        top_k=args.top_k,
+        top_k=AnalysisConfig.top_k if args.top_k is None else args.top_k,
         delta=args.delta,
         n_max=args.n_max,
         horizon=args.horizon,
@@ -280,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder-policy", default="all-critical",
                    choices=["all-critical", "explicit", "top-k"])
     p.add_argument("--ladder", default=None, help="comma list of resolutions")
-    p.add_argument("--top-k", type=int, default=6)
+    p.add_argument("--top-k", type=int, default=None, help="default 6")
     _add_classification(p)
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--seed", type=int, default=0, help="recorded in provenance")

@@ -45,7 +45,6 @@ class CyclicDecomposition:
     period: int
     class_of: Mapping[str, int]
     transient_index: int | None = None
-    saturation_failed: bool = False
     p2_violations: tuple[tuple[str, str], ...] = ()
 
     def classes(self) -> tuple[tuple[str, ...], ...]:
@@ -125,11 +124,12 @@ def transient_index(dg: ChainDigraph, C, cap: int | None = None) -> int:
     chains of every length m*n with N <= n <= cap.
 
     Works on boolean powers of the m-th power of the internal adjacency.
-    Once every same-class pair is reachable the property persists (each node
-    keeps an incoming length-m path), so saturation is checked at N and
-    re-verified one step later.  The default cap (|C|-1)^2 + 2 is never
-    reached: the m-th power restricted to a class of s nodes is primitive,
-    and Wielandt's bound puts its exponent at most (s-1)^2 + 1.
+    Once every same-class pair is reachable the property persists: every
+    node has an in-class predecessor at distance m, so a saturated power
+    stays saturated, and the first saturated power is the answer.  The
+    default cap (|C|-1)^2 + 2 is never reached: the m-th power restricted to
+    a class of s nodes is primitive, and Wielandt's bound puts its exponent
+    at most (s-1)^2 + 1.
     """
     seg = _Segment(dg, _require_component(dg, C), 0)
     rows = _unpack(seg.adjacency[0], len(seg.nodes))
@@ -168,9 +168,6 @@ def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int,
         covered = sum((p & w).bit_count() for p, w in zip(power, want))
         best_cover = max(best_cover, covered / total)
         if covered == total:
-            nxt = matmul(power, step)
-            if any(x & w != w for x, w in zip(nxt, want)):
-                raise InvariantViolation("saturation must persist one step after it holds")
             return n
         power = matmul(power, step)
     raise CapExceeded(cap, best_cover)

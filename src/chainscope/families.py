@@ -33,17 +33,6 @@ class TimeSetWindow:
         if any(b not in (0, 1) for b in self.members):
             raise SpecError("window entries must be bits")
 
-    @classmethod
-    def from_indices(cls, horizon: int, indices) -> "TimeSetWindow":
-        bits = [0] * horizon
-        for i in indices:
-            if 0 <= i < horizon:
-                bits[i] = 1
-        return cls(horizon, tuple(bits))
-
-    def indices(self) -> list[int]:
-        return [i for i, b in enumerate(self.members) if b]
-
 
 @dataclass(frozen=True)
 class EventuallyPeriodicSet:
@@ -264,20 +253,7 @@ def rotation_time_set(alpha: float, horizon: int) -> TimeSetWindow:
     return TimeSetWindow(horizon, bits)
 
 
-# -- run-length text encoding ----------------------------------------------------
-
-def window_to_rle(A: TimeSetWindow) -> str:
-    """'1x5 0x3 ...' run-length encoding of the window bits."""
-    parts = []
-    i = 0
-    while i < A.horizon:
-        j = i
-        while j < A.horizon and A.members[j] == A.members[i]:
-            j += 1
-        parts.append(f"{A.members[i]}x{j - i}")
-        i = j
-    return " ".join(parts)
-
+# -- run-length text input ---------------------------------------------------------
 
 def rle_to_window(text: str) -> TimeSetWindow:
     bits: list[int] = []

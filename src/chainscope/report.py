@@ -25,7 +25,7 @@ from .basins import BasinAssignment, assign_basins, verify_partition_laws
 from .chains import (ChainDigraph, _is_recurrent_scc, chain_analysis, critical_deltas,
                      ladder_digraphs)
 from .chaos import ClassifyParams, classify_finite_component, classify_sft
-from .cyclic import CyclicSweep
+from .cyclic import CyclicDecomposition, CyclicSweep
 from .errors import SpecError
 from .families import WindowParams
 from .sft import SftGraph, graph_period, is_irreducible, vertex_classes
@@ -124,18 +124,24 @@ def chain_section(dg: ChainDigraph) -> dict:
     }
 
 
-def cyclic_section(sweep: CyclicSweep, delta: Fraction) -> list[dict]:
-    """Cyclic rows of every chain component at one swept resolution; for a
-    single digraph dg, pass ``CyclicSweep([dg])`` and ``dg.delta``."""
-    return [{
+def _cyclic_row(dec: CyclicDecomposition, delta: Fraction) -> dict:
+    """A component's cyclic row; ``saturation_failed`` is the constant v2
+    key that Wielandt's bound rules out (README "Model notes")."""
+    return {
         "delta": _frac(delta),
         "component": sorted(dec.component),
         "period": dec.period,
         "classes": [list(c) for c in dec.classes()],
         "transient_index": dec.transient_index,
-        "saturation_failed": dec.saturation_failed,
+        "saturation_failed": False,
         "class_merge_violations": [list(p) for p in dec.p2_violations],
-    } for dec in sweep.decompositions(delta)]
+    }
+
+
+def cyclic_section(sweep: CyclicSweep, delta: Fraction) -> list[dict]:
+    """Cyclic rows of every chain component at one swept resolution; for a
+    single digraph dg, pass ``CyclicSweep([dg])`` and ``dg.delta``."""
+    return [_cyclic_row(dec, delta) for dec in sweep.decompositions(delta)]
 
 
 def _changed(last, here) -> bool:
@@ -148,17 +154,22 @@ def _changed(last, here) -> bool:
 def _changed_cyclic_rows(sweep: CyclicSweep, ladder: Sequence[Fraction]) -> list[dict]:
     """The cyclic rows of the ascending ladder that a component has new at a
     step, or that differ from its row at the previous step in any field but
-    ``delta``."""
+    ``delta``.
+
+    A row is decided by its component's (period, transient index, merge-law
+    pairs) and built only when written: from one step to the next a vertex
+    set's period can only fall, and an equal period means the same sweep
+    segment, whose classes are fixed.
+    """
     rows: list[dict] = []
-    last: dict[tuple[str, ...], dict] = {}
+    last: dict[frozenset[str], tuple] = {}
     for d in ladder:
         here = {}
-        for row in cyclic_section(sweep, d):
-            body = dict(row, delta=None)
-            key = tuple(row["component"])
-            if _changed(last.get(key), body):
-                rows.append(row)
-            here[key] = body
+        for dec in sweep.decompositions(d):
+            state = (dec.period, dec.transient_index, dec.p2_violations)
+            if _changed(last.get(dec.component), state):
+                rows.append(_cyclic_row(dec, d))
+            here[dec.component] = state
         last = here
     return rows
 

@@ -157,12 +157,6 @@ class FiniteSystem:
                 floor[q] = low
         return {u: tuple(floor[i * n:(i + 1) * n]) for i, u in enumerate(names)}
 
-    def orbit(self, x: str, steps: int) -> list[str]:
-        out = [x]
-        for _ in range(steps):
-            out.append(self.map[out[-1]])
-        return out
-
 
 def _scaled_rows(points, metric) -> tuple[int, list[list[int]]]:
     """(scale, rows) with ``scale`` the lcm of the table's denominators and

@@ -139,6 +139,15 @@ def brute_thick(preperiod, pattern):
     return False
 
 
+def omega(sys, x):
+    """The cycle the forward orbit of x enters: the points after the first
+    repeat of the orbit."""
+    orbit = [x]
+    while orbit.count(orbit[-1]) < 2:
+        orbit.append(sys.apply(orbit[-1]))
+    return frozenset(orbit[orbit.index(orbit[-1]):-1])
+
+
 def orbit_min_separation(sys, pts):
     state = tuple(pts)
     seen = set()

@@ -5,17 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope import (assign_basins, build_chain_digraph, chain_components,
-                        critical_deltas, cyclic_classes, finite_system, omega_limit,
-                        verify_partition_laws)
+                        critical_deltas, finite_system, verify_partition_laws)
 
 from conftest import random_system
-from oracles import brute_proximal, closure_components
+from oracles import brute_proximal, closure_components, omega
 
 
 def test_omega_limit_examples(sysns, sys3, sys2id):
-    assert omega_limit(sysns, "t") == {"s"}
-    assert omega_limit(sys3, "a") == {"a", "b", "c"}
-    assert omega_limit(sys2id, "p") == {"p"}
+    # the basin table's omega column, and the oracle the check below reads
+    for sys, x, want in ((sysns, "t", {"s"}), (sys3, "a", {"a", "b", "c"}),
+                         (sys2id, "p", {"p"})):
+        dg = build_chain_digraph(sys, critical_deltas(sys)[0])
+        assert assign_basins(sys, dg).omega[x] == omega(sys, x) == want
 
 
 def test_assign_basins_sysns(sysns):
@@ -143,7 +144,7 @@ def test_basins_match_the_closure_and_proximal_oracles(seed):
         closure, _ = closure_components(sys.points, dg.succ)
         for x in points:
             # the component basin: the closure component holding omega(x)
-            (home,) = [c for c in closure if omega_limit(sys, x) <= c]
+            (home,) = [c for c in closure if omega(sys, x) <= c]
             assert ba.components[ba.component_of[x]] == home
         for i, x in enumerate(points):
             for y in points[i:]:

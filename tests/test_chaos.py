@@ -11,9 +11,8 @@ from chainscope import (ClassifyParams, SftPoint, build_chain_digraph, chain_com
                         check_condition3, classify_finite_component, classify_sft,
                         critical_deltas,
                         compute_delta_n, construct_witness, cyclic_classes,
-                        find_distal_tuple, finite_system, perturbed_witness_trials,
-                        sft_delta_n, tuple_stats)
-from chainscope.chaos import _orbit_min_separation, pair_profile
+                        finite_system, perturbed_witness_trials, sft_delta_n, tuple_stats)
+from chainscope.chaos import _orbit_min_separation, _sft_distal_search, pair_profile
 from chainscope.errors import BudgetExceeded, SpecError
 from chainscope.sft import SftGraph, sft_distance, shift_by
 
@@ -67,28 +66,6 @@ def test_tuple_stats_nesting(full2):
     assert all(a <= b for a, b in zip(t_small, t_big))  # T monotone in eps
 
 
-def test_find_distal_tuple_full_shift(full2):
-    w2 = find_distal_tuple(full2, None, 2, Fraction(1, 2))
-    assert w2 == (SftPoint((), (0,)), SftPoint((), (1,)))
-    w3 = find_distal_tuple(full2, None, 3, Fraction(1, 4))
-    assert w3 is not None
-    prof = [pair_profile(full2, a, b, 12) for a in w3 for b in w3 if a != b]
-    assert min(min(p) for p in prof) > Fraction(1, 4)
-
-
-def test_find_distal_tuple_exact_absence(sys2id, full2):
-    dg = build_chain_digraph(sys2id, Fraction(1, 2))
-    assert find_distal_tuple(sys2id, {"p"}, 2, Fraction(1, 4)) is None
-    # full 2-shift has no 3 points pairwise separated by more than 1/2
-    assert find_distal_tuple(full2, None, 3, Fraction(1, 2)) is None
-
-
-def test_find_distal_tuple_finite(sys3):
-    combo = find_distal_tuple(sys3, {"a", "b", "c"}, 2, Fraction(1, 2))
-    assert combo is not None
-    assert orbit_min_separation(sys3, combo) > Fraction(1, 2)
-
-
 def test_distal_search_respects_class_restriction():
     four_cycle = SftGraph((
         (0, 1, 0, 0),
@@ -97,7 +74,7 @@ def test_distal_search_respects_class_restriction():
         (1, 0, 0, 0),
     ))
     # single point per class: no distal pair in any class
-    assert find_distal_tuple(four_cycle, 0, 2, Fraction(1, 4)) is None
+    assert _sft_distal_search(four_cycle, 2, 1, 0) is None
 
 
 def test_distal_search_periodic_graph_with_branching():
@@ -112,7 +89,7 @@ def test_distal_search_periodic_graph_with_branching():
 
     assert graph_period(g) == 2
     for cid in (0, 1):
-        w = find_distal_tuple(g, cid, 2, Fraction(1, 2))
+        w = _sft_distal_search(g, 2, 0, cid)
         assert w is not None
         assert vertex_classes(g)[w[0].symbol(0)] == cid
         assert vertex_classes(g)[w[1].symbol(0)] == cid
@@ -225,15 +202,9 @@ def test_witness_construction_on_periodic_graph():
     assert rep.per_n[0].upgrade_audit_ok
 
 
-def test_budget_guards(sys3, full2):
-    from chainscope.errors import BudgetExceeded
+def test_budget_guards(sys3):
     from chainscope import estimate_slimit_modulus
 
-    with pytest.raises(BudgetExceeded):
-        # threshold 2 is unattainable, so enumeration must run past budget 1
-        find_distal_tuple(sys3, {"a", "b", "c"}, 2, Fraction(2), budget=1)
-    with pytest.raises(BudgetExceeded):
-        find_distal_tuple(full2, None, 3, Fraction(1, 16), budget=8)
     with pytest.raises(BudgetExceeded):
         estimate_slimit_modulus(sys3, Fraction(1, 2), 6, budget=2)
 
@@ -363,7 +334,7 @@ def test_witness_recovered_from_recurring_blocks(full2, goldenmean):
         key = max(recurring, key=blocks.get)
         assert all(a != b for i, a in enumerate(key) for b in key[i + 1:])
         # and an exact search confirms a genuine distal tuple at that floor
-        assert find_distal_tuple(g, None, n, built.delta_n) is not None
+        assert _sft_distal_search(g, n, t, None) is not None
 
 
 def test_classify_sft_searches_once_per_n_and_t(monkeypatch):
@@ -425,11 +396,6 @@ def test_integer_enumeration_matches_fraction_oracles(seed):
                     if orbit_min_separation(sys, c) == floors[first])
                 assert tr.distal_delta == floors[first] / 2
                 assert tr.upgrade_audit_ok == all(f > 0 for f in floors)
-            threshold = rng.choice(crit)
-            for n in (2, 3):
-                expected = next((c for c in combinations(sorted(comp), n)
-                                 if orbit_min_separation(sys, c) > threshold), None)
-                assert find_distal_tuple(sys, comp, n, threshold) == expected
 
 
 def test_enumeration_budget_counts_every_subset():

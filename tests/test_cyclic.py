@@ -164,7 +164,6 @@ def test_wielandt_digraph_saturates_at_the_bound_below_the_cap(k):
     assert transient_index(dg, comp) == (k - 1) ** 2 + 1
     dec = cyclic_classes(dg, comp)
     assert dec.transient_index == (k - 1) ** 2 + 1
-    assert dec.saturation_failed is False
 
 
 def test_saturation_persists_to_cap_on_corpus(sys3, sysns, rotation4):
@@ -352,7 +351,7 @@ def _sweep_deltas(sys):
 
 def _fields(dec):
     return (dec.component, dec.delta, dec.period, dict(dec.class_of), dec.classes(),
-            dec.transient_index, dec.saturation_failed, dec.p2_violations)
+            dec.transient_index, dec.p2_violations)
 
 
 def _check_sweep(sys, starts):

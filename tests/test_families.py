@@ -9,7 +9,7 @@ from chainscope import (EventuallyPeriodicSet, TimeSetWindow, WindowParams, fami
                         inclusion_audit, rotation_time_set, upper_density,
                         window_family_member)
 from chainscope.errors import HorizonTooSmall, SpecError
-from chainscope.families import rle_to_window, window_to_rle
+from chainscope.families import rle_to_window
 
 from oracles import brute_iapstar, brute_thick
 
@@ -93,7 +93,7 @@ def test_windowed_factorial_blocks():
     blocks = set()
     for k in range(1, 7):
         blocks.update(range(math.factorial(k), math.factorial(k) + k + 1))
-    w = TimeSetWindow.from_indices(1024, blocks)
+    w = TimeSetWindow(1024, tuple(int(i in blocks) for i in range(1024)))
     assert window_family_member(w, "THICK", WindowParams(run_req=6)).member
     assert not window_family_member(w, "UD1").member
 
@@ -157,7 +157,9 @@ def test_rotation_rejects_rational_alpha():
         rotation_time_set(0.25, 100)
 
 
-def test_rle_round_trip():
-    w = eps([1, 0], [1, 1, 0]).window(64)
-    assert rle_to_window(window_to_rle(w)) == w
-    assert window_to_rle(TimeSetWindow(4, (1, 1, 0, 1))) == "1x2 0x1 1x1"
+def test_rle_to_window_parses_runs():
+    assert rle_to_window("1x2 0x1 1x1") == TimeSetWindow(4, (1, 1, 0, 1))
+    assert rle_to_window(" 1x2\n0x3 ") == eps([1, 1], [0]).window(5)
+    for text in ("", "1x", "1-2", "2x1"):
+        with pytest.raises(SpecError):
+            rle_to_window(text)

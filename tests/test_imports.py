@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every function, class and method the package defines is read somewhere.
 
 ``__init__.py`` is exempt (its imports are the public re-exports), and so is
 ``from __future__ import annotations``.  With postponed annotations the
@@ -7,12 +8,15 @@ annotation counts as used.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chainscope"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE.parents[1]
+SOURCES = [p for d in ("src", "tests", "chainbench") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +42,66 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _reads(node) -> tuple[Counter, Counter]:
+    """Counts of the names read (Name nodes) and of the attributes read
+    (Attribute nodes) under ``node``; assignments are not reads."""
+    names, attrs = Counter(), Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            attrs[n.attr] += 1
+    return names, attrs
+
+
+def unreferenced(sources: dict[str, str], package: list[str]) -> list[str]:
+    """Definitions of the ``package`` modules that nothing in ``sources``
+    reads outside the definition itself.
+
+    A top-level function or class counts as read by a Name or Attribute node
+    of its name (``f(...)``, ``module.f``), a method by an Attribute node
+    (``obj.m``); import statements and strings do not count, and dunder
+    methods are exempt.  The check goes by name alone, so it cannot see a
+    definition whose name something else reads: ``FiniteSystem.orbit``
+    beside ``args.orbit``, or ``ChainDigraph.is_edge`` beside
+    ``SftGraph.is_edge``, would pass.
+    """
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    names, attrs = Counter(), Counter()
+    for tree in trees.values():
+        n, a = _reads(tree)
+        names.update(n)
+        attrs.update(a)
+    out = []
+    for path in package:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            n, a = _reads(node)
+            if names[node.name] + attrs[node.name] == n[node.name] + a[node.name]:
+                out.append(node.name)
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for m in methods:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("__"):
+                    if attrs[m.name] == _reads(m)[1][m.name]:
+                        out.append(f"{node.name}.{m.name}")
+    return out
+
+
+def test_unreferenced_definitions_are_found():
+    source = ("def used(): pass\n"
+              "def unused(): used(); unused()\n"
+              "class K:\n"
+              "    def m(self): return self.m()\n"
+              "    def __init__(self): pass\n"
+              "K().n\n")
+    other = "from a import unused\nunused = 1\nK.m = 2\n"
+    assert unreferenced({"a": source, "b": other}, ["a"]) == ["unused", "K.m"]
+
+
+def test_every_definition_is_read_somewhere():
+    sources = {str(p): p.read_text() for p in SOURCES}
+    package = [str(p) for p in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced(sources, package) == []

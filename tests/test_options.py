@@ -74,6 +74,33 @@ def test_a_flag_the_command_does_not_read_exits_2(argv, tmp_path, monkeypatch, c
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "corpus:sys3", "--ladder", "1/2"],
+    ["analyze", "corpus:sys3", "--ladder-policy", "top-k", "--ladder", "1/2"],
+    ["analyze", "corpus:sys3", "--top-k", "1"],
+    ["analyze", "corpus:sys3", "--ladder-policy", "explicit", "--ladder", "1/2",
+     "--top-k", "1"],
+])
+def test_a_ladder_setting_of_another_policy_exits_2(argv, capsys):
+    # each of these used to exit 0, ignore the setting and echo it
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "applies only to --ladder-policy" in err
+
+
+@pytest.mark.parametrize("argv, top_k, ladder", [
+    ([], 6, []),
+    (["--ladder-policy", "top-k"], 6, []),
+    (["--ladder-policy", "top-k", "--top-k", "1"], 1, []),
+    (["--ladder-policy", "explicit", "--ladder", "1/2,1"], 6, ["1/2", "1"]),
+])
+def test_accepted_ladder_settings_echo_as_before(argv, top_k, ladder, capsys):
+    code, out, _ = run_cli(["analyze", "corpus:sys3", *argv], capsys)
+    config = json.loads(out)["provenance"]["config"]
+    assert code == 0
+    assert (config["top_k"], config["ladder"]) == (top_k, ladder)
+
+
 def test_furstenberg_takes_one_time_set(capsys):
     # the second subject used to be ignored
     with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,8 @@ import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import critical_deltas, finite_system, report
+from chainscope import CyclicDecomposition, CyclicSweep, critical_deltas, finite_system, report
+from chainscope.chains import ladder_digraphs
 from chainscope.cli import main
 from chainscope.report import AnalysisConfig, cmd_analyze
 from chainscope.specio import dump_system, save_system
@@ -104,6 +105,21 @@ def test_v2_report_recovers_every_step_of_v1(seed, kind, policy):
         path = str(Path(tmp) / "sys.json")
         save_system(sys, path)
         _check_v2_against_v1(_config(sys, policy, rng, path))
+
+
+def test_cyclic_rows_list_classes_only_for_the_rows_written():
+    # the v2 rule is decided from each component's period, transient index
+    # and merge-law pairs, so a row's classes are listed only when it is
+    # written (the v1 comparison above pins the rows themselves)
+    sys = line_system(24, 24)
+    ladder = critical_deltas(sys)
+    sweep = CyclicSweep(ladder_digraphs(sys, ladder))
+    with mock.patch.object(CyclicDecomposition, "classes", autospec=True,
+                           side_effect=CyclicDecomposition.classes) as classes:
+        rows = report._changed_cyclic_rows(sweep, ladder)
+    assert len(rows) == classes.call_count == 24
+    # a comparison of full rows builds one per component and step
+    assert sum(len(sweep.components(d)) for d in ladder) == 231
 
 
 def test_v2_report_writes_a_row_whose_merge_violations_changed(tmp_path):
