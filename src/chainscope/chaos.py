@@ -23,7 +23,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from operator import itemgetter
 
 from .cyclic import CyclicDecomposition, ProximalPartition
 from .errors import BudgetExceeded, InvariantViolation, NotIrreducible, SpecError
@@ -123,10 +124,45 @@ def _spread(table, index, combo) -> int:
 
 def _widest(table, index, members, n: int) -> tuple[int, tuple | None]:
     """The first n-subset of ``members``, in ``combinations`` order, whose
-    spread is largest, with that spread; (0, None) without an n-subset."""
-    best = max(combinations(members, n), key=lambda c: _spread(table, index, c),
-               default=None)
-    return (0, None) if best is None else (_spread(table, index, best), best)
+    spread is largest, with that spread; (0, None) without an n-subset.
+
+    A subset has spread >= r iff it is a clique of the graph of pairs whose
+    entry is >= r.  Pairs enter that graph one value at a time, largest
+    first; the first value at which an entering pair closes an n-clique is
+    the largest spread, since before it no n-clique existed.  At that value
+    a depth-first search in member order finds the least n-clique, which is
+    the first subset of that spread in ``combinations`` order.
+    """
+    k = len(members)
+    if k < n:
+        return 0, None
+    cols = [index[b] for b in members]
+    pairs = sorted(((table[a][cols[j]], i, j) for i, a in enumerate(members)
+                    for j in range(i + 1, k)), key=lambda p: -p[0])
+    nb = [0] * k  # neighbour rows of the threshold graph, both directions
+    for value, group in groupby(pairs, key=itemgetter(0)):
+        group = list(group)
+        for _, i, j in group:
+            nb[i] |= 1 << j
+            nb[j] |= 1 << i
+        if any(_first_clique(nb, nb[i] & nb[j], n - 2) is not None for _, i, j in group):
+            break
+    return value, tuple(members[i] for i in _first_clique(nb, (1 << k) - 1, n))
+
+
+def _first_clique(nb: list[int], cand: int, r: int) -> list[int] | None:
+    """The least r-clique of rows ``nb`` within the vertex set ``cand``, as
+    ascending vertices; None when there is none."""
+    if r == 0:
+        return []
+    while cand.bit_count() >= r:
+        low = cand & -cand
+        cand ^= low  # every vertex left in cand lies above i
+        i = low.bit_length() - 1
+        rest = _first_clique(nb, cand & nb[i], r - 1)
+        if rest is not None:
+            return [i, *rest]
+    return None
 
 
 def _charge(spent: int, members, n: int, budget: int, what: str) -> int:
@@ -263,7 +299,9 @@ def compute_delta_n(decomp, n: int, budget: int = 10**6) -> Fraction:
 
     Classes with fewer than n elements contribute 0 (the spread of an empty
     family), so the value is positive exactly when every class holds n
-    genuinely separated points.
+    genuinely separated points.  Each class's best spread comes from the
+    threshold-clique search of ``_widest``; the class is first charged its
+    C(|class|, n) subsets against ``budget``, as an enumeration would be.
     """
     if n < 2:
         raise SpecError("dispersion needs n >= 2")

@@ -155,9 +155,11 @@ def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int,
             out[i] = row
         return out
 
+    # powers commute, so each product takes the sparse rows on the left:
+    # matmul ORs one right-hand row per set bit of a left-hand row
     step = rows
     for _ in range(m - 1):
-        step = matmul(step, rows)
+        step = matmul(rows, step)
     members = _members(cls, m)
     want = [members[c] for c in cls]
     total = sum(w.bit_count() for w in want)
@@ -169,7 +171,7 @@ def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int,
         best_cover = max(best_cover, covered / total)
         if covered == total:
             return n
-        power = matmul(power, step)
+        power = matmul(step, power)
     raise CapExceeded(cap, best_cover)
 
 

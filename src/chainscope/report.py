@@ -61,6 +61,11 @@ class AnalysisConfig:
             raise SpecError("n_max must be at least 2")
         if self.top_k < 1:
             raise SpecError("top_k must be at least 1")
+        # a setting the policy never reads would still be echoed in provenance
+        if self.ladder and self.ladder_policy != "explicit":
+            raise SpecError("ladder applies only to the explicit ladder policy")
+        if self.top_k != AnalysisConfig.top_k and self.ladder_policy != "top-k":
+            raise SpecError("top_k applies only to the top-k ladder policy")
         # rejects the window's m_max, horizon, eps_depth and budget
         self.classify_params()
 

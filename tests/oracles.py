@@ -188,6 +188,17 @@ def best_spread(sys, members, n):
                 for c in combinations(sorted(members), n)), default=0)
 
 
+def widest_bruteforce(table, index, members, n):
+    """The first n-subset of ``members``, in ``combinations`` order, whose
+    least pairwise entry ``table[a][index[b]]`` is largest, with that entry;
+    (0, None) without an n-subset."""
+    def spread(combo):
+        return min(table[a][index[b]] for a, b in combinations(combo, 2))
+
+    best = max(combinations(members, n), key=spread, default=None)
+    return (0, None) if best is None else (spread(best), best)
+
+
 def eager_distal_cycle(adjacency, classes, n, t):
     """First cycle of the window product graph of a vertex shift, or None.
 

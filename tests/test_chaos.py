@@ -12,12 +12,12 @@ from chainscope import (ClassifyParams, SftPoint, build_chain_digraph, chain_com
                         critical_deltas,
                         compute_delta_n, construct_witness, cyclic_classes,
                         finite_system, perturbed_witness_trials, sft_delta_n, tuple_stats)
-from chainscope.chaos import _orbit_min_separation, _sft_distal_search, pair_profile
+from chainscope.chaos import _orbit_min_separation, _sft_distal_search, _widest, pair_profile
 from chainscope.errors import BudgetExceeded, SpecError
 from chainscope.sft import SftGraph, sft_distance, shift_by
 
 from conftest import RING60_CHORDS, random_point, random_system, ring_with_chords
-from oracles import best_spread, eager_distal_cycle, orbit_min_separation
+from oracles import best_spread, eager_distal_cycle, orbit_min_separation, widest_bruteforce
 from test_graph import irreducible_graphs
 
 
@@ -396,6 +396,47 @@ def test_integer_enumeration_matches_fraction_oracles(seed):
                     if orbit_min_separation(sys, c) == floors[first])
                 assert tr.distal_delta == floors[first] / 2
                 assert tr.upgrade_audit_ok == all(f > 0 for f in floors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_widest_matches_subset_enumeration(data):
+    # few distinct values make ties common, so the tie-break is exercised
+    k, n = data.draw(st.integers(0, 11)), data.draw(st.integers(2, 5))
+    top = data.draw(st.integers(0, 5))
+    names = [f"p{i}" for i in range(k)]
+    index = {u: i for i, u in enumerate(names)}
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            rows[i][j] = rows[j][i] = data.draw(st.integers(0, top))
+    table = {u: tuple(rows[i]) for i, u in enumerate(names)}
+    members = data.draw(st.permutations(names))
+    found = _widest(table, index, members, n)
+    assert found == widest_bruteforce(table, index, members, n)
+    if k < n:
+        assert found == (0, None)
+
+
+def test_finite_classification_enumerates_no_subsets(monkeypatch):
+    # the only spread left is the witness separation, one per n
+    from chainscope import chaos, compile_finite
+
+    sys = compile_finite(_line_system(24))
+    dg = build_chain_digraph(sys, 1)
+    (comp,) = chain_components(dg)
+    dec = cyclic_classes(dg, comp)
+    assert len(dec.classes()) == 1
+    calls = []
+    spread = chaos._spread
+
+    def counting(table, index, combo):
+        calls.append(combo)
+        return spread(table, index, combo)
+
+    monkeypatch.setattr(chaos, "_spread", counting)
+    rep = classify_finite_component(dec, 3)
+    assert len(calls) <= len(rep.per_n) == 2
 
 
 def test_enumeration_budget_counts_every_subset():

@@ -17,7 +17,7 @@ from chainscope import chaos, cli
 from chainscope.cli import build_parser, main
 from chainscope.corpus import corpus_names, load_corpus
 from chainscope.errors import SpecError
-from chainscope.report import condensation_dot, report_to_json
+from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, report_to_json
 from chainscope.specio import save_system
 from chainscope.systems import MAX_EXHAUSTIVE_POINTS, FiniteSystem
 
@@ -99,6 +99,30 @@ def test_accepted_ladder_settings_echo_as_before(argv, top_k, ladder, capsys):
     config = json.loads(out)["provenance"]["config"]
     assert code == 0
     assert (config["top_k"], config["ladder"]) == (top_k, ladder)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"ladder": ("1/2",)},
+    {"ladder": ("1/2",), "top_k": 1},
+    {"top_k": 1},
+    {"ladder_policy": "top-k", "ladder": ("1/2",)},
+    {"ladder_policy": "explicit", "ladder": ("1/2",), "top_k": 1},
+])
+def test_a_config_ladder_setting_of_another_policy_is_refused(kwargs):
+    # a library caller used to get the all-critical ladder with the setting echoed
+    with pytest.raises(SpecError, match="applies only to the"):
+        AnalysisConfig(spec="corpus:sys3", **kwargs)
+
+
+@pytest.mark.parametrize("argv, kwargs", [
+    ([], {}),
+    (["--ladder-policy", "explicit", "--ladder", "1/2,1"],
+     {"ladder_policy": "explicit", "ladder": ("1/2", "1")}),
+])
+def test_a_config_top_k_of_six_echoes_as_the_default(argv, kwargs, capsys):
+    code, out, _ = run_cli(["analyze", "corpus:sys3", *argv], capsys)
+    report = cmd_analyze(AnalysisConfig(spec="corpus:sys3", top_k=6, **kwargs))
+    assert code == 0 and report_to_json(report) == out
 
 
 def test_furstenberg_takes_one_time_set(capsys):
