@@ -29,8 +29,8 @@ from operator import itemgetter
 from .cyclic import CyclicDecomposition, ProximalPartition
 from .errors import BudgetExceeded, InvariantViolation, NotIrreducible, SpecError
 from .families import FamilyVerdict, TimeSetWindow, WindowParams, window_family_member
-from .sft import (SftGraph, SftPoint, find_connecting_path, find_exact_path, graph_period,
-                  is_irreducible, sft_entropy, validate_point, vertex_classes)
+from .sft import (SftGraph, SftPoint, connecting_length, dyadic_depth, find_exact_path,
+                  graph_period, is_irreducible, sft_entropy, validate_point, vertex_classes)
 from .systems import FiniteSystem
 
 LEVELS = ("DC1", "IAPSTAR", "LIYORKE", "NONE")
@@ -39,9 +39,53 @@ T_CAP = 8  # a vertex shift's distal search tries separations 2^(-t), t <= T_CAP
 
 
 # -- exact orbit distance profiles ------------------------------------------------
+#
+# A profile holds int keys that order like the distances they stand for: on
+# a finite system the ranks of its metric (``FiniteSystem.ranks``), on a
+# vertex shift the keys of a ``DepthScale``.  A threshold becomes one int cut
+# on the same scale, so a window compares ints only.
 
-def _pair_profile_sft(x: SftPoint, y: SftPoint, horizon: int) -> list[Fraction]:
-    """d(shift^i x, shift^i y) for i in [0, horizon), exact.
+@dataclass(frozen=True)
+class DepthScale:
+    """Distance keys of a tuple of eventually periodic points.
+
+    From any time on, two of the points differ, if at all, below depth
+    ``bound`` = max(head lengths) + lcm(cycle lengths) (see
+    ``first_difference``).  So key ``bound - k`` stands for 2^(-k) and key 0
+    for distance 0, and the keys order like the distances, as the ranks of a
+    finite metric do (``DistanceRanks``, whose ``cut`` and ``cut_under`` these
+    mirror).
+    """
+
+    bound: int
+
+    def cut(self, r: Fraction) -> int:
+        """The largest key whose distance is <= r (-1 when r < 0)."""
+        if r.numerator < 0:
+            return -1
+        k = dyadic_depth(r)
+        return 0 if k is None else max(0, self.bound - k)
+
+    def cut_under(self, eps: Fraction) -> int:
+        """The largest key whose distance is < eps (-1 when eps <= 0)."""
+        k = dyadic_depth(eps, strict=True)
+        return -1 if k is None else max(0, self.bound - k)
+
+    def level(self, key: int) -> Fraction:
+        return Fraction(1, 2 ** (self.bound - key)) if key else Fraction(0)
+
+
+def distance_scale(model, points):
+    """The key scale of the pair profiles of an orbit tuple."""
+    if isinstance(model, SftGraph):
+        return DepthScale(max(len(p.head) for p in points)
+                          + math.lcm(*(len(p.cycle) for p in points)))
+    return model.ranks
+
+
+def _pair_profile_sft(x: SftPoint, y: SftPoint, horizon: int, bound: int) -> list[int]:
+    """Keys of d(shift^i x, shift^i y) for i in [0, horizon), on the
+    ``DepthScale`` of that ``bound``.
 
     Profiles of eventually periodic points are eventually periodic: beyond
     the longer head both sequences repeat with the lcm of the cycle lengths,
@@ -52,34 +96,45 @@ def _pair_profile_sft(x: SftPoint, y: SftPoint, horizon: int) -> list[Fraction]:
     N = M + 2 * Q
     xs = x.expand(N)
     ys = y.expand(N)
-    nxt_diff = [None] * (N + 1)
-    for j in range(N - 1, -1, -1):
-        nxt_diff[j] = j if xs[j] != ys[j] else nxt_diff[j + 1]
-    base: list[Fraction] = []
-    for i in range(min(horizon, M + Q)):
-        j = nxt_diff[i]
-        base.append(Fraction(0) if j is None else Fraction(1, 2 ** (j - i)))
+    nxt = None  # the first difference at or after the current index
+    for j in range(N - 1, M + Q - 1, -1):
+        if xs[j] != ys[j]:
+            nxt = j
+    base = [0] * (M + Q)
+    for i in range(M + Q - 1, -1, -1):
+        if xs[i] != ys[i]:
+            nxt = i
+        if nxt is not None:
+            base[i] = bound - (nxt - i)
     if horizon <= M + Q:
         return base[:horizon]
-    out = base
-    for i in range(M + Q, horizon):
-        out.append(base[M + (i - M) % Q])
-    return out
+    reps = -(-(horizon - M - Q) // Q)
+    return base + (base[M:] * reps)[:horizon - M - Q]
 
 
-def _pair_profile_finite(sys: FiniteSystem, x: str, y: str, horizon: int) -> list[Fraction]:
+def _pair_profile_finite(sys: FiniteSystem, x: str, y: str, horizon: int) -> list[int]:
+    rank, index, f = sys.ranks.rank, sys.ranks.index, sys.map
     out = []
-    u, v = x, y
     for _ in range(horizon):
-        out.append(sys.distance(u, v))
-        u, v = sys.apply(u), sys.apply(v)
+        out.append(rank[x][index[y]])
+        x, y = f[x], f[y]
     return out
 
 
-def pair_profile(model, x, y, horizon: int) -> list[Fraction]:
+def pair_profile(model, x, y, horizon: int, scale) -> list[int]:
+    """Keys of d(f^i x, f^i y) for i in [0, horizon) on ``scale``, the
+    ``distance_scale`` of a tuple holding x and y."""
     if isinstance(model, SftGraph):
-        return _pair_profile_sft(x, y, horizon)
+        return _pair_profile_sft(x, y, horizon, scale.bound)
     return _pair_profile_finite(model, x, y, horizon)
+
+
+def _key_extremes(model, points, horizon: int):
+    """(scale, mins, maxs): the per-time least and greatest pair key."""
+    scale = distance_scale(model, points)
+    profiles = [pair_profile(model, a, b, horizon, scale) for a, b in combinations(points, 2)]
+    per_time = list(zip(*profiles))
+    return scale, list(map(min, per_time)), list(map(max, per_time))
 
 
 @dataclass(frozen=True)
@@ -94,24 +149,31 @@ class TupleStats:
 
 def profile_extremes(model, points, horizon: int) -> tuple[list[Fraction], list[Fraction]]:
     """Per-time min and max pairwise distance of an orbit tuple over [0, horizon)."""
-    profiles = [pair_profile(model, a, b, horizon) for a, b in combinations(points, 2)]
-    return ([min(p[i] for p in profiles) for i in range(horizon)],
-            [max(p[i] for p in profiles) for i in range(horizon)])
+    scale, mins, maxs = _key_extremes(model, tuple(points), horizon)
+    level = {k: scale.level(k) for k in {*mins, *maxs}}
+    return [level[k] for k in mins], [level[k] for k in maxs]
 
 
 def tuple_stats(model, points, r_list, eps_list, horizon: int) -> TupleStats:
     """Windows S(r) (min pairwise distance > r, strict) and T(eps)
-    (max pairwise distance < eps, strict) over [0, horizon)."""
+    (max pairwise distance < eps, strict) over [0, horizon).
+
+    Each threshold becomes one int cut on the tuple's key scale: the
+    distance of a key exceeds r iff the key exceeds ``cut(r)``, and it is
+    below eps iff the key is at most ``cut_under(eps)``.
+    """
     pts = tuple(points)
     if len(pts) < 2:
         raise SpecError("tuples need at least two coordinates")
     if horizon < 1:
         raise SpecError("horizon must be positive")
-    mins, maxs = profile_extremes(model, pts, horizon)
-    s_sets = {r: TimeSetWindow(horizon, tuple(int(m > r) for m in mins))
-              for r in map(Fraction, r_list)}
-    t_sets = {e: TimeSetWindow(horizon, tuple(int(m < e) for m in maxs))
-              for e in map(Fraction, eps_list)}
+    scale, mins, maxs = _key_extremes(model, pts, horizon)
+    s_cuts = {r: scale.cut(r) for r in map(Fraction, r_list)}
+    t_cuts = {e: scale.cut_under(e) for e in map(Fraction, eps_list)}
+    s_sets = {r: TimeSetWindow(horizon, tuple([int(m > c) for m in mins]))
+              for r, c in s_cuts.items()}
+    t_sets = {e: TimeSetWindow(horizon, tuple([int(m <= c) for m in maxs]))
+              for e, c in t_cuts.items()}
     return TupleStats(len(pts), horizon, s_sets, t_sets)
 
 
@@ -286,8 +348,8 @@ def _points_from_cycle(g: SftGraph, cycle, n: int, t: int,
         pts.append(SftPoint((), stream))
     for p in pts:
         validate_point(g, p)
-    mins, _ = profile_extremes(g, pts, len(cycle))
-    if min(mins) < Fraction(1, 2**t):  # pragma: no cover - construction invariant
+    scale, mins, _ = _key_extremes(g, pts, len(cycle))
+    if min(mins) <= scale.cut_under(Fraction(1, 2**t)):  # pragma: no cover - construction invariant
         raise InvariantViolation("distal cycle lost its separation floor")
     return tuple(sorted(pts, key=lambda p: (p.head, p.cycle)))
 
@@ -434,11 +496,7 @@ def _common_connector(g: SftGraph, currents: list[int], targets: list[int]) -> l
                for c, t in zip(currents, targets)}
     if len(offsets) > 1:
         raise SpecError("connector targets sit at incompatible phases")
-    shortest = []
-    for c, t in zip(currents, targets):
-        p = find_connecting_path(g, c, t)
-        shortest.append(len(p) - 1)
-    length = max(shortest)
+    length = max(connecting_length(g, c, t) for c, t in zip(currents, targets))
     cap = length + graph_period(g) * ((g.vertex_count - 1) ** 2 + 2) + 2
     while length <= cap:
         paths = [find_exact_path(g, c, t, length) for c, t in zip(currents, targets)]

@@ -164,14 +164,17 @@ def window_family_member(A: TimeSetWindow, family: str,
     meta = {"H": H, "theta": str(theta), "run_req": run_req,
             "m_max": m_max, "tail_start": tail_start}
     if family == "UD1":
-        best = Fraction(0)
-        best_n = 0
+        # the best prefix density is best_count / best_n (0 / 1 before any
+        # prefix counts): count / n > best_count / best_n iff
+        # count * best_n > best_count * n, an int comparison
+        best_count, best_n = 0, 0
         count = sum(A.members[: H // 2])
         for n in range(H // 2, H + 1):
             if n > H // 2:
                 count += A.members[n - 1]
-            if n and Fraction(count, n) > best:
-                best, best_n = Fraction(count, n), n
+            if count * (best_n or 1) > best_count * n:
+                best_count, best_n = count, n
+        best = Fraction(best_count, best_n or 1)
         member = best >= 1 - theta
         return FamilyVerdict("UD1", member, "windowed",
                              dict(meta, best_prefix_density=str(best), best_prefix=best_n))
@@ -181,13 +184,14 @@ def window_family_member(A: TimeSetWindow, family: str,
                              dict(meta, longest_run=run, run_start=start))
     if family == "IAPSTAR":
         tail = [i for i in range(tail_start, H) if A.members[i]]
-        residues_hit: dict[int, set[int]] = {m: set() for m in range(1, m_max + 1)}
-        for i in tail:
-            for m in range(1, m_max + 1):
-                residues_hit[m].add(i % m)
         for m in range(1, m_max + 1):
+            hit: set[int] = set()
+            for i in tail:  # stop once every residue mod m is hit
+                hit.add(i % m)
+                if len(hit) == m:
+                    break
             for p in range(m):
-                if p not in residues_hit[m]:
+                if p not in hit:
                     return FamilyVerdict(
                         "IAPSTAR", False, "windowed",
                         dict(meta, failing_progression={"p": p, "m": m}))

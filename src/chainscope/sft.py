@@ -12,11 +12,14 @@ stated tolerances are relative to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress, cycle
+from operator import ne
+from typing import Iterator
 
-from .errors import InvalidPoint, InvariantViolation, NoConvergence, SpecError
+from .errors import InvalidPoint, NoConvergence, SpecError
 from .graph import bfs_levels, period, strongly_connected_components
 
 ENTROPY_MAX_ITER = 500_000  # power iterations per strongly connected block
@@ -24,9 +27,16 @@ ENTROPY_MAX_ITER = 500_000  # power iterations per strongly connected block
 
 @dataclass(frozen=True)
 class SftGraph:
-    """Symbol graph of a vertex shift: square 0/1 adjacency matrix."""
+    """Symbol graph of a vertex shift: square 0/1 adjacency matrix.
+
+    The successor rows and the hash are computed once, at construction: the
+    graph is a key of every per-graph cache, and hashing the adjacency anew
+    on each lookup costs as much as the lookup saves.
+    """
 
     adjacency: tuple[tuple[int, ...], ...]
+    _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.adjacency)
@@ -39,6 +49,18 @@ class SftGraph:
                 raise SpecError(f"vertex {v} has no outgoing edge")
             if not any(row[v] for row in self.adjacency):
                 raise SpecError(f"vertex {v} has no incoming edge")
+        object.__setattr__(self, "_rows", tuple(
+            tuple(w for w, bit in enumerate(row) if bit) for row in self.adjacency))
+        object.__setattr__(self, "_hash", hash(self.adjacency))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        # the rows determine the adjacency, and are far shorter to compare
+        if not isinstance(other, SftGraph):
+            return NotImplemented
+        return self._rows == other._rows
 
     @property
     def vertex_count(self) -> int:
@@ -48,7 +70,7 @@ class SftGraph:
         return self.adjacency[a][b] == 1
 
     def successors(self, v: int) -> tuple[int, ...]:
-        return tuple(w for w, bit in enumerate(self.adjacency[v]) if bit)
+        return self._rows[v]
 
 
 def full_shift(symbols: int) -> SftGraph:
@@ -99,7 +121,18 @@ class SftPoint:
         return self.cycle[(i - len(self.head)) % len(self.cycle)]
 
     def expand(self, n: int) -> list[int]:
-        return [self.symbol(i) for i in range(n)]
+        word = list(self.head[:n])
+        if len(word) < n:
+            reps = -(-(n - len(word)) // len(self.cycle))
+            word.extend((self.cycle * reps)[:n - len(word)])
+        return word
+
+    def symbols(self, i: int = 0) -> Iterator[int]:
+        """The symbols from index i on, endlessly."""
+        if i < len(self.head):
+            return chain(self.head[i:], cycle(self.cycle))
+        r = (i - len(self.head)) % len(self.cycle)
+        return cycle(self.cycle[r:] + self.cycle[:r])
 
     def __str__(self) -> str:
         h = " ".join(map(str, self.head))
@@ -113,8 +146,8 @@ def parse_point(text: str) -> SftPoint:
         raise SpecError(f"point text needs a '|' separator: {text!r}")
     head_s, cycle_s = text.split("|", 1)
     try:
-        head = tuple(int(t) for t in head_s.split())
-        cycle = tuple(int(t) for t in cycle_s.split())
+        head = tuple(map(int, head_s.split()))
+        cycle = tuple(map(int, cycle_s.split()))
     except ValueError as exc:
         raise SpecError(f"bad point text {text!r}") from exc
     return SftPoint(head, cycle)
@@ -123,12 +156,13 @@ def parse_point(text: str) -> SftPoint:
 def validate_point(g: SftGraph, p: SftPoint) -> None:
     """Check that head + two turns of the cycle is an admissible path."""
     n = g.vertex_count
-    word = list(p.head) + list(p.cycle) * 2
-    for s in word:
-        if not 0 <= s < n:
-            raise InvalidPoint(f"symbol {s} outside vertex range of the graph")
+    word = p.head + p.cycle + p.cycle
+    if min(word) < 0 or max(word) >= n:
+        s = next(s for s in word if not 0 <= s < n)
+        raise InvalidPoint(f"symbol {s} outside vertex range of the graph")
+    adjacency = g.adjacency
     for a, b in zip(word, word[1:]):
-        if not g.is_edge(a, b):
+        if not adjacency[a][b]:
             raise InvalidPoint(f"forbidden transition {a}->{b} in {p}")
 
 
@@ -148,20 +182,31 @@ def shift_by(x: SftPoint, k: int) -> SftPoint:
     return SftPoint((), x.cycle[r:] + x.cycle[:r])
 
 
-def first_difference(x: SftPoint, y: SftPoint) -> int | None:
-    """Index of the first differing symbol, or None when the points are equal.
+def first_difference(x: SftPoint, y: SftPoint, i: int = 0) -> int | None:
+    """Index of the first symbol at which shift^i x and y differ, or None
+    when they are equal: the depth k of their distance 2^(-k).
 
     A difference, if any, shows up before max(head lengths) + lcm(cycle
     lengths): beyond the heads both sequences are periodic with the lcm as a
     common period.
     """
-    if x == y:
+    bound = max(len(x.head) - i, len(y.head)) + math.lcm(len(x.cycle), len(y.cycle))
+    return next(compress(range(bound), map(ne, x.symbols(i), y.symbols())), None)
+
+
+def dyadic_depth(r: Fraction, strict: bool = False) -> int | None:
+    """The least k >= 0 with 2^(-k) <= r (with 2^(-k) < r when ``strict``);
+    None when r <= 0, where no k qualifies.
+
+    So 2^(-k) > r iff k < dyadic_depth(r), and 2^(-k) < r iff
+    k >= dyadic_depth(r, strict=True).  For r = p / q > 0, 2^(-k) <= r iff
+    2^k >= ceil(q / p), and 2^(-k) < r iff 2^k > floor(q / p): int
+    arithmetic only.
+    """
+    p, q = r.numerator, r.denominator
+    if p <= 0:
         return None
-    bound = max(len(x.head), len(y.head)) + math.lcm(len(x.cycle), len(y.cycle))
-    for i in range(bound):
-        if x.symbol(i) != y.symbol(i):
-            return i
-    raise InvariantViolation("distinct canonical points must differ within the bound")
+    return (q // p).bit_length() if strict else (-(-q // p) - 1).bit_length()
 
 
 def sft_distance(g: SftGraph, x: SftPoint, y: SftPoint) -> Fraction:
@@ -241,15 +286,15 @@ def find_exact_path(g: SftGraph, a: int, b: int, length: int) -> list[int] | Non
     return path
 
 
-def find_connecting_path(g: SftGraph, a: int, b: int) -> list[int]:
-    """Shortest path a -> b of positive length; lexicographic tie-break.
+def connecting_length(g: SftGraph, a: int, b: int) -> int:
+    """Length of a shortest path a -> b of positive length.
 
     Raises SpecError when b is not reachable from a within the structural cap.
     """
     reach = set(g.successors(a))
     for length in range(1, path_length_cap(g) + 2):
         if b in reach:
-            return find_exact_path(g, a, b, length)
+            return length
         reach = {w for v in reach for w in g.successors(v)}
     raise SpecError(f"no admissible connecting path {a}->{b} within the structural cap")
 

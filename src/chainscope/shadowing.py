@@ -14,36 +14,52 @@ exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, compress
+from operator import ne
 from typing import Sequence
 
 from .chains import build_chain_digraph, critical_deltas
 from .errors import (AdmissibilityBug, BudgetExceeded, ClassMismatch, NotIrreducible,
                      PrecisionViolation, SpecError, StepViolation)
-from .sft import (SftGraph, SftPoint, find_exact_path, first_difference, graph_period,
-                  is_irreducible, path_length_cap, sft_distance, shift_by,
+from .sft import (SftGraph, SftPoint, dyadic_depth, find_exact_path, first_difference,
+                  graph_period, is_irreducible, path_length_cap, sft_distance, shift_by,
                   validate_point, vertex_classes)
 from .systems import FiniteSystem
 
 
 @dataclass(frozen=True)
 class PseudoOrbit:
-    """A finite state sequence with its per-step errors e_i = d(f(x_i), x_{i+1})."""
+    """A finite state sequence with its per-step errors e_i = d(f(x_i), x_{i+1}).
+
+    ``checked`` is the model ``validate_pseudo_orbit`` checked every state
+    against, and None for a pseudo-orbit built any other way.
+    """
 
     states: tuple
     errors: tuple[Fraction, ...]
+    checked: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.errors) != len(self.states) - 1:
             raise SpecError("errors must have one entry per step")
 
 
+@lru_cache(maxsize=1024)
+def _dyadic(k: int | None) -> Fraction:
+    """The distance 2^(-k) of depth k, 0 for None; built once per depth."""
+    return Fraction(0) if k is None else Fraction(1, 2**k)
+
+
 def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
     """Accept xs as a delta-pseudo-orbit; reject at the first oversized step.
 
     On a vertex shift each state is validated once, before the step into it
-    is measured: the shift of an admissible point is admissible.
+    is measured: the shift of an admissible point is admissible.  A step
+    error 2^(-k) exceeds delta iff k < ``dyadic_depth(delta)``, an int test.
     """
     delta = Fraction(delta)
     if delta < 0:
@@ -51,23 +67,25 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
     states = tuple(xs)
     if len(states) < 2:
         raise SpecError("a pseudo-orbit needs at least two states")
-    shift = isinstance(model, SftGraph)
-    if shift:
-        validate_point(model, states[0])
-    elif not isinstance(model, FiniteSystem):
-        raise SpecError(f"unsupported model {type(model).__name__}")
     errors = []
-    for i, (x, y) in enumerate(zip(states, states[1:])):
-        if shift:
+    if isinstance(model, SftGraph):
+        limit = dyadic_depth(delta)
+        validate_point(model, states[0])
+        for i, (x, y) in enumerate(zip(states, states[1:])):
             validate_point(model, y)
-            k = first_difference(shift_by(x, 1), y)
-            e = Fraction(0) if k is None else Fraction(1, 2**k)
-        else:
+            k = first_difference(x, y, 1)
+            if k is not None and (limit is None or k < limit):
+                raise StepViolation(i, _dyadic(k))
+            errors.append(_dyadic(k))
+    elif isinstance(model, FiniteSystem):
+        for i, (x, y) in enumerate(zip(states, states[1:])):
             e = model.distance(model.apply(x), y)
-        if e > delta:
-            raise StepViolation(i, e)
-        errors.append(e)
-    return PseudoOrbit(states, tuple(errors))
+            if e > delta:
+                raise StepViolation(i, e)
+            errors.append(e)
+    else:
+        raise SpecError(f"unsupported model {type(model).__name__}")
+    return PseudoOrbit(states, tuple(errors), model)
 
 
 def _suffix_max(values: Sequence[Fraction]) -> list[Fraction]:
@@ -99,7 +117,7 @@ def validate_limit_pseudo_orbit(po: PseudoOrbit, delta,
         raise SpecError("schedule must be strictly decreasing and end positive")
     nerr = len(po.errors)
     suffix_max = _suffix_max(po.errors)
-    if any(e > delta for e in po.errors):
+    if nerr and suffix_max[0] > delta:  # some error exceeds delta
         return LimitVerdict(False, 0, ())
     bounds = []
     for j, tj in enumerate(sched):
@@ -155,16 +173,22 @@ def sft_shadow(g: SftGraph, po: PseudoOrbit, n: int) -> ShadowResult:
     is admissible and tracks every state within 2^(-(n+1)).  Decaying step
     errors therefore yield decaying tracking errors: the construction is the
     asymptotic-tracking mechanism on shifts.
+
+    The states are checked against g unless ``validate_pseudo_orbit``
+    already did.  Each tracking depth is the first difference of state i
+    with the shadow read from index i of one expanded symbol list of the
+    shadow; it lies below max(head lengths) + lcm(cycle lengths) of the two,
+    and the list reaches the largest such index.
     """
     if n < 1:
         raise SpecError("agreement depth n must be at least 1")
-    bound = Fraction(1, 2**n)
     for i, e in enumerate(po.errors):
-        if e > bound:
+        if e.numerator << n > e.denominator:  # e > 2^(-n)
             raise PrecisionViolation(i, e)
     states = po.states
-    for x in states:
-        validate_point(g, x)
+    if po.checked is not g:
+        for x in states:
+            validate_point(g, x)
     last = states[-1]
     head = tuple(x.symbol(0) for x in states[:-1]) + last.head
     z = SftPoint(head, last.cycle)
@@ -172,18 +196,23 @@ def sft_shadow(g: SftGraph, po: PseudoOrbit, n: int) -> ShadowResult:
         validate_point(g, z)
     except Exception as exc:  # pragma: no cover - construction invariant
         raise AdmissibilityBug(f"spliced shadow is not admissible: {exc}") from exc
-    target = Fraction(1, 2**(n + 1))
-    track = []
-    zi = z
-    for i in range(len(states)):
-        k = first_difference(zi, states[i])
-        d = Fraction(0) if k is None else Fraction(1, 2**k)
-        if d > target:
+    zh, zc = len(z.head), len(z.cycle)
+    windows = [max(zh - i, len(x.head)) + math.lcm(zc, len(x.cycle))
+               for i, x in enumerate(states)]
+    zs = z.expand(max(i + w for i, w in enumerate(windows)))
+    top = max(windows)  # deeper than every difference: stands for distance 0
+    depths = []
+    for i, (x, w) in enumerate(zip(states, windows)):
+        k = next(compress(range(w), map(ne, map(zs.__getitem__, range(i, i + w)),
+                                         x.symbols())), None)
+        if k is not None and k < n + 1:
             raise AdmissibilityBug(
-                f"tracking bound 2^-(n+1) fails at step {i}: {d}")
-        track.append(d)
-        zi = shift_by(zi, 1)
-    return ShadowResult(z, max(track), tuple(_suffix_max(track)[:-1]))
+                f"tracking bound 2^-(n+1) fails at step {i}: {_dyadic(k)}")
+        depths.append(top if k is None else k)
+    # the suffix maxima of the distances are the suffix minima of the depths
+    suffix = list(accumulate(reversed(depths), min))[::-1]
+    tail = tuple(_dyadic(None if k == top else k) for k in suffix)
+    return ShadowResult(z, tail[0], tail)
 
 
 def _epsilon_exponent(epsilon) -> int:

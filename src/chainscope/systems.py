@@ -14,7 +14,7 @@ the grids approximate.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -81,6 +81,14 @@ class DistanceRanks:
         comparison.
         """
         return bisect_right(self.scaled, delta.numerator * self.scale // delta.denominator) - 1
+
+    def cut_under(self, eps: Fraction) -> int:
+        """Index of the largest level < eps (-1 when eps <= 0): an int level
+        s / scale is below p / q iff s < ceil(p * scale / q)."""
+        return bisect_left(self.scaled, -(-eps.numerator * self.scale // eps.denominator)) - 1
+
+    def level(self, key: int) -> Fraction:
+        return self.levels[key]
 
 
 @dataclass(frozen=True)

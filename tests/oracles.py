@@ -342,3 +342,93 @@ def recover_step(doc, i):
     chain = {"delta": text, "edges": edges, "recurrent": entry["recurrent"],
              "components": entry["components"]}
     return chain, rows
+
+
+# -- Fraction distance profiles, windows and prefix densities -------------------------
+#
+# The vertex-shift path once built one Fraction per time step; these are those
+# Fraction versions, kept to check the int keys and cuts that replaced them.
+
+def fraction_pair_profile(model, x, y, horizon):
+    """d(f^i x, f^i y) for i in [0, horizon) as Fractions.  A vertex-shift
+    pair's profile is computed on one fundamental window (the longer head
+    plus the lcm of the cycles) and tiled."""
+    from chainscope import SftGraph
+
+    if not isinstance(model, SftGraph):
+        out = []
+        for _ in range(horizon):
+            out.append(model.distance(x, y))
+            x, y = model.apply(x), model.apply(y)
+        return out
+    M = max(len(x.head), len(y.head))
+    Q = math.lcm(len(x.cycle), len(y.cycle))
+    N = M + 2 * Q
+    xs = [x.symbol(i) for i in range(N)]
+    ys = [y.symbol(i) for i in range(N)]
+    nxt_diff = [None] * (N + 1)
+    for j in range(N - 1, -1, -1):
+        nxt_diff[j] = j if xs[j] != ys[j] else nxt_diff[j + 1]
+    base = []
+    for i in range(min(horizon, M + Q)):
+        j = nxt_diff[i]
+        base.append(Fraction(0) if j is None else Fraction(1, 2 ** (j - i)))
+    if horizon <= M + Q:
+        return base[:horizon]
+    return base + [base[M + (i - M) % Q] for i in range(M + Q, horizon)]
+
+
+def fraction_profile_extremes(model, points, horizon):
+    """Per-time min and max pairwise distance, compared as Fractions."""
+    profiles = [fraction_pair_profile(model, a, b, horizon)
+                for a, b in combinations(points, 2)]
+    return ([min(p[i] for p in profiles) for i in range(horizon)],
+            [max(p[i] for p in profiles) for i in range(horizon)])
+
+
+def fraction_windows(model, points, r_list, eps_list, horizon):
+    """({r: S(r) bits}, {eps: T(eps) bits}), each bit a Fraction comparison:
+    min pairwise distance > r, max pairwise distance < eps."""
+    mins, maxs = fraction_profile_extremes(model, points, horizon)
+    return ({r: tuple(int(m > r) for m in mins) for r in map(Fraction, r_list)},
+            {e: tuple(int(m < e) for m in maxs) for e in map(Fraction, eps_list)})
+
+
+def fraction_best_prefix(bits):
+    """(best prefix density, its prefix length) over the prefixes of length
+    H // 2 .. H of a window, one Fraction per prefix; the first prefix of the
+    largest density wins, and (0, 0) when no prefix is nonempty."""
+    H = len(bits)
+    best, best_n = Fraction(0), 0
+    count = sum(bits[: H // 2])
+    for n in range(H // 2, H + 1):
+        if n > H // 2:
+            count += bits[n - 1]
+        if n and Fraction(count, n) > best:
+            best, best_n = Fraction(count, n), n
+    return best, best_n
+
+
+def shadow_bruteforce(sys, states, epsilon):
+    """(z, max error, suffix maxima of the errors) for the least z whose
+    orbit stays within epsilon of every state, or None: every z is tried,
+    its whole track is measured, and each suffix maximum is taken anew."""
+    for z in sorted(sys.points):
+        track, u = [], z
+        for s in states:
+            track.append(sys.distance(u, s))
+            u = sys.apply(u)
+        if all(d <= epsilon for d in track):
+            return z, max(track), tuple(max(track[i:]) for i in range(len(track)))
+    return None
+
+
+def windowed_iapstar_bruteforce(bits, m_max, tail_start):
+    """None when every progression p mod m, m <= m_max, meets the window's
+    members at or after ``tail_start``; else the first (p, m) that does not,
+    in order of m and then p."""
+    for m in range(1, m_max + 1):
+        for p in range(m):
+            if not any(bits[i] for i in range(tail_start, len(bits)) if i % m == p):
+                return p, m
+    return None

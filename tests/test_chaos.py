@@ -11,13 +11,16 @@ from chainscope import (ClassifyParams, SftPoint, build_chain_digraph, chain_com
                         check_condition3, classify_finite_component, classify_sft,
                         critical_deltas,
                         compute_delta_n, construct_witness, cyclic_classes,
-                        finite_system, perturbed_witness_trials, sft_delta_n, tuple_stats)
-from chainscope.chaos import _orbit_min_separation, _sft_distal_search, _widest, pair_profile
+                        finite_system, load_corpus, perturbed_witness_trials,
+                        profile_extremes, sft_delta_n, tuple_stats)
+from chainscope.chaos import (_orbit_min_separation, _sft_distal_search, _widest, distance_scale,
+                             pair_profile)
 from chainscope.errors import BudgetExceeded, SpecError
 from chainscope.sft import SftGraph, sft_distance, shift_by
 
 from conftest import RING60_CHORDS, random_point, random_system, ring_with_chords
-from oracles import best_spread, eager_distal_cycle, orbit_min_separation, widest_bruteforce
+from oracles import (best_spread, eager_distal_cycle, fraction_profile_extremes, fraction_windows,
+                     orbit_min_separation, widest_bruteforce)
 from test_graph import irreducible_graphs
 
 
@@ -27,9 +30,10 @@ def test_pair_profile_matches_direct_shifting(full2, goldenmean):
         for _ in range(30):
             x = random_point(g, rng)
             y = random_point(g, rng)
-            prof = pair_profile(g, x, y, 40)
+            scale = distance_scale(g, (x, y))
+            prof = pair_profile(g, x, y, 40, scale)
             for i in range(40):
-                assert prof[i] == sft_distance(g, shift_by(x, i), shift_by(y, i))
+                assert scale.level(prof[i]) == sft_distance(g, shift_by(x, i), shift_by(y, i))
 
 
 def test_tuple_stats_full_shift_alternators(full2):
@@ -64,6 +68,69 @@ def test_tuple_stats_nesting(full2):
     t_small = stats.t_sets[Fraction(1, 8)].members
     t_big = stats.t_sets[Fraction(1, 2)].members
     assert all(a <= b for a, b in zip(t_small, t_big))  # T monotone in eps
+
+
+# thresholds on both sides of every cut: negative, zero, above one, dyadic
+# and not dyadic
+THRESHOLDS = st.one_of(
+    st.sampled_from([Fraction(-1), Fraction(-1, 3), Fraction(0), Fraction(1), Fraction(3, 2),
+                     Fraction(2)]),
+    st.integers(0, 14).map(lambda k: Fraction(1, 2**k)),
+    st.fractions(min_value=-1, max_value=3, max_denominator=600))
+
+
+def _check_windows_against_fractions(data, model, pts, thresholds):
+    horizon = data.draw(st.integers(1, 90))
+    rs = data.draw(st.lists(thresholds, min_size=1, max_size=4))
+    es = data.draw(st.lists(thresholds, min_size=1, max_size=4))
+    stats = tuple_stats(model, pts, rs, es, horizon)
+    s_bits, t_bits = fraction_windows(model, pts, rs, es, horizon)
+    assert {r: w.members for r, w in stats.s_sets.items()} == s_bits
+    assert {e: w.members for e, w in stats.t_sets.items()} == t_bits
+    assert profile_extremes(model, pts, horizon) == fraction_profile_extremes(model, pts, horizon)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_shift_windows_match_fraction_comparisons(data):
+    g = data.draw(st.one_of(st.sampled_from([load_corpus("full2"), load_corpus("goldenmean")]),
+                            irreducible_graphs()))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    head_max = data.draw(st.integers(0, 12))
+    pts = [random_point(g, rng, head_max=head_max) for _ in range(data.draw(st.integers(2, 4)))]
+    if data.draw(st.booleans()):
+        pts[-1] = pts[0]  # a pair at distance 0 at every time
+    _check_windows_against_fractions(data, g, pts, THRESHOLDS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_finite_windows_match_fraction_comparisons(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    sys = random_system(rng, max_points=8)
+    pts = [rng.choice(sys.points) for _ in range(data.draw(st.integers(2, 4)))]
+    levels = st.sampled_from(sorted(set(sys.metric.values())))  # cuts at a level
+    _check_windows_against_fractions(data, sys, pts, st.one_of(THRESHOLDS, levels))
+
+
+def test_windowed_test_compares_no_fraction_per_time(full2, monkeypatch):
+    # the windows compare int keys with one int cut per threshold; the
+    # Fraction comparisons left do not grow with the horizon
+    from fractions import Fraction as F
+
+    built = construct_witness(full2, 2, "DC1", 512)
+    calls = 0
+    original = F._richcmp
+
+    def counting(self, other, op):
+        nonlocal calls
+        calls += 1
+        return original(self, other, op)
+
+    monkeypatch.setattr(F, "_richcmp", counting)
+    verdict = check_condition3(full2, built.points, built.delta_n, "DC1", 512)
+    assert verdict.ok
+    assert calls <= 16
 
 
 def test_distal_search_respects_class_restriction():

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainscope import (EventuallyPeriodicSet, TimeSetWindow, WindowParams, family_member,
                         inclusion_audit, rotation_time_set, upper_density,
@@ -11,7 +13,7 @@ from chainscope import (EventuallyPeriodicSet, TimeSetWindow, WindowParams, fami
 from chainscope.errors import HorizonTooSmall, SpecError
 from chainscope.families import rle_to_window
 
-from oracles import brute_iapstar, brute_thick
+from oracles import brute_iapstar, brute_thick, fraction_best_prefix, windowed_iapstar_bruteforce
 
 
 def eps(pre, pat):
@@ -163,3 +165,31 @@ def test_rle_to_window_parses_runs():
     for text in ("", "1x", "1-2", "2x1"):
         with pytest.raises(SpecError):
             rle_to_window(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 1), min_size=1, max_size=240),
+                 st.lists(st.sampled_from((0, 1, 1, 1, 1, 1, 1, 1)), min_size=1, max_size=240)),
+       st.fractions(min_value=0, max_value=1, max_denominator=40))
+def test_ud1_window_matches_fraction_prefix_densities(bits, theta):
+    verdict = window_family_member(TimeSetWindow(len(bits), tuple(bits)), "UD1",
+                                   WindowParams(theta=theta))
+    best, best_n = fraction_best_prefix(bits)
+    assert verdict.member == (best >= 1 - theta)
+    assert verdict.certificate["best_prefix_density"] == str(best)
+    assert verdict.certificate["best_prefix"] == best_n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 1), min_size=4, max_size=300),
+                 st.lists(st.sampled_from((0, 0, 0, 0, 0, 1)), min_size=4, max_size=300)),
+       st.integers(1, 8))
+def test_windowed_iapstar_matches_every_progression(bits, m_max):
+    window = TimeSetWindow(len(bits), tuple(bits))
+    if len(bits) < 4 * m_max * m_max:
+        m_max = None  # the largest value the horizon supports
+    verdict = window_family_member(window, "IAPSTAR", WindowParams(m_max=m_max))
+    failing = windowed_iapstar_bruteforce(bits, verdict.certificate["m_max"], len(bits) // 2)
+    assert verdict.member == (failing is None)
+    if failing is not None:
+        assert verdict.certificate["failing_progression"] == {"p": failing[0], "m": failing[1]}

@@ -157,3 +157,12 @@ def test_sparse_radius_bracket_equals_dense_reference(block):
     assert expected is not None
     # the same floats, not merely close ones
     assert sft._block_radius_bracket(sft._block_rows(g, nodes), 1e-9, 5000) == expected
+
+
+def test_graph_rows_and_hash_are_built_once():
+    adjacency = ((0, 1, 1), (1, 0, 0), (1, 1, 0))
+    g, h = SftGraph(adjacency), SftGraph(tuple(map(tuple, map(list, adjacency))))
+    assert g.successors(0) == (1, 2) and g.successors(0) is g.successors(0)
+    assert g == h and hash(g) == hash(h) and g is not h
+    assert g != full_shift(3) and g != adjacency
+    assert repr(g) == f"SftGraph(adjacency={adjacency!r})"

@@ -2,17 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainscope import (PseudoOrbit, SftPoint, estimate_slimit_modulus,
+from chainscope import (PseudoOrbit, SftPoint, critical_deltas, estimate_slimit_modulus,
                         find_shadowing_point, sft_distance, sft_shift, slimit_splice,
                         sft_shadow, validate_limit_pseudo_orbit, validate_pseudo_orbit)
-from chainscope import sft, shadowing
+from chainscope import load_corpus, sft, shadowing
 from chainscope.errors import (ClassMismatch, InvalidPoint, NotIrreducible, PrecisionViolation,
-                               SpecError, StepViolation)
+                               SpecError, StepViolation, ValidationError)
 from chainscope.sft import SftGraph, shift_by
-from chainscope.shadowing import default_schedule
+from chainscope.shadowing import ShadowResult, default_schedule
 
-from conftest import random_point, random_pseudo_orbit
+from conftest import random_point, random_pseudo_orbit, random_system
+from oracles import shadow_bruteforce
 
 
 def test_validate_true_orbit_is_zero_error(sys3):
@@ -258,3 +261,81 @@ def test_find_shadowing_point_independent_recheck():
             for s in states:
                 assert sys.distance(u, s) <= eps
                 u = sys.apply(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["full2", "goldenmean"]), st.integers(1, 4), st.integers(2, 40),
+       st.integers(0, 6), st.integers(0, 2**32))
+def test_sft_shadow_tracking_matches_bruteforce(name, depth, length, exact_tail, seed):
+    # exact_tail true steps at the end give tracking errors of exactly 0
+    g = load_corpus(name)
+    states = random_pseudo_orbit(g, random.Random(seed), depth, length)
+    states += [shift_by(states[-1], i) for i in range(1, exact_tail + 1)]
+    po = validate_pseudo_orbit(g, states, Fraction(1, 2**depth))
+    res = sft_shadow(g, po, depth)
+    track = [sft_distance(g, shift_by(res.point, i), s) for i, s in enumerate(states)]
+    assert res.tail_profile == tuple(max(track[i:]) for i in range(len(track)))
+    assert res.epsilon == max(track)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["full2", "goldenmean"]), st.integers(1, 4), st.integers(2, 20),
+       st.integers(0, 2**32), st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 8),
+                                               Fraction(1, 2), Fraction(1), Fraction(5, 4)]))
+def test_validate_sft_steps_match_distances(name, depth, length, seed, delta):
+    g = load_corpus(name)
+    states = random_pseudo_orbit(g, random.Random(seed), depth, length)
+    errors = [sft_distance(g, sft_shift(g, x), y) for x, y in zip(states, states[1:])]
+    over = [i for i, e in enumerate(errors) if e > delta]
+    if over:
+        with pytest.raises(StepViolation) as exc:
+            validate_pseudo_orbit(g, states, delta)
+        assert (exc.value.index, exc.value.error) == (over[0], errors[over[0]])
+    else:
+        assert validate_pseudo_orbit(g, states, delta).errors == tuple(errors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 8))
+def test_find_shadowing_point_matches_bruteforce(seed, length):
+    rng = random.Random(seed)
+    sys = random_system(rng, max_points=7)
+    crits = critical_deltas(sys)
+    delta = rng.choice(crits)
+    states = [rng.choice(sys.points)]
+    while len(states) < length:
+        states.append(rng.choice([v for v in sys.points
+                                  if sys.distance(sys.apply(states[-1]), v) <= delta]))
+    po = validate_pseudo_orbit(sys, states, delta)
+    eps = rng.choice(sorted(set(sys.metric.values())))
+    res = find_shadowing_point(sys, po, eps)
+    want = shadow_bruteforce(sys, states, eps)
+    if want is None:
+        assert res == ShadowResult(None, None, ())
+    else:
+        assert (res.point, res.epsilon, res.tail_profile) == want
+
+
+def test_sft_shadow_checks_states_not_checked_on_its_graph(full2, goldenmean):
+    ok = SftPoint((), (0,))
+    bad = SftPoint((), (1,))  # 1 -> 1 is forbidden on the golden mean graph
+    # built by hand: nothing has checked the states
+    with pytest.raises(InvalidPoint):
+        sft_shadow(goldenmean, PseudoOrbit((ok, bad), (Fraction(0),)), 1)
+    # checked on another graph, where the state is admissible
+    po = validate_pseudo_orbit(full2, [bad, bad], 0)
+    assert po.checked is full2
+    with pytest.raises(InvalidPoint):
+        sft_shadow(goldenmean, po, 1)
+    assert issubclass(InvalidPoint, ValidationError)  # the CLI exits 2
+
+
+def test_sft_shadow_skips_states_checked_on_its_graph(full2, monkeypatch):
+    states = random_pseudo_orbit(full2, random.Random(6), 3, 30)
+    po = validate_pseudo_orbit(full2, states, Fraction(1, 8))
+    calls = []
+    original = shadowing.validate_point
+    monkeypatch.setattr(shadowing, "validate_point",
+                        lambda g, p: calls.append(p) or original(g, p))
+    res = sft_shadow(full2, po, 3)
+    assert calls == [res.point]  # the splice alone
