@@ -59,8 +59,7 @@ def assign_basins(sys: FiniteSystem, dg: ChainDigraph,
     """
     comps = chain_components(dg)
     if decompositions is None:
-        decompositions = [cyclic_classes(dg, c, compute_transient=False, p2="record")
-                          for c in comps]
+        decompositions = [cyclic_classes(dg, c) for c in comps]
     decomps = tuple(decompositions)
     if tuple(dec.component for dec in decomps) != comps:
         raise InvariantViolation("one decomposition per chain component, in order")

@@ -26,11 +26,11 @@ from fractions import Fraction
 from itertools import combinations, groupby, product
 from operator import itemgetter
 
-from .cyclic import CyclicDecomposition, ProximalPartition
+from .cyclic import CyclicDecomposition
 from .errors import BudgetExceeded, InvariantViolation, NotIrreducible, SpecError
 from .families import FamilyVerdict, TimeSetWindow, WindowParams, window_family_member
-from .sft import (SftGraph, SftPoint, connecting_length, dyadic_depth, find_exact_path,
-                  graph_period, is_irreducible, sft_entropy, validate_point, vertex_classes)
+from .sft import (SftGraph, SftPoint, connecting_paths, dyadic_depth, graph_period,
+                  is_irreducible, sft_entropy, validate_point, vertex_classes)
 from .systems import FiniteSystem
 
 LEVELS = ("DC1", "IAPSTAR", "LIYORKE", "NONE")
@@ -263,8 +263,7 @@ def _admissible_words(g: SftGraph, length: int) -> list[tuple[int, ...]]:
     return sorted(words)
 
 
-def _sft_distal_search(g: SftGraph, n: int, t: int, class_id: int | None,
-                       budget: int = 10**6):
+def _sft_distal_search(g: SftGraph, n: int, t: int, class_id: int | None, budget: int):
     """Exact distal search at separation 2^(-t): find a cycle among n-tuples
     of pairwise distinct (t+1)-windows with synchronized initial classes.
 
@@ -356,7 +355,7 @@ def _points_from_cycle(g: SftGraph, cycle, n: int, t: int,
 
 # -- dispersion ---------------------------------------------------------------------
 
-def compute_delta_n(decomp, n: int, budget: int = 10**6) -> Fraction:
+def compute_delta_n(decomp: CyclicDecomposition, n: int, budget: int = 10**6) -> Fraction:
     """Min over classes of the best min-pairwise spread of n class elements.
 
     Classes with fewer than n elements contribute 0 (the spread of an empty
@@ -367,20 +366,10 @@ def compute_delta_n(decomp, n: int, budget: int = 10**6) -> Fraction:
     """
     if n < 2:
         raise SpecError("dispersion needs n >= 2")
-    if isinstance(decomp, CyclicDecomposition):
-        sys = decomp.system
-        classes = decomp.classes()
-    elif isinstance(decomp, ProximalPartition):
-        if not decomp.per_delta:
-            raise SpecError("proximal partition carries no decompositions")
-        sys = decomp.per_delta[0].system
-        classes = decomp.classes
-    else:
-        raise SpecError(f"unsupported decomposition {type(decomp).__name__}")
-    ranks = sys.ranks
+    ranks = decomp.system.ranks
     worst: int | None = None
     spent = 0
-    for cls in classes:
+    for cls in decomp.classes():
         if len(cls) < n:
             return Fraction(0)
         spent = _charge(spent, cls, n, budget, "dispersion")
@@ -483,29 +472,6 @@ def _lex_point_from(g: SftGraph, v: int) -> SftPoint:
         seq.append(nxt)
 
 
-def _common_connector(g: SftGraph, currents: list[int], targets: list[int]) -> list[list[int]]:
-    """Equal-length connecting paths current_j -> target_j (interiors returned).
-
-    All coordinates sit at one synchronized position, so the class offsets
-    agree and a common exact length exists; start from the longest shortest
-    path and grow by the graph period until every coordinate connects.
-    """
-    period = graph_period(g)
-    classes = vertex_classes(g)
-    offsets = {(classes[t] - classes[c]) % period
-               for c, t in zip(currents, targets)}
-    if len(offsets) > 1:
-        raise SpecError("connector targets sit at incompatible phases")
-    length = max(connecting_length(g, c, t) for c, t in zip(currents, targets))
-    cap = length + graph_period(g) * ((g.vertex_count - 1) ** 2 + 2) + 2
-    while length <= cap:
-        paths = [find_exact_path(g, c, t, length) for c, t in zip(currents, targets)]
-        if all(p is not None for p in paths):
-            return [p[1:-1] for p in paths]
-        length += period if period > 1 else 1
-    raise SpecError("no common-length connector found")  # pragma: no cover
-
-
 def _witness_schedule(level: str, horizon: int) -> list[tuple[str, int]]:
     reserve = max(48, horizon // 32)
     ops: list[tuple[str, int]] = []
@@ -544,12 +510,10 @@ class WitnessConstruction:
     n: int
     horizon: int
     delta_n: Fraction
-    distal_tuple: tuple[SftPoint, ...]
     merge_position: int
 
 
 def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
-                      class_id: int | None = None,
                       prefixes: tuple[tuple[int, ...], ...] | None = None,
                       distal: tuple[tuple[SftPoint, ...], int] | None = None
                       ) -> WitnessConstruction:
@@ -562,8 +526,9 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
     onto one shared tail.  Admissibility is enforced by connector search;
     every point is validated before returning.
 
-    ``distal`` is the (tuple, t) that ``_first_distal`` returns for these
-    arguments; a caller that has it already passes it to skip the search.
+    The distal blocks start in class 0.  ``distal`` is the (tuple, t) that
+    ``_first_distal`` returns for these arguments; a caller that has it
+    already passes it to skip the search.
     """
     if n < 2:
         raise SpecError("witness tuples need n >= 2")
@@ -573,10 +538,8 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
         raise SpecError("no witness exists at level NONE")
     period = graph_period(g)
     classes = vertex_classes(g)
-    if class_id is None:
-        class_id = 0 if period > 1 else None
     if distal is None:
-        distal = _first_distal(g, n, class_id, 10**6)
+        distal = _first_distal(g, n, 0 if period > 1 else None, 10**6)
         if distal is None:
             raise BudgetExceeded(f"no distal {n}-tuple found up to window {T_CAP + 1}")
     distal, t = distal
@@ -589,9 +552,11 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
     symbols: list[list[int]] = [[] for _ in range(n)]
 
     def emit_connectors(targets: list[int]) -> None:
+        # the coordinates sit at one synchronized position, so they share a
+        # class offset and connect at one common length
         currents = [symbols[j][-1] for j in range(n)]
-        for j, interior in enumerate(_common_connector(g, currents, targets)):
-            symbols[j].extend(interior)
+        for j, path in enumerate(connecting_paths(g, currents, targets)):
+            symbols[j].extend(path[1:-1])
 
     if prefixes is not None and prefixes[0]:
         for j in range(n):
@@ -599,7 +564,7 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
                 if not g.is_edge(a, b):
                     raise SpecError(f"prefix word {prefixes[j]} is not admissible")
             symbols[j].extend(prefixes[j])
-    merge_vertex = min(range(g.vertex_count))
+    merge_vertex = 0
     tail_point = _lex_point_from(g, merge_vertex)
     for op, size in _witness_schedule(level, horizon):
         if op == "distal":
@@ -620,8 +585,7 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
         p = SftPoint(tuple(symbols[j]) + tail_point.head, tail_point.cycle)
         validate_point(g, p)
         points.append(p)
-    return WitnessConstruction(tuple(points), level, n, horizon, delta_n,
-                               distal, merge_position)
+    return WitnessConstruction(tuple(points), level, n, horizon, delta_n, merge_position)
 
 
 def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
@@ -632,7 +596,7 @@ def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
     rng = random.Random(seed)
     classes = vertex_classes(g)
     starts = [v for v in range(g.vertex_count) if classes[v] == 0]  # all when aperiodic
-    # the search construct_witness runs for its default class
+    # the search construct_witness runs
     distal = _first_distal(g, n, 0 if graph_period(g) > 1 else None, 10**6)
     successes = 0
     for _ in range(trials):
@@ -669,7 +633,6 @@ class TierReport:
 @dataclass(frozen=True)
 class ComponentChaosReport:
     component_id: str
-    n_range: tuple[int, ...]
     per_n: tuple[TierReport, ...]
     level: str
     all_classes_singleton: bool
@@ -746,8 +709,7 @@ def classify_finite_component(decomp: CyclicDecomposition, n_max: int,
         flags.append("all-singleton classes must sit at level NONE")
     level = reports[0].tier
     comp_id = ",".join(sorted(decomp.component))
-    return ComponentChaosReport(comp_id, tuple(range(2, n_max + 1)),
-                                tuple(reports), level, singleton, None, tuple(flags))
+    return ComponentChaosReport(comp_id, tuple(reports), level, singleton, None, tuple(flags))
 
 
 def classify_sft(g: SftGraph, n_max: int,
@@ -796,6 +758,6 @@ def classify_sft(g: SftGraph, n_max: int,
                                   delta_val, card_ok, cond3, agrees, budget_hit))
     singleton = all(len(g.successors(v)) == 1 for v in range(g.vertex_count))
     level = reports[0].tier
-    return ComponentChaosReport("shift", tuple(range(2, n_max + 1)), tuple(reports),
-                                level, singleton, sft_entropy(g, 1e-9), tuple(flags))
+    return ComponentChaosReport("shift", tuple(reports), level, singleton, sft_entropy(g),
+                                tuple(flags))
 

@@ -9,6 +9,7 @@ default enumeration budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -341,8 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads every command line with, built once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -29,8 +29,7 @@ from fractions import Fraction
 from typing import Iterable, KeysView, Mapping, Sequence
 
 from .chains import ChainDigraph, chain_components, ladder_digraphs
-from .errors import (CapExceeded, EmptyLadder, InvariantViolation, ModelInconsistency,
-                     NotAComponent, NotInComponent)
+from .errors import EmptyLadder, InvariantViolation, NotAComponent, NotInComponent
 from .graph import bfs_levels, period
 from .systems import FiniteSystem
 
@@ -44,8 +43,8 @@ class CyclicDecomposition:
     delta: Fraction
     period: int
     class_of: Mapping[str, int]
-    transient_index: int | None = None
-    p2_violations: tuple[tuple[str, str], ...] = ()
+    transient_index: int
+    p2_violations: tuple[tuple[str, str], ...]
 
     def classes(self) -> tuple[tuple[str, ...], ...]:
         out: list[list[str]] = [[] for _ in range(self.period)]
@@ -119,30 +118,26 @@ def component_period(dg: ChainDigraph, C) -> int:
     return _levels(dg, _require_component(dg, C))[1]
 
 
-def transient_index(dg: ChainDigraph, C, cap: int | None = None) -> int:
+def transient_index(dg: ChainDigraph, C) -> int:
     """Smallest N such that every same-class pair is joined by internal
-    chains of every length m*n with N <= n <= cap.
+    chains of every length m*n with n >= N.
 
     Works on boolean powers of the m-th power of the internal adjacency.
     Once every same-class pair is reachable the property persists: every
     node has an in-class predecessor at distance m, so a saturated power
-    stays saturated, and the first saturated power is the answer.  The
-    default cap (|C|-1)^2 + 2 is never reached: the m-th power restricted to
-    a class of s nodes is primitive, and Wielandt's bound puts its exponent
-    at most (s-1)^2 + 1.
+    stays saturated, and the first saturated power is the answer.  It comes
+    by power (|C|-1)^2 + 1: the m-th power restricted to a class of s nodes
+    is primitive, and Wielandt's bound puts its exponent at most (s-1)^2 + 1.
     """
     seg = _Segment(dg, _require_component(dg, C), 0)
     rows = _unpack(seg.adjacency[0], len(seg.nodes))
-    return _transient_index(rows, seg.cls, seg.period, cap)
+    return _transient_index(rows, seg.cls, seg.period)
 
 
-def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int,
-                     cap: int | None) -> int:
+def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int) -> int:
     """Transient index of the component with adjacency ``rows``, class
     ``cls[i]`` for node i and period m."""
     k = len(rows)
-    if cap is None:
-        cap = (k - 1) ** 2 + 2
 
     def matmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         out = [0] * k
@@ -164,32 +159,24 @@ def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int,
     want = [members[c] for c in cls]
     total = sum(w.bit_count() for w in want)
     power = step
-    best_cover = 0.0
-    for n in range(1, cap + 1):
+    for n in range(1, (k - 1) ** 2 + 2):
         # power[i] & want[i] is a subset of want[i], so equal counts mean saturation
         covered = sum((p & w).bit_count() for p, w in zip(power, want))
-        best_cover = max(best_cover, covered / total)
         if covered == total:
             return n
         power = matmul(step, power)
-    raise CapExceeded(cap, best_cover)
+    raise InvariantViolation("no saturation by Wielandt's bound")  # pragma: no cover
 
 
-def cyclic_classes(dg: ChainDigraph, C, *, compute_transient: bool = True,
-                   p2: str = "raise") -> CyclicDecomposition:
+def cyclic_classes(dg: ChainDigraph, C) -> CyclicDecomposition:
     """Cyclic class labels of a component (BFS level mod period): the
     one-step read of a fresh sweep segment.
 
-    Validates the merge law: nodes of one component within delta of each
-    other must share a class.  ``p2="raise"`` raises ModelInconsistency on a
-    violating pair, ``p2="record"`` stores the pairs instead; coincidences in
-    an adversarial metric can genuinely produce such pairs.
+    Records the pairs that break the merge law (nodes of one component
+    within delta of each other must share a class) in ``p2_violations``;
+    coincidences in an adversarial metric can genuinely produce such pairs.
     """
-    dec = _Segment(dg, _require_component(dg, C), 0).decomposition(
-        0, dg.cut, dg.delta, compute_transient)
-    if dec.p2_violations and p2 == "raise":
-        raise ModelInconsistency("class merge law", dec.p2_violations[0])
-    return dec
+    return _Segment(dg, _require_component(dg, C), 0).decomposition(0, dg.cut, dg.delta)
 
 
 def _pack(rows: Sequence[int]) -> int:
@@ -254,7 +241,7 @@ class _Segment:
             def at(j: int) -> int:
                 if vals[j] is None:
                     rows = _unpack(self.adjacency[j], len(self.nodes))
-                    vals[j] = _transient_index(rows, self.cls, self.period, None)
+                    vals[j] = _transient_index(rows, self.cls, self.period)
                 return vals[j]
 
             runs = [(0, len(self.adjacency) - 1)]
@@ -268,14 +255,12 @@ class _Segment:
             self._transient = vals
         return self._transient[i]
 
-    def decomposition(self, i: int, cut: int, delta: Fraction,
-                      transient: bool = True) -> CyclicDecomposition:
+    def decomposition(self, i: int, cut: int, delta: Fraction) -> CyclicDecomposition:
         """The decomposition at the sweep's step i, of cut ``cut`` and
-        resolution ``delta``; the transient index is None unless asked for."""
+        resolution ``delta``."""
         return CyclicDecomposition(self.system, self.component, delta, self.period,
-                                   self.class_of,
-                                   self.transient(i - self.first) if transient else None,
-                                   p2_violations=self.violations(cut))
+                                   self.class_of, self.transient(i - self.first),
+                                   self.violations(cut))
 
 
 def _key(delta: Fraction) -> tuple[int, int]:
@@ -297,7 +282,7 @@ class CyclicSweep:
     the class by one: then m divides every cycle length, and the old cycles
     keep the period a divisor of m.  More edges give more paths of every
     length, so the transient index never increases within a segment; it
-    always stays below its cap (``transient_index``).  The merge law keeps
+    comes by Wielandt's bound (``transient_index``).  The merge law keeps
     the segment's least cross-class rank; a step whose cut lies below it
     has no violation.
 
@@ -334,7 +319,7 @@ class CyclicSweep:
         return self._steps[_key(delta)][2].keys()
 
     def decomposition(self, delta: Fraction, comp: frozenset[str]) -> CyclicDecomposition | None:
-        """What ``cyclic_classes(dg, comp, p2="record")`` returns at a swept
+        """What ``cyclic_classes(dg, comp)`` returns at a swept
         resolution; None when comp is not a chain component there."""
         self._read = True
         i, cut, here = self._steps[_key(delta)]
@@ -346,8 +331,7 @@ class CyclicSweep:
 
     def proximal(self, C, ladder: Sequence) -> ProximalPartition:
         """Meet of the class partitions of C down the strictly descending
-        swept ``ladder``, while C stays a chain component; merge-law pairs
-        are recorded, as ``proximal_partition`` does with p2="record"."""
+        swept ``ladder``, while C stays a chain component."""
         comp = frozenset(C)
         decomps: list[CyclicDecomposition] = []
         split_at = None
@@ -419,15 +403,8 @@ def _descending(ladder: Sequence) -> list[Fraction]:
     return deltas
 
 
-def proximal_partition(sys: FiniteSystem, C, ladder: Sequence, *,
-                       p2: str = "raise") -> ProximalPartition:
+def proximal_partition(sys: FiniteSystem, C, ladder: Sequence) -> ProximalPartition:
     """Common refinement of the per-resolution class partitions of C: one
-    walk up the ladder into a sweep, read down by ``CyclicSweep.proximal``.
-    ``p2="raise"`` raises ModelInconsistency on the first merge-law pair in
-    descending order."""
+    walk up the ladder into a sweep, read down by ``CyclicSweep.proximal``."""
     deltas = _descending(ladder)
-    pp = CyclicSweep(ladder_digraphs(sys, reversed(deltas))).proximal(C, deltas)
-    pairs = [dec.p2_violations[0] for dec in pp.per_delta if dec.p2_violations]
-    if pairs and p2 == "raise":
-        raise ModelInconsistency("class merge law", pairs[0])
-    return pp
+    return CyclicSweep(ladder_digraphs(sys, reversed(deltas))).proximal(C, deltas)

@@ -92,15 +92,6 @@ class BudgetExceeded(ChainscopeError):
         super().__init__(message)
 
 
-class CapExceeded(BudgetExceeded):
-    """Saturation search hit its cap; carries the last coverage fraction."""
-
-    def __init__(self, cap: int, coverage) -> None:
-        self.cap = cap
-        self.coverage = coverage
-        super().__init__(f"no saturation within cap {cap} (coverage {coverage})")
-
-
 class NoConvergence(BudgetExceeded):
     """Iterative numeric routine hit its iteration cap."""
 
@@ -113,15 +104,6 @@ class InternalError(ChainscopeError):
 
 class InvariantViolation(InternalError):
     """A computed structure broke an invariant its construction guarantees."""
-
-
-class ModelInconsistency(InternalError):
-    """A structural law expected of the model fails; carries a witness."""
-
-    def __init__(self, law: str, witness: tuple) -> None:
-        self.law = law
-        self.witness = witness
-        super().__init__(f"{law} fails at {witness}")
 
 
 class OmegaNotInComponent(InternalError):

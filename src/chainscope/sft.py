@@ -23,6 +23,7 @@ from .errors import InvalidPoint, NoConvergence, SpecError
 from .graph import bfs_levels, period, strongly_connected_components
 
 ENTROPY_MAX_ITER = 500_000  # power iterations per strongly connected block
+ENTROPY_TOL = 1e-9  # width of the log-radius bracket that stops the iteration
 
 
 @dataclass(frozen=True)
@@ -265,38 +266,48 @@ def _preds(g: SftGraph) -> tuple[tuple[int, ...], ...]:
                  for v in range(g.vertex_count))
 
 
-def find_exact_path(g: SftGraph, a: int, b: int, length: int) -> list[int] | None:
-    """Lexicographically smallest path from a to b with exactly ``length`` edges."""
-    if length == 0:
-        return [a] if a == b else None
-    # backward layers: blayer[j] = vertices that reach b in exactly j edges
-    blayer = [set() for _ in range(length + 1)]
-    blayer[0].add(b)
-    preds = _preds(g)
-    for j in range(1, length + 1):
-        for v in blayer[j - 1]:
-            blayer[j].update(preds[v])
-    if a not in blayer[length]:
-        return None
+def _walk(g: SftGraph, a: int, layers: list[set[int]], length: int) -> list[int]:
+    """Lexicographically smallest path of ``length`` edges from a through the
+    backward layers of a target (layers[j]: the vertices that reach it in
+    exactly j edges), given that a lies in layers[length]."""
     path = [a]
-    v = a
-    for j in range(length, 0, -1):
-        v = min(w for w in g.successors(v) if w in blayer[j - 1])
-        path.append(v)
+    for j in range(length - 1, -1, -1):
+        path.append(min(w for w in g.successors(path[-1]) if w in layers[j]))
     return path
 
 
-def connecting_length(g: SftGraph, a: int, b: int) -> int:
-    """Length of a shortest path a -> b of positive length.
+def _back_layer(preds, layer: set[int]) -> set[int]:
+    """The vertices one edge before ``layer``."""
+    return {u for v in layer for u in preds[v]}
 
-    Raises SpecError when b is not reachable from a within the structural cap.
+
+def find_exact_path(g: SftGraph, a: int, b: int, length: int) -> list[int] | None:
+    """Lexicographically smallest path from a to b with exactly ``length`` edges."""
+    preds = _preds(g)
+    layers = [{b}]
+    for _ in range(length):
+        layers.append(_back_layer(preds, layers[-1]))
+    return _walk(g, a, layers, length) if a in layers[length] else None
+
+
+def connecting_paths(g: SftGraph, currents, targets) -> list[list[int]]:
+    """Lexicographically smallest paths current_j -> target_j, all of the
+    least positive length at which every coordinate connects.
+
+    The backward layers of each distinct target grow once, one length at a
+    time, for every coordinate heading there.  On an irreducible graph such
+    a length exists, within ``path_length_cap``, exactly when the coordinates
+    share one class offset (target class - current class, mod the period);
+    otherwise SpecError is raised.
     """
-    reach = set(g.successors(a))
-    for length in range(1, path_length_cap(g) + 2):
-        if b in reach:
-            return length
-        reach = {w for v in reach for w in g.successors(v)}
-    raise SpecError(f"no admissible connecting path {a}->{b} within the structural cap")
+    preds = _preds(g)
+    layers = {b: [{b}] for b in targets}
+    for length in range(1, path_length_cap(g) + 1):
+        for ls in layers.values():
+            ls.append(_back_layer(preds, ls[-1]))
+        if all(a in layers[b][length] for a, b in zip(currents, targets)):
+            return [_walk(g, a, layers[b], length) for a, b in zip(currents, targets)]
+    raise SpecError("no common-length connecting paths within the structural cap")
 
 
 # -- entropy --------------------------------------------------------------------
@@ -341,22 +352,20 @@ def _block_radius_bracket(rows: list[list[tuple[int, int]]], tol: float,
     raise NoConvergence(f"entropy bracket did not close in {max_iter} iterations")
 
 
-def sft_entropy(g: SftGraph, tol: float = 1e-9) -> float:
+def sft_entropy(g: SftGraph) -> float:
     """Topological entropy of the vertex shift: ln of the adjacency spectral
-    radius, with absolute error at most tol.
+    radius, with absolute error at most ``ENTROPY_TOL``.
 
     The radius is the max over strongly connected blocks.  Single-cycle
     blocks have radius exactly 1; the rest are bracketed by power iteration.
     """
-    if tol <= 0:
-        raise SpecError("tol must be positive")
     lo_all, hi_all = 1.0, 1.0  # every valid graph contains a cycle
     for comp in _graph_sccs(g):
         rows = _block_rows(g, list(comp))
         internal = sum(w for row in rows for _, w in row) - len(rows)
         if internal <= len(rows):
             continue  # transient singleton or a single cycle (radius 0 or 1)
-        lo, hi = _block_radius_bracket(rows, tol, ENTROPY_MAX_ITER)
+        lo, hi = _block_radius_bracket(rows, ENTROPY_TOL, ENTROPY_MAX_ITER)
         lo_all = max(lo_all, lo)
         hi_all = max(hi_all, hi)
     # width of [max lo_b, max hi_b] never exceeds the widest block bracket

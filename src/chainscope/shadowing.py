@@ -100,7 +100,6 @@ def _suffix_max(values: Sequence[Fraction]) -> list[Fraction]:
 class LimitVerdict:
     ok: bool
     failing_checkpoint: int | None = None
-    checkpoint_bounds: tuple[Fraction, ...] = ()
 
 
 def validate_limit_pseudo_orbit(po: PseudoOrbit, delta,
@@ -118,14 +117,12 @@ def validate_limit_pseudo_orbit(po: PseudoOrbit, delta,
     nerr = len(po.errors)
     suffix_max = _suffix_max(po.errors)
     if nerr and suffix_max[0] > delta:  # some error exceeds delta
-        return LimitVerdict(False, 0, ())
-    bounds = []
+        return LimitVerdict(False, 0)
     for j, tj in enumerate(sched):
         cp = (j * nerr) // len(sched)
-        bounds.append(suffix_max[cp])
         if suffix_max[cp] > tj:
-            return LimitVerdict(False, j, tuple(bounds))
-    return LimitVerdict(True, None, tuple(bounds))
+            return LimitVerdict(False, j)
+    return LimitVerdict(True)
 
 
 def default_schedule(delta) -> tuple[Fraction, ...]:
@@ -250,26 +247,16 @@ def slimit_splice(g: SftGraph, x: SftPoint, y: SftPoint, epsilon) -> SftPoint:
     start = y.symbol(n - 1)
     # exact-length frontier search: z = y[0..n) + interior + x[K..), where the
     # connector has length K - n + 1, keeping x's tail at its own coordinates
-    reach = {start: None}
-    layers = [dict(reach)]
-    cap = n + path_length_cap(g)
-    K = None
-    for length in range(1, cap - n + 2):
-        nxt: dict[int, int] = {}
-        for v in layers[-1]:
-            for w in g.successors(v):
-                nxt.setdefault(w, v)
-        layers.append(nxt)
-        k_candidate = n + length - 1
-        if x.symbol(k_candidate) in nxt:
-            K = k_candidate
+    reach = {start}
+    for length in range(1, path_length_cap(g) + 2):
+        reach = {w for v in reach for w in g.successors(v)}
+        if x.symbol(n + length - 1) in reach:
             break
-    if K is None:  # pragma: no cover - irreducibility guarantees a connector
+    else:  # pragma: no cover - irreducibility guarantees a connector
         raise AdmissibilityBug("no phase-aligned connector found under the cap")
-    length = K - n + 1
+    K = n + length - 1
     # lexicographically smallest path of that exact length
-    path = _lex_path(g, start, x.symbol(K), length)
-    interior = path[1:-1]
+    interior = find_exact_path(g, start, x.symbol(K), length)[1:-1]
     tail = shift_by(x, K)
     z = SftPoint(tuple(y.expand(n)) + tuple(interior) + tail.head, tail.cycle)
     validate_point(g, z)
@@ -278,13 +265,6 @@ def slimit_splice(g: SftGraph, x: SftPoint, y: SftPoint, epsilon) -> SftPoint:
     if shift_by(z, n + len(interior) + 1) != shift_by(x, K + 1):
         raise AdmissibilityBug("splice tail does not coincide with the target tail")
     return z
-
-
-def _lex_path(g: SftGraph, a: int, b: int, length: int) -> list[int]:
-    path = find_exact_path(g, a, b, length)
-    if path is None:  # pragma: no cover - existence established by caller
-        raise AdmissibilityBug("exact-length path vanished during reconstruction")
-    return path
 
 
 def _limit_shadowed_by(sys: FiniteSystem, states, epsilon, z) -> bool:

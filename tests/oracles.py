@@ -272,6 +272,51 @@ def dense_radius_bracket(adjacency, nodes, tol, max_iter):
     return None
 
 
+def exact_path(adjacency, a, b, length):
+    """Lexicographically smallest path a -> b of exactly ``length`` edges,
+    read from backward layers built afresh; None when there is none."""
+    if length == 0:
+        return [a] if a == b else None
+    n = len(adjacency)
+    blayer = [set() for _ in range(length + 1)]
+    blayer[0].add(b)
+    for j in range(1, length + 1):
+        blayer[j] = {u for u in range(n) if any(adjacency[u][v] for v in blayer[j - 1])}
+    if a not in blayer[length]:
+        return None
+    path = [a]
+    for j in range(length, 0, -1):
+        path.append(min(w for w in range(n) if adjacency[path[-1]][w] and w in blayer[j - 1]))
+    return path
+
+
+def connector_loop(g, currents, targets):
+    """The per-length search that ``connecting_paths`` replaces: start from
+    the longest of the shortest positive connecting lengths and step by the
+    graph period, rebuilding every coordinate's exact path at each length.
+    Returns the full paths; raises SpecError when the class offsets differ."""
+    from chainscope.errors import SpecError
+    from chainscope.sft import graph_period, vertex_classes
+
+    adjacency, n = g.adjacency, g.vertex_count
+    period, classes = graph_period(g), vertex_classes(g)
+    if len({(classes[t] - classes[c]) % period for c, t in zip(currents, targets)}) > 1:
+        raise SpecError("connector targets sit at incompatible phases")
+
+    def shortest(a, b):
+        reach, length = {w for w in range(n) if adjacency[a][w]}, 1
+        while b not in reach:
+            reach, length = {w for v in reach for w in range(n) if adjacency[v][w]}, length + 1
+        return length
+
+    length = max(shortest(c, t) for c, t in zip(currents, targets))
+    while True:
+        paths = [exact_path(adjacency, c, t, length) for c, t in zip(currents, targets)]
+        if all(p is not None for p in paths):
+            return paths
+        length += period
+
+
 def proximal_loop(sys, comp, ladder):
     """The per-resolution proximal refinement that the ladder sweep replaces:
     build the digraph and label the classes afresh at each resolution of a
@@ -289,7 +334,7 @@ def proximal_loop(sys, comp, ladder):
             split_at = d
             break
         used.append(d)
-        labels.append(cyclic_classes(dg, comp, compute_transient=False, p2="record").class_of)
+        labels.append(cyclic_classes(dg, comp).class_of)
     buckets = {}
     for u in sorted(comp):
         buckets.setdefault(tuple(lab[u] for lab in labels), []).append(u)

@@ -92,7 +92,7 @@ def _bool_power_step(rows, step, k):
 
 def _component_suite(sys, dg, comp):
     """Class-shift, length-multiple return loops, and saturation checks."""
-    dec = cyclic_classes(dg, comp, p2="record")
+    dec = cyclic_classes(dg, comp)
     m = dec.period
     # class shift law for images that stay inside the component
     for u in comp:
@@ -174,7 +174,7 @@ def test_c04_proximal_iff_equal_class():
         for delta in critical_deltas(sys):
             dg = build_chain_digraph(sys, delta)
             for comp in chain_components(dg):
-                dec = cyclic_classes(dg, comp, compute_transient=False, p2="record")
+                dec = cyclic_classes(dg, comp)
                 for x in comp:
                     for y in comp:
                         lib = chain_proximal_at(dg, comp, x, y)
@@ -349,8 +349,8 @@ def test_c11_perturbed_witness_surrogate():
 def test_c12_entropy_values():
     full2 = load_corpus("full2")
     gm = load_corpus("goldenmean")
-    e1 = sft_entropy(full2, 1e-7)
-    e2 = sft_entropy(gm, 1e-7)
+    e1 = sft_entropy(full2)
+    e2 = sft_entropy(gm)
     assert abs(e1 - math.log(2)) <= 1e-6
     assert abs(e2 - math.log((1 + math.sqrt(5)) / 2)) <= 1e-6
     _ok("12 entropy", f"ln2 err={abs(e1 - math.log(2)):.2e}, "

@@ -90,7 +90,7 @@ def test_rank_kernel_matches_rational_predicate():
             graphs = [(dg, comp) for comp in chain_components(dg)]
             graphs.append((digraph_from_edges(sys, delta, ring), frozenset(names)))
             for graph, comp in graphs:
-                dec = cyclic_classes(graph, comp, compute_transient=False, p2="record")
+                dec = cyclic_classes(graph, comp)
                 nodes = sorted(comp)
                 merge_pairs = tuple((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]
                                     if sys.distance(u, v) <= delta

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chainscope import basins, chains, cyclic, report
+from chainscope import basins, chains, cli, cyclic, report
 from chainscope.chains import ChainDigraph, complete_lyapunov
 from chainscope.cli import main
 from chainscope.corpus import corpus_names, load_corpus
@@ -29,6 +29,19 @@ def test_corpus_listing(capsys):
     assert code == 0
     for name in corpus_names():
         assert name in out
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(original()) or built[-1])
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli(["corpus"], capsys)[0] == 0
+    finally:
+        cli._parser.cache_clear()  # the next call builds with the real builder
+    assert len(built) == 1
 
 
 def test_spec_round_trip(tmp_path):

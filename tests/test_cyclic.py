@@ -11,8 +11,8 @@ from chainscope import (CyclicSweep, assign_basins, build_chain_digraph, chain_c
                         chain_proximal_at, component_period, critical_deltas, cyclic,
                         cyclic_classes, digraph_from_edges, finite_system,
                         proximal_partition, transient_index)
-from chainscope.errors import (CapExceeded, EmptyLadder, InvariantViolation,
-                               ModelInconsistency, NotAComponent, NotInComponent, SpecError)
+from chainscope.errors import (EmptyLadder, InvariantViolation, NotAComponent, NotInComponent,
+                               SpecError)
 
 from conftest import line_system, random_digraph, random_system
 from oracles import brute_proximal, cycle_gcd, path_length_sets, proximal_loop
@@ -79,9 +79,7 @@ def test_class_merge_violation_on_injected_digraph(sys3):
     comp = chain_components(dg)[0]
     assert comp == frozenset("abc")
     assert component_period(dg, comp) == 2
-    with pytest.raises(ModelInconsistency):
-        cyclic_classes(dg, comp)
-    dec = cyclic_classes(dg, comp, p2="record")
+    dec = cyclic_classes(dg, comp)
     assert dec.p2_violations == (("b", "c"),)
 
 
@@ -105,9 +103,7 @@ def test_class_merge_can_fail_even_for_metric_built_digraphs():
     comps = chain_components(dg)
     assert len(comps) == 1 and comps[0] == frozenset(pts)
     assert component_period(dg, comps[0]) == 2
-    with pytest.raises(ModelInconsistency):
-        cyclic_classes(dg, comps[0])
-    dec = cyclic_classes(dg, comps[0], p2="record")
+    dec = cyclic_classes(dg, comps[0])
     assert ("u", "v") in dec.p2_violations
 
 
@@ -143,18 +139,11 @@ def test_transient_index_matches_brute_force_lengths():
         assert any(n_star - 1 not in lengths[u][v] for u in comp for v in comp)
 
 
-def test_transient_index_cap_exceeded(sys3):
-    dg = build_chain_digraph(sys3, Fraction(1, 2))
-    comp = chain_components(dg)[0]
-    with pytest.raises(CapExceeded):
-        transient_index(dg, comp, cap=0)
-
-
 @pytest.mark.parametrize("k", range(2, 9))
 def test_wielandt_digraph_saturates_at_the_bound_below_the_cap(k):
     # the k-cycle 0 -> 1 -> ... -> k-1 -> 0 with the chord k-1 -> 1 is
-    # Wielandt's primitive digraph of largest exponent, (k-1)^2 + 1, one
-    # short of the default cap (k-1)^2 + 2
+    # Wielandt's primitive digraph of largest exponent, (k-1)^2 + 1, the
+    # last power the transient index search tries
     pts = [f"w{i}" for i in range(k)]
     sys = finite_system(pts, {u: u for u in pts},
                         {(u, v): 1 for i, u in enumerate(pts) for v in pts[i + 1:]})
@@ -173,7 +162,7 @@ def test_saturation_persists_to_cap_on_corpus(sys3, sysns, rotation4):
         for delta in critical_deltas(sys):
             dg = build_chain_digraph(sys, delta)
             for comp in chain_components(dg):
-                dec = cyclic_classes(dg, comp, p2="record")
+                dec = cyclic_classes(dg, comp)
                 n_star = dec.transient_index
                 assert n_star is not None
                 cap = (len(comp) - 1) ** 2 + 2
@@ -206,7 +195,7 @@ def test_proximal_agrees_with_class_and_brute_force():
         for delta in critical_deltas(sys):
             dg = build_chain_digraph(sys, delta)
             for comp in chain_components(dg):
-                dec = cyclic_classes(dg, comp, compute_transient=False, p2="record")
+                dec = cyclic_classes(dg, comp)
                 for x in sorted(comp):
                     for y in sorted(comp):
                         got = chain_proximal_at(dg, comp, x, y)
@@ -235,7 +224,7 @@ def test_class_shift_law_random_sweep():
         for delta in critical_deltas(sys):
             dg = build_chain_digraph(sys, delta)
             for comp in chain_components(dg):
-                dec = cyclic_classes(dg, comp, compute_transient=False, p2="record")
+                dec = cyclic_classes(dg, comp)
                 for u in comp:
                     if sys.apply(u) in comp:
                         assert dec.class_of[sys.apply(u)] == (
@@ -298,9 +287,9 @@ def test_proximal_partition_refinement_monotone():
         ladder = sorted(crits, reverse=True)
         dg = build_chain_digraph(sys, ladder[0])
         for comp in chain_components(dg):
-            full = proximal_partition(sys, comp, ladder, p2="record")
+            full = proximal_partition(sys, comp, ladder)
             for cut in range(1, len(full.ladder) + 1):
-                pref = proximal_partition(sys, comp, ladder[:cut], p2="record")
+                pref = proximal_partition(sys, comp, ladder[:cut])
                 # the longer-prefix partition refines the shorter one
                 for cls in full.classes:
                     assert any(set(cls) <= set(big) for big in pref.classes)
@@ -371,7 +360,7 @@ def _check_sweep(sys, starts):
         decs = sweep.decompositions(d)
         here = {}
         for comp, dec in zip(comps, decs, strict=True):
-            ref = cyclic_classes(dg, comp, p2="record")
+            ref = cyclic_classes(dg, comp)
             assert _fields(dec) == _fields(ref)
             seen += len(dec.p2_violations)
             # a segment starts where the vertex set or the period is new
@@ -381,19 +370,7 @@ def _check_sweep(sys, starts):
                 down = [x for x in reversed(deltas) if x <= d]
                 pp = sweep.proximal(comp, down)
                 assert (pp.ladder, pp.classes, pp.split_at) == proximal_loop(sys, comp, down)
-                pp = proximal_partition(sys, comp, down, p2="record")
-                assert (pp.ladder, pp.classes, pp.split_at) == proximal_loop(sys, comp, down)
-                # p2="raise" names the first merge-law pair of the per-step
-                # decompositions, going down the ladder
-                pairs = [cyclic_classes(build_chain_digraph(sys, x), comp,
-                                        p2="record").p2_violations for x in pp.ladder]
-                first = next((v[0] for v in pairs if v), None)
-                if first is None:
-                    assert proximal_partition(sys, comp, down) == pp
-                else:
-                    with pytest.raises(ModelInconsistency) as exc:
-                        proximal_partition(sys, comp, down)
-                    assert exc.value.witness == first
+                assert proximal_partition(sys, comp, down) == pp
         shared = assign_basins(sys, dg, decs)
         assert shared.class_of_basin == assign_basins(sys, dg).class_of_basin
         before = here
@@ -453,7 +430,7 @@ def test_proximal_partition_matches_the_proximal_oracle(seed):
     for top in {crit[0], crit[len(crit) // 2], crit[-1], rng.choice(crit)}:
         down = [d for d in reversed(crit) if d <= top]
         for comp in chain_components(build_chain_digraph(sys, top)):
-            pp = proximal_partition(sys, comp, down, p2="record")
+            pp = proximal_partition(sys, comp, down)
             class_of = {u: i for i, cls in enumerate(pp.classes) for u in cls}
             succs = [build_chain_digraph(sys, d).succ for d in pp.ladder]
             nodes = sorted(comp)

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every function, class and method the package defines is read somewhere.
+"""Every name a module of the package imports is used in that module, every
+function, class and method the package defines is read somewhere, and so is
+every field of every dataclass it defines.
 
 ``__init__.py`` is exempt (its imports are the public re-exports), and so is
 ``from __future__ import annotations``.  With postponed annotations the
@@ -105,3 +106,59 @@ def test_every_definition_is_read_somewhere():
     sources = {str(p): p.read_text() for p in SOURCES}
     package = [str(p) for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced(sources, package) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if getattr(f, "id", getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(sources: dict[str, str], package: list[str]) -> list[str]:
+    """Fields of the dataclasses of the ``package`` modules that no Attribute
+    node of ``sources`` reads (``obj.field``).
+
+    Like ``unreferenced``, this goes by name alone; assignments and keyword
+    arguments are not reads.  A dataclass that calls ``asdict`` reads every
+    field of its own.
+    """
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    attrs = Counter()
+    for tree in trees.values():
+        attrs.update(_reads(tree)[1])
+    out = []
+    for path in package:
+        for node in trees[path].body:
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
+                continue
+            if "asdict" in _reads(node)[0]:
+                continue
+            out += [f"{node.name}.{st.target.id}" for st in node.body
+                    if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+                    and not attrs[st.target.id]]
+    return out
+
+
+def test_unread_fields_are_found():
+    source = ("from dataclasses import asdict, dataclass\n"
+              "@dataclass(frozen=True)\n"
+              "class A:\n"
+              "    read: int\n"
+              "    unread: int = 0\n"
+              "    def m(self): return self.read\n"
+              "@dataclass\n"
+              "class B:\n"
+              "    echoed: int\n"
+              "    def echo(self): return asdict(self)\n"
+              "class C:\n"
+              "    plain: int\n")
+    other = "a = A(read=1, unread=2)\na.unread = 3\n"
+    assert unread_fields({"a": source, "b": other}, ["a"]) == ["A.unread"]
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    sources = {str(p): p.read_text() for p in SOURCES}
+    package = [str(p) for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_fields(sources, package) == []

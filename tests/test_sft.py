@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from chainscope import SftGraph, SftPoint, full_shift, sft_distance, sft_entropy, sft_shift
 from chainscope.errors import InvalidPoint, SpecError
-from chainscope.sft import canonical_form, graph_period, parse_point, validate_point
+from chainscope.sft import (canonical_form, connecting_paths, find_exact_path, graph_period,
+                            parse_point, validate_point, vertex_classes)
 
 from conftest import random_point
-from oracles import dense_radius_bracket
+from oracles import connector_loop, dense_radius_bracket, exact_path
 from test_graph import irreducible_graphs
 
 
@@ -107,11 +108,11 @@ def test_shift_doubles_small_distances(full2):
 
 
 def test_entropy_values(full2, goldenmean):
-    assert abs(sft_entropy(full2, 1e-7) - math.log(2)) <= 1e-7
+    assert abs(sft_entropy(full2) - math.log(2)) <= 1e-7
     golden = (1 + math.sqrt(5)) / 2
-    assert abs(sft_entropy(goldenmean, 1e-7) - math.log(golden)) <= 1e-7
+    assert abs(sft_entropy(goldenmean) - math.log(golden)) <= 1e-7
     loop = SftGraph(((1,),))
-    assert sft_entropy(loop, 1e-7) == 0.0
+    assert sft_entropy(loop) == 0.0
 
 
 def test_entropy_reducible_graph_takes_max_block():
@@ -121,7 +122,7 @@ def test_entropy_reducible_graph_takes_max_block():
         (1, 1, 0),
         (0, 0, 1),
     ))
-    assert abs(sft_entropy(g, 1e-7) - math.log(2)) <= 1e-7
+    assert abs(sft_entropy(g) - math.log(2)) <= 1e-7
 
 
 def test_graph_period():
@@ -166,3 +167,35 @@ def test_graph_rows_and_hash_are_built_once():
     assert g == h and hash(g) == hash(h) and g is not h
     assert g != full_shift(3) and g != adjacency
     assert repr(g) == f"SftGraph(adjacency={adjacency!r})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_connecting_paths_match_the_per_length_loop(data):
+    # phase-compatible coordinates, heading either for one shared target (as
+    # the witness merge does) or each for a target of its own
+    g = data.draw(irreducible_graphs())
+    n, m, classes = g.vertex_count, graph_period(g), vertex_classes(g)
+    in_class = [[v for v in range(n) if classes[v] == c] for c in range(m)]
+    k = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        start = data.draw(st.integers(0, m - 1))
+        currents = [data.draw(st.sampled_from(in_class[start])) for _ in range(k)]
+        targets = [data.draw(st.integers(0, n - 1))] * k
+    else:
+        offset = data.draw(st.integers(0, m - 1))
+        currents = [data.draw(st.integers(0, n - 1)) for _ in range(k)]
+        targets = [data.draw(st.sampled_from(in_class[(classes[c] + offset) % m]))
+                   for c in currents]
+    paths = connecting_paths(g, currents, targets)
+    assert paths == connector_loop(g, currents, targets)
+    for c, t, path in zip(currents, targets, paths):
+        for length in range(len(path) + m + 1):
+            assert find_exact_path(g, c, t, length) == exact_path(g.adjacency, c, t, length)
+    if m > 1 and k > 1:
+        # one coordinate a class off: no common length exists
+        targets[-1] = data.draw(st.sampled_from(in_class[(classes[targets[-1]] + 1) % m]))
+        with pytest.raises(SpecError):
+            connector_loop(g, currents, targets)
+        with pytest.raises(SpecError):
+            connecting_paths(g, currents, targets)
