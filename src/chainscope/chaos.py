@@ -246,11 +246,11 @@ def _orbit_min_separation(sys: FiniteSystem, pts: tuple[str, ...]) -> Fraction:
     return sys.ranks.levels[_spread(sys.orbit_floor, sys.ranks.index, pts)]
 
 
-def _first_distal(g: SftGraph, n: int, class_id: int | None, budget: int):
+def _first_distal(g: SftGraph, n: int, budget: int):
     """(tuple, t) for the least t <= T_CAP at which ``_sft_distal_search``
     finds a distal n-tuple, or None when no such t exists."""
     for t in range(T_CAP + 1):
-        found = _sft_distal_search(g, n, t, class_id, budget=budget)
+        found = _sft_distal_search(g, n, t, budget=budget)
         if found is not None:
             return found, t
     return None
@@ -263,7 +263,7 @@ def _admissible_words(g: SftGraph, length: int) -> list[tuple[int, ...]]:
     return sorted(words)
 
 
-def _sft_distal_search(g: SftGraph, n: int, t: int, class_id: int | None, budget: int):
+def _sft_distal_search(g: SftGraph, n: int, t: int, budget: int):
     """Exact distal search at separation 2^(-t): find a cycle among n-tuples
     of pairwise distinct (t+1)-windows with synchronized initial classes.
 
@@ -272,11 +272,11 @@ def _sft_distal_search(g: SftGraph, n: int, t: int, class_id: int | None, budget
     cycle; conversely a cycle spells out purely periodic witness points.  So
     a cycle exists iff a distal tuple exists, and absence is exact.
 
-    ``class_id`` only picks where the found cycle is entered: every step of
+    On a periodic graph the found cycle is entered at class 0: every step of
     a product cycle advances the common class by one and the cycle closes,
     so its length is a multiple of the period and it meets every class.  A
     distal tuple in one class therefore rotates into one in every class,
-    and the search itself never depends on ``class_id``.
+    and the search itself never depends on the class.
 
     States are tested for validity on first touch, never enumerated up
     front: roots and successors come in ``product`` order and invalid ones
@@ -312,7 +312,7 @@ def _sft_distal_search(g: SftGraph, n: int, t: int, class_id: int | None, budget
                 c = color_of(nxt)
                 if c == 1:
                     cycle = path[path.index(nxt):]
-                    return _points_from_cycle(g, cycle, n, t, class_id)
+                    return _points_from_cycle(g, cycle, n, t)
                 if c == 0:
                     color[nxt] = 1
                     path.append(nxt)
@@ -331,15 +331,13 @@ def _valid_state(state, n: int, classes) -> bool:
     return len(set(state)) == n and len({classes[w[0]] for w in state}) == 1
 
 
-def _points_from_cycle(g: SftGraph, cycle, n: int, t: int,
-                       class_id: int | None) -> tuple[SftPoint, ...]:
-    classes = vertex_classes(g)
-    if class_id is not None:
+def _points_from_cycle(g: SftGraph, cycle, n: int, t: int) -> tuple[SftPoint, ...]:
+    if graph_period(g) > 1:
         # every class occurs on a product cycle (see _sft_distal_search)
-        shift = next((k for k, state in enumerate(cycle)
-                      if classes[state[0][0]] == class_id), None)
+        classes = vertex_classes(g)
+        shift = next((k for k, state in enumerate(cycle) if classes[state[0][0]] == 0), None)
         if shift is None:
-            raise InvariantViolation(f"distal cycle misses cyclic class {class_id}")
+            raise InvariantViolation("distal cycle misses cyclic class 0")
         cycle = cycle[shift:] + cycle[:shift]
     pts = []
     for j in range(n):
@@ -539,7 +537,7 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
     period = graph_period(g)
     classes = vertex_classes(g)
     if distal is None:
-        distal = _first_distal(g, n, 0 if period > 1 else None, 10**6)
+        distal = _first_distal(g, n, 10**6)
         if distal is None:
             raise BudgetExceeded(f"no distal {n}-tuple found up to window {T_CAP + 1}")
     distal, t = distal
@@ -597,7 +595,7 @@ def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
     classes = vertex_classes(g)
     starts = [v for v in range(g.vertex_count) if classes[v] == 0]  # all when aperiodic
     # the search construct_witness runs
-    distal = _first_distal(g, n, 0 if graph_period(g) > 1 else None, 10**6)
+    distal = _first_distal(g, n, 10**6)
     successes = 0
     for _ in range(trials):
         length = rng.randint(1, 8)
@@ -725,14 +723,13 @@ def classify_sft(g: SftGraph, n_max: int,
         raise SpecError("n_max must be at least 2")
     if not is_irreducible(g):
         raise NotIrreducible("classification needs an irreducible graph")
-    class_id = 0 if graph_period(g) > 1 else None
     flags: list[str] = []
     reports: list[TierReport] = []
     for n in range(2, n_max + 1):
         found = witness = delta_n = None
         budget_hit = False
         try:
-            found = _first_distal(g, n, class_id, params.budget)
+            found = _first_distal(g, n, params.budget)
         except BudgetExceeded:
             budget_hit = True
         if found is not None:

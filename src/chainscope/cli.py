@@ -242,7 +242,7 @@ def _cmd_shadow(args) -> int:
         result = find_shadowing_point(model, po, epsilon)
     out = {
         "states": len(po.states),
-        "max_step_error": str(max(po.errors)) if po.errors else "0",
+        "max_step_error": str(po.suffix_max[0]),
         "limit_verdict": {"ok": limit.ok, "failing_checkpoint": limit.failing_checkpoint},
         "shadow_point": str(result.point) if result.point is not None else None,
         "achieved_bound": str(result.epsilon) if result.epsilon is not None else None,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from operator import ne
 from typing import Sequence
@@ -36,16 +36,30 @@ class PseudoOrbit:
     """A finite state sequence with its per-step errors e_i = d(f(x_i), x_{i+1}).
 
     ``checked`` is the model ``validate_pseudo_orbit`` checked every state
-    against, and None for a pseudo-orbit built any other way.
+    against, and None for a pseudo-orbit built any other way.  On a vertex
+    shift ``validate_pseudo_orbit`` also keeps each step's int depth k, with
+    e_i = 2^(-k), and None for a step of distance 0.
     """
 
     states: tuple
     errors: tuple[Fraction, ...]
     checked: object = field(default=None, repr=False, compare=False)
+    depths: tuple[int | None, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.errors) != len(self.states) - 1:
             raise SpecError("errors must have one entry per step")
+
+    @cached_property
+    def suffix_max(self) -> list[Fraction]:
+        """suffix_max[i] = max(errors[i:]) for i < len(errors), and 0 at
+        len(errors).  With depths the maxima are suffix minima of the int
+        depths (the least depth is the largest error), mapped back by
+        ``_dyadic``."""
+        if self.depths is None:
+            return _suffix_max(self.errors)
+        deep = accumulate(reversed([math.inf if k is None else k for k in self.depths]), min)
+        return [_dyadic(None if k == math.inf else k) for k in deep][::-1] + [Fraction(0)]
 
 
 @lru_cache(maxsize=1024)
@@ -68,15 +82,19 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
     if len(states) < 2:
         raise SpecError("a pseudo-orbit needs at least two states")
     errors = []
+    depths = None
     if isinstance(model, SftGraph):
         limit = dyadic_depth(delta)
         validate_point(model, states[0])
+        ks = []
         for i, (x, y) in enumerate(zip(states, states[1:])):
             validate_point(model, y)
             k = first_difference(x, y, 1)
             if k is not None and (limit is None or k < limit):
                 raise StepViolation(i, _dyadic(k))
+            ks.append(k)
             errors.append(_dyadic(k))
+        depths = tuple(ks)
     elif isinstance(model, FiniteSystem):
         for i, (x, y) in enumerate(zip(states, states[1:])):
             e = model.distance(model.apply(x), y)
@@ -85,7 +103,7 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
             errors.append(e)
     else:
         raise SpecError(f"unsupported model {type(model).__name__}")
-    return PseudoOrbit(states, tuple(errors), model)
+    return PseudoOrbit(states, tuple(errors), model, depths)
 
 
 def _suffix_max(values: Sequence[Fraction]) -> list[Fraction]:
@@ -115,7 +133,7 @@ def validate_limit_pseudo_orbit(po: PseudoOrbit, delta,
     if not sched or sched[-1] <= 0 or any(a <= b for a, b in zip(sched, sched[1:])):
         raise SpecError("schedule must be strictly decreasing and end positive")
     nerr = len(po.errors)
-    suffix_max = _suffix_max(po.errors)
+    suffix_max = po.suffix_max
     if nerr and suffix_max[0] > delta:  # some error exceeds delta
         return LimitVerdict(False, 0)
     for j, tj in enumerate(sched):

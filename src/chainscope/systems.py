@@ -24,8 +24,9 @@ from typing import Mapping
 
 from .errors import MetricViolation, PartialMap, SpecError
 
-# Full triple sweeps are quadratic/cubic; beyond this size loading refuses
-# rather than silently skipping axiom checks.
+# Metric validation checks every (u, v, w) triple, n^3 comparisons done as
+# n^2 / 2 row operations; beyond this size loading refuses rather than
+# silently skipping axiom checks.
 MAX_EXHAUSTIVE_POINTS = 512
 # Validation scales the table to ints by the lcm of its denominators; an lcm
 # so large that the scaled table would pass this many bits is refused too.
@@ -42,6 +43,13 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # ASCII digits, optionally over nonzero ASCII digits: the regex of
+            # Fraction(str) would read the same value from them
+            num, slash, den = value.partition("/")
+            if value.isascii() and num.isdigit() and (den.isdigit() or not slash):
+                q = int(den or 1)
+                if q:
+                    return Fraction(int(num), q)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"bad rational literal {value!r}") from exc
@@ -197,8 +205,8 @@ def _validate_metric(points, metric) -> None:
     The table is scaled by the lcm of its denominators (``_scaled_rows``):
     ``rows[i][k]`` is d(points[i], points[k]) times that scale, an exact
     int.  Once symmetry holds, d(w, v) is ``rows[j][k]`` for v = points[j],
-    so the triangle inequality at (u, v) over every w is one comparison with
-    the least entry of ``rows[i] + rows[j]``.  The violating ordered pairs
+    so the triangle inequality at (u, v) over every w is one test on
+    ``rows[i] + rows[j]`` (``_first_broken_pair``).  The violating ordered pairs
     form a symmetric set without diagonal pairs, so the first one in point
     order has u before v: scanning those pairs, and a failing pair for its
     first w, names the witness of the plain triple loop over (u, v, w).
@@ -220,14 +228,57 @@ def _validate_metric(points, metric) -> None:
                 raise MetricViolation("definiteness", (u, points[j]))
             if duv != rows[j][i]:
                 raise MetricViolation("symmetry", (u, points[j]))
-    for i, u in enumerate(points):
-        ru = rows[i]
+    hit = _first_broken_pair(rows)
+    if hit is not None:
+        i, j = hit
+        ru, rv = rows[i], rows[j]
+        k = next(k for k in range(n) if ru[j] > ru[k] + rv[k])
+        raise MetricViolation("triangle", (points[i], points[j], points[k]))
+
+
+def _first_broken_pair(rows: list[list[int]]) -> tuple[int, int] | None:
+    """The first pair i < j, in row order, with rows[i][j] > rows[i][k] +
+    rows[j][k] for some k; None when the triangle inequality holds.
+
+    Entries are nonnegative, and twice the largest is below 2^(width - 1).
+    So each pair is one int expression on rows packed into lanes of
+    ``width`` bits: lane k of packed[i] + high + packed[j] - rows[i][j] *
+    ones is 2^(width - 1) + rows[i][k] + rows[j][k] - rows[i][j], which lies
+    in [0, 2^width).  No lane carries into or borrows from the next, and a
+    lane keeps its high bit exactly when rows[i][k] + rows[j][k] >=
+    rows[i][j].  Lanes wider than 64 bits would make rows[i][j] * ones a
+    long multiplication, so such tables compare rows[i][j] with the least
+    entry of the summed rows instead.
+    """
+    n = len(rows)
+    width = (2 * max(map(max, rows))).bit_length() + 1
+    if width > 64:
+        for i, ru in enumerate(rows):
+            for j in range(i + 1, n):
+                if ru[j] > min(map(add, ru, rows[j])):
+                    return i, j
+        return None
+    packed = [_pack(row, width) for row in rows]
+    ones = _pack([1] * n, width)
+    high = ones << (width - 1)
+    for i, ru in enumerate(rows):
+        pu = packed[i] + high
         for j in range(i + 1, n):
-            rv = rows[j]
-            duv = ru[j]
-            if duv > min(map(add, ru, rv)):
-                k = next(k for k in range(n) if duv > ru[k] + rv[k])
-                raise MetricViolation("triangle", (u, points[j], points[k]))
+            if (pu + packed[j] - ru[j] * ones) & high != high:
+                return i, j
+    return None
+
+
+def _pack(row: list[int], width: int) -> int:
+    """The int holding ``row[k]`` in bits [k * width, (k + 1) * width), for
+    entries below 2^width; neighbours are joined pairwise, doubling the
+    lane width each round."""
+    while len(row) > 1:
+        if len(row) % 2:
+            row = row + [0]
+        row = [a | b << width for a, b in zip(row[::2], row[1::2])]
+        width *= 2
+    return row[0]
 
 
 def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:

@@ -141,7 +141,7 @@ def test_distal_search_respects_class_restriction():
         (1, 0, 0, 0),
     ))
     # single point per class: no distal pair in any class
-    assert _sft_distal_search(four_cycle, 2, 1, 0, 10**6) is None
+    assert _sft_distal_search(four_cycle, 2, 1, 10**6) is None
 
 
 def test_distal_search_periodic_graph_with_branching():
@@ -152,14 +152,16 @@ def test_distal_search_periodic_graph_with_branching():
         (1, 1, 0, 0),
         (1, 1, 0, 0),
     ))
-    from chainscope.sft import graph_period, vertex_classes
+    from chainscope.sft import graph_period, shift_by, vertex_classes
 
     assert graph_period(g) == 2
-    for cid in (0, 1):
-        w = _sft_distal_search(g, 2, 0, cid, 10**6)
-        assert w is not None
-        assert vertex_classes(g)[w[0].symbol(0)] == cid
-        assert vertex_classes(g)[w[1].symbol(0)] == cid
+    w = _sft_distal_search(g, 2, 0, 10**6)
+    assert w is not None
+    # found in class 0, and one shift rotates it into class 1
+    for k, cid in ((0, 0), (1, 1)):
+        shifted = [shift_by(p, k) for p in w]
+        assert shifted[0] != shifted[1]
+        assert [vertex_classes(g)[p.symbol(0)] for p in shifted] == [cid, cid]
 
 
 def test_compute_delta_n_examples(sys3):
@@ -385,7 +387,7 @@ def test_witness_recovered_from_recurring_blocks(full2, goldenmean):
         key = max(recurring, key=blocks.get)
         assert all(a != b for i, a in enumerate(key) for b in key[i + 1:])
         # and an exact search confirms a genuine distal tuple at that floor
-        assert _sft_distal_search(g, n, t, None, 10**6) is not None
+        assert _sft_distal_search(g, n, t, 10**6) is not None
 
 
 def test_classify_sft_searches_once_per_n_and_t(monkeypatch):
@@ -400,9 +402,9 @@ def test_classify_sft_searches_once_per_n_and_t(monkeypatch):
     calls = []
     original = chaos._sft_distal_search
 
-    def counting(g, n, t, class_id, budget=10**6):
+    def counting(g, n, t, budget=10**6):
         calls.append((n, t))
-        return original(g, n, t, class_id, budget=budget)
+        return original(g, n, t, budget=budget)
 
     monkeypatch.setattr(chaos, "_sft_distal_search", counting)
     rep = classify_sft(g, 3, ClassifyParams(with_witness=False))
@@ -513,9 +515,9 @@ def _count_searches(monkeypatch):
     calls = []
     original = chaos._sft_distal_search
 
-    def counting(g, n, t, class_id, budget=10**6):
+    def counting(g, n, t, budget=10**6):
         calls.append((n, t))
-        return original(g, n, t, class_id, budget=budget)
+        return original(g, n, t, budget=budget)
 
     monkeypatch.setattr(chaos, "_sft_distal_search", counting)
     return calls
@@ -595,12 +597,11 @@ def test_finite_path_does_no_fraction_arithmetic(monkeypatch):
 @given(irreducible_graphs(), st.sampled_from([2, 3]), st.sampled_from([0, 1]))
 def test_lazy_distal_search_matches_eager_oracle(g, n, t):
     from chainscope import chaos
-    from chainscope.sft import graph_period, vertex_classes
+    from chainscope.sft import vertex_classes
 
-    class_id = 0 if graph_period(g) > 1 else None
     cycle = eager_distal_cycle(g.adjacency, vertex_classes(g), n, t)
-    expected = None if cycle is None else chaos._points_from_cycle(g, cycle, n, t, class_id)
-    assert chaos._sft_distal_search(g, n, t, class_id, 10**6) == expected
+    expected = None if cycle is None else chaos._points_from_cycle(g, cycle, n, t)
+    assert chaos._sft_distal_search(g, n, t, 10**6) == expected
 
 
 def test_lazy_distal_search_touches_few_product_states(monkeypatch):
@@ -619,7 +620,7 @@ def test_lazy_distal_search_touches_few_product_states(monkeypatch):
     monkeypatch.setattr(chaos, "_valid_state", counting)
     for n, t in ((3, 0), (3, 1)):
         touched.clear()
-        assert chaos._sft_distal_search(g, n, t, 0, 10**6) is not None
+        assert chaos._sft_distal_search(g, n, t, 10**6) is not None
         states = len(chaos._admissible_words(g, t + 1)) ** n
         # each state is tested once, and only the few the DFS reaches
         assert len(touched) == len(set(touched))

@@ -545,12 +545,16 @@ FINITE_SPEC = {"schema": "chainscope-v1", "kind": "finite", "points": ["a", "b"]
     dict(FINITE_SPEC, metric=[["a", "b", float("inf")]]),
     dict(FINITE_SPEC, labels=[1]),
     dict(FINITE_SPEC, points=[], map={}, metric=[]),
+    *(dict(FINITE_SPEC, metric=[["a", "b", literal]])
+      for literal in ("1/0", "abc", "1//2", "", "-1/2")),
 ], ids=["grid-cells", "grid-alpha", "grid-breakpoints", "grid-cells-above-cap",
         "finite-map-list",
         "finite-metric-int", "finite-metric-1e400", "finite-labels-list",
-        "finite-no-points"])
+        "finite-no-points", "metric-1/0", "metric-abc", "metric-1//2", "metric-empty",
+        "metric-negative"])
 def test_malformed_spec_exits_2(spec, tmp_path, monkeypatch, capsys):
-    # each of these exited 1 with a traceback before the loader caught it
+    # each of the first nine exited 1 with a traceback before the loader
+    # caught it
     monkeypatch.chdir(tmp_path)
     # json writes inf as Infinity; 1e400 is what a spec file would hold
     Path("bad.json").write_text(json.dumps(spec).replace("Infinity", "1e400"))
@@ -558,3 +562,15 @@ def test_malformed_spec_exits_2(spec, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert not Path("r.json").exists()
+
+
+def test_fullwidth_digit_metric_literal_is_a_value(tmp_path, monkeypatch, capsys):
+    # Fraction(str) reads any Unicode decimal digits, so "１/２" is 1/2
+    monkeypatch.chdir(tmp_path)
+    for name, literal in (("wide.json", "１/２"), ("ascii.json", "1/2")):
+        Path(name).write_text(json.dumps(dict(FINITE_SPEC, metric=[["a", "b", literal]])))
+    code, _, err = run_cli(["analyze", "wide.json", "--out", "wide.out"], capsys)
+    assert (code, err) == (0, "")
+    assert run_cli(["analyze", "ascii.json", "--out", "ascii.out"], capsys)[0] == 0
+    wide, ascii_ = (json.loads(Path(f).read_text()) for f in ("wide.out", "ascii.out"))
+    assert wide["system"] == ascii_["system"]

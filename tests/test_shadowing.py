@@ -339,3 +339,39 @@ def test_sft_shadow_skips_states_checked_on_its_graph(full2, monkeypatch):
                         lambda g, p: calls.append(p) or original(g, p))
     res = sft_shadow(full2, po, 3)
     assert calls == [res.point]  # the splice alone
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["full2", "goldenmean"]), st.integers(1, 4), st.integers(2, 30),
+       st.integers(0, 4), st.integers(0, 2**32))
+def test_shift_suffix_max_from_depths_matches_fraction_maxima(name, depth, length,
+                                                              exact_tail, seed):
+    # exact_tail true steps at the end are steps of distance 0 (depth None)
+    g = load_corpus(name)
+    states = random_pseudo_orbit(g, random.Random(seed), depth, length)
+    states += [shift_by(states[-1], i) for i in range(1, exact_tail + 1)]
+    po = validate_pseudo_orbit(g, states, Fraction(1, 2**depth))
+    assert po.depths is not None
+    assert po.suffix_max == [max(po.errors[i:], default=Fraction(0))
+                             for i in range(len(po.errors) + 1)]
+
+
+def test_shift_limit_check_compares_no_step_error(full2, monkeypatch):
+    states = random_pseudo_orbit(full2, random.Random(7), 3, 200)
+    po = validate_pseudo_orbit(full2, states, Fraction(1, 8))
+    schedule = default_schedule(Fraction(1, 8))
+    counts = {"compare": 0}
+    richcmp = Fraction._richcmp
+
+    def counting_richcmp(a, b, op):
+        counts["compare"] += 1
+        return richcmp(a, b, op)
+
+    monkeypatch.setattr(Fraction, "_richcmp", counting_richcmp)
+    verdict = validate_limit_pseudo_orbit(po, Fraction(1, 8), schedule)
+    # only the delta check, the schedule's order and its checkpoints
+    assert counts["compare"] <= 2 * len(schedule) + 2
+    monkeypatch.undo()
+    fresh = PseudoOrbit(po.states, po.errors)  # no depths: the Fraction path
+    assert verdict == validate_limit_pseudo_orbit(fresh, Fraction(1, 8), schedule)
+    assert po.suffix_max[0] == max(po.errors)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from chainscope import GridMapSpec, compile_finite, discretize
 from chainscope.errors import MetricViolation, PartialMap, SpecError
-from chainscope.systems import MAX_SCALED_TABLE_BITS, _validate_metric, finite_system
+from chainscope.systems import (MAX_SCALED_TABLE_BITS, _scaled_rows, _validate_metric,
+                               as_fraction, finite_system)
 
 from conftest import random_system
 from oracles import metric_violation
@@ -129,14 +130,16 @@ def test_metric_axioms_swept_for_all_loaded_systems(rotation4, sys3, sysns):
 
 
 @st.composite
-def distance_tables(draw):
-    """Full distance table on 1..7 points with mixed denominators: a
-    shortest-path repaired metric, or one with a single entry broken (a
-    nonzero diagonal, a zero or negative distance, a one-sided change that
-    breaks symmetry, or a symmetric change that may break the triangle)."""
-    k = draw(st.integers(1, 7))
+def distance_tables(draw, factor=1, min_points=1):
+    """Full distance table on ``min_points``..7 points with mixed
+    denominators, every value times ``factor``: a shortest-path repaired
+    metric, or one with a single entry broken (a nonzero diagonal, a zero or
+    negative distance, a one-sided change that breaks symmetry, or a
+    symmetric change that may break the triangle)."""
+    k = draw(st.integers(min_points, 7))
     pts = [f"p{i}" for i in range(k)]
-    values = st.builds(Fraction, st.integers(1, 40), st.sampled_from((1, 2, 3, 5, 7, 12)))
+    values = st.builds(lambda a, q: Fraction(a, q) * factor,
+                       st.integers(1, 40), st.sampled_from((1, 2, 3, 5, 7, 12)))
     d = {(u, u): Fraction(0) for u in pts}
     for i, u in enumerate(pts):
         for v in pts[i + 1:]:
@@ -170,6 +173,49 @@ def test_validate_metric_matches_fraction_sweep(table):
         with pytest.raises(MetricViolation) as exc:
             _validate_metric(points, metric)
         assert (exc.value.axiom, exc.value.witness) == expected
+
+
+# numerator and denominator near 2^70: every table has entries of over 63
+# bits once scaled, so triangle lanes would pass 64 bits
+WIDE = Fraction(2**70 + 1, 2**70 + 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_tables(factor=WIDE, min_points=2))
+def test_validate_metric_matches_fraction_sweep_on_wide_lanes(table):
+    points, metric = table
+    expected = metric_violation(points, metric)
+    if expected is None or expected[0] == "triangle":  # the table reaches the lane test
+        _, rows = _scaled_rows(points, metric)
+        assert (2 * max(map(max, rows))).bit_length() + 1 > 64
+    if expected is None:
+        _validate_metric(points, metric)
+    else:
+        with pytest.raises(MetricViolation) as exc:
+            _validate_metric(points, metric)
+        assert (exc.value.axiom, exc.value.witness) == expected
+
+
+LITERALS = st.one_of(
+    st.sampled_from(["0", "007", "007/010", "0/5", "0/0", "1/0", "2/000", "1//2", "", "/",
+                     "1/", "/2", " 1/2", "1/2\n", "-1/2", "+3", "1_0/2", "1.5", "1e3",
+                     "１/２", "٣/4", "²", "9" * 5000]),
+    st.text(alphabet="0123456789/ _+-.e１２٣²", max_size=10),
+    st.builds("{}/{}".format, st.integers(0, 10**30), st.integers(0, 10**30)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(LITERALS)
+def test_as_fraction_reads_strings_like_fraction(literal):
+    try:
+        expected = Fraction(literal)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(SpecError):
+            as_fraction(literal)
+    else:
+        value = as_fraction(literal)
+        assert type(value) is Fraction and value == expected
 
 
 def _metric_with_denominators(qs):
