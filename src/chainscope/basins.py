@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .chains import ChainDigraph, chain_components
-from .cyclic import CyclicDecomposition, cyclic_classes
+from .cyclic import CyclicDecomposition
 from .errors import InvariantViolation, OmegaNotInComponent
 from .systems import FiniteSystem
 
@@ -48,18 +48,16 @@ class BasinAssignment:
 
 
 def assign_basins(sys: FiniteSystem, dg: ChainDigraph,
-                  decompositions: Sequence[CyclicDecomposition] | None = None) -> BasinAssignment:
+                  decompositions: Sequence[CyclicDecomposition]) -> BasinAssignment:
     """Assign every node to its component basin and class basin.
 
     The class phase of x is (class(orbit[T]) - T) mod m, with T the settle
     time.  Past T every step orbit[t] -> f(orbit[t]) is an edge inside the
     component, and every such edge advances the class by one mod m, so the
-    value is the same at every t >= T.  ``decompositions``, one per chain
-    component of dg in order, saves decomposing them again.
+    value is the same at every t >= T.  ``decompositions`` holds one
+    decomposition per chain component of dg, in order.
     """
     comps = chain_components(dg)
-    if decompositions is None:
-        decompositions = [cyclic_classes(dg, c) for c in comps]
     decomps = tuple(decompositions)
     if tuple(dec.component for dec in decomps) != comps:
         raise InvariantViolation("one decomposition per chain component, in order")

@@ -8,7 +8,6 @@ exact.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import SpecError
@@ -58,7 +57,7 @@ def system_from_desc(desc: dict, origin: str = "<desc>"):
                 cell_count=int(desc.get("cells", 0)),
                 geometry=desc.get("geometry", "interval"),
                 slope=as_fraction(desc["slope"]) if "slope" in desc else None,
-                alpha=_parse_alpha(desc.get("alpha")) if "alpha" in desc else None,
+                alpha=as_fraction(desc["alpha"]) if "alpha" in desc else None,
                 breakpoints=tuple((as_fraction(x), as_fraction(y))
                                   for x, y in desc.get("breakpoints", [])) or None,
             )
@@ -68,19 +67,11 @@ def system_from_desc(desc: dict, origin: str = "<desc>"):
     raise SpecError(f"{origin}: unknown kind {kind!r}")
 
 
-def _parse_alpha(value):
-    if isinstance(value, str) and "/" in value:
-        return as_fraction(value)
-    if isinstance(value, (int,)):
-        return Fraction(value)
-    return float(value)
-
-
 def dump_system(model) -> dict:
     """Spec object for a loaded model; re-loading yields an identical model."""
     if isinstance(model, FiniteSystem):
         pts = list(model.points)
-        metric = [[u, v, str(model.metric[(u, v)])]
+        metric = [[u, v, str(model.distance(u, v))]
                   for i, u in enumerate(pts) for v in pts[i + 1:]]
         out = {
             "schema": SCHEMA_VERSION,

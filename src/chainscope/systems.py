@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import add
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import MetricViolation, PartialMap, SpecError
 
@@ -103,17 +103,20 @@ class DistanceRanks:
 class FiniteSystem:
     """Finite metric space with a total self-map.
 
-    ``metric`` holds the full symmetric table including zero diagonal;
-    ``map`` sends every point to its image.
+    ``rows[i][k]`` is d(points[i], points[k]) times ``scale``, the lcm of the
+    table's denominators: the validated metric as exact ints, zero diagonal
+    included.  ``map`` sends every point to its image.
     """
 
     points: tuple[str, ...]
-    metric: Mapping[tuple[str, str], Fraction]
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
     map: Mapping[str, str]
     labels: Mapping[str, str] = field(default_factory=dict)
 
     def distance(self, u: str, v: str) -> Fraction:
-        return self.metric[(u, v)]
+        ranks = self.ranks
+        return ranks.levels[ranks.rank[u][ranks.index[v]]]
 
     def apply(self, u: str) -> str:
         return self.map[u]
@@ -122,17 +125,18 @@ class FiniteSystem:
     def ranks(self) -> DistanceRanks:
         """Distance ranks, sorted once on first use rather than at load.
 
-        The levels are sorted and keyed as the lcm-scaled ints of
-        ``_scaled_rows``; scaling by a positive constant keeps their order.
+        The levels are sorted and keyed as the stored scaled ints; scaling
+        by a positive constant keeps their order.
         """
-        names = tuple(sorted(self.points))
-        scale, rows = _scaled_rows(names, self.metric)
+        points, rows = self.points, self.rows
+        order = sorted(range(len(points)), key=points.__getitem__)
+        names = tuple(points[i] for i in order)
         scaled = sorted({x for row in rows for x in row})
         level_of = {x: r for r, x in enumerate(scaled)}
-        levels = tuple(Fraction(x, scale) for x in scaled)
-        rank = {u: tuple(map(level_of.__getitem__, row)) for u, row in zip(names, rows)}
+        levels = tuple(Fraction(x, self.scale) for x in scaled)
+        rank = {points[i]: tuple(level_of[rows[i][k]] for k in order) for i in order}
         return DistanceRanks(levels, names, {v: j for j, v in enumerate(names)}, rank,
-                             scale, tuple(scaled))
+                             self.scale, tuple(scaled))
 
     @cached_property
     def orbit_floor(self) -> Mapping[str, tuple[int, ...]]:
@@ -174,15 +178,28 @@ class FiniteSystem:
         return {u: tuple(floor[i * n:(i + 1) * n]) for i, u in enumerate(names)}
 
 
-def _scaled_rows(points, metric) -> tuple[int, list[list[int]]]:
-    """(scale, rows) with ``scale`` the lcm of the table's denominators and
-    ``rows[i][k]`` the int d(points[i], points[k]) * scale.
+def _validated_rows(points, table) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(scale, rows) for the symmetric table ``table[i][k]`` = d(points[i],
+    points[k]), returned once every metric axiom holds.
 
-    A scale so large that the table would pass ``MAX_SCALED_TABLE_BITS``
-    bits is refused with SpecError.
+    ``scale`` is the lcm of the table's denominators and ``rows[i][k]`` the
+    int ``table[i][k] * scale``, so each axiom is checked in exact integer
+    arithmetic.  A scale so large that the table would pass
+    ``MAX_SCALED_TABLE_BITS`` bits is refused with SpecError.  Since d(w, v)
+    is ``rows[j][k]`` for v = points[j], the triangle inequality at (u, v)
+    over every w is one test on ``rows[i] + rows[j]``
+    (``_first_broken_pair``).  The violating ordered pairs form a symmetric
+    set without diagonal pairs, so the first one in point order has u before
+    v: scanning those pairs, and a failing pair for its first w, names the
+    witness of the plain triple loop over (u, v, w).
     """
     n = len(points)
-    denominators = {d.denominator for d in metric.values()}
+    if n > MAX_EXHAUSTIVE_POINTS:
+        raise SpecError(
+            f"system has {n} points; exhaustive metric validation "
+            f"is capped at {MAX_EXHAUSTIVE_POINTS}"
+        )
+    denominators = {d.denominator for row in table for d in row}
     scale = 1
     for q in denominators:
         scale = lcm(scale, q)
@@ -192,51 +209,24 @@ def _scaled_rows(points, metric) -> tuple[int, list[list[int]]]:
                 f"the scaled {n}-point table would exceed {MAX_SCALED_TABLE_BITS} bits"
             )
     factor = {q: scale // q for q in denominators}
-    rows = []
-    for u in points:
-        row = [metric[(u, v)] for v in points]
-        rows.append([d.numerator * factor[d.denominator] for d in row])
-    return scale, rows
-
-
-def _validate_metric(points, metric) -> None:
-    """Check every metric axiom in exact integer arithmetic.
-
-    The table is scaled by the lcm of its denominators (``_scaled_rows``):
-    ``rows[i][k]`` is d(points[i], points[k]) times that scale, an exact
-    int.  Once symmetry holds, d(w, v) is ``rows[j][k]`` for v = points[j],
-    so the triangle inequality at (u, v) over every w is one test on
-    ``rows[i] + rows[j]`` (``_first_broken_pair``).  The violating ordered pairs
-    form a symmetric set without diagonal pairs, so the first one in point
-    order has u before v: scanning those pairs, and a failing pair for its
-    first w, names the witness of the plain triple loop over (u, v, w).
-    """
-    n = len(points)
-    if n > MAX_EXHAUSTIVE_POINTS:
-        raise SpecError(
-            f"system has {n} points; exhaustive metric validation "
-            f"is capped at {MAX_EXHAUSTIVE_POINTS}"
-        )
-    _, rows = _scaled_rows(points, metric)
+    rows = tuple(tuple([d.numerator * factor[d.denominator] for d in row]) for row in table)
     for i, u in enumerate(points):
         if rows[i][i] != 0:
             raise MetricViolation("definiteness", (u, u))
     for i, u in enumerate(points):
         for j in range(i + 1, n):
-            duv = rows[i][j]
-            if duv <= 0:
+            if rows[i][j] <= 0:
                 raise MetricViolation("definiteness", (u, points[j]))
-            if duv != rows[j][i]:
-                raise MetricViolation("symmetry", (u, points[j]))
     hit = _first_broken_pair(rows)
     if hit is not None:
         i, j = hit
         ru, rv = rows[i], rows[j]
         k = next(k for k in range(n) if ru[j] > ru[k] + rv[k])
         raise MetricViolation("triangle", (points[i], points[j], points[k]))
+    return scale, rows
 
 
-def _first_broken_pair(rows: list[list[int]]) -> tuple[int, int] | None:
+def _first_broken_pair(rows: Sequence[Sequence[int]]) -> tuple[int, int] | None:
     """The first pair i < j, in row order, with rows[i][j] > rows[i][k] +
     rows[j][k] for some k; None when the triangle inequality holds.
 
@@ -269,13 +259,13 @@ def _first_broken_pair(rows: list[list[int]]) -> tuple[int, int] | None:
     return None
 
 
-def _pack(row: list[int], width: int) -> int:
+def _pack(row: Sequence[int], width: int) -> int:
     """The int holding ``row[k]`` in bits [k * width, (k + 1) * width), for
     entries below 2^width; neighbours are joined pairwise, doubling the
     lane width each round."""
     while len(row) > 1:
         if len(row) % 2:
-            row = row + [0]
+            row = [*row, 0]
         row = [a | b << width for a, b in zip(row[::2], row[1::2])]
         width *= 2
     return row[0]
@@ -284,44 +274,46 @@ def _pack(row: list[int], width: int) -> int:
 def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:
     """Build and validate a FiniteSystem from plain containers.
 
-    ``metric`` may list each unordered pair once; it is symmetrized and the
-    zero diagonal is filled in.
+    ``metric`` may list each unordered pair once; it is symmetrized, and a
+    diagonal pair it leaves out is 0.
     """
     pts = tuple(str(p) for p in points)
     if not pts:
         raise SpecError("a finite system needs at least one point")
-    known = set(pts)
-    if len(known) != len(pts):
+    index = {u: i for i, u in enumerate(pts)}
+    if len(index) != len(pts):
         raise SpecError("duplicate point identifiers")
-    table: dict[tuple[str, str], Fraction] = {}
+    n = len(pts)
+    # symmetric by construction: each entry is written in both orders
+    table: list[list[Fraction | None]] = [[None] * n for _ in pts]
     for (u, v), d in metric.items():
-        if u not in known or v not in known:
+        if u not in index or v not in index:
             raise SpecError(f"metric entry for unknown pair ({u!r}, {v!r})")
         d = as_fraction(d)
-        for key in ((u, v), (v, u)):
-            if key in table and table[key] != d:
-                raise MetricViolation("symmetry", key)
-            table[key] = d
-    for u in pts:
-        table[(u, u)] = Fraction(0)
-    for i, u in enumerate(pts):
-        for v in pts[i + 1:]:
-            if (u, v) not in table:
-                raise SpecError(f"metric is missing the pair ({u!r}, {v!r})")
+        i, j = index[u], index[v]
+        if table[i][j] is not None and table[i][j] != d:
+            raise MetricViolation("symmetry", (u, v))
+        table[i][j] = table[j][i] = d
+    for i, row in enumerate(table):
+        if row[i] is None:
+            row[i] = Fraction(0)
+        for j in range(i + 1, n):
+            if row[j] is None:
+                raise SpecError(f"metric is missing the pair ({pts[i]!r}, {pts[j]!r})")
     fmap: dict[str, str] = {}
     for u in pts:
         if u not in mapping:
             raise PartialMap(u)
         img = str(mapping[u])
-        if img not in known:
+        if img not in index:
             raise PartialMap(u)
         fmap[u] = img
     try:
         labels = dict(labels or {})
     except (TypeError, ValueError) as exc:
         raise SpecError(f"labels must map points to names: {exc}") from exc
-    _validate_metric(pts, table)
-    return FiniteSystem(pts, table, fmap, labels)
+    scale, rows = _validated_rows(pts, table)
+    return FiniteSystem(pts, scale, rows, fmap, labels)
 
 
 def compile_finite(desc: Mapping) -> FiniteSystem:
@@ -329,20 +321,24 @@ def compile_finite(desc: Mapping) -> FiniteSystem:
 
     Recognized keys: ``points``, ``map``, ``metric`` (list of
     ``[u, v, "p/q"]`` triples), optional ``metric_default`` for unlisted
-    distinct pairs, optional ``labels``.
+    distinct pairs, optional ``labels``.  The metric literals go to
+    ``finite_system`` unparsed, which reads each once.
     """
     try:
         points = [str(p) for p in desc["points"]]
         raw_map = dict(desc["map"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"finite system spec: missing or bad points or map: {exc}") from exc
-    metric: dict[tuple[str, str], Fraction] = {}
+    metric: dict[tuple[str, str], object] = {}
     try:
         for entry in desc.get("metric", []):
             if len(entry) != 3:
                 raise SpecError(f"bad metric entry {entry!r}")
             u, v, d = entry
-            metric[(str(u), str(v))] = as_fraction(d)
+            key = (str(u), str(v))
+            if key in metric:  # the last value of a repeated pair wins, but each must parse
+                as_fraction(metric[key])
+            metric[key] = d
     except TypeError as exc:
         raise SpecError(f"bad metric: {exc}") from exc
     default = desc.get("metric_default")
@@ -350,7 +346,8 @@ def compile_finite(desc: Mapping) -> FiniteSystem:
         dd = as_fraction(default)
         for i, u in enumerate(points):
             for v in points[i + 1:]:
-                metric.setdefault((u, v), metric.get((v, u), dd))
+                if (u, v) not in metric and (v, u) not in metric:
+                    metric[(u, v)] = dd
     return finite_system(points, raw_map, metric, desc.get("labels"))
 
 
@@ -373,7 +370,7 @@ class GridMapSpec:
     cell_count: int
     geometry: str = "interval"
     slope: Fraction | None = None
-    alpha: Fraction | float | None = None
+    alpha: Fraction | None = None
     breakpoints: tuple[tuple[Fraction, Fraction], ...] | None = None
 
     def __post_init__(self):
@@ -417,13 +414,11 @@ def _piecewise(brk, x: Fraction) -> Fraction:
     raise SpecError(f"breakpoints do not cover {x}")
 
 
-def _evaluate(spec: GridMapSpec, x: Fraction):
+def _evaluate(spec: GridMapSpec, x: Fraction) -> Fraction:
     if spec.family == "tent":
         return _tent(spec.slope, x)
     if spec.family == "rotation":
-        if isinstance(spec.alpha, Fraction):
-            return (x + spec.alpha) % 1
-        return (float(x) + float(spec.alpha)) % 1.0
+        return (x + spec.alpha) % 1
     return _piecewise(spec.breakpoints, x)
 
 
@@ -432,9 +427,8 @@ def discretize(spec: GridMapSpec) -> FiniteSystem:
 
     Points are cell centers, the metric is the geometry distance between
     centers, and the image of a cell is the cell containing the image of its
-    center.  Exact rational arithmetic is used whenever the parameters are
-    rational; irrational parameters fall back to floats (the model is a
-    non-rigorous representative-point discretization either way).
+    center, in exact rational arithmetic (the model is a non-rigorous
+    representative-point discretization all the same).
     """
     n = spec.cell_count
     names = tuple(f"c{i}" for i in range(n))
@@ -442,12 +436,9 @@ def discretize(spec: GridMapSpec) -> FiniteSystem:
     mapping: dict[str, str] = {}
     for i, c in enumerate(centers):
         y = _evaluate(spec, c)
-        if isinstance(y, Fraction):
-            # half-open cells [j/n, (j+1)/n); the right endpoint 1 belongs
-            # to the last cell
-            j = min(int(y * n), n - 1) if y >= 0 else 0
-        else:
-            j = min(int(y * n), n - 1)
+        # half-open cells [j/n, (j+1)/n); the right endpoint 1 belongs to
+        # the last cell
+        j = min(int(y * n), n - 1) if y >= 0 else 0
         mapping[names[i]] = names[j]
     metric: dict[tuple[str, str], Fraction] = {}
     for i in range(n):

@@ -160,6 +160,13 @@ def orbit_min_separation(sys, pts):
     return best
 
 
+def fraction_table(sys):
+    """Every d(u, v) of a finite system as a Fraction, keyed (u, v), read from
+    its validated scaled rows: not from its ranks or ``distance``."""
+    return {(u, v): Fraction(x, sys.scale)
+            for u, row in zip(sys.points, sys.rows) for v, x in zip(sys.points, row)}
+
+
 def metric_violation(points, metric):
     """First failed metric axiom as (axiom, witness), or None: the plain
     Fraction sweep over the diagonal, the pairs u before v, then every

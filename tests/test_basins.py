@@ -4,11 +4,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import (assign_basins, build_chain_digraph, chain_components,
+from chainscope import (CyclicSweep, assign_basins, build_chain_digraph, chain_components,
                         critical_deltas, finite_system, verify_partition_laws)
 
 from conftest import random_system
 from oracles import brute_proximal, closure_components, omega
+
+
+def basins(sys, dg):
+    return assign_basins(sys, dg, CyclicSweep([dg]).decompositions(dg.delta))
 
 
 def test_omega_limit_examples(sysns, sys3, sys2id):
@@ -16,12 +20,12 @@ def test_omega_limit_examples(sysns, sys3, sys2id):
     for sys, x, want in ((sysns, "t", {"s"}), (sys3, "a", {"a", "b", "c"}),
                          (sys2id, "p", {"p"})):
         dg = build_chain_digraph(sys, critical_deltas(sys)[0])
-        assert assign_basins(sys, dg).omega[x] == omega(sys, x) == want
+        assert basins(sys, dg).omega[x] == omega(sys, x) == want
 
 
 def test_assign_basins_sysns(sysns):
     dg = build_chain_digraph(sysns, Fraction(1, 2))
-    ba = assign_basins(sysns, dg)
+    ba = basins(sysns, dg)
     comp_of_name = {x: sorted(ba.components[ba.component_of[x]]) for x in sysns.points}
     assert comp_of_name == {"n": ["n"], "s": ["s"], "t": ["s"]}
     basin_of_s = {x for x in sysns.points
@@ -31,20 +35,20 @@ def test_assign_basins_sysns(sysns):
 
 def test_assign_basins_sys3_phases(sys3):
     dg = build_chain_digraph(sys3, Fraction(1, 2))
-    ba = assign_basins(sys3, dg)
+    ba = basins(sys3, dg)
     dec = ba.decompositions[0]
     # classes are singletons rooted at a; phases reproduce the class labels
     assert ba.class_of_basin["a"] == (0, dec.class_of["a"])
     assert ba.class_of_basin["b"] == (0, dec.class_of["b"])
     assert ba.class_of_basin["c"] == (0, dec.class_of["c"])
     dg1 = build_chain_digraph(sys3, 1)
-    ba1 = assign_basins(sys3, dg1)
+    ba1 = basins(sys3, dg1)
     assert {ba1.class_of_basin[x] for x in sys3.points} == {(0, 0)}
 
 
 def test_phase_law_explicit_orbit(sys3):
     dg = build_chain_digraph(sys3, Fraction(1, 2))
-    ba = assign_basins(sys3, dg)
+    ba = basins(sys3, dg)
     dec = ba.decompositions[0]
     j = ba.class_of_basin["a"][1]
     u = "a"
@@ -56,7 +60,7 @@ def test_phase_law_explicit_orbit(sys3):
 def test_partition_laws_corpus(sys3, sysns, sys2id, rotation4):
     for sys in (sys3, sysns, sys2id, rotation4):
         for delta in critical_deltas(sys):
-            ba = assign_basins(sys, build_chain_digraph(sys, delta))
+            ba = basins(sys, build_chain_digraph(sys, delta))
             report = verify_partition_laws(ba)
             assert report.ok, report.violations
 
@@ -66,7 +70,7 @@ def test_partition_laws_random_sweep():
     for _ in range(60):
         sys = random_system(rng, max_points=10)
         for delta in critical_deltas(sys):
-            ba = assign_basins(sys, build_chain_digraph(sys, delta))
+            ba = basins(sys, build_chain_digraph(sys, delta))
             report = verify_partition_laws(ba)
             assert report.ok, report.violations
 
@@ -77,7 +81,7 @@ def test_recurrent_nodes_keep_their_class_when_component_invariant():
         sys = random_system(rng, max_points=9)
         for delta in critical_deltas(sys):
             dg = build_chain_digraph(sys, delta)
-            ba = assign_basins(sys, dg)
+            ba = basins(sys, dg)
             for comp_idx, comp in enumerate(ba.components):
                 if not all(sys.apply(u) in comp for u in comp):
                     continue  # fixed-resolution artifact: component not map-invariant
@@ -94,7 +98,7 @@ def test_settle_time_independence_of_phase():
     for _ in range(30):
         sys = random_system(rng, max_points=8)
         dg = build_chain_digraph(sys, critical_deltas(sys)[0])
-        ba = assign_basins(sys, dg)
+        ba = basins(sys, dg)
         for x in sys.points:
             ci, phase = ba.class_of_basin[x]
             comp = ba.components[ci]
@@ -120,7 +124,7 @@ def test_map_invariance_can_fail_at_fixed_resolution():
     assert frozenset({"x", "a"}) in comps and frozenset({"z"}) in comps
     assert sys.apply("x") == "y"
     assert all("y" not in comp for comp in comps)
-    ba = assign_basins(sys, dg)
+    ba = basins(sys, dg)
     # a is recurrent in {x, a} but its true orbit falls into {z}
     assert ba.components[ba.component_of["a"]] == frozenset({"z"})
     assert verify_partition_laws(ba).ok
@@ -140,7 +144,7 @@ def test_basins_match_the_closure_and_proximal_oracles(seed):
     points = sorted(sys.points)
     for delta in critical_deltas(sys):
         dg = build_chain_digraph(sys, delta)
-        ba = assign_basins(sys, dg)
+        ba = basins(sys, dg)
         closure, _ = closure_components(sys.points, dg.succ)
         for x in points:
             # the component basin: the closure component holding omega(x)

@@ -13,7 +13,7 @@ from chainscope.report import AnalysisConfig, cmd_analyze
 from chainscope.specio import save_system
 
 from conftest import line_system, random_system
-from oracles import closure_components
+from oracles import closure_components, fraction_table
 from test_cyclic import _sweep_deltas, _sweep_system
 
 
@@ -61,7 +61,7 @@ def probe_deltas(sys):
     above the maximum, and the pairwise distances that are no step value."""
     crit = critical_deltas(sys)
     mids = [(a + b) / 2 for a, b in zip(crit, crit[1:])]
-    off_ladder = sorted(set(sys.metric.values()) - set(crit))
+    off_ladder = sorted(set(fraction_table(sys).values()) - set(crit))
     return crit + mids + [crit[-1] + 1] + off_ladder
 
 
@@ -72,12 +72,13 @@ def test_rank_kernel_matches_rational_predicate():
         sys = random_system(rng, max_points=9, min_points=5)
         # a map onto two points leaves most distances off the ladder
         narrow = {u: rng.choice(sys.points[:2]) for u in sys.points}
-        systems += [sys, finite_system(sys.points, narrow, sys.metric)]
+        systems += [sys, finite_system(sys.points, narrow, fraction_table(sys))]
     for _ in range(3):
         systems.extend(tie_heavy_systems(rng))
     for sys in systems:
+        d = fraction_table(sys)
         names = sorted(sys.points)
-        steps = {sys.distance(sys.apply(u), v) for u in names for v in names}
+        steps = {d[(sys.apply(u), v)] for u in names for v in names}
         assert critical_deltas(sys) == sorted(steps)
         # one cycle through every point: singleton classes, so every pair
         # within delta breaks the merge law
@@ -85,7 +86,7 @@ def test_rank_kernel_matches_rational_predicate():
         for delta in probe_deltas(sys):
             dg = build_chain_digraph(sys, delta)
             for u in sys.points:
-                want = tuple(v for v in names if sys.distance(sys.apply(u), v) <= delta)
+                want = tuple(v for v in names if d[(sys.apply(u), v)] <= delta)
                 assert dg.succ[u] == want, (u, delta)
             graphs = [(dg, comp) for comp in chain_components(dg)]
             graphs.append((digraph_from_edges(sys, delta, ring), frozenset(names)))
@@ -93,7 +94,7 @@ def test_rank_kernel_matches_rational_predicate():
                 dec = cyclic_classes(graph, comp)
                 nodes = sorted(comp)
                 merge_pairs = tuple((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]
-                                    if sys.distance(u, v) <= delta
+                                    if d[(u, v)] <= delta
                                     and dec.class_of[u] != dec.class_of[v])
                 assert dec.p2_violations == merge_pairs, (comp, delta)
 

@@ -19,8 +19,8 @@ from chainscope.errors import BudgetExceeded, SpecError
 from chainscope.sft import SftGraph, sft_distance, shift_by
 
 from conftest import RING60_CHORDS, random_point, random_system, ring_with_chords
-from oracles import (best_spread, eager_distal_cycle, fraction_profile_extremes, fraction_windows,
-                     orbit_min_separation, widest_bruteforce)
+from oracles import (best_spread, eager_distal_cycle, fraction_profile_extremes, fraction_table,
+                     fraction_windows, orbit_min_separation, widest_bruteforce)
 from test_graph import irreducible_graphs
 
 
@@ -109,7 +109,7 @@ def test_finite_windows_match_fraction_comparisons(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     sys = random_system(rng, max_points=8)
     pts = [rng.choice(sys.points) for _ in range(data.draw(st.integers(2, 4)))]
-    levels = st.sampled_from(sorted(set(sys.metric.values())))  # cuts at a level
+    levels = st.sampled_from(sorted(set(fraction_table(sys).values())))  # cuts at a level
     _check_windows_against_fractions(data, sys, pts, st.one_of(THRESHOLDS, levels))
 
 

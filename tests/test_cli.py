@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chainscope import basins, chains, cli, cyclic, report
+from chainscope import chains, cli, cyclic, report
 from chainscope.chains import ChainDigraph, complete_lyapunov
 from chainscope.cli import main
 from chainscope.corpus import corpus_names, load_corpus
@@ -513,8 +513,7 @@ def test_analyze_evaluates_fewer_transient_indices_than_steps(tmp_path, monkeypa
         raise AssertionError("analyze reads every decomposition from its sweep")
 
     monkeypatch.setattr(cyclic, "_transient_index", counting)
-    for module in (basins, cyclic):
-        monkeypatch.setattr(module, "cyclic_classes", forbidden)
+    monkeypatch.setattr(cyclic, "cyclic_classes", forbidden)
     monkeypatch.chdir(tmp_path)
     save_system(line_system(24, 24), "line24.json")
     config = AnalysisConfig(spec="line24.json")
@@ -547,11 +546,12 @@ FINITE_SPEC = {"schema": "chainscope-v1", "kind": "finite", "points": ["a", "b"]
     dict(FINITE_SPEC, points=[], map={}, metric=[]),
     *(dict(FINITE_SPEC, metric=[["a", "b", literal]])
       for literal in ("1/0", "abc", "1//2", "", "-1/2")),
+    dict(FINITE_SPEC, metric=[["a", "b", "1"], ["a", "a", "5"]]),
 ], ids=["grid-cells", "grid-alpha", "grid-breakpoints", "grid-cells-above-cap",
         "finite-map-list",
         "finite-metric-int", "finite-metric-1e400", "finite-labels-list",
         "finite-no-points", "metric-1/0", "metric-abc", "metric-1//2", "metric-empty",
-        "metric-negative"])
+        "metric-negative", "metric-diagonal"])
 def test_malformed_spec_exits_2(spec, tmp_path, monkeypatch, capsys):
     # each of the first nine exited 1 with a traceback before the loader
     # caught it

@@ -372,7 +372,8 @@ def _check_sweep(sys, starts):
                 assert (pp.ladder, pp.classes, pp.split_at) == proximal_loop(sys, comp, down)
                 assert proximal_partition(sys, comp, down) == pp
         shared = assign_basins(sys, dg, decs)
-        assert shared.class_of_basin == assign_basins(sys, dg).class_of_basin
+        own = [cyclic_classes(dg, c) for c in chain_components(dg)]
+        assert shared.class_of_basin == assign_basins(sys, dg, own).class_of_basin
         before = here
     # one BFS labelling per segment
     assert labels.call_count == segments

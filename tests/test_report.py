@@ -132,7 +132,7 @@ def test_v2_report_writes_a_row_whose_merge_violations_changed(tmp_path):
     sys = finite_system(pts, {"e0": "e3", "e1": "e3", "e2": "e0", "e3": "e0"}, metric)
     path = str(tmp_path / "sys.json")
     save_system(sys, path)
-    levels = sorted(set(sys.metric.values()))
+    levels = sorted({0, *metric.values()})
     config = AnalysisConfig(spec=path, ladder_policy="explicit",
                             ladder=tuple(str(d) for d in levels), horizon=64, eps_depth=2,
                             n_max=2)

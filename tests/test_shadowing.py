@@ -15,7 +15,7 @@ from chainscope.sft import SftGraph, shift_by
 from chainscope.shadowing import ShadowResult, default_schedule
 
 from conftest import random_point, random_pseudo_orbit, random_system
-from oracles import shadow_bruteforce
+from oracles import fraction_table, shadow_bruteforce
 
 
 def test_validate_true_orbit_is_zero_error(sys3):
@@ -307,7 +307,7 @@ def test_find_shadowing_point_matches_bruteforce(seed, length):
         states.append(rng.choice([v for v in sys.points
                                   if sys.distance(sys.apply(states[-1]), v) <= delta]))
     po = validate_pseudo_orbit(sys, states, delta)
-    eps = rng.choice(sorted(set(sys.metric.values())))
+    eps = rng.choice(sorted(set(fraction_table(sys).values())))
     res = find_shadowing_point(sys, po, eps)
     want = shadow_bruteforce(sys, states, eps)
     if want is None:

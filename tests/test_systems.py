@@ -1,13 +1,14 @@
 import pytest
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import GridMapSpec, compile_finite, discretize
+from chainscope import GridMapSpec, compile_finite, discretize, systems
 from chainscope.errors import MetricViolation, PartialMap, SpecError
-from chainscope.systems import (MAX_SCALED_TABLE_BITS, _scaled_rows, _validate_metric,
-                               as_fraction, finite_system)
+from chainscope.specio import system_from_desc
+from chainscope.systems import MAX_SCALED_TABLE_BITS, as_fraction, finite_system
 
 from conftest import random_system
 from oracles import metric_violation
@@ -40,6 +41,14 @@ def test_triangle_violation_names_triple():
 def test_symmetry_and_definiteness():
     with pytest.raises(MetricViolation):
         finite_system(["a", "b"], {"a": "a", "b": "b"}, {("a", "b"): 0})
+    # a diagonal entry is kept as given, so only 0 passes
+    desc = {"points": ["a", "b"], "map": {"a": "b", "b": "a"},
+            "metric": [["a", "b", "1"], ["a", "a", "5"]]}
+    with pytest.raises(MetricViolation) as exc:
+        compile_finite(desc)
+    assert (exc.value.axiom, exc.value.witness) == ("definiteness", ("a", "a"))
+    sys = compile_finite(dict(desc, metric=[["a", "b", "1"], ["a", "a", "0"]]))
+    assert sys.distance("a", "a") == 0 and sys.distance("a", "b") == 1
 
 
 def test_partial_map_rejected():
@@ -69,6 +78,15 @@ def test_discretize_quarter_rotation_is_four_cycle():
     assert sys.distance("c0", "c1") == Fraction(1, 4)
     assert sys.distance("c0", "c3") == Fraction(1, 4)  # circle wrap
     assert sys.distance("c0", "c2") == Fraction(1, 2)
+
+
+def test_a_decimal_grid_alpha_loads_exactly():
+    # 7/10 + 1/10 is the cell boundary 4/5, which the float sum 0.7 + 0.1
+    # falls short of: read exactly, cell c3 goes to c4
+    sys = system_from_desc({"schema": "chainscope-v1", "kind": "grid", "family": "rotation",
+                            "cells": 5, "geometry": "circle", "alpha": "0.1"})
+    assert sys.map["c3"] == "c4"
+    assert sys.map == discretize(GridMapSpec("rotation", 5, "circle", alpha=Fraction(1, 10))).map
 
 
 def test_discretize_tent_two_cells():
@@ -162,16 +180,30 @@ def distance_tables(draw, factor=1, min_points=1):
     return tuple(pts), d
 
 
+def _load_table(points, metric):
+    return finite_system(points, {u: u for u in points}, metric)
+
+
+def _loader_violation(points, metric):
+    """The sweep's first failed axiom as the loader names it.  The loader
+    meets an asymmetric pair at parse, when it reads the second of its two
+    keys, so it names (v, u) where the sweep names (u, v)."""
+    expected = metric_violation(points, metric)
+    if expected is not None and expected[0] == "symmetry":
+        return "symmetry", expected[1][::-1]
+    return expected
+
+
 @settings(max_examples=400, deadline=None)
 @given(distance_tables())
 def test_validate_metric_matches_fraction_sweep(table):
     points, metric = table
-    expected = metric_violation(points, metric)
+    expected = _loader_violation(points, metric)
     if expected is None:
-        _validate_metric(points, metric)
+        _load_table(points, metric)
     else:
         with pytest.raises(MetricViolation) as exc:
-            _validate_metric(points, metric)
+            _load_table(points, metric)
         assert (exc.value.axiom, exc.value.witness) == expected
 
 
@@ -184,15 +216,15 @@ WIDE = Fraction(2**70 + 1, 2**70 + 3)
 @given(distance_tables(factor=WIDE, min_points=2))
 def test_validate_metric_matches_fraction_sweep_on_wide_lanes(table):
     points, metric = table
-    expected = metric_violation(points, metric)
+    expected = _loader_violation(points, metric)
     if expected is None or expected[0] == "triangle":  # the table reaches the lane test
-        _, rows = _scaled_rows(points, metric)
-        assert (2 * max(map(max, rows))).bit_length() + 1 > 64
+        scale = lcm(*(d.denominator for d in metric.values()))
+        assert int(2 * max(metric.values()) * scale).bit_length() + 1 > 64
     if expected is None:
-        _validate_metric(points, metric)
+        _load_table(points, metric)
     else:
         with pytest.raises(MetricViolation) as exc:
-            _validate_metric(points, metric)
+            _load_table(points, metric)
         assert (exc.value.axiom, exc.value.witness) == expected
 
 
@@ -246,9 +278,9 @@ def test_ranks_sort_and_key_scaled_ints(monkeypatch):
     rng = random.Random(24)
     xs = rng.sample(range(1, 997), 24)
     names = [f"q{i:02d}" for i in range(24)]
-    sys = finite_system(names, {u: names[0] for u in names},
-                        {(names[i], names[j]): Fraction(abs(xs[i] - xs[j]), 997)
-                         for i in range(24) for j in range(i + 1, 24)})
+    metric = {(names[i], names[j]): Fraction(abs(xs[i] - xs[j]), 997)
+              for i in range(24) for j in range(24)}
+    sys = finite_system(names, {u: names[0] for u in names}, metric)
     counts = {"compare": 0, "hash": 0}
     richcmp, fhash = Fraction._richcmp, Fraction.__hash__
 
@@ -265,10 +297,35 @@ def test_ranks_sort_and_key_scaled_ints(monkeypatch):
     ranks = sys.ranks
     assert counts == {"compare": 0, "hash": 0}
     monkeypatch.undo()
-    assert ranks.levels == tuple(sorted(set(sys.metric.values())))
+    assert ranks.levels == tuple(sorted(set(metric.values())))
     for u in names:
-        assert [ranks.levels[r] for r in ranks.rank[u]] == [sys.distance(u, v)
+        assert [ranks.levels[r] for r in ranks.rank[u]] == [metric[(u, v)]
                                                            for v in ranks.names]
+        assert [sys.distance(u, v) for v in names] == [metric[(u, v)] for v in names]
+
+
+def test_a_load_parses_each_literal_once_and_scales_once(monkeypatch):
+    # E metric entries take E as_fraction calls, and reading the ranks (or
+    # a distance) scales the table no second time
+    names = [f"p{i}" for i in range(6)]
+    entries = [[names[i], names[j], f"{q + i}/{q}"]  # distances in [1, 2)
+               for i in range(6) for j, q in zip(range(i + 1, 6), (7, 8, 9) * 2)]
+    counts = {"as_fraction": 0, "lcm": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(systems, "as_fraction", counting("as_fraction", systems.as_fraction))
+    monkeypatch.setattr(systems, "lcm", counting("lcm", systems.lcm))
+    sys = compile_finite({"points": names, "map": {u: u for u in names}, "metric": entries})
+    assert counts["as_fraction"] == len(entries) == 15
+    scaled = counts["lcm"]
+    assert scaled > 0
+    assert sys.ranks.levels[0] == 0 and sys.distance("p0", "p1") == 1
+    assert counts["lcm"] == scaled
 
 
 def test_cut_bisects_scaled_ints_like_the_fraction_levels(monkeypatch):
