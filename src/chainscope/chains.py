@@ -180,16 +180,6 @@ def ladder_digraphs(sys: FiniteSystem, deltas: Iterable) -> Iterator[ChainDigrap
         yield dg
 
 
-def digraph_from_edges(sys: FiniteSystem, delta, edges: Iterable[tuple[str, str]]) -> ChainDigraph:
-    """Wrap an explicit edge set as a ChainDigraph (for injected test graphs)."""
-    delta = Fraction(delta)
-    succ: dict[str, set[str]] = {u: set() for u in sys.points}
-    for u, v in edges:
-        succ[u].add(v)
-    return _finalize(sys, delta, sys.ranks.cut(delta),
-                     {u: tuple(sorted(s)) for u, s in succ.items()})
-
-
 def _is_recurrent_scc(dg: ChainDigraph, comp: tuple[str, ...]) -> bool:
     if len(comp) > 1:
         return True
@@ -213,21 +203,6 @@ def chain_components(dg: ChainDigraph) -> tuple[frozenset[str], ...]:
     simply the SCCs that contain a cycle, in deterministic order.
     """
     return tuple(frozenset(comp) for comp in dg.sccs if _is_recurrent_scc(dg, comp))
-
-
-def reaches(dg: ChainDigraph, x: str, y: str) -> bool:
-    """True iff a directed path of length >= 1 runs from x to y."""
-    frontier = list(dg.succ[x])
-    seen = set(frontier)
-    while frontier:
-        u = frontier.pop()
-        if u == y:
-            return True
-        for w in dg.succ[u]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return False
 
 
 def critical_deltas(sys: FiniteSystem) -> list[Fraction]:
@@ -297,12 +272,10 @@ def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:
 class ChainAnalysis:
     """Bundle of the per-resolution chain facts used by reports."""
 
-    digraph: ChainDigraph
     recurrent: frozenset[str]
     components: tuple[frozenset[str], ...]
     lyapunov: dict[str, Fraction]
 
 
 def chain_analysis(dg: ChainDigraph) -> ChainAnalysis:
-    return ChainAnalysis(dg, chain_recurrent_set(dg), chain_components(dg),
-                         complete_lyapunov(dg))
+    return ChainAnalysis(chain_recurrent_set(dg), chain_components(dg), complete_lyapunov(dg))

@@ -20,7 +20,6 @@ or odometer-like), which sit at level NONE for every n.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby, product
@@ -33,17 +32,17 @@ from .sft import (SftGraph, SftPoint, connecting_paths, dyadic_depth, graph_peri
                   is_irreducible, sft_entropy, validate_point, vertex_classes)
 from .systems import FiniteSystem
 
-LEVELS = ("DC1", "IAPSTAR", "LIYORKE", "NONE")
 LEVEL_S_FAMILY = {"DC1": "THICK", "IAPSTAR": "IAPSTAR", "LIYORKE": "INFINITE"}
 T_CAP = 8  # a vertex shift's distal search tries separations 2^(-t), t <= T_CAP
 
 
 # -- exact orbit distance profiles ------------------------------------------------
 #
-# A profile holds int keys that order like the distances they stand for: on
-# a finite system the ranks of its metric (``FiniteSystem.ranks``), on a
-# vertex shift the keys of a ``DepthScale``.  A threshold becomes one int cut
-# on the same scale, so a window compares ints only.
+# Tuple windows run on vertex shifts only: a finite component is decided
+# exactly from ``FiniteSystem.orbit_floor``.  A profile holds the int keys of
+# a ``DepthScale``, which order like the distances they stand for, and a
+# threshold becomes one int cut on the same scale, so a window compares ints
+# only.
 
 @dataclass(frozen=True)
 class DepthScale:
@@ -52,9 +51,7 @@ class DepthScale:
     From any time on, two of the points differ, if at all, below depth
     ``bound`` = max(head lengths) + lcm(cycle lengths) (see
     ``first_difference``).  So key ``bound - k`` stands for 2^(-k) and key 0
-    for distance 0, and the keys order like the distances, as the ranks of a
-    finite metric do (``DistanceRanks``, whose ``cut`` and ``cut_under`` these
-    mirror).
+    for distance 0, and the keys order like the distances.
     """
 
     bound: int
@@ -75,17 +72,15 @@ class DepthScale:
         return Fraction(1, 2 ** (self.bound - key)) if key else Fraction(0)
 
 
-def distance_scale(model, points):
-    """The key scale of the pair profiles of an orbit tuple."""
-    if isinstance(model, SftGraph):
-        return DepthScale(max(len(p.head) for p in points)
-                          + math.lcm(*(len(p.cycle) for p in points)))
-    return model.ranks
+def distance_scale(points) -> DepthScale:
+    """The key scale of the pair profiles of a tuple of points."""
+    return DepthScale(max(len(p.head) for p in points)
+                      + math.lcm(*(len(p.cycle) for p in points)))
 
 
-def _pair_profile_sft(x: SftPoint, y: SftPoint, horizon: int, bound: int) -> list[int]:
-    """Keys of d(shift^i x, shift^i y) for i in [0, horizon), on the
-    ``DepthScale`` of that ``bound``.
+def pair_profile(x: SftPoint, y: SftPoint, horizon: int, scale: DepthScale) -> list[int]:
+    """Keys of d(shift^i x, shift^i y) for i in [0, horizon) on ``scale``,
+    the ``distance_scale`` of a tuple holding x and y.
 
     Profiles of eventually periodic points are eventually periodic: beyond
     the longer head both sequences repeat with the lcm of the cycle lengths,
@@ -94,6 +89,7 @@ def _pair_profile_sft(x: SftPoint, y: SftPoint, horizon: int, bound: int) -> lis
     M = max(len(x.head), len(y.head))
     Q = math.lcm(len(x.cycle), len(y.cycle))
     N = M + 2 * Q
+    bound = scale.bound
     xs = x.expand(N)
     ys = y.expand(N)
     nxt = None  # the first difference at or after the current index
@@ -112,27 +108,13 @@ def _pair_profile_sft(x: SftPoint, y: SftPoint, horizon: int, bound: int) -> lis
     return base + (base[M:] * reps)[:horizon - M - Q]
 
 
-def _pair_profile_finite(sys: FiniteSystem, x: str, y: str, horizon: int) -> list[int]:
-    rank, index, f = sys.ranks.rank, sys.ranks.index, sys.map
-    out = []
-    for _ in range(horizon):
-        out.append(rank[x][index[y]])
-        x, y = f[x], f[y]
-    return out
-
-
-def pair_profile(model, x, y, horizon: int, scale) -> list[int]:
-    """Keys of d(f^i x, f^i y) for i in [0, horizon) on ``scale``, the
-    ``distance_scale`` of a tuple holding x and y."""
-    if isinstance(model, SftGraph):
-        return _pair_profile_sft(x, y, horizon, scale.bound)
-    return _pair_profile_finite(model, x, y, horizon)
-
-
-def _key_extremes(model, points, horizon: int):
-    """(scale, mins, maxs): the per-time least and greatest pair key."""
-    scale = distance_scale(model, points)
-    profiles = [pair_profile(model, a, b, horizon, scale) for a, b in combinations(points, 2)]
+def _key_extremes(g: SftGraph, points, horizon: int):
+    """(scale, mins, maxs): the per-time least and greatest pair key of
+    points of the vertex shift ``g``."""
+    if not isinstance(g, SftGraph):
+        raise SpecError("tuple windows run on vertex shifts only")
+    scale = distance_scale(points)
+    profiles = [pair_profile(a, b, horizon, scale) for a, b in combinations(points, 2)]
     per_time = list(zip(*profiles))
     return scale, list(map(min, per_time)), list(map(max, per_time))
 
@@ -141,20 +123,18 @@ def _key_extremes(model, points, horizon: int):
 class TupleStats:
     """Separation and proximity windows of one orbit tuple."""
 
-    n: int
-    horizon: int
     s_sets: dict[Fraction, TimeSetWindow]
     t_sets: dict[Fraction, TimeSetWindow]
 
 
-def profile_extremes(model, points, horizon: int) -> tuple[list[Fraction], list[Fraction]]:
+def profile_extremes(g: SftGraph, points, horizon: int) -> tuple[list[Fraction], list[Fraction]]:
     """Per-time min and max pairwise distance of an orbit tuple over [0, horizon)."""
-    scale, mins, maxs = _key_extremes(model, tuple(points), horizon)
+    scale, mins, maxs = _key_extremes(g, tuple(points), horizon)
     level = {k: scale.level(k) for k in {*mins, *maxs}}
     return [level[k] for k in mins], [level[k] for k in maxs]
 
 
-def tuple_stats(model, points, r_list, eps_list, horizon: int) -> TupleStats:
+def tuple_stats(g: SftGraph, points, r_list, eps_list, horizon: int) -> TupleStats:
     """Windows S(r) (min pairwise distance > r, strict) and T(eps)
     (max pairwise distance < eps, strict) over [0, horizon).
 
@@ -167,14 +147,14 @@ def tuple_stats(model, points, r_list, eps_list, horizon: int) -> TupleStats:
         raise SpecError("tuples need at least two coordinates")
     if horizon < 1:
         raise SpecError("horizon must be positive")
-    scale, mins, maxs = _key_extremes(model, pts, horizon)
+    scale, mins, maxs = _key_extremes(g, pts, horizon)
     s_cuts = {r: scale.cut(r) for r in map(Fraction, r_list)}
     t_cuts = {e: scale.cut_under(e) for e in map(Fraction, eps_list)}
     s_sets = {r: TimeSetWindow(horizon, tuple([int(m > c) for m in mins]))
               for r, c in s_cuts.items()}
     t_sets = {e: TimeSetWindow(horizon, tuple([int(m <= c) for m in maxs]))
               for e, c in t_cuts.items()}
-    return TupleStats(len(pts), horizon, s_sets, t_sets)
+    return TupleStats(s_sets, t_sets)
 
 
 # -- distal tuple search -----------------------------------------------------------
@@ -411,21 +391,10 @@ def sft_delta_n(g: SftGraph, n: int) -> tuple[Fraction, bool]:
 MIN_HORIZON = 64
 
 
-def dyadic_ladder(depth: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1, 2**k) for k in range(1, depth + 1))
-
-
 def _check_eps_depth(eps_depth: int) -> None:
     # an empty dyadic ladder would make every proximity test pass vacuously
     if eps_depth < 1:
         raise SpecError("eps_depth must be at least 1")
-
-
-def check_window_settings(horizon: int, eps_depth: int) -> None:
-    """Reject the observation settings no windowed test can run with."""
-    if horizon < MIN_HORIZON:
-        raise SpecError(f"horizon must be at least {MIN_HORIZON}")
-    _check_eps_depth(eps_depth)
 
 
 @dataclass(frozen=True)
@@ -437,7 +406,7 @@ class Condition3Verdict:
     ok: bool
 
 
-def check_condition3(model, points, delta_n, level: str, horizon: int,
+def check_condition3(g: SftGraph, points, delta_n, level: str, horizon: int,
                      eps_depth: int = 6,
                      params: WindowParams = WindowParams()) -> Condition3Verdict:
     """Windowed test: S(delta_n) in the level's family and T(eps) infinite
@@ -446,8 +415,8 @@ def check_condition3(model, points, delta_n, level: str, horizon: int,
         raise SpecError(f"unknown level {level!r}")
     _check_eps_depth(eps_depth)
     delta_n = Fraction(delta_n)
-    ladder = dyadic_ladder(eps_depth)
-    stats = tuple_stats(model, points, [delta_n], ladder, horizon)
+    ladder = tuple(Fraction(1, 2**k) for k in range(1, eps_depth + 1))
+    stats = tuple_stats(g, points, [delta_n], ladder, horizon)
     s_v = window_family_member(stats.s_sets[delta_n], LEVEL_S_FAMILY[level], params)
     t_vs = tuple((eps, window_family_member(stats.t_sets[eps], "INFINITE", params))
                  for eps in ladder)
@@ -504,11 +473,7 @@ def _witness_schedule(level: str, horizon: int) -> list[tuple[str, int]]:
 @dataclass(frozen=True)
 class WitnessConstruction:
     points: tuple[SftPoint, ...]
-    level: str
-    n: int
-    horizon: int
     delta_n: Fraction
-    merge_position: int
 
 
 def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
@@ -577,39 +542,12 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
             for j in range(n):
                 symbols[j].extend(segment)
     emit_connectors([merge_vertex] * n)
-    merge_position = len(symbols[0])
     points = []
     for j in range(n):
         p = SftPoint(tuple(symbols[j]) + tail_point.head, tail_point.cycle)
         validate_point(g, p)
         points.append(p)
-    return WitnessConstruction(tuple(points), level, n, horizon, delta_n, merge_position)
-
-
-def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
-                             trials: int, seed: int) -> tuple[int, int]:
-    """Re-run the witness construction from random perturbed prefixes and
-    count how many constructions still pass their own windowed test.  The
-    distal tuple does not depend on the prefixes: it is searched once."""
-    rng = random.Random(seed)
-    classes = vertex_classes(g)
-    starts = [v for v in range(g.vertex_count) if classes[v] == 0]  # all when aperiodic
-    # the search construct_witness runs
-    distal = _first_distal(g, n, 10**6)
-    successes = 0
-    for _ in range(trials):
-        length = rng.randint(1, 8)
-        prefixes = []
-        for _ in range(n):
-            word = [rng.choice(starts)]
-            while len(word) < length:
-                word.append(rng.choice(g.successors(word[-1])))
-            prefixes.append(tuple(word))
-        built = construct_witness(g, n, level, horizon, prefixes=tuple(prefixes),
-                                  distal=distal)
-        if check_condition3(g, built.points, built.delta_n, level, horizon).ok:
-            successes += 1
-    return successes, trials
+    return WitnessConstruction(tuple(points), delta_n)
 
 
 # -- component classification ----------------------------------------------------------
@@ -647,7 +585,10 @@ class ClassifyParams:
     window: WindowParams = field(default_factory=WindowParams)
 
     def __post_init__(self):
-        check_window_settings(self.horizon, self.eps_depth)
+        # reject the observation settings no windowed test can run with
+        if self.horizon < MIN_HORIZON:
+            raise SpecError(f"horizon must be at least {MIN_HORIZON}")
+        _check_eps_depth(self.eps_depth)
         if self.budget < 0:
             raise SpecError("budget must be nonnegative")
 

@@ -5,13 +5,13 @@ where m is the gcd of the lengths of all directed cycles inside C.  Chain
 steps advance the class index by one (mod m), so two nodes admit a
 connecting chain of length divisible by m exactly when they share a class.
 
-Chain proximality is realized as product-digraph reachability: (x, y) is
-chain proximal when synchronized chains of equal length lead both to a
-common node.  For nodes of one component this agrees with class equality:
-a same-class pair realizes a common length by the saturation law below,
-while synchronized steps preserve the class difference forever.  The pair
-(x, x) is proximal by the length-zero convention; loops of length m make
-this agree with the positive-length convention for recurrent nodes.
+A pair (x, y) is chain proximal when synchronized chains of equal length
+lead both to a common node.  For nodes of one component this is class
+equality, so the relation is read from the class labels: a same-class pair
+realizes a common length by the saturation law below, while synchronized
+steps preserve the class difference forever.  The pair (x, x) is proximal
+by the length-zero convention; loops of length m make this agree with the
+positive-length convention for recurrent nodes.
 
 Along an ascending ladder of resolutions edges are only added, so a
 ``CyclicSweep`` decomposes each component once per *segment*: a run of
@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, KeysView, Mapping, Sequence
 
 from .chains import ChainDigraph, chain_components, ladder_digraphs
-from .errors import EmptyLadder, InvariantViolation, NotAComponent, NotInComponent
+from .errors import EmptyLadder, InvariantViolation, NotAComponent
 from .graph import bfs_levels, period
 from .systems import FiniteSystem
 
@@ -350,32 +350,6 @@ class CyclicSweep:
         classes = tuple(tuple(b) for _, b in sorted(buckets.items()))
         return ProximalPartition(comp, tuple(dec.delta for dec in decomps), classes,
                                  tuple(decomps), split_at)
-
-
-def chain_proximal_at(dg: ChainDigraph, C, x: str, y: str) -> bool:
-    """True iff a diagonal pair is reachable from (x, y) in the product
-    digraph restricted to the component (paths of length >= 0)."""
-    comp = _require_component(dg, C)
-    for p in (x, y):
-        if p not in comp:
-            raise NotInComponent(f"{p!r} is not in the component")
-    if x == y:
-        return True
-    seen = {(x, y)}
-    frontier = [(x, y)]
-    while frontier:
-        u, v = frontier.pop()
-        for uu in dg.succ[u]:
-            if uu not in comp:
-                continue
-            for vv in dg.succ[v]:
-                if vv not in comp or (uu, vv) in seen:
-                    continue
-                if uu == vv:
-                    return True
-                seen.add((uu, vv))
-                frontier.append((uu, vv))
-    return False
 
 
 @dataclass(frozen=True)

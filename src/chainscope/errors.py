@@ -40,10 +40,6 @@ class NotAComponent(ValidationError):
     """The node set is not a chain component of the digraph."""
 
 
-class NotInComponent(ValidationError):
-    """A queried node lies outside the component under analysis."""
-
-
 class EmptyLadder(ValidationError):
     """A resolution ladder must contain at least one value."""
 

@@ -53,9 +53,6 @@ class EventuallyPeriodicSet:
             return bool(self.preperiod[i])
         return bool(self.pattern[(i - len(self.preperiod)) % len(self.pattern)])
 
-    def window(self, horizon: int) -> TimeSetWindow:
-        return TimeSetWindow(horizon, tuple(int(self.contains(i)) for i in range(horizon)))
-
 
 @dataclass(frozen=True)
 class FamilyVerdict:
@@ -208,9 +205,6 @@ class InclusionAudit:
     verdicts: tuple[FamilyVerdict, FamilyVerdict, FamilyVerdict, FamilyVerdict]
     monotone: bool
     warnings: tuple[str, ...] = ()
-
-    def members(self) -> tuple[bool, bool, bool, bool]:
-        return tuple(v.member for v in self.verdicts)  # type: ignore[return-value]
 
 
 def inclusion_audit(A, params: WindowParams = WindowParams()) -> InclusionAudit:

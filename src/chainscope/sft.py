@@ -167,16 +167,8 @@ def validate_point(g: SftGraph, p: SftPoint) -> None:
             raise InvalidPoint(f"forbidden transition {a}->{b} in {p}")
 
 
-def sft_shift(g: SftGraph, x: SftPoint) -> SftPoint:
-    """Drop the first symbol and re-canonicalize."""
-    validate_point(g, x)
-    if x.head:
-        return SftPoint(x.head[1:], x.cycle)
-    return SftPoint((), x.cycle[1:] + x.cycle[:1])
-
-
 def shift_by(x: SftPoint, k: int) -> SftPoint:
-    """Shift k times without graph revalidation (used in hot loops)."""
+    """Shift k times, without checking the point against a graph."""
     if k <= len(x.head):
         return SftPoint(x.head[k:], x.cycle)
     r = (k - len(x.head)) % len(x.cycle)

@@ -1,4 +1,4 @@
-"""Load and save system specs (versioned JSON); load pseudo-orbit text files.
+"""Load and dump system specs (versioned JSON); load pseudo-orbit text files.
 
 Spec schema "chainscope-v1": an object with "kind" in {"finite", "sft",
 "grid"}.  Rational values are written as "p/q" strings so round-trips are
@@ -46,7 +46,8 @@ def system_from_desc(desc: dict, origin: str = "<desc>"):
         return compile_finite(desc)
     if kind == "sft":
         try:
-            adjacency = tuple(tuple(int(x) for x in row) for row in desc["adjacency"])
+            adjacency = tuple(tuple(_integer(x, "an adjacency entry") for x in row)
+                              for row in desc["adjacency"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"{origin}: bad adjacency: {exc}") from exc
         return SftGraph(adjacency)
@@ -54,7 +55,7 @@ def system_from_desc(desc: dict, origin: str = "<desc>"):
         try:
             spec = GridMapSpec(
                 family=desc.get("family", ""),
-                cell_count=int(desc.get("cells", 0)),
+                cell_count=_integer(desc.get("cells", 0), "cells"),
                 geometry=desc.get("geometry", "interval"),
                 slope=as_fraction(desc["slope"]) if "slope" in desc else None,
                 alpha=as_fraction(desc["alpha"]) if "alpha" in desc else None,
@@ -65,6 +66,13 @@ def system_from_desc(desc: dict, origin: str = "<desc>"):
             raise SpecError(f"{origin}: bad grid parameter: {exc}") from exc
         return discretize(spec)
     raise SpecError(f"{origin}: unknown kind {kind!r}")
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; a float, a bool or a string is refused, not coerced."""
+    if type(value) is not int:
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def dump_system(model) -> dict:
@@ -90,12 +98,6 @@ def dump_system(model) -> dict:
             "adjacency": [list(row) for row in model.adjacency],
         }
     raise SpecError(f"cannot serialize {type(model).__name__}")
-
-
-def save_system(model, path) -> None:
-    Path(path).write_text(
-        json.dumps(dump_system(model), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
 
 
 def load_pseudo_orbit(path, model):

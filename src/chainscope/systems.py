@@ -14,7 +14,7 @@ the grids approximate.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -31,15 +31,17 @@ MAX_EXHAUSTIVE_POINTS = 512
 # Validation scales the table to ints by the lcm of its denominators; an lcm
 # so large that the scaled table would pass this many bits is refused too.
 MAX_SCALED_TABLE_BITS = 2**28
-
-Rational = Fraction
+# Fraction(str) builds 10**|e| for a decimal exponent e, in time that grows
+# with |e|; a literal whose exponent passes this magnitude is refused.
+MAX_EXPONENT = 1000
 
 
 def as_fraction(value) -> Fraction:
-    """Parse a rational from int, Fraction, or a 'p/q' string."""
+    """Parse a rational from int, Fraction, or a 'p/q' string.  A bool is
+    refused, and so is a decimal exponent past ``MAX_EXPONENT``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -50,6 +52,12 @@ def as_fraction(value) -> Fraction:
                 q = int(den or 1)
                 if q:
                     return Fraction(int(num), q)
+            # an "e" of a valid literal marks its exponent, an int literal;
+            # text that int() refuses makes the literal invalid as well
+            _, e, exp = value.lower().rpartition("e")
+            if e and abs(int(exp)) > MAX_EXPONENT:
+                raise SpecError(f"the exponent of {value!r} exceeds {MAX_EXPONENT} "
+                                f"in magnitude")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecError(f"bad rational literal {value!r}") from exc
@@ -89,14 +97,6 @@ class DistanceRanks:
         comparison.
         """
         return bisect_right(self.scaled, delta.numerator * self.scale // delta.denominator) - 1
-
-    def cut_under(self, eps: Fraction) -> int:
-        """Index of the largest level < eps (-1 when eps <= 0): an int level
-        s / scale is below p / q iff s < ceil(p * scale / q)."""
-        return bisect_left(self.scaled, -(-eps.numerator * self.scale // eps.denominator)) - 1
-
-    def level(self, key: int) -> Fraction:
-        return self.levels[key]
 
 
 @dataclass(frozen=True)
@@ -271,11 +271,14 @@ def _pack(row: Sequence[int], width: int) -> int:
     return row[0]
 
 
-def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:
+def finite_system(points, mapping, metric, labels=None, default=None) -> FiniteSystem:
     """Build and validate a FiniteSystem from plain containers.
 
-    ``metric`` may list each unordered pair once; it is symmetrized, and a
-    diagonal pair it leaves out is 0.
+    ``metric`` maps pairs (u, v) to distances, or is a sequence of ((u, v),
+    d) entries.  It may list each unordered pair once; it is symmetrized,
+    and a pair given twice with two values, in either order, is refused.  A
+    diagonal pair it leaves out is 0, and a distinct pair it leaves out is
+    ``default`` (refused when ``default`` is None).
     """
     pts = tuple(str(p) for p in points)
     if not pts:
@@ -286,7 +289,7 @@ def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:
     n = len(pts)
     # symmetric by construction: each entry is written in both orders
     table: list[list[Fraction | None]] = [[None] * n for _ in pts]
-    for (u, v), d in metric.items():
+    for (u, v), d in metric.items() if isinstance(metric, Mapping) else metric:
         if u not in index or v not in index:
             raise SpecError(f"metric entry for unknown pair ({u!r}, {v!r})")
         d = as_fraction(d)
@@ -299,7 +302,9 @@ def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:
             row[i] = Fraction(0)
         for j in range(i + 1, n):
             if row[j] is None:
-                raise SpecError(f"metric is missing the pair ({pts[i]!r}, {pts[j]!r})")
+                if default is None:
+                    raise SpecError(f"metric is missing the pair ({pts[i]!r}, {pts[j]!r})")
+                row[j] = table[j][i] = default
     fmap: dict[str, str] = {}
     for u in pts:
         if u not in mapping:
@@ -319,36 +324,30 @@ def finite_system(points, mapping, metric, labels=None) -> FiniteSystem:
 def compile_finite(desc: Mapping) -> FiniteSystem:
     """Compile a finite-system description (parsed JSON object).
 
-    Recognized keys: ``points``, ``map``, ``metric`` (list of
+    Recognized keys: ``points`` (a list), ``map``, ``metric`` (list of
     ``[u, v, "p/q"]`` triples), optional ``metric_default`` for unlisted
     distinct pairs, optional ``labels``.  The metric literals go to
-    ``finite_system`` unparsed, which reads each once.
+    ``finite_system`` unparsed and in order, which reads each once.
     """
     try:
-        points = [str(p) for p in desc["points"]]
+        points = desc["points"]
         raw_map = dict(desc["map"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"finite system spec: missing or bad points or map: {exc}") from exc
-    metric: dict[tuple[str, str], object] = {}
+    if not isinstance(points, (list, tuple)):
+        raise SpecError(f"finite system spec: points must be a list, got {points!r}")
+    entries: list[tuple[tuple[str, str], object]] = []
     try:
         for entry in desc.get("metric", []):
             if len(entry) != 3:
                 raise SpecError(f"bad metric entry {entry!r}")
             u, v, d = entry
-            key = (str(u), str(v))
-            if key in metric:  # the last value of a repeated pair wins, but each must parse
-                as_fraction(metric[key])
-            metric[key] = d
+            entries.append(((str(u), str(v)), d))
     except TypeError as exc:
         raise SpecError(f"bad metric: {exc}") from exc
     default = desc.get("metric_default")
-    if default is not None:
-        dd = as_fraction(default)
-        for i, u in enumerate(points):
-            for v in points[i + 1:]:
-                if (u, v) not in metric and (v, u) not in metric:
-                    metric[(u, v)] = dd
-    return finite_system(points, raw_map, metric, desc.get("labels"))
+    return finite_system(points, raw_map, entries, desc.get("labels"),
+                         None if default is None else as_fraction(default))
 
 
 # -- grid discretization -------------------------------------------------------

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from chainscope import SftGraph, SftPoint, finite_system, load_corpus
-from chainscope.sft import shift_by
+from chainscope import (SftGraph, SftPoint, check_condition3, construct_witness, finite_system,
+                        load_corpus)
+from chainscope.chaos import _first_distal
+from chainscope.sft import shift_by, vertex_classes
+from chainscope.specio import dump_system
 
 
 @pytest.fixture
@@ -151,3 +156,35 @@ def line_system(n: int, seed: int, cycles=(3, 5)):
     metric = {(pts[i], pts[j]): Fraction(abs(xs[i] - xs[j]), 10**6)
               for i in range(n) for j in range(i + 1, n)}
     return finite_system(pts, mapping, metric)
+
+
+def save_system(model, path) -> None:
+    """Write ``model`` as a spec file that ``load_system`` reads back equal."""
+    Path(path).write_text(json.dumps(dump_system(model), indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
+def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
+                             trials: int, seed: int) -> tuple[int, int]:
+    """Re-run the witness construction from random perturbed prefixes and
+    count how many constructions still pass their own windowed test.  The
+    distal tuple does not depend on the prefixes: it is searched once."""
+    rng = random.Random(seed)
+    classes = vertex_classes(g)
+    starts = [v for v in range(g.vertex_count) if classes[v] == 0]  # all when aperiodic
+    # the search construct_witness runs
+    distal = _first_distal(g, n, 10**6)
+    successes = 0
+    for _ in range(trials):
+        length = rng.randint(1, 8)
+        prefixes = []
+        for _ in range(n):
+            word = [rng.choice(starts)]
+            while len(word) < length:
+                word.append(rng.choice(g.successors(word[-1])))
+            prefixes.append(tuple(word))
+        built = construct_witness(g, n, level, horizon, prefixes=tuple(prefixes),
+                                  distal=distal)
+        if check_condition3(g, built.points, built.delta_n, level, horizon).ok:
+            successes += 1
+    return successes, trials

@@ -84,6 +84,36 @@ def path_length_sets(nodes, succ, within, max_len):
     return out
 
 
+# -- injected digraphs -----------------------------------------------------------------
+
+def digraph_from_edges(sys, delta, edges):
+    """Wrap an explicit edge set as a ChainDigraph of ``sys`` at ``delta``,
+    to inject a digraph that no resolution of ``sys`` builds."""
+    from chainscope.chains import _finalize
+
+    delta = Fraction(delta)
+    succ = {u: set() for u in sys.points}
+    for u, v in edges:
+        succ[u].add(v)
+    return _finalize(sys, delta, sys.ranks.cut(delta),
+                     {u: tuple(sorted(s)) for u, s in succ.items()})
+
+
+def reaches(dg, x, y):
+    """True iff a directed path of length >= 1 runs from x to y in ``dg``."""
+    frontier = list(dg.succ[x])
+    seen = set(frontier)
+    while frontier:
+        u = frontier.pop()
+        if u == y:
+            return True
+        for w in dg.succ[u]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return False
+
+
 def brute_proximal(nodes, succ, comp, x, y):
     """Product-graph reachability to the diagonal, written independently."""
     if x == y:
@@ -401,18 +431,10 @@ def recover_step(doc, i):
 # The vertex-shift path once built one Fraction per time step; these are those
 # Fraction versions, kept to check the int keys and cuts that replaced them.
 
-def fraction_pair_profile(model, x, y, horizon):
-    """d(f^i x, f^i y) for i in [0, horizon) as Fractions.  A vertex-shift
-    pair's profile is computed on one fundamental window (the longer head
-    plus the lcm of the cycles) and tiled."""
-    from chainscope import SftGraph
-
-    if not isinstance(model, SftGraph):
-        out = []
-        for _ in range(horizon):
-            out.append(model.distance(x, y))
-            x, y = model.apply(x), model.apply(y)
-        return out
+def fraction_pair_profile(x, y, horizon):
+    """d(shift^i x, shift^i y) for i in [0, horizon) as Fractions, computed
+    on one fundamental window (the longer head plus the lcm of the cycles)
+    and tiled."""
     M = max(len(x.head), len(y.head))
     Q = math.lcm(len(x.cycle), len(y.cycle))
     N = M + 2 * Q
@@ -430,18 +452,18 @@ def fraction_pair_profile(model, x, y, horizon):
     return base + [base[M + (i - M) % Q] for i in range(M + Q, horizon)]
 
 
-def fraction_profile_extremes(model, points, horizon):
+def fraction_profile_extremes(points, horizon):
     """Per-time min and max pairwise distance, compared as Fractions."""
-    profiles = [fraction_pair_profile(model, a, b, horizon)
+    profiles = [fraction_pair_profile(a, b, horizon)
                 for a, b in combinations(points, 2)]
     return ([min(p[i] for p in profiles) for i in range(horizon)],
             [max(p[i] for p in profiles) for i in range(horizon)])
 
 
-def fraction_windows(model, points, r_list, eps_list, horizon):
+def fraction_windows(points, r_list, eps_list, horizon):
     """({r: S(r) bits}, {eps: T(eps) bits}), each bit a Fraction comparison:
     min pairwise distance > r, max pairwise distance < eps."""
-    mins, maxs = fraction_profile_extremes(model, points, horizon)
+    mins, maxs = fraction_profile_extremes(points, horizon)
     return ({r: tuple(int(m > r) for m in mins) for r in map(Fraction, r_list)},
             {e: tuple(int(m < e) for m in maxs) for e in map(Fraction, eps_list)})
 

@@ -11,20 +11,19 @@ from fractions import Fraction
 from itertools import product
 
 from chainscope import (ClassifyParams, build_chain_digraph, chain_components,
-                        chain_proximal_at, chain_recurrent_set, check_condition3,
-                        classify_finite_component, classify_sft, complete_lyapunov,
-                        construct_witness, critical_deltas, cyclic_classes,
-                        digraph_from_edges, family_member, finite_system,
-                        inclusion_audit, load_corpus, perturbed_witness_trials,
-                        sft_distance, sft_entropy, slimit_splice, sft_shadow,
+                        chain_recurrent_set, check_condition3, classify_finite_component,
+                        classify_sft, complete_lyapunov, construct_witness, critical_deltas,
+                        cyclic_classes, family_member, finite_system, inclusion_audit,
+                        load_corpus, sft_distance, sft_entropy, slimit_splice, sft_shadow,
                         transient_index, validate_pseudo_orbit, window_family_member)
 from chainscope.cyclic import component_period
 from chainscope.families import EventuallyPeriodicSet, WindowParams, rotation_time_set
 from chainscope.report import AnalysisConfig, cmd_analyze, report_to_json
 from chainscope.sft import shift_by, validate_point
 
-from conftest import random_pseudo_orbit, random_point, random_system
-from oracles import brute_iapstar, brute_proximal, brute_thick, closure_components, cycle_gcd
+from conftest import perturbed_witness_trials, random_pseudo_orbit, random_point, random_system
+from oracles import (brute_iapstar, brute_proximal, brute_thick, closure_components, cycle_gcd,
+                     digraph_from_edges)
 
 CORPUS_FINITE = ("sys3", "sysns", "sys2id", "rotation4", "tent8")
 
@@ -177,9 +176,8 @@ def test_c04_proximal_iff_equal_class():
                 dec = cyclic_classes(dg, comp)
                 for x in comp:
                     for y in comp:
-                        lib = chain_proximal_at(dg, comp, x, y)
-                        assert lib == brute_proximal(sys.points, dg.succ, comp, x, y)
-                        assert lib == (dec.class_of[x] == dec.class_of[y])
+                        assert brute_proximal(sys.points, dg.succ, comp, x, y) == (
+                            dec.class_of[x] == dec.class_of[y])
                         pairs += 1
     _ok("04 chain-proximal iff equal cyclic class",
         f"100 systems, {pairs} ordered pairs, 0 failures")

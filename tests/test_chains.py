@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope import (build_chain_digraph, chain_components, chain_recurrent_set, chains,
-                        complete_lyapunov, critical_deltas, cyclic_classes,
-                        digraph_from_edges, finite_system, graph, reaches)
+                        complete_lyapunov, critical_deltas, cyclic_classes, finite_system,
+                        graph)
 from chainscope.chains import ladder_digraphs
 from chainscope.report import AnalysisConfig, cmd_analyze
-from chainscope.specio import save_system
 
-from conftest import line_system, random_system
-from oracles import closure_components, fraction_table
+from conftest import line_system, random_system, save_system
+from oracles import closure_components, digraph_from_edges, fraction_table, reaches
 from test_cyclic import _sweep_deltas, _sweep_system
 
 

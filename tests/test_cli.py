@@ -11,10 +11,10 @@ from chainscope.cli import main
 from chainscope.corpus import corpus_names, load_corpus
 from chainscope.errors import InternalError
 from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, report_to_json
-from chainscope.specio import load_system, save_system
+from chainscope.specio import load_system
 from chainscope import build_chain_digraph
 
-from conftest import RING41_CHORDS, RING60_CHORDS, line_system, ring_with_chords
+from conftest import RING41_CHORDS, RING60_CHORDS, line_system, ring_with_chords, save_system
 from oracles import report_v1
 
 
@@ -166,6 +166,55 @@ def test_furstenberg_cli_rotation(capsys):
     verdicts = {v["family"]: v["member"] for v in json.loads(out)["verdicts"]}
     assert verdicts["IAPSTAR"] is True
     assert verdicts["THICK"] is False
+
+
+def test_chains_emit_csv_writes_the_basin_rows(tmp_path, capsys):
+    path = tmp_path / "basins.csv"
+    code, out, err = run_cli(["chains", "corpus:sysns", "--delta", "1/2",
+                              "--emit-csv", str(path)], capsys)
+    assert (code, err) == (0, "")
+    text, wrote = out.rsplit("wrote ", 1)
+    assert wrote == f"{path}\n"
+    rows = json.loads(text)["basins"]["rows"]
+    assert path.read_text().splitlines() == ["node,component,class"] + [
+        f"{r['node']},{r['component']},{r['class']}" for r in rows]
+
+
+def test_furstenberg_set_file_matches_the_eventually_periodic_form(tmp_path, capsys):
+    # the evens, observed on 1024 times and given exactly
+    path = tmp_path / "evens.rle"
+    path.write_text("1x1 0x1\n" * 512)
+    code, out, err = run_cli(["furstenberg", "--set-file", str(path)], capsys)
+    assert (code, err) == (0, "")
+    windowed = json.loads(out)["verdicts"]
+    code, out, _ = run_cli(["furstenberg", "--eventually-periodic", "pre=", "pat=10"], capsys)
+    assert code == 0
+    exact = json.loads(out)["verdicts"]
+    assert ([(v["family"], v["member"]) for v in windowed]
+            == [(v["family"], v["member"]) for v in exact]
+            == [("UD1", False), ("THICK", False), ("IAPSTAR", False), ("INFINITE", True)])
+    assert {v["mode"] for v in windowed} == {"windowed"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["furstenberg"], "choose one of --eventually-periodic, --rotation, --set-file"),
+    (["furstenberg", "--rotation", "golden"], "expected key=value, got 'golden'"),
+    (["furstenberg", "--rotation", "beta=1"], "unknown key 'beta'; allowed: ['H', 'alpha']"),
+    (["chains", "corpus:full2"], "chain analysis applies to finite systems"),
+    (["analyze", "corpus:sys3", "--ladder-policy", "explicit"],
+     "explicit ladder policy needs ladder values"),
+    (["analyze", "bad.json"], "bad.json: not valid JSON: "),
+    (["analyze", "partial.json"], "map is not defined at point 'b'"),
+], ids=["furstenberg-no-subject", "rotation-no-equals", "rotation-unknown-key",
+        "chains-vertex-shift", "explicit-without-ladder", "spec-not-json", "map-misses-a-point"])
+def test_refused_command_lines_exit_2(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text("{not json")
+    Path("partial.json").write_text(json.dumps(dict(FINITE_SPEC, map={"a": "b"})))
+    code, out, err = run_cli(argv + ["--out", "o.json"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert not Path("o.json").exists()
 
 
 def test_shadow_cli_true_orbit(tmp_path, capsys):
@@ -547,11 +596,21 @@ FINITE_SPEC = {"schema": "chainscope-v1", "kind": "finite", "points": ["a", "b"]
     *(dict(FINITE_SPEC, metric=[["a", "b", literal]])
       for literal in ("1/0", "abc", "1//2", "", "-1/2")),
     dict(FINITE_SPEC, metric=[["a", "b", "1"], ["a", "a", "5"]]),
+    dict(FINITE_SPEC, metric=[["a", "b", "1"], ["a", "b", "2"]]),
+    dict(FINITE_SPEC, metric=[["a", "b", "1"], ["b", "a", "2"]]),
+    dict(FINITE_SPEC, metric=[["a", "b", "1e4000000"]]),
+    dict(FINITE_SPEC, metric=[["a", "b", True]]),
+    dict(FINITE_SPEC, points="ab"),
+    {"schema": "chainscope-v1", "kind": "sft", "adjacency": [[1.5]]},
+    {"schema": "chainscope-v1", "kind": "sft", "adjacency": [[True]]},
+    {"schema": "chainscope-v1", "kind": "grid", "family": "tent", "cells": 4.7, "slope": "2"},
 ], ids=["grid-cells", "grid-alpha", "grid-breakpoints", "grid-cells-above-cap",
         "finite-map-list",
         "finite-metric-int", "finite-metric-1e400", "finite-labels-list",
         "finite-no-points", "metric-1/0", "metric-abc", "metric-1//2", "metric-empty",
-        "metric-negative", "metric-diagonal"])
+        "metric-negative", "metric-diagonal", "metric-pair-twice", "metric-pair-reversed",
+        "metric-exponent-past-bound", "metric-true", "points-string", "adjacency-float",
+        "adjacency-true", "grid-cells-float"])
 def test_malformed_spec_exits_2(spec, tmp_path, monkeypatch, capsys):
     # each of the first nine exited 1 with a traceback before the loader
     # caught it

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope import (CyclicSweep, assign_basins, build_chain_digraph, chain_components,
-                        chain_proximal_at, component_period, critical_deltas, cyclic,
-                        cyclic_classes, digraph_from_edges, finite_system,
-                        proximal_partition, transient_index)
-from chainscope.errors import (EmptyLadder, InvariantViolation, NotAComponent, NotInComponent,
-                               SpecError)
+                        component_period, critical_deltas, cyclic, cyclic_classes,
+                        finite_system, proximal_partition, transient_index)
+from chainscope.errors import EmptyLadder, InvariantViolation, NotAComponent, SpecError
 
 from conftest import line_system, random_digraph, random_system
-from oracles import brute_proximal, cycle_gcd, path_length_sets, proximal_loop
+from oracles import (brute_proximal, cycle_gcd, digraph_from_edges, path_length_sets,
+                     proximal_loop)
 
 
 def test_period_sys3(sys3):
@@ -176,18 +175,6 @@ def test_saturation_persists_to_cap_on_corpus(sys3, sysns, rotation4):
                             assert dec.period * n in lengths[u][v]
 
 
-def test_chain_proximal_examples(sys3):
-    dg = build_chain_digraph(sys3, Fraction(1, 2))
-    comp = chain_components(dg)[0]
-    assert not chain_proximal_at(dg, comp, "a", "b")
-    assert chain_proximal_at(dg, comp, "a", "a")
-    dg1 = build_chain_digraph(sys3, 1)
-    comp1 = chain_components(dg1)[0]
-    assert chain_proximal_at(dg1, comp1, "a", "b")
-    with pytest.raises(NotInComponent):
-        chain_proximal_at(dg, comp, "a", "zz")
-
-
 def test_proximal_agrees_with_class_and_brute_force():
     rng = random.Random(7)
     for _ in range(25):
@@ -198,9 +185,8 @@ def test_proximal_agrees_with_class_and_brute_force():
                 dec = cyclic_classes(dg, comp)
                 for x in sorted(comp):
                     for y in sorted(comp):
-                        got = chain_proximal_at(dg, comp, x, y)
-                        assert got == brute_proximal(sys.points, dg.succ, comp, x, y)
-                        assert got == (dec.class_of[x] == dec.class_of[y])
+                        assert brute_proximal(sys.points, dg.succ, comp, x, y) == (
+                            dec.class_of[x] == dec.class_of[y])
 
 
 def test_period_matches_cycle_gcd_on_random_digraphs(sys3):

@@ -1,6 +1,12 @@
-"""Every name a module of the package imports is used in that module, every
-function, class and method the package defines is read somewhere, and so is
-every field of every dataclass it defines.
+"""Every name a module of the package imports is used in that module, and
+every function, class, method and dataclass field the package defines is
+read by the package or by the benchmark harness.
+
+Reads count in ``src/`` and in ``chainbench/`` outside ``chainbench/tests/``:
+a definition that only tests read belongs in ``tests/``.  A name listed in
+``TRACED`` of ``chainbench/spans.py`` counts as read, since the benchmark's
+tracer looks it up by name.  ``ALLOWLIST`` holds the definitions that no
+command reads yet, each kept for the ROADMAP item that gives it a reader.
 
 ``__init__.py`` is exempt (its imports are the public re-exports), and so is
 ``from __future__ import annotations``.  With postponed annotations the
@@ -17,7 +23,21 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chainscope"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = PACKAGE.parents[1]
-SOURCES = [p for d in ("src", "tests", "chainbench") for p in sorted((ROOT / d).rglob("*.py"))]
+READERS = [p for d in ("src", "chainbench") for p in sorted((ROOT / d).rglob("*.py"))
+           if "tests" not in p.relative_to(ROOT / d).parts]
+ALLOWLIST = {
+    "estimate_slimit_modulus": "ROADMAP item 2, exact s-limit shadowing",
+    "slimit_splice": "ROADMAP item 6, reducible vertex shifts",
+    "ProximalPartition.per_delta": "ROADMAP item 3, the global partition",
+}
+
+
+def traced_names() -> set[str]:
+    """The names that ``TRACED`` of ``chainbench/spans.py`` lists."""
+    tree = ast.parse((ROOT / "chainbench" / "spans.py").read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    return {name for names in ast.literal_eval(value).values() for name in names}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -102,10 +122,25 @@ def test_unreferenced_definitions_are_found():
     assert unreferenced({"a": source, "b": other}, ["a"]) == ["unused", "K.m"]
 
 
-def test_every_definition_is_read_somewhere():
-    sources = {str(p): p.read_text() for p in SOURCES}
+def _unread() -> tuple[set[str], set[str]]:
+    """(definitions, dataclass fields) of the package that nothing in
+    ``READERS`` reads, ``TRACED`` names aside."""
+    sources = {str(p): p.read_text() for p in READERS}
     package = [str(p) for p in sorted(PACKAGE.glob("*.py"))]
-    assert unreferenced(sources, package) == []
+    return (set(unreferenced(sources, package)) - traced_names(),
+            set(unread_fields(sources, package)))
+
+
+def test_traced_names_come_from_the_benchmark_tracer():
+    assert {"cyclic_classes", "verify_partition_laws", "load_system"} <= traced_names()
+    assert not any(p.parent.name == "tests" for p in READERS)
+
+
+# an allowlisted name that gains a reader fails one of the next two tests,
+# so the allowlist cannot go stale
+def test_every_definition_is_read_somewhere():
+    definitions, fields = _unread()
+    assert definitions == ALLOWLIST.keys() - fields
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -159,6 +194,5 @@ def test_unread_fields_are_found():
 
 
 def test_every_dataclass_field_is_read_somewhere():
-    sources = {str(p): p.read_text() for p in SOURCES}
-    package = [str(p) for p in sorted(PACKAGE.glob("*.py"))]
-    assert unread_fields(sources, package) == []
+    definitions, fields = _unread()
+    assert fields == ALLOWLIST.keys() - definitions

@@ -18,10 +18,9 @@ from chainscope.cli import build_parser, main
 from chainscope.corpus import corpus_names, load_corpus
 from chainscope.errors import SpecError
 from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, report_to_json
-from chainscope.specio import save_system
 from chainscope.systems import MAX_EXHAUSTIVE_POINTS, FiniteSystem
 
-from conftest import line_system
+from conftest import line_system, save_system
 
 
 def run_cli(args, capsys):

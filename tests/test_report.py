@@ -18,9 +18,9 @@ from chainscope import CyclicDecomposition, CyclicSweep, critical_deltas, finite
 from chainscope.chains import ladder_digraphs
 from chainscope.cli import main
 from chainscope.report import AnalysisConfig, cmd_analyze
-from chainscope.specio import dump_system, save_system
+from chainscope.specio import dump_system
 
-from conftest import line_system, random_system
+from conftest import line_system, random_system, save_system
 from oracles import recover_step, report_v1
 from test_cyclic import _sweep_system
 from test_graph import irreducible_graphs

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import SftGraph, SftPoint, full_shift, sft_distance, sft_entropy, sft_shift
+from chainscope import SftGraph, SftPoint, full_shift, sft_distance, sft_entropy
 from chainscope.errors import InvalidPoint, SpecError
 from chainscope.sft import (canonical_form, connecting_paths, find_exact_path, graph_period,
-                            parse_point, validate_point, vertex_classes)
+                            parse_point, shift_by, validate_point, vertex_classes)
 
 from conftest import random_point
 from oracles import connector_loop, dense_radius_bracket, exact_path
@@ -63,10 +63,12 @@ def test_distance_examples(full2):
 
 
 def test_shift_examples(full2):
-    assert sft_shift(full2, SftPoint((0,), (0, 1))) == SftPoint((), (0, 1))
-    assert sft_shift(full2, SftPoint((), (0, 1))) == SftPoint((), (1, 0))
-    ones = SftPoint((), (1,))
-    assert sft_shift(full2, ones) == ones
+    cases = [(SftPoint((0,), (0, 1)), SftPoint((), (0, 1))),
+             (SftPoint((), (0, 1)), SftPoint((), (1, 0))),
+             (SftPoint((), (1,)), SftPoint((), (1,)))]
+    for x, image in cases:
+        validate_point(full2, x)
+        assert shift_by(x, 1) == image
 
 
 def test_invalid_point_rejected(goldenmean):
@@ -104,7 +106,7 @@ def test_shift_doubles_small_distances(full2):
         y = random_point(full2, rng)
         d = sft_distance(full2, x, y)
         if 0 < d <= Fraction(1, 2):
-            assert sft_distance(full2, sft_shift(full2, x), sft_shift(full2, y)) == 2 * d
+            assert sft_distance(full2, shift_by(x, 1), shift_by(y, 1)) == 2 * d
 
 
 def test_entropy_values(full2, goldenmean):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope import (PseudoOrbit, SftPoint, critical_deltas, estimate_slimit_modulus,
-                        find_shadowing_point, sft_distance, sft_shift, slimit_splice,
+                        find_shadowing_point, sft_distance, slimit_splice,
                         sft_shadow, validate_limit_pseudo_orbit, validate_pseudo_orbit)
 from chainscope import load_corpus, sft, shadowing
 from chainscope.errors import (ClassMismatch, InvalidPoint, NotIrreducible, PrecisionViolation,
@@ -99,7 +99,7 @@ def test_sft_shadow_true_orbit(full2):
     x = SftPoint((), (0, 1))
     states = [x]
     for _ in range(9):
-        states.append(sft_shift(full2, states[-1]))
+        states.append(shift_by(states[-1], 1))
     po = validate_pseudo_orbit(full2, states, 0)
     res = sft_shadow(full2, po, 3)
     assert res.point == x and res.epsilon == 0
@@ -122,7 +122,7 @@ def test_sft_shadow_depth_bound(full2, goldenmean):
 def test_sft_shadow_rejects_coarse_orbit(full2):
     x = SftPoint((), (0,))
     y = SftPoint((), (1,))
-    po = PseudoOrbit((x, y), (sft_distance(full2, sft_shift(full2, x), y),))
+    po = PseudoOrbit((x, y), (sft_distance(full2, shift_by(x, 1), y),))
     with pytest.raises(PrecisionViolation):
         sft_shadow(full2, po, 2)
 
@@ -285,7 +285,7 @@ def test_sft_shadow_tracking_matches_bruteforce(name, depth, length, exact_tail,
 def test_validate_sft_steps_match_distances(name, depth, length, seed, delta):
     g = load_corpus(name)
     states = random_pseudo_orbit(g, random.Random(seed), depth, length)
-    errors = [sft_distance(g, sft_shift(g, x), y) for x, y in zip(states, states[1:])]
+    errors = [sft_distance(g, shift_by(x, 1), y) for x, y in zip(states, states[1:])]
     over = [i for i, e in enumerate(errors) if e > delta]
     if over:
         with pytest.raises(StepViolation) as exc:

@@ -1,3 +1,6 @@
+import re
+import time
+
 import pytest
 from fractions import Fraction
 from math import lcm
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from chainscope import GridMapSpec, compile_finite, discretize, systems
 from chainscope.errors import MetricViolation, PartialMap, SpecError
 from chainscope.specio import system_from_desc
-from chainscope.systems import MAX_SCALED_TABLE_BITS, as_fraction, finite_system
+from chainscope.systems import MAX_EXPONENT, MAX_SCALED_TABLE_BITS, as_fraction, finite_system
 
 from conftest import random_system
 from oracles import metric_violation
@@ -231,7 +234,8 @@ def test_validate_metric_matches_fraction_sweep_on_wide_lanes(table):
 LITERALS = st.one_of(
     st.sampled_from(["0", "007", "007/010", "0/5", "0/0", "1/0", "2/000", "1//2", "", "/",
                      "1/", "/2", " 1/2", "1/2\n", "-1/2", "+3", "1_0/2", "1.5", "1e3",
-                     "１/２", "٣/4", "²", "9" * 5000]),
+                     "１/２", "٣/4", "²", "9" * 5000, "1e1000", "1e1001", "-2.5E-1001",
+                     "1e+1_001", "1e4000000", "1e" + "9" * 5000, "0e١٠٠١"]),
     st.text(alphabet="0123456789/ _+-.e１２٣²", max_size=10),
     st.builds("{}/{}".format, st.integers(0, 10**30), st.integers(0, 10**30)),
 )
@@ -240,6 +244,17 @@ LITERALS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(LITERALS)
 def test_as_fraction_reads_strings_like_fraction(literal):
+    # Fraction(str) would build the power of ten of an exponent past the
+    # bound, in time that grows with the exponent: such a literal is refused
+    exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*$", literal)
+    try:
+        past = exponent is not None and int(exponent.group(1)) > MAX_EXPONENT
+    except ValueError:  # more digits than int() reads: Fraction(str) refuses it too
+        past = True
+    if past:
+        with pytest.raises(SpecError):
+            as_fraction(literal)
+        return
     try:
         expected = Fraction(literal)
     except (ValueError, ZeroDivisionError):
@@ -248,6 +263,21 @@ def test_as_fraction_reads_strings_like_fraction(literal):
     else:
         value = as_fraction(literal)
         assert type(value) is Fraction and value == expected
+
+
+def test_a_huge_exponent_is_refused_before_its_power_is_built():
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="exponent"):
+        as_fraction("1e4000000")
+    assert time.perf_counter() - start < 0.1
+    assert as_fraction("1e1000") == 10**1000
+    assert as_fraction("-1e-1000") == Fraction(-1, 10**1000)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_as_fraction_refuses_a_bool(value):
+    with pytest.raises(SpecError):
+        as_fraction(value)
 
 
 def _metric_with_denominators(qs):
