@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from operator import is_not
 from typing import Iterable, KeysView, Mapping, Sequence
 
 from .chains import ChainDigraph, chain_components, ladder_digraphs
@@ -85,11 +87,11 @@ def _bits(dg: ChainDigraph, nodes: Sequence[str]) -> dict[str, int]:
     return bit
 
 
-def _rows(dg: ChainDigraph, nodes: Sequence[str], bit: Mapping[str, int]) -> tuple[int, ...]:
-    """Internal adjacency of ``nodes`` as bitmask rows, given ``_bits``
-    (bit j: edge to nodes[j]).  A successor list names each successor once,
-    so the sum of their bits is their union."""
-    return tuple(sum(map(bit.__getitem__, dg.succ[u])) for u in nodes)
+def _row(bit: Mapping[str, int], succ: Sequence[str]) -> int:
+    """Internal adjacency of one node as a bitmask row, given ``_bits`` and
+    its successor tuple (bit j: edge to nodes[j]).  A successor tuple names
+    each successor once, so the sum of their bits is their union."""
+    return sum(map(bit.__getitem__, succ))
 
 
 def _members(cls: Sequence[int], m: int) -> list[int]:
@@ -130,24 +132,32 @@ def transient_index(dg: ChainDigraph, C) -> int:
     is primitive, and Wielandt's bound puts its exponent at most (s-1)^2 + 1.
     """
     seg = _Segment(dg, _require_component(dg, C), 0)
-    rows = _unpack(seg.adjacency[0], len(seg.nodes))
-    return _transient_index(rows, seg.cls, seg.period)
+    return _transient_index(seg.adjacency[0], seg.cls, seg.period)
 
 
 def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int) -> int:
     """Transient index of the component with adjacency ``rows``, class
-    ``cls[i]`` for node i and period m."""
+    ``cls[i]`` for node i and period m.
+
+    Row i of a product a*b depends on row i of a alone, so equal left-hand
+    rows give equal product rows, and ``matmul`` computes each distinct one
+    once.  Rows repeat often: the preimages of one image share their
+    successor tuple (``chains._row``), hence their row in every power."""
     k = len(rows)
 
     def matmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-        out = [0] * k
-        for i in range(k):
-            row, bits = 0, a[i]
-            while bits:
-                j = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                row |= b[j]
-            out[i] = row
+        memo: dict[int, int] = {}
+        out = []
+        for bits in a:
+            row = memo.get(bits)
+            if row is None:
+                row, rest = 0, bits
+                while rest:
+                    j = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    row |= b[j]
+                memo[bits] = row
+            out.append(row)
         return out
 
     # powers commute, so each product takes the sparse rows on the left:
@@ -157,12 +167,10 @@ def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int) -> int:
         step = matmul(rows, step)
     members = _members(cls, m)
     want = [members[c] for c in cls]
-    total = sum(w.bit_count() for w in want)
     power = step
     for n in range(1, (k - 1) ** 2 + 2):
-        # power[i] & want[i] is a subset of want[i], so equal counts mean saturation
-        covered = sum((p & w).bit_count() for p, w in zip(power, want))
-        if covered == total:
+        # saturated when row i of the power covers the class of node i
+        if all(p & w == w for p, w in zip(power, want)):
             return n
         power = matmul(step, power)
     raise InvariantViolation("no saturation by Wielandt's bound")  # pragma: no cover
@@ -179,21 +187,18 @@ def cyclic_classes(dg: ChainDigraph, C) -> CyclicDecomposition:
     return _Segment(dg, _require_component(dg, C), 0).decomposition(0, dg.cut, dg.delta)
 
 
-def _pack(rows: Sequence[int]) -> int:
-    """k bitmask rows of k bits as one int: bit i*k + j is bit j of row i."""
-    k = len(rows)
-    return sum(r << (k * i) for i, r in enumerate(rows))
-
-
-def _unpack(packed: int, k: int) -> list[int]:
-    mask = (1 << k) - 1
-    return [(packed >> (k * i)) & mask for i in range(k)]
-
-
 class _Segment:
     """One component over a run of sweep steps with a fixed vertex set and
-    period: its labels, merge-law pairs and the packed internal adjacency of
-    each step (one int per step, which keeps the sweep's memory small)."""
+    period: its labels, merge-law pairs and the internal adjacency of each
+    step as a tuple of bitmask rows, one per node.
+
+    It keeps each node's successor tuple from its last step.  ``extend``
+    re-sums only the rows whose tuple is a new object: a tuple never
+    changes, so the same object is the same row, and ``ladder_digraphs``
+    hands each step the very tuples of the rows it did not rebuild.  A
+    step's rows share every unchanged row (and a step with no changed row
+    its whole tuple) with the step before.  Digraphs built separately share
+    no tuple, so every row is re-summed and checked."""
 
     def __init__(self, dg: ChainDigraph, comp: frozenset[str], first: int):
         self.system = dg.system
@@ -203,25 +208,35 @@ class _Segment:
         self.class_of, self.period = _labels(dg, comp)
         self.cls = [self.class_of[u] for u in self.nodes]
         members = _members(self.cls, self.period)
-        everyone = (1 << len(self.nodes)) - 1
         # an edge from node i that leaves the next class breaks the period
-        self.off_class = _pack([everyone ^ members[(c + 1) % self.period] for c in self.cls])
+        self.next_class = [members[(c + 1) % self.period] for c in self.cls]
         self.cross = _cross_pairs(dg.system, self.nodes, self.class_of)
         # with no cross pair, the number of levels lies above every cut
         self.least_cross = min((r for r, _, _ in self.cross),
                                default=len(dg.system.ranks.levels))
         self.first = first
-        self.adjacency = [_pack(_rows(dg, self.nodes, self.bit))]
+        self.succ = [dg.succ[u] for u in self.nodes]
+        self.adjacency = [tuple(_row(self.bit, s) for s in self.succ)]
         self._transient: list | None = None
 
     def extend(self, dg: ChainDigraph) -> bool:
-        """Take the next step if the component keeps its period there."""
-        adj = _pack(_rows(dg, self.nodes, self.bit))
-        if self.adjacency[-1] & ~adj:
-            raise InvariantViolation("a sweep must only add edges from step to step")
-        if adj & self.off_class:
+        """Take the next step if the component keeps its period there; the
+        only-adds and period checks read the changed rows alone, as every
+        other row passed them at an earlier step."""
+        succ = list(map(dg.succ.__getitem__, self.nodes))
+        # compress keeps the indices whose tuple is a new object
+        changed = list(compress(count(), map(is_not, succ, self.succ)))
+        last = self.adjacency[-1]
+        rows = list(last)
+        for i in changed:
+            row = _row(self.bit, succ[i])
+            if last[i] & ~row:
+                raise InvariantViolation("a sweep must only add edges from step to step")
+            rows[i] = row
+        if any(rows[i] & ~self.next_class[i] for i in changed):
             return False
-        self.adjacency.append(adj)
+        self.succ = succ
+        self.adjacency.append(tuple(rows) if changed else last)
         return True
 
     def violations(self, cut: int) -> tuple[tuple[str, str], ...]:
@@ -240,8 +255,7 @@ class _Segment:
 
             def at(j: int) -> int:
                 if vals[j] is None:
-                    rows = _unpack(self.adjacency[j], len(self.nodes))
-                    vals[j] = _transient_index(rows, self.cls, self.period)
+                    vals[j] = _transient_index(self.adjacency[j], self.cls, self.period)
                 return vals[j]
 
             runs = [(0, len(self.adjacency) - 1)]
@@ -286,6 +300,12 @@ class CyclicSweep:
     the segment's least cross-class rank; a step whose cut lies below it
     has no violation.
 
+    The work of a step follows what it changes.  A continued segment keeps
+    its own frozenset as the key of every step, re-sums and checks only the
+    rows whose successor tuple is new (``_Segment``), and shares the other
+    rows with the step before.  Fed by ``ladder_digraphs``, that is the rows
+    of the preimages of the images that gained a pair.
+
     Feed the steps in ascending order with ``add``; read them after the last
     step.  A one-step sweep is the decomposition of a single digraph.
     """
@@ -309,7 +329,8 @@ class CyclicSweep:
             seg = self._open.get(comp)
             if seg is None or not seg.extend(dg):
                 seg = _Segment(dg, comp, i)
-            here[comp] = seg
+            # one frozenset per segment, not the new one of every step
+            here[seg.component] = seg
         self._open = here
         self._last = dg.delta
         self._steps[_key(dg.delta)] = (i, dg.cut, here)

@@ -324,29 +324,40 @@ def finite_system(points, mapping, metric, labels=None, default=None) -> FiniteS
 def compile_finite(desc: Mapping) -> FiniteSystem:
     """Compile a finite-system description (parsed JSON object).
 
-    Recognized keys: ``points`` (a list), ``map``, ``metric`` (list of
-    ``[u, v, "p/q"]`` triples), optional ``metric_default`` for unlisted
-    distinct pairs, optional ``labels``.  The metric literals go to
+    Recognized keys: ``points`` (a list), ``map`` (an object), ``metric``
+    (list of ``[u, v, "p/q"]`` triples), optional ``metric_default`` for
+    unlisted distinct pairs, optional ``labels`` (an object).  Every point
+    name is a string, as JSON object keys are.  The metric literals go to
     ``finite_system`` unparsed and in order, which reads each once.
     """
     try:
         points = desc["points"]
-        raw_map = dict(desc["map"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"finite system spec: missing or bad points or map: {exc}") from exc
+        raw_map = desc["map"]
+    except (KeyError, TypeError) as exc:
+        raise SpecError(f"finite system spec: missing points or map: {exc}") from exc
     if not isinstance(points, (list, tuple)):
         raise SpecError(f"finite system spec: points must be a list, got {points!r}")
+    labels = desc.get("labels")
+    for key, value in (("map", raw_map), ("labels", {} if labels is None else labels)):
+        if not isinstance(value, Mapping):
+            raise SpecError(f"finite system spec: {key} must be an object, "
+                            f"got {type(value).__name__}")
     entries: list[tuple[tuple[str, str], object]] = []
     try:
         for entry in desc.get("metric", []):
             if len(entry) != 3:
                 raise SpecError(f"bad metric entry {entry!r}")
             u, v, d = entry
-            entries.append(((str(u), str(v)), d))
+            entries.append(((u, v), d))
     except TypeError as exc:
         raise SpecError(f"bad metric: {exc}") from exc
+    for where, names in (("points", points), ("map", [*raw_map, *raw_map.values()]),
+                         ("metric", [u for pair, _ in entries for u in pair])):
+        bad = next((u for u in names if not isinstance(u, str)), None)
+        if bad is not None:
+            raise SpecError(f"finite system spec: {where} names a point by {bad!r}, not a string")
     default = desc.get("metric_default")
-    return finite_system(points, raw_map, entries, desc.get("labels"),
+    return finite_system(points, raw_map, entries, labels,
                          None if default is None else as_fraction(default))
 
 

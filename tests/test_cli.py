@@ -12,7 +12,7 @@ from chainscope.corpus import corpus_names, load_corpus
 from chainscope.errors import InternalError
 from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, report_to_json
 from chainscope.specio import load_system
-from chainscope import build_chain_digraph
+from chainscope import build_chain_digraph, critical_deltas
 
 from conftest import RING41_CHORDS, RING60_CHORDS, line_system, ring_with_chords, save_system
 from oracles import report_v1
@@ -548,6 +548,30 @@ def test_line_system_ladder_report_bytes_match_recorded_digest(tmp_path, monkeyp
             == "1267c5fc7d32799f49ee2d676b5886c90f1dcd244bd971312ed169bcd0c47a63")
 
 
+LONG_LADDER_DIGESTS = {
+    "all-critical": "3c55721f037f21e853156f7d7f8e53e77dc2df3d7531565948405576663a9fd8",
+    "top-k": "ae51ead73537785605c12ddba9caf9795b7ab27e373175734dc7495a2e2d936a",
+    "explicit": "5891ec59c56ce3b56456a5f3c48939c9bf794f9f59ce4dcca47fd1648ed98b1f",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(LONG_LADDER_DIGESTS))
+def test_long_ladder_report_bytes_match_recorded_digest(policy, tmp_path, monkeypatch):
+    # a seeded 30-point line system (316 critical values) under each ladder
+    # policy, recorded before the sweep shared rows between steps: the explicit
+    # ladder is the midpoints of consecutive critical values, so no step of
+    # it is critical
+    monkeypatch.chdir(tmp_path)
+    sys = line_system(30, 30)
+    save_system(sys, "line30.json")
+    crit = critical_deltas(sys)
+    extra = {"all-critical": {},
+             "top-k": {"top_k": len(crit) // 2},
+             "explicit": {"ladder": tuple(str((a + b) / 2) for a, b in zip(crit, crit[1:]))}}
+    config = AnalysisConfig(spec="line30.json", ladder_policy=policy, **extra[policy])
+    assert sha256(report_to_json(cmd_analyze(config))) == LONG_LADDER_DIGESTS[policy]
+
+
 def test_analyze_evaluates_fewer_transient_indices_than_steps(tmp_path, monkeypatch):
     # the sweep evaluates the transient index at the ends of each segment and
     # where they differ, not once per (step, component)
@@ -601,6 +625,10 @@ FINITE_SPEC = {"schema": "chainscope-v1", "kind": "finite", "points": ["a", "b"]
     dict(FINITE_SPEC, metric=[["a", "b", "1e4000000"]]),
     dict(FINITE_SPEC, metric=[["a", "b", True]]),
     dict(FINITE_SPEC, points="ab"),
+    dict(FINITE_SPEC, map=[["a", "b"], ["b", "a"]]),
+    dict(FINITE_SPEC, points=[1, 2], map={"1": 2, "2": 1}),
+    dict(FINITE_SPEC, labels=[["a", "north"]]),
+    dict(FINITE_SPEC, metric=[["a", 2, "1"]], points=["a", "2"], map={"a": "2", "2": "a"}),
     {"schema": "chainscope-v1", "kind": "sft", "adjacency": [[1.5]]},
     {"schema": "chainscope-v1", "kind": "sft", "adjacency": [[True]]},
     {"schema": "chainscope-v1", "kind": "grid", "family": "tent", "cells": 4.7, "slope": "2"},
@@ -609,7 +637,9 @@ FINITE_SPEC = {"schema": "chainscope-v1", "kind": "finite", "points": ["a", "b"]
         "finite-metric-int", "finite-metric-1e400", "finite-labels-list",
         "finite-no-points", "metric-1/0", "metric-abc", "metric-1//2", "metric-empty",
         "metric-negative", "metric-diagonal", "metric-pair-twice", "metric-pair-reversed",
-        "metric-exponent-past-bound", "metric-true", "points-string", "adjacency-float",
+        "metric-exponent-past-bound", "metric-true", "points-string", "finite-map-pairs",
+        "finite-points-numbers", "finite-labels-pairs", "finite-metric-number-name",
+        "adjacency-float",
         "adjacency-true", "grid-cells-float"])
 def test_malformed_spec_exits_2(spec, tmp_path, monkeypatch, capsys):
     # each of the first nine exited 1 with a traceback before the loader

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chainscope import (CyclicSweep, assign_basins, build_chain_digraph, chain_components,
                         component_period, critical_deltas, cyclic, cyclic_classes,
                         finite_system, proximal_partition, transient_index)
+from chainscope.chains import ladder_digraphs
 from chainscope.errors import EmptyLadder, InvariantViolation, NotAComponent, SpecError
 
 from conftest import line_system, random_digraph, random_system
@@ -136,6 +137,43 @@ def test_transient_index_matches_brute_force_lengths():
     # minimality: some pair misses length n_star - 1
     if n_star > 1:
         assert any(n_star - 1 not in lengths[u][v] for u in comp for v in comp)
+
+
+def _brute_transient_index(sys, succ, comp):
+    """Smallest n such that every pair joined by a path of length divisible
+    by the cycle gcd m is joined by one of each length m*j, n <= j <= cap,
+    read off the path length sets alone."""
+    m = cycle_gcd(comp, {u: tuple(v for v in succ[u] if v in comp) for u in comp},
+                  max_len=len(comp))
+    cap = (len(comp) - 1) ** 2 + 2
+    lengths = path_length_sets(sys.points, succ, comp, m * cap)
+    pairs = [ls for row in lengths.values() for ls in row.values()
+             if any(length % m == 0 for length in ls)]
+    return next(n for n in range(1, cap + 1)
+                if all(m * j in ls for ls in pairs for j in range(n, cap + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_transient_index_matches_brute_force_on_non_injective_maps(seed):
+    # fewer images than points, so some preimages share their successor
+    # tuple and so their row in every boolean power: the case that the
+    # product memo of the transient index search folds into one row
+    rng = random.Random(seed)
+    k = rng.randint(3, 8)
+    pts = [f"n{i}" for i in range(k)]
+    xs = rng.sample(range(40), k)
+    images = rng.sample(pts, rng.randint(1, k - 1))
+    sys = finite_system(pts, {u: rng.choice(images) for u in pts},
+                        {(pts[i], pts[j]): abs(xs[i] - xs[j])
+                         for i in range(k) for j in range(i + 1, k)})
+    crit = critical_deltas(sys)
+    walked = CyclicSweep(ladder_digraphs(sys, crit))
+    for delta in crit:
+        dg = build_chain_digraph(sys, delta)
+        for comp, dec in zip(chain_components(dg), walked.decompositions(delta), strict=True):
+            brute = _brute_transient_index(sys, dg.succ, comp)
+            assert transient_index(dg, comp) == dec.transient_index == brute
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -332,10 +370,14 @@ def _fields(dec):
 def _check_sweep(sys, starts):
     """Compare one sweep over the system with the per-step decompositions, and
     its proximal partitions from the resolutions in ``starts`` with the
-    per-step loop; returns the number of merge-law violations seen."""
+    per-step loop; returns the number of merge-law violations seen.  A second
+    sweep fed the walk's digraphs, which share the successor tuples of the
+    rows a step leaves alone, must equal the first, whose digraphs are built
+    separately and share none."""
     deltas = _sweep_deltas(sys)
     with mock.patch.object(cyclic, "_labels", wraps=cyclic._labels) as labels:
         sweep = CyclicSweep(build_chain_digraph(sys, d) for d in deltas)
+    walked = CyclicSweep(ladder_digraphs(sys, deltas))
     seen = 0
     segments = 0
     before: dict = {}
@@ -344,6 +386,8 @@ def _check_sweep(sys, starts):
         comps = chain_components(dg)
         assert tuple(sweep.components(d)) == comps
         decs = sweep.decompositions(d)
+        assert tuple(walked.components(d)) == comps
+        assert [_fields(w) for w in walked.decompositions(d)] == [_fields(x) for x in decs]
         here = {}
         for comp, dec in zip(comps, decs, strict=True):
             ref = cyclic_classes(dg, comp)
