@@ -17,6 +17,7 @@ import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -327,7 +328,46 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(report, indent=2, sort_keys=True)`` and a
+    newline.  CPython uses its C encoder only without ``indent``, so this
+    writer lays out the indentation itself and leaves strings to the C
+    string encoder."""
+    return _encode(report, "\n") + "\n"
+
+
+def _encode(o, newline: str) -> str:
+    """JSON text of ``o`` whose closing bracket follows ``newline``, the line
+    break and indent of the line ``o`` starts on."""
+    if type(o) is str:
+        return encode_basestring_ascii(o)
+    if type(o) is int:  # not bool, which json writes as true/false
+        return int.__repr__(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        # sorted on the original keys, before they become strings, as sort_keys
+        return "{" + inner + ("," + inner).join(
+            [_encode_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        ) + newline + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        try:
+            body = ("," + inner).join(map(encode_basestring_ascii, o))
+        except TypeError:  # not a list of strings
+            body = ("," + inner).join([_encode(v, inner) for v in o])
+        return "[" + inner + body + newline + "]"
+    return json.dumps(o)
+
+
+def _encode_key(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + json.dumps(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 # -- sidecar emitters ---------------------------------------------------------------

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, cycle
-from operator import ne
+from itertools import chain, compress, cycle, repeat
+from operator import add, ne, truediv
 from typing import Iterator
 
 from .errors import InvalidPoint, NoConvergence, SpecError
@@ -324,29 +324,60 @@ def _block_radius_bracket(rows: list[list[tuple[int, int]]], tol: float,
 
     Power iteration runs on (block + identity): the shift makes the matrix
     primitive, and for every positive vector the min/max component ratios of
-    one multiplication enclose the shifted radius.  Each row sum adds only
-    the nonzero terms, in column order: the zero terms a dense sum would add
-    leave its non-negative partial sums unchanged, so the floats are those of
-    the dense product.
+    one multiplication enclose the shifted radius.
+
+    The rows are grouped by length, and a group of width k keeps k column
+    lists: the vector positions of each row's 1st, ..., k-th nonzero entry.
+    One product is then, per group, a chain of C-level ``map(add, ...)`` over
+    ``map(get, column)`` gathers, with no Python loop over rows.  A weight-2
+    entry (a self-loop plus the identity) gathers from a doubled copy of the
+    vector, which is built only when the block has one.  The vector is kept
+    in group order; the min and max of the ratios and of the product do not
+    depend on that order.
+
+    The floats are those of the dense product: each row adds its nonzero
+    terms left to right in column order, as ``sum`` does from its int 0
+    (0 + x == x for the positive terms), 2 * x == x + x exactly, and the zero
+    terms a dense sum would add leave its non-negative partial sums unchanged.
     """
     size = len(rows)
+    by_width: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        by_width.setdefault(len(row), []).append(i)
+    position = [0] * size
+    for p, i in enumerate(chain.from_iterable(by_width.values())):
+        position[i] = p
+    # a weight-2 entry gathers from the doubled half, at its position + size
+    groups = [[[position[j] + (w - 1) * size for j, w in column]
+               for column in zip(*[rows[i] for i in group])]
+              for group in by_width.values()]
+    doubled = any(w == 2 for row in rows for _, w in row)
     vec = [1.0] * size
     lo, hi = 0.0, float("inf")
     for _ in range(max_iter):
-        nxt = [sum([w * vec[j] for j, w in row]) for row in rows]
-        ratios = [nxt[i] / vec[i] for i in range(size)]
+        get = (vec + list(map(add, vec, vec)) if doubled else vec).__getitem__
+        nxt: list[float] = []
+        for first, *rest in groups:
+            # nested as deep as the group's width, at most the block size
+            total = map(get, first)
+            for col in rest:
+                total = map(add, total, map(get, col))
+            nxt.extend(total)
+        ratios = list(map(truediv, nxt, vec))
         lo = max(lo, min(ratios))
         hi = min(hi, max(ratios))
         if lo > 1.0 and math.log(hi - 1.0) - math.log(lo - 1.0) <= tol:
             return lo - 1.0, hi - 1.0
-        top = max(nxt)
-        vec = [x / top for x in nxt]
+        vec = list(map(truediv, nxt, repeat(max(nxt), size)))
     raise NoConvergence(f"entropy bracket did not close in {max_iter} iterations")
 
 
 def sft_entropy(g: SftGraph) -> float:
     """Topological entropy of the vertex shift: ln of the adjacency spectral
-    radius, with absolute error at most ``ENTROPY_TOL``.
+    radius, reported as the midpoint of [ln lo, ln hi] for a float bracket
+    [lo, hi] whose log-width is at most ``ENTROPY_TOL``.  Rounding can move
+    the bracket off the true radius, so ``ENTROPY_TOL`` bounds its width, not
+    the error.
 
     The radius is the max over strongly connected blocks.  Single-cycle
     blocks have radius exactly 1; the rest are bracketed by power iteration.

@@ -309,6 +309,26 @@ def dense_radius_bracket(adjacency, nodes, tol, max_iter):
     return None
 
 
+def sparse_radius_bracket(rows, tol, max_iter):
+    """The same bracket from the sparse rows of (block + identity)
+    (``sft._block_rows``), one Python row sum at a time: each row adds its
+    nonzero terms in column order.  None when it does not close in
+    ``max_iter`` steps."""
+    size = len(rows)
+    vec = [1.0] * size
+    lo, hi = 0.0, float("inf")
+    for _ in range(max_iter):
+        nxt = [sum([w * vec[j] for j, w in row]) for row in rows]
+        ratios = [nxt[i] / vec[i] for i in range(size)]
+        lo = max(lo, min(ratios))
+        hi = min(hi, max(ratios))
+        if lo > 1.0 and math.log(hi - 1.0) - math.log(lo - 1.0) <= tol:
+            return lo - 1.0, hi - 1.0
+        top = max(nxt)
+        vec = [x / top for x in nxt]
+    return None
+
+
 def exact_path(adjacency, a, b, length):
     """Lexicographically smallest path a -> b of exactly ``length`` edges,
     read from backward layers built afresh; None when there is none."""

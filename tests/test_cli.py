@@ -1,17 +1,23 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainscope import chains, cli, cyclic, report
+from chainscope import chains, cli, cyclic, report, sft
 from chainscope.chains import ChainDigraph, complete_lyapunov
 from chainscope.cli import main
 from chainscope.corpus import corpus_names, load_corpus
 from chainscope.errors import InternalError
 from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, report_to_json
-from chainscope.specio import load_system
+from chainscope.specio import dump_system, load_system
 from chainscope import build_chain_digraph, critical_deltas
 
 from conftest import RING41_CHORDS, RING60_CHORDS, line_system, ring_with_chords, save_system
@@ -651,6 +657,98 @@ def test_malformed_spec_exits_2(spec, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert not Path("r.json").exists()
+
+
+def test_entropy_iteration_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # the kernel reads the cap when it is called
+    monkeypatch.setattr(sft, "ENTROPY_MAX_ITER", 2)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["analyze", "corpus:goldenmean", "--out", "r.json"], capsys)
+    assert code == 3
+    assert err.startswith("budget exceeded: ")
+    assert not Path("r.json").exists()
+
+
+GRID_SPECS = [
+    {"schema": "chainscope-v1", "kind": "grid", "family": "tent", "cells": 8, "slope": "2"},
+    {"schema": "chainscope-v1", "kind": "grid", "family": "rotation", "geometry": "circle",
+     "cells": 6, "alpha": "1/3"},
+    {"schema": "chainscope-v1", "kind": "grid", "family": "piecewise-linear", "cells": 5,
+     "breakpoints": [["0", "1/2"], ["1/2", "1"], ["1", "0"]]},
+]
+BASE_SPECS = [dump_system(load_corpus(name)) for name in corpus_names()] + GRID_SPECS
+FINITE_SPECS = [spec for spec in BASE_SPECS if spec["kind"] == "finite"]
+SFT_SPECS = [spec for spec in BASE_SPECS if spec["kind"] == "sft"]
+# small values of every JSON type, so no mutation asks for a large system
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _replace_nested(draw, value):
+    """``value`` with one drawn element, at any depth, replaced by a JSON value."""
+    if not isinstance(value, (list, dict)) or not value or draw(st.booleans()):
+        return draw(JSON_VALUES)
+    key = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+    value[key] = _replace_nested(draw, value[key])
+    return value
+
+
+@st.composite
+def mutated_spec_texts(draw):
+    """The text of a corpus or grid spec with one mutation: cut JSON, a
+    changed kind or schema, a dropped key, a value of another type, a map
+    that is not total, an asymmetric or negative metric entry, or an
+    adjacency row of zeros."""
+    mutation = draw(st.sampled_from(
+        ["json", "kind", "drop", "retype", "map", "metric", "zero-row"]))
+    pool = {"map": FINITE_SPECS, "metric": FINITE_SPECS, "zero-row": SFT_SPECS}
+    spec = copy.deepcopy(draw(st.sampled_from(pool.get(mutation, BASE_SPECS))))
+    if mutation == "json":
+        text = json.dumps(spec)
+        return text[:draw(st.integers(0, len(text) - 1))] + draw(st.text(max_size=3))
+    if mutation == "kind":
+        spec[draw(st.sampled_from(["kind", "schema"]))] = draw(
+            st.sampled_from(["finite", "sft", "grid", "chainscope-v2"]) | JSON_VALUES)
+    elif mutation == "drop":
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    elif mutation == "retype":
+        key = draw(st.sampled_from(sorted(spec)))
+        spec[key] = _replace_nested(draw, spec[key])
+    elif mutation == "map":
+        point = draw(st.sampled_from(sorted(spec["map"])))
+        if draw(st.booleans()):
+            del spec["map"][point]
+        else:
+            spec["map"][point] = draw(st.text(max_size=3))
+    elif mutation == "metric":
+        entry = draw(st.sampled_from(spec["metric"]))
+        u, v, d = entry
+        if draw(st.booleans()):
+            spec["metric"].append([v, u, draw(st.sampled_from(["0", "2", "1/3", d + "1"]))])
+        else:
+            entry[2] = "-" + d
+    else:
+        row = draw(st.integers(0, len(spec["adjacency"]) - 1))
+        spec["adjacency"][row] = [0] * len(spec["adjacency"])
+    return json.dumps(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_spec_texts(), st.sampled_from([["analyze"], ["classify-chaos"],
+                                              ["chains", "--delta", "1/2"]]))
+def test_cli_on_mutated_specs_exits_with_a_documented_code(text, command):
+    with tempfile.TemporaryDirectory() as work:
+        spec, out = Path(work, "spec.json"), Path(work, "out.json")
+        spec.write_text(text, encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([*command[:1], str(spec), *command[1:], "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr.getvalue()
+    assert code == 0 or not out.exists()
 
 
 def test_fullwidth_digit_metric_literal_is_a_value(tmp_path, monkeypatch, capsys):

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope import SftGraph, SftPoint, full_shift, sft_distance, sft_entropy
-from chainscope.errors import InvalidPoint, SpecError
+from chainscope.corpus import golden_mean_shift
+from chainscope.errors import InvalidPoint, NoConvergence, SpecError
 from chainscope.sft import (canonical_form, connecting_paths, find_exact_path, graph_period,
                             parse_point, shift_by, validate_point, vertex_classes)
 
 from conftest import random_point
-from oracles import connector_loop, dense_radius_bracket, exact_path
+from oracles import connector_loop, dense_radius_bracket, exact_path, sparse_radius_bracket
 from test_graph import irreducible_graphs
 
 
@@ -160,6 +161,59 @@ def test_sparse_radius_bracket_equals_dense_reference(block):
     assert expected is not None
     # the same floats, not merely close ones
     assert sft._block_radius_bracket(sft._block_rows(g, nodes), 1e-9, 5000) == expected
+
+
+@st.composite
+def hub_blocks(draw):
+    """A strongly connected graph on 20-80 vertices with skewed out-degrees
+    (a Hamiltonian cycle, one to three dense hub rows and a few chords),
+    self-loops on a drawn vertex subset, and its vertices in a drawn order."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(20, 80)
+    order = rng.sample(range(n), n)
+    edges = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    for hub in rng.sample(range(n), rng.randint(1, 3)):
+        edges.update((hub, v) for v in rng.sample(range(n), rng.randint(n // 4, n)))
+    edges.update((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(n // 4)))
+    edges.update((v, v) for v in rng.sample(range(n), rng.randrange(n // 2)))
+    g = SftGraph(tuple(tuple(int((u, v) in edges) for v in range(n)) for u in range(n)))
+    return g, rng.sample(range(n), n)
+
+
+def ring_with_hub(n: int) -> SftGraph:
+    """The n-ring with vertex 0 also pointing at every even vertex."""
+    return SftGraph(tuple(tuple(int(v == (u + 1) % n or (u == 0 and v % 2 == 0))
+                                for v in range(n)) for u in range(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hub_blocks())
+def test_grouped_radius_bracket_equals_row_by_row_reference_on_large_blocks(block):
+    from chainscope import sft
+
+    g, nodes = block
+    rows = sft._block_rows(g, nodes)
+    expected = sparse_radius_bracket(rows, 1e-9, 50_000)
+    assert expected is not None
+    assert sft._block_radius_bracket(rows, 1e-9, 50_000) == expected
+
+
+def test_grouped_radius_bracket_on_a_150_vertex_hub_block():
+    from chainscope import sft
+
+    rows = sft._block_rows(ring_with_hub(150), list(range(150)))
+    assert len({len(row) for row in rows}) == 2  # the hub row and the ring rows
+    expected = sparse_radius_bracket(rows, 1e-9, 50_000)
+    assert expected is not None
+    assert sft._block_radius_bracket(rows, 1e-9, 50_000) == expected
+
+
+def test_radius_bracket_raises_when_the_iteration_cap_is_reached():
+    from chainscope import sft
+
+    rows = sft._block_rows(golden_mean_shift(), [0, 1])
+    with pytest.raises(NoConvergence):
+        sft._block_radius_bracket(rows, 1e-9, 2)
 
 
 def test_graph_rows_and_hash_are_built_once():
