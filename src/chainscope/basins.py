@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .chains import ChainDigraph, chain_components
 from .cyclic import CyclicDecomposition
-from .errors import InvariantViolation, OmegaNotInComponent
+from .errors import OmegaNotInComponent
 from .systems import FiniteSystem
 
 
@@ -37,7 +36,6 @@ def _orbit_prefix(sys: FiniteSystem, x: str) -> tuple[list[str], int]:
 class BasinAssignment:
     """Component and class basin membership for every node at one resolution."""
 
-    digraph: ChainDigraph
     delta: Fraction
     components: tuple[frozenset[str], ...]
     decompositions: tuple[CyclicDecomposition, ...]
@@ -47,20 +45,20 @@ class BasinAssignment:
     settle_time: Mapping[str, int]
 
 
-def assign_basins(sys: FiniteSystem, dg: ChainDigraph,
+def assign_basins(sys: FiniteSystem,
                   decompositions: Sequence[CyclicDecomposition]) -> BasinAssignment:
     """Assign every node to its component basin and class basin.
 
     The class phase of x is (class(orbit[T]) - T) mod m, with T the settle
     time.  Past T every step orbit[t] -> f(orbit[t]) is an edge inside the
     component, and every such edge advances the class by one mod m, so the
-    value is the same at every t >= T.  ``decompositions`` holds one
-    decomposition per chain component of dg, in order.
+    value is the same at every t >= T.  ``decompositions`` holds those of
+    every chain component at one resolution, in ``chain_components`` order
+    (``CyclicSweep.decompositions``); it is never empty, as every orbit ends
+    in a cycle.
     """
-    comps = chain_components(dg)
     decomps = tuple(decompositions)
-    if tuple(dec.component for dec in decomps) != comps:
-        raise InvariantViolation("one decomposition per chain component, in order")
+    comps = tuple(dec.component for dec in decomps)
     comp_index = {c: i for i, c in enumerate(comps)}
     component_of: dict[str, int] = {}
     class_of_basin: dict[str, tuple[int, int]] = {}
@@ -87,7 +85,7 @@ def assign_basins(sys: FiniteSystem, dg: ChainDigraph,
         settle[x] = T
         dec = decomps[ci]
         class_of_basin[x] = (ci, (dec.class_of[orbit[T]] - T) % dec.period)
-    return BasinAssignment(dg, dg.delta, comps, decomps, component_of,
+    return BasinAssignment(decomps[0].delta, comps, decomps, component_of,
                            class_of_basin, omega, settle)
 
 
@@ -104,7 +102,7 @@ def verify_partition_laws(ba: BasinAssignment) -> PartitionReport:
     component basin; (c) phase law: beyond the settle time, the orbit's class
     advances by one per step from the assigned phase.
     """
-    sys = ba.digraph.system
+    sys = ba.decompositions[0].system
     violations: list[str] = []
     assigned = set(ba.component_of)
     if assigned != set(sys.points):

@@ -54,8 +54,7 @@ class ChainDigraph:
 
     ``sccs`` is ordered deterministically (by smallest member node);
     ``cond_succ[i]`` lists condensation successors of the i-th SCC.
-    ``cut`` is ``system.ranks.cut(delta)``, the rank bound of the edges;
-    it is computed from delta when not given.
+    ``cut`` is ``system.ranks.cut(delta)``, the rank bound of the edges.
     """
 
     system: FiniteSystem
@@ -64,11 +63,7 @@ class ChainDigraph:
     sccs: tuple[tuple[str, ...], ...]
     scc_of: Mapping[str, int]
     cond_succ: tuple[tuple[int, ...], ...]
-    cut: int | None = None
-
-    def __post_init__(self):
-        if self.cut is None:
-            object.__setattr__(self, "cut", self.system.ranks.cut(self.delta))
+    cut: int
 
 
 def _finalize(system: FiniteSystem, delta: Fraction, cut: int,
@@ -188,12 +183,8 @@ def _is_recurrent_scc(dg: ChainDigraph, comp: tuple[str, ...]) -> bool:
 
 
 def chain_recurrent_set(dg: ChainDigraph) -> frozenset[str]:
-    """Nodes lying on a directed cycle."""
-    out: set[str] = set()
-    for comp in dg.sccs:
-        if _is_recurrent_scc(dg, comp):
-            out.update(comp)
-    return frozenset(out)
+    """Nodes lying on a directed cycle: the union of the chain components."""
+    return frozenset().union(*chain_components(dg))
 
 
 def chain_components(dg: ChainDigraph) -> tuple[frozenset[str], ...]:
@@ -278,4 +269,5 @@ class ChainAnalysis:
 
 
 def chain_analysis(dg: ChainDigraph) -> ChainAnalysis:
-    return ChainAnalysis(chain_recurrent_set(dg), chain_components(dg), complete_lyapunov(dg))
+    comps = chain_components(dg)
+    return ChainAnalysis(frozenset().union(*comps), comps, complete_lyapunov(dg))

@@ -644,8 +644,6 @@ def classify_finite_component(decomp: CyclicDecomposition, n_max: int,
             n, tier, witness, _orbit_min_separation(sys, witness) / 2 if found else None,
             upgrade_ok, delta_val, card_ok, budget_exceeded=budget_hit))
     singleton = all(len(c) == 1 for c in classes)
-    if singleton and any(r.tier != "NONE" for r in reports):
-        flags.append("all-singleton classes must sit at level NONE")
     level = reports[0].tier
     comp_id = ",".join(sorted(decomp.component))
     return ComponentChaosReport(comp_id, tuple(reports), level, singleton, None, tuple(flags))

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .basins import assign_basins
-from .chains import ChainDigraph, build_chain_digraph, critical_deltas
+from .chains import ChainDigraph, build_chain_digraph
 from .chaos import (ClassifyParams, ComponentChaosReport, classify_finite_component,
                     classify_sft, construct_witness, profile_extremes)
 from .cyclic import CyclicSweep
@@ -51,9 +51,10 @@ def _budget(given: int | None) -> int:
 
 
 def _one_step(model: FiniteSystem, delta: str | None) -> tuple[ChainDigraph, CyclicSweep]:
-    """The chain digraph at --delta (default: the least critical value) and
-    its one-step sweep, whose decompositions ``analyze`` reads there too."""
-    d = as_fraction(delta) if delta is not None else critical_deltas(model)[0]
+    """The chain digraph at --delta (default 0, the least critical value, as
+    d(f(u), f(u)) = 0 is a step value) and its one-step sweep, whose
+    decompositions ``analyze`` reads there too."""
+    d = as_fraction(delta) if delta is not None else Fraction(0)
     dg = build_chain_digraph(model, d)
     return dg, CyclicSweep([dg])
 
@@ -115,8 +116,8 @@ def _cmd_chains(args) -> int:
     if not isinstance(model, FiniteSystem):
         raise ValidationError("chain analysis applies to finite systems")
     dg, sweep = _one_step(model, args.delta)
-    ba = assign_basins(model, dg, sweep.decompositions(dg.delta))
-    out = {"chain": chain_section(dg), "cyclic": cyclic_section(sweep, dg.delta),
+    ba = assign_basins(model, sweep.decompositions(dg.delta))
+    out = {"chain": chain_section(dg), "cyclic": cyclic_section(sweep, [dg.delta]),
            "basins": basin_section(ba)}
     _print_json(out, args.out)
     if args.emit_dot:

@@ -32,7 +32,7 @@ from typing import Iterable, KeysView, Mapping, Sequence
 
 from .chains import ChainDigraph, chain_components, ladder_digraphs
 from .errors import EmptyLadder, InvariantViolation, NotAComponent
-from .graph import bfs_levels, period
+from .graph import classes
 from .systems import FiniteSystem
 
 
@@ -62,21 +62,12 @@ def _require_component(dg: ChainDigraph, C) -> frozenset[str]:
     return comp
 
 
-def _levels(dg: ChainDigraph, comp: frozenset[str]) -> tuple[dict[str, int], int]:
-    """BFS levels from the smallest node, and the period of the component."""
-    lvl = bfs_levels(dg.succ, min(comp), comp)
-    m = period(dg.succ, lvl)
+def _labels(dg: ChainDigraph, comp: frozenset[str]) -> tuple[dict[str, int], int]:
+    """Class label (BFS level from the smallest node, mod the period) of
+    every node, and the period (``graph.classes``)."""
+    class_of, m = classes(dg.succ, min(comp), comp)
     if m == 0:
         raise InvariantViolation("a chain component always contains a cycle")
-    return lvl, m
-
-
-def _labels(dg: ChainDigraph, comp: frozenset[str]) -> tuple[dict[str, int], int]:
-    """Class label (BFS level mod period) of every node, and the period."""
-    lvl, m = _levels(dg, comp)
-    class_of = {u: lvl[u] % m for u in comp}
-    if len(set(class_of.values())) != m:
-        raise InvariantViolation("every cyclic class of a component is nonempty")
     return class_of, m
 
 
@@ -117,7 +108,7 @@ def _cross_pairs(sys: FiniteSystem, nodes: Sequence[str],
 
 def component_period(dg: ChainDigraph, C) -> int:
     """gcd of the lengths of all directed cycles inside the component."""
-    return _levels(dg, _require_component(dg, C))[1]
+    return _labels(dg, _require_component(dg, C))[1]
 
 
 def transient_index(dg: ChainDigraph, C) -> int:

@@ -30,7 +30,7 @@ class TimeSetWindow:
     def __post_init__(self):
         if self.horizon < 1 or len(self.members) != self.horizon:
             raise SpecError("window bits must match the horizon")
-        if any(b not in (0, 1) for b in self.members):
+        if not set(self.members) <= {0, 1}:
             raise SpecError("window entries must be bits")
 
 

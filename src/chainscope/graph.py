@@ -1,5 +1,5 @@
-"""Graph kernel shared by both model kinds: strong components, BFS levels and
-the period of a strongly connected digraph.
+"""Graph kernel shared by both model kinds: strong components, BFS levels,
+and the period and cyclic classes of a strongly connected digraph.
 
 Vertices are any sortable hashable labels and ``succ[u]`` lists the
 successors of u.  Finite systems use it on chain step digraphs, vertex
@@ -96,3 +96,20 @@ def period(succ: Mapping[Hashable, Sequence], lvl: Mapping) -> int:
             if lw is not None:
                 m = math.gcd(m, abs(lu + 1 - lw))
     return m
+
+
+def classes(succ: Mapping[Hashable, Sequence], root,
+            inside: Collection | None = None) -> tuple[dict, int]:
+    """Cyclic class (BFS level mod period) of every vertex that ``root``
+    reaches, through ``inside`` when that is given, and the period m.  With
+    no cycle among those vertices m is 0 and the labels are the levels.
+
+    On a strongly connected digraph with a cycle every label 0..m-1 occurs.
+    The levels are contiguous, 0 up to some top level t, so a label could
+    be missing only if t < m - 1.  Then every term |lvl(u) + 1 - lvl(v)| of
+    ``period`` lies below m, and m divides it, so it is 0: every inner edge
+    raises the level by exactly one, no cycle could close, and m would be 0.
+    """
+    lvl = bfs_levels(succ, root, inside)
+    m = period(succ, lvl)
+    return ({u: level % m for u, level in lvl.items()} if m else lvl), m

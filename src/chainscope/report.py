@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import __version__
 from .basins import BasinAssignment, assign_basins, verify_partition_laws
-from .chains import (ChainDigraph, _is_recurrent_scc, chain_analysis, critical_deltas,
+from .chains import (ChainDigraph, chain_analysis, chain_recurrent_set, critical_deltas,
                      ladder_digraphs)
 from .chaos import ClassifyParams, classify_finite_component, classify_sft
 from .cyclic import CyclicDecomposition, CyclicSweep
@@ -48,7 +48,7 @@ class AnalysisConfig:
     ladder_policy: str = "all-critical"  # all-critical | explicit | top-k
     ladder: tuple[str, ...] = ()
     top_k: int = 6
-    delta: str | None = None  # classification resolution; default first critical
+    delta: str | None = None  # classification resolution; default the first ladder value
     n_max: int = 3
     horizon: int = 512
     eps_depth: int = 6
@@ -144,12 +144,6 @@ def _cyclic_row(dec: CyclicDecomposition, delta: Fraction) -> dict:
     }
 
 
-def cyclic_section(sweep: CyclicSweep, delta: Fraction) -> list[dict]:
-    """Cyclic rows of every chain component at one swept resolution; for a
-    single digraph dg, pass ``CyclicSweep([dg])`` and ``dg.delta``."""
-    return [_cyclic_row(dec, delta) for dec in sweep.decompositions(delta)]
-
-
 def _changed(last, here) -> bool:
     """The rule of report v2: a ladder step's entry is written when the
     previous step has none to compare with (``last`` is None) or a different
@@ -157,10 +151,11 @@ def _changed(last, here) -> bool:
     return last != here
 
 
-def _changed_cyclic_rows(sweep: CyclicSweep, ladder: Sequence[Fraction]) -> list[dict]:
-    """The cyclic rows of the ascending ladder that a component has new at a
-    step, or that differ from its row at the previous step in any field but
-    ``delta``.
+def cyclic_section(sweep: CyclicSweep, ladder: Sequence[Fraction]) -> list[dict]:
+    """The cyclic rows of the ascending swept ladder that a component has
+    new at a step, or that differ from its row at the previous step in any
+    field but ``delta``.  At a one-step ladder every row is new: for a single
+    digraph dg, pass ``CyclicSweep([dg])`` and ``[dg.delta]``.
 
     A row is decided by its component's (period, transient index, merge-law
     pairs) and built only when written: from one step to the next a vertex
@@ -297,11 +292,9 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
                 last, comps = comps, sweep.components(step.delta)
                 if _changed(last, comps):
                     report["chain_analyses"].append(chain_section(step))
-            if j == at:
-                dg = step
-        report["cyclic"] = _changed_cyclic_rows(sweep, ladder)
+        report["cyclic"] = cyclic_section(sweep, ladder)
         decomps = sweep.decompositions(delta)
-        report["basins"] = [basin_section(assign_basins(model, dg, decomps))]
+        report["basins"] = [basin_section(assign_basins(model, decomps))]
         report["proximal"] = []
         for dec in decomps:
             comp = dec.component
@@ -375,9 +368,10 @@ def _encode_key(k) -> str:
 def condensation_dot(dg: ChainDigraph) -> str:
     """Condensation DAG in DOT format; recurrent SCCs are drawn as boxes."""
     lines = ["digraph condensation {"]
+    recurrent = chain_recurrent_set(dg)
     for i, comp in enumerate(dg.sccs):
         label = ",".join(comp)
-        shape = "box" if _is_recurrent_scc(dg, comp) else "ellipse"
+        shape = "box" if comp[0] in recurrent else "ellipse"
         lines.append(f'  n{i} [label="{label}" shape={shape}];')
     for i, succs in enumerate(dg.cond_succ):
         for j in succs:

@@ -20,7 +20,7 @@ from operator import add, ne, truediv
 from typing import Iterator
 
 from .errors import InvalidPoint, NoConvergence, SpecError
-from .graph import bfs_levels, period, strongly_connected_components
+from .graph import classes, strongly_connected_components
 
 ENTROPY_MAX_ITER = 500_000  # power iterations per strongly connected block
 ENTROPY_TOL = 1e-9  # width of the log-radius bracket that stops the iteration
@@ -228,21 +228,23 @@ def is_irreducible(g: SftGraph) -> bool:
 
 
 @lru_cache(maxsize=None)
-def graph_period(g: SftGraph) -> int:
-    """gcd of the cycle lengths of an irreducible graph (BFS levels from
-    vertex 0, see ``graph.period``)."""
+def _classes(g: SftGraph) -> tuple[tuple[int, ...], int]:
+    """Cyclic class of each vertex and the period of an irreducible graph:
+    one ``graph.classes`` search from vertex 0 per graph."""
     if not is_irreducible(g):
         raise SpecError("graph period is defined for irreducible graphs")
-    succ = _succ(g)
-    return period(succ, bfs_levels(succ, 0))
+    labels, m = classes(_succ(g), 0)
+    return tuple(map(labels.__getitem__, range(g.vertex_count))), m
 
 
-@lru_cache(maxsize=None)
+def graph_period(g: SftGraph) -> int:
+    """gcd of the cycle lengths of an irreducible graph."""
+    return _classes(g)[1]
+
+
 def vertex_classes(g: SftGraph) -> tuple[int, ...]:
     """Cyclic class (BFS level mod period) of each vertex."""
-    m = graph_period(g)
-    lvl = bfs_levels(_succ(g), 0)
-    return tuple(lvl[v] % m for v in range(g.vertex_count))
+    return _classes(g)[0]
 
 
 def path_length_cap(g: SftGraph) -> int:

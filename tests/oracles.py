@@ -414,7 +414,7 @@ def report_v1(config):
         steps = [build_chain_digraph(model, Fraction(d)) for d in doc["ladder"]]
         doc["chain_analyses"] = [chain_section(dg) for dg in steps]
         doc["cyclic"] = [row for dg in steps
-                         for row in cyclic_section(CyclicSweep([dg]), dg.delta)]
+                         for row in cyclic_section(CyclicSweep([dg]), [dg.delta])]
     return doc
 
 

@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope import (CyclicSweep, assign_basins, build_chain_digraph, chain_components,
                         critical_deltas, finite_system, verify_partition_laws)
+from chainscope.errors import OmegaNotInComponent
 
 from conftest import random_system
-from oracles import brute_proximal, closure_components, omega
+from oracles import brute_proximal, closure_components, digraph_from_edges, omega
 
 
 def basins(sys, dg):
-    return assign_basins(sys, dg, CyclicSweep([dg]).decompositions(dg.delta))
+    return assign_basins(sys, CyclicSweep([dg]).decompositions(dg.delta))
 
 
 def test_omega_limit_examples(sysns, sys3, sys2id):
@@ -108,6 +110,15 @@ def test_settle_time_independence_of_phase():
                 if t >= ba.settle_time[x]:
                     assert (dec.class_of[u] - t) % dec.period == phase
                 u = sys.apply(u)
+
+
+def test_omega_outside_every_component_is_refused(sys3):
+    # an injected digraph whose only cycles are the loops at a, b and c:
+    # the orbit cycle a -> b -> c -> a lies in none of its components
+    dg = digraph_from_edges(sys3, Fraction(1, 2), [("a", "a"), ("b", "b"), ("c", "c")])
+    assert chain_components(dg) == (frozenset("a"), frozenset("b"), frozenset("c"))
+    with pytest.raises(OmegaNotInComponent, match="omega set of 'a'"):
+        basins(sys3, dg)
 
 
 def test_map_invariance_can_fail_at_fixed_resolution():

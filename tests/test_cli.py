@@ -120,9 +120,11 @@ def test_analyze_rejects_top_k_below_one(k, tmp_path, capsys):
 def test_internal_invariant_failure_exits_4(monkeypatch, capsys):
     # two SCCs that are each other's condensation successor: no condensation
     # order exists, which a digraph built from a metric never produces
-    broken = ChainDigraph(load_corpus("sys3"), Fraction(0),
+    sys3 = load_corpus("sys3")
+    broken = ChainDigraph(sys3, Fraction(0),
                           {"a": ("b",), "b": ("c",), "c": ("a", "b")},
-                          (("a",), ("b", "c")), {"a": 0, "b": 1, "c": 1}, ((1,), (0,)))
+                          (("a",), ("b", "c")), {"a": 0, "b": 1, "c": 1}, ((1,), (0,)),
+                          sys3.ranks.cut(Fraction(0)))
     with pytest.raises(InternalError):
         complete_lyapunov(broken)
     monkeypatch.setattr(report, "ladder_digraphs", lambda model, deltas: iter([broken]))

@@ -401,9 +401,9 @@ def _check_sweep(sys, starts):
                 pp = sweep.proximal(comp, down)
                 assert (pp.ladder, pp.classes, pp.split_at) == proximal_loop(sys, comp, down)
                 assert proximal_partition(sys, comp, down) == pp
-        shared = assign_basins(sys, dg, decs)
+        shared = assign_basins(sys, decs)
         own = [cyclic_classes(dg, c) for c in chain_components(dg)]
-        assert shared.class_of_basin == assign_basins(sys, dg, own).class_of_basin
+        assert shared.class_of_basin == assign_basins(sys, own).class_of_basin
         before = here
     # one BFS labelling per segment
     assert labels.call_count == segments

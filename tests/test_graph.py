@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope.graph import bfs_levels, period, strongly_connected_components
+from chainscope.graph import bfs_levels, classes, period, strongly_connected_components
 from chainscope.sft import SftGraph, graph_period, vertex_classes
 
 from oracles import closure_components, cycle_gcd
@@ -39,7 +39,14 @@ def _check_components_and_periods(succ):
         lvl = bfs_levels(succ, min(comp), inside)
         assert set(lvl) == inside
         sub = {u: tuple(w for w in succ[u] if w in inside) for u in comp}
-        assert period(succ, lvl) == cycle_gcd(comp, sub, max_len=len(comp))
+        m = period(succ, lvl)
+        assert m == cycle_gcd(comp, sub, max_len=len(comp))
+        labels, km = classes(succ, min(comp), inside)
+        assert km == m and set(labels) == inside
+        if m:
+            # the labels go up by one along every inner edge, and all occur
+            assert all(labels[w] == (labels[u] + 1) % m for u in comp for w in sub[u])
+            assert set(labels.values()) == set(range(m))
 
 
 @settings(max_examples=200, deadline=None)

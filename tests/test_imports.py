@@ -8,6 +8,9 @@ a definition that only tests read belongs in ``tests/``.  A name listed in
 tracer looks it up by name.  ``ALLOWLIST`` holds the definitions that no
 command reads yet, each kept for the ROADMAP item that gives it a reader.
 
+Only ``graph.py`` calls or imports ``bfs_levels`` and ``period``: every
+other module takes classes and periods from ``graph.classes``.
+
 ``__init__.py`` is exempt (its imports are the public re-exports), and so is
 ``from __future__ import annotations``.  With postponed annotations the
 annotations are still parsed into name nodes, so a name used only in an
@@ -63,6 +66,35 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the steps of ``graph.classes``: a module that called them itself would
+# keep a second copy of the class kernel
+KERNEL_STEPS = {"bfs_levels", "period"}
+
+
+def kernel_step_uses(source: str) -> set[str]:
+    """The ``KERNEL_STEPS`` that ``source`` calls, as a name or an attribute
+    (``graph.period(...)``), or imports under any name."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            used.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+    return used & KERNEL_STEPS
+
+
+def test_kernel_step_uses_are_found():
+    assert kernel_step_uses("graph.bfs_levels(succ, 0)\nm = dec.period\n") == {"bfs_levels"}
+    assert kernel_step_uses("from .graph import period as p\n") == {"period"}
+    assert kernel_step_uses("from .graph import classes\nclasses(succ, 0)\n") == set()
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graph.py"],
+                         ids=lambda p: p.name)
+def test_only_the_graph_kernel_takes_levels_and_periods(path):
+    assert kernel_step_uses(path.read_text()) == set()
 
 
 def _reads(node) -> tuple[Counter, Counter]:

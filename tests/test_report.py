@@ -116,7 +116,7 @@ def test_cyclic_rows_list_classes_only_for_the_rows_written():
     sweep = CyclicSweep(ladder_digraphs(sys, ladder))
     with mock.patch.object(CyclicDecomposition, "classes", autospec=True,
                            side_effect=CyclicDecomposition.classes) as classes:
-        rows = report._changed_cyclic_rows(sweep, ladder)
+        rows = report.cyclic_section(sweep, ladder)
     assert len(rows) == classes.call_count == 24
     # a comparison of full rows builds one per component and step
     assert sum(len(sweep.components(d)) for d in ladder) == 231
