@@ -102,11 +102,11 @@ def _cmd_analyze(args) -> int:
     model = resolve_model(args.spec) if args.emit_dot else None
     if isinstance(model, SftGraph):
         raise ValidationError("--emit-dot applies only to finite systems")
-    report = cmd_analyze(config)
+    drawn: list[ChainDigraph] = []  # the resolution the report classifies at
+    report = cmd_analyze(config, model, drawn.append if model is not None else None)
     _print_json(report, args.out)
-    if model is not None:  # drawn at the resolution the report classifies at
-        dg = build_chain_digraph(model, as_fraction(report["basins"][0]["delta"]))
-        write_text(args.emit_dot, condensation_dot(dg))
+    if drawn:
+        write_text(args.emit_dot, condensation_dot(drawn[0]))
         print(f"wrote {args.emit_dot}")
     return 0
 

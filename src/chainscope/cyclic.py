@@ -64,11 +64,10 @@ def _require_component(dg: ChainDigraph, C) -> frozenset[str]:
 
 def _labels(dg: ChainDigraph, comp: frozenset[str]) -> tuple[dict[str, int], int]:
     """Class label (BFS level from the smallest node, mod the period) of
-    every node, and the period (``graph.classes``)."""
-    class_of, m = classes(dg.succ, min(comp), comp)
-    if m == 0:
-        raise InvariantViolation("a chain component always contains a cycle")
-    return class_of, m
+    every node, and the period (``graph.classes``).  ``comp`` comes from
+    ``chain_components``, which keeps only SCCs with a cycle, so the period
+    is at least 1."""
+    return classes(dg.succ, min(comp), comp)
 
 
 def _bits(dg: ChainDigraph, nodes: Sequence[str]) -> dict[str, int]:

@@ -248,11 +248,16 @@ def chaos_section(report) -> dict:
     }, appendix
 
 
-def cmd_analyze(config: AnalysisConfig) -> dict:
+def cmd_analyze(config: AnalysisConfig, model=None, draw=None) -> dict:
     """Full pipeline: load, ladder, chain analyses and cyclic rows where the
     ladder changes (``_changed``), basin table, chaos classification, one
-    JSON report."""
-    model = resolve_model(config.spec)
+    JSON report.
+
+    ``model``, when given, is the model of ``config.spec``, already loaded.
+    ``draw``, when given, receives the chain digraph of a finite system at
+    the classification resolution, the walk's own step there."""
+    if model is None:
+        model = resolve_model(config.spec)
     report: dict = {
         "schema": REPORT_SCHEMA_VERSION,
         "provenance": {"tool": "chainscope", "version": __version__,
@@ -288,6 +293,8 @@ def cmd_analyze(config: AnalysisConfig) -> dict:
         comps = None
         for j, step in enumerate(ladder_digraphs(model, walk)):
             sweep.add(step)
+            if j == at and draw is not None:
+                draw(step)
             if on or j != at:
                 last, comps = comps, sweep.components(step.delta)
                 if _changed(last, comps):

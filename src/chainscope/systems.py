@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Mapping, Sequence
 
@@ -36,22 +36,37 @@ MAX_SCALED_TABLE_BITS = 2**28
 MAX_EXPONENT = 1000
 
 
-def as_fraction(value) -> Fraction:
-    """Parse a rational from int, Fraction, or a 'p/q' string.  A bool is
-    refused, and so is a decimal exponent past ``MAX_EXPONENT``."""
+def rational_pair(value) -> tuple[int, int]:
+    """The rational ``value`` as its reduced (numerator, denominator) ints,
+    the denominator positive.  Every literal and value ``as_fraction`` takes
+    is read here, and a load keeps each metric entry as this pair.
+
+    ASCII digits, optionally over nonzero ASCII digits, are read with int()
+    and gcd: the regex of Fraction(str) would read the same value from them.
+    Every other value is parsed to a Fraction, a bool is refused, and so is
+    a decimal exponent past ``MAX_EXPONENT``."""
+    if isinstance(value, str) and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash):
+            try:
+                p, q = int(num), int(den or 1)
+            except ValueError as exc:  # more digits than int() reads
+                raise SpecError(f"bad rational literal {value!r}") from exc
+            if q:
+                g = gcd(p, q)
+                return p // g, q // g
+    f = _fraction(value)
+    return f.numerator, f.denominator
+
+
+def _fraction(value) -> Fraction:
+    """``rational_pair``'s reading of any value but an ASCII 'p/q' string."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            # ASCII digits, optionally over nonzero ASCII digits: the regex of
-            # Fraction(str) would read the same value from them
-            num, slash, den = value.partition("/")
-            if value.isascii() and num.isdigit() and (den.isdigit() or not slash):
-                q = int(den or 1)
-                if q:
-                    return Fraction(int(num), q)
             # an "e" of a valid literal marks its exponent, an int literal;
             # text that int() refuses makes the literal invalid as well
             _, e, exp = value.lower().rpartition("e")
@@ -67,6 +82,12 @@ def as_fraction(value) -> Fraction:
         except (OverflowError, ValueError) as exc:
             raise SpecError(f"{value!r} is not a finite rational") from exc
     raise SpecError(f"cannot interpret {value!r} as a rational")
+
+
+def as_fraction(value) -> Fraction:
+    """Parse a rational from int, Fraction, or a 'p/q' string
+    (``rational_pair``)."""
+    return Fraction(*rational_pair(value))
 
 
 @dataclass(frozen=True)
@@ -179,12 +200,13 @@ class FiniteSystem:
 
 
 def _validated_rows(points, table) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(scale, rows) for the symmetric table ``table[i][k]`` = d(points[i],
-    points[k]), returned once every metric axiom holds.
+    """(scale, rows) for the symmetric table ``table[i][k]`` of reduced
+    (numerator, denominator) pairs of d(points[i], points[k]), returned once
+    every metric axiom holds.
 
     ``scale`` is the lcm of the table's denominators and ``rows[i][k]`` the
-    int ``table[i][k] * scale``, so each axiom is checked in exact integer
-    arithmetic.  A scale so large that the table would pass
+    int d(points[i], points[k]) * scale, so each axiom is checked in exact
+    integer arithmetic.  A scale so large that the table would pass
     ``MAX_SCALED_TABLE_BITS`` bits is refused with SpecError.  Since d(w, v)
     is ``rows[j][k]`` for v = points[j], the triangle inequality at (u, v)
     over every w is one test on ``rows[i] + rows[j]``
@@ -199,7 +221,7 @@ def _validated_rows(points, table) -> tuple[int, tuple[tuple[int, ...], ...]]:
             f"system has {n} points; exhaustive metric validation "
             f"is capped at {MAX_EXHAUSTIVE_POINTS}"
         )
-    denominators = {d.denominator for row in table for d in row}
+    denominators = {q for row in table for _, q in row}
     scale = 1
     for q in denominators:
         scale = lcm(scale, q)
@@ -209,7 +231,7 @@ def _validated_rows(points, table) -> tuple[int, tuple[tuple[int, ...], ...]]:
                 f"the scaled {n}-point table would exceed {MAX_SCALED_TABLE_BITS} bits"
             )
     factor = {q: scale // q for q in denominators}
-    rows = tuple(tuple([d.numerator * factor[d.denominator] for d in row]) for row in table)
+    rows = tuple(tuple([p * factor[q] for p, q in row]) for row in table)
     for i, u in enumerate(points):
         if rows[i][i] != 0:
             raise MetricViolation("definiteness", (u, u))
@@ -278,8 +300,10 @@ def finite_system(points, mapping, metric, labels=None, default=None) -> FiniteS
     d) entries.  It may list each unordered pair once; it is symmetrized,
     and a pair given twice with two values, in either order, is refused.  A
     diagonal pair it leaves out is 0, and a distinct pair it leaves out is
-    ``default`` (refused when ``default`` is None).
+    ``default`` (refused when ``default`` is None).  Each distance is read
+    once, by ``rational_pair``, and kept as its reduced int pair.
     """
+    fill = None if default is None else rational_pair(default)
     pts = tuple(str(p) for p in points)
     if not pts:
         raise SpecError("a finite system needs at least one point")
@@ -288,23 +312,23 @@ def finite_system(points, mapping, metric, labels=None, default=None) -> FiniteS
         raise SpecError("duplicate point identifiers")
     n = len(pts)
     # symmetric by construction: each entry is written in both orders
-    table: list[list[Fraction | None]] = [[None] * n for _ in pts]
+    table: list[list[tuple[int, int] | None]] = [[None] * n for _ in pts]
     for (u, v), d in metric.items() if isinstance(metric, Mapping) else metric:
         if u not in index or v not in index:
             raise SpecError(f"metric entry for unknown pair ({u!r}, {v!r})")
-        d = as_fraction(d)
+        d = rational_pair(d)
         i, j = index[u], index[v]
         if table[i][j] is not None and table[i][j] != d:
             raise MetricViolation("symmetry", (u, v))
         table[i][j] = table[j][i] = d
     for i, row in enumerate(table):
         if row[i] is None:
-            row[i] = Fraction(0)
+            row[i] = (0, 1)
         for j in range(i + 1, n):
             if row[j] is None:
-                if default is None:
+                if fill is None:
                     raise SpecError(f"metric is missing the pair ({pts[i]!r}, {pts[j]!r})")
-                row[j] = table[j][i] = default
+                row[j] = table[j][i] = fill
     fmap: dict[str, str] = {}
     for u in pts:
         if u not in mapping:
@@ -327,8 +351,9 @@ def compile_finite(desc: Mapping) -> FiniteSystem:
     Recognized keys: ``points`` (a list), ``map`` (an object), ``metric``
     (list of ``[u, v, "p/q"]`` triples), optional ``metric_default`` for
     unlisted distinct pairs, optional ``labels`` (an object).  Every point
-    name is a string, as JSON object keys are.  The metric literals go to
-    ``finite_system`` unparsed and in order, which reads each once.
+    name is a string, as JSON object keys are.  The metric literals and the
+    default go to ``finite_system`` unparsed, the literals in order, and it
+    reads each once.
     """
     try:
         points = desc["points"]
@@ -356,9 +381,7 @@ def compile_finite(desc: Mapping) -> FiniteSystem:
         bad = next((u for u in names if not isinstance(u, str)), None)
         if bad is not None:
             raise SpecError(f"finite system spec: {where} names a point by {bad!r}, not a string")
-    default = desc.get("metric_default")
-    return finite_system(points, raw_map, entries, labels,
-                         None if default is None else as_fraction(default))
+    return finite_system(points, raw_map, entries, labels, desc.get("metric_default"))
 
 
 # -- grid discretization -------------------------------------------------------

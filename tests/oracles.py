@@ -197,6 +197,33 @@ def fraction_table(sys):
             for u, row in zip(sys.points, sys.rows) for v, x in zip(sys.points, row)}
 
 
+def fraction_scaled_rows(points, metric, default=None):
+    """(scale, rows) of a finite-system load on the Fraction path: each
+    distance read by ``as_fraction`` (checked against ``Fraction(str)`` on
+    its own), ``default`` first and then the entries in order, a pair given
+    again with another value refused as a symmetry violation, and the table
+    times the lcm of its denominators.  Every distinct pair is given or
+    ``default`` is; no axiom is checked."""
+    from chainscope.errors import MetricViolation
+    from chainscope.systems import as_fraction
+
+    fill = None if default is None else as_fraction(default)
+    index = {u: i for i, u in enumerate(points)}
+    table = [[fill] * len(points) for _ in points]
+    for i in range(len(points)):
+        table[i][i] = Fraction(0)
+    given = set()
+    for (u, v), d in metric.items() if isinstance(metric, dict) else metric:
+        d = as_fraction(d)
+        i, j = index[u], index[v]
+        if (i, j) in given and table[i][j] != d:
+            raise MetricViolation("symmetry", (u, v))
+        given |= {(i, j), (j, i)}
+        table[i][j] = table[j][i] = d
+    scale = math.lcm(*(d.denominator for row in table for d in row))
+    return scale, tuple(tuple(int(d * scale) for d in row) for row in table)
+
+
 def metric_violation(points, metric):
     """First failed metric axiom as (axiom, witness), or None: the plain
     Fraction sweep over the diagonal, the pairs u before v, then every

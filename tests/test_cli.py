@@ -702,8 +702,8 @@ def _replace_nested(draw, value):
 def mutated_spec_texts(draw):
     """The text of a corpus or grid spec with one mutation: cut JSON, a
     changed kind or schema, a dropped key, a value of another type, a map
-    that is not total, an asymmetric or negative metric entry, or an
-    adjacency row of zeros."""
+    that is not total, an asymmetric, negative or oddly written metric
+    entry, or an adjacency row of zeros."""
     mutation = draw(st.sampled_from(
         ["json", "kind", "drop", "retype", "map", "metric", "zero-row"]))
     pool = {"map": FINITE_SPECS, "metric": FINITE_SPECS, "zero-row": SFT_SPECS}
@@ -728,10 +728,15 @@ def mutated_spec_texts(draw):
     elif mutation == "metric":
         entry = draw(st.sampled_from(spec["metric"]))
         u, v, d = entry
-        if draw(st.booleans()):
+        change = draw(st.sampled_from(["reverse", "negate", "literal"]))
+        if change == "reverse":
             spec["metric"].append([v, u, draw(st.sampled_from(["0", "2", "1/3", d + "1"]))])
-        else:
+        elif change == "negate":
             entry[2] = "-" + d
+        else:
+            entry[2] = draw(st.sampled_from(
+                ["007/010", "0/5", "3", "1/0", "+1/2", " 1/2", "1_0/3", "3.5", "1e3", "²",
+                 "１/２"]))
     else:
         row = draw(st.integers(0, len(spec["adjacency"]) - 1))
         spec["adjacency"][row] = [0] * len(spec["adjacency"])

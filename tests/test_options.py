@@ -186,6 +186,45 @@ def test_analyze_emit_dot_draws_the_classification_resolution(extra, tmp_path, c
     assert dot.read_text() == condensation_dot(build_chain_digraph(model, delta))
 
 
+def test_analyze_emit_dot_loads_the_spec_once(tmp_path, monkeypatch, capsys):
+    # the DOT writer draws the model the report loaded, at the walk's own
+    # step: one load of the spec file, and no digraph built again
+    from chainscope import report, specio
+
+    spec = tmp_path / "tent8.json"
+    save_system(load_corpus("tent8"), spec)
+    counts = {"load_system": 0, "build_chain_digraph": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module, name in ((specio, "load_system"), (report, "load_system"),
+                         (cli, "build_chain_digraph")):
+        counting(module, name)
+    code, _, _ = run_cli(["analyze", str(spec), "--emit-dot", str(tmp_path / "c.dot"),
+                          "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 0
+    assert counts == {"load_system": 1, "build_chain_digraph": 0}
+
+
+@pytest.mark.parametrize("name", [n for n in corpus_names()
+                                  if isinstance(load_corpus(n), FiniteSystem)])
+@pytest.mark.parametrize("extra", [[], ["--delta", "1/3"], ["--ladder-policy", "top-k",
+                                                            "--top-k", "1"]])
+def test_analyze_emit_dot_draws_the_built_digraph_on_the_corpus(name, extra, tmp_path, capsys):
+    dot, out = tmp_path / "c.dot", tmp_path / "r.json"
+    code, _, _ = run_cli(["analyze", f"corpus:{name}", *extra, "--emit-dot", str(dot),
+                          "--out", str(out)], capsys)
+    assert code == 0
+    delta = Fraction(json.loads(out.read_text())["basins"][0]["delta"])
+    assert dot.read_text() == condensation_dot(build_chain_digraph(load_corpus(name), delta))
+
+
 def _chaos_list(argv, capsys) -> str:
     code, out, err = run_cli(argv, capsys)
     assert code == 0, err

@@ -14,7 +14,7 @@ from chainscope.specio import system_from_desc
 from chainscope.systems import MAX_EXPONENT, MAX_SCALED_TABLE_BITS, as_fraction, finite_system
 
 from conftest import random_system
-from oracles import metric_violation
+from oracles import fraction_scaled_rows, metric_violation
 
 
 def test_compile_sys3_description():
@@ -280,6 +280,74 @@ def test_as_fraction_refuses_a_bool(value):
         as_fraction(value)
 
 
+# a literal for each branch of rational_pair and of the Fraction path behind
+# it, and values that only the mapping form of finite_system passes
+BRANCH_VALUES = ["007/010", "0/5", "3", "1/0", "+1/2", " 1/2", "1_0/3", "3.5", "1e3", "²",
+                 "１/２", 3, 0, -2, True, Fraction(3, 2), Fraction(-1, 3), 0.1]
+# ASCII "p/q" literals in [1, 2], some with leading zeros: with these alone
+# every table is a metric
+PAIR_VALUES = st.one_of(
+    st.sampled_from(BRANCH_VALUES),
+    st.builds(lambda q, k, zeros: f"{'0' * zeros}{q + k % (q + 1)}/{q}",
+              st.integers(1, 60), st.integers(0, 60), st.integers(0, 2)),
+)
+
+
+@st.composite
+def literal_tables(draw):
+    """(points, metric, default) on 2..4 points: each pair given once in a
+    drawn order (all of them unless there is a default), maybe one given
+    again reversed with its own or another value, as a list of entries or
+    as a mapping."""
+    k = draw(st.integers(2, 4))
+    pts = [f"p{i}" for i in range(k)]
+    pairs = [(u, v) for i, u in enumerate(pts) for v in pts[i + 1:]]
+    default = draw(st.none() | PAIR_VALUES)
+    given = pairs if default is None else draw(st.lists(st.sampled_from(pairs), unique=True))
+    entries = [(pair if draw(st.booleans()) else pair[::-1], draw(PAIR_VALUES))
+               for pair in given]
+    if entries and draw(st.booleans()):
+        pair, d = draw(st.sampled_from(entries))
+        entries.append((pair[::-1], draw(st.just(d) | PAIR_VALUES)))
+    return pts, dict(entries) if draw(st.booleans()) else entries, default
+
+
+def _is_metric(rows):
+    n = len(rows)
+    return (all((rows[i][j] > 0) == (i != j) and rows[i][j] >= 0
+                for i in range(n) for j in range(n))
+            and all(rows[i][j] <= rows[i][w] + rows[w][j]
+                    for i in range(n) for j in range(n) for w in range(n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(literal_tables())
+def test_a_load_scales_each_pair_as_the_fraction_path_does(table):
+    # the int pairs give the scale and rows of the Fraction table, or the
+    # same error with the same text
+    points, metric, default = table
+    loads = [lambda: finite_system(points, {u: u for u in points}, metric, default=default)]
+    if isinstance(metric, list):
+        desc = {"points": points, "map": {u: u for u in points},
+                "metric": [[u, v, d] for (u, v), d in metric], "metric_default": default}
+        loads.append(lambda: compile_finite(desc))
+    try:
+        expected = fraction_scaled_rows(points, metric, default)
+    except (SpecError, MetricViolation) as exc:
+        for load in loads:
+            with pytest.raises(type(exc)) as got:
+                load()
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    for load in loads:
+        if _is_metric(expected[1]):
+            sys = load()
+            assert (sys.scale, sys.rows) == expected
+        else:
+            with pytest.raises(MetricViolation):
+                load()
+
+
 def _metric_with_denominators(qs):
     # four points at distances in (1, 2], so every axiom holds
     pts = [f"p{i}" for i in range(4)]
@@ -335,23 +403,28 @@ def test_ranks_sort_and_key_scaled_ints(monkeypatch):
 
 
 def test_a_load_parses_each_literal_once_and_scales_once(monkeypatch):
-    # E metric entries take E as_fraction calls, and reading the ranks (or
-    # a distance) scales the table no second time
+    # E metric entries take E rational_pair calls, and reading the ranks (or
+    # a distance) scales the table no second time; a spec of ASCII "p/q"
+    # literals and no metric_default loads without building a Fraction
     names = [f"p{i}" for i in range(6)]
     entries = [[names[i], names[j], f"{q + i}/{q}"]  # distances in [1, 2)
                for i in range(6) for j, q in zip(range(i + 1, 6), (7, 8, 9) * 2)]
-    counts = {"as_fraction": 0, "lcm": 0}
+    counts = {"rational_pair": 0, "lcm": 0, "Fraction": 0}
 
     def counting(name, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(systems, "as_fraction", counting("as_fraction", systems.as_fraction))
+    monkeypatch.setattr(systems, "rational_pair",
+                        counting("rational_pair", systems.rational_pair))
     monkeypatch.setattr(systems, "lcm", counting("lcm", systems.lcm))
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(counting("Fraction", Fraction.__new__)))
     sys = compile_finite({"points": names, "map": {u: u for u in names}, "metric": entries})
-    assert counts["as_fraction"] == len(entries) == 15
+    assert counts["Fraction"] == 0
+    assert counts["rational_pair"] == len(entries) == 15
     scaled = counts["lcm"]
     assert scaled > 0
     assert sys.ranks.levels[0] == 0 and sys.distance("p0", "p1") == 1
