@@ -95,7 +95,6 @@ def _cmd_analyze(args) -> int:
         eps_depth=args.eps_depth,
         m_max=args.m_max,
         budget=_budget(args.budget),
-        seed=args.seed,
         with_witness=not args.no_witness,
     )
     # a sidecar of something this model kind lacks is refused, not skipped
@@ -290,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=None, help="default 6")
     _add_classification(p)
     p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0, help="recorded in provenance")
     p.add_argument("--emit-dot", default=None, help="condensation (finite systems)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)

@@ -19,6 +19,10 @@ from .errors import HorizonTooSmall, MonotonicityBug, SpecError
 
 FAMILIES = ("UD1", "THICK", "IAPSTAR", "INFINITE")
 
+# the longest window a time set may be read or generated on; a window holds
+# one int per step, and the testers are linear in its length
+MAX_WINDOW = 10**6
+
 
 @dataclass(frozen=True)
 class TimeSetWindow:
@@ -239,8 +243,8 @@ def rotation_time_set(alpha: float, horizon: int) -> TimeSetWindow:
     only validated as non-rational within float precision: values within
     1e-12 of a fraction with denominator <= 1000 are rejected.
     """
-    if horizon < 1:
-        raise SpecError("horizon must be positive")
+    if not 1 <= horizon <= MAX_WINDOW:
+        raise SpecError(f"horizon must be from 1 to {MAX_WINDOW}, got {horizon}")
     if not math.isfinite(alpha):
         raise SpecError(f"alpha must be finite, got {alpha}")
     a = float(alpha) % 1.0
@@ -254,13 +258,18 @@ def rotation_time_set(alpha: float, horizon: int) -> TimeSetWindow:
 # -- run-length text input ---------------------------------------------------------
 
 def rle_to_window(text: str) -> TimeSetWindow:
+    """The window of whitespace-separated ``BITxCOUNT`` runs, COUNT >= 1."""
     bits: list[int] = []
     for token in text.split():
         try:
-            b, n = token.split("x")
-            bits.extend([int(b)] * int(n))
+            b, n = map(int, token.split("x"))
         except ValueError as exc:
             raise SpecError(f"bad run-length token {token!r}") from exc
+        if n < 1:
+            raise SpecError(f"run-length token {token!r} has a count below 1")
+        if len(bits) + n > MAX_WINDOW:  # checked before the run is built
+            raise SpecError(f"run-length window longer than {MAX_WINDOW}")
+        bits += [b] * n
     if not bits:
         raise SpecError("empty run-length text")
     return TimeSetWindow(len(bits), tuple(bits))

@@ -2,8 +2,9 @@
 
 A report is a single JSON document; every numeric verdict carries its mode
 (exact or windowed) and the parameters it was computed with.  Reports are
-byte-deterministic for a fixed config and seed: keys are sorted, rationals
-are serialized as "p/q" strings, and no timestamps are embedded.
+byte-deterministic for a fixed config: keys are sorted, rationals are
+serialized as "p/q" strings, and no timestamps are embedded.  The config
+echo in ``provenance`` holds only the settings the run read.
 
 Along the ladder a report writes only what changes: a chain analysis where
 the chain components change and a cyclic row where a component's row does.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -29,11 +30,11 @@ from .chaos import ClassifyParams, classify_finite_component, classify_sft
 from .cyclic import CyclicDecomposition, CyclicSweep
 from .errors import SpecError
 from .families import WindowParams
-from .sft import SftGraph, graph_period, is_irreducible, vertex_classes
+from .sft import SftGraph, graph_period, vertex_classes
 from .specio import dump_system, load_system
 from .systems import FiniteSystem, as_fraction
 
-REPORT_SCHEMA_VERSION = "chainscope-report-v2"
+REPORT_SCHEMA_VERSION = "chainscope-report-v3"
 
 
 def _frac(x) -> str:
@@ -42,7 +43,7 @@ def _frac(x) -> str:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Everything cmd_analyze needs; fixed seed implies identical output."""
+    """Everything cmd_analyze needs; a fixed config gives identical output."""
 
     spec: str
     ladder_policy: str = "all-critical"  # all-critical | explicit | top-k
@@ -54,7 +55,6 @@ class AnalysisConfig:
     eps_depth: int = 6
     m_max: int | None = None
     budget: int = 10**6
-    seed: int = 0
     with_witness: bool = True
 
     def __post_init__(self):
@@ -62,7 +62,7 @@ class AnalysisConfig:
             raise SpecError("n_max must be at least 2")
         if self.top_k < 1:
             raise SpecError("top_k must be at least 1")
-        # a setting the policy never reads would still be echoed in provenance
+        # a setting the policy never reads is refused rather than ignored
         if self.ladder and self.ladder_policy != "explicit":
             raise SpecError("ladder applies only to the explicit ladder policy")
         if self.top_k != AnalysisConfig.top_k and self.ladder_policy != "top-k":
@@ -70,19 +70,24 @@ class AnalysisConfig:
         # rejects the window's m_max, horizon, eps_depth and budget
         self.classify_params()
 
-    def window_params(self) -> WindowParams:
-        return WindowParams(m_max=self.m_max)
-
     def classify_params(self) -> ClassifyParams:
         return ClassifyParams(horizon=self.horizon,
                               eps_depth=self.eps_depth, with_witness=self.with_witness,
-                              budget=self.budget, window=self.window_params())
+                              budget=self.budget, window=WindowParams(m_max=self.m_max))
 
-    def echo(self) -> dict:
-        """Every field, plus the window constants the report was computed with."""
-        window = self.window_params()
-        return dict(asdict(self), ladder=list(self.ladder), run_req=window.run_req,
-                    theta=str(window.theta))
+    def echo(self, kind: str) -> dict:
+        """The settings a run on a model of this kind reads: a finite system
+        its ladder and resolution, a vertex shift its chaos search window."""
+        out = {"spec": self.spec, "n_max": self.n_max, "budget": self.budget}
+        if kind == "sft":
+            return dict(out, horizon=self.horizon, eps_depth=self.eps_depth,
+                        with_witness=self.with_witness, m_max=self.m_max)
+        out.update(ladder_policy=self.ladder_policy, delta=self.delta)
+        if self.ladder_policy == "explicit":
+            out["ladder"] = list(self.ladder)
+        if self.ladder_policy == "top-k":
+            out["top_k"] = self.top_k
+        return out
 
 
 def resolve_model(spec: str):
@@ -131,23 +136,21 @@ def chain_section(dg: ChainDigraph) -> dict:
 
 
 def _cyclic_row(dec: CyclicDecomposition, delta: Fraction) -> dict:
-    """A component's cyclic row; ``saturation_failed`` is the constant v2
-    key that Wielandt's bound rules out (README "Model notes")."""
     return {
         "delta": _frac(delta),
         "component": sorted(dec.component),
         "period": dec.period,
         "classes": [list(c) for c in dec.classes()],
         "transient_index": dec.transient_index,
-        "saturation_failed": False,
         "class_merge_violations": [list(p) for p in dec.p2_violations],
     }
 
 
 def _changed(last, here) -> bool:
-    """The rule of report v2: a ladder step's entry is written when the
-    previous step has none to compare with (``last`` is None) or a different
-    one.  Whatever is not written equals the latest entry written below."""
+    """The sparse-ladder rule (report v2 on): a ladder step's entry is
+    written when the previous step has none to compare with (``last`` is
+    None) or a different one.  Whatever is not written equals the latest
+    entry written below."""
     return last != here
 
 
@@ -258,22 +261,25 @@ def cmd_analyze(config: AnalysisConfig, model=None, draw=None) -> dict:
     the classification resolution, the walk's own step there."""
     if model is None:
         model = resolve_model(config.spec)
+    kind = "sft" if isinstance(model, SftGraph) else "finite"
     report: dict = {
         "schema": REPORT_SCHEMA_VERSION,
         "provenance": {"tool": "chainscope", "version": __version__,
-                       "seed": config.seed, "config": config.echo()},
+                       "config": config.echo(kind)},
     }
     appendix: list = []
-    if isinstance(model, SftGraph):
+    if kind == "sft":
         reject_shift_delta(config.delta)
-        report["system"] = {"kind": "sft", "spec": dump_system(model),
-                            "vertices": model.vertex_count,
-                            "irreducible": is_irreducible(model)}
-        if is_irreducible(model):
-            report["system"]["period"] = graph_period(model)
-            report["system"]["vertex_classes"] = list(vertex_classes(model))
+        # a ladder or a top_k needs its own policy, so this refuses all three
+        if config.ladder_policy != AnalysisConfig.ladder_policy:
+            raise SpecError(f"ladder policy {config.ladder_policy} given, but a vertex "
+                            "shift has no resolution ladder")
+        # classified first: a reducible graph is refused there, before its period
         chaos, extra = chaos_section(classify_sft(model, config.n_max,
                                                   config.classify_params()))
+        report["system"] = {"kind": "sft", "spec": dump_system(model),
+                            "vertices": model.vertex_count, "period": graph_period(model),
+                            "vertex_classes": list(vertex_classes(model))}
         report["chaos"] = [chaos]
         appendix.extend(extra)
     else:

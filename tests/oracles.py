@@ -425,28 +425,52 @@ def proximal_loop(sys, comp, ladder):
     return tuple(used), tuple(tuple(b) for _, b in sorted(buckets.items())), split_at
 
 
+def report_v2(config):
+    """The ``chainscope-report-v2`` form of an ``analyze`` report: the v3
+    report with the keys v3 dropped put back.  Those keys could not vary or
+    echoed settings no run read: the seed (0, its default, in every recorded
+    v2 report), every config field with the window constants ``run_req``
+    (None) and ``theta`` (1/100), a shift's ``irreducible`` (True, as a
+    reducible graph is refused), and a cyclic row's ``saturation_failed``
+    (False, by Wielandt's bound)."""
+    from dataclasses import asdict
+
+    from chainscope.report import cmd_analyze
+
+    doc = cmd_analyze(config)
+    doc["schema"] = "chainscope-report-v2"
+    doc["provenance"]["seed"] = 0
+    doc["provenance"]["config"] = dict(asdict(config), ladder=list(config.ladder), seed=0,
+                                       run_req=None, theta="1/100")
+    if doc["system"]["kind"] == "sft":
+        doc["system"]["irreducible"] = True
+    for row in doc.get("cyclic", ()):
+        row["saturation_failed"] = False
+    return doc
+
+
 def report_v1(config):
     """The ``chainscope-report-v1`` form of an ``analyze`` report: the v2
     report with the per-step ``chain_analyses`` and ``cyclic`` lists put back
     for every ladder step, each from its own digraph built afresh from
     ``system.spec`` (as ``chains --delta`` writes them)."""
     from chainscope import CyclicSweep, build_chain_digraph
-    from chainscope.report import chain_section, cmd_analyze, cyclic_section
+    from chainscope.report import chain_section, cyclic_section
     from chainscope.specio import system_from_desc
 
-    doc = cmd_analyze(config)
+    doc = report_v2(config)
     doc["schema"] = "chainscope-report-v1"
     if "ladder" in doc:
         model = system_from_desc(doc["system"]["spec"])
         steps = [build_chain_digraph(model, Fraction(d)) for d in doc["ladder"]]
         doc["chain_analyses"] = [chain_section(dg) for dg in steps]
-        doc["cyclic"] = [row for dg in steps
+        doc["cyclic"] = [dict(row, saturation_failed=False) for dg in steps
                          for row in cyclic_section(CyclicSweep([dg]), [dg.delta])]
     return doc
 
 
 def recover_step(doc, i):
-    """Ladder step i of a v2 report by its recovery rule: the edges
+    """Ladder step i of a v2 or v3 report by its recovery rule: the edges
     d(f(u), v) <= delta from ``system.spec`` by Fraction comparison, the
     components and recurrent set of the latest chain entry at or below the
     step, and each component's latest cyclic row at or below it.  Returns

@@ -16,12 +16,13 @@ from chainscope.chains import ChainDigraph, complete_lyapunov
 from chainscope.cli import main
 from chainscope.corpus import corpus_names, load_corpus
 from chainscope.errors import InternalError
+from chainscope.families import MAX_WINDOW
 from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, report_to_json
 from chainscope.specio import dump_system, load_system
 from chainscope import build_chain_digraph, critical_deltas
 
 from conftest import RING41_CHORDS, RING60_CHORDS, line_system, ring_with_chords, save_system
-from oracles import report_v1
+from oracles import report_v1, report_v2
 
 
 def run_cli(args, capsys):
@@ -74,7 +75,7 @@ def test_analyze_writes_report(tmp_path, capsys):
     code, out, _ = run_cli(["analyze", "corpus:sysns", "--out", str(out_path)], capsys)
     assert code == 0
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "chainscope-report-v2"
+    assert report["schema"] == "chainscope-report-v3"
     assert report["system"]["kind"] == "finite"
     # two trivial components plus the basin of s swallowing t
     basin = report["basins"][0]
@@ -271,7 +272,7 @@ def test_report_validates_against_shipped_schema(tmp_path):
 
 def test_determinism_across_runs():
     for name in corpus_names():
-        cfg = AnalysisConfig(spec=f"corpus:{name}", seed=123)
+        cfg = AnalysisConfig(spec=f"corpus:{name}")
         assert report_to_json(cmd_analyze(cfg)) == report_to_json(cmd_analyze(cfg))
 
 
@@ -315,7 +316,7 @@ def test_report_bytes_match_recorded_digest(config, digest):
     assert sha256(report_to_json(report_v1(AnalysisConfig(**config)))) == digest
 
 
-# the v2 reports of the same configs, in REPORT_DIGESTS order
+# the v2 forms (``oracles.report_v2``) of the same configs, in REPORT_DIGESTS order
 REPORT_V2_DIGESTS = [
     "3353b345a36e9ff973274ca653533b18499d84135c819e3f204862e2177db6b4",
     "e663e4662dd0a7b352766d1b31482fa2e087c15fcf6c2cda050185de2148eecd",
@@ -330,7 +331,30 @@ REPORT_V2_DIGESTS = [
 @pytest.mark.parametrize("i", range(len(REPORT_DIGESTS)))
 def test_v2_report_bytes_match_recorded_digest(i):
     config = AnalysisConfig(**REPORT_DIGESTS[i][0])
-    assert sha256(report_to_json(cmd_analyze(config))) == REPORT_V2_DIGESTS[i]
+    assert sha256(report_to_json(report_v2(config))) == REPORT_V2_DIGESTS[i]
+
+
+# the v3 reports of the same configs and of two vertex shifts, recorded when
+# v3 only dropped keys from v2
+REPORT_V3_DIGESTS = list(zip([config for config, _ in REPORT_DIGESTS], [
+    "0503012a3b5101e87e8015fbf571faebd2a4e74c5e5b64e12fde979cd1e3dbf9",
+    "d20caedd3bd91d61e49527ac52d46ce10169b8144e8589fcb10ae728cebf9ee3",
+    "9b09068445e4c4f0fa216148d1dd348a6b3d73bc436b3bcaf45994a93df79be2",
+    "d5892e0d552c95b5eee091b3280eaccf5e5fc9d5958dd6aa5df9726b8c579682",
+    "f73cb1abe90a96f3a39977877a7d5a07bf268b5c777403d7d7c6cc15c3cb1a73",
+    "cdaa5ee8db3d048703fb14f3097ecc0fc2fbc4f2329fd57b049fdae4ad346245",
+    "f2ed37edad6ef977fe5da23edf05468c80ebdbd7cf1923400b2c008dbe387193",
+])) + [
+    ({"spec": "corpus:full2"},
+     "c0ab5f6b81e8be432df0f3e4f22b9446ac4f0bb8f2bd4f4595a6a4d16b97f3d4"),
+    ({"spec": "corpus:goldenmean", "horizon": 256},
+     "0aecc5fd2aee7d21a06ef0b3dc38c9ee89c738d02377e6b3a938e210d0c30d25"),
+]
+
+
+@pytest.mark.parametrize("config, digest", REPORT_V3_DIGESTS)
+def test_v3_report_bytes_match_recorded_digest(config, digest):
+    assert sha256(report_to_json(cmd_analyze(AnalysisConfig(**config)))) == digest
 
 
 @pytest.mark.parametrize("config", [
@@ -368,7 +392,7 @@ def test_period_two_shift_report_bytes_match_recorded_digest(tmp_path, monkeypat
     config = AnalysisConfig(spec="p2.json")
     assert (sha256(report_to_json(report_v1(config)))
             == "37851f3f285b793a86d98e6ba578157f5ff3803129e6a698522d5207e451d991")
-    assert (sha256(report_to_json(cmd_analyze(config)))
+    assert (sha256(report_to_json(report_v2(config)))
             == "a92580c6239d08b3971b65c64c2e04c5fb627d4dc3e385edf0bc99a1502df754")
 
 
@@ -389,10 +413,23 @@ def test_period_two_shift_report_bytes_match_recorded_digest(tmp_path, monkeypat
     (["analyze", "corpus:sys3", "--ladder-policy", "explicit", "--ladder", "1,x"], None),
     (["shadow", "corpus:sys3", "--orbit", "orbit.txt", "--delta", "abc"], None),
     (["shadow", "corpus:sys3", "--orbit", "orbit.txt", "--epsilon", "abc"], None),
+    # a window one step past MAX_WINDOW, and run counts below 1 (each of
+    # these used to be built, or dropped, and exit 0)
+    (["furstenberg", "--set-file", "long.rle"], None),
+    (["furstenberg", "--rotation", "alpha=golden", f"H={MAX_WINDOW + 1}"], None),
+    (["furstenberg", "--set-file", "negative.rle"], None),
+    (["furstenberg", "--set-file", "zero.rle"], None),
+    # a vertex shift has no resolution ladder
+    (["analyze", "corpus:goldenmean", "--ladder-policy", "explicit", "--ladder", "1/2"], None),
+    (["analyze", "corpus:full2", "--ladder-policy", "top-k", "--top-k", "2"], None),
+    (["analyze", "corpus:full2", "--ladder-policy", "top-k"], None),
 ])
 def test_malformed_input_exits_2(argv, budget_env, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("orbit.txt").write_text("a\nb\nc\n")
+    Path("long.rle").write_text(f"1x{MAX_WINDOW // 2} 0x{MAX_WINDOW // 2 + 1}\n")
+    Path("negative.rle").write_text("1x2 0x-3 1x400\n")
+    Path("zero.rle").write_text("1x0 0x400\n")
     if budget_env is None:
         monkeypatch.delenv("CHAINSCOPE_BUDGET", raising=False)
     else:
@@ -430,7 +467,7 @@ def test_line_system_report_bytes_match_recorded_digest(tmp_path, monkeypatch):
     config = AnalysisConfig(spec="line40.json", ladder_policy="top-k", top_k=3, delta="1")
     assert (sha256(report_to_json(report_v1(config)))
             == "47975afab19f852343db94fddf5b1ec843a59cc842cca29ab1181b312b9f62f0")
-    assert (sha256(report_to_json(cmd_analyze(config)))
+    assert (sha256(report_to_json(report_v2(config)))
             == "deaf40f0499ba83d29df69bf40a93badf4977f135e833ace8517e7d48988bf77")
 
 
@@ -471,7 +508,7 @@ def test_ring_with_chords_report_bytes_match_recorded_digest(name, n, chords, di
     Path(f"{name}.json").write_text(json.dumps(spec))
     config = AnalysisConfig(spec=f"{name}.json")
     assert sha256(report_to_json(report_v1(config))) == digest
-    assert sha256(report_to_json(cmd_analyze(config))) == RING_V2_DIGESTS[name]
+    assert sha256(report_to_json(report_v2(config))) == RING_V2_DIGESTS[name]
 
 
 @pytest.mark.parametrize("spec, orbit, extra, message", [
@@ -552,7 +589,7 @@ def test_line_system_ladder_report_bytes_match_recorded_digest(tmp_path, monkeyp
     config = AnalysisConfig(spec="line24.json")
     assert (sha256(report_to_json(report_v1(config)))
             == "9df0ba57b0f0fc8bd2c9278416c32c1a9fc56c510cb41d3b90f2c42118c47a8a")
-    assert (sha256(report_to_json(cmd_analyze(config)))
+    assert (sha256(report_to_json(report_v2(config)))
             == "1267c5fc7d32799f49ee2d676b5886c90f1dcd244bd971312ed169bcd0c47a63")
 
 
@@ -577,7 +614,7 @@ def test_long_ladder_report_bytes_match_recorded_digest(policy, tmp_path, monkey
              "top-k": {"top_k": len(crit) // 2},
              "explicit": {"ladder": tuple(str((a + b) / 2) for a, b in zip(crit, crit[1:]))}}
     config = AnalysisConfig(spec="line30.json", ladder_policy=policy, **extra[policy])
-    assert sha256(report_to_json(cmd_analyze(config))) == LONG_LADDER_DIGESTS[policy]
+    assert sha256(report_to_json(report_v2(config))) == LONG_LADDER_DIGESTS[policy]
 
 
 def test_analyze_evaluates_fewer_transient_indices_than_steps(tmp_path, monkeypatch):

@@ -49,10 +49,11 @@ def test_every_declared_option_is_read_by_its_handler():
         unread = [d for d in dests if not re.search(rf"\bargs\.{d}\b", source)]
         assert not unread, f"{name} declares options its handler never reads: {unread}"
         declared += len(dests)
-    assert declared == 45
+    assert declared == 44
 
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", "corpus:sys3", "--seed", "9"],
     ["chains", "corpus:sys3", "--budget", "5"],
     ["chains", "corpus:sys3", "--seed", "9"],
     ["classify-chaos", "corpus:sys3", "--seed", "9"],
@@ -64,7 +65,8 @@ def test_every_declared_option_is_read_by_its_handler():
     ["corpus", "--seed", "9"],
 ])
 def test_a_flag_the_command_does_not_read_exits_2(argv, tmp_path, monkeypatch, capsys):
-    # each of these used to exit 0 and ignore the flag
+    # each of these used to exit 0 and ignore the flag; analyze used to
+    # record --seed in provenance, and nothing read it
     monkeypatch.chdir(tmp_path)
     Path("orbit.txt").write_text("|0 1\n1|0 1\n|0 1\n")
     with pytest.raises(SystemExit) as exc:
@@ -94,10 +96,40 @@ def test_a_ladder_setting_of_another_policy_exits_2(argv, capsys):
     (["--ladder-policy", "explicit", "--ladder", "1/2,1"], 6, ["1/2", "1"]),
 ])
 def test_accepted_ladder_settings_echo_as_before(argv, top_k, ladder, capsys):
+    # the settings of each run, as report v2 echoed them all; v3 echoes
+    # top_k only under top-k and ladder only under explicit
     code, out, _ = run_cli(["analyze", "corpus:sys3", *argv], capsys)
     config = json.loads(out)["provenance"]["config"]
     assert code == 0
-    assert (config["top_k"], config["ladder"]) == (top_k, ladder)
+    assert (config.get("top_k", 6), config.get("ladder", [])) == (top_k, ladder)
+    assert ("top_k" in config, "ladder" in config) == (
+        config["ladder_policy"] == "top-k", config["ladder_policy"] == "explicit")
+
+
+def test_unread_finite_settings_leave_the_report_unchanged(capsys):
+    # only the vertex-shift chaos search reads these; a finite report used
+    # to echo them into provenance.config all the same
+    code, default, _ = run_cli(["analyze", "corpus:tent8"], capsys)
+    assert code == 0
+    code, given, _ = run_cli(["analyze", "corpus:tent8", "--horizon", "4096", "--eps-depth",
+                              "1", "--no-witness", "--m-max", "3"], capsys)
+    assert code == 0 and given == default
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["corpus:tent8"], {"ladder_policy", "delta"}),
+    (["corpus:tent8", "--ladder-policy", "top-k", "--delta", "1/2"],
+     {"ladder_policy", "delta", "top_k"}),
+    (["corpus:tent8", "--ladder-policy", "explicit", "--ladder", "1/2"],
+     {"ladder_policy", "delta", "ladder"}),
+    (["corpus:full2", "--no-witness"], {"horizon", "eps_depth", "with_witness", "m_max"}),
+])
+def test_provenance_echoes_only_the_settings_the_run_reads(argv, read, capsys):
+    code, out, _ = run_cli(["analyze", *argv], capsys)
+    provenance = json.loads(out)["provenance"]
+    assert code == 0
+    assert provenance.keys() == {"tool", "version", "config"}
+    assert provenance["config"].keys() == {"spec", "n_max", "budget"} | read
 
 
 @pytest.mark.parametrize("kwargs", [

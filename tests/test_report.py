@@ -1,5 +1,5 @@
-"""Report v2: the sparse ladder loses nothing, and every report validates
-against the shipped schema."""
+"""The sparse ladder of reports v2 and v3 loses nothing, and every report
+validates against the shipped schema."""
 
 import contextlib
 import io
@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from chainscope import CyclicDecomposition, CyclicSweep, critical_deltas, finite_system, report
 from chainscope.chains import ladder_digraphs
 from chainscope.cli import main
+from chainscope.corpus import corpus_names
 from chainscope.report import AnalysisConfig, cmd_analyze
 from chainscope.specio import dump_system
 
 from conftest import line_system, random_system, save_system
-from oracles import recover_step, report_v1
+from oracles import recover_step, report_v1, report_v2
 from test_cyclic import _sweep_system
 from test_graph import irreducible_graphs
 
@@ -55,11 +56,12 @@ def _config(sys, policy: str, rng: random.Random, path: str) -> AnalysisConfig:
 
 
 def _check_v2_against_v1(config: AnalysisConfig):
-    v2 = cmd_analyze(config)
+    # v2 is the v3 report with the keys v3 dropped put back (``report_v2``)
+    v2 = report_v2(config)
     v1 = report_v1(config)
     # the v1 pipeline: the same run with every ladder step written
     with mock.patch.object(report, "_changed", lambda last, here: True):
-        dense = cmd_analyze(config)
+        dense = report_v2(config)
     ladder = v2["ladder"]
     assert v1["ladder"] == ladder
     assert len(v1["chain_analyses"]) == len(ladder)
@@ -91,7 +93,7 @@ def _check_v2_against_v1(config: AnalysisConfig):
     for key in v2.keys() - set(LADDER_SECTIONS) - {"schema"}:
         assert _dumps(v2[key]) == _dumps(dense[key])
     assert v2.keys() == dense.keys() == v1.keys()
-    jsonschema.validate(v2, SCHEMA)
+    jsonschema.validate(cmd_analyze(config), SCHEMA)
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,6 +171,24 @@ def test_v2_report_is_sparse_on_a_line_system(tmp_path):
     assert len(v2["ladder"]) == 211
     assert len(v2["chain_analyses"]) < 211 // 8
     assert len(report.report_to_json(v2)) * 10 < len(report.report_to_json(report_v1(config)))
+
+
+# keys of report v2 that could not vary or that no run read
+V2_ONLY_KEYS = ("saturation_failed", "seed", "irreducible", "run_req", "theta")
+
+
+def test_no_report_holds_a_key_dropped_from_v2(tmp_path):
+    outputs = []
+    for name in corpus_names():
+        outputs.append(cmd_analyze(AnalysisConfig(spec=f"corpus:{name}", horizon=64)))
+        if outputs[-1]["system"]["kind"] == "finite":
+            path = tmp_path / f"{name}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["chains", f"corpus:{name}", "--out", str(path)]) == 0
+            outputs.append(json.loads(path.read_text()))
+    for doc in outputs:
+        text = report.report_to_json(doc)
+        assert not [key for key in V2_ONLY_KEYS if f'"{key}":' in text]
 
 
 def test_shipped_schema_is_a_valid_draft7_schema():
