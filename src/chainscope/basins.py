@@ -11,13 +11,14 @@ because each in-component step advances the class by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .cyclic import CyclicDecomposition
 from .errors import OmegaNotInComponent
 from .systems import FiniteSystem
+
+if TYPE_CHECKING:
+    from .cyclic import CyclicDecomposition
 
 
 def _orbit_prefix(sys: FiniteSystem, x: str) -> tuple[list[str], int]:
@@ -32,8 +33,7 @@ def _orbit_prefix(sys: FiniteSystem, x: str) -> tuple[list[str], int]:
     return orbit, seen[u]
 
 
-@dataclass(frozen=True)
-class BasinAssignment:
+class BasinAssignment(NamedTuple):
     """Component and class basin membership for every node at one resolution."""
 
     delta: Fraction
@@ -89,8 +89,7 @@ def assign_basins(sys: FiniteSystem,
                            class_of_basin, omega, settle)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -118,8 +117,9 @@ def verify_partition_laws(ba: BasinAssignment) -> PartitionReport:
         ci, phase = ba.class_of_basin[x]
         comp = ba.components[ci]
         dec = ba.decompositions[ci]
+        class_of, period = dec.class_of, dec.period  # read once, outside the walk
         T = ba.settle_time[x]
-        horizon = T + len(comp) + dec.period + 2
+        horizon = T + len(comp) + period + 2
         u = x
         for _ in range(T):
             u = sys.apply(u)
@@ -127,7 +127,7 @@ def verify_partition_laws(ba: BasinAssignment) -> PartitionReport:
             if u not in comp:
                 violations.append(f"(c) orbit of {x!r} leaves its component at step {i}")
                 break
-            if dec.class_of[u] != (phase + i) % dec.period:
+            if class_of[u] != (phase + i) % period:
                 violations.append(f"(c) phase law fails for {x!r} at step {i}")
                 break
             u = sys.apply(u)

@@ -41,7 +41,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InvariantViolation, SpecError
 from .graph import strongly_connected_components
@@ -259,8 +259,7 @@ def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:
     return value
 
 
-@dataclass(frozen=True)
-class ChainAnalysis:
+class ChainAnalysis(NamedTuple):
     """Bundle of the per-resolution chain facts used by reports."""
 
     recurrent: frozenset[str]

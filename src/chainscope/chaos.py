@@ -20,17 +20,20 @@ or odometer-like), which sit at level NONE for every n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, groupby, product
 from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cyclic import CyclicDecomposition
 from .errors import BudgetExceeded, InvariantViolation, NotIrreducible, SpecError
-from .families import FamilyVerdict, TimeSetWindow, WindowParams, window_family_member
+from .families import (MAX_WINDOW, FamilyVerdict, TimeSetWindow, WindowParams,
+                       window_family_member)
 from .sft import (SftGraph, SftPoint, connecting_paths, dyadic_depth, graph_period,
                   is_irreducible, sft_entropy, validate_point, vertex_classes)
 from .systems import FiniteSystem
+
+if TYPE_CHECKING:
+    from .cyclic import CyclicDecomposition
 
 LEVEL_S_FAMILY = {"DC1": "THICK", "IAPSTAR": "IAPSTAR", "LIYORKE": "INFINITE"}
 T_CAP = 8  # a vertex shift's distal search tries separations 2^(-t), t <= T_CAP
@@ -44,8 +47,7 @@ T_CAP = 8  # a vertex shift's distal search tries separations 2^(-t), t <= T_CAP
 # threshold becomes one int cut on the same scale, so a window compares ints
 # only.
 
-@dataclass(frozen=True)
-class DepthScale:
+class DepthScale(NamedTuple):
     """Distance keys of a tuple of eventually periodic points.
 
     From any time on, two of the points differ, if at all, below depth
@@ -119,8 +121,7 @@ def _key_extremes(g: SftGraph, points, horizon: int):
     return scale, list(map(min, per_time)), list(map(max, per_time))
 
 
-@dataclass(frozen=True)
-class TupleStats:
+class TupleStats(NamedTuple):
     """Separation and proximity windows of one orbit tuple."""
 
     s_sets: dict[Fraction, TimeSetWindow]
@@ -397,8 +398,7 @@ def _check_eps_depth(eps_depth: int) -> None:
         raise SpecError("eps_depth must be at least 1")
 
 
-@dataclass(frozen=True)
-class Condition3Verdict:
+class Condition3Verdict(NamedTuple):
     level: str
     delta_n: Fraction
     s_verdict: FamilyVerdict
@@ -470,8 +470,7 @@ def _witness_schedule(level: str, horizon: int) -> list[tuple[str, int]]:
     return ops
 
 
-@dataclass(frozen=True)
-class WitnessConstruction:
+class WitnessConstruction(NamedTuple):
     points: tuple[SftPoint, ...]
     delta_n: Fraction
 
@@ -552,8 +551,7 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
 
 # -- component classification ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TierReport:
+class TierReport(NamedTuple):
     n: int
     tier: str
     distal_witness: tuple | None
@@ -566,8 +564,7 @@ class TierReport:
     budget_exceeded: bool = False
 
 
-@dataclass(frozen=True)
-class ComponentChaosReport:
+class ComponentChaosReport(NamedTuple):
     component_id: str
     per_n: tuple[TierReport, ...]
     level: str
@@ -576,21 +573,29 @@ class ComponentChaosReport:
     audit_flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ClassifyParams:
+class _ClassifyFields(NamedTuple):
     horizon: int = 512
     eps_depth: int = 6
     with_witness: bool = False
     budget: int = 10**6
-    window: WindowParams = field(default_factory=WindowParams)
+    window: WindowParams = WindowParams()  # immutable, so one shared default
 
-    def __post_init__(self):
-        # reject the observation settings no windowed test can run with
+
+class ClassifyParams(_ClassifyFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        # reject the observation settings no windowed test can run with, and
+        # a window longer than any time set may be read on
         if self.horizon < MIN_HORIZON:
             raise SpecError(f"horizon must be at least {MIN_HORIZON}")
+        if self.horizon > MAX_WINDOW:
+            raise SpecError(f"horizon must be at most {MAX_WINDOW}")
         _check_eps_depth(self.eps_depth)
         if self.budget < 0:
             raise SpecError("budget must be nonnegative")
+        return self
 
 
 def _tier_of(distal_found: bool, delta_n_value: Fraction, card_ok: bool) -> str:

@@ -24,11 +24,10 @@ segment: ``cyclic_classes`` is the one-step read of a fresh one, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from operator import is_not
-from typing import Iterable, KeysView, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, NamedTuple, Sequence
 
 from .chains import ChainDigraph, chain_components, ladder_digraphs
 from .errors import EmptyLadder, InvariantViolation, NotAComponent
@@ -36,8 +35,7 @@ from .graph import classes
 from .systems import FiniteSystem
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
+class CyclicDecomposition(NamedTuple):
     """Period, class labels and saturation index of one chain component."""
 
     system: FiniteSystem
@@ -363,8 +361,7 @@ class CyclicSweep:
                                  tuple(decomps), split_at)
 
 
-@dataclass(frozen=True)
-class ProximalPartition:
+class ProximalPartition(NamedTuple):
     """Meet of the cyclic class partitions along a descending ladder.
 
     The ladder is truncated at the first resolution where the component

@@ -12,8 +12,8 @@ stay visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import HorizonTooSmall, MonotonicityBug, SpecError
 
@@ -24,33 +24,46 @@ FAMILIES = ("UD1", "THICK", "IAPSTAR", "INFINITE")
 MAX_WINDOW = 10**6
 
 
-@dataclass(frozen=True)
-class TimeSetWindow:
-    """A time set observed on the window [0, horizon)."""
+# A validated record is a NamedTuple of its fields, subclassed to check them
+# in ``__new__`` (NamedTuple itself refuses a ``__new__``).
 
+class _TimeSetWindowFields(NamedTuple):
     horizon: int
     members: tuple[int, ...]  # bits
 
-    def __post_init__(self):
+
+class TimeSetWindow(_TimeSetWindowFields):
+    """A time set observed on the window [0, horizon)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.horizon < 1 or len(self.members) != self.horizon:
             raise SpecError("window bits must match the horizon")
         if not set(self.members) <= {0, 1}:
             raise SpecError("window entries must be bits")
+        return self
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicSet:
-    """Subset of the naturals: explicit preperiod bits, then a repeating
-    pattern."""
-
+class _EventuallyPeriodicSetFields(NamedTuple):
     preperiod: tuple[int, ...]
     pattern: tuple[int, ...]
 
-    def __post_init__(self):
+
+class EventuallyPeriodicSet(_EventuallyPeriodicSetFields):
+    """Subset of the naturals: explicit preperiod bits, then a repeating
+    pattern."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.pattern) < 1:
             raise SpecError("pattern must be nonempty")
         if any(b not in (0, 1) for b in self.preperiod + self.pattern):
             raise SpecError("set entries must be bits")
+        return self
 
     def contains(self, i: int) -> bool:
         if i < len(self.preperiod):
@@ -58,12 +71,11 @@ class EventuallyPeriodicSet:
         return bool(self.pattern[(i - len(self.preperiod)) % len(self.pattern)])
 
 
-@dataclass(frozen=True)
-class FamilyVerdict:
+class FamilyVerdict(NamedTuple):
     family: str
     member: bool
     mode: str  # "exact" | "windowed"
-    certificate: dict = field(default_factory=dict)
+    certificate: dict
 
 
 def upper_density(A: EventuallyPeriodicSet) -> Fraction:
@@ -122,8 +134,13 @@ def family_member(A: EventuallyPeriodicSet, family: str) -> FamilyVerdict:
     return FamilyVerdict("INFINITE", False, "exact", {"tail_element": None})
 
 
-@dataclass(frozen=True)
-class WindowParams:
+class _WindowParamsFields(NamedTuple):
+    theta: Fraction = Fraction(1, 100)
+    run_req: int | None = None
+    m_max: int | None = None
+
+
+class WindowParams(_WindowParamsFields):
     """Truncation constants for the windowed testers.
 
     ``run_req`` defaults to floor(sqrt(H)) and ``m_max`` to the largest value
@@ -132,17 +149,17 @@ class WindowParams:
     testers read the tail from H // 2 on.
     """
 
-    theta: Fraction = Fraction(1, 100)
-    run_req: int | None = None
-    m_max: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # a bound of 0 asks for empty runs or no progressions at all, and
         # THICK or IAPSTAR would then pass vacuously
         for name in ("run_req", "m_max"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise SpecError(f"{name} must be at least 1")
+        return self
 
     def resolve(self, horizon: int, family: str) -> tuple[Fraction, int, int, int]:
         run_req = self.run_req if self.run_req is not None else max(1, math.isqrt(horizon))
@@ -160,7 +177,8 @@ def window_family_member(A: TimeSetWindow, family: str,
     become bounded loops over the observation window."""
     if family not in FAMILIES:
         raise SpecError(f"unknown family {family!r}")
-    H = A.horizon
+    # the bits are read once: a NamedTuple field read is a descriptor call
+    H, members = A.horizon, A.members
     theta, run_req, m_max, tail_start = params.resolve(H, family)
     meta = {"H": H, "theta": str(theta), "run_req": run_req,
             "m_max": m_max, "tail_start": tail_start}
@@ -169,10 +187,10 @@ def window_family_member(A: TimeSetWindow, family: str,
         # prefix counts): count / n > best_count / best_n iff
         # count * best_n > best_count * n, an int comparison
         best_count, best_n = 0, 0
-        count = sum(A.members[: H // 2])
+        count = sum(members[: H // 2])
         for n in range(H // 2, H + 1):
             if n > H // 2:
-                count += A.members[n - 1]
+                count += members[n - 1]
             if count * (best_n or 1) > best_count * n:
                 best_count, best_n = count, n
         best = Fraction(best_count, best_n or 1)
@@ -180,11 +198,11 @@ def window_family_member(A: TimeSetWindow, family: str,
         return FamilyVerdict("UD1", member, "windowed",
                              dict(meta, best_prefix_density=str(best), best_prefix=best_n))
     if family == "THICK":
-        run, start = _longest_run(A.members)
+        run, start = _longest_run(members)
         return FamilyVerdict("THICK", run >= run_req, "windowed",
                              dict(meta, longest_run=run, run_start=start))
     if family == "IAPSTAR":
-        tail = [i for i in range(tail_start, H) if A.members[i]]
+        tail = [i for i in range(tail_start, H) if members[i]]
         for m in range(1, m_max + 1):
             hit: set[int] = set()
             for i in tail:  # stop once every residue mod m is hit
@@ -197,13 +215,12 @@ def window_family_member(A: TimeSetWindow, family: str,
                         "IAPSTAR", False, "windowed",
                         dict(meta, failing_progression={"p": p, "m": m}))
         return FamilyVerdict("IAPSTAR", True, "windowed", meta)
-    tail_members = [i for i in range(tail_start, H) if A.members[i]]
+    tail_members = [i for i in range(tail_start, H) if members[i]]
     return FamilyVerdict("INFINITE", bool(tail_members), "windowed",
                          dict(meta, tail_element=tail_members[0] if tail_members else None))
 
 
-@dataclass(frozen=True)
-class InclusionAudit:
+class InclusionAudit(NamedTuple):
     """Verdicts for all four families plus the monotonicity status."""
 
     verdicts: tuple[FamilyVerdict, FamilyVerdict, FamilyVerdict, FamilyVerdict]

@@ -20,19 +20,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .basins import BasinAssignment, assign_basins, verify_partition_laws
 from .chains import (ChainDigraph, chain_analysis, chain_recurrent_set, critical_deltas,
                      ladder_digraphs)
 from .chaos import ClassifyParams, classify_finite_component, classify_sft
-from .cyclic import CyclicDecomposition, CyclicSweep
+from .cyclic import CyclicSweep
 from .errors import SpecError
 from .families import WindowParams
 from .sft import SftGraph, graph_period, vertex_classes
 from .specio import dump_system, load_system
 from .systems import FiniteSystem, as_fraction
+
+if TYPE_CHECKING:
+    from .cyclic import CyclicDecomposition
 
 REPORT_SCHEMA_VERSION = "chainscope-report-v3"
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress
 from operator import ne
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .chains import build_chain_digraph, critical_deltas
 from .errors import (AdmissibilityBug, BudgetExceeded, ClassMismatch, NotIrreducible,
@@ -114,8 +114,7 @@ def _suffix_max(values: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class LimitVerdict:
+class LimitVerdict(NamedTuple):
     ok: bool
     failing_checkpoint: int | None = None
 
@@ -150,8 +149,7 @@ def default_schedule(delta) -> tuple[Fraction, ...]:
     return (d, d / 4, d / 16, d / 64)
 
 
-@dataclass(frozen=True)
-class ShadowResult:
+class ShadowResult(NamedTuple):
     point: object | None
     epsilon: Fraction | None
     tail_profile: tuple[Fraction, ...] = ()

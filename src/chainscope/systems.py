@@ -18,9 +18,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add
-from typing import Mapping, Sequence
+from operator import add, itemgetter
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import MetricViolation, PartialMap, SpecError
 
@@ -90,8 +91,7 @@ def as_fraction(value) -> Fraction:
     return Fraction(*rational_pair(value))
 
 
-@dataclass(frozen=True)
-class DistanceRanks:
+class DistanceRanks(NamedTuple):
     """Exact integer stand-in for a finite metric.
 
     ``levels`` holds the distinct pairwise distances in ascending order;
@@ -376,10 +376,11 @@ def compile_finite(desc: Mapping) -> FiniteSystem:
             entries.append(((u, v), d))
     except TypeError as exc:
         raise SpecError(f"bad metric: {exc}") from exc
+    # the all-strings test runs in C; the first offender is sought only on failure
     for where, names in (("points", points), ("map", [*raw_map, *raw_map.values()]),
-                         ("metric", [u for pair, _ in entries for u in pair])):
-        bad = next((u for u in names if not isinstance(u, str)), None)
-        if bad is not None:
+                         ("metric", [*chain.from_iterable(map(itemgetter(0), entries))])):
+        if not all(map(isinstance, names, repeat(str))):
+            bad = next(u for u in names if not isinstance(u, str))
             raise SpecError(f"finite system spec: {where} names a point by {bad!r}, not a string")
     return finite_system(points, raw_map, entries, labels, desc.get("metric_default"))
 
@@ -389,8 +390,16 @@ def compile_finite(desc: Mapping) -> FiniteSystem:
 GRID_FAMILIES = ("tent", "rotation", "piecewise-linear")
 
 
-@dataclass(frozen=True)
-class GridMapSpec:
+class _GridMapSpecFields(NamedTuple):
+    family: str
+    cell_count: int
+    geometry: str = "interval"
+    slope: Fraction | None = None
+    alpha: Fraction | None = None
+    breakpoints: tuple[tuple[Fraction, Fraction], ...] | None = None
+
+
+class GridMapSpec(_GridMapSpecFields):
     """Parameters of a 1-D map to discretize on cell centers.
 
     families:
@@ -399,14 +408,10 @@ class GridMapSpec:
       piecewise-linear(breaks)  on the interval, breaks = ((x, y), ...)
     """
 
-    family: str
-    cell_count: int
-    geometry: str = "interval"
-    slope: Fraction | None = None
-    alpha: Fraction | None = None
-    breakpoints: tuple[tuple[Fraction, Fraction], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in GRID_FAMILIES:
             raise SpecError(f"unknown map family {self.family!r}")
         if self.cell_count < 2:
@@ -434,6 +439,7 @@ class GridMapSpec:
                 raise SpecError("breakpoint x-values must ascend from 0 to 1")
             if any(not 0 <= b[1] <= 1 for b in brk):
                 raise SpecError("breakpoint values must lie in [0, 1]")
+        return self
 
 
 def _tent(slope: Fraction, x: Fraction) -> Fraction:

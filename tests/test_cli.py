@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chainscope import chains, cli, cyclic, report, sft
 from chainscope.chains import ChainDigraph, complete_lyapunov
+from chainscope.chaos import ClassifyParams
 from chainscope.cli import main
 from chainscope.corpus import corpus_names, load_corpus
 from chainscope.errors import InternalError
@@ -487,6 +488,23 @@ def test_unusable_settings_exit_2(command, spec, extra, message, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["analyze", "classify-chaos"])
+def test_horizon_past_the_window_cap_exits_2_before_the_search(command, monkeypatch, capsys):
+    # a tenfold horizon took about 90 times as long, so the cap is checked
+    # with the other settings, before any classification starts
+    def forbidden(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "classify_sft", forbidden)
+    monkeypatch.setattr(report, "classify_sft", forbidden)
+    code, out, err = run_cli([command, "corpus:full2", "--horizon", str(MAX_WINDOW + 1)],
+                             capsys)
+    assert code == 2
+    assert err == f"error: horizon must be at most {MAX_WINDOW}\n"
+    assert out == ""
+    assert ClassifyParams(horizon=MAX_WINDOW).horizon == MAX_WINDOW
+
+
 RING_V2_DIGESTS = {
     "ring60": "dcdab5a8a2bd4be9a333ccde33c6128bf17f640a93b138eb45f7a7acf66dfc30",
     "aring41": "82ba904a565de0d746a4ea5ba9cd0a1fd168ea718159f96035ebbb4ba15fdab9",
@@ -793,6 +811,89 @@ def test_cli_on_mutated_specs_exits_with_a_documented_code(text, command):
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in stderr.getvalue()
     assert code == 0 or not out.exists()
+
+
+def _fuzzed_run(argv, files: dict[str, str]) -> tuple[int, str]:
+    """(exit code, standard error) of ``main`` on ``argv`` in a fresh
+    directory holding ``files``; an argument the parser refuses exits 2
+    through SystemExit, as the command would."""
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in files.items():
+            Path(work, name).write_text(text, encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([arg.replace("{work}", work) for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+            if code != 0:
+                assert not Path(work, "out.json").exists()
+    return code, stderr.getvalue()
+
+
+# a drawn fragment of text: a value near a valid one of some input format,
+# or digits (some not ASCII), separators and letters; short, so no fragment
+# asks for much work
+FRAGMENTS = st.sampled_from(
+    ["0", "1", "c", "d", "1/3", "-1/2", "1e3", "0 1|1", "|1", "1|", "|", "2|0", "0|",
+     "H=64", "H=0", "alpha=0.3", "alpha=nan", "alpha=1e-13", "1x0", "0x5", "2x1", "1x٣"]
+) | st.text(alphabet="0123456789٣１ |#,/.:=_+-eHxalphgodnif\t", max_size=6)
+
+
+def _mutated_lines(draw, lines: list[str]) -> list[str]:
+    """``lines`` with one line replaced, inserted, dropped or cut short."""
+    lines = list(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(["replace", "insert", "drop", "cut"]))
+    if mutation == "replace":
+        lines[i] = draw(FRAGMENTS)
+    elif mutation == "insert":
+        lines.insert(i, draw(FRAGMENTS))
+    elif mutation == "drop":
+        del lines[i]
+    else:
+        lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))] + draw(FRAGMENTS)
+    return lines
+
+
+# valid pseudo-orbits on a finite system and on a vertex shift
+SHADOW_CASES = [("corpus:sys3", ["a", "b", "c", "a", "# a comment", "b"]),
+                ("corpus:full2", ["|0 1", "1|0 1", "|0 1", "0 1|1", ""])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shadow_on_mutated_orbits_exits_with_a_documented_code(data):
+    spec, lines = data.draw(st.sampled_from(SHADOW_CASES))
+    extra = data.draw(st.sampled_from([[], ["--depth", "2"], ["--delta", "1/4"],
+                                       ["--epsilon", "1/2"], ["--emit-csv", "{work}/t.csv"]]))
+    text = "\n".join(_mutated_lines(data.draw, lines))
+    code, err = _fuzzed_run(["shadow", spec, "--orbit", "{work}/orbit.txt", *extra,
+                             "--out", "{work}/out.json"], {"orbit.txt": text})
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_option_values_exit_with_a_documented_code(data):
+    # --ladder values, --rotation tokens and --set-file run-length text,
+    # each a valid value with one mutation
+    kind = data.draw(st.sampled_from(["ladder", "rotation", "set-file"]))
+    files = {}
+    if kind == "ladder":
+        values = _mutated_lines(data.draw, ["1/2", "1", "0"])
+        argv = ["analyze", data.draw(st.sampled_from(["corpus:sys3", "corpus:tent8"])),
+                "--ladder-policy", "explicit", "--ladder=" + ",".join(values)]
+    elif kind == "rotation":
+        tokens = [t for t in _mutated_lines(data.draw, ["alpha=golden", "H=300"]) if t]
+        argv = ["furstenberg", *(["--rotation", *tokens] if tokens else [])]
+    else:
+        files["set.txt"] = " ".join(_mutated_lines(data.draw, ["1x40", "0x3", "1x200"]))
+        argv = ["furstenberg", "--set-file", "{work}/set.txt"]
+    code, err = _fuzzed_run([*argv, "--out", "{work}/out.json"], files)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
 
 
 def test_fullwidth_digit_metric_literal_is_a_value(tmp_path, monkeypatch, capsys):

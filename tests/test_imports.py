@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module, and
-every function, class, method and dataclass field the package defines is
-read by the package or by the benchmark harness.
+every function, class, method and record field the package defines is
+read by the package or by the benchmark harness.  A record is a dataclass,
+a NamedTuple, or a subclass of a record of the same module (a validated
+NamedTuple, whose ``__new__`` checks the fields).
 
 Reads count in ``src/`` and in ``chainbench/`` outside ``chainbench/tests/``:
 a definition that only tests read belongs in ``tests/``.  A name listed in
@@ -155,7 +157,7 @@ def test_unreferenced_definitions_are_found():
 
 
 def _unread() -> tuple[set[str], set[str]]:
-    """(definitions, dataclass fields) of the package that nothing in
+    """(definitions, record fields) of the package that nothing in
     ``READERS`` reads, ``TRACED`` names aside."""
     sources = {str(p): p.read_text() for p in READERS}
     package = [str(p) for p in sorted(PACKAGE.glob("*.py"))]
@@ -175,16 +177,31 @@ def test_every_definition_is_read_somewhere():
     assert definitions == ALLOWLIST.keys() - fields
 
 
+def _name(node) -> str | None:
+    """The name a decorator or base expression ends in: ``dataclass`` of
+    ``dataclasses.dataclass(frozen=True)``, ``NamedTuple`` of
+    ``typing.NamedTuple``."""
+    f = node.func if isinstance(node, ast.Call) else node
+    return getattr(f, "id", getattr(f, "attr", None))
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    for d in node.decorator_list:
-        f = d.func if isinstance(d, ast.Call) else d
-        if getattr(f, "id", getattr(f, "attr", None)) == "dataclass":
-            return True
-    return False
+    return any(_name(d) == "dataclass" for d in node.decorator_list)
+
+
+def records(tree: ast.Module) -> list[ast.ClassDef]:
+    """The top-level record classes of a module, in source order."""
+    out, names = [], {"NamedTuple"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and (
+                _is_dataclass(node) or any(_name(b) in names for b in node.bases)):
+            out.append(node)
+            names.add(node.name)
+    return out
 
 
 def unread_fields(sources: dict[str, str], package: list[str]) -> list[str]:
-    """Fields of the dataclasses of the ``package`` modules that no Attribute
+    """Fields of the records of the ``package`` modules that no Attribute
     node of ``sources`` reads (``obj.field``).
 
     Like ``unreferenced``, this goes by name alone; assignments and keyword
@@ -197,9 +214,7 @@ def unread_fields(sources: dict[str, str], package: list[str]) -> list[str]:
         attrs.update(_reads(tree)[1])
     out = []
     for path in package:
-        for node in trees[path].body:
-            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
-                continue
+        for node in records(trees[path]):
             if "asdict" in _reads(node)[0]:
                 continue
             out += [f"{node.name}.{st.target.id}" for st in node.body
@@ -209,6 +224,8 @@ def unread_fields(sources: dict[str, str], package: list[str]) -> list[str]:
 
 
 def test_unread_fields_are_found():
+    # D is a NamedTuple; E a validated one, with its fields on _EFields and
+    # a subclass of a record being a record itself; F subclasses a plain class
     source = ("from dataclasses import asdict, dataclass\n"
               "@dataclass(frozen=True)\n"
               "class A:\n"
@@ -220,11 +237,64 @@ def test_unread_fields_are_found():
               "    echoed: int\n"
               "    def echo(self): return asdict(self)\n"
               "class C:\n"
-              "    plain: int\n")
-    other = "a = A(read=1, unread=2)\na.unread = 3\n"
-    assert unread_fields({"a": source, "b": other}, ["a"]) == ["A.unread"]
+              "    plain: int\n"
+              "class D(NamedTuple):\n"
+              "    kept: int\n"
+              "    dropped: int = 0\n"
+              "class _EFields(typing.NamedTuple):\n"
+              "    checked: int\n"
+              "    lost: int\n"
+              "class E(_EFields):\n"
+              "    __slots__ = ()\n"
+              "    spare: int\n"
+              "    def __new__(cls, *args):\n"
+              "        self = super().__new__(cls, *args)\n"
+              "        assert self.checked\n"
+              "        return self\n"
+              "class F(C):\n"
+              "    other: int\n")
+    other = "a = A(read=1, unread=2)\na.unread = 3\nD(1, 2).kept\n"
+    assert unread_fields({"a": source, "b": other}, ["a"]) == [
+        "A.unread", "D.dropped", "_EFields.lost", "E.spare"]
 
 
 def test_every_dataclass_field_is_read_somewhere():
     definitions, fields = _unread()
     assert fields == ALLOWLIST.keys() - definitions
+
+
+# the records that stay dataclasses: the three whose tests expect
+# FrozenInstanceError (FiniteSystem also has cached properties), the config
+# that ``asdict`` and class-level default reads need, SftGraph with its
+# private fields and PseudoOrbit with its uncompared fields and cached
+# property; every other record is a NamedTuple
+DATACLASSES = {"FiniteSystem", "ChainDigraph", "SftPoint", "AnalysisConfig", "SftGraph",
+               "PseudoOrbit"}
+
+
+def test_only_the_named_records_are_dataclasses():
+    found = {node.name for path in MODULES for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.ClassDef) and _is_dataclass(node)}
+    assert found == DATACLASSES
+
+
+def test_records_are_found():
+    names = [node.name for path in MODULES for node in records(ast.parse(path.read_text()))]
+    assert DATACLASSES | {"ProximalPartition", "ClassifyParams", "WindowParams"} <= set(names)
+
+
+# ``_replace`` and ``_make`` build a NamedTuple without calling its class, so
+# a validated record made by them would skip its ``__new__`` checks
+def tuple_rebuilds(source: str) -> list[str]:
+    return [n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and n.attr in ("_replace", "_make")]
+
+
+def test_tuple_rebuilds_are_found():
+    assert tuple_rebuilds("p = q._replace(a=1)\nr = P._make(xs)\ns = q.replace(a=1)\n") == [
+        "_replace", "_make"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_record_is_rebuilt_past_its_checks(path):
+    assert tuple_rebuilds(path.read_text()) == []

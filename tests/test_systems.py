@@ -54,6 +54,25 @@ def test_symmetry_and_definiteness():
     assert sys.distance("a", "a") == 0 and sys.distance("a", "b") == 1
 
 
+# each names its first non-string name; points are checked before the map,
+# and the map before the metric.  A null name is named too: it was once
+# taken for "no offender", and a null point became the point "None"
+@pytest.mark.parametrize("change, where, bad", [
+    ({"points": ["a", 2, 3.5]}, "points", "2"),
+    ({"points": ["a", None], "map": {"a": "a", "None": "a"}}, "points", "None"),
+    ({"map": {"a": "b", "b": 1}}, "map", "1"),
+    ({"map": {"a": "b", "b": "a"}, "metric": [["a", "b", "1"], ["b", None, "1"], [4, "a", "1"]]},
+     "metric", "None"),
+    ({"points": [["a"], "b"], "map": {"a": 1}, "metric": [[2, "b", "1"]]}, "points", "['a']"),
+])
+def test_non_string_point_names_are_named(change, where, bad):
+    desc = dict({"points": ["a", "b"], "map": {"a": "b", "b": "a"},
+                 "metric": [["a", "b", "1"]]}, **change)
+    with pytest.raises(SpecError) as exc:
+        compile_finite(desc)
+    assert str(exc.value) == f"finite system spec: {where} names a point by {bad}, not a string"
+
+
 def test_partial_map_rejected():
     with pytest.raises(PartialMap):
         compile_finite({
