@@ -8,12 +8,12 @@ questions on that digraph.
 
 Edges are decided exactly by integer comparison.  Every step value
 d(f(u), v) is itself a pairwise distance, hence one of the system's
-ascending distinct distance levels (``FiniteSystem.ranks``).  For a rational
-delta >= 0, let K be the index of the largest level <= delta; because the
-levels strictly ascend, d(f(u), v) <= delta iff rank(f(u), v) <= K.  One
-bisection per resolution then decides every edge, on or off the critical
-ladder, with no floats and no sampling.  The critical resolutions are the
-levels at the distinct step ranks.
+distinct distance levels, held as ascending scaled ints with an int rank
+per pair (``FiniteSystem.ranks``).  For a rational delta >= 0, let K be the
+rank of the largest level <= delta; as the levels strictly ascend,
+d(f(u), v) <= delta iff rank(f(u), v) <= K.  One int bisection per
+resolution decides every edge, on or off the critical ladder.  The critical
+resolutions are the levels at the distinct step ranks.
 
 Chain recurrence here is the fixed-resolution notion: a node lies on a
 directed cycle.  The all-resolution notion is recovered by intersecting over
@@ -196,12 +196,15 @@ def chain_components(dg: ChainDigraph) -> tuple[frozenset[str], ...]:
     return tuple(frozenset(comp) for comp in dg.sccs if _is_recurrent_scc(dg, comp))
 
 
+def critical_ranks(sys: FiniteSystem) -> list[int]:
+    """Ascending distinct ranks of d(f(u), v), the ranks of ``critical_deltas``."""
+    return sorted(set().union(*map(sys.ranks.rank.__getitem__, set(sys.map.values()))))
+
+
 def critical_deltas(sys: FiniteSystem) -> list[Fraction]:
     """Ascending distinct values of d(f(u), v); the digraph is constant
     between consecutive values."""
-    ranks = sys.ranks
-    steps = {r for img in set(sys.map.values()) for r in ranks.rank[img]}
-    return [ranks.levels[r] for r in sorted(steps)]
+    return list(map(sys.ranks.level, critical_ranks(sys)))
 
 
 def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:

@@ -224,7 +224,7 @@ def _orbit_min_separation(sys: FiniteSystem, pts: tuple[str, ...]) -> Fraction:
     min over times of a min over pairs is a min over pairs of the per-pair
     floors (``FiniteSystem.orbit_floor``).
     """
-    return sys.ranks.levels[_spread(sys.orbit_floor, sys.ranks.index, pts)]
+    return sys.ranks.level(_spread(sys.orbit_floor, sys.ranks.index, pts))
 
 
 def _first_distal(g: SftGraph, n: int, budget: int):
@@ -354,7 +354,7 @@ def compute_delta_n(decomp: CyclicDecomposition, n: int, budget: int = 10**6) ->
         spent = _charge(spent, cls, n, budget, "dispersion")
         best, _ = _widest(ranks.rank, ranks.index, cls, n)
         worst = best if worst is None else min(worst, best)
-    return ranks.levels[worst] if worst is not None else Fraction(0)
+    return ranks.level(worst) if worst is not None else Fraction(0)
 
 
 def sft_delta_n(g: SftGraph, n: int) -> tuple[Fraction, bool]:

@@ -201,7 +201,7 @@ class _Segment:
         self.cross = _cross_pairs(dg.system, self.nodes, self.class_of)
         # with no cross pair, the number of levels lies above every cut
         self.least_cross = min((r for r, _, _ in self.cross),
-                               default=len(dg.system.ranks.levels))
+                               default=len(dg.system.ranks.scaled))
         self.first = first
         self.succ = [dg.succ[u] for u in self.nodes]
         self.adjacency = [tuple(_row(self.bit, s) for s in self.succ)]

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .basins import BasinAssignment, assign_basins, verify_partition_laws
-from .chains import (ChainDigraph, chain_analysis, chain_recurrent_set, critical_deltas,
+from .chains import (ChainDigraph, chain_analysis, chain_recurrent_set, critical_ranks,
                      ladder_digraphs)
 from .chaos import ClassifyParams, classify_finite_component, classify_sft
 from .cyclic import CyclicSweep
@@ -41,7 +41,7 @@ REPORT_SCHEMA_VERSION = "chainscope-report-v3"
 
 
 def _frac(x) -> str:
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 @dataclass(frozen=True)
@@ -111,16 +111,14 @@ def reject_shift_delta(delta: str | None) -> None:
 
 
 def _ladder_for(sys: FiniteSystem, config: AnalysisConfig) -> list[Fraction]:
-    crit = critical_deltas(sys)
     if config.ladder_policy == "explicit":
         if not config.ladder:
             raise SpecError("explicit ladder policy needs ladder values")
         return sorted({as_fraction(v) for v in config.ladder})
-    if config.ladder_policy == "top-k":
-        return crit[-config.top_k:]
-    if config.ladder_policy == "all-critical":
-        return crit
-    raise SpecError(f"unknown ladder policy {config.ladder_policy!r}")
+    if config.ladder_policy not in ("top-k", "all-critical"):
+        raise SpecError(f"unknown ladder policy {config.ladder_policy!r}")
+    crit = critical_ranks(sys)[-config.top_k if config.ladder_policy == "top-k" else 0:]
+    return list(map(sys.ranks.level, crit))
 
 
 def chain_section(dg: ChainDigraph) -> dict:

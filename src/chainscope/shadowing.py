@@ -1,10 +1,10 @@
 """Pseudo-orbits, shadowing search and exact splice constructions.
 
 On finite systems shadowing is decided by brute force over candidate start
-points.  On vertex shifts the shadow of a pseudo-orbit whose steps agree to
-depth n is constructed exactly by splicing first symbols: consecutive states
-overlap in n symbols, so adjacent spliced symbols are admissible pairs and
-the spliced point tracks every state to depth n+1.
+points, on int distance ranks.  On vertex shifts the shadow of a pseudo-orbit
+whose steps agree to depth n is constructed exactly by splicing first symbols:
+consecutive states overlap in n symbols, so adjacent spliced symbols are
+admissible pairs and the spliced point tracks every state to depth n+1.
 
 The splice toward a target tail realizes the asymptotic-merge construction:
 keep a prefix of one point, connect admissibly, then copy the other point's
@@ -36,15 +36,16 @@ class PseudoOrbit:
     """A finite state sequence with its per-step errors e_i = d(f(x_i), x_{i+1}).
 
     ``checked`` is the model ``validate_pseudo_orbit`` checked every state
-    against, and None for a pseudo-orbit built any other way.  On a vertex
-    shift ``validate_pseudo_orbit`` also keeps each step's int depth k, with
-    e_i = 2^(-k), and None for a step of distance 0.
+    against, and None for a pseudo-orbit built any other way.  It also keeps
+    each step's int key: on a finite system its rank in ``ranks``, on a vertex
+    shift its depth k in ``depths`` (e_i = 2^(-k), and None for distance 0).
     """
 
     states: tuple
     errors: tuple[Fraction, ...]
     checked: object = field(default=None, repr=False, compare=False)
     depths: tuple[int | None, ...] | None = field(default=None, repr=False, compare=False)
+    ranks: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.errors) != len(self.states) - 1:
@@ -53,13 +54,14 @@ class PseudoOrbit:
     @cached_property
     def suffix_max(self) -> list[Fraction]:
         """suffix_max[i] = max(errors[i:]) for i < len(errors), and 0 at
-        len(errors).  With depths the maxima are suffix minima of the int
-        depths (the least depth is the largest error), mapped back by
-        ``_dyadic``."""
-        if self.depths is None:
-            return _suffix_max(self.errors)
-        deep = accumulate(reversed([math.inf if k is None else k for k in self.depths]), min)
-        return [_dyadic(None if k == math.inf else k) for k in deep][::-1] + [Fraction(0)]
+        len(errors).  The maxima are taken on keys that order like the errors
+        and read back from the errors: the ranks, the depths negated (None
+        least), or else the errors themselves."""
+        keys = self.ranks or self.errors
+        if self.depths is not None:
+            keys = [-math.inf if k is None else -k for k in self.depths]
+        error_of = dict(zip(keys, self.errors)).__getitem__
+        return [*map(error_of, accumulate(reversed(keys), max))][::-1] + [Fraction(0)]
 
 
 @lru_cache(maxsize=1024)
@@ -74,6 +76,7 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
     On a vertex shift each state is validated once, before the step into it
     is measured: the shift of an admissible point is admissible.  A step
     error 2^(-k) exceeds delta iff k < ``dyadic_depth(delta)``, an int test.
+    On a finite system it does iff its rank exceeds ``cut(delta)``.
     """
     delta = Fraction(delta)
     if delta < 0:
@@ -82,7 +85,7 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
     if len(states) < 2:
         raise SpecError("a pseudo-orbit needs at least two states")
     errors = []
-    depths = None
+    depths = keys = None
     if isinstance(model, SftGraph):
         limit = dyadic_depth(delta)
         validate_point(model, states[0])
@@ -96,22 +99,17 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
             errors.append(_dyadic(k))
         depths = tuple(ks)
     elif isinstance(model, FiniteSystem):
+        ranks, keys = model.ranks, []
+        rank, index, cut = ranks.rank, ranks.index, ranks.cut(delta)
         for i, (x, y) in enumerate(zip(states, states[1:])):
-            e = model.distance(model.apply(x), y)
-            if e > delta:
-                raise StepViolation(i, e)
-            errors.append(e)
+            keys.append(rank[model.map[x]][index[y]])
+            if keys[-1] > cut:
+                raise StepViolation(i, model.distance(model.map[x], y))
+        keys = tuple(keys)
+        errors = map({r: ranks.level(r) for r in set(keys)}.__getitem__, keys)
     else:
         raise SpecError(f"unsupported model {type(model).__name__}")
-    return PseudoOrbit(states, tuple(errors), model, depths)
-
-
-def _suffix_max(values: Sequence[Fraction]) -> list[Fraction]:
-    """out[i] = max(values[i:]) for i < len(values), and out[len(values)] = 0."""
-    out = [Fraction(0)] * (len(values) + 1)
-    for i in range(len(values) - 1, -1, -1):
-        out[i] = max(values[i], out[i + 1])
-    return out
+    return PseudoOrbit(states, tuple(errors), model, depths, keys)
 
 
 class LimitVerdict(NamedTuple):
@@ -159,22 +157,25 @@ def find_shadowing_point(sys: FiniteSystem, po: PseudoOrbit, epsilon) -> ShadowR
     """Brute-force search for z with d(f^i(z), x_i) <= epsilon for all i.
 
     Returns the smallest witness by node id, or an absent result; exact.
+    A distance exceeds epsilon iff its rank exceeds ``cut(epsilon)``.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise SpecError("epsilon must be nonnegative")
-    horizon = len(po.states)
+    rank, index, cut = sys.ranks.rank, sys.ranks.index, sys.ranks.cut(epsilon)
     for z in sorted(sys.points):
         u = z
         track = []
-        for i in range(horizon):
-            d = sys.distance(u, po.states[i])
-            if d > epsilon:
+        for s in po.states:
+            r = rank[u][index[s]]
+            if r > cut:
                 break
-            track.append(d)
-            u = sys.apply(u)
+            track.append(r)
+            u = sys.map[u]
         else:
-            return ShadowResult(z, max(track), tuple(_suffix_max(track)[:-1]))
+            tail = [*accumulate(reversed(track), max)][::-1]
+            level = {r: sys.ranks.level(r) for r in set(tail)}.__getitem__
+            return ShadowResult(z, level(tail[0]), tuple(map(level, tail)))
     return ShadowResult(None, None, ())
 
 
@@ -291,16 +292,17 @@ def _limit_shadowed_by(sys: FiniteSystem, states, epsilon, z) -> bool:
     is exact: all pairwise distances <= epsilon and distance zero on the
     repeating part.
     """
+    rank, index, cut = sys.ranks.rank, sys.ranks.index, sys.ranks.cut(epsilon)
     u = z
     for s in states[:-1]:
-        if sys.distance(u, s) > epsilon:
+        if rank[u][index[s]] > cut:
             return False
         u = sys.apply(u)
     pair = (u, states[-1])
     seen = set()
     while pair not in seen:
         seen.add(pair)
-        if sys.distance(pair[0], pair[1]) > epsilon:
+        if rank[pair[0]][index[pair[1]]] > cut:
             return False
         pair = (sys.apply(pair[0]), sys.apply(pair[1]))
     # walk the repeating part: distances there must vanish
@@ -349,7 +351,7 @@ def estimate_slimit_modulus(sys: FiniteSystem, epsilon, length_cap: int,
                     stack.append(seq + [sys.apply(seq[-1])])
         return True
 
-    for delta in sorted(critical_deltas(sys), reverse=True):
+    for delta in reversed(critical_deltas(sys)):
         if orbits_ok(delta):
             return delta
     return Fraction(0)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import SpecError
+from .errors import SpecError, ValidationError
 from .sft import SftGraph, parse_point
-from .systems import FiniteSystem, GridMapSpec, as_fraction, compile_finite, discretize
+from .systems import FiniteSystem, GridMapSpec, as_fraction, compile_finite, discretize, ratio_text
 
 SCHEMA_VERSION = "chainscope-v1"
 
@@ -78,9 +78,9 @@ def _integer(value, what: str) -> int:
 def dump_system(model) -> dict:
     """Spec object for a loaded model; re-loading yields an identical model."""
     if isinstance(model, FiniteSystem):
-        pts = list(model.points)
-        metric = [[u, v, str(model.distance(u, v))]
-                  for i, u in enumerate(pts) for v in pts[i + 1:]]
+        pts, scale = list(model.points), model.scale
+        metric = [[u, v, ratio_text(x, scale)] for i, (u, row) in enumerate(zip(pts, model.rows))
+                  for v, x in zip(pts[i + 1:], row[i + 1:])]
         out = {
             "schema": SCHEMA_VERSION,
             "kind": "finite",
@@ -111,7 +111,7 @@ def load_pseudo_orbit(path, model):
         if isinstance(model, SftGraph):
             try:
                 states.append(parse_point(line))
-            except SpecError as exc:
+            except ValidationError as exc:  # a SpecError or an InvalidPoint
                 raise SpecError(f"{path}:{lineno}: {exc}") from exc
         else:
             if line not in model.points:

@@ -60,6 +60,12 @@ def rational_pair(value) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+def ratio_text(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for ints p >= 0 and q > 0, from one gcd."""
+    g = gcd(p, q)
+    return f"{p // g}/{q // g}" if g != q else str(p // g)
+
+
 def _fraction(value) -> Fraction:
     """``rational_pair``'s reading of any value but an ASCII 'p/q' string."""
     if isinstance(value, Fraction):
@@ -94,16 +100,15 @@ def as_fraction(value) -> Fraction:
 class DistanceRanks(NamedTuple):
     """Exact integer stand-in for a finite metric.
 
-    ``levels`` holds the distinct pairwise distances in ascending order;
-    ``rank[u][j]`` is the index in ``levels`` of d(u, names[j]), with
-    ``names`` the sorted point names and ``index`` their positions.  Since
-    the levels are strictly ascending, for every rational delta
-    d(u, v) <= delta holds iff the rank of (u, v) is at most ``cut(delta)``.
-    ``scaled`` holds the levels times ``scale``, the lcm of their
-    denominators, as ints.
+    ``scaled`` holds the distinct pairwise distances times ``scale``, the
+    lcm of their denominators, as strictly ascending ints: rank r stands for
+    the level ``scaled[r] / scale``, built as a Fraction only by ``level``.
+    ``rank[u][j]`` is the rank of d(u, names[j]), with ``names`` the sorted
+    point names and ``index`` their positions.  Since the levels strictly
+    ascend, for every rational delta d(u, v) <= delta holds iff the rank of
+    (u, v) is at most ``cut(delta)``.
     """
 
-    levels: tuple[Fraction, ...]
     names: tuple[str, ...]
     index: Mapping[str, int]
     rank: Mapping[str, tuple[int, ...]]
@@ -118,6 +123,10 @@ class DistanceRanks(NamedTuple):
         comparison.
         """
         return bisect_right(self.scaled, delta.numerator * self.scale // delta.denominator) - 1
+
+    def level(self, r: int) -> Fraction:
+        """The distance of rank r, a new Fraction: read for a written value."""
+        return Fraction(self.scaled[r], self.scale)
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,7 @@ class FiniteSystem:
 
     def distance(self, u: str, v: str) -> Fraction:
         ranks = self.ranks
-        return ranks.levels[ranks.rank[u][ranks.index[v]]]
+        return ranks.level(ranks.rank[u][ranks.index[v]])
 
     def apply(self, u: str) -> str:
         return self.map[u]
@@ -151,13 +160,11 @@ class FiniteSystem:
         """
         points, rows = self.points, self.rows
         order = sorted(range(len(points)), key=points.__getitem__)
-        names = tuple(points[i] for i in order)
-        scaled = sorted({x for row in rows for x in row})
-        level_of = {x: r for r, x in enumerate(scaled)}
-        levels = tuple(Fraction(x, self.scale) for x in scaled)
-        rank = {points[i]: tuple(level_of[rows[i][k]] for k in order) for i in order}
-        return DistanceRanks(levels, names, {v: j for j, v in enumerate(names)}, rank,
-                             self.scale, tuple(scaled))
+        names = tuple(map(points.__getitem__, order))
+        scaled = tuple(sorted(set(chain.from_iterable(rows))))
+        level_of = dict(zip(scaled, range(len(scaled)))).__getitem__
+        rank = {points[i]: tuple(map(level_of, map(rows[i].__getitem__, order))) for i in order}
+        return DistanceRanks(names, dict(zip(names, range(len(names)))), rank, self.scale, scaled)
 
     @cached_property
     def orbit_floor(self) -> Mapping[str, tuple[int, ...]]:

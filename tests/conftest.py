@@ -6,9 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from chainscope import (SftGraph, SftPoint, check_condition3, construct_witness, finite_system,
-                        load_corpus)
+from chainscope import (GridMapSpec, SftGraph, SftPoint, check_condition3, construct_witness,
+                        discretize, finite_system, load_corpus)
 from chainscope.chaos import _first_distal
 from chainscope.sft import shift_by, vertex_classes
 from chainscope.specio import dump_system
@@ -68,6 +69,24 @@ def random_system(rng: random.Random, max_points: int = 12, min_points: int = 2)
                     d[(u, v)] = via
     metric = {(u, v): d[(u, v)] for i, u in enumerate(pts) for v in pts[i + 1:]}
     return finite_system(pts, mapping, metric)
+
+
+@st.composite
+def finite_models(draw, max_points: int = 9):
+    """A ``random_system`` or a grid: a tent, rotation or piecewise-linear
+    map discretized on 2 to 12 cells."""
+    kind = draw(st.sampled_from(["random", "tent", "rotation", "piecewise-linear"]))
+    if kind == "random":
+        return random_system(random.Random(draw(st.integers(0, 2**32))), max_points)
+    cells = draw(st.integers(2, 12))
+    if kind == "tent":
+        return discretize(GridMapSpec("tent", cells, slope=Fraction(draw(st.integers(1, 8)), 4)))
+    if kind == "rotation":
+        alpha = Fraction(draw(st.integers(0, 11)), 12)
+        return discretize(GridMapSpec("rotation", cells, "circle", alpha=alpha))
+    ys = draw(st.lists(st.integers(0, 6), min_size=3, max_size=3))
+    return discretize(GridMapSpec("piecewise-linear", cells, breakpoints=tuple(
+        (Fraction(i, 2), Fraction(y, 6)) for i, y in enumerate(ys))))
 
 
 def random_digraph(rng: random.Random, max_nodes: int = 12):

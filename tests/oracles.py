@@ -197,6 +197,49 @@ def fraction_table(sys):
             for u, row in zip(sys.points, sys.rows) for v, x in zip(sys.points, row)}
 
 
+def fraction_levels(sys):
+    """The distinct pairwise distances of a finite system as ascending
+    Fractions, every one built eagerly from the validated scaled rows:
+    ``fraction_levels(sys)[r]`` is the distance of rank r."""
+    return tuple(Fraction(x, sys.scale) for x in sorted({x for row in sys.rows for x in row}))
+
+
+def fraction_pseudo_orbit(sys, states, delta):
+    """(errors, suffix maxima) of a finite delta-pseudo-orbit on the Fraction
+    path: each step error read from ``fraction_table`` and compared with
+    delta as a Fraction, ``StepViolation(i, e)`` raised at the first step
+    that exceeds it, and each suffix maximum a Fraction max, 0 at the end."""
+    from chainscope.errors import StepViolation
+
+    table = fraction_table(sys)
+    errors = []
+    for i, (x, y) in enumerate(zip(states, states[1:])):
+        e = table[(sys.apply(x), y)]
+        if e > delta:
+            raise StepViolation(i, e)
+        errors.append(e)
+    return tuple(errors), [max(errors[i:], default=Fraction(0)) for i in range(len(errors) + 1)]
+
+
+def fraction_shadow(sys, states, epsilon):
+    """``find_shadowing_point`` on the Fraction path: the least z by name
+    whose orbit keeps every Fraction distance to the states at most
+    epsilon, stopping a candidate at its first larger one, as (z, max
+    error, suffix maxima of its errors); (None, None, ()) when none does."""
+    table = fraction_table(sys)
+    for z in sorted(sys.points):
+        u, track = z, []
+        for s in states:
+            d = table[(u, s)]
+            if d > epsilon:
+                break
+            track.append(d)
+            u = sys.apply(u)
+        else:
+            return z, max(track), tuple(max(track[i:]) for i in range(len(track)))
+    return None, None, ()
+
+
 def fraction_scaled_rows(points, metric, default=None):
     """(scale, rows) of a finite-system load on the Fraction path: each
     distance read by ``as_fraction`` (checked against ``Fraction(str)`` on

@@ -555,6 +555,53 @@ def test_shadow_rejects_a_negative_depth(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("line, message", [
+    ("1|", "cycle must be nonempty"),  # an InvalidPoint from the point's canonical form
+    ("1|x", "bad"),  # a SpecError from the parser
+])
+def test_a_bad_orbit_state_names_its_file_and_line(line, message, tmp_path, capsys):
+    orbit = tmp_path / "orbit.txt"
+    orbit.write_text(f"|0 1\n# a comment\n{line}\n|0 1\n")
+    code, out, err = run_cli(["shadow", "corpus:full2", "--orbit", str(orbit),
+                              "--depth", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {orbit}:3: ") and message in err
+
+
+def test_chains_and_shadow_build_few_fractions_on_a_64_point_line(tmp_path, monkeypatch):
+    # a distance stays an int rank until it is written: each command builds
+    # a Fraction per value it writes, not one per distinct distance (2,017
+    # on this system, and over 2,000 per command when they were eager)
+    import random
+
+    sys = line_system(64, 11, cycles=(1, 3))
+    spec, orbit = tmp_path / "line64.json", tmp_path / "orbit.txt"
+    save_system(sys, spec)
+    crit = critical_deltas(sys)
+    delta, step = crit[len(crit) // 4], crit[len(crit) // 50]
+    rng = random.Random(11)
+    states = [sys.points[0]]
+    for _ in range(199):  # true steps, some replaced by a jump of at most ``step``
+        states.append(rng.choice([v for v in sys.points
+                                  if sys.distance(sys.apply(states[-1]), v) <= step]))
+    orbit.write_text("\n".join(states) + "\n")
+    counts = {}
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        counts[command] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for command, extra in (("chains", ["--delta", str(delta)]),
+                           ("shadow", ["--orbit", str(orbit), "--delta", str(step),
+                                       "--epsilon", str(delta)])):
+        counts[command] = 0
+        assert main([command, str(spec), *extra, "--out", str(tmp_path / "out.json")]) == 0
+    monkeypatch.undo()
+    assert counts["chains"] <= 64 and counts["shadow"] <= 64, counts
+
+
 @pytest.mark.parametrize("argv, message", [
     (["furstenberg", "--set-file", "w.rle", "--m-max", "0"], "m_max"),
     (["furstenberg", "--set-file", "w.rle", "--run-req", "0"], "run_req"),

@@ -14,8 +14,9 @@ from chainscope.errors import (ClassMismatch, InvalidPoint, NotIrreducible, Prec
 from chainscope.sft import SftGraph, shift_by
 from chainscope.shadowing import ShadowResult, default_schedule
 
-from conftest import random_point, random_pseudo_orbit, random_system
-from oracles import fraction_table, shadow_bruteforce
+from conftest import finite_models, random_point, random_pseudo_orbit, random_system
+from oracles import (fraction_levels, fraction_pseudo_orbit, fraction_shadow, fraction_table,
+                     shadow_bruteforce)
 
 
 def test_validate_true_orbit_is_zero_error(sys3):
@@ -375,3 +376,26 @@ def test_shift_limit_check_compares_no_step_error(full2, monkeypatch):
     fresh = PseudoOrbit(po.states, po.errors)  # no depths: the Fraction path
     assert verdict == validate_limit_pseudo_orbit(fresh, Fraction(1, 8), schedule)
     assert po.suffix_max[0] == max(po.errors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_models(), st.data())
+def test_finite_shadow_on_ranks_matches_the_fraction_path(sys, data):
+    # steps, violations, suffix maxima and shadows decided on int ranks equal
+    # those of the Fraction comparisons, at levels and between them
+    levels = fraction_levels(sys)
+    values = [*levels, *((a + b) / 2 for a, b in zip(levels, levels[1:])), levels[-1] + 1]
+    states = data.draw(st.lists(st.sampled_from(sys.points), min_size=2, max_size=12))
+    delta, epsilon = data.draw(st.sampled_from(values)), data.draw(st.sampled_from(values))
+    try:
+        errors, suffix = fraction_pseudo_orbit(sys, states, delta)
+    except StepViolation as want:
+        with pytest.raises(StepViolation) as exc:
+            validate_pseudo_orbit(sys, states, delta)
+        assert (exc.value.index, exc.value.error) == (want.index, want.error)
+        return
+    po = validate_pseudo_orbit(sys, states, delta)
+    assert po.errors == errors and po.suffix_max == suffix
+    assert po.suffix_max == PseudoOrbit(po.states, po.errors).suffix_max
+    res = find_shadowing_point(sys, po, epsilon)
+    assert (res.point, res.epsilon, res.tail_profile) == fraction_shadow(sys, states, epsilon)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from chainscope import GridMapSpec, compile_finite, discretize, systems
 from chainscope.errors import MetricViolation, PartialMap, SpecError
-from chainscope.specio import system_from_desc
+from chainscope.chains import critical_deltas
+from chainscope.specio import dump_system, system_from_desc
 from chainscope.systems import MAX_EXPONENT, MAX_SCALED_TABLE_BITS, as_fraction, finite_system
 
-from conftest import random_system
-from oracles import fraction_scaled_rows, metric_violation
+from conftest import finite_models, random_system
+from oracles import fraction_levels, fraction_scaled_rows, fraction_table, metric_violation
 
 
 def test_compile_sys3_description():
@@ -389,7 +390,7 @@ def test_validate_metric_refuses_an_oversized_scale():
 
 def test_ranks_sort_and_key_scaled_ints(monkeypatch):
     # 24 points at distinct multiples of 1/997 on a line: the distance ranks
-    # compare and hash no Fraction, yet keep the Fraction levels
+    # compare and hash no Fraction, yet rank the Fraction levels
     import random
 
     rng = random.Random(24)
@@ -414,10 +415,10 @@ def test_ranks_sort_and_key_scaled_ints(monkeypatch):
     ranks = sys.ranks
     assert counts == {"compare": 0, "hash": 0}
     monkeypatch.undo()
-    assert ranks.levels == tuple(sorted(set(metric.values())))
+    levels = fraction_levels(sys)
+    assert levels == tuple(sorted(set(metric.values())))
     for u in names:
-        assert [ranks.levels[r] for r in ranks.rank[u]] == [metric[(u, v)]
-                                                           for v in ranks.names]
+        assert [levels[r] for r in ranks.rank[u]] == [metric[(u, v)] for v in ranks.names]
         assert [sys.distance(u, v) for v in names] == [metric[(u, v)] for v in names]
 
 
@@ -446,7 +447,7 @@ def test_a_load_parses_each_literal_once_and_scales_once(monkeypatch):
     assert counts["rational_pair"] == len(entries) == 15
     scaled = counts["lcm"]
     assert scaled > 0
-    assert sys.ranks.levels[0] == 0 and sys.distance("p0", "p1") == 1
+    assert fraction_levels(sys)[0] == 0 and sys.distance("p0", "p1") == 1
     assert counts["lcm"] == scaled
 
 
@@ -460,7 +461,7 @@ def test_cut_bisects_scaled_ints_like_the_fraction_levels(monkeypatch):
     rng = random.Random(5)
     for sys in [random_system(rng, max_points=9) for _ in range(20)]:
         ranks = sys.ranks
-        levels = ranks.levels
+        levels = fraction_levels(sys)
         probes = [*levels, *((a + b) / 2 for a, b in zip(levels, levels[1:])),
                   levels[-1] + Fraction(1, 7), Fraction(-1, 3), Fraction(0), 2]
         counts = {"compare": 0}
@@ -475,3 +476,21 @@ def test_cut_bisects_scaled_ints_like_the_fraction_levels(monkeypatch):
         monkeypatch.undo()
         assert counts["compare"] == 0
         assert cuts == [bisect_right(levels, d) - 1 for d in probes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_models())
+def test_written_levels_match_the_fraction_levels(sys):
+    # the one level reader, every metric literal of a dump and the critical
+    # ladder equal the eager Fraction levels they once were read from
+    levels = fraction_levels(sys)
+    ranks = sys.ranks
+    assert len(ranks.scaled) == len(levels)
+    assert [ranks.level(r) for r in range(len(levels))] == list(levels)
+    table = fraction_table(sys)
+    pts = sys.points
+    assert dump_system(sys)["metric"] == [[u, v, str(table[(u, v)])]
+                                          for i, u in enumerate(pts) for v in pts[i + 1:]]
+    steps = {ranks.rank[sys.apply(u)][ranks.index[v]] for u in pts for v in pts}
+    assert critical_deltas(sys) == [levels[r] for r in sorted(steps)]
+    assert critical_deltas(sys) == sorted({table[(sys.apply(u), v)] for u in pts for v in pts})
