@@ -30,7 +30,8 @@ each edge of a cycle is old or added inside one old SCC; either way it
 joins nodes that were mutually reachable before, and the whole cycle lies
 in one old SCC.  The test runs once all of a step's edges are in, as two
 added edges can close a cycle together.  When the partition stays, the
-condensation gains exactly the added cross edges.  A new self-loop changes
+step keeps the old SCCs, and its condensation is built from the new rows
+only where it is read (``ChainDigraph.cond_succ``).  A new self-loop changes
 whether a singleton SCC is recurrent, which ``chain_components`` reads from
 ``succ``, but not the partition.
 """
@@ -40,6 +41,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -52,8 +54,7 @@ from .systems import FiniteSystem
 class ChainDigraph:
     """Step digraph of a system at one resolution, with its SCC structure.
 
-    ``sccs`` is ordered deterministically (by smallest member node);
-    ``cond_succ[i]`` lists condensation successors of the i-th SCC.
+    ``sccs`` is ordered deterministically (by smallest member node).
     ``cut`` is ``system.ranks.cut(delta)``, the rank bound of the edges.
     """
 
@@ -62,26 +63,31 @@ class ChainDigraph:
     succ: Mapping[str, tuple[str, ...]]
     sccs: tuple[tuple[str, ...], ...]
     scc_of: Mapping[str, int]
-    cond_succ: tuple[tuple[int, ...], ...]
     cut: int
+
+    @cached_property
+    def cond_succ(self) -> tuple[tuple[int, ...], ...]:
+        """``cond_succ[i]`` lists the condensation successors of the i-th SCC."""
+        scc_of = self.scc_of
+        cond: list[set[int]] = [set() for _ in self.sccs]
+        for u, succs in self.succ.items():
+            cond[scc_of[u]].update(map(scc_of.__getitem__, succs))
+        for i, s in enumerate(cond):
+            s.discard(i)
+        return tuple(tuple(sorted(s)) for s in cond)
 
 
 def _finalize(system: FiniteSystem, delta: Fraction, cut: int,
               succ: dict[str, tuple[str, ...]]) -> ChainDigraph:
     comps = sorted(strongly_connected_components(succ), key=lambda c: c[0])
     scc_of = {u: i for i, comp in enumerate(comps) for u in comp}
-    cond: list[set[int]] = [set() for _ in comps]
-    for u, succs in succ.items():
-        cond[scc_of[u]].update(map(scc_of.__getitem__, succs))
-    for i, s in enumerate(cond):
-        s.discard(i)
-    return ChainDigraph(system, delta, succ, tuple(comps), scc_of,
-                        tuple(tuple(sorted(s)) for s in cond), cut)
+    return ChainDigraph(system, delta, succ, tuple(comps), scc_of, cut)
 
 
 def _resolution(sys: FiniteSystem, delta) -> tuple[Fraction, int]:
     """(delta as a Fraction, its cut), refusing a negative delta."""
-    delta = Fraction(delta)
+    if type(delta) is not Fraction:
+        delta = Fraction(delta)
     if delta < 0:
         raise SpecError("delta must be nonnegative")
     return delta, sys.ranks.cut(delta)
@@ -157,21 +163,15 @@ def ladder_digraphs(sys: FiniteSystem, deltas: Iterable) -> Iterator[ChainDigrap
             for u in preimages[image]:
                 succ[u] = row
         scc_of = dg.scc_of
-        cross = [(u, v) for u, v in added if scc_of[u] != scc_of[v]]
         # the tails of the added cross edges into each head v
         tails: dict[str, int] = {}
-        for u, v in cross:
-            tails[v] = tails.get(v, 0) | 1 << index[u]
+        for u, v in added:
+            if scc_of[u] != scc_of[v]:
+                tails[v] = tails.get(v, 0) | 1 << index[u]
         if any(_reach(masks, index[v]) & us for v, us in tails.items()):
             dg = _finalize(sys, delta, cut, succ)
         else:
-            cond = list(dg.cond_succ)
-            grew: dict[int, set[int]] = {}
-            for u, v in cross:
-                grew.setdefault(scc_of[u], set(cond[scc_of[u]])).add(scc_of[v])
-            for i, s in grew.items():
-                cond[i] = tuple(sorted(s))
-            dg = ChainDigraph(sys, delta, succ, dg.sccs, scc_of, tuple(cond), cut)
+            dg = ChainDigraph(sys, delta, succ, dg.sccs, scc_of, cut)
         yield dg
 
 
@@ -220,19 +220,23 @@ def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:
     transient nodes receive strictly-larger non-integer values built from
     dyadic increments 1/2, 3/4, 7/8, ...  Integer versus non-integer values
     keep the image of the recurrent set separated from the transient values.
+    The values are int numerators over one = 2^(number of SCCs), as no
+    increment has a larger denominator; a Fraction is built once per SCC.
     """
     n_comp = len(dg.sccs)
+    cond_succ = dg.cond_succ
     # reverse topological order over the condensation: repeatedly emit a
     # node all of whose successors were emitted, smallest member id first
-    pending_succ = [set(s) for s in dg.cond_succ]
+    pending_succ = [set(s) for s in cond_succ]
     users: list[list[int]] = [[] for _ in range(n_comp)]
-    for i, succs in enumerate(dg.cond_succ):
+    for i, succs in enumerate(cond_succ):
         for j in succs:
             users[j].append(i)
     ready = [(comp[0], i) for i, comp in enumerate(dg.sccs) if not pending_succ[i]]
     heapq.heapify(ready)
+    one = 1 << n_comp
+    num = [0] * n_comp  # the value numerator of each SCC
     value: dict[str, Fraction] = {}
-    comp_value: dict[int, Fraction] = {}
     next_int = 0
     transient_rank = 0
     emitted = 0
@@ -240,16 +244,15 @@ def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:
         _, i = heapq.heappop(ready)
         comp = dg.sccs[i]
         if _is_recurrent_scc(dg, comp):
-            val = Fraction(next_int)
+            num[i] = next_int * one
             next_int += 1
         else:
-            node = comp[0]
             # map(u) is always a successor for metric-built digraphs, which
             # is what makes the strict descent along the map hold
-            below = max((value[v] for v in dg.succ[node]), default=Fraction(0))
+            below = max((num[dg.scc_of[v]] for v in dg.succ[comp[0]]), default=0)
             transient_rank += 1
-            val = below + 1 - Fraction(1, 2**transient_rank)
-        comp_value[i] = val
+            num[i] = below + one - (one >> transient_rank)
+        val = Fraction(num[i], one)
         for u in comp:
             value[u] = val
         emitted += 1

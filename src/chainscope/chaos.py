@@ -28,8 +28,9 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import BudgetExceeded, InvariantViolation, NotIrreducible, SpecError
 from .families import (MAX_WINDOW, FamilyVerdict, TimeSetWindow, WindowParams,
                        window_family_member)
-from .sft import (SftGraph, SftPoint, connecting_paths, dyadic_depth, graph_period,
-                  is_irreducible, sft_entropy, validate_point, vertex_classes)
+from .sft import (SftGraph, SftPoint, connecting_paths, dyadic, dyadic_depth,
+                  graph_period, is_irreducible, sft_entropy, validate_point,
+                  vertex_classes)
 from .systems import FiniteSystem
 
 if TYPE_CHECKING:
@@ -71,7 +72,7 @@ class DepthScale(NamedTuple):
         return -1 if k is None else max(0, self.bound - k)
 
     def level(self, key: int) -> Fraction:
-        return Fraction(1, 2 ** (self.bound - key)) if key else Fraction(0)
+        return dyadic(self.bound - key if key else None)
 
 
 def distance_scale(points) -> DepthScale:
@@ -327,7 +328,7 @@ def _points_from_cycle(g: SftGraph, cycle, n: int, t: int) -> tuple[SftPoint, ..
     for p in pts:
         validate_point(g, p)
     scale, mins, _ = _key_extremes(g, pts, len(cycle))
-    if min(mins) <= scale.cut_under(Fraction(1, 2**t)):  # pragma: no cover - construction invariant
+    if min(mins) <= scale.cut_under(dyadic(t)):  # pragma: no cover - construction invariant
         raise InvariantViolation("distal cycle lost its separation floor")
     return tuple(sorted(pts, key=lambda p: (p.head, p.cycle)))
 
@@ -380,7 +381,7 @@ def sft_delta_n(g: SftGraph, n: int) -> tuple[Fraction, bool]:
             ell += 1
         if len(words) >= n:
             any_card = True
-            term = Fraction(1, 2 ** (ell - 1))
+            term = dyadic(ell - 1)
         else:
             term = Fraction(0)
         worst = term if worst is None else min(worst, term)
@@ -415,7 +416,7 @@ def check_condition3(g: SftGraph, points, delta_n, level: str, horizon: int,
         raise SpecError(f"unknown level {level!r}")
     _check_eps_depth(eps_depth)
     delta_n = Fraction(delta_n)
-    ladder = tuple(Fraction(1, 2**k) for k in range(1, eps_depth + 1))
+    ladder = tuple(map(dyadic, range(1, eps_depth + 1)))
     stats = tuple_stats(g, points, [delta_n], ladder, horizon)
     s_v = window_family_member(stats.s_sets[delta_n], LEVEL_S_FAMILY[level], params)
     t_vs = tuple((eps, window_family_member(stats.t_sets[eps], "INFINITE", params))
@@ -505,7 +506,7 @@ def construct_witness(g: SftGraph, n: int, level: str, horizon: int, *,
         if distal is None:
             raise BudgetExceeded(f"no distal {n}-tuple found up to window {T_CAP + 1}")
     distal, t = distal
-    delta_n = Fraction(1, 2 ** (t + 1))
+    delta_n = dyadic(t + 1)
     if prefixes is not None:
         if len(prefixes) != n or len({len(p) for p in prefixes}) != 1:
             raise SpecError("prefixes must give one equal-length word per coordinate")
@@ -678,7 +679,7 @@ def classify_sft(g: SftGraph, n_max: int,
             budget_hit = True
         if found is not None:
             witness, t = found
-            delta_n = Fraction(1, 2 ** (t + 1))
+            delta_n = dyadic(t + 1)
         delta_val, card_ok = sft_delta_n(g, n)
         tier = _tier_of(witness is not None, delta_val, card_ok)
         cond3 = None

@@ -27,7 +27,7 @@ from .report import (AnalysisConfig, basin_section, chain_section, chaos_section
                      cmd_analyze, condensation_dot, cyclic_section, polyline_svg,
                      reject_shift_delta, report_to_json, resolve_model, verdict_dict,
                      write_csv, write_text)
-from .sft import SftGraph
+from .sft import SftGraph, dyadic, dyadic_depth
 from .shadowing import (default_schedule, find_shadowing_point, sft_shadow,
                         validate_limit_pseudo_orbit, validate_pseudo_orbit)
 from .specio import load_pseudo_orbit, read_input
@@ -134,21 +134,18 @@ def _cmd_classify(args) -> int:
     model = resolve_model(args.spec)
     params = ClassifyParams(horizon=args.horizon, eps_depth=args.eps_depth,
                             with_witness=not args.no_witness, budget=_budget(args.budget))
-    sections = []
     if isinstance(model, SftGraph):
         reject_shift_delta(args.delta)
         classified = classify_sft(model, args.n_max, params)
-        section, _ = chaos_section(classified)
-        sections.append(section)
+        sections = [chaos_section(classified)]
         if args.emit_csv or args.emit_svg:
             _emit_witness_traces(model, classified, args)
     else:
         if args.emit_csv or args.emit_svg:
             raise ValidationError("--emit-csv and --emit-svg apply only to vertex shifts")
         dg, sweep = _one_step(model, args.delta)
-        for dec in sweep.decompositions(dg.delta):
-            section, _ = chaos_section(classify_finite_component(dec, args.n_max, params))
-            sections.append(section)
+        sections = [chaos_section(classify_finite_component(dec, args.n_max, params))
+                    for dec in sweep.decompositions(dg.delta)]
     _print_json({"chaos": sections}, args.out)
     return 0
 
@@ -166,7 +163,7 @@ def _emit_witness_traces(model: SftGraph, classified: ComponentChaosReport, args
         raise ValidationError(f"--emit-csv and --emit-svg trace a DC1 witness pair, but this "
                               f"shift has no distal 2-tuple (level {classified.level})")
     # the tier's delta_n is 2^-(t + 1) for the window t its tuple was found at
-    t = pairs.distal_delta.denominator.bit_length() - 2
+    t = dyadic_depth(pairs.distal_delta) - 1
     built = construct_witness(model, 2, "DC1", args.horizon, distal=(pairs.distal_witness, t))
     mins, maxs = profile_extremes(model, built.points, args.horizon)
     if args.emit_csv:
@@ -229,7 +226,7 @@ def _cmd_shadow(args) -> int:
     states = load_pseudo_orbit(args.orbit, model)
     if depth < 1:
         raise ValidationError("agreement depth must be at least 1")
-    delta = as_fraction(args.delta) if args.delta is not None else Fraction(1, 2**depth)
+    delta = as_fraction(args.delta) if args.delta is not None else dyadic(depth)
     po = validate_pseudo_orbit(model, states, delta)
     limit = validate_limit_pseudo_orbit(po, delta, default_schedule(delta))
     if isinstance(model, SftGraph):

@@ -202,22 +202,11 @@ def basin_section(ba: BasinAssignment) -> dict:
 def verdict_dict(v) -> dict:
     """JSON form of one family verdict."""
     return {"family": v.family, "member": v.member, "mode": v.mode,
-            "certificate": _jsonable(v.certificate)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+            "certificate": v.certificate}
 
 
 def chaos_section(report) -> dict:
     per_n = []
-    appendix = []
     for tr in report.per_n:
         entry = {
             "n": tr.n,
@@ -239,8 +228,6 @@ def chaos_section(report) -> dict:
                 "proximity": [[_frac(e), verdict_dict(v)]
                               for e, v in tr.condition3.t_verdicts],
             }
-            appendix.append(verdict_dict(tr.condition3.s_verdict))
-            appendix.extend(verdict_dict(v) for _, v in tr.condition3.t_verdicts)
         per_n.append(entry)
     return {
         "component": report.component_id,
@@ -249,7 +236,7 @@ def chaos_section(report) -> dict:
         "entropy": report.entropy,
         "audit_flags": list(report.audit_flags),
         "per_n": per_n,
-    }, appendix
+    }
 
 
 def cmd_analyze(config: AnalysisConfig, model=None, draw=None) -> dict:
@@ -268,7 +255,6 @@ def cmd_analyze(config: AnalysisConfig, model=None, draw=None) -> dict:
         "provenance": {"tool": "chainscope", "version": __version__,
                        "config": config.echo(kind)},
     }
-    appendix: list = []
     if kind == "sft":
         reject_shift_delta(config.delta)
         # a ladder or a top_k needs its own policy, so this refuses all three
@@ -276,13 +262,11 @@ def cmd_analyze(config: AnalysisConfig, model=None, draw=None) -> dict:
             raise SpecError(f"ladder policy {config.ladder_policy} given, but a vertex "
                             "shift has no resolution ladder")
         # classified first: a reducible graph is refused there, before its period
-        chaos, extra = chaos_section(classify_sft(model, config.n_max,
-                                                  config.classify_params()))
+        chaos = chaos_section(classify_sft(model, config.n_max, config.classify_params()))
         report["system"] = {"kind": "sft", "spec": dump_system(model),
                             "vertices": model.vertex_count, "period": graph_period(model),
                             "vertex_classes": list(vertex_classes(model))}
         report["chaos"] = [chaos]
-        appendix.extend(extra)
     else:
         report["system"] = {"kind": "finite", "spec": dump_system(model),
                             "points": len(model.points)}
@@ -324,13 +308,15 @@ def cmd_analyze(config: AnalysisConfig, model=None, draw=None) -> dict:
                 "classes": [list(c) for c in pp.classes],
                 "split_at": _frac(pp.split_at) if pp.split_at is not None else None,
             })
-        report["chaos"] = []
-        for dec in decomps:
-            chaos, extra = chaos_section(
-                classify_finite_component(dec, config.n_max, config.classify_params()))
-            report["chaos"].append(chaos)
-            appendix.extend(extra)
-    report["furstenberg_appendix"] = appendix
+        params = config.classify_params()
+        report["chaos"] = [chaos_section(classify_finite_component(dec, config.n_max, params))
+                           for dec in decomps]
+    # the appendix repeats the family verdicts of every condition-3 entry written
+    appendix = report["furstenberg_appendix"] = []
+    for entry in (e for chaos in report["chaos"] for e in chaos["per_n"]):
+        if "condition3" in entry:
+            appendix.append(entry["condition3"]["separation"])
+            appendix.extend(v for _, v in entry["condition3"]["proximity"])
     return report
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress, cycle, repeat
 from operator import add, ne, truediv
 from typing import Iterator
@@ -30,14 +30,13 @@ ENTROPY_TOL = 1e-9  # width of the log-radius bracket that stops the iteration
 class SftGraph:
     """Symbol graph of a vertex shift: square 0/1 adjacency matrix.
 
-    The successor rows and the hash are computed once, at construction: the
-    graph is a key of every per-graph cache, and hashing the adjacency anew
-    on each lookup costs as much as the lookup saves.
+    The successor rows are computed at construction.  The graph's structure
+    (strong blocks, cyclic classes, predecessor rows) is computed on first
+    read and kept on the graph, as cached properties.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
     _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.adjacency)
@@ -52,16 +51,6 @@ class SftGraph:
                 raise SpecError(f"vertex {v} has no incoming edge")
         object.__setattr__(self, "_rows", tuple(
             tuple(w for w, bit in enumerate(row) if bit) for row in self.adjacency))
-        object.__setattr__(self, "_hash", hash(self.adjacency))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        # the rows determine the adjacency, and are far shorter to compare
-        if not isinstance(other, SftGraph):
-            return NotImplemented
-        return self._rows == other._rows
 
     @property
     def vertex_count(self) -> int:
@@ -72,6 +61,29 @@ class SftGraph:
 
     def successors(self, v: int) -> tuple[int, ...]:
         return self._rows[v]
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The strongly connected blocks, sinks first."""
+        return tuple(strongly_connected_components(dict(enumerate(self._rows))))
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], int]:
+        """Cyclic class of each vertex and the period of an irreducible graph:
+        one ``graph.classes`` search from vertex 0."""
+        if len(self.blocks) != 1:
+            raise SpecError("graph period is defined for irreducible graphs")
+        labels, m = classes(dict(enumerate(self._rows)), 0)
+        return tuple(map(labels.__getitem__, range(self.vertex_count))), m
+
+    @cached_property
+    def preds(self) -> tuple[tuple[int, ...], ...]:
+        """Predecessors of each vertex, in ascending order."""
+        preds: list[list[int]] = [[] for _ in self._rows]
+        for u, row in enumerate(self._rows):
+            for v in row:
+                preds[v].append(u)
+        return tuple(map(tuple, preds))
 
 
 def full_shift(symbols: int) -> SftGraph:
@@ -202,62 +214,39 @@ def dyadic_depth(r: Fraction, strict: bool = False) -> int | None:
     return (q // p).bit_length() if strict else (-(-q // p) - 1).bit_length()
 
 
+@lru_cache(maxsize=1024)
+def dyadic(k: int | None) -> Fraction:
+    """The distance 2^(-k) of depth k, 0 for None; built once per depth."""
+    return Fraction(0) if k is None else Fraction(1, 2**k)
+
+
 def sft_distance(g: SftGraph, x: SftPoint, y: SftPoint) -> Fraction:
     """Exact 2^(-first difference) metric; 0 for equal points."""
     validate_point(g, x)
     validate_point(g, y)
-    k = first_difference(x, y)
-    if k is None:
-        return Fraction(0)
-    return Fraction(1, 2**k)
+    return dyadic(first_difference(x, y))
 
 
 # -- graph structure -----------------------------------------------------------
 
-def _succ(g: SftGraph) -> dict[int, tuple[int, ...]]:
-    return {v: g.successors(v) for v in range(g.vertex_count)}
-
-
-@lru_cache(maxsize=None)
-def _graph_sccs(g: SftGraph) -> tuple[tuple[int, ...], ...]:
-    return tuple(strongly_connected_components(_succ(g)))
-
-
 def is_irreducible(g: SftGraph) -> bool:
-    return len(_graph_sccs(g)) == 1
-
-
-@lru_cache(maxsize=None)
-def _classes(g: SftGraph) -> tuple[tuple[int, ...], int]:
-    """Cyclic class of each vertex and the period of an irreducible graph:
-    one ``graph.classes`` search from vertex 0 per graph."""
-    if not is_irreducible(g):
-        raise SpecError("graph period is defined for irreducible graphs")
-    labels, m = classes(_succ(g), 0)
-    return tuple(map(labels.__getitem__, range(g.vertex_count))), m
+    return len(g.blocks) == 1
 
 
 def graph_period(g: SftGraph) -> int:
     """gcd of the cycle lengths of an irreducible graph."""
-    return _classes(g)[1]
+    return g.classes[1]
 
 
 def vertex_classes(g: SftGraph) -> tuple[int, ...]:
     """Cyclic class (BFS level mod period) of each vertex."""
-    return _classes(g)[0]
+    return g.classes[0]
 
 
 def path_length_cap(g: SftGraph) -> int:
     """Safe search cap: beyond it, every class-compatible length is realizable."""
     n = g.vertex_count
     return graph_period(g) * ((n - 1) * (n - 1) + 2) + n + 2
-
-
-@lru_cache(maxsize=None)
-def _preds(g: SftGraph) -> tuple[tuple[int, ...], ...]:
-    """Predecessors of each vertex, in ascending order."""
-    return tuple(tuple(u for u in range(g.vertex_count) if g.is_edge(u, v))
-                 for v in range(g.vertex_count))
 
 
 def _walk(g: SftGraph, a: int, layers: list[set[int]], length: int) -> list[int]:
@@ -277,7 +266,7 @@ def _back_layer(preds, layer: set[int]) -> set[int]:
 
 def find_exact_path(g: SftGraph, a: int, b: int, length: int) -> list[int] | None:
     """Lexicographically smallest path from a to b with exactly ``length`` edges."""
-    preds = _preds(g)
+    preds = g.preds
     layers = [{b}]
     for _ in range(length):
         layers.append(_back_layer(preds, layers[-1]))
@@ -294,7 +283,7 @@ def connecting_paths(g: SftGraph, currents, targets) -> list[list[int]]:
     share one class offset (target class - current class, mod the period);
     otherwise SpecError is raised.
     """
-    preds = _preds(g)
+    preds = g.preds
     layers = {b: [{b}] for b in targets}
     for length in range(1, path_length_cap(g) + 1):
         for ls in layers.values():
@@ -385,7 +374,7 @@ def sft_entropy(g: SftGraph) -> float:
     blocks have radius exactly 1; the rest are bracketed by power iteration.
     """
     lo_all, hi_all = 1.0, 1.0  # every valid graph contains a cycle
-    for comp in _graph_sccs(g):
+    for comp in g.blocks:
         rows = _block_rows(g, list(comp))
         internal = sum(w for row in rows for _, w in row) - len(rows)
         if internal <= len(rows):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, compress
 from operator import ne
 from typing import NamedTuple, Sequence
@@ -25,9 +25,9 @@ from typing import NamedTuple, Sequence
 from .chains import build_chain_digraph, critical_deltas
 from .errors import (AdmissibilityBug, BudgetExceeded, ClassMismatch, NotIrreducible,
                      PrecisionViolation, SpecError, StepViolation)
-from .sft import (SftGraph, SftPoint, dyadic_depth, find_exact_path, first_difference,
-                  graph_period, is_irreducible, path_length_cap, sft_distance, shift_by,
-                  validate_point, vertex_classes)
+from .sft import (SftGraph, SftPoint, dyadic, dyadic_depth, find_exact_path,
+                  first_difference, graph_period, is_irreducible, path_length_cap,
+                  sft_distance, shift_by, validate_point, vertex_classes)
 from .systems import FiniteSystem
 
 
@@ -64,12 +64,6 @@ class PseudoOrbit:
         return [*map(error_of, accumulate(reversed(keys), max))][::-1] + [Fraction(0)]
 
 
-@lru_cache(maxsize=1024)
-def _dyadic(k: int | None) -> Fraction:
-    """The distance 2^(-k) of depth k, 0 for None; built once per depth."""
-    return Fraction(0) if k is None else Fraction(1, 2**k)
-
-
 def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
     """Accept xs as a delta-pseudo-orbit; reject at the first oversized step.
 
@@ -94,9 +88,9 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
             validate_point(model, y)
             k = first_difference(x, y, 1)
             if k is not None and (limit is None or k < limit):
-                raise StepViolation(i, _dyadic(k))
+                raise StepViolation(i, dyadic(k))
             ks.append(k)
-            errors.append(_dyadic(k))
+            errors.append(dyadic(k))
         depths = tuple(ks)
     elif isinstance(model, FiniteSystem):
         ranks, keys = model.ranks, []
@@ -221,11 +215,11 @@ def sft_shadow(g: SftGraph, po: PseudoOrbit, n: int) -> ShadowResult:
                                          x.symbols())), None)
         if k is not None and k < n + 1:
             raise AdmissibilityBug(
-                f"tracking bound 2^-(n+1) fails at step {i}: {_dyadic(k)}")
+                f"tracking bound 2^-(n+1) fails at step {i}: {dyadic(k)}")
         depths.append(top if k is None else k)
     # the suffix maxima of the distances are the suffix minima of the depths
     suffix = list(accumulate(reversed(depths), min))[::-1]
-    tail = tuple(_dyadic(None if k == top else k) for k in suffix)
+    tail = tuple(dyadic(None if k == top else k) for k in suffix)
     return ShadowResult(z, tail[0], tail)
 
 

@@ -204,6 +204,40 @@ def fraction_levels(sys):
     return tuple(Fraction(x, sys.scale) for x in sorted({x for row in sys.rows for x in row}))
 
 
+def fraction_lyapunov(dg):
+    """``complete_lyapunov`` on the Fraction path: the same reverse
+    topological order of the condensation, each recurrent component the next
+    int as a Fraction and each transient one the largest value below it plus
+    1 - 2^-rank, in Fraction arithmetic."""
+    import heapq
+
+    pending = [set(s) for s in dg.cond_succ]
+    users = [[] for _ in dg.sccs]
+    for i, succs in enumerate(dg.cond_succ):
+        for j in succs:
+            users[j].append(i)
+    ready = [(comp[0], i) for i, comp in enumerate(dg.sccs) if not pending[i]]
+    heapq.heapify(ready)
+    value, next_int, rank = {}, 0, 0
+    while ready:
+        _, i = heapq.heappop(ready)
+        comp = dg.sccs[i]
+        if len(comp) > 1 or comp[0] in dg.succ[comp[0]]:
+            val = Fraction(next_int)
+            next_int += 1
+        else:
+            below = max((value[v] for v in dg.succ[comp[0]]), default=Fraction(0))
+            rank += 1
+            val = below + 1 - Fraction(1, 2**rank)
+        for u in comp:
+            value[u] = val
+        for j in users[i]:
+            pending[j].discard(i)
+            if not pending[j]:
+                heapq.heappush(ready, (dg.sccs[j][0], j))
+    return value
+
+
 def fraction_pseudo_orbit(sys, states, delta):
     """(errors, suffix maxima) of a finite delta-pseudo-orbit on the Fraction
     path: each step error read from ``fraction_table`` and compared with

@@ -12,7 +12,8 @@ from chainscope.chains import ladder_digraphs
 from chainscope.report import AnalysisConfig, cmd_analyze
 
 from conftest import line_system, random_system, save_system
-from oracles import closure_components, digraph_from_edges, fraction_table, reaches
+from oracles import (closure_components, digraph_from_edges, fraction_lyapunov,
+                     fraction_table, reaches)
 from test_cyclic import _sweep_deltas, _sweep_system
 
 
@@ -298,3 +299,41 @@ def test_ladder_walk_refuses_a_descending_or_negative_resolution(sys3):
         list(ladder_digraphs(sys3, [Fraction(1), Fraction(1, 2)]))
     with pytest.raises(SpecError):
         list(ladder_digraphs(sys3, [Fraction(-1, 2), Fraction(1)]))
+
+
+def test_ladder_walk_builds_the_condensation_only_where_a_section_reads_it(tmp_path,
+                                                                           monkeypatch):
+    from chainscope import report
+
+    sys = line_system(24, 24)
+    save_system(sys, tmp_path / "line.json")
+    steps, written = [], []
+    walk, section = report.ladder_digraphs, report.chain_section
+
+    def recording_walk(model, deltas):
+        for dg in walk(model, deltas):
+            steps.append(dg)
+            yield dg
+
+    def recording_section(dg):
+        written.append(dg)
+        return section(dg)
+
+    monkeypatch.setattr(report, "ladder_digraphs", recording_walk)
+    monkeypatch.setattr(report, "chain_section", recording_section)
+    cmd_analyze(AnalysisConfig(spec=str(tmp_path / "line.json")))
+    assert 0 < len(written) < len(steps)
+    for dg in steps:
+        assert ("cond_succ" in dg.__dict__) == any(dg is w for w in written)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "line", "two_level", "two_cycle", "grid"]))
+def test_lyapunov_values_match_the_fraction_path(seed, kind):
+    sys = _sweep_system(kind, random.Random(seed))
+    for dg in ladder_digraphs(sys, _sweep_deltas(sys)):
+        lam = complete_lyapunov(dg)
+        expected = fraction_lyapunov(dg)
+        assert lam == expected
+        assert {u: str(v) for u, v in lam.items()} == {u: str(v) for u, v in expected.items()}

@@ -125,7 +125,7 @@ def test_internal_invariant_failure_exits_4(monkeypatch, capsys):
     sys3 = load_corpus("sys3")
     broken = ChainDigraph(sys3, Fraction(0),
                           {"a": ("b",), "b": ("c",), "c": ("a", "b")},
-                          (("a",), ("b", "c")), {"a": 0, "b": 1, "c": 1}, ((1,), (0,)),
+                          (("a",), ("b", "c")), {"a": 0, "b": 1, "c": 1},
                           sys3.ranks.cut(Fraction(0)))
     with pytest.raises(InternalError):
         complete_lyapunov(broken)

@@ -11,7 +11,9 @@ tracer looks it up by name.  ``ALLOWLIST`` holds the definitions that no
 command reads yet, each kept for the ROADMAP item that gives it a reader.
 
 Only ``graph.py`` calls or imports ``bfs_levels`` and ``period``: every
-other module takes classes and periods from ``graph.classes``.
+other module takes classes and periods from ``graph.classes``.  Only
+``sft.py`` calls ``Fraction(1, 2 ** k)``: every other module takes 2^-k from
+``sft.dyadic``.
 
 ``__init__.py`` is exempt (its imports are the public re-exports), and so is
 ``from __future__ import annotations``.  With postponed annotations the
@@ -97,6 +99,31 @@ def test_kernel_step_uses_are_found():
                          ids=lambda p: p.name)
 def test_only_the_graph_kernel_takes_levels_and_periods(path):
     assert kernel_step_uses(path.read_text()) == set()
+
+
+# a distance 2^-k is built by ``sft.dyadic`` alone, which keeps one
+# Fraction per depth
+def dyadic_builds(source: str) -> int:
+    """The calls ``Fraction(..., 2 ** ...)`` in ``source``, as a name or an
+    attribute (``fractions.Fraction``)."""
+    return sum(
+        1 for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction"
+        and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.Pow)
+                and isinstance(a.left, ast.Constant) and a.left.value == 2
+                for a in node.args))
+
+
+def test_dyadic_builds_are_found():
+    assert dyadic_builds("Fraction(1, 2**k)\nfractions.Fraction(1, 2 ** (t + 1))\n") == 2
+    assert dyadic_builds("Fraction(1, 2)\nFraction(1, 3**k)\ndyadic(k)\nx = 2**k\n") == 0
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sft.py"],
+                         ids=lambda p: p.name)
+def test_only_sft_builds_a_dyadic_distance(path):
+    assert dyadic_builds(path.read_text()) == 0
 
 
 def _reads(node) -> tuple[Counter, Counter]:

@@ -225,6 +225,51 @@ def test_graph_rows_and_hash_are_built_once():
     assert repr(g) == f"SftGraph(adjacency={adjacency!r})"
 
 
+def test_graph_structure_is_computed_once_per_graph(monkeypatch):
+    from chainscope import graph, sft
+    from chainscope.specio import dump_system, system_from_desc
+
+    calls = {"blocks": 0, "classes": 0}
+
+    def counting_blocks(succ):
+        calls["blocks"] += 1
+        return graph.strongly_connected_components(succ)
+
+    def counting_classes(succ, root, inside=None):
+        calls["classes"] += 1
+        return graph.classes(succ, root, inside)
+
+    monkeypatch.setattr(sft, "strongly_connected_components", counting_blocks)
+    monkeypatch.setattr(sft, "classes", counting_classes)
+    g = SftGraph(((0, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 0), (1, 0, 0, 0)))
+    for _ in range(3):
+        assert sft.is_irreducible(g)
+        assert graph_period(g) == 3
+        assert vertex_classes(g) == (0, 1, 2, 2)
+        assert connecting_paths(g, [0, 2], [1, 0]) == [[0, 1], [2, 0]]
+    assert calls == {"blocks": 1, "classes": 1}
+    h = system_from_desc(dump_system(g))
+    assert h == g and hash(h) == hash(g) and h is not g
+    # an equal graph keeps its own structure, computed on its first read
+    assert graph_period(h) == 3
+    assert calls == {"blocks": 2, "classes": 2}
+
+
+def test_a_reducible_graph_has_blocks_but_no_classes():
+    g = SftGraph(((1, 1), (0, 1)))
+    assert g.blocks == ((1,), (0,))
+    for _ in range(2):
+        with pytest.raises(SpecError):
+            graph_period(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(irreducible_graphs())
+def test_predecessor_rows_match_the_adjacency(g):
+    n = g.vertex_count
+    assert g.preds == tuple(tuple(u for u in range(n) if g.is_edge(u, v)) for v in range(n))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_connecting_paths_match_the_per_length_loop(data):
