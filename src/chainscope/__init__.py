@@ -12,7 +12,7 @@ from .chaos import (ClassifyParams, ComponentChaosReport, Condition3Verdict, Tup
                     compute_delta_n, construct_witness, profile_extremes, sft_delta_n,
                     tuple_stats)
 from .corpus import corpus_names, load_corpus
-from .cyclic import (CyclicDecomposition, CyclicSweep, ProximalPartition, component_period,
+from .cyclic import (CyclicDecomposition, LadderWalk, ProximalPartition, component_period,
                      cyclic_classes, proximal_partition, transient_index)
 from .families import (EventuallyPeriodicSet, FamilyVerdict, TimeSetWindow, WindowParams,
                        family_member, inclusion_audit, rotation_time_set, upper_density,

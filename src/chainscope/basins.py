@@ -54,7 +54,7 @@ def assign_basins(sys: FiniteSystem,
     component, and every such edge advances the class by one mod m, so the
     value is the same at every t >= T.  ``decompositions`` holds those of
     every chain component at one resolution, in ``chain_components`` order
-    (``CyclicSweep.decompositions``); it is never empty, as every orbit ends
+    (``LadderWalk.decompositions``); it is never empty, as every orbit ends
     in a cycle.
     """
     decomps = tuple(decompositions)

@@ -19,21 +19,22 @@ Chain recurrence here is the fixed-resolution notion: a node lies on a
 directed cycle.  The all-resolution notion is recovered by intersecting over
 the critical resolution ladder; see the basin and proximal modules.
 
-Along an ascending ladder, ``ladder_digraphs`` builds each step from the
-previous one.  Going up from cut K to cut K' only adds edges: the pairs
-(f(u), v) whose rank lies in (K, K'].  Only the rows of the preimages of
-images that gained a pair change.  The SCC partition changes iff an added
-edge u -> v joins two old SCCs and v reaches u in the new digraph.  If one
-does, u and v now share an SCC.  If none does, no added edge between two
-old SCCs lies on a cycle, as the cycle would lead from v back to u.  So
-each edge of a cycle is old or added inside one old SCC; either way it
-joins nodes that were mutually reachable before, and the whole cycle lies
-in one old SCC.  The test runs once all of a step's edges are in, as two
-added edges can close a cycle together.  When the partition stays, the
-step keeps the old SCCs, and its condensation is built from the new rows
-only where it is read (``ChainDigraph.cond_succ``).  A new self-loop changes
-whether a singleton SCC is recurrent, which ``chain_components`` reads from
-``succ``, but not the partition.
+Along an ascending ladder edges only arrive: u -> v arrives at rank
+(f(u), v), so reachability only grows.  ``cycle_ranks`` feeds the edges
+above a first rung to an incremental transitive closure, in rank order, as
+bitmasks R(u) of the points a path of length >= 1 leads to from u and P(v)
+of those it leads to v from.  An arriving edge a -> b with b already in
+R(a) adds no path and changes nothing.  Otherwise it changes the chain
+components exactly when it closes a cycle, that is b = a or a in R(b).  The
+components and the recurrent set are fixed by the relation "x and y lie on
+a common cycle".  A cycle through the new edge, cut at its first use of
+it, leads from b back to a on older edges; so without such a path no cycle
+uses the edge and the relation stays.  With one, a and b now share a cycle,
+which they did not while a could not reach b, so it grows.  As R counts
+paths of length >= 1, a self-loop on a point not yet recurrent is such a
+change.  A rung's digraph is then built (``build_chain_digraph``) only where
+a caller reads it: at the rungs where the components change and at those it
+writes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import InvariantViolation, SpecError
 from .graph import strongly_connected_components
@@ -101,78 +102,105 @@ def _row(sys: FiniteSystem, image: str, cut: int) -> tuple[str, ...]:
     return tuple(compress(ranks.names, map(cut.__ge__, ranks.rank[image])))
 
 
-def build_chain_digraph(sys: FiniteSystem, delta) -> ChainDigraph:
-    """Digraph with an edge u -> v iff d(f(u), v) <= delta."""
+def build_chain_digraph(sys: FiniteSystem, delta, like: ChainDigraph | None = None) -> ChainDigraph:
+    """Digraph with an edge u -> v iff d(f(u), v) <= delta.
+
+    ``like``, when given, is a digraph of ``sys`` with the same chain
+    components, whose SCCs are taken over without a Tarjan: the components
+    and the points outside them, one SCC each, make up the SCC partition."""
     delta, cut = _resolution(sys, delta)
     succ = {u: _row(sys, sys.apply(u), cut) for u in sys.points}
+    if like is not None:
+        return ChainDigraph(sys, delta, succ, like.sccs, like.scc_of, cut)
     return _finalize(sys, delta, cut, succ)
 
 
-def _reach(masks: list[int], start: int) -> int:
-    """Bitmask of the points reachable from point ``start`` (itself
-    included), given each point's successor mask."""
-    seen = 0
-    frontier = 1 << start
-    while frontier:
-        seen |= frontier
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
-    return seen
+def _set_bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def ladder_digraphs(sys: FiniteSystem, deltas: Iterable) -> Iterator[ChainDigraph]:
-    """``build_chain_digraph(sys, delta)`` for each of the ascending
-    ``deltas``, each built from the previous step and the pairs it adds
-    (argument in the module docstring).  One Tarjan runs at the first step
-    and at each step whose SCC partition changes."""
+def _reach_masks(dg: ChainDigraph) -> tuple[list[int], list[int]]:
+    """(reach, back): ``reach[i]`` and ``back[i]`` are the bitmasks of the
+    points that a path of length >= 1 leads to from, and to, the point
+    ``ranks.names[i]`` (bit j for ``ranks.names[j]``).
+
+    A point of SCC S reaches the members of every SCC below S in the
+    condensation and, when S holds a cycle, those of S; so ``reach`` is read
+    off the condensation sinks first, and ``back`` sources first."""
+    index = dg.system.ranks.index
+    sccs, cond = dg.sccs, dg.cond_succ
+    members = [sum(1 << index[u] for u in comp) for comp in sccs]
+    own = [m if _is_recurrent_scc(dg, comp) else 0 for m, comp in zip(members, sccs)]
+    users: list[list[int]] = [[] for _ in sccs]
+    for i, succs in enumerate(cond):
+        for j in succs:
+            users[j].append(i)
+    pending = list(map(len, cond))
+    order = [i for i, n in enumerate(pending) if not n]
+    for i in order:  # the list grows as SCCs become ready, sinks first
+        for h in users[i]:
+            pending[h] -= 1
+            if not pending[h]:
+                order.append(h)
+    if len(order) != len(sccs):
+        raise InvariantViolation("condensation order did not cover every SCC")
+    below, above = own[:], own[:]
+    for i in order:
+        for j in cond[i]:
+            below[i] |= members[j] | below[j]
+    for j in reversed(order):
+        for i in users[j]:
+            above[j] |= members[i] | above[i]
+    reach, back = [0] * len(index), [0] * len(index)
+    for u, i in dg.scc_of.items():
+        reach[index[u]], back[index[u]] = below[i], above[i]
+    return reach, back
+
+
+def cycle_ranks(dg: ChainDigraph, top: int) -> list[int]:
+    """Ascending ranks r in (dg.cut, top] at which the chain components
+    change: those at cut r differ from those at cut r - 1.
+
+    The edges of rank in (dg.cut, top] go in rank order into a transitive
+    closure of ``dg``, kept as bitmasks ``reach`` and ``back`` of the points
+    reached from and reaching each point by a path of length >= 1 (argument
+    in the module docstring)."""
+    if top <= dg.cut:
+        return []
+    sys = dg.system
     ranks = sys.ranks
-    names, index = ranks.names, ranks.index
-    preimages: dict[str, list[str]] = {}
+    index = ranks.index
+    preimages: dict[str, list[int]] = {}
     for u in sys.points:
-        preimages.setdefault(sys.apply(u), []).append(u)
-    # every (image, v) pair by rank, sorted once per walk
-    pairs = sorted((r, image, v) for image in preimages
-                   for v, r in zip(names, ranks.rank[image]))
-    masks = [0] * len(names)  # successor mask of each point, bit index[v] for v
-    taken = 0
-    dg: ChainDigraph | None = None
-    for delta in deltas:
-        delta, cut = _resolution(sys, delta)
-        if dg is not None and cut < dg.cut:
-            raise InvariantViolation("ladder resolutions must ascend")
-        added: list[tuple[str, str]] = []
-        grown: set[str] = set()
-        while taken < len(pairs) and pairs[taken][0] <= cut:
-            _, image, v = pairs[taken]
-            taken += 1
-            grown.add(image)
-            for u in preimages[image]:
-                masks[index[u]] |= 1 << index[v]
-                added.append((u, v))
-        if dg is None:
-            dg = build_chain_digraph(sys, delta)
-            yield dg
-            continue
-        succ = dict(dg.succ)
-        for image in grown:
-            row = _row(sys, image, cut)
-            for u in preimages[image]:
-                succ[u] = row
-        scc_of = dg.scc_of
-        # the tails of the added cross edges into each head v
-        tails: dict[str, int] = {}
-        for u, v in added:
-            if scc_of[u] != scc_of[v]:
-                tails[v] = tails.get(v, 0) | 1 << index[u]
-        if any(_reach(masks, index[v]) & us for v, us in tails.items()):
-            dg = _finalize(sys, delta, cut, succ)
-        else:
-            dg = ChainDigraph(sys, delta, succ, dg.sccs, scc_of, cut)
-        yield dg
+        preimages.setdefault(sys.apply(u), []).append(index[u])
+    # the pairs (image, v) that enter the cut above dg's, by rank
+    arriving: dict[int, list[tuple[list[int], int]]] = {}
+    above = range(dg.cut + 1, top + 1)
+    for image, us in preimages.items():
+        row = ranks.rank[image]
+        for v in compress(range(len(row)), map(above.__contains__, row)):
+            arriving.setdefault(row[v], []).append((us, v))
+    if not arriving:
+        return []
+    reach, back = _reach_masks(dg)
+    out: list[int] = []
+    for r in sorted(arriving):
+        for us, v in arriving[r]:
+            for a in us:
+                if reach[a] >> v & 1:
+                    continue  # the edge a -> v adds no path
+                if (a == v or reach[v] >> a & 1) and (not out or out[-1] != r):
+                    out.append(r)
+                tails, heads = back[a] | 1 << a, reach[v] | 1 << v
+                for x in _set_bits(tails):
+                    reach[x] |= heads
+                for y in _set_bits(heads):
+                    back[y] |= tails
+    return out
 
 
 def _is_recurrent_scc(dg: ChainDigraph, comp: tuple[str, ...]) -> bool:

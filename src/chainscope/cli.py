@@ -16,10 +16,10 @@ import sys
 from fractions import Fraction
 
 from .basins import assign_basins
-from .chains import ChainDigraph, build_chain_digraph
+from .chains import ChainDigraph
 from .chaos import (ClassifyParams, ComponentChaosReport, classify_finite_component,
                     classify_sft, construct_witness, profile_extremes)
-from .cyclic import CyclicSweep
+from .cyclic import LadderWalk
 from .errors import BudgetExceeded, ChainscopeError, InternalError, ValidationError
 from .families import (EventuallyPeriodicSet, WindowParams, inclusion_audit,
                        rle_to_window, rotation_time_set)
@@ -50,13 +50,13 @@ def _budget(given: int | None) -> int:
     return _number(int, env, "CHAINSCOPE_BUDGET") if env else 10**6
 
 
-def _one_step(model: FiniteSystem, delta: str | None) -> tuple[ChainDigraph, CyclicSweep]:
+def _one_step(model: FiniteSystem, delta: str | None) -> tuple[ChainDigraph, LadderWalk]:
     """The chain digraph at --delta (default 0, the least critical value, as
-    d(f(u), f(u)) = 0 is a step value) and its one-step sweep, whose
+    d(f(u), f(u)) = 0 is a step value) and its one-rung walk, whose
     decompositions ``analyze`` reads there too."""
-    d = as_fraction(delta) if delta is not None else Fraction(0)
-    dg = build_chain_digraph(model, d)
-    return dg, CyclicSweep([dg])
+    walk = LadderWalk(model, [as_fraction(delta) if delta is not None else Fraction(0)])
+    ((_, dg),) = walk.digraphs([0])
+    return dg, walk
 
 
 def _print_json(obj, out: str | None) -> None:
@@ -114,9 +114,9 @@ def _cmd_chains(args) -> int:
     model = resolve_model(args.spec)
     if not isinstance(model, FiniteSystem):
         raise ValidationError("chain analysis applies to finite systems")
-    dg, sweep = _one_step(model, args.delta)
-    ba = assign_basins(model, sweep.decompositions(dg.delta))
-    out = {"chain": chain_section(dg), "cyclic": cyclic_section(sweep, [dg.delta]),
+    dg, walk = _one_step(model, args.delta)
+    ba = assign_basins(model, walk.decompositions(0))
+    out = {"chain": chain_section(dg), "cyclic": cyclic_section(walk, [0]),
            "basins": basin_section(ba)}
     _print_json(out, args.out)
     if args.emit_dot:
@@ -143,9 +143,9 @@ def _cmd_classify(args) -> int:
     else:
         if args.emit_csv or args.emit_svg:
             raise ValidationError("--emit-csv and --emit-svg apply only to vertex shifts")
-        dg, sweep = _one_step(model, args.delta)
+        _, walk = _one_step(model, args.delta)
         sections = [chaos_section(classify_finite_component(dec, args.n_max, params))
-                    for dec in sweep.decompositions(dg.delta)]
+                    for dec in walk.decompositions(0)]
     _print_json({"chaos": sections}, args.out)
     return 0
 

@@ -13,23 +13,31 @@ steps preserve the class difference forever.  The pair (x, x) is proximal
 by the length-zero convention; loops of length m make this agree with the
 positive-length convention for recurrent nodes.
 
-Along an ascending ladder of resolutions edges are only added, so a
-``CyclicSweep`` decomposes each component once per *segment*: a run of
-consecutive steps at which it keeps its vertex set and period.  Within a
-segment the classes are constant and the transient index never increases
-(argument in the class docstring).  Every decomposition is read from a
-segment: ``cyclic_classes`` is the one-step read of a fresh one, and
-``proximal_partition`` walks its ladder into a sweep.
+Along an ascending walk of resolutions edges only arrive, so a
+``LadderWalk`` does its work only where something changes.  The chain
+components change exactly where an arriving edge closes a cycle
+(``chains.cycle_ranks``), and a component's rungs form an interval.  Over
+that interval the component splits into *segments*, runs of rungs at which
+it keeps its period; the labels are fixed within one (argument in the
+class docstring).  A segment's end, its merge-law pairs and its transient
+index are read from the ranks: the period falls at the least rank of an
+internal edge off the labelling, the merge-law pairs change at the ranks of
+the cross-class pairs, and the transient index falls only where an internal
+edge arrives.  ``cyclic_classes`` is the one-rung read of a segment built
+from a digraph, and ``proximal_partition`` walks its ladder.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import compress, count
-from operator import is_not
-from typing import Iterable, KeysView, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from itertools import accumulate, compress, takewhile
+from operator import or_
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .chains import ChainDigraph, chain_components, ladder_digraphs
+from .chains import (ChainDigraph, _resolution, build_chain_digraph, chain_components,
+                     cycle_ranks)
 from .errors import EmptyLadder, InvariantViolation, NotAComponent
 from .graph import classes
 from .systems import FiniteSystem
@@ -60,28 +68,6 @@ def _require_component(dg: ChainDigraph, C) -> frozenset[str]:
     return comp
 
 
-def _labels(dg: ChainDigraph, comp: frozenset[str]) -> tuple[dict[str, int], int]:
-    """Class label (BFS level from the smallest node, mod the period) of
-    every node, and the period (``graph.classes``).  ``comp`` comes from
-    ``chain_components``, which keeps only SCCs with a cycle, so the period
-    is at least 1."""
-    return classes(dg.succ, min(comp), comp)
-
-
-def _bits(dg: ChainDigraph, nodes: Sequence[str]) -> dict[str, int]:
-    """Bit j for nodes[j] and 0 for every other point."""
-    bit = dict.fromkeys(dg.succ, 0)
-    bit.update((u, 1 << j) for j, u in enumerate(nodes))
-    return bit
-
-
-def _row(bit: Mapping[str, int], succ: Sequence[str]) -> int:
-    """Internal adjacency of one node as a bitmask row, given ``_bits`` and
-    its successor tuple (bit j: edge to nodes[j]).  A successor tuple names
-    each successor once, so the sum of their bits is their union."""
-    return sum(map(bit.__getitem__, succ))
-
-
 def _members(cls: Sequence[int], m: int) -> list[int]:
     """Bitmask of the nodes of each class, given class ``cls[i]`` of node i."""
     out = [0] * m
@@ -105,7 +91,8 @@ def _cross_pairs(sys: FiniteSystem, nodes: Sequence[str],
 
 def component_period(dg: ChainDigraph, C) -> int:
     """gcd of the lengths of all directed cycles inside the component."""
-    return _labels(dg, _require_component(dg, C))[1]
+    comp = _require_component(dg, C)
+    return classes(dg.succ, min(comp), comp)[1]
 
 
 def transient_index(dg: ChainDigraph, C) -> int:
@@ -119,8 +106,7 @@ def transient_index(dg: ChainDigraph, C) -> int:
     by power (|C|-1)^2 + 1: the m-th power restricted to a class of s nodes
     is primitive, and Wielandt's bound puts its exponent at most (s-1)^2 + 1.
     """
-    seg = _Segment(dg, _require_component(dg, C), 0)
-    return _transient_index(seg.adjacency[0], seg.cls, seg.period)
+    return _one_rung(dg, C).values[0]
 
 
 def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int) -> int:
@@ -129,8 +115,8 @@ def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int) -> int:
 
     Row i of a product a*b depends on row i of a alone, so equal left-hand
     rows give equal product rows, and ``matmul`` computes each distinct one
-    once.  Rows repeat often: the preimages of one image share their
-    successor tuple (``chains._row``), hence their row in every power."""
+    once.  Rows repeat often: the preimages of one image have the same
+    successors, hence the same row in every power."""
     k = len(rows)
 
     def matmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -166,199 +152,299 @@ def _transient_index(rows: Sequence[int], cls: Sequence[int], m: int) -> int:
 
 def cyclic_classes(dg: ChainDigraph, C) -> CyclicDecomposition:
     """Cyclic class labels of a component (BFS level mod period): the
-    one-step read of a fresh sweep segment.
+    one-rung read of a segment built from ``dg``.
 
     Records the pairs that break the merge law (nodes of one component
     within delta of each other must share a class) in ``p2_violations``;
     coincidences in an adversarial metric can genuinely produce such pairs.
     """
-    return _Segment(dg, _require_component(dg, C), 0).decomposition(0, dg.cut, dg.delta)
+    return _one_rung(dg, C).decomposition(0, dg.delta, dg.cut)
+
+
+def _one_rung(dg: ChainDigraph, C) -> _Segment:
+    """The segment of component C of ``dg`` at that one digraph, rows read
+    from its successor tuples (so an injected digraph is read as given)."""
+    comp = _require_component(dg, C)
+    seg = _Segment(dg.system, comp, dg.succ, 0)
+    bit = dict.fromkeys(dg.succ, 0)
+    bit.update((u, 1 << j) for j, u in enumerate(seg.nodes))
+    # a successor tuple names each successor once, so the sum is the union
+    rows = [sum(map(bit.__getitem__, dg.succ[u])) for u in seg.nodes]
+    seg.settle([0], lambda j: _transient_index(rows, seg.cls, seg.period))
+    return seg
 
 
 class _Segment:
-    """One component over a run of sweep steps with a fixed vertex set and
-    period: its labels, merge-law pairs and the internal adjacency of each
-    step as a tuple of bitmask rows, one per node.
+    """One component over the walk rungs ``first`` .. ``last``, at which it
+    keeps its period: its labels, the cross-class pairs of the merge law,
+    and the transient index as runs, value ``values[i]`` from rung
+    ``starts[i]`` on."""
 
-    It keeps each node's successor tuple from its last step.  ``extend``
-    re-sums only the rows whose tuple is a new object: a tuple never
-    changes, so the same object is the same row, and ``ladder_digraphs``
-    hands each step the very tuples of the rows it did not rebuild.  A
-    step's rows share every unchanged row (and a step with no changed row
-    its whole tuple) with the step before.  Digraphs built separately share
-    no tuple, so every row is re-summed and checked."""
-
-    def __init__(self, dg: ChainDigraph, comp: frozenset[str], first: int):
-        self.system = dg.system
+    def __init__(self, system: FiniteSystem, comp: frozenset[str],
+                 succ: Mapping[str, Iterable[str]], first: int):
+        self.system = system
         self.component = comp
         self.nodes = sorted(comp)
-        self.bit = _bits(dg, self.nodes)
-        self.class_of, self.period = _labels(dg, comp)
+        self.class_of, self.period = classes(succ, self.nodes[0], comp)
         self.cls = [self.class_of[u] for u in self.nodes]
-        members = _members(self.cls, self.period)
-        # an edge from node i that leaves the next class breaks the period
-        self.next_class = [members[(c + 1) % self.period] for c in self.cls]
-        self.cross = _cross_pairs(dg.system, self.nodes, self.class_of)
-        # with no cross pair, the number of levels lies above every cut
-        self.least_cross = min((r for r, _, _ in self.cross),
-                               default=len(dg.system.ranks.scaled))
-        self.first = first
-        self.succ = [dg.succ[u] for u in self.nodes]
-        self.adjacency = [tuple(_row(self.bit, s) for s in self.succ)]
-        self._transient: list | None = None
+        self.cross = _cross_pairs(system, self.nodes, self.class_of)
+        self.cross_ranks = sorted(r for r, _, _ in self.cross)
+        # the violations at a cut, keyed by the number of cross ranks within it
+        self._violations: dict[int, tuple[tuple[str, str], ...]] = {0: ()}
+        self.first = self.last = first
+        self.starts: list[int] = []
+        self.values: list[int] = []
 
-    def extend(self, dg: ChainDigraph) -> bool:
-        """Take the next step if the component keeps its period there; the
-        only-adds and period checks read the changed rows alone, as every
-        other row passed them at an earlier step."""
-        succ = list(map(dg.succ.__getitem__, self.nodes))
-        # compress keeps the indices whose tuple is a new object
-        changed = list(compress(count(), map(is_not, succ, self.succ)))
-        last = self.adjacency[-1]
-        rows = list(last)
-        for i in changed:
-            row = _row(self.bit, succ[i])
-            if last[i] & ~row:
-                raise InvariantViolation("a sweep must only add edges from step to step")
-            rows[i] = row
-        if any(rows[i] & ~self.next_class[i] for i in changed):
-            return False
-        self.succ = succ
-        self.adjacency.append(tuple(rows) if changed else last)
-        return True
+    def settle(self, rungs: Sequence[int], probe: Callable[[int], int]) -> None:
+        """Runs of the transient index, given the ascending ``rungs`` at
+        which the internal rows change (the segment's first, and each rung
+        an internal edge arrives at) and ``probe(j)``, the index at rung j.
+        Divide and conquer: the index never increases along the segment, so
+        equal values at both ends of a stretch of those rungs fill it."""
+        vals: dict[int, int] = {}
+
+        def at(i: int) -> int:
+            if i not in vals:
+                vals[i] = probe(rungs[i])
+            return vals[i]
+
+        falls = []
+        stretches = [(0, len(rungs) - 1)]
+        while stretches:
+            lo, hi = stretches.pop()
+            if at(lo) == at(hi):
+                continue
+            if hi - lo == 1:
+                falls.append(hi)
+            else:
+                mid = (lo + hi) // 2
+                stretches += [(lo, mid), (mid, hi)]
+        runs = [0, *sorted(falls)]
+        self.starts = [rungs[i] for i in runs]
+        self.values = [vals[i] for i in runs]
 
     def violations(self, cut: int) -> tuple[tuple[str, str], ...]:
-        if cut < self.least_cross:
-            return ()
-        return tuple((u, v) for r, u, v in self.cross if r <= cut)
+        n = bisect_right(self.cross_ranks, cut)
+        out = self._violations.get(n)
+        if out is None:
+            out = self._violations[n] = tuple((u, v) for r, u, v in self.cross if r <= cut)
+        return out
 
-    def transient(self, i: int) -> int:
-        """Transient index at the i-th step of the segment.
-
-        Divide and conquer: the index never increases along the segment, so
-        equal values at both ends of a run fill the whole run.
-        """
-        if self._transient is None:
-            vals: list = [None] * len(self.adjacency)
-
-            def at(j: int) -> int:
-                if vals[j] is None:
-                    vals[j] = _transient_index(self.adjacency[j], self.cls, self.period)
-                return vals[j]
-
-            runs = [(0, len(self.adjacency) - 1)]
-            while runs:
-                lo, hi = runs.pop()
-                if at(lo) == at(hi):
-                    vals[lo:hi + 1] = [vals[lo]] * (hi - lo + 1)
-                elif hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    runs += [(lo, mid), (mid, hi)]
-            self._transient = vals
-        return self._transient[i]
-
-    def decomposition(self, i: int, cut: int, delta: Fraction) -> CyclicDecomposition:
-        """The decomposition at the sweep's step i, of cut ``cut`` and
-        resolution ``delta``."""
+    def decomposition(self, j: int, delta: Fraction, cut: int) -> CyclicDecomposition:
+        """The decomposition at rung j, of resolution ``delta`` and cut ``cut``."""
         return CyclicDecomposition(self.system, self.component, delta, self.period,
-                                   self.class_of, self.transient(i - self.first),
+                                   self.class_of, self.values[bisect_right(self.starts, j) - 1],
                                    self.violations(cut))
 
 
-def _key(delta: Fraction) -> tuple[int, int]:
-    """Dict key of a resolution: hashing a Fraction computes a modular
-    inverse on every call, hashing its two ints does not."""
-    return delta.numerator, delta.denominator
+class LadderWalk:
+    """Chain components and cyclic decompositions of one system along the
+    strictly ascending resolutions ``deltas`` (rung j is ``deltas[j]``),
+    worked out only at the rungs where they change.
 
-
-class CyclicSweep:
-    """Cyclic decompositions of every chain component along an ascending
-    sequence of step digraphs of one system.
+    The walk builds its first rung and finds from it the ranks at which the
+    chain components change (``chains.cycle_ranks``).  Digraphs are built at
+    the rungs where the components change and at those a caller asks for
+    (``digraphs``), once each, and none is kept.  Tarjan runs only where the
+    components change: a rung without a change has the SCCs of the digraph
+    built before it.
 
     Going up, edges are only added.  While a component keeps its vertex set
     and period m, its labels stay put: every old edge is still an edge and
     still advances the class by one, and a strongly connected digraph of
-    period m has exactly one such labelling with min(C) in class 0.  So the
-    BFS, the period and the O(|C|^2) merge-law scan run once per segment.
-    A step continues the segment when each of its edges inside C advances
-    the class by one: then m divides every cycle length, and the old cycles
-    keep the period a divisor of m.  More edges give more paths of every
-    length, so the transient index never increases within a segment; it
-    comes by Wielandt's bound (``transient_index``).  The merge law keeps
-    the segment's least cross-class rank; a step whose cut lies below it
-    has no violation.
-
-    The work of a step follows what it changes.  A continued segment keeps
-    its own frozenset as the key of every step, re-sums and checks only the
-    rows whose successor tuple is new (``_Segment``), and shares the other
-    rows with the step before.  Fed by ``ladder_digraphs``, that is the rows
-    of the preimages of the images that gained a pair.
-
-    Feed the steps in ascending order with ``add``; read them after the last
-    step.  A one-step sweep is the decomposition of a single digraph.
+    period m has exactly one such labelling with min(C) in class 0.  An
+    arriving internal edge off the labelling closes a cycle whose length m
+    does not divide, so the period falls exactly at the least rank of such
+    an edge: the segment's end, found in one pass over its ranks.  More
+    edges give more paths of every length, so the transient index never
+    increases within a segment, and it changes only at a rung where an
+    internal edge arrives.  It is probed by divide and conquer over those
+    rungs; a probe reads the rows at its cut from each image's ranks to the
+    component, past a segment's first rung by one bisection per node in
+    those ranks kept sorted with running ORs.  The merge-law pairs at a cut
+    are the cross-class pairs within it.
     """
 
-    def __init__(self, digraphs: Iterable[ChainDigraph] = ()):
-        self._steps: dict[tuple[int, int], tuple[int, int, dict[frozenset[str], _Segment]]] = {}
-        self._open: dict[frozenset[str], _Segment] = {}
-        self._last: Fraction | None = None
-        self._read = False
-        for dg in digraphs:
-            self.add(dg)
+    def __init__(self, system: FiniteSystem, deltas: Iterable):
+        resolved = [_resolution(system, d) for d in deltas]
+        if not resolved:
+            raise EmptyLadder("a walk needs at least one resolution")
+        self.system = system
+        self.deltas = [d for d, _ in resolved]
+        self.cuts = [c for _, c in resolved]
+        if any(a >= b for a, b in zip(self.deltas, self.deltas[1:])):
+            raise InvariantViolation("walk resolutions must ascend")
+        self._first: ChainDigraph | None = build_chain_digraph(system, self.deltas[0])
+        self._change_ranks = cycle_ranks(self._first, self.cuts[-1])
+        # the rungs whose components differ from the rung before, and rung 0
+        self.changes = self.component_changes(range(len(self.cuts)))
+        self._epochs: list[tuple[frozenset[str], ...]] = []
+        self._tracks: dict[frozenset[str], list[_Segment]] = {}
 
-    def add(self, dg: ChainDigraph) -> None:
-        if self._read:
-            raise InvariantViolation("a sweep takes no step after it has been read")
-        if self._last is not None and dg.delta <= self._last:
-            raise InvariantViolation("sweep resolutions must ascend")
-        i = len(self._steps)
-        here: dict[frozenset[str], _Segment] = {}
-        for comp in chain_components(dg):
-            seg = self._open.get(comp)
-            if seg is None or not seg.extend(dg):
-                seg = _Segment(dg, comp, i)
-            # one frozenset per segment, not the new one of every step
-            here[seg.component] = seg
-        self._open = here
-        self._last = dg.delta
-        self._steps[_key(dg.delta)] = (i, dg.cut, here)
+    def component_changes(self, rungs: Sequence[int]) -> list[int]:
+        """The positions p of the ascending ``rungs`` at which the chain
+        components differ from those at ``rungs[p - 1]``, and position 0."""
+        cuts = [self.cuts[j] for j in rungs]
+        return sorted({0, *(bisect_left(cuts, r) for r in self._change_ranks)} - {len(cuts)})
 
-    def components(self, delta: Fraction) -> KeysView[frozenset[str]]:
-        """Chain components at a swept resolution, in ``chain_components`` order."""
-        return self._steps[_key(delta)][2].keys()
+    def digraphs(self, rungs: Iterable[int]) -> Iterator[tuple[int, ChainDigraph]]:
+        """(j, digraph of rung j) for each of the ``rungs``, in ascending
+        order; the rungs where the components change are built on the way."""
+        want = set(rungs)
+        dg = None
+        for j in sorted(want.union(self.changes[len(self._epochs):])):
+            built = len(self._epochs)
+            change = built < len(self.changes) and self.changes[built] == j
+            if j == 0 and self._first is not None:
+                dg, self._first = self._first, None
+            else:
+                # every change rung up to j is built by now, so a rung with
+                # no change has the components of the digraph built before it
+                dg = build_chain_digraph(self.system, self.deltas[j],
+                                         None if change else dg)
+            if change:
+                self._epochs.append(chain_components(dg))
+            if j in want:
+                yield j, dg
 
-    def decomposition(self, delta: Fraction, comp: frozenset[str]) -> CyclicDecomposition | None:
-        """What ``cyclic_classes(dg, comp)`` returns at a swept
-        resolution; None when comp is not a chain component there."""
-        self._read = True
-        i, cut, here = self._steps[_key(delta)]
-        seg = here.get(comp)
-        return None if seg is None else seg.decomposition(i, cut, delta)
+    def components(self, j: int) -> tuple[frozenset[str], ...]:
+        """The chain components at rung j, in ``chain_components`` order."""
+        if len(self._epochs) < len(self.changes):
+            for _ in self.digraphs(()):
+                pass
+        return self._epochs[bisect_right(self.changes, j) - 1]
 
-    def decompositions(self, delta: Fraction) -> tuple[CyclicDecomposition, ...]:
-        return tuple(self.decomposition(delta, comp) for comp in self.components(delta))
+    def span(self, comp: frozenset[str]) -> tuple[int, int] | None:
+        """The first and last rung at which comp is a chain component, or
+        None: the rungs form an interval, as the components only coarsen."""
+        return self._spans.get(comp)
 
-    def proximal(self, C, ladder: Sequence) -> ProximalPartition:
+    @cached_property
+    def _spans(self) -> dict[frozenset[str], tuple[int, int]]:
+        ends = [*self.changes[1:], len(self.cuts)]
+        spans: dict[frozenset[str], tuple[int, int]] = {}
+        for start, end in zip(self.changes, ends):
+            for comp in self.components(start):
+                spans[comp] = (spans.get(comp, (start,))[0], end - 1)
+        return spans
+
+    def _track(self, comp: frozenset[str]) -> list[_Segment]:
+        """The segments of comp over its span, each labelled from the ranks
+        at its first rung and ended by the least rank of an internal edge off
+        its labelling."""
+        track = self._tracks.get(comp)
+        if track is not None:
+            return track
+        sys, cuts = self.system, self.cuts
+        ranks = sys.ranks
+        nodes = sorted(comp)
+        images = list(map(sys.apply, nodes))
+        cols = [ranks.index[v] for v in nodes]
+        # each image's ranks to the nodes, in node order
+        lines = {w: list(map(ranks.rank[w].__getitem__, cols)) for w in set(images)}
+        bits = [1 << i for i in range(len(nodes))]
+        # each image's ranks ascending, with the running ORs of the bits of
+        # their nodes: built once a probe past a segment's first rung needs them
+        tables: dict[str, tuple[list[int], list[int]]] = {}
+
+        def rows(cut: int, first: bool) -> list[int]:
+            if first and not tables:
+                # bits are distinct powers of two, so their sum is their union
+                row = {w: sum(compress(bits, map(cut.__ge__, rs))) for w, rs in lines.items()}
+            else:
+                if not tables:
+                    for w, rs in lines.items():
+                        order = sorted(range(len(rs)), key=rs.__getitem__)
+                        tables[w] = (list(map(rs.__getitem__, order)),
+                                     list(accumulate(map(bits.__getitem__, order), or_)))
+                row = {w: ors[bisect_right(up, cut) - 1] for w, (up, ors) in tables.items()}
+            return list(map(row.__getitem__, images))
+
+        track = self._tracks[comp] = []
+        j, end = self.span(comp)
+        while j <= end:
+            cut = cuts[j]
+            succ = {w: list(compress(nodes, map(cut.__ge__, rs))) for w, rs in lines.items()}
+            seg = _Segment(sys, comp, dict(zip(nodes, map(succ.__getitem__, images))), j)
+            arrive: set[int] = set()
+            if j < end:
+                # the preimages in C of one image share their successors,
+                # hence their class; every edge within the cut keeps the
+                # labelling, so the least rank to a node off the next class
+                # lies past it
+                nxt = dict(zip(images, [(c + 1) % seg.period for c in seg.cls]))
+                off = min(min(compress(lines[w], map(t.__ne__, seg.cls)),
+                              default=len(ranks.scaled)) for w, t in nxt.items())
+                seg.last = last = min(end, bisect_left(cuts, off) - 1)
+                # the rungs past the first at which an internal edge arrives
+                window = range(cut + 1, cuts[last] + 1)
+                arrive = {bisect_left(cuts, r, j + 1, last + 1) for rs in lines.values()
+                          for r in filter(window.__contains__, rs)}
+            seg.settle([j, *sorted(arrive)], lambda k: _transient_index(
+                rows(cuts[k], k == seg.first), seg.cls, seg.period))
+            track.append(seg)
+            j = seg.last + 1
+        return track
+
+    def decomposition(self, j: int, comp: frozenset[str]) -> CyclicDecomposition | None:
+        """What ``cyclic_classes`` returns for comp at rung j; None when comp
+        is not a chain component there."""
+        span = self.span(comp)
+        if span is None or not span[0] <= j <= span[1]:
+            return None
+        track = self._track(comp)
+        seg = track[bisect_right([s.first for s in track], j) - 1]
+        return seg.decomposition(j, self.deltas[j], self.cuts[j])
+
+    def decompositions(self, j: int) -> tuple[CyclicDecomposition, ...]:
+        return tuple(self.decomposition(j, comp) for comp in self.components(j))
+
+    def changed_rows(self, rungs: Sequence[int]) -> list[CyclicDecomposition]:
+        """The decompositions at the ascending ``rungs`` of a component that
+        is new there or whose period, transient index or merge-law pairs
+        differ from those at the rung before; in rung order, and at one rung
+        in ``chain_components`` order.
+
+        Such a row falls at a segment's first rung, at a fall of its
+        transient index, and where a cross-class rank enters the cut, so
+        each segment is visited once, not each rung."""
+        cuts = [self.cuts[j] for j in rungs]
+        hits = []
+        for comp in self._spans:
+            for seg in self._track(comp):
+                pa, pb = bisect_left(rungs, seg.first), bisect_right(rungs, seg.last)
+                if pa == pb:
+                    continue
+                at = {pa}
+                at.update(bisect_left(rungs, j, pa, pb) for j in seg.starts[1:])
+                lo, hi = (bisect_right(seg.cross_ranks, cuts[p]) for p in (pa, pb - 1))
+                at.update(bisect_left(cuts, r, pa, pb) for r in seg.cross_ranks[lo:hi])
+                at.discard(pb)
+                # components at one rung are disjoint, so their least nodes order them
+                hits += [(p, seg.nodes[0], seg) for p in at]
+        hits.sort(key=lambda hit: hit[:2])
+        return [seg.decomposition(rungs[p], self.deltas[rungs[p]], cuts[p])
+                for p, _, seg in hits]
+
+    def proximal(self, C, rungs: Sequence[int]) -> ProximalPartition:
         """Meet of the class partitions of C down the strictly descending
-        swept ``ladder``, while C stays a chain component."""
+        ``rungs``, while C stays a chain component."""
         comp = frozenset(C)
-        decomps: list[CyclicDecomposition] = []
-        split_at = None
-        for d in _descending(ladder):
-            dec = self.decomposition(d, comp)
-            if dec is None:
-                if not decomps:
-                    raise NotAComponent(
-                        f"{sorted(comp)} is not a chain component at the coarsest delta")
-                split_at = d
-                break
-            decomps.append(dec)
+        span = self.span(comp)
+        if span is None or not span[0] <= rungs[0] <= span[1]:
+            raise NotAComponent(f"{sorted(comp)} is not a chain component at the coarsest delta")
+        used = list(takewhile(span[0].__le__, rungs))
+        split_at = self.deltas[rungs[len(used)]] if len(used) < len(rungs) else None
+        decomps = tuple(self.decomposition(j, comp) for j in used)
+        # a segment's rungs share one labelling, which the meet reads once
+        labels = [dec.class_of for i, dec in enumerate(decomps)
+                  if i == 0 or dec.class_of is not decomps[i - 1].class_of]
         buckets: dict[tuple, list[str]] = {}
         for u in sorted(comp):
-            buckets.setdefault(tuple(dec.class_of[u] for dec in decomps), []).append(u)
-        classes = tuple(tuple(b) for _, b in sorted(buckets.items()))
-        return ProximalPartition(comp, tuple(dec.delta for dec in decomps), classes,
-                                 tuple(decomps), split_at)
+            buckets.setdefault(tuple(lab[u] for lab in labels), []).append(u)
+        return ProximalPartition(comp, tuple(dec.delta for dec in decomps),
+                                 tuple(tuple(b) for _, b in sorted(buckets.items())),
+                                 decomps, split_at)
 
 
 class ProximalPartition(NamedTuple):
@@ -387,6 +473,6 @@ def _descending(ladder: Sequence) -> list[Fraction]:
 
 def proximal_partition(sys: FiniteSystem, C, ladder: Sequence) -> ProximalPartition:
     """Common refinement of the per-resolution class partitions of C: one
-    walk up the ladder into a sweep, read down by ``CyclicSweep.proximal``."""
+    walk up the ladder, read down by ``LadderWalk.proximal``."""
     deltas = _descending(ladder)
-    return CyclicSweep(ladder_digraphs(sys, reversed(deltas))).proximal(C, deltas)
+    return LadderWalk(sys, reversed(deltas)).proximal(C, range(len(deltas) - 1, -1, -1))

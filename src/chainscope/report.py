@@ -15,7 +15,7 @@ Every step can be recovered from the spec the report embeds (README
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -24,10 +24,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .basins import BasinAssignment, assign_basins, verify_partition_laws
-from .chains import (ChainDigraph, chain_analysis, chain_recurrent_set, critical_ranks,
-                     ladder_digraphs)
+from .chains import ChainDigraph, chain_analysis, chain_recurrent_set, critical_ranks
 from .chaos import ClassifyParams, classify_finite_component, classify_sft
-from .cyclic import CyclicSweep
+from .cyclic import LadderWalk
 from .errors import SpecError
 from .families import WindowParams
 from .sft import SftGraph, graph_period, vertex_classes
@@ -136,9 +135,9 @@ def chain_section(dg: ChainDigraph) -> dict:
     }
 
 
-def _cyclic_row(dec: CyclicDecomposition, delta: Fraction) -> dict:
+def _cyclic_row(dec: CyclicDecomposition) -> dict:
     return {
-        "delta": _frac(delta),
+        "delta": _frac(dec.delta),
         "component": sorted(dec.component),
         "period": dec.period,
         "classes": [list(c) for c in dec.classes()],
@@ -147,36 +146,14 @@ def _cyclic_row(dec: CyclicDecomposition, delta: Fraction) -> dict:
     }
 
 
-def _changed(last, here) -> bool:
-    """The sparse-ladder rule (report v2 on): a ladder step's entry is
-    written when the previous step has none to compare with (``last`` is
-    None) or a different one.  Whatever is not written equals the latest
-    entry written below."""
-    return last != here
-
-
-def cyclic_section(sweep: CyclicSweep, ladder: Sequence[Fraction]) -> list[dict]:
-    """The cyclic rows of the ascending swept ladder that a component has
-    new at a step, or that differ from its row at the previous step in any
-    field but ``delta``.  At a one-step ladder every row is new: for a single
-    digraph dg, pass ``CyclicSweep([dg])`` and ``[dg.delta]``.
-
-    A row is decided by its component's (period, transient index, merge-law
-    pairs) and built only when written: from one step to the next a vertex
-    set's period can only fall, and an equal period means the same sweep
-    segment, whose classes are fixed.
+def cyclic_section(walk: LadderWalk, rungs: Sequence[int]) -> list[dict]:
+    """The cyclic rows of the ascending walk ``rungs`` that a component has
+    new at a rung, or that differ from its row at the rung before in any
+    field but ``delta`` (``LadderWalk.changed_rows``).  At a one-rung walk
+    every row is new: for a single resolution, pass ``LadderWalk(sys, [d])``
+    and ``[0]``.  A row is built only when written.
     """
-    rows: list[dict] = []
-    last: dict[frozenset[str], tuple] = {}
-    for d in ladder:
-        here = {}
-        for dec in sweep.decompositions(d):
-            state = (dec.period, dec.transient_index, dec.p2_violations)
-            if _changed(last.get(dec.component), state):
-                rows.append(_cyclic_row(dec, d))
-            here[dec.component] = state
-        last = here
-    return rows
+    return [_cyclic_row(dec) for dec in walk.changed_rows(rungs)]
 
 
 def basin_section(ba: BasinAssignment) -> dict:
@@ -241,7 +218,7 @@ def chaos_section(report) -> dict:
 
 def cmd_analyze(config: AnalysisConfig, model=None, draw=None) -> dict:
     """Full pipeline: load, ladder, chain analyses and cyclic rows where the
-    ladder changes (``_changed``), basin table, chaos classification, one
+    ladder changes, basin table, chaos classification, one
     JSON report.
 
     ``model``, when given, is the model of ``config.spec``, already loaded.
@@ -273,37 +250,32 @@ def cmd_analyze(config: AnalysisConfig, model=None, draw=None) -> dict:
         ladder = _ladder_for(model, config)
         delta = as_fraction(config.delta) if config.delta is not None else ladder[0]
         report["ladder"] = [_frac(d) for d in ladder]
-        report["chain_analyses"] = []
         # one walk over the ladder and the classification resolution, which
-        # is walk step ``at``: inserted there when it is off the ladder, so
-        # ladder[at:] lies above it; the sweep keeps what later sections read
+        # is walk rung ``at``: inserted there when it is off the ladder, so
+        # ladder[i] is walk rung rungs[i]
         at = bisect_left(ladder, delta)
         on = ladder[at:at + 1] == [delta]
-        walk = ladder if on else [*ladder[:at], delta, *ladder[at:]]
-        sweep = CyclicSweep()
-        comps = None
-        for j, step in enumerate(ladder_digraphs(model, walk)):
-            sweep.add(step)
+        walk = LadderWalk(model, ladder if on else [*ladder[:at], delta, *ladder[at:]])
+        rungs = [i + (not on and i >= at) for i in range(len(ladder))]
+        written = {rungs[i] for i in walk.component_changes(rungs)}
+        report["chain_analyses"] = []
+        for j, dg in walk.digraphs(written | ({at} if draw is not None else set())):
+            if j in written:
+                report["chain_analyses"].append(chain_section(dg))
             if j == at and draw is not None:
-                draw(step)
-            if on or j != at:
-                last, comps = comps, sweep.components(step.delta)
-                if _changed(last, comps):
-                    report["chain_analyses"].append(chain_section(step))
-        report["cyclic"] = cyclic_section(sweep, ladder)
-        decomps = sweep.decompositions(delta)
+                draw(dg)
+        report["cyclic"] = cyclic_section(walk, rungs)
+        decomps = walk.decompositions(at)
         report["basins"] = [basin_section(assign_basins(model, decomps))]
         report["proximal"] = []
         for dec in decomps:
-            comp = dec.component
-            # refine from the coarsest resolution at or above delta at which
-            # this set is a component, down the ladder
-            top = next((i for i in range(len(ladder) - 1, at - 1, -1)
-                        if comp in sweep.components(ladder[i])), None)
-            sub = ladder[top::-1] if top is not None else [delta]
-            pp = sweep.proximal(comp, sub)
+            # refine from the coarsest ladder resolution at or above delta at
+            # which this set is a component, down the ladder: its rungs form
+            # an interval, so that is the last ladder rung within its span
+            top = bisect_right(rungs, walk.span(dec.component)[1]) - 1
+            pp = walk.proximal(dec.component, rungs[top::-1] if top >= at else [at])
             report["proximal"].append({
-                "component": sorted(comp),
+                "component": sorted(dec.component),
                 "ladder": [_frac(x) for x in pp.ladder],
                 "classes": [list(c) for c in pp.classes],
                 "split_at": _frac(pp.split_at) if pp.split_at is not None else None,

@@ -39,18 +39,20 @@ class SftGraph:
     _rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.adjacency)
-        if n == 0 or any(len(row) != n for row in self.adjacency):
+        adj = self.adjacency
+        n = len(adj)
+        if n == 0 or set(map(len, adj)) != {n}:
             raise SpecError("adjacency must be a nonempty square matrix")
-        if any(x not in (0, 1) for row in self.adjacency for x in row):
+        if not set(chain.from_iterable(adj)) <= {0, 1}:
             raise SpecError("adjacency entries must be 0 or 1")
-        for v in range(n):
-            if not any(self.adjacency[v]):
+        # the first vertex without an outgoing or an incoming edge, the
+        # outgoing side named first
+        for v, out, into in zip(range(n), map(any, adj), map(any, zip(*adj))):
+            if not out:
                 raise SpecError(f"vertex {v} has no outgoing edge")
-            if not any(row[v] for row in self.adjacency):
+            if not into:
                 raise SpecError(f"vertex {v} has no incoming edge")
-        object.__setattr__(self, "_rows", tuple(
-            tuple(w for w, bit in enumerate(row) if bit) for row in self.adjacency))
+        object.__setattr__(self, "_rows", tuple(tuple(compress(range(n), row)) for row in adj))
 
     @property
     def vertex_count(self) -> int:

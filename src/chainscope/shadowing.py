@@ -311,13 +311,15 @@ def _limit_shadowed_by(sys: FiniteSystem, states, epsilon, z) -> bool:
 
 def estimate_slimit_modulus(sys: FiniteSystem, epsilon, length_cap: int,
                             budget: int = 10**7) -> Fraction:
-    """Largest critical resolution at which every enumerated decaying
-    pseudo-orbit is epsilon-tracked with eventually-exact merge.
+    """Largest critical resolution at which every decaying pseudo-orbit it
+    enumerates is epsilon-tracked with eventually-exact merge: an estimate
+    from above of the s-limit shadowing modulus, not the modulus.
 
-    Enumerates pseudo-orbits of length <= length_cap whose errors vanish
-    beyond the first half (their tails are true orbits, which is the general
-    case on a finite system once errors drop below the minimum positive
-    distance).
+    It enumerates the chains of length k <= length_cap whose free (<= delta)
+    steps lie in their first k // 2 steps, each followed by its true orbit.
+    A decaying pseudo-orbit with a free step later on is never tried, and it
+    may have no limit shadow where every tried one has, so the estimate can
+    overstate the modulus (``tests/test_shadowing.py`` pins such a chain).
     """
     epsilon = Fraction(epsilon)
     spent = 0

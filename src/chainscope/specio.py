@@ -46,8 +46,7 @@ def system_from_desc(desc: dict, origin: str = "<desc>"):
         return compile_finite(desc)
     if kind == "sft":
         try:
-            adjacency = tuple(tuple(_integer(x, "an adjacency entry") for x in row)
-                              for row in desc["adjacency"])
+            adjacency = _adjacency(desc["adjacency"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"{origin}: bad adjacency: {exc}") from exc
         return SftGraph(adjacency)
@@ -66,6 +65,20 @@ def system_from_desc(desc: dict, origin: str = "<desc>"):
             raise SpecError(f"{origin}: bad grid parameter: {exc}") from exc
         return discretize(spec)
     raise SpecError(f"{origin}: unknown kind {kind!r}")
+
+
+def _adjacency(rows) -> tuple[tuple[int, ...], ...]:
+    """The rows of an adjacency spec as int tuples, row by row; the first
+    entry that is not a JSON integer (a float, a bool, a string) is refused.
+    A row's entry types are read as one set, and only a row with another
+    type than int is searched for its first such entry."""
+    out = []
+    for row in rows:
+        row = tuple(row)
+        if not set(map(type, row)) <= {int}:
+            _integer(next(x for x in row if type(x) is not int), "an adjacency entry")
+        out.append(row)
+    return tuple(out)
 
 
 def _integer(value, what: str) -> int:

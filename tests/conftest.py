@@ -207,3 +207,21 @@ def perturbed_witness_trials(g: SftGraph, n: int, level: str, horizon: int,
         if check_condition3(g, built.points, built.delta_n, level, horizon).ok:
             successes += 1
     return successes, trials
+
+
+def rand_system(k: int):
+    """The seeded "rand<k>" line system: k distinct coordinates
+    ``random.Random(0).randrange(10**6)`` / 10**6, drawn in turn with repeats
+    skipped and sorted, then the map p_i -> p_{randrange(k)}."""
+    rng = random.Random(0)
+    xs: list[int] = []
+    while len(xs) < k:
+        x = rng.randrange(10**6)
+        if x not in xs:
+            xs.append(x)
+    xs.sort()
+    pts = [f"p{i}" for i in range(k)]
+    mapping = {u: pts[rng.randrange(k)] for u in pts}
+    metric = {(pts[i], pts[j]): Fraction(xs[j] - xs[i], 10**6)
+              for i in range(k) for j in range(i + 1, k)}
+    return finite_system(pts, mapping, metric)

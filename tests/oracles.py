@@ -531,8 +531,8 @@ def report_v1(config):
     report with the per-step ``chain_analyses`` and ``cyclic`` lists put back
     for every ladder step, each from its own digraph built afresh from
     ``system.spec`` (as ``chains --delta`` writes them)."""
-    from chainscope import CyclicSweep, build_chain_digraph
-    from chainscope.report import chain_section, cyclic_section
+    from chainscope import build_chain_digraph
+    from chainscope.report import chain_section
     from chainscope.specio import system_from_desc
 
     doc = report_v2(config)
@@ -542,7 +542,7 @@ def report_v1(config):
         steps = [build_chain_digraph(model, Fraction(d)) for d in doc["ladder"]]
         doc["chain_analyses"] = [chain_section(dg) for dg in steps]
         doc["cyclic"] = [dict(row, saturation_failed=False) for dg in steps
-                         for row in cyclic_section(CyclicSweep([dg]), [dg.delta])]
+                         for row in step_cyclic_rows(CyclicSweep([dg]), [dg.delta])]
     return doc
 
 
@@ -653,4 +653,320 @@ def windowed_iapstar_bruteforce(bits, m_max, tail_start):
         for p in range(m):
             if not any(bits[i] for i in range(tail_start, len(bits)) if i % m == p):
                 return p, m
+    return None
+
+
+# -- the per-step ladder path ----------------------------------------------------------
+#
+# ``analyze`` once built every rung of its ladder, each from the rung before, and
+# decomposed every component at every rung into a sweep; ``chainscope.LadderWalk``
+# replaced both with work at the rungs where something changes.  The per-step path is
+# kept here as the oracle the walk is checked against.
+
+def _reach(masks, start):
+    """Bitmask of the points reachable from point ``start`` (itself
+    included), given each point's successor mask."""
+    seen = 0
+    frontier = 1 << start
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+    return seen
+
+
+def ladder_digraphs(sys, deltas):
+    """``build_chain_digraph(sys, delta)`` for each of the ascending
+    ``deltas``, each built from the previous step and the pairs it adds.  The
+    SCC partition changes iff an added edge u -> v joins two old SCCs and v
+    reaches u once all of the step's edges are in; one Tarjan runs at the
+    first step and at each step whose partition changes."""
+    from chainscope.chains import ChainDigraph, _finalize, _resolution, _row, build_chain_digraph
+    from chainscope.errors import InvariantViolation
+
+    ranks = sys.ranks
+    names, index = ranks.names, ranks.index
+    preimages = {}
+    for u in sys.points:
+        preimages.setdefault(sys.apply(u), []).append(u)
+    pairs = sorted((r, image, v) for image in preimages
+                   for v, r in zip(names, ranks.rank[image]))
+    masks = [0] * len(names)
+    taken = 0
+    dg = None
+    for delta in deltas:
+        delta, cut = _resolution(sys, delta)
+        if dg is not None and cut < dg.cut:
+            raise InvariantViolation("ladder resolutions must ascend")
+        added, grown = [], set()
+        while taken < len(pairs) and pairs[taken][0] <= cut:
+            _, image, v = pairs[taken]
+            taken += 1
+            grown.add(image)
+            for u in preimages[image]:
+                masks[index[u]] |= 1 << index[v]
+                added.append((u, v))
+        if dg is None:
+            dg = build_chain_digraph(sys, delta)
+            yield dg
+            continue
+        succ = dict(dg.succ)
+        for image in grown:
+            row = _row(sys, image, cut)
+            for u in preimages[image]:
+                succ[u] = row
+        scc_of = dg.scc_of
+        tails = {}
+        for u, v in added:
+            if scc_of[u] != scc_of[v]:
+                tails[v] = tails.get(v, 0) | 1 << index[u]
+        if any(_reach(masks, index[v]) & us for v, us in tails.items()):
+            dg = _finalize(sys, delta, cut, succ)
+        else:
+            dg = ChainDigraph(sys, delta, succ, dg.sccs, scc_of, cut)
+        yield dg
+
+
+def _labels(dg, comp):
+    """Class labels and period of a component of ``dg`` (``graph.classes``)."""
+    from chainscope.graph import classes
+
+    return classes(dg.succ, min(comp), comp)
+
+
+class _StepSegment:
+    """One component over a run of sweep steps with a fixed vertex set and
+    period, with the internal adjacency of every step as a tuple of rows."""
+
+    def __init__(self, dg, comp, first):
+        from chainscope.cyclic import _cross_pairs
+
+        self.system = dg.system
+        self.component = comp
+        self.nodes = sorted(comp)
+        self.bit = dict.fromkeys(dg.succ, 0)
+        self.bit.update((u, 1 << j) for j, u in enumerate(self.nodes))
+        self.class_of, self.period = _labels(dg, comp)
+        self.cls = [self.class_of[u] for u in self.nodes]
+        members = [0] * self.period
+        for i, c in enumerate(self.cls):
+            members[c] |= 1 << i
+        self.next_class = [members[(c + 1) % self.period] for c in self.cls]
+        self.cross = _cross_pairs(dg.system, self.nodes, self.class_of)
+        self.first = first
+        self.adjacency = [self._rows(dg)]
+        self._transient = None
+
+    def _rows(self, dg):
+        return tuple(sum(map(self.bit.__getitem__, dg.succ[u])) for u in self.nodes)
+
+    def extend(self, dg):
+        from chainscope.errors import InvariantViolation
+
+        rows = self._rows(dg)
+        if any(a & ~b for a, b in zip(self.adjacency[-1], rows)):
+            raise InvariantViolation("a sweep must only add edges from step to step")
+        if any(r & ~n for r, n in zip(rows, self.next_class)):
+            return False
+        self.adjacency.append(rows)
+        return True
+
+    def transient(self, i):
+        from chainscope.cyclic import _transient_index
+
+        if self._transient is None:
+            vals = [None] * len(self.adjacency)
+
+            def at(j):
+                if vals[j] is None:
+                    vals[j] = _transient_index(self.adjacency[j], self.cls, self.period)
+                return vals[j]
+
+            runs = [(0, len(self.adjacency) - 1)]
+            while runs:
+                lo, hi = runs.pop()
+                if at(lo) == at(hi):
+                    vals[lo:hi + 1] = [vals[lo]] * (hi - lo + 1)
+                elif hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    runs += [(lo, mid), (mid, hi)]
+            self._transient = vals
+        return self._transient[i]
+
+    def decomposition(self, i, cut, delta):
+        from chainscope import CyclicDecomposition
+
+        return CyclicDecomposition(self.system, self.component, delta, self.period,
+                                   self.class_of, self.transient(i - self.first),
+                                   tuple((u, v) for r, u, v in self.cross if r <= cut))
+
+
+class CyclicSweep:
+    """Cyclic decompositions of every chain component along an ascending
+    sequence of step digraphs of one system, one segment per run of steps
+    at which a component keeps its vertex set and period.  Feed the steps
+    in ascending order with ``add``; read them after the last step."""
+
+    def __init__(self, digraphs=()):
+        self._steps = {}
+        self._open = {}
+        self._last = None
+        self._read = False
+        for dg in digraphs:
+            self.add(dg)
+
+    def add(self, dg):
+        from chainscope import chain_components
+        from chainscope.errors import InvariantViolation
+
+        if self._read:
+            raise InvariantViolation("a sweep takes no step after it has been read")
+        if self._last is not None and dg.delta <= self._last:
+            raise InvariantViolation("sweep resolutions must ascend")
+        i = len(self._steps)
+        here = {}
+        for comp in chain_components(dg):
+            seg = self._open.get(comp)
+            if seg is None or not seg.extend(dg):
+                seg = _StepSegment(dg, comp, i)
+            here[seg.component] = seg
+        self._open = here
+        self._last = dg.delta
+        self._steps[dg.delta] = (i, dg.cut, here)
+
+    def components(self, delta):
+        return self._steps[delta][2].keys()
+
+    def decomposition(self, delta, comp):
+        self._read = True
+        i, cut, here = self._steps[delta]
+        seg = here.get(comp)
+        return None if seg is None else seg.decomposition(i, cut, delta)
+
+    def decompositions(self, delta):
+        return tuple(self.decomposition(delta, comp) for comp in self.components(delta))
+
+    def proximal(self, C, ladder):
+        """Meet of the class partitions of C down the strictly descending
+        swept ``ladder``, while C stays a chain component."""
+        from chainscope.cyclic import ProximalPartition, _descending
+        from chainscope.errors import NotAComponent
+
+        comp = frozenset(C)
+        decomps, split_at = [], None
+        for d in _descending(ladder):
+            dec = self.decomposition(d, comp)
+            if dec is None:
+                if not decomps:
+                    raise NotAComponent(
+                        f"{sorted(comp)} is not a chain component at the coarsest delta")
+                split_at = d
+                break
+            decomps.append(dec)
+        buckets = {}
+        for u in sorted(comp):
+            buckets.setdefault(tuple(dec.class_of[u] for dec in decomps), []).append(u)
+        return ProximalPartition(comp, tuple(dec.delta for dec in decomps),
+                                 tuple(tuple(b) for _, b in sorted(buckets.items())),
+                                 tuple(decomps), split_at)
+
+
+def step_cyclic_rows(sweep, ladder, dense=False):
+    """The cyclic rows of the swept ascending ``ladder`` that a component has
+    new at a step or that differ from its row at the previous step in any
+    field but ``delta``; every row of every step when ``dense``."""
+    from chainscope.report import _cyclic_row
+
+    rows, last = [], {}
+    for d in ladder:
+        here = {}
+        for dec in sweep.decompositions(d):
+            state = (dec.period, dec.transient_index, dec.p2_violations)
+            if dense or last.get(dec.component) != state:
+                rows.append(_cyclic_row(dec))
+            here[dec.component] = state
+        last = here
+    return rows
+
+
+def step_analyze(config, dense=False):
+    """The ladder sections of the ``analyze`` report of a finite system
+    (``chain_analyses``, ``cyclic``, ``basins``, ``proximal``, ``chaos``) by
+    the per-step path: every ladder step walked and swept, an entry written
+    at step 0 and where the components change, a row where a component's row
+    changes, or both at every step when ``dense``.  Also returns the walk's
+    steps and the sweep."""
+    from bisect import bisect_left
+
+    from chainscope.basins import assign_basins
+    from chainscope.chaos import classify_finite_component
+    from chainscope.report import (_frac, _ladder_for, basin_section, chain_section,
+                                   chaos_section, resolve_model)
+    from chainscope.systems import as_fraction
+
+    model = resolve_model(config.spec)
+    ladder = _ladder_for(model, config)
+    delta = as_fraction(config.delta) if config.delta is not None else ladder[0]
+    at = bisect_left(ladder, delta)
+    on = ladder[at:at + 1] == [delta]
+    walk = ladder if on else [*ladder[:at], delta, *ladder[at:]]
+    sweep = CyclicSweep()
+    steps, chains, comps = [], [], None
+    for j, step in enumerate(ladder_digraphs(model, walk)):
+        sweep.add(step)
+        steps.append(step)
+        if on or j != at:
+            last, comps = comps, set(sweep.components(step.delta))
+            if dense or last != comps:
+                chains.append(chain_section(step))
+    decomps = sweep.decompositions(delta)
+    proximal = []
+    for dec in decomps:
+        comp = dec.component
+        top = next((i for i in range(len(ladder) - 1, at - 1, -1)
+                    if comp in sweep.components(ladder[i])), None)
+        pp = sweep.proximal(comp, ladder[top::-1] if top is not None else [delta])
+        proximal.append({
+            "component": sorted(comp),
+            "ladder": [_frac(x) for x in pp.ladder],
+            "classes": [list(c) for c in pp.classes],
+            "split_at": _frac(pp.split_at) if pp.split_at is not None else None,
+        })
+    params = config.classify_params()
+    return {
+        "chain_analyses": chains,
+        "cyclic": step_cyclic_rows(sweep, ladder, dense),
+        "basins": [basin_section(assign_basins(model, decomps))],
+        "proximal": proximal,
+        "chaos": [chaos_section(classify_finite_component(dec, config.n_max, params))
+                  for dec in decomps],
+    }, steps, sweep
+
+
+def per_entry_shift_refusal(rows):
+    """The message that refuses an adjacency spec when each entry is checked
+    on its own, as vertex-shift loads once did (None when the spec loads):
+    every entry must be an int, row by row, then the matrix square, the
+    entries 0 or 1, and each vertex in turn given an outgoing and then an
+    incoming edge."""
+    adjacency = []
+    for row in rows:
+        for x in row:
+            if type(x) is not int:
+                return f"an adjacency entry must be an integer, got {x!r}"
+        adjacency.append(list(row))
+    n = len(adjacency)
+    if n == 0 or any(len(row) != n for row in adjacency):
+        return "adjacency must be a nonempty square matrix"
+    if any(x not in (0, 1) for row in adjacency for x in row):
+        return "adjacency entries must be 0 or 1"
+    for v in range(n):
+        if not any(adjacency[v]):
+            return f"vertex {v} has no outgoing edge"
+        if not any(row[v] for row in adjacency):
+            return f"vertex {v} has no incoming edge"
     return None

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import (CyclicSweep, assign_basins, build_chain_digraph, chain_components,
-                        critical_deltas, finite_system, verify_partition_laws)
+from chainscope import (assign_basins, build_chain_digraph, chain_components, critical_deltas,
+                        cyclic_classes, finite_system, verify_partition_laws)
 from chainscope.errors import OmegaNotInComponent
 
 from conftest import random_system
@@ -14,7 +14,7 @@ from oracles import brute_proximal, closure_components, digraph_from_edges, omeg
 
 
 def basins(sys, dg):
-    return assign_basins(sys, CyclicSweep([dg]).decompositions(dg.delta))
+    return assign_basins(sys, [cyclic_classes(dg, comp) for comp in chain_components(dg)])
 
 
 def test_omega_limit_examples(sysns, sys3, sys2id):

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import (build_chain_digraph, chain_components, chain_recurrent_set, chains,
-                        complete_lyapunov, critical_deltas, cyclic_classes, finite_system,
-                        graph)
-from chainscope.chains import ladder_digraphs
+from chainscope import (LadderWalk, build_chain_digraph, chain_components, chain_recurrent_set,
+                        chains, complete_lyapunov, critical_deltas, cyclic_classes,
+                        finite_system, graph)
 from chainscope.report import AnalysisConfig, cmd_analyze
 
 from conftest import line_system, random_system, save_system
 from oracles import (closure_components, digraph_from_edges, fraction_lyapunov,
-                     fraction_table, reaches)
+                     fraction_table, ladder_digraphs, reaches)
 from test_cyclic import _sweep_deltas, _sweep_system
 
 
@@ -287,44 +286,56 @@ def test_ladder_walk_runs_tarjan_only_where_the_sccs_change(tmp_path, monkeypatc
         return graph.strongly_connected_components(succ)
 
     monkeypatch.setattr(chains, "strongly_connected_components", counting)
-    cmd_analyze(AnalysisConfig(spec=str(tmp_path / "line.json")))
-    assert len(calls) == 1 + changes
-    assert len(calls) < len(ladder)
+    doc = cmd_analyze(AnalysisConfig(spec=str(tmp_path / "line.json")))
+    # one Tarjan per digraph built, and one is built per chain analysis
+    # written: where the chain components change, which they do wherever the
+    # SCC partition does and also where a point becomes recurrent alone
+    assert len(calls) == len(doc["chain_analyses"])
+    assert 1 + changes <= len(calls) < len(ladder)
 
 
 def test_ladder_walk_refuses_a_descending_or_negative_resolution(sys3):
     from chainscope.errors import InvariantViolation, SpecError
 
     with pytest.raises(InvariantViolation):
-        list(ladder_digraphs(sys3, [Fraction(1), Fraction(1, 2)]))
+        LadderWalk(sys3, [Fraction(1), Fraction(1, 2)])
+    with pytest.raises(InvariantViolation):
+        LadderWalk(sys3, [Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(SpecError):
-        list(ladder_digraphs(sys3, [Fraction(-1, 2), Fraction(1)]))
+        LadderWalk(sys3, [Fraction(-1, 2), Fraction(1)])
 
 
 def test_ladder_walk_builds_the_condensation_only_where_a_section_reads_it(tmp_path,
                                                                            monkeypatch):
-    from chainscope import report
+    from chainscope import cyclic, report
 
     sys = line_system(24, 24)
     save_system(sys, tmp_path / "line.json")
+    ladder = critical_deltas(sys)
     steps, written = [], []
-    walk, section = report.ladder_digraphs, report.chain_section
+    build, section = cyclic.build_chain_digraph, report.chain_section
 
-    def recording_walk(model, deltas):
-        for dg in walk(model, deltas):
-            steps.append(dg)
-            yield dg
+    def recording_build(*args):
+        steps.append(build(*args))
+        return steps[-1]
 
     def recording_section(dg):
         written.append(dg)
         return section(dg)
 
-    monkeypatch.setattr(report, "ladder_digraphs", recording_walk)
+    monkeypatch.setattr(cyclic, "build_chain_digraph", recording_build)
     monkeypatch.setattr(report, "chain_section", recording_section)
-    cmd_analyze(AnalysisConfig(spec=str(tmp_path / "line.json")))
-    assert 0 < len(written) < len(steps)
-    for dg in steps:
-        assert ("cond_succ" in dg.__dict__) == any(dg is w for w in written)
+    # the classification resolution on the ladder, then between two rungs
+    for delta in (None, str((ladder[5] + ladder[6]) / 2)):
+        steps.clear()
+        written.clear()
+        cmd_analyze(AnalysisConfig(spec=str(tmp_path / "line.json"), delta=delta))
+        assert 0 < len(written) < len(ladder)
+        # every digraph built is written: the components do not change
+        # between two critical values, so the off-ladder rung is not built
+        assert len(steps) == len(written)
+        for dg in steps:
+            assert ("cond_succ" in dg.__dict__) == any(dg is w for w in written)
 
 
 @settings(max_examples=100, deadline=None)

@@ -129,7 +129,8 @@ def test_internal_invariant_failure_exits_4(monkeypatch, capsys):
                           sys3.ranks.cut(Fraction(0)))
     with pytest.raises(InternalError):
         complete_lyapunov(broken)
-    monkeypatch.setattr(report, "ladder_digraphs", lambda model, deltas: iter([broken]))
+    # the walk builds every digraph it reads or writes through one name
+    monkeypatch.setattr(cyclic, "build_chain_digraph", lambda model, delta: broken)
     code, _, err = run_cli(["analyze", "corpus:sys3"], capsys)
     assert code == 4
     assert "internal invariant failure" in err
@@ -365,19 +366,27 @@ def test_v3_report_bytes_match_recorded_digest(config, digest):
 ])
 def test_analyze_builds_each_ladder_digraph_once(config, monkeypatch):
     builds = {"chains": 0, "cyclic": 0}
-    for module, attr in ((chains, "build_chain_digraph"), (cyclic, "ladder_digraphs")):
+    for module in (chains, cyclic):
         name = module.__name__.rsplit(".", 1)[1]
 
-        def build(sys, delta, _name=name, _original=getattr(module, attr)):
+        def build(*args, _name=name, _original=module.build_chain_digraph):
             builds[_name] += 1
-            return _original(sys, delta)
+            return _original(*args)
 
-        monkeypatch.setattr(module, attr, build)
-    cmd_analyze(AnalysisConfig(**config))
-    # the walk builds its first step; each later step grows from the one before
-    assert builds["chains"] == 1
-    # the proximal section reads the sweep and builds no digraph of its own
-    assert builds["cyclic"] == 0
+        monkeypatch.setattr(module, "build_chain_digraph", build)
+    doc = cmd_analyze(AnalysisConfig(**config))
+    built = dict(builds)
+    # the walk builds a digraph where it writes a chain analysis, and at the
+    # classification resolution when that is off the ladder and the chain
+    # components change there
+    ladder = [Fraction(d) for d in doc["ladder"]]
+    delta = Fraction(config.get("delta", ladder[0]))
+    walk = sorted({*ladder, delta})
+    off = delta not in ladder and walk.index(delta) in cyclic.LadderWalk(
+        load_corpus(config["spec"].split(":")[1]), walk).changes
+    assert built["cyclic"] == len(doc["chain_analyses"]) + off
+    # the proximal section reads the walk and builds no digraph of its own
+    assert built["chains"] == 0
 
 
 # irreducible period-2 symbol graph with branching: vertices 0, 1 form one

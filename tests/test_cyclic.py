@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import (CyclicSweep, assign_basins, build_chain_digraph, chain_components,
-                        component_period, critical_deltas, cyclic, cyclic_classes,
-                        finite_system, proximal_partition, transient_index)
-from chainscope.chains import ladder_digraphs
+from chainscope import (LadderWalk, assign_basins, build_chain_digraph, chain_components,
+                        component_period, critical_deltas, cyclic_classes, finite_system,
+                        proximal_partition, transient_index)
 from chainscope.errors import EmptyLadder, InvariantViolation, NotAComponent, SpecError
 
 from conftest import line_system, random_digraph, random_system
-from oracles import (brute_proximal, cycle_gcd, digraph_from_edges, path_length_sets,
-                     proximal_loop)
+import oracles
+from oracles import (CyclicSweep, brute_proximal, cycle_gcd, digraph_from_edges,
+                     ladder_digraphs, path_length_sets, proximal_loop)
 
 
 def test_period_sys3(sys3):
@@ -168,10 +168,10 @@ def test_transient_index_matches_brute_force_on_non_injective_maps(seed):
                         {(pts[i], pts[j]): abs(xs[i] - xs[j])
                          for i in range(k) for j in range(i + 1, k)})
     crit = critical_deltas(sys)
-    walked = CyclicSweep(ladder_digraphs(sys, crit))
-    for delta in crit:
+    walked = LadderWalk(sys, crit)
+    for j, delta in enumerate(crit):
         dg = build_chain_digraph(sys, delta)
-        for comp, dec in zip(chain_components(dg), walked.decompositions(delta), strict=True):
+        for comp, dec in zip(chain_components(dg), walked.decompositions(j), strict=True):
             brute = _brute_transient_index(sys, dg.succ, comp)
             assert transient_index(dg, comp) == dec.transient_index == brute
 
@@ -368,26 +368,28 @@ def _fields(dec):
 
 
 def _check_sweep(sys, starts):
-    """Compare one sweep over the system with the per-step decompositions, and
-    its proximal partitions from the resolutions in ``starts`` with the
-    per-step loop; returns the number of merge-law violations seen.  A second
-    sweep fed the walk's digraphs, which share the successor tuples of the
-    rows a step leaves alone, must equal the first, whose digraphs are built
-    separately and share none."""
+    """Compare the ladder walk and the per-step sweep oracle over the system
+    with the per-step decompositions, and their proximal partitions from the
+    resolutions in ``starts`` with the per-step loop; returns the number of
+    merge-law violations seen.  A second sweep, fed the oracle walk's
+    digraphs, must equal the first, whose digraphs are built separately."""
     deltas = _sweep_deltas(sys)
-    with mock.patch.object(cyclic, "_labels", wraps=cyclic._labels) as labels:
+    with mock.patch.object(oracles, "_labels", wraps=oracles._labels) as labels:
         sweep = CyclicSweep(build_chain_digraph(sys, d) for d in deltas)
     walked = CyclicSweep(ladder_digraphs(sys, deltas))
+    walk = LadderWalk(sys, deltas)
     seen = 0
     segments = 0
     before: dict = {}
-    for d in deltas:
+    for j, d in enumerate(deltas):
         dg = build_chain_digraph(sys, d)
         comps = chain_components(dg)
         assert tuple(sweep.components(d)) == comps
         decs = sweep.decompositions(d)
         assert tuple(walked.components(d)) == comps
         assert [_fields(w) for w in walked.decompositions(d)] == [_fields(x) for x in decs]
+        assert walk.components(j) == comps
+        assert [_fields(w) for w in walk.decompositions(j)] == [_fields(x) for x in decs]
         here = {}
         for comp, dec in zip(comps, decs, strict=True):
             ref = cyclic_classes(dg, comp)
@@ -401,12 +403,14 @@ def _check_sweep(sys, starts):
                 pp = sweep.proximal(comp, down)
                 assert (pp.ladder, pp.classes, pp.split_at) == proximal_loop(sys, comp, down)
                 assert proximal_partition(sys, comp, down) == pp
+                assert walk.proximal(comp, range(j, -1, -1)) == pp
         shared = assign_basins(sys, decs)
         own = [cyclic_classes(dg, c) for c in chain_components(dg)]
         assert shared.class_of_basin == assign_basins(sys, own).class_of_basin
         before = here
-    # one BFS labelling per segment
+    # one BFS labelling per segment, in the sweep and in the walk
     assert labels.call_count == segments
+    assert sum(len(walk._track(comp)) for comp in walk._spans) == segments
     return seen
 
 
@@ -427,8 +431,8 @@ def test_sweep_records_merge_violations_like_each_step():
     sys = finite_system(["a", "c", "e", "b"], {"a": "b", "b": "a", "c": "b", "e": "a"},
                         {("a", "c"): 1, ("a", "e"): 2, ("a", "b"): 3, ("c", "e"): 1,
                          ("c", "b"): 2, ("e", "b"): 1})
-    sweep = CyclicSweep(build_chain_digraph(sys, d) for d in critical_deltas(sys))
-    (dec,) = sweep.decompositions(Fraction(1))
+    crit = critical_deltas(sys)
+    (dec,) = LadderWalk(sys, crit).decompositions(crit.index(Fraction(1)))
     assert dec.period == 2 and dec.p2_violations == (("c", "e"),)
     rng = random.Random(13)
     seen = sum(_check_sweep(_sweep_system("two_cycle", rng), lambda deltas, d: True)
@@ -437,17 +441,18 @@ def test_sweep_records_merge_violations_like_each_step():
 
 
 def test_sweep_rejects_misuse(sys3):
-    steps = [build_chain_digraph(sys3, d) for d in (Fraction(1, 2), Fraction(1))]
+    # a walk takes strictly ascending resolutions, and reads a proximal
+    # partition only from a rung where the set is a component
     with pytest.raises(InvariantViolation):
-        CyclicSweep(steps[::-1])
-    sweep = CyclicSweep(steps[:1])
-    sweep.decompositions(Fraction(1, 2))
+        LadderWalk(sys3, [Fraction(1), Fraction(1, 2)])
     with pytest.raises(InvariantViolation):
-        sweep.add(steps[1])
-    # the 3-cycle a -> b -> c at a finer resolution than the complete digraph
-    fewer = digraph_from_edges(sys3, 2, [("a", "b"), ("b", "c"), ("c", "a")])
-    with pytest.raises(InvariantViolation):
-        CyclicSweep([steps[1], fewer])
+        LadderWalk(sys3, [Fraction(1, 2), Fraction(1, 2)])
+    with pytest.raises(EmptyLadder):
+        LadderWalk(sys3, [])
+    walk = LadderWalk(sys3, [Fraction(1, 2), Fraction(1)])
+    assert walk.decomposition(0, frozenset("ab")) is None
+    with pytest.raises(NotAComponent):
+        walk.proximal({"a", "b"}, [1, 0])
 
 
 @settings(max_examples=60, deadline=None)

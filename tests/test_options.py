@@ -220,8 +220,9 @@ def test_analyze_emit_dot_draws_the_classification_resolution(extra, tmp_path, c
 
 def test_analyze_emit_dot_loads_the_spec_once(tmp_path, monkeypatch, capsys):
     # the DOT writer draws the model the report loaded, at the walk's own
-    # step: one load of the spec file, and no digraph built again
-    from chainscope import report, specio
+    # step: one load of the spec file, and no digraph built again (the walk
+    # builds one per chain analysis written, the drawn one among them)
+    from chainscope import cyclic, report, specio
 
     spec = tmp_path / "tent8.json"
     save_system(load_corpus("tent8"), spec)
@@ -236,12 +237,13 @@ def test_analyze_emit_dot_loads_the_spec_once(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(module, name, wrapped)
 
     for module, name in ((specio, "load_system"), (report, "load_system"),
-                         (cli, "build_chain_digraph")):
+                         (cyclic, "build_chain_digraph")):
         counting(module, name)
     code, _, _ = run_cli(["analyze", str(spec), "--emit-dot", str(tmp_path / "c.dot"),
                           "--out", str(tmp_path / "r.json")], capsys)
     assert code == 0
-    assert counts == {"load_system": 1, "build_chain_digraph": 0}
+    written = len(json.loads((tmp_path / "r.json").read_text())["chain_analyses"])
+    assert counts == {"load_system": 1, "build_chain_digraph": written}
 
 
 @pytest.mark.parametrize("name", [n for n in corpus_names()

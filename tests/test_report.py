@@ -14,15 +14,14 @@ import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import CyclicDecomposition, CyclicSweep, critical_deltas, finite_system, report
-from chainscope.chains import ladder_digraphs
+from chainscope import CyclicDecomposition, LadderWalk, critical_deltas, finite_system, report
 from chainscope.cli import main
 from chainscope.corpus import corpus_names
 from chainscope.report import AnalysisConfig, cmd_analyze
 from chainscope.specio import dump_system
 
 from conftest import line_system, random_system, save_system
-from oracles import recover_step, report_v1, report_v2
+from oracles import CyclicSweep, ladder_digraphs, recover_step, report_v1, report_v2, step_analyze
 from test_cyclic import _sweep_system
 from test_graph import irreducible_graphs
 
@@ -59,9 +58,10 @@ def _check_v2_against_v1(config: AnalysisConfig):
     # v2 is the v3 report with the keys v3 dropped put back (``report_v2``)
     v2 = report_v2(config)
     v1 = report_v1(config)
-    # the v1 pipeline: the same run with every ladder step written
-    with mock.patch.object(report, "_changed", lambda last, here: True):
-        dense = report_v2(config)
+    # the v1 pipeline: the per-step oracle with every ladder step written
+    dense = dict(v2, **step_analyze(config, dense=True)[0])
+    for row in dense["cyclic"]:
+        row["saturation_failed"] = False
     ladder = v2["ladder"]
     assert v1["ladder"] == ladder
     assert len(v1["chain_analyses"]) == len(ladder)
@@ -115,12 +115,14 @@ def test_cyclic_rows_list_classes_only_for_the_rows_written():
     # written (the v1 comparison above pins the rows themselves)
     sys = line_system(24, 24)
     ladder = critical_deltas(sys)
-    sweep = CyclicSweep(ladder_digraphs(sys, ladder))
+    walk = LadderWalk(sys, ladder)
     with mock.patch.object(CyclicDecomposition, "classes", autospec=True,
                            side_effect=CyclicDecomposition.classes) as classes:
-        rows = report.cyclic_section(sweep, ladder)
+        rows = report.cyclic_section(walk, range(len(ladder)))
     assert len(rows) == classes.call_count == 24
-    # a comparison of full rows builds one per component and step
+    # a comparison of full rows builds one per component and step, as the
+    # per-step oracle does
+    sweep = CyclicSweep(ladder_digraphs(sys, ladder))
     assert sum(len(sweep.components(d)) for d in ladder) == 231
 
 

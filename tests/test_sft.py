@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from chainscope import SftGraph, SftPoint, full_shift, sft_distance, sft_entropy
 from chainscope.corpus import golden_mean_shift
 from chainscope.errors import InvalidPoint, NoConvergence, SpecError
+from chainscope.specio import system_from_desc
 from chainscope.sft import (canonical_form, connecting_paths, find_exact_path, graph_period,
                             parse_point, shift_by, validate_point, vertex_classes)
 
 from conftest import random_point
-from oracles import connector_loop, dense_radius_bracket, exact_path, sparse_radius_bracket
+from oracles import (connector_loop, dense_radius_bracket, exact_path, per_entry_shift_refusal,
+                     sparse_radius_bracket)
 from test_graph import irreducible_graphs
 
 
@@ -25,6 +27,41 @@ def test_graph_validation():
     g = SftGraph(((1, 1), (1, 0)))
     assert g.successors(0) == (0, 1)
     assert g.successors(1) == (0,)
+
+
+def _refusal(rows):
+    try:
+        system_from_desc({"schema": "chainscope-v1", "kind": "sft", "adjacency": rows})
+    except SpecError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1.0], [1, 0]], "an adjacency entry must be an integer, got 1.0"),
+    ([[0, True], [1, 0]], "an adjacency entry must be an integer, got True"),
+    ([[0, 2], [1, 0]], "adjacency entries must be 0 or 1"),
+    ([[0, 1], [1]], "adjacency must be a nonempty square matrix"),
+    ([[1, 0], [1, 0]], "vertex 1 has no incoming edge"),
+    ([[0, 0], [1, 1]], "vertex 0 has no outgoing edge"),
+    # the first bad entry in row order is named, past a 2 and a later bad one
+    ([[2, 1], [1.5, True]], "an adjacency entry must be an integer, got 1.5"),
+    ([[0, 1, "x"], [1.5, 0, 0], [1, 1, 1]], "an adjacency entry must be an integer, got 'x'"),
+])
+def test_shift_spec_refusals_name_the_first_bad_entry(rows, message):
+    assert _refusal(rows) == per_entry_shift_refusal(rows) == message
+
+
+ENTRIES = st.sampled_from([0, 1, 0, 1, 0, 1, 2, True, False, 1.0, 0.0, "1"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(ENTRIES, min_size=n - 1, max_size=n + 1) | st.lists(st.sampled_from([0, 1]),
+                                                                min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_shift_spec_refusals_match_the_per_entry_checks(rows):
+    assert _refusal(rows) == per_entry_shift_refusal(rows)
 
 
 def test_canonical_form_primitive_cycle_and_minimal_head():

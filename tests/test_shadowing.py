@@ -235,6 +235,21 @@ def test_estimate_slimit_modulus_positive_case():
     assert estimate_slimit_modulus(sys, Fraction(1), 6) == 1
 
 
+def test_a_decaying_chain_with_a_late_free_step_has_no_limit_shadow():
+    # the capped estimate tries free steps only in a chain's first half, so
+    # it never tries this chain, whose second free step is its last one:
+    # p0 p2 p1 p3 p4 p2 p1 p3 p4, then the true orbit of p4
+    rng = random.Random(1)
+    sys = [random_system(rng, max_points=6) for _ in range(120)][119]
+    assert dict(sys.map) == {"p0": "p2", "p1": "p3", "p2": "p1", "p3": "p5", "p4": "p2",
+                             "p5": "p0"}
+    chain = ["p0", "p2", "p1", "p3", "p4", "p2", "p1", "p3", "p4"]
+    po = validate_pseudo_orbit(sys, chain, Fraction(1, 3))
+    assert po.errors == (0, 0, 0, Fraction(1, 3), 0, 0, 0, Fraction(1, 3))
+    assert not any(shadowing._limit_shadowed_by(sys, chain, Fraction(5), z)
+                   for z in sys.points)
+
+
 def test_default_schedule_shape():
     sched = default_schedule(Fraction(1, 4))
     assert sched == (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64), Fraction(1, 256))
