@@ -19,8 +19,8 @@ from .families import (EventuallyPeriodicSet, FamilyVerdict, TimeSetWindow, Wind
                        window_family_member)
 from .sft import (SftGraph, SftPoint, full_shift, graph_period, is_irreducible,
                   sft_distance, sft_entropy, vertex_classes)
-from .shadowing import (PseudoOrbit, ShadowResult, estimate_slimit_modulus,
-                        find_shadowing_point, sft_shadow, slimit_splice,
-                        validate_limit_pseudo_orbit, validate_pseudo_orbit)
+from .shadowing import (PseudoOrbit, ShadowResult, find_shadowing_point, limit_rank,
+                        limit_shadowed, sft_shadow, slimit_modulus, slimit_splice,
+                        validate_pseudo_orbit)
 from .systems import (FiniteSystem, GridMapSpec, compile_finite, discretize,
                       finite_system)

@@ -1,10 +1,11 @@
-"""Pseudo-orbits, shadowing search and exact splice constructions.
+"""Pseudo-orbits, shadowing, limit shadowing and exact splice constructions.
 
-On finite systems shadowing is decided by brute force over candidate start
-points, on int distance ranks.  On vertex shifts the shadow of a pseudo-orbit
-whose steps agree to depth n is constructed exactly by splicing first symbols:
-consecutive states overlap in n symbols, so adjacent spliced symbols are
-admissible pairs and the spliced point tracks every state to depth n+1.
+On finite systems shadowing is decided by brute force over start points,
+and limit shadowing exactly by one per-pair walk, ``limit_rank``, on int
+distance ranks.  On vertex shifts a pseudo-orbit whose steps agree to depth
+n is shadowed by splicing first symbols: consecutive states overlap in n
+symbols, so adjacent spliced symbols are admissible pairs, and the spliced
+point tracks every state to depth n+1, then the last state's orbit exactly.
 
 The splice toward a target tail realizes the asymptotic-merge construction:
 keep a prefix of one point, connect admissibly, then copy the other point's
@@ -17,12 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, compress
 from operator import ne
 from typing import NamedTuple, Sequence
 
-from .chains import build_chain_digraph, critical_deltas
+from .chains import critical_ranks
 from .errors import (AdmissibilityBug, BudgetExceeded, ClassMismatch, NotIrreducible,
                      PrecisionViolation, SpecError, StepViolation)
 from .sft import (SftGraph, SftPoint, dyadic, dyadic_depth, find_exact_path,
@@ -52,16 +53,14 @@ class PseudoOrbit:
             raise SpecError("errors must have one entry per step")
 
     @cached_property
-    def suffix_max(self) -> list[Fraction]:
-        """suffix_max[i] = max(errors[i:]) for i < len(errors), and 0 at
-        len(errors).  The maxima are taken on keys that order like the errors
-        and read back from the errors: the ranks, the depths negated (None
-        least), or else the errors themselves."""
+    def max_error(self) -> Fraction:
+        """max(errors), and 0 for no step.  The maximum is taken on keys that
+        order like the errors and read back from the errors: the ranks, the
+        depths negated (None least), or else the errors themselves."""
         keys = self.ranks or self.errors
         if self.depths is not None:
             keys = [-math.inf if k is None else -k for k in self.depths]
-        error_of = dict(zip(keys, self.errors)).__getitem__
-        return [*map(error_of, accumulate(reversed(keys), max))][::-1] + [Fraction(0)]
+        return self.errors[keys.index(max(keys))] if keys else Fraction(0)
 
 
 def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
@@ -104,41 +103,6 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
     else:
         raise SpecError(f"unsupported model {type(model).__name__}")
     return PseudoOrbit(states, tuple(errors), model, depths, keys)
-
-
-class LimitVerdict(NamedTuple):
-    ok: bool
-    failing_checkpoint: int | None = None
-
-
-def validate_limit_pseudo_orbit(po: PseudoOrbit, delta,
-                                schedule: Sequence) -> LimitVerdict:
-    """Finitized error-decay check for a pseudo-orbit.
-
-    The decay requirement becomes a checkpoint schedule: for the j-th entry
-    t_j of the (strictly decreasing, positive) schedule, the suffix maximum
-    of the errors beyond checkpoint j*(len/|schedule|) must be <= t_j.
-    """
-    delta = Fraction(delta)
-    sched = [Fraction(t) for t in schedule]
-    if not sched or sched[-1] <= 0 or any(a <= b for a, b in zip(sched, sched[1:])):
-        raise SpecError("schedule must be strictly decreasing and end positive")
-    nerr = len(po.errors)
-    suffix_max = po.suffix_max
-    if nerr and suffix_max[0] > delta:  # some error exceeds delta
-        return LimitVerdict(False, 0)
-    for j, tj in enumerate(sched):
-        cp = (j * nerr) // len(sched)
-        if suffix_max[cp] > tj:
-            return LimitVerdict(False, j)
-    return LimitVerdict(True)
-
-
-def default_schedule(delta) -> tuple[Fraction, ...]:
-    d = Fraction(delta)
-    if d <= 0:
-        d = Fraction(1, 64)
-    return (d, d / 4, d / 16, d / 64)
 
 
 class ShadowResult(NamedTuple):
@@ -278,76 +242,80 @@ def slimit_splice(g: SftGraph, x: SftPoint, y: SftPoint, epsilon) -> SftPoint:
     return z
 
 
-def _limit_shadowed_by(sys: FiniteSystem, states, epsilon, z) -> bool:
-    """Does z epsilon-track the pseudo-orbit and merge with its true tail?
+def limit_rank(sys: FiniteSystem, u: str, v: str) -> int | None:
+    """The greatest rank of d(f^t u, f^t v) over t >= 0 if the pair orbit
+    reaches the diagonal, where two equal points stay, and None if a pair
+    off the diagonal comes round again.  So Good(u, v) at a cut, the pair
+    orbit within the cut and merging, is ``limit_rank in range(cut + 1)``."""
+    rank, index, f = sys.ranks.rank, sys.ranks.index, sys.map
+    top, seen = 0, set()
+    while u != v:
+        if (u, v) in seen:
+            return None
+        seen.add((u, v))
+        top = max(top, rank[u][index[v]])
+        u, v = f[u], f[v]
+    return top
 
-    The pseudo-orbit is extended beyond its last state by the true map; the
-    pair (orbit of z, extended orbit) is eventually periodic, so the check
-    is exact: all pairwise distances <= epsilon and distance zero on the
-    repeating part.
+
+def _near(sys: FiniteSystem, us, s: str, cut: int) -> frozenset:
+    """The points of ``us`` within rank ``cut`` of s."""
+    rank, j = sys.ranks.rank, sys.ranks.index[s]
+    return frozenset(u for u in us if rank[u][j] <= cut)
+
+
+def limit_shadowed(sys: FiniteSystem, po: PseudoOrbit, epsilon) -> bool:
+    """Does some z epsilon-track the pseudo-orbit, then the true orbit of its
+    last state s, and merge with it?  The trackers' positions Z_0 = B(s_0),
+    Z_{i+1} = f(Z_i) & B(s_{i+1}) are one set; only those at s walk on."""
+    cut, f, states = sys.ranks.cut(Fraction(epsilon)), sys.map, po.states
+    z = _near(sys, sys.points, states[0], cut)
+    for s in states[1:]:
+        z = z and _near(sys, map(f.__getitem__, z), s, cut)  # none left: stop
+    return any(limit_rank(sys, u, states[-1]) in range(cut + 1) for u in z)
+
+
+def slimit_modulus(sys: FiniteSystem, epsilon,
+                   budget: int = 10**7) -> tuple[Fraction, tuple[str, ...] | None]:
+    """The largest critical delta at which every decaying delta-pseudo-orbit
+    is epsilon-limit-shadowed, and the shortest chain that is not at the
+    next rung up (None at the top).
+
+    Such a pseudo-orbit is a delta-chain followed by the true orbit of its
+    last state s; it fails iff no tracker in Z (``limit_shadowed``) is Good
+    at s, and Z empty also settles the chains that never stop.  A
+    breadth-first search over the states (s, Z), each charged to
+    ``budget``, decides a rung.  Failure is monotone in delta, so the
+    ladder of ``critical_ranks`` is bisected; its first rung, 0, holds.
     """
-    rank, index, cut = sys.ranks.rank, sys.ranks.index, sys.ranks.cut(epsilon)
-    u = z
-    for s in states[:-1]:
-        if rank[u][index[s]] > cut:
-            return False
-        u = sys.apply(u)
-    pair = (u, states[-1])
-    seen = set()
-    while pair not in seen:
-        seen.add(pair)
-        if rank[pair[0]][index[pair[1]]] > cut:
-            return False
-        pair = (sys.apply(pair[0]), sys.apply(pair[1]))
-    # walk the repeating part: distances there must vanish
-    start = pair
-    while True:
-        if pair[0] != pair[1]:
-            return False
-        pair = (sys.apply(pair[0]), sys.apply(pair[1]))
-        if pair == start:
-            return True
+    cut, spent = sys.ranks.cut(Fraction(epsilon)), 0
+    if cut < 0:  # level 0 is distance 0
+        raise SpecError("epsilon must be nonnegative")
+    names, rank, f = sys.ranks.names, sys.ranks.rank, sys.map
+    good = cache(lambda u, s: limit_rank(sys, u, s) in range(cut + 1))
 
-
-def estimate_slimit_modulus(sys: FiniteSystem, epsilon, length_cap: int,
-                            budget: int = 10**7) -> Fraction:
-    """Largest critical resolution at which every decaying pseudo-orbit it
-    enumerates is epsilon-tracked with eventually-exact merge: an estimate
-    from above of the s-limit shadowing modulus, not the modulus.
-
-    It enumerates the chains of length k <= length_cap whose free (<= delta)
-    steps lie in their first k // 2 steps, each followed by its true orbit.
-    A decaying pseudo-orbit with a free step later on is never tried, and it
-    may have no limit shadow where every tried one has, so the estimate can
-    overstate the modulus (``tests/test_shadowing.py`` pins such a chain).
-    """
-    epsilon = Fraction(epsilon)
-    spent = 0
-
-    def orbits_ok(delta: Fraction) -> bool:
+    def failing_chain(rung: int) -> tuple[str, ...] | None:
         nonlocal spent
-        succ = build_chain_digraph(sys, delta).succ
-        for k in range(2, length_cap + 1):
-            free = k // 2  # steps with a free (<= delta) error
-            stack = [[u] for u in sorted(sys.points)]
-            while stack:
-                seq = stack.pop()
-                if len(seq) == k:
-                    spent += 1
-                    if spent > budget:
-                        raise BudgetExceeded("pseudo-orbit enumeration budget", spent=spent)
-                    if not any(_limit_shadowed_by(sys, seq, epsilon, z)
-                               for z in sys.points):
-                        return False
-                    continue
-                if len(seq) <= free:
-                    for v in succ[seq[-1]]:
-                        stack.append(seq + [v])
-                else:
-                    stack.append(seq + [sys.apply(seq[-1])])
-        return True
+        queue = [((s,), _near(sys, names, s, cut)) for s in names]
+        seen = {(chain[-1], z) for chain, z in queue}
+        for chain, z in queue:  # appended to while read: breadth first
+            spent += 1
+            if spent > budget:
+                raise BudgetExceeded("s-limit shadowing state budget", spent=spent)
+            s = chain[-1]
+            if not any(good(u, s) for u in z):
+                return chain
+            image = [f[u] for u in z]
+            for t, r in zip(names, rank[f[s]]):
+                if r <= rung and (t, nz := _near(sys, image, t, cut)) not in seen:
+                    seen.add((t, nz))
+                    queue.append((chain + (t,), nz))
+        return None
 
-    for delta in reversed(critical_deltas(sys)):
-        if orbits_ok(delta):
-            return delta
-    return Fraction(0)
+    rungs = critical_ranks(sys)
+    lo, hi, witness = 0, len(rungs), None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        chain = failing_chain(rungs[mid])
+        lo, hi, witness = (mid, hi, witness) if chain is None else (lo, mid, chain)
+    return sys.ranks.level(rungs[lo]), witness

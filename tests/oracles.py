@@ -239,10 +239,10 @@ def fraction_lyapunov(dg):
 
 
 def fraction_pseudo_orbit(sys, states, delta):
-    """(errors, suffix maxima) of a finite delta-pseudo-orbit on the Fraction
-    path: each step error read from ``fraction_table`` and compared with
-    delta as a Fraction, ``StepViolation(i, e)`` raised at the first step
-    that exceeds it, and each suffix maximum a Fraction max, 0 at the end."""
+    """(errors, maximum) of a finite delta-pseudo-orbit on the Fraction path:
+    each step error read from ``fraction_table`` and compared with delta as
+    a Fraction, ``StepViolation(i, e)`` raised at the first step that
+    exceeds it, and the maximum a Fraction max, 0 for no step."""
     from chainscope.errors import StepViolation
 
     table = fraction_table(sys)
@@ -252,7 +252,7 @@ def fraction_pseudo_orbit(sys, states, delta):
         if e > delta:
             raise StepViolation(i, e)
         errors.append(e)
-    return tuple(errors), [max(errors[i:], default=Fraction(0)) for i in range(len(errors) + 1)]
+    return tuple(errors), max(errors, default=Fraction(0))
 
 
 def fraction_shadow(sys, states, epsilon):
@@ -643,6 +643,68 @@ def shadow_bruteforce(sys, states, epsilon):
         if all(d <= epsilon for d in track):
             return z, max(track), tuple(max(track[i:]) for i in range(len(track)))
     return None
+
+
+def limit_shadowed_by(sys, states, epsilon, z) -> bool:
+    """Does z epsilon-track the pseudo-orbit and merge with its true tail?
+
+    The pseudo-orbit is extended beyond its last state by the true map; the
+    pair (orbit of z, extended orbit) is eventually periodic, so the check
+    is exact: all pairwise distances <= epsilon and distance zero on the
+    repeating part.
+    """
+    rank, index, cut = sys.ranks.rank, sys.ranks.index, sys.ranks.cut(epsilon)
+    u = z
+    for s in states[:-1]:
+        if rank[u][index[s]] > cut:
+            return False
+        u = sys.apply(u)
+    pair = (u, states[-1])
+    seen = set()
+    while pair not in seen:
+        seen.add(pair)
+        if rank[pair[0]][index[pair[1]]] > cut:
+            return False
+        pair = (sys.apply(pair[0]), sys.apply(pair[1]))
+    # walk the repeating part: distances there must vanish
+    start = pair
+    while True:
+        if pair[0] != pair[1]:
+            return False
+        pair = (sys.apply(pair[0]), sys.apply(pair[1]))
+        if pair == start:
+            return True
+
+
+def pair_orbit_top(sys, u, v):
+    """The greatest d(f^t u, f^t v) over t >= 0 as a Fraction if the pair
+    orbit ends on the diagonal, else None: n^2 steps of the pair map reach
+    its cycle, so the orbit is measured up to there and tested at its end."""
+    top = Fraction(0)
+    for _ in range(len(sys.points) ** 2 + 1):
+        top = max(top, sys.distance(u, v))
+        u, v = sys.apply(u), sys.apply(v)
+    return top if u == v else None
+
+
+def failing_chains(sys, delta, epsilon, max_len):
+    """The delta-chains of 2 to max_len states that no z limit-shadows
+    within epsilon, each followed by the true orbit of its last state, in
+    depth-first order.  Every chain is listed, with a free step anywhere,
+    and every z is tried on it with ``limit_shadowed_by``."""
+    points = sorted(sys.points)
+
+    def extend(chain):
+        if len(chain) > 1 and not any(limit_shadowed_by(sys, chain, epsilon, z)
+                                      for z in points):
+            yield tuple(chain)
+        if len(chain) < max_len:
+            for t in points:
+                if sys.distance(sys.apply(chain[-1]), t) <= delta:
+                    yield from extend(chain + [t])
+
+    for s in points:
+        yield from extend([s])
 
 
 def windowed_iapstar_bruteforce(bits, m_max, tail_start):

@@ -263,10 +263,10 @@ def test_witness_construction_on_periodic_graph():
 
 
 def test_budget_guards(sys3):
-    from chainscope import estimate_slimit_modulus
+    from chainscope import slimit_modulus
 
     with pytest.raises(BudgetExceeded):
-        estimate_slimit_modulus(sys3, Fraction(1, 2), 6, budget=2)
+        slimit_modulus(sys3, Fraction(1, 2), budget=2)
 
 
 def test_witness_passes_own_level_and_weaker(full2, goldenmean):

@@ -611,6 +611,22 @@ def test_chains_and_shadow_build_few_fractions_on_a_64_point_line(tmp_path, monk
     assert counts["chains"] <= 64 and counts["shadow"] <= 64, counts
 
 
+def test_shadow_finds_no_limit_shadow_on_the_finite_coarse_seed_1_orbit(tmp_path,
+                                                                         monkeypatch):
+    # no point shadows the benchmark's 400-state pseudo-orbit, so none
+    # limit-shadows it; a check of its step errors at four checkpoints
+    # called it ok
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "chainbench"))
+    import gen
+
+    monkeypatch.chdir(tmp_path)
+    argv = dict(gen.generate("finite_coarse", 1, Path("work"))["ops"])["shadow"]
+    assert main(argv) == 0
+    out = json.loads(Path(argv[argv.index("--out") + 1]).read_text())
+    assert out["shadow_point"] is None
+    assert out["limit_verdict"] == {"ok": False}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["furstenberg", "--set-file", "w.rle", "--m-max", "0"], "m_max"),
     (["furstenberg", "--set-file", "w.rle", "--run-req", "0"], "run_req"),

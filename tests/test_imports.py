@@ -33,7 +33,7 @@ ROOT = PACKAGE.parents[1]
 READERS = [p for d in ("src", "chainbench") for p in sorted((ROOT / d).rglob("*.py"))
            if "tests" not in p.relative_to(ROOT / d).parts]
 ALLOWLIST = {
-    "estimate_slimit_modulus": "ROADMAP item 2, exact s-limit shadowing",
+    "slimit_modulus": "ROADMAP item 2, exact s-limit shadowing",
     "slimit_splice": "ROADMAP item 6, reducible vertex shifts",
     "ProximalPartition.per_delta": "ROADMAP item 3, the global partition",
 }

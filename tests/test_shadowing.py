@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import (PseudoOrbit, SftPoint, critical_deltas, estimate_slimit_modulus,
-                        find_shadowing_point, sft_distance, slimit_splice,
-                        sft_shadow, validate_limit_pseudo_orbit, validate_pseudo_orbit)
+from chainscope import (PseudoOrbit, SftPoint, critical_deltas, find_shadowing_point,
+                        limit_rank, limit_shadowed, sft_distance, slimit_modulus,
+                        slimit_splice, sft_shadow, validate_pseudo_orbit)
 from chainscope import load_corpus, sft, shadowing
+from chainscope.chains import critical_ranks
 from chainscope.errors import (ClassMismatch, InvalidPoint, NotIrreducible, PrecisionViolation,
                                SpecError, StepViolation, ValidationError)
 from chainscope.sft import SftGraph, shift_by
-from chainscope.shadowing import ShadowResult, default_schedule
+from chainscope.shadowing import ShadowResult
 
 from conftest import finite_models, random_point, random_pseudo_orbit, random_system
-from oracles import (fraction_levels, fraction_pseudo_orbit, fraction_shadow, fraction_table,
-                     shadow_bruteforce)
+from oracles import (failing_chains, fraction_levels, fraction_pseudo_orbit, fraction_shadow,
+                     fraction_table, limit_shadowed_by, pair_orbit_top, shadow_bruteforce)
 
 
 def test_validate_true_orbit_is_zero_error(sys3):
@@ -67,22 +68,6 @@ def test_validate_sft_step_violation_before_later_invalid_state(goldenmean):
         validate_pseudo_orbit(goldenmean, [ok, ok, bad, jump], Fraction(1, 4))
     with pytest.raises(InvalidPoint):
         validate_pseudo_orbit(goldenmean, [bad, ok], 1)
-
-
-def test_limit_validation_checkpoints(full2):
-    # constant positive error beyond every checkpoint fails the tail bound
-    states = ["a"]
-    po = PseudoOrbit(tuple("aaaaaaaa"), (Fraction(1, 8),) * 7)
-    verdict = validate_limit_pseudo_orbit(po, Fraction(1, 4),
-                                          [Fraction(1, 4), Fraction(1, 16)])
-    assert not verdict.ok and verdict.failing_checkpoint == 1
-    decaying = PseudoOrbit(tuple(range(9)),
-                           tuple(Fraction(1, 2**(k + 2)) for k in range(8)))
-    assert validate_limit_pseudo_orbit(
-        decaying, Fraction(1, 4),
-        [Fraction(1, 4), Fraction(1, 16), Fraction(1, 64)]).ok
-    with pytest.raises(SpecError):
-        validate_limit_pseudo_orbit(decaying, Fraction(1, 4), [Fraction(1, 4), Fraction(1, 2)])
 
 
 def test_find_shadowing_point_examples(sys3, sys2id):
@@ -216,13 +201,13 @@ def test_slimit_splice_requires_irreducible():
         slimit_splice(g, SftPoint((), (0,)), SftPoint((), (2,)), Fraction(1, 2))
 
 
-def test_estimate_slimit_modulus_examples(sys2id, sys3, rotation4):
-    assert estimate_slimit_modulus(sys2id, Fraction(1, 2), 6) == 0
-    assert estimate_slimit_modulus(sys3, Fraction(0), 6) == 0
-    assert estimate_slimit_modulus(rotation4, Fraction(1, 4), 8) == 0
+def test_slimit_modulus_examples(sys2id, sys3, rotation4):
+    assert slimit_modulus(sys2id, Fraction(1, 2))[0] == 0
+    assert slimit_modulus(sys3, Fraction(0))[0] == 0
+    assert slimit_modulus(rotation4, Fraction(1, 4))[0] == 0
 
 
-def test_estimate_slimit_modulus_positive_case():
+def test_slimit_modulus_positive_case():
     # contractive-to-fixed-point system: every jump within delta=1 is
     # shadowed by the fixed point itself when epsilon covers the radius
     from chainscope import finite_system
@@ -232,13 +217,14 @@ def test_estimate_slimit_modulus_positive_case():
         {"o": "o", "r": "o"},
         {("o", "r"): 1},
     )
-    assert estimate_slimit_modulus(sys, Fraction(1), 6) == 1
+    # the top rung holds, so no rung above it has a failing chain
+    assert slimit_modulus(sys, Fraction(1)) == (1, None)
 
 
 def test_a_decaying_chain_with_a_late_free_step_has_no_limit_shadow():
-    # the capped estimate tries free steps only in a chain's first half, so
-    # it never tries this chain, whose second free step is its last one:
-    # p0 p2 p1 p3 p4 p2 p1 p3 p4, then the true orbit of p4
+    # a search that tried free steps only in a chain's first half never
+    # tried this chain, whose second free step is its last one, and put the
+    # modulus at 1/3: p0 p2 p1 p3 p4 p2 p1 p3 p4, then the true orbit of p4
     rng = random.Random(1)
     sys = [random_system(rng, max_points=6) for _ in range(120)][119]
     assert dict(sys.map) == {"p0": "p2", "p1": "p3", "p2": "p1", "p3": "p5", "p4": "p2",
@@ -246,13 +232,81 @@ def test_a_decaying_chain_with_a_late_free_step_has_no_limit_shadow():
     chain = ["p0", "p2", "p1", "p3", "p4", "p2", "p1", "p3", "p4"]
     po = validate_pseudo_orbit(sys, chain, Fraction(1, 3))
     assert po.errors == (0, 0, 0, Fraction(1, 3), 0, 0, 0, Fraction(1, 3))
-    assert not any(shadowing._limit_shadowed_by(sys, chain, Fraction(5), z)
-                   for z in sys.points)
+    assert not any(limit_shadowed_by(sys, chain, Fraction(5), z) for z in sys.points)
+    assert not limit_shadowed(sys, po, Fraction(5))
+    # the shortest failing chain at 1/3 is this one
+    assert slimit_modulus(sys, Fraction(5)) == (0, tuple(chain))
 
 
-def test_default_schedule_shape():
-    sched = default_schedule(Fraction(1, 4))
-    assert sched == (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64), Fraction(1, 256))
+@settings(max_examples=100, deadline=None)
+@given(finite_models())
+def test_limit_rank_matches_a_bruteforce_orbit_walk(sys):
+    for u in sys.points:
+        for v in sys.points:
+            r = limit_rank(sys, u, v)
+            assert (r if r is None else sys.ranks.level(r)) == pair_orbit_top(sys, u, v)
+
+
+def _epsilons(sys):
+    """Every distance level of ``sys``, a value between two of them and one
+    past the largest."""
+    levels = fraction_levels(sys)
+    return [*levels, *((a + b) / 2 for a, b in zip(levels, levels[1:])), levels[-1] + 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 8), st.data())
+def test_finite_limit_verdict_matches_bruteforce_over_every_z(seed, length, data):
+    rng = random.Random(seed)
+    sys = random_system(rng, max_points=7)
+    delta = rng.choice(critical_deltas(sys))
+    states = [rng.choice(sys.points)]
+    while len(states) < length:
+        states.append(rng.choice([v for v in sys.points
+                                  if sys.distance(sys.apply(states[-1]), v) <= delta]))
+    po = validate_pseudo_orbit(sys, states, delta)
+    eps = data.draw(st.sampled_from(_epsilons(sys)))
+    assert limit_shadowed(sys, po, eps) == any(limit_shadowed_by(sys, states, eps, z)
+                                               for z in sys.points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_slimit_witness_fails_at_its_rung_and_failure_is_monotone(seed, data):
+    sys = random_system(random.Random(seed), max_points=7)
+    eps = data.draw(st.sampled_from(_epsilons(sys)))
+    modulus, witness = slimit_modulus(sys, eps)
+    rungs = critical_ranks(sys)
+    levels = [sys.ranks.level(r) for r in rungs]
+    k = levels.index(modulus)
+    if witness is None:
+        assert k == len(rungs) - 1
+    else:
+        validate_pseudo_orbit(sys, witness, levels[k + 1])
+        with pytest.raises(StepViolation):
+            validate_pseudo_orbit(sys, witness, modulus)
+        assert not any(limit_shadowed_by(sys, witness, eps, z) for z in sys.points)
+    # each rung decided alone, on a ladder of distance 0 and that rung
+    fails = []
+    with pytest.MonkeyPatch.context() as mp:
+        for r, level in zip(rungs[1:], levels[1:]):
+            mp.setattr(shadowing, "critical_ranks", lambda _, r=r: [0, r])
+            alone, chain = slimit_modulus(sys, eps)
+            assert (alone == level) == (chain is None)
+            fails.append(chain is not None)
+            if witness is not None and r == rungs[k + 1]:
+                assert chain == witness  # the same search: the same shortest chain
+    assert fails == [False] * k + [True] * (len(rungs) - 1 - k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_no_short_chain_fails_at_the_modulus(seed, data):
+    # chains of up to 7 states, with a free step anywhere
+    sys = random_system(random.Random(seed), max_points=5)
+    eps = data.draw(st.sampled_from(_epsilons(sys)))
+    modulus, _ = slimit_modulus(sys, eps)
+    assert next(failing_chains(sys, modulus, eps, 7), None) is None
 
 
 def test_find_shadowing_point_independent_recheck():
@@ -292,6 +346,7 @@ def test_sft_shadow_tracking_matches_bruteforce(name, depth, length, exact_tail,
     track = [sft_distance(g, shift_by(res.point, i), s) for i, s in enumerate(states)]
     assert res.tail_profile == tuple(max(track[i:]) for i in range(len(track)))
     assert res.epsilon == max(track)
+    assert shift_by(res.point, len(states) - 1) == states[-1]  # so it limit-shadows
 
 
 @settings(max_examples=200, deadline=None)
@@ -368,14 +423,13 @@ def test_shift_suffix_max_from_depths_matches_fraction_maxima(name, depth, lengt
     states += [shift_by(states[-1], i) for i in range(1, exact_tail + 1)]
     po = validate_pseudo_orbit(g, states, Fraction(1, 2**depth))
     assert po.depths is not None
-    assert po.suffix_max == [max(po.errors[i:], default=Fraction(0))
-                             for i in range(len(po.errors) + 1)]
+    assert po.max_error == max(po.errors)
 
 
 def test_shift_limit_check_compares_no_step_error(full2, monkeypatch):
     states = random_pseudo_orbit(full2, random.Random(7), 3, 200)
     po = validate_pseudo_orbit(full2, states, Fraction(1, 8))
-    schedule = default_schedule(Fraction(1, 8))
+    fresh = PseudoOrbit(po.states, po.errors)  # no depths: the Fraction path
     counts = {"compare": 0}
     richcmp = Fraction._richcmp
 
@@ -384,13 +438,10 @@ def test_shift_limit_check_compares_no_step_error(full2, monkeypatch):
         return richcmp(a, b, op)
 
     monkeypatch.setattr(Fraction, "_richcmp", counting_richcmp)
-    verdict = validate_limit_pseudo_orbit(po, Fraction(1, 8), schedule)
-    # only the delta check, the schedule's order and its checkpoints
-    assert counts["compare"] <= 2 * len(schedule) + 2
+    maximum = po.max_error
+    assert counts["compare"] == 0  # the maximum is taken on the depths
     monkeypatch.undo()
-    fresh = PseudoOrbit(po.states, po.errors)  # no depths: the Fraction path
-    assert verdict == validate_limit_pseudo_orbit(fresh, Fraction(1, 8), schedule)
-    assert po.suffix_max[0] == max(po.errors)
+    assert maximum == fresh.max_error == max(po.errors)
 
 
 @settings(max_examples=300, deadline=None)
@@ -403,14 +454,14 @@ def test_finite_shadow_on_ranks_matches_the_fraction_path(sys, data):
     states = data.draw(st.lists(st.sampled_from(sys.points), min_size=2, max_size=12))
     delta, epsilon = data.draw(st.sampled_from(values)), data.draw(st.sampled_from(values))
     try:
-        errors, suffix = fraction_pseudo_orbit(sys, states, delta)
+        errors, maximum = fraction_pseudo_orbit(sys, states, delta)
     except StepViolation as want:
         with pytest.raises(StepViolation) as exc:
             validate_pseudo_orbit(sys, states, delta)
         assert (exc.value.index, exc.value.error) == (want.index, want.error)
         return
     po = validate_pseudo_orbit(sys, states, delta)
-    assert po.errors == errors and po.suffix_max == suffix
-    assert po.suffix_max == PseudoOrbit(po.states, po.errors).suffix_max
+    assert po.errors == errors and po.max_error == maximum
+    assert po.max_error == PseudoOrbit(po.states, po.errors).max_error
     res = find_shadowing_point(sys, po, epsilon)
     assert (res.point, res.epsilon, res.tail_profile) == fraction_shadow(sys, states, epsilon)
