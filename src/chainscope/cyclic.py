@@ -79,7 +79,10 @@ def _members(cls: Sequence[int], m: int) -> list[int]:
 def _cross_pairs(sys: FiniteSystem, nodes: Sequence[str],
                  class_of: Mapping[str, int]) -> list[tuple[int, str, str]]:
     """(rank of d(u, v), u, v) for every pair u < v in different classes, in
-    node order; the merge law at a resolution forbids those within its cut."""
+    node order; the merge law at a resolution forbids those within its cut.
+    With one class (period 1) there is no such pair."""
+    if not any(map(class_of.__getitem__, nodes)):  # every label is 0
+        return []
     ranks = sys.ranks
     out = []
     for i, u in enumerate(nodes):

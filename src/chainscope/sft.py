@@ -17,13 +17,14 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress, cycle, repeat
 from operator import add, ne, truediv
-from typing import Iterator
+from typing import NamedTuple
 
 from .errors import InvalidPoint, NoConvergence, SpecError
 from .graph import classes, strongly_connected_components
 
 ENTROPY_MAX_ITER = 500_000  # power iterations per strongly connected block
 ENTROPY_TOL = 1e-9  # width of the log-radius bracket that stops the iteration
+WHOLE_WORD_MAX = 64  # longest pair of words ``first_difference`` builds whole
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class SftGraph:
     """Symbol graph of a vertex shift: square 0/1 adjacency matrix.
 
     The successor rows are computed at construction.  The graph's structure
-    (strong blocks, cyclic classes, predecessor rows) is computed on first
-    read and kept on the graph, as cached properties.
+    (transition set, strong blocks, cyclic classes, predecessor rows) is
+    computed on first read and kept on the graph, as cached properties.
     """
 
     adjacency: tuple[tuple[int, ...], ...]
@@ -63,6 +64,11 @@ class SftGraph:
 
     def successors(self, v: int) -> tuple[int, ...]:
         return self._rows[v]
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The transitions (a, b) of the graph."""
+        return frozenset((a, b) for a, row in enumerate(self._rows) for b in row)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -98,6 +104,8 @@ def canonical_form(head, cycle) -> tuple[tuple[int, ...], tuple[int, ...]]:
     A description is canonical when the cycle is not a power of a shorter
     word and the last head symbol cannot be absorbed by rotating the cycle.
     Canonical descriptions are unique, so point equality is syntactic.
+    Absorbing t head symbols rotates the cycle right by t, so the count is
+    found first and the head cut once.
     """
     head = tuple(head)
     cycle = tuple(cycle)
@@ -109,26 +117,31 @@ def canonical_form(head, cycle) -> tuple[tuple[int, ...], tuple[int, ...]]:
             cycle = cycle[:d]
             p = d
             break
-    while head and head[-1] == cycle[-1]:
-        head = head[:-1]
-        cycle = cycle[-1:] + cycle[:-1]
+    t, h = 0, len(head)
+    while t < h and head[h - 1 - t] == cycle[(-1 - t) % p]:
+        t += 1
+    if t:
+        r = p - t % p
+        head, cycle = head[:h - t], cycle[r:] + cycle[:r]
     return head, cycle
 
 
-@dataclass(frozen=True)
-class SftPoint:
-    """Eventually periodic point: symbols head[0..] then cycle repeated.
-
-    The constructor canonicalizes, so equal points compare equal.
-    """
-
+class _SftPointFields(NamedTuple):
     head: tuple[int, ...]
     cycle: tuple[int, ...]
 
-    def __post_init__(self):
-        h, c = canonical_form(self.head, self.cycle)
-        object.__setattr__(self, "head", h)
-        object.__setattr__(self, "cycle", c)
+
+class SftPoint(_SftPointFields):
+    """Eventually periodic point: symbols head[0..] then cycle repeated.
+
+    The constructor canonicalizes, so equal points compare equal and hash
+    alike.  A point is an immutable tuple (head, cycle).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, head, cycle):
+        return tuple.__new__(cls, canonical_form(head, cycle))
 
     def symbol(self, i: int) -> int:
         if i < len(self.head):
@@ -142,39 +155,51 @@ class SftPoint:
             word.extend((self.cycle * reps)[:n - len(word)])
         return word
 
-    def symbols(self, i: int = 0) -> Iterator[int]:
-        """The symbols from index i on, endlessly."""
-        if i < len(self.head):
-            return chain(self.head[i:], cycle(self.cycle))
-        r = (i - len(self.head)) % len(self.cycle)
-        return cycle(self.cycle[r:] + self.cycle[:r])
-
     def __str__(self) -> str:
         h = " ".join(map(str, self.head))
         c = " ".join(map(str, self.cycle))
         return f"{h}|{c}"
 
 
+class _SymbolTable(dict):
+    """Symbol text -> int: the texts ``str(v)`` of v < 256 are looked up, and
+    any other text is read by ``int``.  Nothing is written after the table
+    is built."""
+
+    def __missing__(self, text: str) -> int:
+        return int(text)
+
+
+_SYMBOLS = _SymbolTable((str(v), v) for v in range(256))
+
+
 def parse_point(text: str) -> SftPoint:
     """Parse 'h0 h1 ... | c0 c1 ...' (head may be empty)."""
-    if "|" not in text:
+    head_s, bar, cycle_s = text.partition("|")
+    if not bar:
         raise SpecError(f"point text needs a '|' separator: {text!r}")
-    head_s, cycle_s = text.split("|", 1)
+    symbol = _SYMBOLS.__getitem__
     try:
-        head = tuple(map(int, head_s.split()))
-        cycle = tuple(map(int, cycle_s.split()))
+        head = tuple(map(symbol, head_s.split()))
+        cycle = tuple(map(symbol, cycle_s.split()))
     except ValueError as exc:
         raise SpecError(f"bad point text {text!r}") from exc
     return SftPoint(head, cycle)
 
 
 def validate_point(g: SftGraph, p: SftPoint) -> None:
-    """Check that head + two turns of the cycle is an admissible path."""
+    """Check that head + cycle + the cycle's first symbol is an admissible
+    path: that word has every transition of the point.  Every symbol lies on
+    one of them, so an admissible word has no symbol out of range; only a
+    word that fails is searched for its first offender."""
+    head, cyc = p
+    word = head + cyc + cyc[:1]
+    if g.edges.issuperset(zip(word, word[1:])):
+        return
     n = g.vertex_count
-    word = p.head + p.cycle + p.cycle
-    if min(word) < 0 or max(word) >= n:
-        s = next(s for s in word if not 0 <= s < n)
-        raise InvalidPoint(f"symbol {s} outside vertex range of the graph")
+    for s in word:
+        if not 0 <= s < n:
+            raise InvalidPoint(f"symbol {s} outside vertex range of the graph")
     adjacency = g.adjacency
     for a, b in zip(word, word[1:]):
         if not adjacency[a][b]:
@@ -195,10 +220,25 @@ def first_difference(x: SftPoint, y: SftPoint, i: int = 0) -> int | None:
 
     A difference, if any, shows up before max(head lengths) + lcm(cycle
     lengths): beyond the heads both sequences are periodic with the lcm as a
-    common period.
+    common period.  Up to ``WHOLE_WORD_MAX`` symbols, both words are built
+    whole; past it (a long head, as a shadow's) they are read lazily, x's
+    head by index from i on, so the work follows the scan.
     """
-    bound = max(len(x.head) - i, len(y.head)) + math.lcm(len(x.cycle), len(y.cycle))
-    return next(compress(range(bound), map(ne, x.symbols(i), y.symbols())), None)
+    xh, xc = x
+    yh, yc = y
+    p, q = len(xc), len(yc)
+    lx = len(xh) - i  # symbols of x's head left after the shift
+    bound = max(lx, len(yh)) + math.lcm(p, q)
+    r = -lx % p  # where in its cycle shift^i x starts, once past the head
+    if bound <= WHOLE_WORD_MAX:
+        xs = (xh[i:] + xc * ((bound - lx) // p + 1) if lx >= 0
+              else (xc[r:] + xc[:r]) * (bound // p + 1))
+        ys = yh + yc * ((bound - len(yh)) // q + 1)
+    else:
+        xs = (chain(map(xh.__getitem__, range(i, len(xh))), cycle(xc)) if lx > 0
+              else cycle(xc[r:] + xc[:r]))
+        ys = chain(yh, cycle(yc))
+    return next(compress(range(bound), map(ne, xs, ys)), None)
 
 
 def dyadic_depth(r: Fraction, strict: bool = False) -> int | None:

@@ -1,11 +1,16 @@
 """Pseudo-orbits, shadowing, limit shadowing and exact splice constructions.
 
-On finite systems shadowing is decided by brute force over start points,
-and limit shadowing exactly by one per-pair walk, ``limit_rank``, on int
-distance ranks.  On vertex shifts a pseudo-orbit whose steps agree to depth
+On finite systems every start point is followed along the pseudo-orbit
+in one walk, as one set of positions on int distance ranks; the least
+start left gives the shadowing point, and the positions left at the last
+state decide limit shadowing exactly by one per-pair walk each,
+``limit_rank``.  On vertex shifts a pseudo-orbit whose steps agree to depth
 n is shadowed by splicing first symbols: consecutive states overlap in n
 symbols, so adjacent spliced symbols are admissible pairs, and the spliced
 point tracks every state to depth n+1, then the last state's orbit exactly.
+Its tracking depths follow from the step depths in one backward pass, by
+the ultrametric inequality: d_i = 1 + min(d_(i+1), k_i) unless the two
+tie, and only at a tie are symbols compared.
 
 The splice toward a target tail realizes the asymptotic-merge construction:
 keep a prefix of one point, connect admissibly, then copy the other point's
@@ -18,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import accumulate, compress
-from operator import ne
+from functools import cache, cached_property, partial
+from itertools import accumulate
+from operator import is_not
 from typing import NamedTuple, Sequence
 
 from .chains import critical_ranks
@@ -40,6 +45,7 @@ class PseudoOrbit:
     against, and None for a pseudo-orbit built any other way.  It also keeps
     each step's int key: on a finite system its rank in ``ranks``, on a vertex
     shift its depth k in ``depths`` (e_i = 2^(-k), and None for distance 0).
+    ``walks`` keeps the finite shadow walk of ``_trackers`` per cut.
     """
 
     states: tuple
@@ -47,6 +53,8 @@ class PseudoOrbit:
     checked: object = field(default=None, repr=False, compare=False)
     depths: tuple[int | None, ...] | None = field(default=None, repr=False, compare=False)
     ranks: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    walks: dict[int, dict[str, str]] = field(default_factory=dict, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if len(self.errors) != len(self.states) - 1:
@@ -56,10 +64,12 @@ class PseudoOrbit:
     def max_error(self) -> Fraction:
         """max(errors), and 0 for no step.  The maximum is taken on keys that
         order like the errors and read back from the errors: the ranks, the
-        depths negated (None least), or else the errors themselves."""
+        least depth (None, distance 0, only if every depth is None), or else
+        the errors themselves."""
+        if self.depths is not None:  # the least depth, None only if all are
+            k = min(filter(partial(is_not, None), self.depths), default=None)
+            return self.errors[self.depths.index(k)]
         keys = self.ranks or self.errors
-        if self.depths is not None:
-            keys = [-math.inf if k is None else -k for k in self.depths]
         return self.errors[keys.index(max(keys))] if keys else Fraction(0)
 
 
@@ -77,20 +87,20 @@ def validate_pseudo_orbit(model, xs: Sequence, delta) -> PseudoOrbit:
     states = tuple(xs)
     if len(states) < 2:
         raise SpecError("a pseudo-orbit needs at least two states")
-    errors = []
     depths = keys = None
     if isinstance(model, SftGraph):
         limit = dyadic_depth(delta)
+        limit = math.inf if limit is None else limit
         validate_point(model, states[0])
         ks = []
         for i, (x, y) in enumerate(zip(states, states[1:])):
             validate_point(model, y)
             k = first_difference(x, y, 1)
-            if k is not None and (limit is None or k < limit):
+            if k is not None and k < limit:
                 raise StepViolation(i, dyadic(k))
             ks.append(k)
-            errors.append(dyadic(k))
         depths = tuple(ks)
+        errors = map({k: dyadic(k) for k in set(depths)}.__getitem__, depths)
     elif isinstance(model, FiniteSystem):
         ranks, keys = model.ranks, []
         rank, index, cut = ranks.rank, ranks.index, ranks.cut(delta)
@@ -111,79 +121,111 @@ class ShadowResult(NamedTuple):
     tail_profile: tuple[Fraction, ...] = ()
 
 
-def find_shadowing_point(sys: FiniteSystem, po: PseudoOrbit, epsilon) -> ShadowResult:
-    """Brute-force search for z with d(f^i(z), x_i) <= epsilon for all i.
+def _trackers(sys: FiniteSystem, po: PseudoOrbit, cut: int) -> dict[str, str]:
+    """The positions at the last state of the points whose orbits stay within
+    rank ``cut`` of every state, each with the least such point, in
+    ascending order of those points.
 
-    Returns the smallest witness by node id, or an absent result; exact.
-    A distance exceeds epsilon iff its rank exceeds ``cut(epsilon)``.
+    One walk follows all the points as one set of positions: two that meet
+    share their future, and the least of them is kept.  On a pseudo-orbit
+    checked on ``sys`` the walk is kept per cut, so ``find_shadowing_point``
+    and ``limit_shadowed`` at one epsilon walk once between them.
+    """
+    walks = po.walks if po.checked is sys else {}
+    if cut not in walks:
+        rank, index, f = sys.ranks.rank, sys.ranks.index, sys.map
+        j = index[po.states[0]]
+        at = {z: z for z in sorted(sys.points) if rank[z][j] <= cut}
+        for s in po.states[1:]:
+            if not at:
+                break
+            j, nxt = index[s], {}
+            for u, z in at.items():  # ascending z: the first to reach v is the least
+                v = f[u]
+                if v not in nxt and rank[v][j] <= cut:
+                    nxt[v] = z
+            at = nxt
+        walks[cut] = at
+    return walks[cut]
+
+
+def find_shadowing_point(sys: FiniteSystem, po: PseudoOrbit, epsilon) -> ShadowResult:
+    """The least z by node id with d(f^i(z), x_i) <= epsilon for all i, or
+    an absent result; exact.  A distance exceeds epsilon iff its rank
+    exceeds ``cut(epsilon)``.  z is the least start the walk of
+    ``_trackers`` keeps; its tail profile is read along its own orbit.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise SpecError("epsilon must be nonnegative")
-    rank, index, cut = sys.ranks.rank, sys.ranks.index, sys.ranks.cut(epsilon)
-    for z in sorted(sys.points):
-        u = z
-        track = []
-        for s in po.states:
-            r = rank[u][index[s]]
-            if r > cut:
-                break
-            track.append(r)
-            u = sys.map[u]
-        else:
-            tail = [*accumulate(reversed(track), max)][::-1]
-            level = {r: sys.ranks.level(r) for r in set(tail)}.__getitem__
-            return ShadowResult(z, level(tail[0]), tuple(map(level, tail)))
-    return ShadowResult(None, None, ())
+    ends = _trackers(sys, po, sys.ranks.cut(epsilon))
+    if not ends:
+        return ShadowResult(None, None, ())
+    z = next(iter(ends.values()))
+    rank, index, f = sys.ranks.rank, sys.ranks.index, sys.map
+    u, track = z, []
+    for s in po.states:
+        track.append(rank[u][index[s]])
+        u = f[u]
+    tail = [*accumulate(reversed(track), max)][::-1]
+    level = {r: sys.ranks.level(r) for r in set(tail)}.__getitem__
+    return ShadowResult(z, level(tail[0]), tuple(map(level, tail)))
 
 
 def sft_shadow(g: SftGraph, po: PseudoOrbit, n: int) -> ShadowResult:
     """Exact shadow of a depth-n pseudo-orbit on a vertex shift.
 
-    Requires every step error <= 2^(-n) with n >= 1.  The shadow reads the
-    first symbol of each state and then follows the final state; the result
-    is admissible and tracks every state within 2^(-(n+1)).  Decaying step
+    Requires every step error <= 2^(-n) with n >= 1.  The shadow z reads the
+    first symbol of each state and then follows the final state; it is
+    admissible and tracks every state within 2^(-(n+1)).  Decaying step
     errors therefore yield decaying tracking errors: the construction is the
     asymptotic-tracking mechanism on shifts.
 
     The states are checked against g unless ``validate_pseudo_orbit``
-    already did.  Each tracking depth is the first difference of state i
-    with the shadow read from index i of one expanded symbol list of the
-    shadow; it lies below max(head lengths) + lcm(cycle lengths) of the two,
-    and the list reaches the largest such index.
+    already did, and the step depths k_i are taken from it (or measured
+    once).  The tracking depths d_i come from them backward, with None as
+    infinity: d_(L-1) is None, as z's tail is the last state, and since
+    shift^i z is x_i[0] followed by shift^(i+1) z, d_i = 1 + fd(shift^(i+1)
+    z, shift x_i), fd the first difference.  Both sides lie at depths
+    d_(i+1) and k_i from x_(i+1), so by the ultrametric inequality that is
+    1 + min(d_(i+1), k_i) when the two differ.  Only at a tie are symbols
+    compared, from the tied index on.
     """
     if n < 1:
         raise SpecError("agreement depth n must be at least 1")
-    for i, e in enumerate(po.errors):
-        if e.numerator << n > e.denominator:  # e > 2^(-n)
-            raise PrecisionViolation(i, e)
-    states = po.states
+    states, depths = po.states, po.depths
     if po.checked is not g:
         for x in states:
             validate_point(g, x)
+    if depths is None:
+        depths = [first_difference(x, y, 1) for x, y in zip(states, states[1:])]
+    if min(filter(partial(is_not, None), depths), default=n) < n:
+        i, k = next((i, k) for i, k in enumerate(depths) if k is not None and k < n)
+        raise PrecisionViolation(i, dyadic(k))
     last = states[-1]
-    head = tuple(x.symbol(0) for x in states[:-1]) + last.head
-    z = SftPoint(head, last.cycle)
+    z = SftPoint(tuple([(h or c)[0] for h, c in states[:-1]]) + last.head, last.cycle)
     try:
         validate_point(g, z)
     except Exception as exc:  # pragma: no cover - construction invariant
         raise AdmissibilityBug(f"spliced shadow is not admissible: {exc}") from exc
-    zh, zc = len(z.head), len(z.cycle)
-    windows = [max(zh - i, len(x.head)) + math.lcm(zc, len(x.cycle))
-               for i, x in enumerate(states)]
-    zs = z.expand(max(i + w for i, w in enumerate(windows)))
-    top = max(windows)  # deeper than every difference: stands for distance 0
-    depths = []
-    for i, (x, w) in enumerate(zip(states, windows)):
-        k = next(compress(range(w), map(ne, map(zs.__getitem__, range(i, i + w)),
-                                         x.symbols())), None)
-        if k is not None and k < n + 1:
-            raise AdmissibilityBug(
-                f"tracking bound 2^-(n+1) fails at step {i}: {dyadic(k)}")
-        depths.append(top if k is None else k)
+    d = math.inf
+    ds = [d]  # d_(L-1), ..., d_0, infinity standing for None
+    for i, k in zip(range(len(depths) - 1, -1, -1), reversed(depths)):
+        if k is None or k > d:
+            d += 1
+        elif k < d:
+            d = k + 1
+        else:  # shift^(i+1) z and shift x_i both differ from x_(i+1) at index d
+            r = first_difference(z, shift_by(states[i], d + 1), i + 1 + d)
+            d = math.inf if r is None else d + 1 + r
+        ds.append(d)
     # the suffix maxima of the distances are the suffix minima of the depths
-    suffix = list(accumulate(reversed(depths), min))[::-1]
-    tail = tuple(dyadic(None if k == top else k) for k in suffix)
+    suffix = [*accumulate(ds, min)][::-1]
+    if suffix[0] < n + 1:  # pragma: no cover - construction invariant
+        i, k = next((i, k) for i, k in enumerate(reversed(ds)) if k < n + 1)
+        raise AdmissibilityBug(f"tracking bound 2^-(n+1) fails at step {i}: {dyadic(k)}")
+    level = {k: dyadic(None if k == math.inf else k) for k in set(suffix)}.__getitem__
+    tail = tuple(map(level, suffix))
     return ShadowResult(z, tail[0], tail)
 
 
@@ -267,12 +309,10 @@ def _near(sys: FiniteSystem, us, s: str, cut: int) -> frozenset:
 def limit_shadowed(sys: FiniteSystem, po: PseudoOrbit, epsilon) -> bool:
     """Does some z epsilon-track the pseudo-orbit, then the true orbit of its
     last state s, and merge with it?  The trackers' positions Z_0 = B(s_0),
-    Z_{i+1} = f(Z_i) & B(s_{i+1}) are one set; only those at s walk on."""
-    cut, f, states = sys.ranks.cut(Fraction(epsilon)), sys.map, po.states
-    z = _near(sys, sys.points, states[0], cut)
-    for s in states[1:]:
-        z = z and _near(sys, map(f.__getitem__, z), s, cut)  # none left: stop
-    return any(limit_rank(sys, u, states[-1]) in range(cut + 1) for u in z)
+    Z_{i+1} = f(Z_i) & B(s_{i+1}) are one set (``_trackers``); only those at
+    s walk on."""
+    cut, s = sys.ranks.cut(Fraction(epsilon)), po.states[-1]
+    return any(limit_rank(sys, u, s) in range(cut + 1) for u in _trackers(sys, po, cut))
 
 
 def slimit_modulus(sys: FiniteSystem, epsilon,

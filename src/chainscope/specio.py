@@ -116,12 +116,12 @@ def dump_system(model) -> dict:
 def load_pseudo_orbit(path, model):
     """One state per line: node ids for finite systems, 'head|cycle' vertex
     words for symbol graphs.  Blank lines and '#' comments are skipped."""
+    shift = isinstance(model, SftGraph)
     states = []
-    for lineno, line in enumerate(read_input(path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(map(str.strip, read_input(path).splitlines()), 1):
+        if not line or line[0] == "#":
             continue
-        if isinstance(model, SftGraph):
+        if shift:
             try:
                 states.append(parse_point(line))
             except ValidationError as exc:  # a SpecError or an InvalidPoint

@@ -290,13 +290,12 @@ def test_every_dataclass_field_is_read_somewhere():
     assert fields == ALLOWLIST.keys() - definitions
 
 
-# the records that stay dataclasses: the three whose tests expect
-# FrozenInstanceError (FiniteSystem also has cached properties), the config
-# that ``asdict`` and class-level default reads need, SftGraph with its
-# private fields and PseudoOrbit with its uncompared fields and cached
-# property; every other record is a NamedTuple
-DATACLASSES = {"FiniteSystem", "ChainDigraph", "SftPoint", "AnalysisConfig", "SftGraph",
-               "PseudoOrbit"}
+# the records that stay dataclasses: the two whose tests expect
+# FrozenInstanceError (both also have cached properties), the config that
+# ``asdict`` and class-level default reads need, SftGraph with its private
+# fields and PseudoOrbit with its uncompared fields and cached property;
+# every other record is a NamedTuple
+DATACLASSES = {"FiniteSystem", "ChainDigraph", "AnalysisConfig", "SftGraph", "PseudoOrbit"}
 
 
 def test_only_the_named_records_are_dataclasses():
@@ -307,7 +306,8 @@ def test_only_the_named_records_are_dataclasses():
 
 def test_records_are_found():
     names = [node.name for path in MODULES for node in records(ast.parse(path.read_text()))]
-    assert DATACLASSES | {"ProximalPartition", "ClassifyParams", "WindowParams"} <= set(names)
+    assert DATACLASSES | {"ProximalPartition", "ClassifyParams", "WindowParams",
+                          "SftPoint"} <= set(names)
 
 
 # ``_replace`` and ``_make`` build a NamedTuple without calling its class, so

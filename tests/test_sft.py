@@ -10,8 +10,9 @@ from chainscope import SftGraph, SftPoint, full_shift, sft_distance, sft_entropy
 from chainscope.corpus import golden_mean_shift
 from chainscope.errors import InvalidPoint, NoConvergence, SpecError
 from chainscope.specio import system_from_desc
-from chainscope.sft import (canonical_form, connecting_paths, find_exact_path, graph_period,
-                            parse_point, shift_by, validate_point, vertex_classes)
+from chainscope.sft import (WHOLE_WORD_MAX, canonical_form, connecting_paths, find_exact_path,
+                            first_difference, graph_period, parse_point, shift_by,
+                            validate_point, vertex_classes)
 
 from conftest import random_point
 from oracles import (connector_loop, dense_radius_bracket, exact_path, per_entry_shift_refusal,
@@ -122,6 +123,81 @@ def test_parse_point_round_trip():
     assert parse_point(str(p)) == p
     with pytest.raises(SpecError):
         parse_point("0 1 0")
+
+
+def test_point_contract(goldenmean):
+    # canonical equality and hash, whatever description a point is given by
+    p = SftPoint((0,), (1, 0))
+    assert p == SftPoint((), (0, 1)) and hash(p) == hash(SftPoint((), (0, 1)))
+    assert (p.head, p.cycle) == ((), (0, 1))
+    assert SftPoint(head=[0, 1, 0, 1], cycle=[0, 1, 0, 1]) == SftPoint((), (0, 1))
+    assert len({SftPoint((1, 0), (1, 0)), SftPoint((), (1, 0)), SftPoint((1,), (0, 1))}) == 1
+    assert repr(p) == "SftPoint(head=(), cycle=(0, 1))"
+    with pytest.raises(AttributeError):
+        p.head = (1,)
+    for text in ["0 1|1 0", "|0", "1 1 0|1", " 2 |0 1 ", "0 0 0|0 0", "+1 01|\u0661", "300 2|7"]:
+        q = parse_point(text)
+        assert parse_point(str(q)) == q
+    assert parse_point("+1 01|\u0661") == SftPoint((1, 1), (1,)) == SftPoint((), (1,))
+    # the parse messages, and the order of the admissibility messages: a
+    # symbol out of range is named before a forbidden transition, even one
+    # that comes first in the word
+    cases = [
+        (lambda: parse_point("0 1 0"), SpecError, "point text needs a '|' separator: '0 1 0'"),
+        (lambda: parse_point("0 x|1"), SpecError, "bad point text '0 x|1'"),
+        (lambda: parse_point("0 1.5|1"), SpecError, "bad point text '0 1.5|1'"),
+        (lambda: parse_point("1|"), InvalidPoint, "cycle must be nonempty"),
+        (lambda: validate_point(goldenmean, SftPoint((1, 1), (7,))), InvalidPoint,
+         "symbol 7 outside vertex range of the graph"),
+        (lambda: validate_point(goldenmean, parse_point("-1|0")), InvalidPoint,
+         "symbol -1 outside vertex range of the graph"),
+        (lambda: validate_point(goldenmean, SftPoint((0, 1, 0), (1, 1))), InvalidPoint,
+         "forbidden transition 1->1 in 0 1 0|1"),
+        (lambda: validate_point(goldenmean, SftPoint((0,), (1, 1, 0))), InvalidPoint,
+         "forbidden transition 1->1 in |0 1 1"),
+    ]
+    for call, kind, message in cases:
+        with pytest.raises(kind) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def _naive_canonical_form(head, cycle):
+    """Absorb one head symbol at a time, rotating the cycle each time."""
+    head, cycle = tuple(head), tuple(cycle)
+    p = len(cycle)
+    for d in range(1, p):
+        if p % d == 0 and cycle == cycle[:d] * (p // d):
+            cycle = cycle[:d]
+            break
+    while head and head[-1] == cycle[-1]:
+        head, cycle = head[:-1], cycle[-1:] + cycle[:-1]
+    return head, cycle
+
+
+def test_canonical_form_matches_one_symbol_at_a_time():
+    rng = random.Random(12)
+    for _ in range(500):
+        cycle = tuple(rng.randrange(3) for _ in range(rng.randint(1, 6)))
+        # heads that end in many turns of the cycle, or of a rotation of it
+        r = rng.randrange(len(cycle))
+        tail = (cycle[r:] + cycle[:r]) * rng.randint(0, 30)
+        head = tuple(rng.randrange(3) for _ in range(rng.randint(0, 4))) + tail
+        assert canonical_form(head, cycle) == _naive_canonical_form(head, cycle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=3 * WHOLE_WORD_MAX),
+       st.lists(st.integers(0, 2), min_size=1, max_size=9),
+       st.lists(st.integers(0, 2), max_size=WHOLE_WORD_MAX + 8),
+       st.lists(st.integers(0, 2), min_size=1, max_size=9), st.integers(0, 3 * WHOLE_WORD_MAX))
+def test_first_difference_matches_symbolwise_comparison(xh, xc, yh, yc, i):
+    # short words are built whole, long ones read lazily: both against the
+    # symbols one by one, past every bound
+    x, y = SftPoint(xh, xc), SftPoint(yh, yc)
+    far = len(xh) + len(yh) + 2 * math.lcm(len(xc), len(yc)) + 1
+    want = next((t for t in range(far) if x.symbol(i + t) != y.symbol(t)), None)
+    assert first_difference(x, y, i) == want
 
 
 def test_distance_is_a_metric_on_samples(full2, goldenmean):

@@ -333,12 +333,18 @@ def test_find_shadowing_point_independent_recheck():
                 u = sys.apply(u)
 
 
+# on three or more symbols the two sequences that differ from a state at a
+# tie of the tracking recurrence can also differ from each other
+SHIFTS = {"full2": load_corpus("full2"), "goldenmean": load_corpus("goldenmean"),
+          "full3": sft.full_shift(3), "triangle": SftGraph(((0, 1, 1), (1, 0, 1), (1, 1, 0)))}
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["full2", "goldenmean"]), st.integers(1, 4), st.integers(2, 40),
+@given(st.sampled_from(sorted(SHIFTS)), st.integers(1, 4), st.integers(2, 40),
        st.integers(0, 6), st.integers(0, 2**32))
 def test_sft_shadow_tracking_matches_bruteforce(name, depth, length, exact_tail, seed):
     # exact_tail true steps at the end give tracking errors of exactly 0
-    g = load_corpus(name)
+    g = SHIFTS[name]
     states = random_pseudo_orbit(g, random.Random(seed), depth, length)
     states += [shift_by(states[-1], i) for i in range(1, exact_tail + 1)]
     po = validate_pseudo_orbit(g, states, Fraction(1, 2**depth))
@@ -385,6 +391,68 @@ def test_find_shadowing_point_matches_bruteforce(seed, length):
         assert res == ShadowResult(None, None, ())
     else:
         assert (res.point, res.epsilon, res.tail_profile) == want
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTS))
+def test_sft_shadow_compares_symbols_only_at_ties(name, monkeypatch):
+    g = SHIFTS[name]
+    states = random_pseudo_orbit(g, random.Random(8), 1, 300)  # depth 1: ties are common
+    po = validate_pseudo_orbit(g, states, Fraction(1, 2))
+    res = sft_shadow(g, po, 1)
+    # the tracking depths, and the steps whose depth ties the next one
+    d = [sft.first_difference(res.point, x, i) for i, x in enumerate(states)]
+    ties = [i for i, k in enumerate(po.depths) if k is not None and k == d[i + 1]]
+    assert ties
+    calls = []
+    original = shadowing.first_difference
+    monkeypatch.setattr(shadowing, "first_difference",
+                        lambda x, y, i=0: calls.append(i) or original(x, y, i))
+    assert sft_shadow(g, po, 1) == res
+    # each call starts the scan of shift^(i+1) z at the tied index
+    assert calls == [i + 1 + po.depths[i] for i in reversed(ties)]
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTS))
+def test_sft_shadow_by_hand_measures_the_step_depths(name):
+    # no depths and no check: the states are checked and their depths
+    # measured once, and the shadow is the same
+    g = SHIFTS[name]
+    states = random_pseudo_orbit(g, random.Random(9), 1, 80)
+    po = validate_pseudo_orbit(g, states, Fraction(1, 2))
+    assert sft_shadow(g, PseudoOrbit(po.states, po.errors), 1) == sft_shadow(g, po, 1)
+    with pytest.raises(PrecisionViolation) as exc:
+        sft_shadow(g, PseudoOrbit(po.states, po.errors), 2)
+    first = next(i for i, k in enumerate(po.depths) if k is not None and k < 2)
+    assert (exc.value.index, exc.value.error) == (first, po.errors[first])
+
+
+def test_finite_shadow_and_limit_verdict_share_one_walk(monkeypatch):
+    rng = random.Random(10)
+    sys = random_system(rng, max_points=7)
+    delta = max(critical_deltas(sys))
+    states = [rng.choice(sys.points) for _ in range(12)]
+    po = validate_pseudo_orbit(sys, states, delta)
+    walks = []
+
+    def counting(points):  # the walk starts from the sorted points
+        walks.append(1)
+        return sorted(points)
+
+    monkeypatch.setattr(shadowing, "sorted", counting, raising=False)
+    for eps in fraction_levels(sys):
+        walks.clear()
+        res = find_shadowing_point(sys, po, eps)
+        ok = limit_shadowed(sys, po, eps)
+        assert walks == [1]
+        assert (res.point, res.epsilon, res.tail_profile) == (
+            shadow_bruteforce(sys, states, eps) or (None, None, ()))
+        assert ok == any(limit_shadowed_by(sys, states, eps, z) for z in sys.points)
+    # a pseudo-orbit built by hand keeps no walk
+    walks.clear()
+    hand = PseudoOrbit(po.states, po.errors)
+    find_shadowing_point(sys, hand, delta)
+    limit_shadowed(sys, hand, delta)
+    assert walks == [1, 1] and not hand.walks
 
 
 def test_sft_shadow_checks_states_not_checked_on_its_graph(full2, goldenmean):

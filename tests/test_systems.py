@@ -148,12 +148,11 @@ def test_piecewise_linear_grid():
 def test_values_are_immutable(sys3):
     import dataclasses
 
-    from chainscope import SftPoint, build_chain_digraph
+    from chainscope import build_chain_digraph
 
     with pytest.raises(dataclasses.FrozenInstanceError):
         sys3.points = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        SftPoint((), (0, 1)).head = (1,)
+    # a vertex-shift point is a tuple: tests/test_sft.py::test_point_contract
     dg = build_chain_digraph(sys3, Fraction(1, 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         dg.delta = Fraction(1)
