@@ -24,7 +24,6 @@ from .graph import classes, strongly_connected_components
 
 ENTROPY_MAX_ITER = 500_000  # power iterations per strongly connected block
 ENTROPY_TOL = 1e-9  # width of the log-radius bracket that stops the iteration
-WHOLE_WORD_MAX = 64  # longest pair of words ``first_difference`` builds whole
 
 
 @dataclass(frozen=True)
@@ -161,27 +160,14 @@ class SftPoint(_SftPointFields):
         return f"{h}|{c}"
 
 
-class _SymbolTable(dict):
-    """Symbol text -> int: the texts ``str(v)`` of v < 256 are looked up, and
-    any other text is read by ``int``.  Nothing is written after the table
-    is built."""
-
-    def __missing__(self, text: str) -> int:
-        return int(text)
-
-
-_SYMBOLS = _SymbolTable((str(v), v) for v in range(256))
-
-
 def parse_point(text: str) -> SftPoint:
     """Parse 'h0 h1 ... | c0 c1 ...' (head may be empty)."""
     head_s, bar, cycle_s = text.partition("|")
     if not bar:
         raise SpecError(f"point text needs a '|' separator: {text!r}")
-    symbol = _SYMBOLS.__getitem__
     try:
-        head = tuple(map(symbol, head_s.split()))
-        cycle = tuple(map(symbol, cycle_s.split()))
+        head = tuple(map(int, head_s.split()))
+        cycle = tuple(map(int, cycle_s.split()))
     except ValueError as exc:
         raise SpecError(f"bad point text {text!r}") from exc
     return SftPoint(head, cycle)
@@ -220,9 +206,9 @@ def first_difference(x: SftPoint, y: SftPoint, i: int = 0) -> int | None:
 
     A difference, if any, shows up before max(head lengths) + lcm(cycle
     lengths): beyond the heads both sequences are periodic with the lcm as a
-    common period.  Up to ``WHOLE_WORD_MAX`` symbols, both words are built
-    whole; past it (a long head, as a shadow's) they are read lazily, x's
-    head by index from i on, so the work follows the scan.
+    common period.  The words are read lazily, x's head by index from i on,
+    so the work follows the scan and not the length of a long head (a
+    shadow's).
     """
     xh, xc = x
     yh, yc = y
@@ -230,14 +216,9 @@ def first_difference(x: SftPoint, y: SftPoint, i: int = 0) -> int | None:
     lx = len(xh) - i  # symbols of x's head left after the shift
     bound = max(lx, len(yh)) + math.lcm(p, q)
     r = -lx % p  # where in its cycle shift^i x starts, once past the head
-    if bound <= WHOLE_WORD_MAX:
-        xs = (xh[i:] + xc * ((bound - lx) // p + 1) if lx >= 0
-              else (xc[r:] + xc[:r]) * (bound // p + 1))
-        ys = yh + yc * ((bound - len(yh)) // q + 1)
-    else:
-        xs = (chain(map(xh.__getitem__, range(i, len(xh))), cycle(xc)) if lx > 0
-              else cycle(xc[r:] + xc[:r]))
-        ys = chain(yh, cycle(yc))
+    xs = (chain(map(xh.__getitem__, range(i, len(xh))), cycle(xc)) if lx > 0
+          else cycle(xc[r:] + xc[:r]))
+    ys = chain(yh, cycle(yc))
     return next(compress(range(bound), map(ne, xs, ys)), None)
 
 

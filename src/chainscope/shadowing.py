@@ -45,7 +45,6 @@ class PseudoOrbit:
     against, and None for a pseudo-orbit built any other way.  It also keeps
     each step's int key: on a finite system its rank in ``ranks``, on a vertex
     shift its depth k in ``depths`` (e_i = 2^(-k), and None for distance 0).
-    ``walks`` keeps the finite shadow walk of ``_trackers`` per cut.
     """
 
     states: tuple
@@ -53,8 +52,6 @@ class PseudoOrbit:
     checked: object = field(default=None, repr=False, compare=False)
     depths: tuple[int | None, ...] | None = field(default=None, repr=False, compare=False)
     ranks: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
-    walks: dict[int, dict[str, str]] = field(default_factory=dict, init=False, repr=False,
-                                             compare=False)
 
     def __post_init__(self):
         if len(self.errors) != len(self.states) - 1:
@@ -127,26 +124,21 @@ def _trackers(sys: FiniteSystem, po: PseudoOrbit, cut: int) -> dict[str, str]:
     ascending order of those points.
 
     One walk follows all the points as one set of positions: two that meet
-    share their future, and the least of them is kept.  On a pseudo-orbit
-    checked on ``sys`` the walk is kept per cut, so ``find_shadowing_point``
-    and ``limit_shadowed`` at one epsilon walk once between them.
+    share their future, and the least of them is kept.
     """
-    walks = po.walks if po.checked is sys else {}
-    if cut not in walks:
-        rank, index, f = sys.ranks.rank, sys.ranks.index, sys.map
-        j = index[po.states[0]]
-        at = {z: z for z in sorted(sys.points) if rank[z][j] <= cut}
-        for s in po.states[1:]:
-            if not at:
-                break
-            j, nxt = index[s], {}
-            for u, z in at.items():  # ascending z: the first to reach v is the least
-                v = f[u]
-                if v not in nxt and rank[v][j] <= cut:
-                    nxt[v] = z
-            at = nxt
-        walks[cut] = at
-    return walks[cut]
+    rank, index, f = sys.ranks.rank, sys.ranks.index, sys.map
+    j = index[po.states[0]]
+    at = {z: z for z in sorted(sys.points) if rank[z][j] <= cut}
+    for s in po.states[1:]:
+        if not at:
+            break
+        j, nxt = index[s], {}
+        for u, z in at.items():  # ascending z: the first to reach v is the least
+            v = f[u]
+            if v not in nxt and rank[v][j] <= cut:
+                nxt[v] = z
+        at = nxt
+    return at
 
 
 def find_shadowing_point(sys: FiniteSystem, po: PseudoOrbit, epsilon) -> ShadowResult:

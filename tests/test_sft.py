@@ -10,7 +10,7 @@ from chainscope import SftGraph, SftPoint, full_shift, sft_distance, sft_entropy
 from chainscope.corpus import golden_mean_shift
 from chainscope.errors import InvalidPoint, NoConvergence, SpecError
 from chainscope.specio import system_from_desc
-from chainscope.sft import (WHOLE_WORD_MAX, canonical_form, connecting_paths, find_exact_path,
+from chainscope.sft import (canonical_form, connecting_paths, find_exact_path,
                             first_difference, graph_period, parse_point, shift_by,
                             validate_point, vertex_classes)
 
@@ -187,13 +187,12 @@ def test_canonical_form_matches_one_symbol_at_a_time():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 2), max_size=3 * WHOLE_WORD_MAX),
-       st.lists(st.integers(0, 2), min_size=1, max_size=9),
-       st.lists(st.integers(0, 2), max_size=WHOLE_WORD_MAX + 8),
-       st.lists(st.integers(0, 2), min_size=1, max_size=9), st.integers(0, 3 * WHOLE_WORD_MAX))
+@given(st.lists(st.integers(0, 2), max_size=40), st.lists(st.integers(0, 2), min_size=1, max_size=9),
+       st.lists(st.integers(0, 2), max_size=20), st.lists(st.integers(0, 2), min_size=1, max_size=9),
+       st.integers(0, 60))
 def test_first_difference_matches_symbolwise_comparison(xh, xc, yh, yc, i):
-    # short words are built whole, long ones read lazily: both against the
-    # symbols one by one, past every bound
+    # against the symbols one by one, past every bound; the shift i falls
+    # inside x's head and past it
     x, y = SftPoint(xh, xc), SftPoint(yh, yc)
     far = len(xh) + len(yh) + 2 * math.lcm(len(xc), len(yc)) + 1
     want = next((t for t in range(far) if x.symbol(i + t) != y.symbol(t)), None)

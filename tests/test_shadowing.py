@@ -426,35 +426,6 @@ def test_sft_shadow_by_hand_measures_the_step_depths(name):
     assert (exc.value.index, exc.value.error) == (first, po.errors[first])
 
 
-def test_finite_shadow_and_limit_verdict_share_one_walk(monkeypatch):
-    rng = random.Random(10)
-    sys = random_system(rng, max_points=7)
-    delta = max(critical_deltas(sys))
-    states = [rng.choice(sys.points) for _ in range(12)]
-    po = validate_pseudo_orbit(sys, states, delta)
-    walks = []
-
-    def counting(points):  # the walk starts from the sorted points
-        walks.append(1)
-        return sorted(points)
-
-    monkeypatch.setattr(shadowing, "sorted", counting, raising=False)
-    for eps in fraction_levels(sys):
-        walks.clear()
-        res = find_shadowing_point(sys, po, eps)
-        ok = limit_shadowed(sys, po, eps)
-        assert walks == [1]
-        assert (res.point, res.epsilon, res.tail_profile) == (
-            shadow_bruteforce(sys, states, eps) or (None, None, ()))
-        assert ok == any(limit_shadowed_by(sys, states, eps, z) for z in sys.points)
-    # a pseudo-orbit built by hand keeps no walk
-    walks.clear()
-    hand = PseudoOrbit(po.states, po.errors)
-    find_shadowing_point(sys, hand, delta)
-    limit_shadowed(sys, hand, delta)
-    assert walks == [1, 1] and not hand.walks
-
-
 def test_sft_shadow_checks_states_not_checked_on_its_graph(full2, goldenmean):
     ok = SftPoint((), (0,))
     bad = SftPoint((), (1,))  # 1 -> 1 is forbidden on the golden mean graph
