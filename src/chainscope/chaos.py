@@ -166,32 +166,51 @@ def _spread(table, index, combo) -> int:
     return min(table[a][index[b]] for a, b in combinations(combo, 2))
 
 
-def _widest(table, index, members, n: int) -> tuple[int, tuple | None]:
-    """The first n-subset of ``members``, in ``combinations`` order, whose
-    spread is largest, with that spread; (0, None) without an n-subset.
+class _Widest:
+    """For every n, the first n-subset of ``members``, in ``combinations``
+    order, whose spread (least ``table`` entry over its pairs) is largest,
+    with that spread; (0, None) without an n-subset.
 
     A subset has spread >= r iff it is a clique of the graph of pairs whose
     entry is >= r.  Pairs enter that graph one value at a time, largest
     first; the first value at which an entering pair closes an n-clique is
     the largest spread, since before it no n-clique existed.  At that value
     a depth-first search in member order finds the least n-clique, which is
-    the first subset of that spread in ``combinations`` order.
+    the first subset of that spread in ``combinations`` order.  An
+    (n+1)-clique holds an n-clique, so it closes at that value or a lower
+    one: the pass goes on from where n stopped, and one sorted order serves
+    every n.  The order is built on the first call, and the pass goes only
+    as far as the largest n asked for.
     """
-    k = len(members)
-    if k < n:
-        return 0, None
-    cols = [index[b] for b in members]
-    pairs = sorted(((table[a][cols[j]], i, j) for i, a in enumerate(members)
-                    for j in range(i + 1, k)), key=lambda p: -p[0])
-    nb = [0] * k  # neighbour rows of the threshold graph, both directions
-    for value, group in groupby(pairs, key=itemgetter(0)):
-        group = list(group)
-        for _, i, j in group:
-            nb[i] |= 1 << j
-            nb[j] |= 1 << i
-        if any(_first_clique(nb, nb[i] & nb[j], n - 2) is not None for _, i, j in group):
-            break
-    return value, tuple(members[i] for i in _first_clique(nb, (1 << k) - 1, n))
+
+    def __init__(self, table, index, members):
+        self.members = members
+        self._found: list[tuple[int, tuple]] = []  # (spread, subset) for n = 2, 3, ...
+        self._pass = self._descend(table, index)
+
+    def __call__(self, n: int) -> tuple[int, tuple | None]:
+        if len(self.members) < n:
+            return 0, None
+        while len(self._found) < n - 1:
+            self._found.append(next(self._pass))
+        return self._found[n - 2]
+
+    def _descend(self, table, index):
+        members = self.members
+        k = len(members)
+        cols = [index[b] for b in members]
+        pairs = sorted(((table[a][cols[j]], i, j) for i, a in enumerate(members)
+                        for j in range(i + 1, k)), key=itemgetter(0), reverse=True)
+        nb = [0] * k  # neighbour rows of the threshold graph, both directions
+        n = 2
+        for value, group in groupby(pairs, key=itemgetter(0)):
+            group = list(group)
+            for _, i, j in group:
+                nb[i] |= 1 << j
+                nb[j] |= 1 << i
+            while any(_first_clique(nb, nb[i] & nb[j], n - 2) is not None for _, i, j in group):
+                yield value, tuple(members[i] for i in _first_clique(nb, (1 << k) - 1, n))
+                n += 1
 
 
 def _first_clique(nb: list[int], cand: int, r: int) -> list[int] | None:
@@ -341,19 +360,25 @@ def compute_delta_n(decomp: CyclicDecomposition, n: int, budget: int = 10**6) ->
     Classes with fewer than n elements contribute 0 (the spread of an empty
     family), so the value is positive exactly when every class holds n
     genuinely separated points.  Each class's best spread comes from the
-    threshold-clique search of ``_widest``; the class is first charged its
+    threshold-clique search of ``_Widest``; the class is first charged its
     C(|class|, n) subsets against ``budget``, as an enumeration would be.
     """
     if n < 2:
         raise SpecError("dispersion needs n >= 2")
     ranks = decomp.system.ranks
+    return _dispersion(ranks, [_Widest(ranks.rank, ranks.index, cls) for cls in decomp.classes()],
+                       n, budget)
+
+
+def _dispersion(ranks, classes: list[_Widest], n: int, budget: int) -> Fraction:
+    """``compute_delta_n`` over ``classes``, each under its rank table."""
     worst: int | None = None
     spent = 0
-    for cls in decomp.classes():
-        if len(cls) < n:
+    for widest in classes:
+        if len(widest.members) < n:
             return Fraction(0)
-        spent = _charge(spent, cls, n, budget, "dispersion")
-        best, _ = _widest(ranks.rank, ranks.index, cls, n)
+        spent = _charge(spent, widest.members, n, budget, "dispersion")
+        best, _ = widest(n)
         worst = best if worst is None else min(worst, best)
     return ranks.level(worst) if worst is not None else Fraction(0)
 
@@ -615,19 +640,22 @@ def classify_finite_component(decomp: CyclicDecomposition, n_max: int,
     if n_max < 2:
         raise SpecError("n_max must be at least 2")
     sys = decomp.system
-    floor, index = sys.orbit_floor, sys.ranks.index
+    ranks = sys.ranks
     flags: list[str] = []
     reports: list[TierReport] = []
     classes = decomp.classes()
+    # one descending pair order per (table, class), shared by every n
+    floors = [_Widest(sys.orbit_floor, ranks.index, cls) for cls in classes]
+    spreads = [_Widest(ranks.rank, ranks.index, cls) for cls in classes]
     for n in range(2, n_max + 1):
         budget_hit = False
         per_class_sep: list[int] = []  # ranks of the best orbit separations
         witness = None
         spent = 0
         try:
-            for cls in classes:
-                spent = _charge(spent, cls, n, params.budget, "distal tuple")
-                best, best_combo = _widest(floor, index, cls, n)
+            for widest in floors:
+                spent = _charge(spent, widest.members, n, params.budget, "distal tuple")
+                best, best_combo = widest(n)
                 per_class_sep.append(best)
                 if best > 0 and witness is None:
                     witness = best_combo
@@ -640,7 +668,7 @@ def classify_finite_component(decomp: CyclicDecomposition, n_max: int,
             if not upgrade_ok:
                 flags.append(f"n={n}: distal witness in one class but not in every class")
         try:
-            delta_val = compute_delta_n(decomp, n, budget=params.budget)
+            delta_val = _dispersion(ranks, spreads, n, params.budget)
         except BudgetExceeded:
             budget_hit = True
             delta_val = Fraction(0)  # partial report: see the budget marker

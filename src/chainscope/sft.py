@@ -193,11 +193,18 @@ def validate_point(g: SftGraph, p: SftPoint) -> None:
 
 
 def shift_by(x: SftPoint, k: int) -> SftPoint:
-    """Shift k times, without checking the point against a graph."""
-    if k <= len(x.head):
-        return SftPoint(x.head[k:], x.cycle)
-    r = (k - len(x.head)) % len(x.cycle)
-    return SftPoint((), x.cycle[r:] + x.cycle[:r])
+    """Shift k times, without checking the point against a graph.
+
+    The shift of a canonical point is canonical: a suffix of its head keeps
+    the last head symbol, which the cycle cannot absorb, and a rotation of a
+    primitive cycle is primitive.  So the result is built as the tuple the
+    constructor would return, without canonicalizing again.
+    """
+    head, cyc = x
+    if k <= len(head):
+        return tuple.__new__(SftPoint, (head[k:], cyc))
+    r = (k - len(head)) % len(cyc)
+    return tuple.__new__(SftPoint, ((), cyc[r:] + cyc[:r]))
 
 
 def first_difference(x: SftPoint, y: SftPoint, i: int = 0) -> int | None:

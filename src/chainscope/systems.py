@@ -171,39 +171,64 @@ class FiniteSystem:
         """``orbit_floor[u][j]``: the least rank of d(f^t u, f^t v) over t >= 0,
         for v = ``ranks.names[j]``.
 
-        The pairs under (u, v) -> (f u, f v) form a functional graph, in which
-        every walk ends on a cycle.  One walk per unvisited pair, stopped at
-        the first visited pair, visits each pair once: on a newly closed cycle
-        every pair has the cycle's least rank, and back along the walk each
-        pair takes the lesser of its own rank and its successor's floor.
+        The floors are filled by image layers: X_0 holds every point and
+        X_(k+1) = f(X_k), down to the periodic set P with f(P) = P.  On
+        P x P the pair map (u, v) -> (f u, f v) is a permutation, so one walk
+        per pair cycle gives its pairs the cycle's least rank.  Then, from
+        the innermost layer out, each u in X_k but not in X_(k+1) takes
+        floor(u, v) = min(rank(u, v), floor(f u, f v)) for every v in X_k,
+        in one C-level pass written to its row and, by symmetry, to its
+        column: f u and f v lie in X_(k+1), whose pairs are done.  The
+        points are laid out P first, then the layers inward to outward, so
+        X_k is a prefix and a row or a column is one slice of the flat table.
         """
         ranks = self.ranks
-        names, rank = ranks.names, ranks.rank
+        names, rank, index = ranks.names, ranks.rank, ranks.index
         n = len(names)
-        img = [ranks.index[self.map[u]] for u in names]
-        rows = [rank[u] for u in names]
-        floor = [-1] * (n * n)  # -1 unvisited, -2 on the current walk
-        for start in range(n * n):
-            path = []
-            p = start
-            while floor[p] == -1:
-                floor[p] = -2
-                path.append(p)
-                i, j = divmod(p, n)
-                p = img[i] * n + img[j]
-            if floor[p] == -2:
-                k = path.index(p)
-                cycle = path[k:]
-                del path[k:]
-                low = min(rows[q // n][q % n] for q in cycle)
-                for q in cycle:
-                    floor[q] = low
-            else:
-                low = floor[p]
-            for q in reversed(path):
-                low = min(low, rows[q // n][q % n])
-                floor[q] = low
-        return {u: tuple(floor[i * n:(i + 1) * n]) for i, u in enumerate(names)}
+        img = [index[self.map[u]] for u in names]
+        core = list(range(n))
+        layers = []  # X_k minus X_(k+1), for k = 0, 1, ...
+        while True:
+            image = set(map(img.__getitem__, core))
+            if len(image) == len(core):
+                break
+            layers.append([u for u in core if u not in image])
+            core = [u for u in core if u in image]
+        order = core + [u for layer in reversed(layers) for u in layer]
+        pos = [0] * n
+        for p, u in enumerate(order):
+            pos[u] = p
+        step = [pos[img[u]] for u in order]
+        rows = [rank[names[u]] for u in order]
+        floor = [0] * (n * n)  # floor[p * n + q] for the points at positions p, q
+        m = len(core)
+        nxt = [-1] * (n * n)  # the image of each pair of P x P, -1 once its floor is set
+        for p in range(m):
+            floor[p * n:p * n + m] = map(rows[p].__getitem__, core)
+            nxt[p * n:p * n + m] = map((step[p] * n).__add__, step[:m])
+        for start in range(m * n):
+            if nxt[start] < 0:
+                continue
+            cycle = [start]
+            c = nxt[start]
+            while c != start:
+                cycle.append(c)
+                c = nxt[c]
+            low = min(map(floor.__getitem__, cycle))
+            for c in cycle:
+                floor[c] = low
+                nxt[c] = -1
+        for layer in reversed(layers):
+            top = m + len(layer)  # |X_k|: the layer's points sit at [m, top)
+            ids, images = order[:top], step[:top]
+            for p in range(m, top):
+                at = step[p] * n
+                inner = floor[at:at + m]  # the floors from f u, over X_(k+1)
+                floor[p * n:p * n + top] = floor[p:p + top * n:n] = list(
+                    map(min, map(rows[p].__getitem__, ids), map(inner.__getitem__, images)))
+            m = top
+        return {u: tuple(map(floor[p * n:(p + 1) * n].__getitem__, pos))
+                for u, p in zip(names, pos)}
 
 
 def _validated_rows(points, table) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -126,9 +126,34 @@ def _close_walk(g: SftGraph, walk: list[int]) -> SftPoint:
 
 
 def random_pseudo_orbit(g: SftGraph, rng: random.Random, depth: int,
-                        length: int) -> list[SftPoint]:
+                        length: int, shared_base: bool = False) -> list[SftPoint]:
     """Pseudo-orbit whose every step agrees with the shifted predecessor on
-    exactly >= depth symbols (step errors <= 2^-depth)."""
+    exactly >= depth symbols (step errors <= 2^-depth).
+
+    By default each state is its shifted predecessor's first ``depth``
+    symbols, a few random steps, then a fold onto a cycle (``_close_walk``).
+    With ``shared_base`` the states are built as the benchmark builds its
+    orbit: state i starts with symbols i..i+depth of one random walk, and a
+    random head and a random cycle follow.  Its steps tie the shift tracking
+    recurrence at every depth, not only at depth 1.
+    """
+    if shared_base:
+        base = [rng.randrange(g.vertex_count)]
+        while len(base) < length + depth:
+            base.append(rng.choice(g.successors(base[-1])))
+        states = []
+        for i in range(length):
+            head = base[i:i + depth + 1]
+            for _ in range(rng.randrange(4)):
+                head.append(rng.choice(g.successors(head[-1])))
+            while True:  # a closed walk entered from the head's last symbol
+                cycle = [rng.choice(g.successors(head[-1]))]
+                for _ in range(rng.randrange(4)):
+                    cycle.append(rng.choice(g.successors(cycle[-1])))
+                if g.is_edge(cycle[-1], cycle[0]):
+                    break
+            states.append(SftPoint(tuple(head), tuple(cycle)))
+        return states
     states = [random_point(g, rng)]
     while len(states) < length:
         prev = shift_by(states[-1], 1)

@@ -190,6 +190,27 @@ def orbit_min_separation(sys, pts):
     return best
 
 
+def orbit_floor_bruteforce(sys):
+    """``FiniteSystem.orbit_floor`` by walking the orbit of each pair (u, v)
+    until a pair repeats: the least rank, among ``fraction_levels``, of the
+    distances of the pairs seen; rows and entries in sorted name order."""
+    rank = {d: r for r, d in enumerate(fraction_levels(sys))}
+    dist = fraction_table(sys)
+    names = sorted(sys.points)
+    floors = {}
+    for u in names:
+        row = []
+        for v in names:
+            seen = set()
+            pair = (u, v)
+            while pair not in seen:
+                seen.add(pair)
+                pair = (sys.apply(pair[0]), sys.apply(pair[1]))
+            row.append(min(rank[dist[p]] for p in seen))
+        floors[u] = tuple(row)
+    return floors
+
+
 def fraction_table(sys):
     """Every d(u, v) of a finite system as a Fraction, keyed (u, v), read from
     its validated scaled rows: not from its ranks or ``distance``."""

@@ -13,8 +13,8 @@ from chainscope import (ClassifyParams, SftPoint, build_chain_digraph, chain_com
                         compute_delta_n, construct_witness, cyclic_classes,
                         finite_system, load_corpus, profile_extremes, sft_delta_n,
                         tuple_stats)
-from chainscope.chaos import (_orbit_min_separation, _sft_distal_search, _widest, distance_scale,
-                             pair_profile)
+from chainscope.chaos import (TierReport, _orbit_min_separation, _sft_distal_search, _Widest,
+                              distance_scale, pair_profile)
 from chainscope.errors import BudgetExceeded, SpecError
 from chainscope.sft import SftGraph, sft_distance, shift_by
 
@@ -446,9 +446,9 @@ def test_integer_enumeration_matches_fraction_oracles(seed):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_widest_matches_subset_enumeration(data):
-    # few distinct values make ties common, so the tie-break is exercised
-    k, n = data.draw(st.integers(0, 11)), data.draw(st.integers(2, 5))
-    top = data.draw(st.integers(0, 5))
+    # few distinct values make ties common, so the tie-break is exercised;
+    # one pass over the class answers every n, asked in any order
+    k, top = data.draw(st.integers(0, 11)), data.draw(st.integers(0, 5))
     names = [f"p{i}" for i in range(k)]
     index = {u: i for i, u in enumerate(names)}
     rows = [[0] * k for _ in range(k)]
@@ -457,10 +457,12 @@ def test_widest_matches_subset_enumeration(data):
             rows[i][j] = rows[j][i] = data.draw(st.integers(0, top))
     table = {u: tuple(rows[i]) for i, u in enumerate(names)}
     members = data.draw(st.permutations(names))
-    found = _widest(table, index, members, n)
-    assert found == widest_bruteforce(table, index, members, n)
-    if k < n:
-        assert found == (0, None)
+    widest = _Widest(table, index, members)
+    for n in data.draw(st.permutations(range(2, 6))):
+        found = widest(n)
+        assert found == widest_bruteforce(table, index, members, n)
+        if k < n:
+            assert found == (0, None)
 
 
 def test_finite_classification_enumerates_no_subsets(monkeypatch):
@@ -482,6 +484,28 @@ def test_finite_classification_enumerates_no_subsets(monkeypatch):
     monkeypatch.setattr(chaos, "_spread", counting)
     rep = classify_finite_component(dec, 3)
     assert len(calls) <= len(rep.per_n) == 2
+
+
+def test_a_budget_short_of_n3_runs_no_n3_clique_search(monkeypatch):
+    # C(24, 2) subsets fit the budget and C(24, 3) do not: n = 3 is marked
+    # budget_exceeded, and its clique search never runs
+    from chainscope import chaos, compile_finite
+
+    sys = compile_finite(_line_system(24))
+    dg = build_chain_digraph(sys, 1)
+    dec = cyclic_classes(dg, chain_components(dg)[0])
+    (cls,) = dec.classes()
+    calls = []
+    first_clique = chaos._first_clique
+    monkeypatch.setattr(chaos, "_first_clique",
+                        lambda nb, cand, r: calls.append(r) or first_clique(nb, cand, r))
+    rep = classify_finite_component(dec, 3, ClassifyParams(budget=math.comb(len(cls), 2)))
+    searched = len(calls)
+    calls.clear()
+    assert classify_finite_component(dec, 2).per_n == rep.per_n[:1]
+    assert len(calls) == searched
+    assert rep.per_n[1] == TierReport(3, "LIYORKE", None, None, None, Fraction(0), True,
+                                      budget_exceeded=True)
 
 
 def test_enumeration_budget_counts_every_subset():

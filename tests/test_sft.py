@@ -199,6 +199,21 @@ def test_first_difference_matches_symbolwise_comparison(xh, xc, yh, yc, i):
     assert first_difference(x, y, i) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=12), st.lists(st.integers(0, 2), min_size=1, max_size=9),
+       st.integers(0, 40))
+def test_shift_by_is_the_canonical_shifted_point(head, cycle, k):
+    # k falls inside the head and past it; the shifted words, read off the
+    # symbols from k on and canonicalized, give the tuple shift_by builds
+    p = SftPoint(head, cycle)
+    lead = max(0, len(p.head) - k)
+    words = (tuple(p.symbol(k + t) for t in range(lead)),
+             tuple(p.symbol(k + lead + t) for t in range(len(p.cycle))))
+    q = shift_by(p, k)
+    assert type(q) is SftPoint
+    assert tuple(q) == canonical_form(*q) == tuple(SftPoint(*canonical_form(*words)))
+
+
 def test_distance_is_a_metric_on_samples(full2, goldenmean):
     rng = random.Random(5)
     for g in (full2, goldenmean):

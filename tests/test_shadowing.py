@@ -341,11 +341,12 @@ SHIFTS = {"full2": load_corpus("full2"), "goldenmean": load_corpus("goldenmean")
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(SHIFTS)), st.integers(1, 4), st.integers(2, 40),
-       st.integers(0, 6), st.integers(0, 2**32))
-def test_sft_shadow_tracking_matches_bruteforce(name, depth, length, exact_tail, seed):
-    # exact_tail true steps at the end give tracking errors of exactly 0
+       st.integers(0, 6), st.integers(0, 2**32), st.booleans())
+def test_sft_shadow_tracking_matches_bruteforce(name, depth, length, exact_tail, seed, shared):
+    # exact_tail true steps at the end give tracking errors of exactly 0; a
+    # shared base word makes ties of the recurrence at every depth
     g = SHIFTS[name]
-    states = random_pseudo_orbit(g, random.Random(seed), depth, length)
+    states = random_pseudo_orbit(g, random.Random(seed), depth, length, shared_base=shared)
     states += [shift_by(states[-1], i) for i in range(1, exact_tail + 1)]
     po = validate_pseudo_orbit(g, states, Fraction(1, 2**depth))
     res = sft_shadow(g, po, depth)
@@ -410,6 +411,29 @@ def test_sft_shadow_compares_symbols_only_at_ties(name, monkeypatch):
     assert sft_shadow(g, po, 1) == res
     # each call starts the scan of shift^(i+1) z at the tied index
     assert calls == [i + 1 + po.depths[i] for i in reversed(ties)]
+
+
+# ties of the tracking recurrence in 100 shared-base states, at depths 2 and 3
+SHARED_BASE_TIES = {"full2": (18, 13), "full3": (16, 15), "goldenmean": (26, 21),
+                    "triangle": (18, 19)}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTS))
+def test_shared_base_orbits_reach_the_tie_scan_above_depth_one(name, monkeypatch):
+    g = SHIFTS[name]
+    calls = []
+    original = shadowing.first_difference
+    monkeypatch.setattr(shadowing, "first_difference",
+                        lambda x, y, i=0: calls.append(i) or original(x, y, i))
+    for depth in (2, 3):
+        states = random_pseudo_orbit(g, random.Random(depth), depth, 100, shared_base=True)
+        po = validate_pseudo_orbit(g, states, Fraction(1, 2**depth))
+        calls.clear()
+        res = sft_shadow(g, po, depth)
+        d = [original(res.point, x, i) for i, x in enumerate(states)]
+        ties = [i for i, k in enumerate(po.depths) if k is not None and k == d[i + 1]]
+        assert len(ties) == SHARED_BASE_TIES[name][depth - 2]
+        assert calls == [i + 1 + po.depths[i] for i in reversed(ties)]
 
 
 @pytest.mark.parametrize("name", sorted(SHIFTS))

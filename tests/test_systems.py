@@ -15,7 +15,8 @@ from chainscope.specio import dump_system, system_from_desc
 from chainscope.systems import MAX_EXPONENT, MAX_SCALED_TABLE_BITS, as_fraction, finite_system
 
 from conftest import finite_models, random_system
-from oracles import fraction_levels, fraction_scaled_rows, fraction_table, metric_violation
+from oracles import (fraction_levels, fraction_scaled_rows, fraction_table, metric_violation,
+                     orbit_floor_bruteforce)
 
 
 def test_compile_sys3_description():
@@ -493,3 +494,38 @@ def test_written_levels_match_the_fraction_levels(sys):
     steps = {ranks.rank[sys.apply(u)][ranks.index[v]] for u in pts for v in pts}
     assert critical_deltas(sys) == [levels[r] for r in sorted(steps)]
     assert critical_deltas(sys) == sorted({table[(sys.apply(u), v)] for u in pts for v in pts})
+
+
+@st.composite
+def layered_maps(draw):
+    """(points, map, metric) on up to 16 points: a permutation, a long
+    transient chain x_i -> x_(i-1) onto the fixed point x_0, a random map,
+    or cycles of coprime lengths 2, 3 and 5 with every other point sent to
+    a random point.  Names are drawn apart from the map's order, and few
+    coordinate values make distances tie."""
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["permutation", "chain", "random", "cycles"]))
+    if kind == "permutation":
+        f = draw(st.permutations(range(n)))
+    elif kind == "chain":
+        f = [0, *range(n - 1)]
+    elif kind == "random":
+        f = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    else:
+        f, start = [], 0
+        for length in (2, 3, 5):
+            if start + length <= n:
+                f.extend(start + (i + 1) % length for i in range(length))
+                start += length
+        f.extend(draw(st.lists(st.integers(0, n - 1), min_size=n - start, max_size=n - start)))
+    names = draw(st.permutations([f"p{i}" for i in range(n)]))
+    xs = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n, unique=True))
+    metric = {(names[i], names[j]): abs(xs[i] - xs[j]) for i in range(n) for j in range(i + 1, n)}
+    return names, {names[i]: names[f[i]] for i in range(n)}, metric
+
+
+@settings(max_examples=300, deadline=None)
+@given(layered_maps())
+def test_orbit_floor_matches_pair_orbit_walks(spec):
+    sys = finite_system(*spec)
+    assert sys.orbit_floor == orbit_floor_bruteforce(sys)
