@@ -109,7 +109,8 @@ def build_chain_digraph(sys: FiniteSystem, delta, like: ChainDigraph | None = No
     components, whose SCCs are taken over without a Tarjan: the components
     and the points outside them, one SCC each, make up the SCC partition."""
     delta, cut = _resolution(sys, delta)
-    succ = {u: _row(sys, sys.apply(u), cut) for u in sys.points}
+    row = {v: _row(sys, v, cut) for v in set(sys.map.values())}  # one per image, shared
+    succ = {u: row[sys.map[u]] for u in sys.points}
     if like is not None:
         return ChainDigraph(sys, delta, succ, like.sccs, like.scc_of, cut)
     return _finalize(sys, delta, cut, succ)

@@ -321,8 +321,9 @@ def _encode(o, newline: str) -> str:
         inner = newline + "  "
         try:
             body = ("," + inner).join(map(encode_basestring_ascii, o))
-        except TypeError:  # not a list of strings
-            body = ("," + inner).join([_encode(v, inner) for v in o])
+        except TypeError:  # not a list of strings: of ints (no bool), or mixed
+            body = ("," + inner).join(map(int.__repr__, o) if set(map(type, o)) == {int}
+                                      else [_encode(v, inner) for v in o])
         return "[" + inner + body + newline + "]"
     return json.dumps(o)
 

@@ -15,15 +15,17 @@ the grids approximate.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from operator import add, eq, mul
+from struct import Struct
+from typing import Mapping, NamedTuple, NoReturn, Sequence
 
-from .errors import MetricViolation, PartialMap, SpecError
+from .errors import InvariantViolation, MetricViolation, PartialMap, SpecError
 
 # Metric validation checks every (u, v, w) triple, n^3 comparisons done as
 # n^2 / 2 row operations; beyond this size loading refuses rather than
@@ -163,7 +165,8 @@ class FiniteSystem:
         names = tuple(map(points.__getitem__, order))
         scaled = tuple(sorted(set(chain.from_iterable(rows))))
         level_of = dict(zip(scaled, range(len(scaled)))).__getitem__
-        rank = {points[i]: tuple(map(level_of, map(rows[i].__getitem__, order))) for i in order}
+        cols = rows if names == points else [tuple(map(r.__getitem__, order)) for r in rows]
+        rank = {points[i]: tuple(map(level_of, cols[i])) for i in order}
         return DistanceRanks(names, dict(zip(names, range(len(names)))), rank, self.scale, scaled)
 
     @cached_property
@@ -231,80 +234,32 @@ class FiniteSystem:
                 for u, p in zip(names, pos)}
 
 
-def _validated_rows(points, table) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(scale, rows) for the symmetric table ``table[i][k]`` of reduced
-    (numerator, denominator) pairs of d(points[i], points[k]), returned once
-    every metric axiom holds.
-
-    ``scale`` is the lcm of the table's denominators and ``rows[i][k]`` the
-    int d(points[i], points[k]) * scale, so each axiom is checked in exact
-    integer arithmetic.  A scale so large that the table would pass
-    ``MAX_SCALED_TABLE_BITS`` bits is refused with SpecError.  Since d(w, v)
-    is ``rows[j][k]`` for v = points[j], the triangle inequality at (u, v)
-    over every w is one test on ``rows[i] + rows[j]``
-    (``_first_broken_pair``).  The violating ordered pairs form a symmetric
-    set without diagonal pairs, so the first one in point order has u before
-    v: scanning those pairs, and a failing pair for its first w, names the
-    witness of the plain triple loop over (u, v, w).
-    """
-    n = len(points)
-    if n > MAX_EXHAUSTIVE_POINTS:
-        raise SpecError(
-            f"system has {n} points; exhaustive metric validation "
-            f"is capped at {MAX_EXHAUSTIVE_POINTS}"
-        )
-    denominators = {q for row in table for _, q in row}
-    scale = 1
-    for q in denominators:
-        scale = lcm(scale, q)
-        if scale.bit_length() * n * n > MAX_SCALED_TABLE_BITS:
-            raise SpecError(
-                f"metric denominators have an lcm of over {scale.bit_length()} bits; "
-                f"the scaled {n}-point table would exceed {MAX_SCALED_TABLE_BITS} bits"
-            )
-    factor = {q: scale // q for q in denominators}
-    rows = tuple(tuple([p * factor[q] for p, q in row]) for row in table)
-    for i, u in enumerate(points):
-        if rows[i][i] != 0:
-            raise MetricViolation("definiteness", (u, u))
-    for i, u in enumerate(points):
-        for j in range(i + 1, n):
-            if rows[i][j] <= 0:
-                raise MetricViolation("definiteness", (u, points[j]))
-    hit = _first_broken_pair(rows)
-    if hit is not None:
-        i, j = hit
-        ru, rv = rows[i], rows[j]
-        k = next(k for k in range(n) if ru[j] > ru[k] + rv[k])
-        raise MetricViolation("triangle", (points[i], points[j], points[k]))
-    return scale, rows
-
-
 def _first_broken_pair(rows: Sequence[Sequence[int]]) -> tuple[int, int] | None:
     """The first pair i < j, in row order, with rows[i][j] > rows[i][k] +
     rows[j][k] for some k; None when the triangle inequality holds.
 
-    Entries are nonnegative, and twice the largest is below 2^(width - 1).
-    So each pair is one int expression on rows packed into lanes of
-    ``width`` bits: lane k of packed[i] + high + packed[j] - rows[i][j] *
-    ones is 2^(width - 1) + rows[i][k] + rows[j][k] - rows[i][j], which lies
-    in [0, 2^width).  No lane carries into or borrows from the next, and a
-    lane keeps its high bit exactly when rows[i][k] + rows[j][k] >=
-    rows[i][j].  Lanes wider than 64 bits would make rows[i][j] * ones a
-    long multiplication, so such tables compare rows[i][j] with the least
-    entry of the summed rows instead.
+    Rows of nonnegative entries are packed into lanes of c bytes, the least
+    c with 2 * max < 2^(8c - 1), cut by strided copies from 8-byte items.
+    Lane k of packed[i] + high + packed[j] - rows[i][j] * ones is 2^(8c - 1)
+    + rows[i][k] + rows[j][k] - rows[i][j] in [0, 2^(8c)), so no lane carries
+    or borrows and it keeps its high bit iff rows[i][k] + rows[j][k] >=
+    rows[i][j].  Past 8 bytes (a long product) the least summed entry is used.
     """
     n = len(rows)
-    width = (2 * max(map(max, rows))).bit_length() + 1
-    if width > 64:
-        for i, ru in enumerate(rows):
-            for j in range(i + 1, n):
-                if ru[j] > min(map(add, ru, rows[j])):
-                    return i, j
-        return None
-    packed = [_pack(row, width) for row in rows]
-    ones = _pack([1] * n, width)
-    high = ones << (width - 1)
+    c = ((2 * max(map(max, rows))).bit_length() + 8) // 8
+    if c > 8:
+        return next(((i, j) for i, ru in enumerate(rows) for j in range(i + 1, n)
+                     if ru[j] > min(map(add, ru, rows[j]))), None)
+    layout = Struct(f"<{n}Q")  # little-endian 8-byte items: their low c bytes come first
+
+    def pack(row) -> int:
+        items, lanes = layout.pack(*row), bytearray(c * n)
+        for b in range(c):
+            lanes[b::c] = items[b::8]
+        return int.from_bytes(lanes, "little")
+    packed = list(map(pack, rows))
+    ones = pack([1] * n)
+    high = ones << (8 * c - 1)
     for i, ru in enumerate(rows):
         pu = packed[i] + high
         for j in range(i + 1, n):
@@ -313,16 +268,47 @@ def _first_broken_pair(rows: Sequence[Sequence[int]]) -> tuple[int, int] | None:
     return None
 
 
-def _pack(row: Sequence[int], width: int) -> int:
-    """The int holding ``row[k]`` in bits [k * width, (k + 1) * width), for
-    entries below 2^width; neighbours are joined pairwise, doubling the
-    lane width each round."""
-    while len(row) > 1:
-        if len(row) % 2:
-            row = [*row, 0]
-        row = [a | b << width for a, b in zip(row[::2], row[1::2])]
-        width *= 2
-    return row[0]
+def _literals(values) -> tuple[Sequence[int], Sequence[int]]:
+    """(numerators, denominators) of ``values`` as ``rational_pair`` reads them,
+    unreduced.  ASCII "p/q" (q > 0) and "p" (as p/1) strings are read in
+    C-level passes over their joined text, each distinct q once; a batch with
+    any other value is read value by value by ``rational_pair``."""
+    try:
+        bare = map(("/1", "").__getitem__, map(bool, map(str.count, values, repeat("/"))))
+        pq = values if all(map(str.count, values, repeat("/"))) else map(str.__add__, values, bare)
+        num, den = (pieces := "/".join(pq).split("/"))[::2], pieces[1::2]
+        q_of = {d: int(d) for d in set(den)}
+        if (len(pieces) == 2 * len(values) and all(num) and all(q_of.values())
+                and (digits := "".join(num) + "".join(q_of)).isascii() and digits.isdigit()):
+            return list(map(int, num)), list(map(q_of.__getitem__, den))
+    except (TypeError, ValueError):  # a value that is no str, or no digits int() reads
+        pass
+    return tuple(zip(*map(rational_pair, values))) or ((), ())
+
+
+def _table_lcm(denominators, n: int) -> int:
+    """The lcm of ``denominators``, refused past the n-point table's cap."""
+    scale = 1
+    for q in denominators:
+        scale = lcm(scale, q)
+        if (bits := scale.bit_length()) * n * n > MAX_SCALED_TABLE_BITS:
+            raise SpecError(f"metric denominators have an lcm of over {bits} bits; the scaled "
+                            f"{n}-point table would exceed {MAX_SCALED_TABLE_BITS} bits")
+    return scale
+
+
+def _refuse_entry(index, us, vs, ds) -> NoReturn:
+    """Refuse the first entry naming an unknown point, a bad literal or a second value."""
+    given: dict[tuple[int, int], tuple[int, int]] = {}
+    for u, v, d in zip(us, vs, ds):
+        if u not in index or v not in index:
+            raise SpecError(f"metric entry for unknown pair ({u!r}, {v!r})")
+        d = rational_pair(d)
+        i, j = index[u], index[v]
+        if given.setdefault((i, j), d) != d:
+            raise MetricViolation("symmetry", (u, v))
+        given[j, i] = d
+    raise InvariantViolation("a refused metric has no offending entry")
 
 
 def finite_system(points, mapping, metric, labels=None, default=None) -> FiniteSystem:
@@ -332,49 +318,83 @@ def finite_system(points, mapping, metric, labels=None, default=None) -> FiniteS
     d) entries.  It may list each unordered pair once; it is symmetrized,
     and a pair given twice with two values, in either order, is refused.  A
     diagonal pair it leaves out is 0, and a distinct pair it leaves out is
-    ``default`` (refused when ``default`` is None).  Each distance is read
-    once, by ``rational_pair``, and kept as its reduced int pair.
+    ``default`` (refused when ``default`` is None).
+    """
+    pairs, values = ((metric.keys(), metric.values()) if isinstance(metric, Mapping)
+                     else tuple(zip(*metric)) or ((), ()))
+    return _load(points, mapping, *(tuple(zip(*pairs)) or ((), ())), values, labels, default)
+
+
+def _load(points, mapping, us, vs, ds, labels, default) -> FiniteSystem:
+    """``finite_system`` with entry k giving (us[k], vs[k]) the distance ds[k].
+
+    Times Q, the lcm of the denominators read, the distances are ints a_k.
+    All L * a_k / Q are ints iff Q divides L * gcd(Q, a_1, ...) = L * g, so
+    the scale is Q // g and the table a_k // g; only a Q past the cap is
+    reduced, to decide the cap.  The violating pairs of the triangle are
+    symmetric: the first has u before v, and its first w names the witness.
     """
     fill = None if default is None else rational_pair(default)
-    pts = tuple(str(p) for p in points)
+    pts = tuple(map(str, points))
     if not pts:
         raise SpecError("a finite system needs at least one point")
-    index = {u: i for i, u in enumerate(pts)}
-    if len(index) != len(pts):
-        raise SpecError("duplicate point identifiers")
     n = len(pts)
-    # symmetric by construction: each entry is written in both orders
-    table: list[list[tuple[int, int] | None]] = [[None] * n for _ in pts]
-    for (u, v), d in metric.items() if isinstance(metric, Mapping) else metric:
-        if u not in index or v not in index:
-            raise SpecError(f"metric entry for unknown pair ({u!r}, {v!r})")
-        d = rational_pair(d)
-        i, j = index[u], index[v]
-        if table[i][j] is not None and table[i][j] != d:
-            raise MetricViolation("symmetry", (u, v))
-        table[i][j] = table[j][i] = d
-    for i, row in enumerate(table):
-        if row[i] is None:
-            row[i] = (0, 1)
-        for j in range(i + 1, n):
-            if row[j] is None:
-                if fill is None:
-                    raise SpecError(f"metric is missing the pair ({pts[i]!r}, {pts[j]!r})")
-                row[j] = table[j][i] = fill
-    fmap: dict[str, str] = {}
-    for u in pts:
-        if u not in mapping:
-            raise PartialMap(u)
-        img = str(mapping[u])
-        if img not in index:
-            raise PartialMap(u)
-        fmap[u] = img
+    index = dict(zip(pts, range(n)))
+    if len(index) != n:
+        raise SpecError("duplicate point identifiers")
+    row = dict(zip(pts, range(0, n * n, n)))
+    try:
+        ij = list(map(add, map(row.get, us), map(index.get, vs)))
+        ji = list(map(add, map(row.get, vs), map(index.get, us)))
+        nums, dens = _literals(ds)
+    except (TypeError, SpecError):  # an unknown name (None + int) or a bad literal
+        _refuse_entry(index, us, vs, ds)
+    qs = set(dens)
+    try:
+        scale = _table_lcm(qs if fill is None else {*qs, fill[1]}, n)
+    except SpecError:  # past the cap: decided below on the reduced pairs
+        values = [(p // g, q // g) for p, q, g in zip(nums, dens, map(gcd, nums, dens))]
+        scale, zero, pad = None, (0, 1), fill
+    else:
+        factor = {q: scale // q for q in qs}
+        values = list(map(mul, nums, map(factor.__getitem__, dens)))
+        zero, pad = 0, None if fill is None else fill[0] * (scale // fill[1])
+    flat = [pad] * (n * n)
+    flat[::n + 1] = [zero] * n
+    deque(map(flat.__setitem__, ij + ji, values * 2), 0)
+    # n(n - 1) / 2 entries that fill the table give each pair once; else each must match
+    if ((pad is not None or None in flat or 2 * len(values) != n * n - n)
+            and not all(map(eq, map(flat.__getitem__, ij), values))):
+        _refuse_entry(index, us, vs, ds)
+    if pad is None and None in flat:
+        i, j = divmod(flat.index(None), n)
+        raise SpecError(f"metric is missing the pair ({pts[i]!r}, {pts[j]!r})")
+    fmap = {u: str(mapping[u]) if u in mapping else None for u in pts}
+    if (bad := next((u for u, img in fmap.items() if img not in index), None)) is not None:
+        raise PartialMap(bad)
     try:
         labels = dict(labels or {})
     except (TypeError, ValueError) as exc:
         raise SpecError(f"labels must map points to names: {exc}") from exc
-    scale, rows = _validated_rows(pts, table)
-    return FiniteSystem(pts, scale, rows, fmap, labels)
+    if n > MAX_EXHAUSTIVE_POINTS:
+        raise SpecError(f"system has {n} points; exhaustive metric validation "
+                        f"is capped at {MAX_EXHAUSTIVE_POINTS}")
+    if scale is None:  # the cap on the reduced table; its order fixes the bits a refusal names
+        scale = _table_lcm({q for _, q in flat}, n)
+        flat = [p * (scale // q) for p, q in flat]
+    if (g := gcd(scale, *flat)) > 1:
+        flat = list(map(g.__rfloordiv__, flat))
+    if any(diagonal := flat[::n + 1]):
+        raise MetricViolation("definiteness", (u := pts[next(compress(range(n), diagonal))], u))
+    if flat.count(0) > n or min(flat) < 0:
+        k = next(k for k, d in enumerate(flat) if d <= 0 and k % (n + 1))
+        raise MetricViolation("definiteness", (pts[k // n], pts[k % n]))
+    rows = tuple(zip(*[iter(flat)] * n))
+    if (hit := _first_broken_pair(rows)) is not None:
+        ru, rv = rows[hit[0]], rows[hit[1]]
+        k = next(k for k in range(n) if ru[hit[1]] > ru[k] + rv[k])
+        raise MetricViolation("triangle", (pts[hit[0]], pts[hit[1]], pts[k]))
+    return FiniteSystem(pts, scale // g, rows, fmap, labels)
 
 
 def compile_finite(desc: Mapping) -> FiniteSystem:
@@ -383,9 +403,7 @@ def compile_finite(desc: Mapping) -> FiniteSystem:
     Recognized keys: ``points`` (a list), ``map`` (an object), ``metric``
     (list of ``[u, v, "p/q"]`` triples), optional ``metric_default`` for
     unlisted distinct pairs, optional ``labels`` (an object).  Every point
-    name is a string, as JSON object keys are.  The metric literals and the
-    default go to ``finite_system`` unparsed, the literals in order, and it
-    reads each once.
+    name is a string, as JSON object keys are.  The metric is split once.
     """
     try:
         points = desc["points"]
@@ -399,22 +417,22 @@ def compile_finite(desc: Mapping) -> FiniteSystem:
         if not isinstance(value, Mapping):
             raise SpecError(f"finite system spec: {key} must be an object, "
                             f"got {type(value).__name__}")
-    entries: list[tuple[tuple[str, str], object]] = []
+    metric = desc.get("metric", [])
     try:
-        for entry in desc.get("metric", []):
-            if len(entry) != 3:
-                raise SpecError(f"bad metric entry {entry!r}")
-            u, v, d = entry
-            entries.append(((u, v), d))
-    except TypeError as exc:
-        raise SpecError(f"bad metric: {exc}") from exc
-    # the all-strings test runs in C; the first offender is sought only on failure
-    for where, names in (("points", points), ("map", [*raw_map, *raw_map.values()]),
-                         ("metric", [*chain.from_iterable(map(itemgetter(0), entries))])):
-        if not all(map(isinstance, names, repeat(str))):
-            bad = next(u for u in names if not isinstance(u, str))
+        us, vs, ds = zip(*metric, strict=True) if len(metric) else ((), (), ())
+    except (TypeError, ValueError):  # an entry that is no triple: seek the first in order
+        try:
+            bad = next(e for e in metric if len(e) != 3)
+        except TypeError as exc:
+            raise SpecError(f"bad metric: {exc}") from exc
+        raise SpecError(f"bad metric entry {bad!r}") from None
+    # C-level tests; the first offender (keys before values, u before v) only on failure
+    for where, columns in (("points", (points,)), ("map", (raw_map,)),
+                           ("map", (raw_map.values(),)), ("metric", (us, vs))):
+        if not all(all(map(isinstance, names, repeat(str))) for names in columns):
+            bad = next(u for u in chain.from_iterable(zip(*columns)) if not isinstance(u, str))
             raise SpecError(f"finite system spec: {where} names a point by {bad!r}, not a string")
-    return finite_system(points, raw_map, entries, labels, desc.get("metric_default"))
+    return _load(points, raw_map, us, vs, ds, labels, desc.get("metric_default"))
 
 
 # -- grid discretization -------------------------------------------------------

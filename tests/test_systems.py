@@ -1,3 +1,4 @@
+import itertools
 import re
 import time
 
@@ -368,6 +369,70 @@ def test_a_load_scales_each_pair_as_the_fraction_path_does(table):
                 load()
 
 
+@st.composite
+def lane_rows(draw):
+    """(bits, rows): a symmetric table with a zero diagonal on 2..8 points
+    whose (2 * largest entry).bit_length() + 1 is ``bits``, drawn up to 8,
+    16, 32 or 64 bits or past 64, so the lanes take each of 1 to 8 bytes or
+    the wide path.  Most entries lie in [top / 2, top) for top = 2^(bits -
+    2), where the triangle inequality holds; the others are drawn from
+    [1, top) and may break it."""
+    lo, hi = draw(st.sampled_from([(3, 8), (9, 16), (17, 32), (33, 64), (65, 96)]))
+    bits = draw(st.integers(lo, hi))
+    top = 2 ** (bits - 2)
+    k = draw(st.integers(2, 8))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            low = draw(st.sampled_from((top // 2, top // 2, 1)))
+            rows[i][j] = rows[j][i] = draw(st.integers(low, top - 1))
+    rows[0][1] = rows[1][0] = top - 1
+    return bits, tuple(map(tuple, rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lane_rows())
+def test_first_broken_pair_matches_the_triple_loop_in_every_lane_size(drawn):
+    bits, rows = drawn
+    assert (2 * max(map(max, rows))).bit_length() + 1 == bits
+    n = len(rows)
+    expected = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                     if any(rows[i][j] > rows[i][k] + rows[j][k] for k in range(n))), None)
+    assert systems._first_broken_pair(rows) == expected
+
+
+# an unknown name, a bad literal and a second value for a given pair: the
+# refusal names whichever comes first among the entries, whatever the order
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+@pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("literal", ["1/0", "1/2/3", "1//2", "x"])
+def test_a_refused_metric_names_its_first_offending_entry(order, spread, literal):
+    offending = [(["a", "zz", "1"], SpecError, "metric entry for unknown pair ('a', 'zz')"),
+                 (["b", "c", literal], SpecError, f"bad rational literal {literal!r}"),
+                 (["c", "a", "2/3"], MetricViolation, "metric violates symmetry at ('c', 'a')")]
+    good = [["a", "b", "1/2"], ["a", "c", "1/2"], ["b", "c", "1/2"]]
+    offenders = [offending[k][0] for k in order]
+    # spread: the offenders sit between the good entries, after the pair
+    # (a, c) that the third one gives a second value
+    metric = ([good[0], good[1], offenders[0], good[2], offenders[1], offenders[2]] if spread
+              else [*good, *offenders])
+    _, kind, text = offending[order[0]]
+    with pytest.raises(kind) as exc:
+        compile_finite({"points": ["a", "b", "c"], "map": {"a": "b", "b": "c", "c": "a"},
+                        "metric": metric})
+    assert type(exc.value) is kind and str(exc.value) == text
+
+
+# malformed near misses of the "p/q" form, each the only entry of its spec,
+# where a batch read that lost count of the slashes would load a value
+@pytest.mark.parametrize("literal", ["1/2/3", "1//2", "1/", "/2", "", "1/0", "1 /2", "1,2"])
+def test_a_lone_malformed_literal_is_refused(literal):
+    with pytest.raises(SpecError) as exc:
+        compile_finite({"points": ["a", "b"], "map": {"a": "b", "b": "a"},
+                        "metric": [["a", "b", literal]]})
+    assert str(exc.value) == f"bad rational literal {literal!r}"
+
+
 def _metric_with_denominators(qs):
     # four points at distances in (1, 2], so every axiom holds
     pts = [f"p{i}" for i in range(4)]
@@ -386,6 +451,20 @@ def test_validate_metric_refuses_an_oversized_scale():
     q = 2**64 + 1
     sys = _metric_with_denominators((q, q + 2, q + 4))
     assert sys.distance("p0", "p1") == 1 + Fraction(1, q)
+
+
+def test_a_raw_lcm_past_the_cap_is_decided_on_the_reduced_table():
+    # 40 points at distance 1, twenty of them written x/x for distinct
+    # 4,000-digit odd x: the lcm of the denominators as written passes the
+    # cap of a 40-point table, the lcm of the reduced ones is 1
+    names = [f"p{i:02d}" for i in range(40)]
+    entries = [[u, v, "1"] for i, u in enumerate(names) for v in names[i + 1:]]
+    xs = [10**3999 + 2 * k + 1 for k in range(20)]
+    for k, x in enumerate(xs):
+        entries[37 * k][2] = f"{x}/{x}"
+    assert lcm(*xs).bit_length() * 40**2 > MAX_SCALED_TABLE_BITS
+    sys = compile_finite({"points": names, "map": {u: u for u in names}, "metric": entries})
+    assert sys.scale == 1 and set(itertools.chain.from_iterable(sys.rows)) == {0, 1}
 
 
 def test_ranks_sort_and_key_scaled_ints(monkeypatch):
@@ -423,13 +502,15 @@ def test_ranks_sort_and_key_scaled_ints(monkeypatch):
 
 
 def test_a_load_parses_each_literal_once_and_scales_once(monkeypatch):
-    # E metric entries take E rational_pair calls, and reading the ranks (or
-    # a distance) scales the table no second time; a spec of ASCII "p/q"
-    # literals and no metric_default loads without building a Fraction
+    # the batch reader reads each of the E metric literals once, and reading
+    # the ranks (or a distance) scales the table no second time; a spec of
+    # ASCII "p/q" literals and no metric_default loads without building a
+    # Fraction
     names = [f"p{i}" for i in range(6)]
     entries = [[names[i], names[j], f"{q + i}/{q}"]  # distances in [1, 2)
                for i in range(6) for j, q in zip(range(i + 1, 6), (7, 8, 9) * 2)]
-    counts = {"rational_pair": 0, "lcm": 0, "Fraction": 0}
+    counts = {"lcm": 0, "Fraction": 0}
+    read = []
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -437,14 +518,18 @@ def test_a_load_parses_each_literal_once_and_scales_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(systems, "rational_pair",
-                        counting("rational_pair", systems.rational_pair))
+    def reading(values):
+        read.extend(values)
+        return literals(values)
+
+    literals = systems._literals
+    monkeypatch.setattr(systems, "_literals", reading)
     monkeypatch.setattr(systems, "lcm", counting("lcm", systems.lcm))
     monkeypatch.setattr(Fraction, "__new__",
                         staticmethod(counting("Fraction", Fraction.__new__)))
     sys = compile_finite({"points": names, "map": {u: u for u in names}, "metric": entries})
     assert counts["Fraction"] == 0
-    assert counts["rational_pair"] == len(entries) == 15
+    assert sorted(read) == sorted(d for _, _, d in entries) and len(entries) == 15
     scaled = counts["lcm"]
     assert scaled > 0
     assert fraction_levels(sys)[0] == 0 and sys.distance("p0", "p1") == 1
