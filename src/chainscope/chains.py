@@ -89,7 +89,7 @@ def _resolution(sys: FiniteSystem, delta) -> tuple[Fraction, int]:
     """(delta as a Fraction, its cut), refusing a negative delta."""
     if type(delta) is not Fraction:
         delta = Fraction(delta)
-    if delta < 0:
+    if delta.numerator < 0:
         raise SpecError("delta must be nonnegative")
     return delta, sys.ranks.cut(delta)
 
@@ -295,13 +295,12 @@ def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:
 
 
 class ChainAnalysis(NamedTuple):
-    """Bundle of the per-resolution chain facts used by reports."""
+    """Bundle of the per-resolution chain facts used by reports; the
+    recurrent set is the union of the components."""
 
-    recurrent: frozenset[str]
     components: tuple[frozenset[str], ...]
     lyapunov: dict[str, Fraction]
 
 
 def chain_analysis(dg: ChainDigraph) -> ChainAnalysis:
-    comps = chain_components(dg)
-    return ChainAnalysis(frozenset().union(*comps), comps, complete_lyapunov(dg))
+    return ChainAnalysis(chain_components(dg), complete_lyapunov(dg))

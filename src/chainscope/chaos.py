@@ -644,8 +644,11 @@ def classify_finite_component(decomp: CyclicDecomposition, n_max: int,
     flags: list[str] = []
     reports: list[TierReport] = []
     classes = decomp.classes()
-    # one descending pair order per (table, class), shared by every n
-    floors = [_Widest(sys.orbit_floor, ranks.index, cls) for cls in classes]
+    singleton = all(len(c) == 1 for c in classes)
+    # one descending pair order per (table, class), shared by every n; the
+    # floors are read only in a class of two or more points
+    floor = None if singleton else sys.orbit_floor
+    floors = [_Widest(floor, ranks.index, cls) for cls in classes]
     spreads = [_Widest(ranks.rank, ranks.index, cls) for cls in classes]
     for n in range(2, n_max + 1):
         budget_hit = False
@@ -677,7 +680,6 @@ def classify_finite_component(decomp: CyclicDecomposition, n_max: int,
         reports.append(TierReport(
             n, tier, witness, _orbit_min_separation(sys, witness) / 2 if found else None,
             upgrade_ok, delta_val, card_ok, budget_exceeded=budget_hit))
-    singleton = all(len(c) == 1 for c in classes)
     level = reports[0].tier
     comp_id = ",".join(sorted(decomp.component))
     return ComponentChaosReport(comp_id, tuple(reports), level, singleton, None, tuple(flags))

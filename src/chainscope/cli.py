@@ -23,9 +23,9 @@ from .cyclic import LadderWalk
 from .errors import BudgetExceeded, ChainscopeError, InternalError, ValidationError
 from .families import (EventuallyPeriodicSet, WindowParams, inclusion_audit,
                        rle_to_window, rotation_time_set)
-from .report import (AnalysisConfig, basin_section, chain_section, chaos_section,
-                     cmd_analyze, condensation_dot, cyclic_section, polyline_svg,
-                     reject_shift_delta, report_to_json, resolve_model, verdict_dict,
+from .report import (AnalysisConfig, basin_section, chaos_section, cmd_analyze,
+                     condensation_dot, cyclic_section, polyline_svg, reject_shift_delta,
+                     report_to_json, resolve_model, step_section, verdict_dict,
                      write_csv, write_text)
 from .sft import SftGraph, dyadic, dyadic_depth
 from .shadowing import (find_shadowing_point, limit_shadowed, sft_shadow,
@@ -116,7 +116,7 @@ def _cmd_chains(args) -> int:
         raise ValidationError("chain analysis applies to finite systems")
     dg, walk = _one_step(model, args.delta)
     ba = assign_basins(model, walk.decompositions(0))
-    out = {"chain": chain_section(dg), "cyclic": cyclic_section(walk, [0]),
+    out = {"chain": step_section(dg), "cyclic": cyclic_section(walk, [0]),
            "basins": basin_section(ba)}
     _print_json(out, args.out)
     if args.emit_dot:

@@ -275,7 +275,11 @@ class LadderWalk:
         self.system = system
         self.deltas = [d for d, _ in resolved]
         self.cuts = [c for _, c in resolved]
-        if any(a >= b for a, b in zip(self.deltas, self.deltas[1:])):
+        # cut_a < cut_b gives a < b, as level[cut_b] <= b and a < level[cut_a + 1],
+        # so only the rungs whose cuts do not ascend are compared as Fractions
+        cuts, deltas = self.cuts, self.deltas
+        if any(deltas[j] >= deltas[j + 1]
+               for j in compress(range(len(cuts) - 1), map(int.__ge__, cuts, cuts[1:]))):
             raise InvariantViolation("walk resolutions must ascend")
         self._first: ChainDigraph | None = build_chain_digraph(system, self.deltas[0])
         self._change_ranks = cycle_ranks(self._first, self.cuts[-1])

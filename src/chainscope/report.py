@@ -8,8 +8,9 @@ echo in ``provenance`` holds only the settings the run read.
 
 Along the ladder a report writes only what changes: a chain analysis where
 the chain components change and a cyclic row where a component's row does.
-Every step can be recovered from the spec the report embeds (README
-"Reports").
+A chain analysis holds neither the step digraph nor the recurrent set: the
+spec the report embeds gives the one, its components the other, and every
+step can be recovered from them (README "Reports").
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .basins import BasinAssignment, assign_basins, verify_partition_laws
+from .basins import BasinAssignment, assign_basins
 from .chains import ChainDigraph, chain_analysis, chain_recurrent_set, critical_ranks
 from .chaos import ClassifyParams, classify_finite_component, classify_sft
 from .cyclic import LadderWalk
@@ -36,7 +37,7 @@ from .systems import FiniteSystem, as_fraction
 if TYPE_CHECKING:
     from .cyclic import CyclicDecomposition
 
-REPORT_SCHEMA_VERSION = "chainscope-report-v3"
+REPORT_SCHEMA_VERSION = "chainscope-report-v4"
 
 
 def _frac(x) -> str:
@@ -124,8 +125,6 @@ def chain_section(dg: ChainDigraph) -> dict:
     ana = chain_analysis(dg)
     return {
         "delta": _frac(dg.delta),
-        "edges": {u: list(dg.succ[u]) for u in sorted(dg.succ)},
-        "recurrent": sorted(ana.recurrent),
         "components": [sorted(c) for c in ana.components],
         "lyapunov": {u: _frac(v) for u, v in sorted(ana.lyapunov.items())},
         "condensation": {
@@ -133,6 +132,13 @@ def chain_section(dg: ChainDigraph) -> dict:
             "edges": [[i, j] for i, succs in enumerate(dg.cond_succ) for j in succs],
         },
     }
+
+
+def step_section(dg: ChainDigraph) -> dict:
+    """``chain_section`` with the step digraph and the recurrent set, as
+    ``chains --delta`` writes it: its output holds no spec to read them from."""
+    return dict(chain_section(dg), edges={u: list(dg.succ[u]) for u in sorted(dg.succ)},
+                recurrent=sorted(chain_recurrent_set(dg)))
 
 
 def _cyclic_row(dec: CyclicDecomposition) -> dict:
@@ -157,7 +163,6 @@ def cyclic_section(walk: LadderWalk, rungs: Sequence[int]) -> list[dict]:
 
 
 def basin_section(ba: BasinAssignment) -> dict:
-    laws = verify_partition_laws(ba)
     return {
         "delta": _frac(ba.delta),
         "components": [sorted(c) for c in ba.components],
@@ -171,8 +176,6 @@ def basin_section(ba: BasinAssignment) -> dict:
             }
             for x in sorted(ba.component_of)
         ],
-        "partition_laws_ok": laws.ok,
-        "violations": list(laws.violations),
     }
 
 

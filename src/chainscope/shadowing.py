@@ -280,7 +280,7 @@ def limit_rank(sys: FiniteSystem, u: str, v: str) -> int | None:
     """The greatest rank of d(f^t u, f^t v) over t >= 0 if the pair orbit
     reaches the diagonal, where two equal points stay, and None if a pair
     off the diagonal comes round again.  So Good(u, v) at a cut, the pair
-    orbit within the cut and merging, is ``limit_rank in range(cut + 1)``."""
+    orbit within the cut and merging, is a limit rank, not None, <= cut."""
     rank, index, f = sys.ranks.rank, sys.ranks.index, sys.map
     top, seen = 0, set()
     while u != v:
@@ -304,7 +304,8 @@ def limit_shadowed(sys: FiniteSystem, po: PseudoOrbit, epsilon) -> bool:
     Z_{i+1} = f(Z_i) & B(s_{i+1}) are one set (``_trackers``); only those at
     s walk on."""
     cut, s = sys.ranks.cut(Fraction(epsilon)), po.states[-1]
-    return any(limit_rank(sys, u, s) in range(cut + 1) for u in _trackers(sys, po, cut))
+    return any((r := limit_rank(sys, u, s)) is not None and r <= cut
+               for u in _trackers(sys, po, cut))
 
 
 def slimit_modulus(sys: FiniteSystem, epsilon,
@@ -324,7 +325,7 @@ def slimit_modulus(sys: FiniteSystem, epsilon,
     if cut < 0:  # level 0 is distance 0
         raise SpecError("epsilon must be nonnegative")
     names, rank, f = sys.ranks.names, sys.ranks.rank, sys.map
-    good = cache(lambda u, s: limit_rank(sys, u, s) in range(cut + 1))
+    good = cache(lambda u, s: (r := limit_rank(sys, u, s)) is not None and r <= cut)
 
     def failing_chain(rung: int) -> tuple[str, ...] | None:
         nonlocal spent

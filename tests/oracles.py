@@ -523,19 +523,55 @@ def proximal_loop(sys, comp, ladder):
     return tuple(used), tuple(tuple(b) for _, b in sorted(buckets.items())), split_at
 
 
-def report_v2(config):
-    """The ``chainscope-report-v2`` form of an ``analyze`` report: the v3
-    report with the keys v3 dropped put back.  Those keys could not vary or
-    echoed settings no run read: the seed (0, its default, in every recorded
-    v2 report), every config field with the window constants ``run_req``
-    (None) and ``theta`` (1/100), a shift's ``irreducible`` (True, as a
-    reducible graph is refused), and a cyclic row's ``saturation_failed``
-    (False, by Wielandt's bound)."""
-    from dataclasses import asdict
+def basin_section_v3(ba):
+    """A v3 ``basins`` section: the v4 one with the partition-law audit that
+    v4 dropped put back, as ``verify_partition_laws`` computes it."""
+    from chainscope.basins import verify_partition_laws
+    from chainscope.report import basin_section
 
-    from chainscope.report import cmd_analyze
+    laws = verify_partition_laws(ba)
+    return dict(basin_section(ba), partition_laws_ok=laws.ok, violations=list(laws.violations))
+
+
+def report_v3(config):
+    """The ``chainscope-report-v3`` form of an ``analyze`` report: the v4
+    report with the keys v4 dropped put back.  A chain entry gets the
+    ``edges`` of the digraph built afresh from ``system.spec`` at the entry's
+    delta and ``recurrent``, the sorted union of its components.  A basin
+    section is checked against the one of the basins assigned afresh at its
+    delta and gets their partition-law audit."""
+    from chainscope import LadderWalk, assign_basins, build_chain_digraph, verify_partition_laws
+    from chainscope.report import basin_section, cmd_analyze
+    from chainscope.specio import system_from_desc
 
     doc = cmd_analyze(config)
+    doc["schema"] = "chainscope-report-v3"
+    if "ladder" in doc:
+        model = system_from_desc(doc["system"]["spec"])
+        for entry in doc["chain_analyses"]:
+            dg = build_chain_digraph(model, Fraction(entry["delta"]))
+            entry["edges"] = {u: list(dg.succ[u]) for u in sorted(dg.succ)}
+            entry["recurrent"] = sorted(set().union(*entry["components"]))
+        for b in doc["basins"]:
+            walk = LadderWalk(model, [Fraction(b["delta"])])
+            ba = assign_basins(model, walk.decompositions(0))
+            assert basin_section(ba) == b, b["delta"]
+            laws = verify_partition_laws(ba)
+            b.update(partition_laws_ok=laws.ok, violations=list(laws.violations))
+    return doc
+
+
+def report_v2(config):
+    """The ``chainscope-report-v2`` form of an ``analyze`` report: the v3
+    report (``report_v3``) with the keys v3 dropped put back.  Those keys
+    could not vary or echoed settings no run read: the seed (0, its default,
+    in every recorded v2 report), every config field with the window
+    constants ``run_req`` (None) and ``theta`` (1/100), a shift's
+    ``irreducible`` (True, as a reducible graph is refused), and a cyclic
+    row's ``saturation_failed`` (False, by Wielandt's bound)."""
+    from dataclasses import asdict
+
+    doc = report_v3(config)
     doc["schema"] = "chainscope-report-v2"
     doc["provenance"]["seed"] = 0
     doc["provenance"]["config"] = dict(asdict(config), ladder=list(config.ladder), seed=0,
@@ -553,7 +589,7 @@ def report_v1(config):
     for every ladder step, each from its own digraph built afresh from
     ``system.spec`` (as ``chains --delta`` writes them)."""
     from chainscope import build_chain_digraph
-    from chainscope.report import chain_section
+    from chainscope.report import step_section
     from chainscope.specio import system_from_desc
 
     doc = report_v2(config)
@@ -561,19 +597,19 @@ def report_v1(config):
     if "ladder" in doc:
         model = system_from_desc(doc["system"]["spec"])
         steps = [build_chain_digraph(model, Fraction(d)) for d in doc["ladder"]]
-        doc["chain_analyses"] = [chain_section(dg) for dg in steps]
+        doc["chain_analyses"] = [step_section(dg) for dg in steps]
         doc["cyclic"] = [dict(row, saturation_failed=False) for dg in steps
                          for row in step_cyclic_rows(CyclicSweep([dg]), [dg.delta])]
     return doc
 
 
 def recover_step(doc, i):
-    """Ladder step i of a v2 or v3 report by its recovery rule: the edges
-    d(f(u), v) <= delta from ``system.spec`` by Fraction comparison, the
-    components and recurrent set of the latest chain entry at or below the
-    step, and each component's latest cyclic row at or below it.  Returns
-    the chain entry without its Lyapunov values and condensation, and the
-    cyclic rows of the step."""
+    """Ladder step i of a v2, v3 or v4 report by its recovery rule: the
+    edges d(f(u), v) <= delta from ``system.spec`` by Fraction comparison,
+    the components of the latest chain entry at or below the step and their
+    union as the recurrent set, and each component's latest cyclic row at or
+    below it.  Returns the chain entry without its Lyapunov values and
+    condensation, and the cyclic rows of the step."""
     text = doc["ladder"][i]
     delta = Fraction(text)
     spec = doc["system"]["spec"]
@@ -590,7 +626,8 @@ def recover_step(doc, i):
         row = [r for r in doc["cyclic"]
                if r["component"] == comp and Fraction(r["delta"]) <= delta][-1]
         rows.append(dict(row, delta=text))
-    chain = {"delta": text, "edges": edges, "recurrent": entry["recurrent"],
+    chain = {"delta": text, "edges": edges,
+             "recurrent": sorted(set().union(*entry["components"])),
              "components": entry["components"]}
     return chain, rows
 
@@ -977,7 +1014,7 @@ def step_cyclic_rows(sweep, ladder, dense=False):
 
 
 def step_analyze(config, dense=False):
-    """The ladder sections of the ``analyze`` report of a finite system
+    """The ladder sections of the v3 ``analyze`` report of a finite system
     (``chain_analyses``, ``cyclic``, ``basins``, ``proximal``, ``chaos``) by
     the per-step path: every ladder step walked and swept, an entry written
     at step 0 and where the components change, a row where a component's row
@@ -987,8 +1024,7 @@ def step_analyze(config, dense=False):
 
     from chainscope.basins import assign_basins
     from chainscope.chaos import classify_finite_component
-    from chainscope.report import (_frac, _ladder_for, basin_section, chain_section,
-                                   chaos_section, resolve_model)
+    from chainscope.report import _frac, _ladder_for, chaos_section, resolve_model, step_section
     from chainscope.systems import as_fraction
 
     model = resolve_model(config.spec)
@@ -1005,7 +1041,7 @@ def step_analyze(config, dense=False):
         if on or j != at:
             last, comps = comps, set(sweep.components(step.delta))
             if dense or last != comps:
-                chains.append(chain_section(step))
+                chains.append(step_section(step))
     decomps = sweep.decompositions(delta)
     proximal = []
     for dec in decomps:
@@ -1023,7 +1059,7 @@ def step_analyze(config, dense=False):
     return {
         "chain_analyses": chains,
         "cyclic": step_cyclic_rows(sweep, ladder, dense),
-        "basins": [basin_section(assign_basins(model, decomps))],
+        "basins": [basin_section_v3(assign_basins(model, decomps))],
         "proximal": proximal,
         "chaos": [chaos_section(classify_finite_component(dec, config.n_max, params))
                   for dec in decomps],

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import (assign_basins, build_chain_digraph, chain_components, critical_deltas,
-                        cyclic_classes, finite_system, verify_partition_laws)
+from chainscope import (LadderWalk, assign_basins, build_chain_digraph, chain_components,
+                        critical_deltas, cyclic_classes, finite_system, verify_partition_laws)
 from chainscope.errors import OmegaNotInComponent
 
 from conftest import random_system
@@ -75,6 +75,19 @@ def test_partition_laws_random_sweep():
             ba = basins(sys, build_chain_digraph(sys, delta))
             report = verify_partition_laws(ba)
             assert report.ok, report.violations
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_partition_laws_hold_on_the_basins_of_a_random_rung(seed):
+    # the audit reports wrote up to v3 never fires on what assign_basins
+    # builds from a walk's decompositions, which is why v4 dropped it
+    rng = random.Random(seed)
+    sys = random_system(rng, max_points=16)
+    walk = LadderWalk(sys, critical_deltas(sys))
+    ba = assign_basins(sys, walk.decompositions(rng.randrange(len(walk.deltas))))
+    report = verify_partition_laws(ba)
+    assert report.ok, report.violations
 
 
 def test_recurrent_nodes_keep_their_class_when_component_invariant():

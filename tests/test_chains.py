@@ -305,6 +305,18 @@ def test_ladder_walk_refuses_a_descending_or_negative_resolution(sys3):
         LadderWalk(sys3, [Fraction(-1, 2), Fraction(1)])
 
 
+def test_ladder_walk_refuses_descending_resolutions_with_one_cut(sys3):
+    from chainscope.errors import InvariantViolation
+
+    # sys3's levels are 0 and 1: each pair shares its cut, so only the
+    # resolutions themselves tell the order
+    for deltas in ([Fraction(2, 3), Fraction(1, 3)], [Fraction(3), Fraction(2)],
+                   [Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(1)]):
+        with pytest.raises(InvariantViolation):
+            LadderWalk(sys3, deltas)
+    assert LadderWalk(sys3, [Fraction(1, 3), Fraction(2, 3), Fraction(1)]).cuts == [0, 0, 1]
+
+
 def test_ladder_walk_builds_the_condensation_only_where_a_section_reads_it(tmp_path,
                                                                            monkeypatch):
     from chainscope import cyclic, report

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscope import (ClassifyParams, SftPoint, build_chain_digraph, chain_components,
-                        check_condition3, classify_finite_component, classify_sft,
+from chainscope import (ClassifyParams, LadderWalk, SftPoint, build_chain_digraph,
+                        chain_components, check_condition3, classify_finite_component, classify_sft,
                         critical_deltas,
                         compute_delta_n, construct_witness, cyclic_classes,
                         finite_system, load_corpus, profile_extremes, sft_delta_n,
@@ -641,3 +641,23 @@ def test_lazy_distal_search_touches_few_product_states(monkeypatch):
         # each state is tested once, and only the few the DFS reaches
         assert len(touched) == len(set(touched))
         assert len(touched) * 100 < states
+
+
+def test_a_classification_of_singleton_classes_builds_no_orbit_floors():
+    # at delta 0 the components are the periodic cycles and every cyclic
+    # class is one point, so no distal search reads the floor table
+    for seed in range(30):
+        sys = random_system(random.Random(seed), max_points=12)
+        decomps = LadderWalk(sys, [Fraction(0)]).decompositions(0)
+        got = [classify_finite_component(dec, 3) for dec in decomps]
+        assert all(r.all_classes_singleton for r in got)
+        assert "orbit_floor" not in sys.__dict__
+        # and the classification is the one made with the table built first
+        sys.orbit_floor
+        assert [classify_finite_component(dec, 3) for dec in decomps] == got
+    # a class of two points reads it
+    sys = load_corpus("sysns")
+    top = LadderWalk(sys, [max(critical_deltas(sys))])
+    reports = [classify_finite_component(dec, 2) for dec in top.decompositions(0)]
+    assert not all(r.all_classes_singleton for r in reports)
+    assert "orbit_floor" in sys.__dict__

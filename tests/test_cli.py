@@ -20,10 +20,10 @@ from chainscope.errors import InternalError
 from chainscope.families import MAX_WINDOW
 from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, report_to_json
 from chainscope.specio import dump_system, load_system
-from chainscope import build_chain_digraph, critical_deltas
+from chainscope import assign_basins, build_chain_digraph, critical_deltas, verify_partition_laws
 
 from conftest import RING41_CHORDS, RING60_CHORDS, line_system, ring_with_chords, save_system
-from oracles import report_v1, report_v2
+from oracles import report_v1, report_v2, report_v3
 
 
 def run_cli(args, capsys):
@@ -76,14 +76,16 @@ def test_analyze_writes_report(tmp_path, capsys):
     code, out, _ = run_cli(["analyze", "corpus:sysns", "--out", str(out_path)], capsys)
     assert code == 0
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "chainscope-report-v3"
+    assert report["schema"] == "chainscope-report-v4"
     assert report["system"]["kind"] == "finite"
     # two trivial components plus the basin of s swallowing t
     basin = report["basins"][0]
     srow = next(r for r in basin["rows"] if r["node"] == "t")
     comp = basin["components"][srow["component"]]
     assert comp == ["s"]
-    assert basin["partition_laws_ok"]
+    model = load_corpus("sysns")
+    walk = cyclic.LadderWalk(model, [Fraction(basin["delta"])])
+    assert verify_partition_laws(assign_basins(model, walk.decompositions(0))).ok
 
 
 def test_analyze_full_shift_report(tmp_path, capsys):
@@ -336,8 +338,8 @@ def test_v2_report_bytes_match_recorded_digest(i):
     assert sha256(report_to_json(report_v2(config))) == REPORT_V2_DIGESTS[i]
 
 
-# the v3 reports of the same configs and of two vertex shifts, recorded when
-# v3 only dropped keys from v2
+# the v3 forms (``oracles.report_v3``) of the same configs and of two vertex
+# shifts, recorded as v3 reports when v3 only dropped keys from v2
 REPORT_V3_DIGESTS = list(zip([config for config, _ in REPORT_DIGESTS], [
     "0503012a3b5101e87e8015fbf571faebd2a4e74c5e5b64e12fde979cd1e3dbf9",
     "d20caedd3bd91d61e49527ac52d46ce10169b8144e8589fcb10ae728cebf9ee3",
@@ -356,6 +358,25 @@ REPORT_V3_DIGESTS = list(zip([config for config, _ in REPORT_DIGESTS], [
 
 @pytest.mark.parametrize("config, digest", REPORT_V3_DIGESTS)
 def test_v3_report_bytes_match_recorded_digest(config, digest):
+    assert sha256(report_to_json(report_v3(AnalysisConfig(**config)))) == digest
+
+
+# the v4 reports of the same configs
+REPORT_V4_DIGESTS = list(zip([config for config, _ in REPORT_V3_DIGESTS], [
+    "89a029450f5dcdbc70d396991daaaeda07c7d40a5fcd7bb778581ae93833c9ee",
+    "1f9a01823b7f764b01facfb2a08899e6ffefefa10f032b745efe249565db6d06",
+    "c5b14fa286e0945fa833650e3f02b70ff53ac5f05d22f92b4b77946ae49cfe8b",
+    "9340753575d3d0775748cb82d63688c301eeeaf7f5591afa89f1850afb4e6436",
+    "f7a3a5f0028784a2f42e69c441a46749271b7cdbb762d954ba02ec9dea4dad00",
+    "ec292bbb483eb7060e500178013b3051aa1fefc51b772f51a3cba2d60b2247b7",
+    "66a341f2cf2957f04c11a1562037eab52d39a69d797e249240bb9434304119ec",
+    "e87540482391bca092015a5e8206a3d63c3561cffc6882773953bcb76d94f1d3",
+    "2de2f6566230af5219ea3d2eb4b6d6406ca390049a305ceed7f60b2e5c373158",
+]))
+
+
+@pytest.mark.parametrize("config, digest", REPORT_V4_DIGESTS)
+def test_v4_report_bytes_match_recorded_digest(config, digest):
     assert sha256(report_to_json(cmd_analyze(AnalysisConfig(**config)))) == digest
 
 

@@ -1,5 +1,5 @@
-"""The sparse ladder of reports v2 and v3 loses nothing, and every report
-validates against the shipped schema."""
+"""The sparse ladder of reports v2, v3 and v4 loses nothing, and every
+report validates against the shipped schema."""
 
 import contextlib
 import io
@@ -173,6 +173,28 @@ def test_v2_report_is_sparse_on_a_line_system(tmp_path):
     assert len(v2["ladder"]) == 211
     assert len(v2["chain_analyses"]) < 211 // 8
     assert len(report.report_to_json(v2)) * 10 < len(report.report_to_json(report_v1(config)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       policy=st.sampled_from(["all-critical", "top-k", "explicit"]))
+def test_every_rung_of_a_v4_report_is_a_fresh_chains_section(seed, policy):
+    # v4 writes no edges and no recurrent set; the recovery rule still gives
+    # at every rung what `chains --delta` writes there from scratch
+    rng = random.Random(seed)
+    sys = random_system(rng, max_points=9)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = str(Path(tmp) / "sys.json"), Path(tmp) / "chains.json"
+        save_system(sys, path)
+        doc = cmd_analyze(_config(sys, policy, rng, path))
+        assert not {"edges", "recurrent"} & {k for e in doc["chain_analyses"] for k in e}
+        for i, delta in enumerate(doc["ladder"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["chains", path, "--delta", delta, "--out", str(out)]) == 0
+            fresh = json.loads(out.read_text())
+            chain, rows = recover_step(doc, i)
+            assert chain == {k: fresh["chain"][k] for k in chain}
+            assert rows == fresh["cyclic"]
 
 
 # keys of report v2 that could not vary or that no run read

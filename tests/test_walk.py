@@ -15,7 +15,7 @@ from chainscope import LadderWalk, chain_components, critical_deltas, cyclic
 from chainscope.report import AnalysisConfig, cmd_analyze, cyclic_section, report_to_json
 
 from conftest import rand_system, random_system, save_system
-from oracles import CyclicSweep, ladder_digraphs, step_analyze, step_cyclic_rows
+from oracles import CyclicSweep, ladder_digraphs, report_v3, step_analyze, step_cyclic_rows
 from test_cyclic import _sweep_deltas, _sweep_system
 from test_report import _config
 
@@ -49,7 +49,7 @@ def test_walk_matches_the_per_step_oracle(seed, kind, policy, tmp_path_factory):
     path = tmp_path_factory.mktemp("walk") / "sys.json"
     save_system(sys, path)
     config = _config(sys, policy, rng, str(path))
-    doc = cmd_analyze(config)
+    doc = report_v3(config)
     want, steps, _ = step_analyze(config)
     for key in SECTIONS:
         assert doc[key] == want[key], key
@@ -115,9 +115,10 @@ def test_analyze_builds_a_digraph_per_written_analysis(where, tmp_path, monkeypa
     assert walked <= len(probes)
 
 
-# sha256 of the analyze reports of rand16-rand128, recorded before the walk
-# replaced the per-step path: the explicit ladder is the midpoints of
-# consecutive critical values, classified at a critical value off it
+# sha256 of the analyze reports of rand16-rand128 in their v3 form
+# (``oracles.report_v3``), recorded before the walk replaced the per-step
+# path: the explicit ladder is the midpoints of consecutive critical values,
+# classified at a critical value off it
 RAND_DIGESTS = {
     (16, "all-critical"):
         "68c2ab8446bf799d5c21128905dc7fe22f1b59fc81145e5b93349f98a6a974bc",
@@ -146,9 +147,9 @@ RAND_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("k, policy", sorted(RAND_DIGESTS))
-def test_rand_report_bytes_match_recorded_digest(k, policy, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _rand_config(k, policy):
+    """The config of the rand``k`` lock under ``policy``, its spec saved in
+    the working directory."""
     sys = rand_system(k)
     save_system(sys, f"rand{k}.json")
     crit = critical_deltas(sys)
@@ -156,9 +157,52 @@ def test_rand_report_bytes_match_recorded_digest(k, policy, tmp_path, monkeypatc
              "top-k": {"top_k": len(crit) // 2},
              "explicit": {"ladder": tuple(str((a + b) / 2) for a, b in zip(crit, crit[1:])),
                           "delta": str(crit[len(crit) // 3])}}
-    config = AnalysisConfig(spec=f"rand{k}.json", ladder_policy=policy, **extra[policy])
-    digest = hashlib.sha256(report_to_json(cmd_analyze(config)).encode()).hexdigest()
+    return AnalysisConfig(spec=f"rand{k}.json", ladder_policy=policy, **extra[policy])
+
+
+@pytest.mark.parametrize("k, policy", sorted(RAND_DIGESTS))
+def test_rand_report_bytes_match_recorded_digest(k, policy, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = _rand_config(k, policy)
+    digest = hashlib.sha256(report_to_json(report_v3(config)).encode()).hexdigest()
     assert digest == RAND_DIGESTS[k, policy]
+
+
+# the v4 reports of the same configs
+RAND_V4_DIGESTS = {
+    (16, "all-critical"):
+        "6e48492d10be2ade741d51ca3fa76926fa8fb415036c0eed209df3778fa34efd",
+    (16, "explicit"):
+        "a88b2d41357e9610d5a56a0c46b17648056217ab52d2ffc5d89b660f92268873",
+    (16, "top-k"):
+        "40434897f2e4284c723b9c5a9e85e5b2bab26c59b840b8aae79e8ebb3043d5c3",
+    (32, "all-critical"):
+        "2b13dafb7387dc156b48183968d9b81d11fa43b96106dcfbb9fc1490c74308b3",
+    (32, "explicit"):
+        "237f5f8a81edd75861bc11896526266a7201d684b5374f4bea60fc07c2e9b382",
+    (32, "top-k"):
+        "244ac85e8cfcf1ab65878ae97290071b255d915141c0eaf263ccf25442036078",
+    (64, "all-critical"):
+        "27048e91fb0c3dfab3154e3fdd9fe9fce8f7ecb82a64f90ef9ce6b7d42156237",
+    (64, "explicit"):
+        "87eb31de22fa92ee7dd3676ecac266b6a410f007d7ff28ccbe7f51b6dba34512",
+    (64, "top-k"):
+        "6f4f94f40c0037f98b07e580d918d5cfb9f69420fb51b3d12f1e117829266451",
+    (128, "all-critical"):
+        "00468547ba1ba83df5d0e4b4f942d45bb1ecacc50651bc37f58f41129ba8ef6e",
+    (128, "explicit"):
+        "ba1c25e2a8ec61f4e784ad41ce2ad28897e1deef99bb571fe27d7f29fcf92e33",
+    (128, "top-k"):
+        "c646f1b38c22658b20fce4e3b743fa1ed9a6a9c13fd30350738e4774651b8b9a",
+}
+
+
+@pytest.mark.parametrize("k, policy", sorted(RAND_V4_DIGESTS))
+def test_rand_v4_report_bytes_match_recorded_digest(k, policy, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = _rand_config(k, policy)
+    digest = hashlib.sha256(report_to_json(cmd_analyze(config)).encode()).hexdigest()
+    assert digest == RAND_V4_DIGESTS[k, policy]
 
 
 def test_walk_refuses_a_component_it_does_not_hold(sys3):
