@@ -1,7 +1,8 @@
 """Forward-orbit limit sets and basin partitions at a fixed resolution.
 
-Every point's forward orbit in a finite system enters a cycle; that cycle
-is chain transitive, hence contained in a single chain component.  The
+Every point's forward orbit in a finite system is a rho, a transient that
+enters a cycle (``graph.rho``); that cycle is chain transitive, hence
+contained in a single chain component, found from its first point.  The
 component basin of x is the component holding its limit cycle; the class
 basin refines this by the phase at which the orbit tracks the moving cyclic
 classes.  The phase is computed at the orbit's settle time (first index from
@@ -15,22 +16,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import OmegaNotInComponent
+from .graph import rho
 from .systems import FiniteSystem
 
 if TYPE_CHECKING:
     from .cyclic import CyclicDecomposition
-
-
-def _orbit_prefix(sys: FiniteSystem, x: str) -> tuple[list[str], int]:
-    """Orbit until the first repeated point; returns (prefix, cycle_start)."""
-    seen: dict[str, int] = {}
-    orbit: list[str] = []
-    u = x
-    while u not in seen:
-        seen[u] = len(orbit)
-        orbit.append(u)
-        u = sys.apply(u)
-    return orbit, seen[u]
 
 
 class BasinAssignment(NamedTuple):
@@ -59,28 +49,22 @@ def assign_basins(sys: FiniteSystem,
     """
     decomps = tuple(decompositions)
     comps = tuple(dec.component for dec in decomps)
-    comp_index = {c: i for i, c in enumerate(comps)}
+    comp_of = {u: i for i, comp in enumerate(comps) for u in comp}
     component_of: dict[str, int] = {}
     class_of_basin: dict[str, tuple[int, int]] = {}
     omega: dict[str, frozenset[str]] = {}
     settle: dict[str, int] = {}
     for x in sys.points:
-        orbit, cyc_start = _orbit_prefix(sys, x)
-        limit = frozenset(orbit[cyc_start:])
-        omega[x] = limit
-        target = None
-        for comp in comps:
-            if limit <= comp:
-                target = comp
-                break
-        if target is None:
+        orbit, cyc_start = rho(sys.apply, x)
+        limit = omega[x] = frozenset(orbit[cyc_start:])
+        ci = comp_of.get(orbit[cyc_start])
+        if ci is None or not limit <= comps[ci]:
             raise OmegaNotInComponent(f"omega set of {x!r} is split across components")
-        ci = comp_index[target]
         component_of[x] = ci
         # settle time: last exit from the component, scanned backwards from
         # the cycle (the cycle itself always lies inside)
         T = cyc_start
-        while T > 0 and orbit[T - 1] in target:
+        while T > 0 and orbit[T - 1] in comps[ci]:
             T -= 1
         settle[x] = T
         dec = decomps[ci]

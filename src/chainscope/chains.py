@@ -34,12 +34,13 @@ which they did not while a could not reach b, so it grows.  As R counts
 paths of length >= 1, a self-loop on a point not yet recurrent is such a
 change.  A rung's digraph is then built (``build_chain_digraph``) only where
 a caller reads it: at the rungs where the components change and at those it
-writes.
+writes.  The condensation order, sinks first, is one cached fact per
+digraph (``ChainDigraph.cond_order``), which on the first rung both the
+closure seed and the Lyapunov assignment read.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,7 +48,7 @@ from itertools import compress
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import InvariantViolation, SpecError
-from .graph import strongly_connected_components
+from .graph import sinks_first, strongly_connected_components
 from .systems import FiniteSystem
 
 
@@ -76,6 +77,15 @@ class ChainDigraph:
         for i, s in enumerate(cond):
             s.discard(i)
         return tuple(tuple(sorted(s)) for s in cond)
+
+    @cached_property
+    def cond_order(self) -> list[int]:
+        """The SCC indices, each after its condensation successors and the
+        ready one with the smallest member first (``graph.sinks_first``)."""
+        order = sinks_first(self.cond_succ, [comp[0] for comp in self.sccs])
+        if order is None:
+            raise InvariantViolation("condensation order did not cover every SCC")
+        return order
 
 
 def _finalize(system: FiniteSystem, delta: Fraction, cut: int,
@@ -133,28 +143,15 @@ def _reach_masks(dg: ChainDigraph) -> tuple[list[int], list[int]]:
     condensation and, when S holds a cycle, those of S; so ``reach`` is read
     off the condensation sinks first, and ``back`` sources first."""
     index = dg.system.ranks.index
-    sccs, cond = dg.sccs, dg.cond_succ
+    sccs, cond, order = dg.sccs, dg.cond_succ, dg.cond_order
     members = [sum(1 << index[u] for u in comp) for comp in sccs]
     own = [m if _is_recurrent_scc(dg, comp) else 0 for m, comp in zip(members, sccs)]
-    users: list[list[int]] = [[] for _ in sccs]
-    for i, succs in enumerate(cond):
-        for j in succs:
-            users[j].append(i)
-    pending = list(map(len, cond))
-    order = [i for i, n in enumerate(pending) if not n]
-    for i in order:  # the list grows as SCCs become ready, sinks first
-        for h in users[i]:
-            pending[h] -= 1
-            if not pending[h]:
-                order.append(h)
-    if len(order) != len(sccs):
-        raise InvariantViolation("condensation order did not cover every SCC")
     below, above = own[:], own[:]
     for i in order:
         for j in cond[i]:
             below[i] |= members[j] | below[j]
-    for j in reversed(order):
-        for i in users[j]:
+    for i in reversed(order):
+        for j in cond[i]:
             above[j] |= members[i] | above[i]
     reach, back = [0] * len(index), [0] * len(index)
     for u, i in dg.scc_of.items():
@@ -244,8 +241,8 @@ def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:
       (ii)  on R, equal values exactly on equal chain components;
       (iii) if x reaches y across distinct components, value(x) > value(y).
 
-    Components receive integers 0, 1, 2, ... in reverse topological order of
-    the condensation (sinks first, ties broken by smallest node id);
+    Components receive integers 0, 1, 2, ... in ``cond_order`` (sinks first,
+    ties broken by smallest node id);
     transient nodes receive strictly-larger non-integer values built from
     dyadic increments 1/2, 3/4, 7/8, ...  Integer versus non-integer values
     keep the image of the recurrent set separated from the transient values.
@@ -253,24 +250,12 @@ def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:
     increment has a larger denominator; a Fraction is built once per SCC.
     """
     n_comp = len(dg.sccs)
-    cond_succ = dg.cond_succ
-    # reverse topological order over the condensation: repeatedly emit a
-    # node all of whose successors were emitted, smallest member id first
-    pending_succ = [set(s) for s in cond_succ]
-    users: list[list[int]] = [[] for _ in range(n_comp)]
-    for i, succs in enumerate(cond_succ):
-        for j in succs:
-            users[j].append(i)
-    ready = [(comp[0], i) for i, comp in enumerate(dg.sccs) if not pending_succ[i]]
-    heapq.heapify(ready)
     one = 1 << n_comp
     num = [0] * n_comp  # the value numerator of each SCC
     value: dict[str, Fraction] = {}
     next_int = 0
     transient_rank = 0
-    emitted = 0
-    while ready:
-        _, i = heapq.heappop(ready)
+    for i in dg.cond_order:
         comp = dg.sccs[i]
         if _is_recurrent_scc(dg, comp):
             num[i] = next_int * one
@@ -284,13 +269,6 @@ def complete_lyapunov(dg: ChainDigraph) -> dict[str, Fraction]:
         val = Fraction(num[i], one)
         for u in comp:
             value[u] = val
-        emitted += 1
-        for j in users[i]:
-            pending_succ[j].discard(i)
-            if not pending_succ[j]:
-                heapq.heappush(ready, (dg.sccs[j][0], j))
-    if emitted != n_comp:
-        raise InvariantViolation("condensation order did not cover every SCC")
     return value
 
 

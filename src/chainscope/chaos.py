@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import BudgetExceeded, InvariantViolation, NotIrreducible, SpecError
 from .families import (MAX_WINDOW, FamilyVerdict, TimeSetWindow, WindowParams,
                        window_family_member)
+from .graph import rho
 from .sft import (SftGraph, SftPoint, connecting_paths, dyadic, dyadic_depth,
                   graph_period, is_irreducible, sft_entropy, validate_point,
                   vertex_classes)
@@ -454,15 +455,8 @@ def check_condition3(g: SftGraph, points, delta_n, level: str, horizon: int,
 
 def _lex_point_from(g: SftGraph, v: int) -> SftPoint:
     """Smallest eventually periodic point starting at v (greedy min successor)."""
-    seen = {v: 0}
-    seq = [v]
-    while True:
-        nxt = min(g.successors(seq[-1]))
-        if nxt in seen:
-            k = seen[nxt]
-            return SftPoint(tuple(seq[:k]), tuple(seq[k:]))
-        seen[nxt] = len(seq)
-        seq.append(nxt)
+    seq, k = rho(lambda u: min(g.successors(u)), v)
+    return SftPoint(tuple(seq[:k]), tuple(seq[k:]))
 
 
 def _witness_schedule(level: str, horizon: int) -> list[tuple[str, int]]:

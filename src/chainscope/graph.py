@@ -1,5 +1,6 @@
-"""Graph kernel shared by both model kinds: strong components, BFS levels,
-and the period and cyclic classes of a strongly connected digraph.
+"""Graph kernel shared by both model kinds: strong components, the order
+of a condensation, BFS levels, the period and cyclic classes of a strongly
+connected digraph, and the walk of a map to its first repeat.
 
 Vertices are any sortable hashable labels and ``succ[u]`` lists the
 successors of u.  Finite systems use it on chain step digraphs, vertex
@@ -14,8 +15,9 @@ lvl(v) mod that period is the cyclic class of v.
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Collection, Hashable, Mapping, Sequence
+from typing import Callable, Collection, Hashable, Mapping, Sequence
 
 
 def strongly_connected_components(succ: Mapping[Hashable, Sequence]) -> list[tuple]:
@@ -66,6 +68,39 @@ def strongly_connected_components(succ: Mapping[Hashable, Sequence]) -> list[tup
                         break
                 sccs.append(tuple(sorted(comp)))
     return sccs
+
+
+def sinks_first(cond: Sequence[Sequence[int]], least: Sequence) -> list[int] | None:
+    """The nodes 0..n-1 of ``cond`` (``cond[i]`` lists the successors of i),
+    each after all of its successors and the ready node of least key
+    ``least[i]`` first; None if ``cond`` has a cycle."""
+    users: list[list[int]] = [[] for _ in cond]
+    for i, succs in enumerate(cond):
+        for j in succs:
+            users[j].append(i)
+    pending = list(map(len, cond))
+    ready = [(least[i], i) for i, n in enumerate(pending) if not n]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)[1]
+        order.append(i)
+        for h in users[i]:
+            pending[h] -= 1
+            if not pending[h]:
+                heapq.heappush(ready, (least[h], h))
+    return order if len(order) == len(cond) else None
+
+
+def rho(step: Callable[[Hashable], Hashable], x) -> tuple[list, int]:
+    """The walk x, step(x), step(step(x)), ... up to its first repeat, and
+    the index in it where the cycle starts: on a finite set every forward
+    orbit is a transient followed by a cycle."""
+    seen: dict = {}
+    while x not in seen:
+        seen[x] = len(seen)
+        x = step(x)
+    return list(seen), seen[x]
 
 
 def bfs_levels(succ: Mapping[Hashable, Sequence], root,

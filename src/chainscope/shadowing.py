@@ -31,6 +31,7 @@ from typing import NamedTuple, Sequence
 from .chains import critical_ranks
 from .errors import (AdmissibilityBug, BudgetExceeded, ClassMismatch, NotIrreducible,
                      PrecisionViolation, SpecError, StepViolation)
+from .graph import rho
 from .sft import (SftGraph, SftPoint, dyadic, dyadic_depth, find_exact_path,
                   first_difference, graph_period, is_irreducible, path_length_cap,
                   sft_distance, shift_by, validate_point, vertex_classes)
@@ -277,19 +278,14 @@ def slimit_splice(g: SftGraph, x: SftPoint, y: SftPoint, epsilon) -> SftPoint:
 
 
 def limit_rank(sys: FiniteSystem, u: str, v: str) -> int | None:
-    """The greatest rank of d(f^t u, f^t v) over t >= 0 if the pair orbit
-    reaches the diagonal, where two equal points stay, and None if a pair
-    off the diagonal comes round again.  So Good(u, v) at a cut, the pair
-    orbit within the cut and merging, is a limit rank, not None, <= cut."""
+    """The greatest rank of d(f^t u, f^t v) over t >= 0 if the pair orbit, a
+    rho (``graph.rho``), has its cycle on the diagonal, where the ranks are
+    0, and None otherwise.  So Good(u, v) at a cut, the pair orbit within
+    the cut and merging, is a limit rank, not None, <= cut."""
     rank, index, f = sys.ranks.rank, sys.ranks.index, sys.map
-    top, seen = 0, set()
-    while u != v:
-        if (u, v) in seen:
-            return None
-        seen.add((u, v))
-        top = max(top, rank[u][index[v]])
-        u, v = f[u], f[v]
-    return top
+    walk, start = rho(lambda p: (f[p[0]], f[p[1]]), (u, v))
+    a, b = walk[start]
+    return max(rank[x][index[y]] for x, y in walk) if a == b else None
 
 
 def _near(sys: FiniteSystem, us, s: str, cut: int) -> frozenset:

@@ -26,6 +26,7 @@ from struct import Struct
 from typing import Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import InvariantViolation, MetricViolation, PartialMap, SpecError
+from .graph import rho
 
 # Metric validation checks every (u, v, w) triple, n^3 comparisons done as
 # n^2 / 2 row operations; beyond this size loading refuses rather than
@@ -212,11 +213,7 @@ class FiniteSystem:
         for start in range(m * n):
             if nxt[start] < 0:
                 continue
-            cycle = [start]
-            c = nxt[start]
-            while c != start:
-                cycle.append(c)
-                c = nxt[c]
+            cycle = rho(nxt.__getitem__, start)[0]
             low = min(map(floor.__getitem__, cycle))
             for c in cycle:
                 floor[c] = low

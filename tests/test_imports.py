@@ -12,8 +12,9 @@ command reads yet, each kept for the ROADMAP item that gives it a reader.
 
 Only ``graph.py`` calls or imports ``bfs_levels`` and ``period``: every
 other module takes classes and periods from ``graph.classes``.  Only
-``sft.py`` calls ``Fraction(1, 2 ** k)``: every other module takes 2^-k from
-``sft.dyadic``.
+``graph.py`` imports ``heapq``: ``graph.sinks_first`` is the one
+topological sort.  Only ``sft.py`` calls ``Fraction(1, 2 ** k)``: every
+other module takes 2^-k from ``sft.dyadic``.
 
 ``__init__.py`` is exempt (its imports are the public re-exports), and so is
 ``from __future__ import annotations``.  With postponed annotations the
@@ -99,6 +100,26 @@ def test_kernel_step_uses_are_found():
                          ids=lambda p: p.name)
 def test_only_the_graph_kernel_takes_levels_and_periods(path):
     assert kernel_step_uses(path.read_text()) == set()
+
+
+# the heap of ``graph.sinks_first``: a module that imported it could keep a
+# second topological sort
+def imports_heapq(source: str) -> bool:
+    """Does ``source`` import ``heapq``, as a module or names from it?"""
+    return any(isinstance(node, ast.Import) and any(a.name == "heapq" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "heapq"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_heapq_imports_are_found():
+    assert imports_heapq("import os, heapq as hq\n")
+    assert imports_heapq("def f():\n    from heapq import heappush\n")
+    assert not imports_heapq("from .graph import sinks_first\nheap = []\n")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_graph_kernel_imports_heapq(path):
+    assert imports_heapq(path.read_text()) == (path.name == "graph.py")
 
 
 # a distance 2^-k is built by ``sft.dyadic`` alone, which keeps one
