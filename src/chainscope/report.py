@@ -2,8 +2,8 @@
 
 A report is a single JSON document; every numeric verdict carries its mode
 (exact or windowed) and the parameters it was computed with.  Reports are
-byte-deterministic for a fixed config: keys are sorted, rationals are
-serialized as "p/q" strings, and no timestamps are embedded.  The config
+byte-deterministic for a fixed config: one compact line with sorted keys,
+rationals serialized as "p/q" strings, and no timestamps embedded.  The config
 echo in ``provenance`` holds only the settings the run read.
 
 Along the ladder a report writes only what changes: a chain analysis where
@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
@@ -296,47 +295,11 @@ def cmd_analyze(config: AnalysisConfig, model=None, draw=None) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    """The bytes of ``json.dumps(report, indent=2, sort_keys=True)`` and a
-    newline.  CPython uses its C encoder only without ``indent``, so this
-    writer lays out the indentation itself and leaves strings to the C
-    string encoder."""
-    return _encode(report, "\n") + "\n"
-
-
-def _encode(o, newline: str) -> str:
-    """JSON text of ``o`` whose closing bracket follows ``newline``, the line
-    break and indent of the line ``o`` starts on."""
-    if type(o) is str:
-        return encode_basestring_ascii(o)
-    if type(o) is int:  # not bool, which json writes as true/false
-        return int.__repr__(o)
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = newline + "  "
-        # sorted on the original keys, before they become strings, as sort_keys
-        return "{" + inner + ("," + inner).join(
-            [_encode_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
-        ) + newline + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = newline + "  "
-        try:
-            body = ("," + inner).join(map(encode_basestring_ascii, o))
-        except TypeError:  # not a list of strings: of ints (no bool), or mixed
-            body = ("," + inner).join(map(int.__repr__, o) if set(map(type, o)) == {int}
-                                      else [_encode(v, inner) for v in o])
-        return "[" + inner + body + newline + "]"
-    return json.dumps(o)
-
-
-def _encode_key(k) -> str:
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    if k is None or isinstance(k, (int, float)):
-        return '"' + json.dumps(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    """The report as one line of JSON and a newline: sorted keys, no
+    insignificant whitespace, written by CPython's C encoder.  Every dict key
+    of a report is a string, so ``json.dumps(json.loads(text), indent=2,
+    sort_keys=True)`` gives back the indented layout of reports v1-v4."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # -- sidecar emitters ---------------------------------------------------------------
@@ -356,10 +319,21 @@ def condensation_dot(dg: ChainDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _output(path, **kwargs):
+    """``path`` open for writing; a path that cannot be written, such as one
+    in a missing directory or a directory itself, is a validation error."""
+    try:
+        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise SpecError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
 def write_csv(path, header: list[str], rows) -> None:
     import csv
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -391,4 +365,5 @@ def polyline_svg(series: list[float], *, title: str = "") -> str:
 
 
 def write_text(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    with _output(path) as fh:
+        fh.write(text)

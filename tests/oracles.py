@@ -7,9 +7,17 @@ algorithms are checked against a second route.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
+
+
+def indented(doc) -> str:
+    """The indented layout of reports v1-v4: ``json.dumps`` with an indent of
+    two and sorted keys, and a newline.  A report is written as one compact
+    line, and this re-indents its document for the digest locks."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def closure_components(nodes, succ):

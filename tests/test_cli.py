@@ -23,7 +23,7 @@ from chainscope.specio import dump_system, load_system
 from chainscope import assign_basins, build_chain_digraph, critical_deltas, verify_partition_laws
 
 from conftest import RING41_CHORDS, RING60_CHORDS, line_system, ring_with_chords, save_system
-from oracles import report_v1, report_v2, report_v3
+from oracles import indented, report_v1, report_v2, report_v3
 
 
 def run_cli(args, capsys):
@@ -288,6 +288,63 @@ def test_corpus_export_cli(tmp_path, capsys):
     assert spec["kind"] == "finite" and spec["schema"] == "chainscope-v1"
 
 
+def _string_keys_only(doc) -> bool:
+    """Is every dict key in ``doc`` a string?  Only then does re-indenting a
+    compact output give the indented layout of its document."""
+    if isinstance(doc, dict):
+        return all(isinstance(k, str) and _string_keys_only(v) for k, v in doc.items())
+    if isinstance(doc, (list, tuple)):
+        return all(map(_string_keys_only, doc))
+    return True
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "corpus:sys3"],
+    ["analyze", "corpus:full2", "--horizon", "256"],
+    ["chains", "corpus:sys3", "--delta", "1"],
+    ["classify-chaos", "corpus:full2", "--horizon", "256"],
+    ["shadow", "corpus:tent8", "--orbit", "tent8.txt", "--delta", "1/4"],
+    ["shadow", "corpus:full2", "--orbit", "full2.txt"],
+    ["furstenberg", "--rotation", "alpha=golden", "H=2000"],
+    ["corpus", "--export", "sys3"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_every_output_is_one_canonical_lossless_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("tent8.txt").write_text("c0\nc0\nc1\nc2\nc5\nc3\nc6\nc1\n")
+    Path("full2.txt").write_text("|0 1\n1|0 1\n|0 1\n")
+    docs = []  # the documents the command builds, in process
+
+    def recording(doc):
+        docs.append(doc)
+        return report_to_json(doc)
+
+    monkeypatch.setattr(cli, "report_to_json", recording)
+    code, _, _ = run_cli([*argv, "--out", "r.json"], capsys)
+    assert code == 0
+    b = Path("r.json").read_bytes()
+    assert b.endswith(b"\n") and b.count(b"\n") == 1
+    doc = json.loads(b)
+    assert b == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.encode() == b
+    assert indented(doc) == indented(docs[0])
+    assert _string_keys_only(docs[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "corpus:sys3", "--out"],
+    ["chains", "corpus:sys3", "--delta", "1", "--emit-csv"],
+], ids=["analyze-out", "chains-emit-csv"])
+@pytest.mark.parametrize("target", ["missing/r.json", "."], ids=["missing-dir", "a-dir"])
+def test_an_unwritable_output_path_exits_2(argv, target, tmp_path, monkeypatch, capsys):
+    # a missing directory or a directory used to end in a traceback, exit 1
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli([*argv, target], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {target}: cannot write: ") and err.count("\n") == 1
+    assert list(Path().iterdir()) == []
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -295,7 +352,9 @@ def sha256(text: str) -> str:
 # sha256 of `analyze` reports in their v1 form (``oracles.report_v1``): the
 # report bytes are part of the contract, so a change of any digest must be
 # deliberate.  These were recorded from the v1 reports themselves, before
-# v2 wrote the ladder sparsely.
+# v2 wrote the ladder sparsely.  Every lock of this file hashes the indented
+# layout that reports v1-v4 were written in (``oracles.indented``); a report
+# is now one compact line, and re-indenting it gives those bytes back.
 REPORT_DIGESTS = [
     ({"spec": "corpus:sys3"},
      "7a8b92183a388346e068f2f28ad28a424650fd6963d3ba42b238b41a3c4f9d23"),
@@ -317,7 +376,7 @@ REPORT_DIGESTS = [
 
 @pytest.mark.parametrize("config, digest", REPORT_DIGESTS)
 def test_report_bytes_match_recorded_digest(config, digest):
-    assert sha256(report_to_json(report_v1(AnalysisConfig(**config)))) == digest
+    assert sha256(indented(report_v1(AnalysisConfig(**config)))) == digest
 
 
 # the v2 forms (``oracles.report_v2``) of the same configs, in REPORT_DIGESTS order
@@ -335,7 +394,7 @@ REPORT_V2_DIGESTS = [
 @pytest.mark.parametrize("i", range(len(REPORT_DIGESTS)))
 def test_v2_report_bytes_match_recorded_digest(i):
     config = AnalysisConfig(**REPORT_DIGESTS[i][0])
-    assert sha256(report_to_json(report_v2(config))) == REPORT_V2_DIGESTS[i]
+    assert sha256(indented(report_v2(config))) == REPORT_V2_DIGESTS[i]
 
 
 # the v3 forms (``oracles.report_v3``) of the same configs and of two vertex
@@ -358,7 +417,7 @@ REPORT_V3_DIGESTS = list(zip([config for config, _ in REPORT_DIGESTS], [
 
 @pytest.mark.parametrize("config, digest", REPORT_V3_DIGESTS)
 def test_v3_report_bytes_match_recorded_digest(config, digest):
-    assert sha256(report_to_json(report_v3(AnalysisConfig(**config)))) == digest
+    assert sha256(indented(report_v3(AnalysisConfig(**config)))) == digest
 
 
 # the v4 reports of the same configs
@@ -377,7 +436,7 @@ REPORT_V4_DIGESTS = list(zip([config for config, _ in REPORT_V3_DIGESTS], [
 
 @pytest.mark.parametrize("config, digest", REPORT_V4_DIGESTS)
 def test_v4_report_bytes_match_recorded_digest(config, digest):
-    assert sha256(report_to_json(cmd_analyze(AnalysisConfig(**config)))) == digest
+    assert sha256(indented(cmd_analyze(AnalysisConfig(**config)))) == digest
 
 
 @pytest.mark.parametrize("config", [
@@ -421,9 +480,9 @@ def test_period_two_shift_report_bytes_match_recorded_digest(tmp_path, monkeypat
     monkeypatch.chdir(tmp_path)
     Path("p2.json").write_text(json.dumps(PERIOD_TWO_SPEC))
     config = AnalysisConfig(spec="p2.json")
-    assert (sha256(report_to_json(report_v1(config)))
+    assert (sha256(indented(report_v1(config)))
             == "37851f3f285b793a86d98e6ba578157f5ff3803129e6a698522d5207e451d991")
-    assert (sha256(report_to_json(report_v2(config)))
+    assert (sha256(indented(report_v2(config)))
             == "a92580c6239d08b3971b65c64c2e04c5fb627d4dc3e385edf0bc99a1502df754")
 
 
@@ -496,9 +555,9 @@ def test_line_system_report_bytes_match_recorded_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("line40.json").write_text(json.dumps(spec))
     config = AnalysisConfig(spec="line40.json", ladder_policy="top-k", top_k=3, delta="1")
-    assert (sha256(report_to_json(report_v1(config)))
+    assert (sha256(indented(report_v1(config)))
             == "47975afab19f852343db94fddf5b1ec843a59cc842cca29ab1181b312b9f62f0")
-    assert (sha256(report_to_json(report_v2(config)))
+    assert (sha256(indented(report_v2(config)))
             == "deaf40f0499ba83d29df69bf40a93badf4977f135e833ace8517e7d48988bf77")
 
 
@@ -555,8 +614,8 @@ def test_ring_with_chords_report_bytes_match_recorded_digest(name, n, chords, di
             "adjacency": [list(row) for row in ring_with_chords(n, chords)]}
     Path(f"{name}.json").write_text(json.dumps(spec))
     config = AnalysisConfig(spec=f"{name}.json")
-    assert sha256(report_to_json(report_v1(config))) == digest
-    assert sha256(report_to_json(report_v2(config))) == RING_V2_DIGESTS[name]
+    assert sha256(indented(report_v1(config))) == digest
+    assert sha256(indented(report_v2(config))) == RING_V2_DIGESTS[name]
 
 
 @pytest.mark.parametrize("spec, orbit, extra, message", [
@@ -698,9 +757,9 @@ def test_line_system_ladder_report_bytes_match_recorded_digest(tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     save_system(line_system(24, 24), "line24.json")
     config = AnalysisConfig(spec="line24.json")
-    assert (sha256(report_to_json(report_v1(config)))
+    assert (sha256(indented(report_v1(config)))
             == "9df0ba57b0f0fc8bd2c9278416c32c1a9fc56c510cb41d3b90f2c42118c47a8a")
-    assert (sha256(report_to_json(report_v2(config)))
+    assert (sha256(indented(report_v2(config)))
             == "1267c5fc7d32799f49ee2d676b5886c90f1dcd244bd971312ed169bcd0c47a63")
 
 
@@ -725,7 +784,7 @@ def test_long_ladder_report_bytes_match_recorded_digest(policy, tmp_path, monkey
              "top-k": {"top_k": len(crit) // 2},
              "explicit": {"ladder": tuple(str((a + b) / 2) for a, b in zip(crit, crit[1:]))}}
     config = AnalysisConfig(spec="line30.json", ladder_policy=policy, **extra[policy])
-    assert sha256(report_to_json(report_v2(config))) == LONG_LADDER_DIGESTS[policy]
+    assert sha256(indented(report_v2(config))) == LONG_LADDER_DIGESTS[policy]
 
 
 def test_analyze_evaluates_fewer_transient_indices_than_steps(tmp_path, monkeypatch):

@@ -14,7 +14,9 @@ Only ``graph.py`` calls or imports ``bfs_levels`` and ``period``: every
 other module takes classes and periods from ``graph.classes``.  Only
 ``graph.py`` imports ``heapq``: ``graph.sinks_first`` is the one
 topological sort.  Only ``sft.py`` calls ``Fraction(1, 2 ** k)``: every
-other module takes 2^-k from ``sft.dyadic``.
+other module takes 2^-k from ``sft.dyadic``.  Only ``report.report_to_json``
+calls ``json.dump`` or ``json.dumps``, and no call passes ``indent``: every
+output goes through CPython's C encoder.
 
 ``__init__.py`` is exempt (its imports are the public re-exports), and so is
 ``from __future__ import annotations``.  With postponed annotations the
@@ -120,6 +122,51 @@ def test_heapq_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_graph_kernel_imports_heapq(path):
     assert imports_heapq(path.read_text()) == (path.name == "graph.py")
+
+
+# the writers of ``json`` that take ``indent``
+JSON_WRITERS = {"dump", "dumps"}
+
+
+def json_writes(source: str) -> list[tuple[str | None, bool]]:
+    """For each ``json.dump``/``json.dumps`` call of ``source``, or call of
+    one of them imported by name, the top-level function or class it sits in
+    (None at module level) and whether it passes ``indent``."""
+    tree = ast.parse(source)
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "json"
+                for a in node.names if a.name in JSON_WRITERS}
+    out = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr in JSON_WRITERS
+                    and isinstance(f.value, ast.Name) and f.value.id == "json"
+                    or isinstance(f, ast.Name) and f.id in imported):
+                out.append((owner, any(k.arg == "indent" for k in node.keywords)))
+    return out
+
+
+def test_json_writes_are_found():
+    source = ("import json\nfrom json import dumps as d\n"
+              "x = json.dumps(1, indent=2)\n"
+              "def f(fh):\n    json.dump(1, fh)\n    return d(2, sort_keys=True)\n"
+              "def g():\n    return json.loads('1'), dumps(3)\n")
+    assert json_writes(source) == [(None, True), ("f", False), ("f", False)]
+
+
+def test_only_report_to_json_writes_json_and_never_indents():
+    """CPython 3.11 encodes with C only when no ``indent`` is given, and the
+    pure-Python indent path was twice the largest cost of ``finite_ladder``:
+    the two MENDED lines on ``report.report_to_json`` in CHANGES.md measured
+    0.139 s of a ~0.34 s traced pass (``BENCH_6.json``), then 30% of a
+    cProfile of ten analyses and 0.0099 s of a traced pass (``BENCH_18.json``)."""
+    writes = {p.name: json_writes(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: w for name, w in writes.items() if w} == {
+        "report.py": [("report_to_json", False)]}
 
 
 # a distance 2^-k is built by ``sft.dyadic`` alone, which keeps one

@@ -21,6 +21,7 @@ from chainscope.report import AnalysisConfig, cmd_analyze, condensation_dot, rep
 from chainscope.systems import MAX_EXHAUSTIVE_POINTS, FiniteSystem
 
 from conftest import line_system, save_system
+from oracles import indented
 
 
 def run_cli(args, capsys):
@@ -310,6 +311,11 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _report_digest(path) -> str:
+    """The digest of a JSON output in the indented layout its lock was recorded in."""
+    return hashlib.sha256(indented(json.loads(Path(path).read_text())).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("flags", [["--emit-csv", "t.csv"], ["--emit-svg", "t.svg"]])
 def test_witness_traces_of_a_shift_without_a_distal_pair_exit_2(flags, tmp_path,
                                                                 monkeypatch, capsys):
@@ -397,7 +403,7 @@ def test_shadow_without_the_pair_keeps_its_bytes(spec, orbit, flags, digest, tmp
     code, _, _ = run_cli(["shadow", spec, "--orbit", "o.txt", *flags, "--out", "s.json"],
                          capsys)
     assert code == 0
-    assert _digest("s.json") == digest
+    assert _report_digest("s.json") == digest
 
 
 def _readme_cli_flags() -> dict[str, set[str]]:

@@ -266,22 +266,3 @@ def test_chains_output_validates_against_the_item_schemas(seed):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["chains", str(path), "--delta", str(delta), "--out", str(out)]) == 0
         jsonschema.validate(json.loads(out.read_text()), CHAINS_SCHEMA)
-
-
-JSON_STRINGS = st.text(st.characters(min_codepoint=0), max_size=6)
-JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | JSON_STRINGS
-JSON_TREES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.lists(JSON_STRINGS, min_size=1, max_size=4)
-                   | st.dictionaries(JSON_STRINGS, inner, max_size=4)
-                   | st.dictionaries(st.integers(), inner, max_size=4)),
-    max_leaves=25)
-
-
-@settings(max_examples=300, deadline=None)
-@given(JSON_TREES)
-def test_report_encoder_writes_the_bytes_of_json_dumps(tree):
-    # str and int keys, non-ASCII and control characters, bools, None,
-    # finite and non-finite floats, tuples, and lists of only strings
-    assert report.report_to_json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscope import LadderWalk, chain_components, critical_deltas, cyclic
-from chainscope.report import AnalysisConfig, cmd_analyze, cyclic_section, report_to_json
+from chainscope.report import AnalysisConfig, cmd_analyze, cyclic_section
 
 from conftest import rand_system, random_system, save_system
-from oracles import CyclicSweep, ladder_digraphs, report_v3, step_analyze, step_cyclic_rows
+from oracles import (CyclicSweep, indented, ladder_digraphs, report_v3, step_analyze,
+                     step_cyclic_rows)
 from test_cyclic import _sweep_deltas, _sweep_system
 from test_report import _config
 
@@ -164,7 +165,7 @@ def _rand_config(k, policy):
 def test_rand_report_bytes_match_recorded_digest(k, policy, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = _rand_config(k, policy)
-    digest = hashlib.sha256(report_to_json(report_v3(config)).encode()).hexdigest()
+    digest = hashlib.sha256(indented(report_v3(config)).encode()).hexdigest()
     assert digest == RAND_DIGESTS[k, policy]
 
 
@@ -201,7 +202,7 @@ RAND_V4_DIGESTS = {
 def test_rand_v4_report_bytes_match_recorded_digest(k, policy, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = _rand_config(k, policy)
-    digest = hashlib.sha256(report_to_json(cmd_analyze(config)).encode()).hexdigest()
+    digest = hashlib.sha256(indented(cmd_analyze(config)).encode()).hexdigest()
     assert digest == RAND_V4_DIGESTS[k, policy]
 
 
