@@ -32,11 +32,19 @@ it, leads from b back to a on older edges; so without such a path no cycle
 uses the edge and the relation stays.  With one, a and b now share a cycle,
 which they did not while a could not reach b, so it grows.  As R counts
 paths of length >= 1, a self-loop on a point not yet recurrent is such a
-change.  A rung's digraph is then built (``build_chain_digraph``) only where
-a caller reads it: at the rungs where the components change and at those it
-writes.  The condensation order, sinks first, is one cached fact per
-digraph (``ChainDigraph.cond_order``), which on the first rung both the
-closure seed and the Lyapunov assignment read.
+change.  Once every point reaches every point, all points form one
+component and no arrival adds a path, so the stream ends there.  It ends
+before any arrival is gathered when the first rung's digraph is one
+recurrent SCC over all points.  Otherwise the edge a -> b that makes every
+point reach every point changes the components, so it closes a cycle; and
+after it R(a) and P(a) are both full.  Conversely, with both full every x
+reaches a, which reaches every y; so the test of a's masks after each
+cycle-closing edge a -> b finds the end.  A rung's digraph is then built
+(``build_chain_digraph``) only where a caller reads it: at the rungs where
+the components change and at those it writes.  The condensation order,
+sinks first, is one cached fact per digraph (``ChainDigraph.cond_order``),
+which on the first rung both the closure seed and the Lyapunov assignment
+read.
 """
 
 from __future__ import annotations
@@ -166,9 +174,11 @@ def cycle_ranks(dg: ChainDigraph, top: int) -> list[int]:
     The edges of rank in (dg.cut, top] go in rank order into a transitive
     closure of ``dg``, kept as bitmasks ``reach`` and ``back`` of the points
     reached from and reaching each point by a path of length >= 1 (argument
-    in the module docstring)."""
-    if top <= dg.cut:
-        return []
+    in the module docstring).  The stream ends once every point reaches
+    every point, and does not start when ``dg`` is one recurrent SCC over
+    all points: no later edge changes the components."""
+    if top <= dg.cut or len(dg.sccs) == 1 and _is_recurrent_scc(dg, dg.sccs[0]):
+        return []  # nothing arrives, or every point already reaches every point
     sys = dg.system
     ranks = sys.ranks
     index = ranks.index
@@ -185,19 +195,24 @@ def cycle_ranks(dg: ChainDigraph, top: int) -> list[int]:
     if not arriving:
         return []
     reach, back = _reach_masks(dg)
+    full = (1 << len(index)) - 1
     out: list[int] = []
     for r in sorted(arriving):
         for us, v in arriving[r]:
             for a in us:
                 if reach[a] >> v & 1:
                     continue  # the edge a -> v adds no path
-                if (a == v or reach[v] >> a & 1) and (not out or out[-1] != r):
-                    out.append(r)
+                closes = a == v or reach[v] >> a & 1
                 tails, heads = back[a] | 1 << a, reach[v] | 1 << v
                 for x in _set_bits(tails):
                     reach[x] |= heads
                 for y in _set_bits(heads):
                     back[y] |= tails
+                if closes:
+                    if not out or out[-1] != r:
+                        out.append(r)
+                    if reach[a] == back[a] == full:
+                        return out  # every point reaches every point
     return out
 
 

@@ -23,10 +23,10 @@ from .cyclic import LadderWalk
 from .errors import BudgetExceeded, ChainscopeError, InternalError, ValidationError
 from .families import (EventuallyPeriodicSet, WindowParams, inclusion_audit,
                        rle_to_window, rotation_time_set)
-from .report import (AnalysisConfig, basin_section, chaos_section, cmd_analyze,
-                     condensation_dot, cyclic_section, polyline_svg, reject_shift_delta,
-                     report_to_json, resolve_model, step_section, verdict_dict,
-                     write_csv, write_text)
+from .report import (AnalysisConfig, basin_section, chaos_section, check_writable,
+                     cmd_analyze, condensation_dot, cyclic_section, polyline_svg,
+                     reject_shift_delta, report_to_json, resolve_model, step_section,
+                     verdict_dict, write_csv, write_text)
 from .sft import SftGraph, dyadic, dyadic_depth
 from .shadowing import (find_shadowing_point, limit_shadowed, sft_shadow,
                         validate_pseudo_orbit)
@@ -348,6 +348,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # an output path that cannot be written is refused before any work
+        for name in ("out", "emit_dot", "emit_csv", "emit_svg"):
+            if path := getattr(args, name, None):
+                check_writable(path)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

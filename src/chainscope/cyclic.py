@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, compress, takewhile
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, takewhile
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -261,7 +261,9 @@ class LadderWalk:
     an edge: the segment's end, found in one pass over its ranks.  More
     edges give more paths of every length, so the transient index never
     increases within a segment, and it changes only at a rung where an
-    internal edge arrives.  It is probed by divide and conquer over those
+    internal edge arrives: a rung whose cut holds more of the component's
+    internal ranks, sorted once, than the rung before, found by one
+    bisection per rung.  It is probed by divide and conquer over those
     rungs; a probe reads the rows at its cut from each image's ranks to the
     component, past a segment's first rung by one bisection per node in
     those ranks kept sorted with running ORs.  The merge-law pairs at a cut
@@ -367,13 +369,14 @@ class LadderWalk:
                 row = {w: ors[bisect_right(up, cut) - 1] for w, (up, ors) in tables.items()}
             return list(map(row.__getitem__, images))
 
+        internal: list[int] = []  # every rank of an internal edge, ascending, once needed
         track = self._tracks[comp] = []
         j, end = self.span(comp)
         while j <= end:
             cut = cuts[j]
             succ = {w: list(compress(nodes, map(cut.__ge__, rs))) for w, rs in lines.items()}
             seg = _Segment(sys, comp, dict(zip(nodes, map(succ.__getitem__, images))), j)
-            arrive: set[int] = set()
+            arrive: Iterable[int] = ()
             if j < end:
                 # the preimages in C of one image share their successors,
                 # hence their class; every edge within the cut keeps the
@@ -383,11 +386,14 @@ class LadderWalk:
                 off = min(min(compress(lines[w], map(t.__ne__, seg.cls)),
                               default=len(ranks.scaled)) for w, t in nxt.items())
                 seg.last = last = min(end, bisect_left(cuts, off) - 1)
-                # the rungs past the first at which an internal edge arrives
-                window = range(cut + 1, cuts[last] + 1)
-                arrive = {bisect_left(cuts, r, j + 1, last + 1) for rs in lines.values()
-                          for r in filter(window.__contains__, rs)}
-            seg.settle([j, *sorted(arrive)], lambda k: _transient_index(
+                if j < last:
+                    # the rungs past the first at which an internal edge
+                    # arrives: those whose cut holds more internal ranks
+                    # than the cut of the rung before
+                    internal = internal or sorted(chain.from_iterable(lines.values()))
+                    held = list(map(partial(bisect_right, internal), cuts[j:last + 1]))
+                    arrive = compress(range(j + 1, last + 1), map(int.__lt__, held, held[1:]))
+            seg.settle([j, *arrive], lambda k: _transient_index(
                 rows(cuts[k], k == seg.first), seg.cls, seg.period))
             track.append(seg)
             j = seg.last + 1

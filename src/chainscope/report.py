@@ -16,6 +16,7 @@ step can be recovered from them (README "Reports").
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -320,14 +321,30 @@ def condensation_dot(dg: ChainDigraph) -> str:
 
 
 @contextmanager
-def _output(path, **kwargs):
+def _output(path, mode="w", **kwargs):
     """``path`` open for writing; a path that cannot be written, such as one
     in a missing directory or a directory itself, is a validation error."""
     try:
-        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+        with open(path, mode, encoding="utf-8", **kwargs) as fh:
             yield fh
     except OSError as exc:
         raise SpecError(f"{path}: cannot write: {exc.strerror or exc}") from exc
+
+
+def check_writable(path) -> None:
+    """Refuse ``path`` as ``_output`` would, before any work is done, and
+    leave the file system as it was.  A path that names nothing yet, in a
+    directory the process may write, passes on the directory's mode alone;
+    any other path is opened for appending, which keeps an existing file's
+    bytes, and a file that this makes is removed."""
+    new = not os.path.lexists(path)
+    folder = os.path.dirname(path) or "."
+    if new and os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK):
+        return
+    with _output(path, "a"):  # raises the error that writing would
+        pass
+    if new:
+        os.remove(path)  # made where the mode bits refused, as under an ACL
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -233,6 +233,49 @@ def fraction_levels(sys):
     return tuple(Fraction(x, sys.scale) for x in sorted({x for row in sys.rows for x in row}))
 
 
+def cycle_ranks_bruteforce(sys, cut, top):
+    """The ranks r in (cut, top] at which the chain components change:
+    ``closure_components`` of the digraph u -> v iff d(f(u), v) is at most
+    the distance of rank r, at every rank cut, against those at the cut
+    before.  Distances come from ``fraction_table``; the closure is taken
+    again wherever the edge set grows."""
+    table, levels = fraction_table(sys), fraction_levels(sys)
+
+    def edges(r):
+        return {(u, v) for u in sys.points for v in sys.points
+                if table[sys.apply(u), v] <= levels[r]}
+
+    def components(es):
+        succ = {u: [v for v in sys.points if (u, v) in es] for u in sys.points}
+        return closure_components(sys.points, succ)[0]
+
+    out = []
+    es = edges(cut)
+    comps = components(es)
+    for r in range(cut + 1, top + 1):
+        grown = edges(r)
+        if grown != es:
+            es, before, comps = grown, comps, components(grown)
+            if comps != before:
+                out.append(r)
+    return out
+
+
+def arrival_rungs(sys, comp, cuts, first, last):
+    """The rungs in (first, last] at which an edge inside ``comp`` arrives,
+    found edge by edge: each u -> v of comp whose rank lies in
+    (cuts[first], cuts[last]] arrives at the first rung whose cut holds it.
+    This is the set ``LadderWalk._track`` once built by one bisection per
+    internal rank."""
+    from bisect import bisect_left
+
+    ranks = sys.ranks
+    return sorted({bisect_left(cuts, r, first + 1, last + 1)
+                   for u in comp for v in comp
+                   for r in [ranks.rank[sys.apply(u)][ranks.index[v]]]
+                   if cuts[first] < r <= cuts[last]})
+
+
 def fraction_lyapunov(dg):
     """``complete_lyapunov`` on the Fraction path: the same reverse
     topological order of the condensation, each recurrent component the next

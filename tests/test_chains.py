@@ -10,9 +10,9 @@ from chainscope import (LadderWalk, build_chain_digraph, chain_components, chain
                         finite_system, graph)
 from chainscope.report import AnalysisConfig, cmd_analyze
 
-from conftest import line_system, random_system, save_system
-from oracles import (closure_components, digraph_from_edges, fraction_lyapunov,
-                     fraction_table, ladder_digraphs, reaches)
+from conftest import line_system, rand_system, random_system, save_system
+from oracles import (closure_components, cycle_ranks_bruteforce, digraph_from_edges,
+                     fraction_lyapunov, fraction_table, ladder_digraphs, reaches)
 from test_cyclic import _sweep_deltas, _sweep_system
 
 
@@ -240,6 +240,76 @@ def test_component_monotonicity_along_ladder():
             coarse = chain_components(build_chain_digraph(sys, d2))
             for comp in fine:
                 assert any(comp <= big for big in coarse)
+
+
+def _one_component_rank(sys):
+    """The least rank cut at which every point reaches every point."""
+    every = (frozenset(sys.points),)
+    return next(r for r in range(len(sys.ranks.scaled))
+                if chain_components(build_chain_digraph(sys, sys.ranks.level(r))) == every)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "line", "two_level", "grid"]),
+       first=st.sampled_from(["any", "one component", "below the merge"]))
+def test_cycle_ranks_match_the_closure_at_every_cut(seed, kind, first):
+    # systems of up to 16 points; a first rung anywhere, at or above the
+    # rung where every point reaches every point (no stream), or below it
+    # with a top past it (the stream ends mid-way)
+    rng = random.Random(seed)
+    if kind == "random":
+        sys = random_system(rng, max_points=16)
+    elif kind == "line":
+        sys = line_system(rng.randint(2, 16), rng.randrange(10**6), cycles=(2,))
+    else:
+        sys = _sweep_system(kind, rng)
+    top_rank = len(sys.ranks.scaled) - 1
+    merge = _one_component_rank(sys)
+    cut = {"any": rng.randint(0, top_rank), "one component": rng.randint(merge, top_rank),
+           "below the merge": rng.randint(0, max(merge - 1, 0))}[first]
+    top = top_rank if first != "any" else rng.randint(cut, top_rank)
+    dg = build_chain_digraph(sys, sys.ranks.level(cut))
+    assert dg.cut == cut
+    assert chains.cycle_ranks(dg, top) == cycle_ranks_bruteforce(sys, cut, top)
+
+
+def test_a_one_component_first_rung_gathers_no_arrival(monkeypatch):
+    # every point of rand16 reaches every point from the merge rung on: the
+    # closure returns before it gathers, sorts or streams any arrival
+    sys = rand_system(16)
+    merge = _one_component_rank(sys)
+    dgs = [build_chain_digraph(sys, sys.ranks.level(r)) for r in (merge, merge + 1)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an arrival list was built")
+
+    for name in ("compress", "sorted", "_reach_masks", "_set_bits"):
+        monkeypatch.setattr(chains, name, refuse, raising=False)
+    top = len(sys.ranks.scaled) - 1
+    for dg in dgs:
+        assert chains.cycle_ranks(dg, top) == []
+
+
+def test_the_stream_stops_where_every_point_reaches_every_point(monkeypatch):
+    # rand16 merges into one component well below its top rank: the closure
+    # takes the arrivals rank by rank and reads none past that rank
+    sys = rand_system(16)
+    merge = _one_component_rank(sys)
+    top = len(sys.ranks.scaled) - 1
+    assert 0 < merge < top - 50
+    dg = build_chain_digraph(sys, 0)
+    read = []
+
+    def ascending(ranks):
+        for r in sorted(ranks):
+            read.append(r)
+            yield r
+
+    monkeypatch.setattr(chains, "sorted", ascending, raising=False)
+    out = chains.cycle_ranks(dg, top)
+    assert out == cycle_ranks_bruteforce(sys, 0, top)
+    assert out[-1] == read[-1] == merge
 
 
 def test_negative_delta_rejected(sys3):

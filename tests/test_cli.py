@@ -333,15 +333,51 @@ def test_every_output_is_one_canonical_lossless_line(argv, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "corpus:sys3", "--out"],
+    ["analyze", "corpus:sys3", "--out", "r.json", "--emit-dot"],
     ["chains", "corpus:sys3", "--delta", "1", "--emit-csv"],
-], ids=["analyze-out", "chains-emit-csv"])
+    ["classify-chaos", "corpus:full2", "--emit-svg"],
+    ["furstenberg", "--rotation", "H=100", "--out"],
+    ["shadow", "corpus:sys3", "--orbit", "o.txt", "--emit-csv"],
+], ids=["analyze-out", "analyze-emit-dot", "chains-emit-csv", "classify-emit-svg",
+        "furstenberg-out", "shadow-emit-csv"])
 @pytest.mark.parametrize("target", ["missing/r.json", "."], ids=["missing-dir", "a-dir"])
 def test_an_unwritable_output_path_exits_2(argv, target, tmp_path, monkeypatch, capsys):
-    # a missing directory or a directory used to end in a traceback, exit 1
+    # a missing directory or a directory exits 2 before any analysis, with
+    # no spec read (it once ended in a traceback, exit 1)
     monkeypatch.chdir(tmp_path)
+
+    def entered(*args, **kwargs):
+        raise AssertionError("the command did work before it checked its outputs")
+
+    for name in ("cmd_analyze", "resolve_model", "inclusion_audit"):
+        monkeypatch.setattr(cli, name, entered)
     code, _, err = run_cli([*argv, target], capsys)
     assert code == 2
     assert err.startswith(f"error: {target}: cannot write: ") and err.count("\n") == 1
+    assert list(Path().iterdir()) == []
+
+
+def test_a_failing_command_leaves_its_outputs_as_they_were(tmp_path, monkeypatch, capsys):
+    # the output check truncates no file and leaves none behind when the
+    # command then fails
+    monkeypatch.chdir(tmp_path)
+    Path("r.json").write_text("kept\n")
+    code, _, err = run_cli(["classify-chaos", "corpus:full2", "--horizon", "-5",
+                            "--out", "r.json", "--emit-csv", "w.csv", "--emit-svg", "w.svg"], capsys)
+    assert code == 2 and err.startswith("error: ")
+    code, _, err = run_cli(["analyze", "corpus:sys3", "--ladder", "1",
+                            "--out", "new.json", "--emit-dot", "new.dot"], capsys)
+    assert code == 2 and err.startswith("error: --ladder applies only")
+    assert sorted(Path().iterdir()) == [Path("r.json")]
+    assert Path("r.json").read_text() == "kept\n"
+
+
+def test_the_output_check_removes_a_file_it_made(tmp_path, monkeypatch):
+    # where the directory's mode bits refuse a new file, the check opens the
+    # path to get the error that writing would give, and removes what opened
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(report.os, "access", lambda *args: False)
+    report.check_writable("new.json")
     assert list(Path().iterdir()) == []
 
 

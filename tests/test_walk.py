@@ -15,8 +15,8 @@ from chainscope import LadderWalk, chain_components, critical_deltas, cyclic
 from chainscope.report import AnalysisConfig, cmd_analyze, cyclic_section
 
 from conftest import rand_system, random_system, save_system
-from oracles import (CyclicSweep, indented, ladder_digraphs, report_v3, step_analyze,
-                     step_cyclic_rows)
+from oracles import (CyclicSweep, arrival_rungs, indented, ladder_digraphs, report_v3,
+                     step_analyze, step_cyclic_rows)
 from test_cyclic import _sweep_deltas, _sweep_system
 from test_report import _config
 
@@ -81,6 +81,32 @@ def test_walk_proximal_and_rows_match_the_oracle_on_every_rung(seed, kind):
                   [j for j, d in enumerate(deltas) if d in crit]):
         assert cyclic_section(walk, rungs) == step_cyclic_rows(
             sweep, [deltas[j] for j in rungs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "line", "two_level", "two_cycle", "grid"]))
+def test_track_arrival_rungs_match_the_per_edge_set(seed, kind):
+    # the rungs a segment probes its transient index at are its first rung
+    # and those where an internal edge arrives, on the whole ladder and on
+    # a sparse pick of its rungs
+    rng = random.Random(seed)
+    sys = _sweep_system(kind, rng)
+    deltas = _sweep_deltas(sys)
+    settled = []
+    settle = cyclic._Segment.settle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclic._Segment, "settle", lambda seg, rungs, probe: settled.append(
+            (seg, list(rungs))) or settle(seg, rungs, probe))
+        for ladder in (deltas, sorted(rng.sample(deltas, rng.randint(1, len(deltas))))):
+            walk = LadderWalk(sys, ladder)
+            settled.clear()
+            for comp in walk._spans:
+                walk._track(comp)
+            assert settled
+            for seg, rungs in settled:
+                assert rungs == [seg.first, *arrival_rungs(sys, seg.component, walk.cuts,
+                                                           seg.first, seg.last)]
 
 
 @pytest.mark.parametrize("where", ["on", "between", "below"])
